@@ -152,6 +152,12 @@ func buildCodec(cfg Config, k int) (code.Codec, error) {
 	}
 }
 
+// ratelessID reports whether a wire codec id names a rateless code, whose
+// descriptor carries the unbounded-N sentinel and no stretch factor.
+func ratelessID(codec uint8) bool {
+	return codec == proto.CodecLT || codec == proto.CodecRaptor
+}
+
 // ltWireParams resolves and quantizes a config's robust-soliton parameters
 // to the wire's millionth units. Both the sender's session and the
 // receiver's reconstructed codec pass through this quantization, so the
@@ -206,7 +212,7 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 // A nil cache, or a codec that does not implement code.RangeEncoder,
 // degrades to eager encoding (full materialization at construction).
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
-	if cfg.Stretch < 2 && cfg.Codec != proto.CodecLT && cfg.Codec != proto.CodecRaptor {
+	if cfg.Stretch < 2 && !ratelessID(cfg.Codec) {
 		return nil, fmt.Errorf("core: stretch %d < 2", cfg.Stretch)
 	}
 	if cfg.Layers < 1 || cfg.Layers > 16 {
@@ -532,6 +538,13 @@ type Receiver struct {
 // reconstructs the codec locally from the descriptor's parameters — no
 // further server state is needed (the "advance agreement" of §5.1).
 func NewReceiver(info proto.SessionInfo) (*Receiver, error) {
+	// The descriptor arrives off a socket: check it before dividing by K.
+	if info.K == 0 {
+		return nil, fmt.Errorf("core: descriptor has k=0")
+	}
+	if !ratelessID(info.Codec) && info.N < info.K {
+		return nil, fmt.Errorf("core: descriptor has n=%d below k=%d", info.N, info.K)
+	}
 	cfg := Config{
 		Codec:            info.Codec,
 		PacketLen:        int(info.PacketLen),

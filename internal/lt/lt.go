@@ -15,20 +15,20 @@
 // decoder fails with probability at most δ after k + O(√k·ln²(k/δ))
 // packets. Tunables c and δ trade average degree against ripple robustness.
 //
-// Decoding is belief-propagation peeling with lazy XOR release (see
-// decoder.go), backed by an inactivation-style GF(2) elimination fallback
-// so reception overhead stays near the rank bound instead of stalling on an
-// empty ripple.
+// Decoding is the shared peeling engine (internal/peel) with no static
+// equations and no systematic prefix: belief-propagation peeling with lazy
+// XOR release, backed by a GF(2) elimination endgame so reception overhead
+// stays near the rank bound instead of stalling on an empty ripple.
 package lt
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/code"
 	"repro/internal/gf"
+	"repro/internal/peel"
 )
 
 // Default degree-distribution parameters: a moderate spike (c) and failure
@@ -45,10 +45,11 @@ const (
 type Codec struct {
 	k         int
 	packetLen int
-	seed      int64
 	c         float64
 	delta     float64
-	cdf       []float64 // cdf[d-1] = P(degree <= d), d = 1..k
+	// engine is what every decoder of the session runs on; its sampler,
+	// the robust soliton over the k sources, is also the encoder's.
+	engine peel.Code
 }
 
 // New constructs the codec for k source packets of packetLen bytes. The
@@ -68,8 +69,11 @@ func New(k, packetLen int, seed int64, c, delta float64) (*Codec, error) {
 	if delta <= 0 || delta >= 1 {
 		delta = DefaultDelta
 	}
-	lc := &Codec{k: k, packetLen: packetLen, seed: seed, c: c, delta: delta}
-	lc.cdf = robustSolitonCDF(k, c, delta)
+	lc := &Codec{k: k, packetLen: packetLen, c: c, delta: delta}
+	lc.engine = peel.Code{
+		K: k, PacketLen: packetLen,
+		Draw: peel.Sampler{Seed: seed, CDF: robustSolitonCDF(k, c, delta), L: k},
+	}
 	return lc, nil
 }
 
@@ -131,7 +135,7 @@ func (c *Codec) PacketLen() int { return c.packetLen }
 func (c *Codec) Params() (cc, delta float64) { return c.c, c.delta }
 
 // Seed returns the session seed the packet streams derive from.
-func (c *Codec) Seed() int64 { return c.seed }
+func (c *Codec) Seed() int64 { return c.engine.Draw.Seed }
 
 // RatelessCode implements code.Rateless.
 func (c *Codec) RatelessCode() {}
@@ -144,97 +148,20 @@ var ErrUnbounded = errors.New("lt: rateless codec has no finite encoding; use En
 // (core sessions detect the Rateless capability and never call Encode).
 func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return nil, ErrUnbounded }
 
-// prng is a splitmix64 stream. Packet index i's stream is seeded by mixing
-// the session seed with i, so every encoding packet is an independent,
-// reproducible draw — the property that lets unstaggered mirrors emit
-// disjoint useful packets with no coordination beyond distinct indices.
-type prng struct{ state uint64 }
-
-func (p *prng) next() uint64 {
-	p.state += 0x9E3779B97F4A7C15
-	z := p.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// float64 in [0, 1).
-func (p *prng) uniform() float64 { return float64(p.next()>>11) / (1 << 53) }
-
-// stream returns packet index i's PRNG, decorrelated from neighboring
-// indices by one full mix round over (seed, index).
-func (c *Codec) stream(index uint32) prng {
-	p := prng{state: uint64(c.seed) ^ (uint64(index)+1)*0xBF58476D1CE4E5B9}
-	p.state = p.next()
-	return p
-}
-
-// degree samples the robust soliton distribution with the stream's next
-// draw: binary search for the first CDF entry covering u.
-func (c *Codec) degree(p *prng) int {
-	u := p.uniform()
-	return sort.SearchFloat64s(c.cdf, u) + 1
-}
-
 // Degree returns encoding packet index's degree — deterministic, in
 // [1, k].
-func (c *Codec) Degree(index uint32) int {
-	p := c.stream(index)
-	d := c.degree(&p)
-	if d > c.k {
-		d = c.k // unreachable (cdf tail is pinned); belt and braces
-	}
-	return d
-}
+func (c *Codec) Degree(index uint32) int { return c.engine.Draw.Degree(index) }
 
 // NeighborsInto writes encoding packet index's neighbor set — the source
 // packets XORed into it — into buf (reused if capacity allows) and returns
 // it. The set is deterministic in (seed, index, k), duplicate-free, and
 // every entry is in [0, k).
 func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
-	p := c.stream(index)
-	d := c.degree(&p)
-	buf = buf[:0]
-	if d >= c.k {
-		// Full-degree packet: enumerate rather than reject (coupon-collector
-		// rejection at d = k would cost k·ln k draws).
-		for i := 0; i < c.k; i++ {
-			buf = append(buf, i)
-		}
-		return buf
-	}
-	// Rejection sampling keeps the draw sequence identical regardless of
-	// how duplicates are detected: a linear scan for the common degrees
-	// (including the robust-soliton spike, which would otherwise allocate
-	// a map on a meaningful fraction of packets), a set once quadratic
-	// scanning would genuinely bite.
-	var dup map[int]struct{}
-	if d > 256 {
-		dup = make(map[int]struct{}, d)
-	}
-	for len(buf) < d {
-		cand := int(p.next() % uint64(c.k))
-		if dup != nil {
-			if _, seen := dup[cand]; seen {
-				continue
-			}
-			dup[cand] = struct{}{}
-		} else {
-			seen := false
-			for _, b := range buf {
-				if b == cand {
-					seen = true
-					break
-				}
-			}
-			if seen {
-				continue
-			}
-		}
-		buf = append(buf, cand)
-	}
-	return buf
+	return c.engine.Draw.NeighborsInto(index, buf)
 }
+
+// NewDecoder implements code.Codec.
+func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
 
 // EncodeRange implements code.RangeEncoder: encoding packets [lo, hi), each
 // freshly allocated (an LT code is not systematic — every output is a coded

@@ -1,18 +1,21 @@
-// Raptor decoding: joint belief-propagation peeling over the L = k+s
-// intermediate symbols, where the equation set is the union of
+// Package peel is the one belief-propagation peeling engine under the LT
+// and raptor codecs, plus the pieces every peeling code shares: the
+// per-index neighbour sampler (sampler.go) and the packet-buffer arena
+// (arena.go).
 //
-//   - the s *static* precode equations 0 = value(k+j) ⊕ ⊕ sources(j),
-//     known to the decoder by construction and present from packet zero
-//     (their "payload" is the implicit all-zero packet — never allocated,
-//     never transmitted), and
-//   - the received coded packets (systematic packets resolve their
-//     intermediate directly; repair packets are inner-code equations).
+// The engine decodes a system of XOR equations over L columns, of which
+// the first K are the source symbols. The equation set is the union of
 //
-// Static equations are free rank: a receiver needs only ≈k received
-// symbols regardless of s, because the s check symbols come with their
-// own defining equations. They are also why the weakened (truncated)
-// inner distribution decodes at all — the residue it strands is exactly
-// what the precode peels.
+//   - the L-K *static* equations 0 = column(K+j) ⊕ ⊕ CheckSrc[j], known
+//     by construction and present from packet zero (their "payload" is the
+//     implicit all-zero packet — never allocated, never transmitted), and
+//   - the received coded packets (packets of the systematic prefix resolve
+//     their column directly; the rest are neighbour-function equations).
+//
+// LT is the engine with no static rows and no systematic prefix; raptor
+// supplies its precode as static rows. Static equations are free rank: a
+// receiver needs only ≈K received symbols regardless of L-K, because the
+// check symbols come with their own defining equations.
 //
 // Two mechanisms keep the hot path linear and the lossless path free:
 //
@@ -20,7 +23,7 @@
 // other live equation wants is parked, not released: releasing it would
 // spend check-degree XORs computing a value nobody reads. At zero loss
 // every static equation ends parked on its own check symbol, so a
-// receiver of the k systematic packets performs exactly zero XOR work.
+// receiver of the K systematic packets performs exactly zero XOR work.
 // A parked equation is revived the moment a new packet registers as a
 // waiter on its check symbol.
 //
@@ -29,8 +32,9 @@
 // those check symbols some live received equation references — a check
 // symbol appearing solely in its own static equation is a free variable,
 // so that row and column drop together. The rank-deficit gate (needMore)
-// bounds attempts, exactly as in the LT and Tornado decoders.
-package raptor
+// bounds attempts. This is the engine's one endgame policy; both codes
+// use it.
+package peel
 
 import (
 	"fmt"
@@ -40,83 +44,108 @@ import (
 	"repro/internal/gf"
 )
 
-// eq is one decoding equation. Ids [0, s) are the static precode
-// equations (data == nil: the implicit zero payload); received repair
-// packets append after. data holds the raw payload as received; resolved
-// neighbors are XORed out lazily at release time.
+// Code is what a code contributes to the engine. It is immutable and
+// shared by every decoder of a session.
+type Code struct {
+	K         int // source symbols: columns [0, K)
+	PacketLen int
+	// Draw is the per-index neighbour function: the columns XORed into
+	// packet index (>= Systematic), drawn over all L = Draw.L columns.
+	// Columns [K, L) are the static equations' check symbols.
+	Draw Sampler
+	// Systematic is the length of the identity prefix: packet index
+	// i < Systematic carries column i verbatim (0 for LT, K for raptor).
+	Systematic int
+	// CheckSrc[j] lists the sources of static equation j (0 <= j < L-K):
+	// 0 = column(K+j) ⊕ ⊕_{i∈CheckSrc[j]} column(i).
+	CheckSrc [][]int32
+	// StaticOf[v] lists the static equations covering column v — the
+	// reverse adjacency walked when v resolves; for a check column K+j it
+	// is exactly {j}. Unused (may be nil) when L == K.
+	StaticOf [][]int32
+}
+
+// eq is one decoding equation. Ids [0, s) are the static equations
+// (data == nil: the implicit zero payload); received packets append
+// after. data holds the raw payload as received; resolved neighbors are
+// XORed out lazily at release time, so each payload is touched O(degree)
+// times total.
 type eq struct {
 	index     uint32 // wire index (received equations only)
 	data      []byte // arena-backed payload; nil for static equations
 	remaining int32  // unresolved neighbors; 0 = retired
 }
 
-type decoder struct {
-	c *Codec
+// Decoder is one reception session over a Code. It implements
+// code.Decoder and code.ReleaseCounter.
+type Decoder struct {
+	c *Code
+	s int // static equations: L - K
 
-	values   [][]byte // per intermediate symbol; nil while unresolved
+	values   [][]byte // per column; nil while unresolved
 	srcLeft  int      // unresolved source symbols (done when 0)
-	resolved int      // resolved intermediates (sources + checks)
+	resolved int      // resolved columns (sources + checks)
 	eqs      []eq     // [0,s) static, then received
-	// Waiter lists (intermediate -> ids of buffered equations covering
-	// it) as linked nodes in one growable arena — registration never
-	// allocates per symbol.
-	whead    []int32 // per intermediate: index into wnodes, -1 = empty
+	// Waiter lists (column -> ids of buffered equations covering it) as
+	// linked nodes in one growable arena — registration never allocates
+	// per symbol.
+	whead    []int32 // per column: index into wnodes, -1 = empty
 	wnodes   []wnode
 	relq     []int32
 	active   int                 // equations with remaining > 0
-	parked   []int32             // per check j: 1+id of an equation parked on k+j, 0 if none
+	parked   []int32             // per check j: 1+id of an equation parked on K+j, 0 if none
 	seen     map[uint32]struct{} // distinct accepted wire indices
 	needMore int                 // rank-deficit gate for the elimination endgame
 
 	released int // coded-equation releases: the deferred-XOR events
 	xors     int // payload XORSlice calls on the peeling path
 
-	nbuf []int
-	done bool
-
-	// Slab arena + free list for payload buffers: the allocation-shape
-	// fix the LT decoder gets in this PR, here from day one.
-	slab []byte
-	free [][]byte
+	nbuf  []int
+	done  bool
+	arena Arena
 }
 
 // wnode is one waiter registration: equation id, plus the next node on
-// the same intermediate's list.
+// the same column's list.
 type wnode struct {
 	id   int32
 	next int32
 }
 
-// NewDecoder implements code.Codec. The static equations are live
+// NewDecoder starts a reception session. The static equations are live
 // immediately; a zero-source check (possible on tiny precodes) starts
 // releasable and is parked on first drain.
-func (c *Codec) NewDecoder() code.Decoder {
-	d := &decoder{
-		c:      c,
-		values: make([][]byte, c.l),
-		whead:  make([]int32, c.l),
-		wnodes: make([]wnode, 0, 2*c.k),
-		eqs:    make([]eq, c.s, c.s+c.k/2+16),
-		parked: make([]int32, c.s),
-		seen:   make(map[uint32]struct{}, c.k+c.k/8),
+func NewDecoder(c *Code) *Decoder {
+	l := c.Draw.L
+	s := l - c.K
+	d := &Decoder{
+		c:       c,
+		s:       s,
+		values:  make([][]byte, l),
+		whead:   make([]int32, l),
+		wnodes:  make([]wnode, 0, 2*c.K),
+		eqs:     make([]eq, s, s+c.K/2+16),
+		parked:  make([]int32, s),
+		seen:    make(map[uint32]struct{}, c.K+c.K/8),
+		active:  s,
+		srcLeft: c.K,
+		arena:   Arena{PacketLen: c.PacketLen},
 	}
 	for v := range d.whead {
 		d.whead[v] = -1
 	}
-	for j := 0; j < c.s; j++ {
-		d.eqs[j].remaining = c.staticDeg[j]
-		if d.eqs[j].remaining == 1 {
+	for j, srcs := range c.CheckSrc {
+		d.eqs[j].remaining = int32(len(srcs)) + 1 // its sources plus its own check symbol
+		if len(srcs) == 0 {
 			d.relq = append(d.relq, int32(j))
 		}
 	}
-	d.active = c.s
-	d.srcLeft = c.k
 	return d
 }
 
 // Add implements code.Decoder.
-func (d *decoder) Add(i int, data []byte) (bool, error) {
-	if err := code.CheckPacket(i, data, code.UnboundedN, d.c.packetLen); err != nil {
+func (d *Decoder) Add(i int, data []byte) (bool, error) {
+	if err := code.CheckPacket(i, data, code.UnboundedN, d.c.PacketLen); err != nil {
 		return d.done, err
 	}
 	if d.done {
@@ -129,18 +158,18 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 	d.seen[index] = struct{}{}
 	resBefore := d.resolved
 	contributed := false
-	if i < d.c.k {
-		// Systematic packet: the payload IS intermediate i. No XOR, no
+	if i < d.c.Systematic {
+		// Systematic packet: the payload IS column i. No XOR, no
 		// equation bookkeeping beyond the resolve ripple.
 		if d.values[i] == nil {
-			buf := d.alloc()
+			buf := d.arena.Alloc()
 			copy(buf, data)
 			contributed = true
 			d.resolve(i, buf)
 			d.drainRipple()
 		}
 	} else {
-		d.nbuf = d.c.NeighborsInto(index, d.nbuf)
+		d.nbuf = d.c.Draw.NeighborsInto(index, d.nbuf)
 		unresolved := 0
 		last := -1
 		for _, nb := range d.nbuf {
@@ -155,7 +184,7 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 			// pending elimination deficit.
 		case 1:
 			// Immediately releasable.
-			buf := d.alloc()
+			buf := d.arena.Alloc()
 			copy(buf, data)
 			for _, nb := range d.nbuf {
 				if v := d.values[nb]; v != nil {
@@ -169,7 +198,7 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 			d.drainRipple()
 		default:
 			id := int32(len(d.eqs))
-			buf := d.alloc()
+			buf := d.arena.Alloc()
 			copy(buf, data)
 			d.eqs = append(d.eqs, eq{index: index, data: buf, remaining: int32(unresolved)})
 			d.active++
@@ -179,11 +208,11 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 					continue
 				}
 				d.addWaiter(nb, id)
-				if nb >= d.c.k {
+				if nb >= d.c.K {
 					// A new customer for this check symbol: revive any
 					// equation parked on it.
-					if p := d.parked[nb-d.c.k]; p != 0 {
-						d.parked[nb-d.c.k] = 0
+					if p := d.parked[nb-d.c.K]; p != 0 {
+						d.parked[nb-d.c.K] = 0
 						d.relq = append(d.relq, p-1)
 					}
 				}
@@ -194,7 +223,7 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 	// Pay down the elimination rank-deficit gate by actual progress: a
 	// contributing equation adds prospective rank, and every symbol
 	// resolved since the packet arrived removes a column from the residual
-	// system. Counting contributions alone (the LT rule, where packets
+	// system. Counting contributions alone (enough only where packets
 	// never resolve symbols directly) would lock the endgame out for the
 	// whole systematic prefix of a lossy stream.
 	if d.needMore > 0 {
@@ -217,32 +246,34 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 	return d.done, nil
 }
 
-// resolve records intermediate s's value and decrements every live
-// equation covering it: the static equations via the codec's reverse
-// adjacency, the buffered received equations via the waiter lists.
-func (d *decoder) resolve(s int, val []byte) {
+// resolve records column s's value and decrements every live equation
+// covering it: the static equations via the code's reverse adjacency, the
+// buffered received equations via the waiter lists.
+func (d *Decoder) resolve(s int, val []byte) {
 	d.values[s] = val
 	d.resolved++
-	if s < d.c.k {
+	if s < d.c.K {
 		d.srcLeft--
 		if d.srcLeft == 0 {
 			d.finish()
 			return
 		}
-	} else if p := d.parked[s-d.c.k]; p != 0 {
+	} else if p := d.parked[s-d.c.K]; p != 0 {
 		// Anything parked on this check symbol is now redundant; its
 		// remaining hits 0 in the decrement loops below.
-		d.parked[s-d.c.k] = 0
+		d.parked[s-d.c.K] = 0
 	}
-	for _, j := range d.c.staticOf[s] {
-		e := &d.eqs[j]
-		if e.remaining > 0 {
-			e.remaining--
-			switch e.remaining {
-			case 1:
-				d.relq = append(d.relq, j)
-			case 0:
-				d.active--
+	if d.s > 0 {
+		for _, j := range d.c.StaticOf[s] {
+			e := &d.eqs[j]
+			if e.remaining > 0 {
+				e.remaining--
+				switch e.remaining {
+				case 1:
+					d.relq = append(d.relq, j)
+				case 0:
+					d.active--
+				}
 			}
 		}
 	}
@@ -257,7 +288,7 @@ func (d *decoder) resolve(s int, val []byte) {
 			case 0:
 				// Queued for release with s as its last unknown; now
 				// fully covered, hence redundant.
-				d.freeBuf(e.data)
+				d.arena.Free(e.data)
 				e.data = nil
 				d.active--
 			}
@@ -271,8 +302,8 @@ func (d *decoder) resolve(s int, val []byte) {
 // check only while it still has another unknown to peel (remaining > 1);
 // a waiter likewise contributes nothing if the check is its sole unknown
 // too (releasing either one retires both with no symbol gained).
-func (d *decoder) needed(id int32, target int) bool {
-	j := int32(target - d.c.k)
+func (d *Decoder) needed(id int32, target int) bool {
+	j := int32(target - d.c.K)
 	if j != id && d.eqs[j].remaining > 1 {
 		return true
 	}
@@ -289,7 +320,7 @@ func (d *decoder) needed(id int32, target int) bool {
 // equations whose last unknown is an unwanted check symbol are parked
 // instead (see the package comment — this is the zero-loss zero-XOR
 // path).
-func (d *decoder) drainRipple() {
+func (d *Decoder) drainRipple() {
 	for len(d.relq) > 0 && !d.done {
 		id := d.relq[len(d.relq)-1]
 		d.relq = d.relq[:len(d.relq)-1]
@@ -297,14 +328,14 @@ func (d *decoder) drainRipple() {
 		if e.remaining != 1 {
 			continue // raced to 0: became redundant while queued
 		}
-		static := id < int32(d.c.s)
+		static := id < int32(d.s)
 		target := -1
 		if static {
 			j := int(id)
-			if d.values[d.c.k+j] == nil {
-				target = d.c.k + j
+			if d.values[d.c.K+j] == nil {
+				target = d.c.K + j
 			} else {
-				for _, nb := range d.c.checkSrc[j] {
+				for _, nb := range d.c.CheckSrc[j] {
 					if d.values[nb] == nil {
 						target = int(nb)
 						break
@@ -312,7 +343,7 @@ func (d *decoder) drainRipple() {
 				}
 			}
 		} else {
-			d.nbuf = d.c.NeighborsInto(e.index, d.nbuf)
+			d.nbuf = d.c.Draw.NeighborsInto(e.index, d.nbuf)
 			for _, nb := range d.nbuf {
 				if d.values[nb] == nil {
 					target = nb
@@ -325,14 +356,14 @@ func (d *decoder) drainRipple() {
 			// retire rather than corrupt.
 			e.remaining = 0
 			if e.data != nil {
-				d.freeBuf(e.data)
+				d.arena.Free(e.data)
 				e.data = nil
 			}
 			d.active--
 			continue
 		}
-		if target >= d.c.k && !d.needed(id, target) {
-			d.parked[target-d.c.k] = id + 1
+		if target >= d.c.K && !d.needed(id, target) {
+			d.parked[target-d.c.K] = id + 1
 			continue
 		}
 		var val []byte
@@ -340,18 +371,18 @@ func (d *decoder) drainRipple() {
 			val = e.data
 			e.data = nil
 		} else {
-			val = d.alloc()
+			val = d.arena.Alloc()
 			clear(val)
 		}
 		if static {
 			j := int(id)
-			for _, nb := range d.c.checkSrc[j] {
+			for _, nb := range d.c.CheckSrc[j] {
 				if v := d.values[nb]; v != nil {
 					gf.XORSlice(val, v)
 					d.xors++
 				}
 			}
-			if v := d.values[d.c.k+j]; v != nil {
+			if v := d.values[d.c.K+j]; v != nil {
 				gf.XORSlice(val, v)
 				d.xors++
 			}
@@ -370,13 +401,12 @@ func (d *decoder) drainRipple() {
 	}
 }
 
-// elimMax bounds the residual system the endgame will solve, as in the
-// LT decoder: elimination is cubic, so peeling must shrink the residue
-// first. With the precode cleaning the truncated inner code's residue,
-// the endgame system here is typically a few dozen columns — the
-// fallback that dominated LT decode time becomes a footnote.
-func (d *decoder) elimMax() int {
-	if m := d.c.k / 8; m > 768 {
+// elimMax bounds the residual system the endgame will solve: elimination
+// is cubic, so peeling must shrink the residue below ~K/8 first. Where
+// static rows clean a truncated distribution's residue (raptor), the
+// endgame system is typically a few dozen columns.
+func (d *Decoder) elimMax() int {
+	if m := d.c.K / 8; m > 768 {
 		return m
 	}
 	return 768
@@ -389,7 +419,7 @@ func (d *decoder) elimMax() int {
 // symbol appearing only in its own static equation is a free variable —
 // that row and column leave the system together, which keeps the matrix
 // near the true information deficit instead of O(s) wide.
-func (d *decoder) tryEliminate(stalled bool) {
+func (d *Decoder) tryEliminate(stalled bool) {
 	if d.done || d.needMore > 0 || d.srcLeft == 0 {
 		return
 	}
@@ -410,7 +440,7 @@ func (d *decoder) tryEliminate(stalled bool) {
 		// overshoot, locking elimination out past the prefix.
 		return
 	}
-	k, s := d.c.k, d.c.s
+	k, s := d.c.K, d.s
 	colOf := make(map[int]int, 2*d.srcLeft)
 	syms := make([]int, 0, 2*d.srcLeft)
 	addCol := func(v int) {
@@ -429,7 +459,7 @@ func (d *decoder) tryEliminate(stalled bool) {
 		if d.eqs[id].remaining <= 0 {
 			continue
 		}
-		d.nbuf = d.c.NeighborsInto(d.eqs[id].index, d.nbuf)
+		d.nbuf = d.c.Draw.NeighborsInto(d.eqs[id].index, d.nbuf)
 		for _, nb := range d.nbuf {
 			if d.values[nb] == nil {
 				addCol(nb)
@@ -468,15 +498,15 @@ func (d *decoder) tryEliminate(stalled bool) {
 	}
 	m := bitmat.New(rows, cols)
 	rhs := make([][]byte, rows)
-	store := make([]byte, rows*d.c.packetLen)
+	store := make([]byte, rows*d.c.PacketLen)
 	r := 0
 	for _, id := range recvRows {
 		if r == rows {
 			break
 		}
-		buf := store[r*d.c.packetLen : (r+1)*d.c.packetLen]
+		buf := store[r*d.c.PacketLen : (r+1)*d.c.PacketLen]
 		copy(buf, d.eqs[id].data)
-		d.nbuf = d.c.NeighborsInto(d.eqs[id].index, d.nbuf)
+		d.nbuf = d.c.Draw.NeighborsInto(d.eqs[id].index, d.nbuf)
 		for _, nb := range d.nbuf {
 			if v := d.values[nb]; v != nil {
 				gf.XORSlice(buf, v)
@@ -492,8 +522,8 @@ func (d *decoder) tryEliminate(stalled bool) {
 			break
 		}
 		j := int(jd)
-		buf := store[r*d.c.packetLen : (r+1)*d.c.packetLen] // implicit zero payload
-		for _, nb := range d.c.checkSrc[j] {
+		buf := store[r*d.c.PacketLen : (r+1)*d.c.PacketLen] // implicit zero payload
+		for _, nb := range d.c.CheckSrc[j] {
 			if v := d.values[nb]; v != nil {
 				gf.XORSlice(buf, v)
 			} else {
@@ -522,7 +552,7 @@ func (d *decoder) tryEliminate(stalled bool) {
 			}
 		}
 	}
-	d.resolved = d.c.l
+	d.resolved = d.c.Draw.L
 	d.finish()
 }
 
@@ -539,7 +569,7 @@ func deficitWait(deficit int) int {
 
 // finish drops the equation state; values (some arena-backed) survive
 // for Source.
-func (d *decoder) finish() {
+func (d *Decoder) finish() {
 	d.done = true
 	d.srcLeft = 0
 	d.eqs = nil
@@ -547,69 +577,46 @@ func (d *decoder) finish() {
 	d.whead = nil
 	d.wnodes = nil
 	d.parked = nil
-	d.slab = nil
-	d.free = nil
+	d.arena = Arena{}
 }
 
-// alloc hands out one packet buffer from the slab arena (contents
-// arbitrary — callers copy or clear).
-func (d *decoder) alloc() []byte {
-	if n := len(d.free); n > 0 {
-		b := d.free[n-1]
-		d.free = d.free[:n-1]
-		return b
-	}
-	pl := d.c.packetLen
-	if len(d.slab) < pl {
-		n := 16 * pl
-		if n < 16384 {
-			n = 16384
-		}
-		d.slab = make([]byte, n)
-	}
-	b := d.slab[:pl:pl]
-	d.slab = d.slab[pl:]
-	return b
-}
-
-func (d *decoder) freeBuf(b []byte) {
-	if b != nil {
-		d.free = append(d.free, b)
-	}
-}
-
-// addWaiter registers equation id on intermediate v: one arena append,
-// one head swap.
-func (d *decoder) addWaiter(v int, id int32) {
+// addWaiter registers equation id on column v: one arena append, one
+// head swap.
+func (d *Decoder) addWaiter(v int, id int32) {
 	d.wnodes = append(d.wnodes, wnode{id: id, next: d.whead[v]})
 	d.whead[v] = int32(len(d.wnodes) - 1)
 }
 
+var (
+	_ code.Decoder        = (*Decoder)(nil)
+	_ code.ReleaseCounter = (*Decoder)(nil)
+)
+
 // Done implements code.Decoder.
-func (d *decoder) Done() bool { return d.done }
+func (d *Decoder) Done() bool { return d.done }
 
 // Received implements code.Decoder: distinct accepted packets.
-func (d *decoder) Received() int { return len(d.seen) }
+func (d *Decoder) Received() int { return len(d.seen) }
 
 // Released implements code.ReleaseCounter: the number of coded-equation
 // releases — each one a deferred-XOR event exposing a symbol. A receiver
 // of the k systematic packets reports exactly 0.
-func (d *decoder) Released() int { return d.released }
+func (d *Decoder) Released() int { return d.released }
 
 // XORs returns the payload XORSlice count on the peeling path (the
 // elimination endgame's internal row combinations are not included).
 // Zero loss ⇒ zero.
-func (d *decoder) XORs() int { return d.xors }
+func (d *Decoder) XORs() int { return d.xors }
 
 // Source implements code.Decoder.
-func (d *decoder) Source() ([][]byte, error) {
+func (d *Decoder) Source() ([][]byte, error) {
 	if !d.done {
 		return nil, code.ErrNotReady
 	}
-	for v, val := range d.values[:d.c.k] {
+	for v, val := range d.values[:d.c.K] {
 		if val == nil {
-			return nil, fmt.Errorf("raptor: symbol %d unresolved after completion", v)
+			return nil, fmt.Errorf("peel: symbol %d unresolved after completion", v)
 		}
 	}
-	return d.values[:d.c.k], nil
+	return d.values[:d.c.K], nil
 }

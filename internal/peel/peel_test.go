@@ -1,0 +1,271 @@
+package peel
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"repro/internal/bitmat"
+	"repro/internal/gf"
+)
+
+// testCode is a small code of either shape plus the column values its
+// packets are built from, so tests can act as the sender.
+type testCode struct {
+	Code
+	cols [][]byte // all L column values; cols[:K] is the source
+}
+
+// newTestCode builds an LT-shaped code (no static rows, no systematic
+// prefix) or, with checks > 0, a raptor-shaped one: a random sparse
+// precode in which every source feeds three checks, a systematic prefix,
+// and a truncated soliton over all L columns.
+func newTestCode(k, checks, packetLen int, seed int64) *testCode {
+	rng := rand.New(rand.NewSource(seed))
+	l := k + checks
+	maxD := l
+	if checks > 0 && maxD > 12 {
+		maxD = 12
+	}
+	// Ideal soliton truncated at maxD with the tail folded into the last
+	// degree, plus a degree-1 floor so small systems ignite.
+	cdf := make([]float64, maxD)
+	sum := 0.0
+	for d := 1; d <= maxD; d++ {
+		p := 0.1
+		if d > 1 {
+			p = 1 / (float64(d) * float64(d-1))
+		}
+		if d == maxD && d > 1 {
+			p += 1 / float64(d)
+		}
+		sum += p
+		cdf[d-1] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	cdf[maxD-1] = 1
+	tc := &testCode{cols: make([][]byte, l)}
+	tc.Code = Code{K: k, PacketLen: packetLen, Draw: Sampler{Seed: seed, CDF: cdf, L: l}}
+	for i := 0; i < k; i++ {
+		tc.cols[i] = make([]byte, packetLen)
+		rng.Read(tc.cols[i])
+	}
+	if checks > 0 {
+		tc.Systematic = k
+		tc.CheckSrc = make([][]int32, checks)
+		tc.StaticOf = make([][]int32, l)
+		for i := 0; i < k; i++ {
+			for _, j := range rng.Perm(checks)[:min(3, checks)] {
+				tc.CheckSrc[j] = append(tc.CheckSrc[j], int32(i))
+				tc.StaticOf[i] = append(tc.StaticOf[i], int32(j))
+			}
+		}
+		for j, srcs := range tc.CheckSrc {
+			tc.StaticOf[k+j] = []int32{int32(j)}
+			tc.cols[k+j] = make([]byte, packetLen)
+			for _, i := range srcs {
+				gf.XORSlice(tc.cols[k+j], tc.cols[i])
+			}
+		}
+	}
+	return tc
+}
+
+// columns returns the columns XORed into packet index.
+func (tc *testCode) columns(index uint32, buf []int) []int {
+	if int64(index) < int64(tc.Systematic) {
+		return append(buf[:0], int(index))
+	}
+	return tc.Draw.NeighborsInto(index, buf)
+}
+
+// packet returns the encoding packet with the given index.
+func (tc *testCode) packet(index uint32) []byte {
+	p := make([]byte, tc.PacketLen)
+	for _, v := range tc.columns(index, nil) {
+		gf.XORSlice(p, tc.cols[v])
+	}
+	return p
+}
+
+func (tc *testCode) checkSource(t testing.TB, d *Decoder) {
+	t.Helper()
+	got, err := d.Source()
+	if err != nil {
+		t.Fatalf("Source: %v", err)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], tc.cols[i]) {
+			t.Fatalf("source symbol %d differs from what was sent", i)
+		}
+	}
+}
+
+// oracle is the slow reference decoder: dense GF(2) elimination over every
+// equation — static and received — and all L columns. It shares nothing
+// with the engine but the equations themselves: no peeling, no gates, no
+// reduced system.
+type oracle struct {
+	tc      *testCode
+	indices []uint32 // distinct received indices, in arrival order
+	data    [][]byte
+}
+
+func (o *oracle) add(index uint32, data []byte) {
+	o.indices = append(o.indices, index)
+	o.data = append(o.data, data)
+}
+
+// solve eliminates over the static equations plus the first n received
+// packets. ok reports full column rank; every check column sits in a
+// static equation with only sources beside it, so that is exactly "the
+// sources are determined".
+func (o *oracle) solve(n int) (sol [][]byte, ok bool) {
+	tc := o.tc
+	l := tc.Draw.L
+	s := l - tc.K
+	m := bitmat.New(s+n, l)
+	rhs := make([][]byte, s+n)
+	for j, srcs := range tc.CheckSrc {
+		rhs[j] = make([]byte, tc.PacketLen)
+		m.Set(j, tc.K+j, true)
+		for _, i := range srcs {
+			m.Set(j, int(i), true)
+		}
+	}
+	var nb []int
+	for r := 0; r < n; r++ {
+		rhs[s+r] = append([]byte(nil), o.data[r]...)
+		nb = tc.columns(o.indices[r], nb)
+		for _, v := range nb {
+			m.Set(s+r, v, true)
+		}
+	}
+	sol, _, ok = bitmat.TrySolve(m, rhs)
+	return sol, ok
+}
+
+// fullRankAt returns the smallest n at which solve(n) succeeds, given that
+// solve(len(indices)) does (rank is monotone in n).
+func (o *oracle) fullRankAt() int {
+	lo, hi := 0, len(o.indices)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if _, ok := o.solve(mid); ok {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// oracleSlack is how many packets past the oracle's full-rank point the
+// engine may take at the sizes tested here (k <= 400, where the
+// elimination cap never binds). It is not maximum-likelihood by design: a
+// failed endgame attempt waits out at least deficitWait's floor of 8
+// progress units before the next, and attempts run only on stalled Adds.
+const oracleSlack = 24
+
+// TestEngineAgainstOracle is the differential safety net: over seeds ×
+// loss patterns × {LT shape, raptor repair-only, systematic with loss},
+// with duplicates mixed in, the engine must never be done before the
+// sources are determined, must return exactly the oracle's solution, and
+// must finish within oracleSlack packets of the oracle's full-rank point.
+func TestEngineAgainstOracle(t *testing.T) {
+	shapes := []struct {
+		name         string
+		checks, base func(k int) int
+	}{
+		{"lt", func(int) int { return 0 }, func(int) int { return 0 }},
+		{"raptor-repair", func(k int) int { return k/8 + 3 }, func(k int) int { return k }},
+		{"raptor-systematic", func(k int) int { return k/8 + 3 }, func(int) int { return 0 }},
+	}
+	worst := 0
+	for _, shape := range shapes {
+		for _, k := range []int{1, 2, 9, 40, 150, 400} {
+			for seed := int64(1); seed <= 6; seed++ {
+				loss := []float64{0, 0.1, 0.3, 0.6}[seed%4]
+				tc := newTestCode(k, shape.checks(k), 8, seed*1000+int64(k))
+				rng := rand.New(rand.NewSource(seed))
+				d := NewDecoder(&tc.Code)
+				o := &oracle{tc: tc}
+				for i := shape.base(k); !d.Done(); i++ {
+					if i > shape.base(k)+20*k+2000 {
+						t.Fatalf("%s k=%d seed=%d: no decode", shape.name, k, seed)
+					}
+					if rng.Float64() < loss {
+						continue
+					}
+					index := uint32(i)
+					if n := len(o.indices); n > 0 && rng.Intn(8) == 0 {
+						index = o.indices[rng.Intn(n)] // duplicate delivery
+					} else {
+						o.add(index, tc.packet(index))
+					}
+					done, err := d.Add(int(index), tc.packet(index))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if done != d.Done() || d.Received() != len(o.indices) {
+						t.Fatalf("%s k=%d seed=%d: done=%v Done()=%v Received()=%d after %d distinct",
+							shape.name, k, seed, done, d.Done(), d.Received(), len(o.indices))
+					}
+				}
+				sol, ok := o.solve(len(o.indices))
+				if !ok {
+					t.Fatalf("%s k=%d seed=%d: engine done after %d packets, before the sources are determined",
+						shape.name, k, seed, len(o.indices))
+				}
+				got, err := d.Source()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], sol[i]) {
+						t.Fatalf("%s k=%d seed=%d: symbol %d differs from the oracle's", shape.name, k, seed, i)
+					}
+				}
+				tc.checkSource(t, d)
+				slack := len(o.indices) - o.fullRankAt()
+				if slack > worst {
+					worst = slack
+				}
+				if slack > oracleSlack {
+					t.Errorf("%s k=%d seed=%d loss=%.1f: done %d packets after the oracle's full-rank point (slack %d)",
+						shape.name, k, seed, loss, slack, oracleSlack)
+				}
+			}
+		}
+	}
+	t.Logf("worst slack past the oracle's full-rank point: %d packets", worst)
+}
+
+func TestArenaRecyclesWithoutOverlap(t *testing.T) {
+	a := Arena{PacketLen: 24}
+	var bufs [][]byte
+	for i := 0; i < 2000; i++ {
+		b := a.Alloc()
+		if len(b) != 24 || cap(b) != 24 {
+			t.Fatalf("buffer %d: len %d cap %d", i, len(b), cap(b))
+		}
+		for j := range b {
+			b[j] = byte(i)
+		}
+		bufs = append(bufs, b)
+	}
+	for i, b := range bufs {
+		for _, v := range b {
+			if v != byte(i) {
+				t.Fatalf("buffer %d overwritten by a later allocation", i)
+			}
+		}
+	}
+	a.Free(bufs[7])
+	a.Free(nil)
+	if got := a.Alloc(); &got[0] != &bufs[7][0] {
+		t.Fatal("freed buffer not reused first")
+	}
+}

@@ -26,11 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/code"
 	"repro/internal/gf"
+	"repro/internal/peel"
 	"repro/internal/tornado"
 )
 
@@ -94,25 +94,18 @@ func DefaultChecks(k, maxD int) int {
 type Codec struct {
 	k         int
 	packetLen int
-	seed      int64
 	c         float64
 	delta     float64
 	s         int // precode checks
 	maxD      int // inner-code degree truncation
 	l         int // k + s intermediate symbols
 
-	cdf []float64 // truncated robust soliton over [1, maxD]
-
-	// checkSrc[j] lists the source symbols XORed into check intermediate
-	// k+j: the static equation 0 = value(k+j) ⊕ ⊕_{i∈checkSrc[j]} value(i).
-	checkSrc [][]int32
-	// staticOf[v] lists the static equations covering intermediate v —
-	// the reverse adjacency decoders walk when v resolves. For a check
-	// intermediate k+j this is exactly {j} (each check owns one equation).
-	staticOf [][]int32
-	// staticDeg[j] is static equation j's initial unknown count:
-	// len(checkSrc[j]) + 1 (its sources plus its own check symbol).
-	staticDeg []int32
+	// engine is what every decoder of the session runs on, and the encoder
+	// shares two of its parts: CheckSrc[j] lists the source symbols XORed
+	// into check intermediate k+j (the static equation 0 = value(k+j) ⊕
+	// ⊕_{i∈CheckSrc[j]} value(i)), and Draw is the inner code's sampler,
+	// the truncated robust soliton over the l intermediates.
+	engine peel.Code
 
 	// One-slot intermediate-symbol cache: core.Session emits the carousel
 	// one EncodeRange(i, i+1) call at a time, so the precode expansion of
@@ -162,21 +155,23 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 		maxD = l
 	}
 	rc := &Codec{
-		k: k, packetLen: packetLen, seed: seed,
+		k: k, packetLen: packetLen,
 		c: c, delta: delta, s: checks, maxD: maxD, l: l,
 	}
-	rc.cdf = truncatedSolitonCDF(l, maxD, c, delta)
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
-	rc.checkSrc = tornado.PrecodeGraph(k, checks, precodeMaxDegree, seed^0x5DEECE66D1CE4E5B)
-	rc.staticOf = make([][]int32, l)
-	rc.staticDeg = make([]int32, checks)
-	for j, srcs := range rc.checkSrc {
-		rc.staticDeg[j] = int32(len(srcs)) + 1
+	checkSrc := tornado.PrecodeGraph(k, checks, precodeMaxDegree, seed^0x5DEECE66D1CE4E5B)
+	staticOf := make([][]int32, l)
+	for j, srcs := range checkSrc {
 		for _, s := range srcs {
-			rc.staticOf[s] = append(rc.staticOf[s], int32(j))
+			staticOf[s] = append(staticOf[s], int32(j))
 		}
-		rc.staticOf[k+j] = []int32{int32(j)}
+		staticOf[k+j] = []int32{int32(j)}
+	}
+	rc.engine = peel.Code{
+		K: k, PacketLen: packetLen, Systematic: k,
+		Draw:     peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l},
+		CheckSrc: checkSrc, StaticOf: staticOf,
 	}
 	return rc, nil
 }
@@ -253,7 +248,7 @@ func (c *Codec) MaxDegree() int { return c.maxD }
 func (c *Codec) Intermediates() int { return c.l }
 
 // Seed returns the session seed the packet streams derive from.
-func (c *Codec) Seed() int64 { return c.seed }
+func (c *Codec) Seed() int64 { return c.engine.Draw.Seed }
 
 // RatelessCode implements code.Rateless.
 func (c *Codec) RatelessCode() {}
@@ -265,90 +260,29 @@ var ErrUnbounded = errors.New("raptor: rateless codec has no finite encoding; us
 // Encode implements code.Codec by failing: callers must use EncodeRange.
 func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return nil, ErrUnbounded }
 
-// prng is the same splitmix64 construction the LT codec uses; repair
-// packet index i's draws are a pure function of (seed, i).
-type prng struct{ state uint64 }
-
-func (p *prng) next() uint64 {
-	p.state += 0x9E3779B97F4A7C15
-	z := p.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (p *prng) uniform() float64 { return float64(p.next()>>11) / (1 << 53) }
-
-func (c *Codec) stream(index uint32) prng {
-	p := prng{state: uint64(c.seed) ^ (uint64(index)+1)*0xBF58476D1CE4E5B9}
-	p.state = p.next()
-	return p
-}
-
 // Degree returns encoding packet index's inner degree — deterministic,
 // in [1, maxD]; systematic indices report 1.
 func (c *Codec) Degree(index uint32) int {
 	if int64(index) < int64(c.k) {
 		return 1
 	}
-	p := c.stream(index)
-	return c.degree(&p)
-}
-
-func (c *Codec) degree(p *prng) int {
-	u := p.uniform()
-	return sort.SearchFloat64s(c.cdf, u) + 1
+	return c.engine.Draw.Degree(index)
 }
 
 // NeighborsInto writes encoding packet index's neighbor set over the
 // intermediate symbol space [0, L) into buf (reused if capacity allows)
 // and returns it. Systematic indices (index < k) are degree-1: the packet
 // is intermediate `index` itself. Repair indices draw a truncated-soliton
-// degree and rejection-sample that many distinct intermediates, exactly
-// the LT idiom so the draw sequence is auditable against lt.Codec.
+// degree and that many distinct intermediates from the shared sampler.
 func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
-	buf = buf[:0]
 	if int64(index) < int64(c.k) {
-		return append(buf, int(index))
+		return append(buf[:0], int(index))
 	}
-	p := c.stream(index)
-	d := c.degree(&p)
-	if d >= c.l {
-		for i := 0; i < c.l; i++ {
-			buf = append(buf, i)
-		}
-		return buf
-	}
-	// Rejection sampling, the LT idiom: linear dup scan for the common
-	// degrees (including the truncation spike, keeping the intake path
-	// allocation-free), a set for rare draws beyond it.
-	var dup map[int]struct{}
-	if d > 256 {
-		dup = make(map[int]struct{}, d)
-	}
-	for len(buf) < d {
-		cand := int(p.next() % uint64(c.l))
-		if dup != nil {
-			if _, seen := dup[cand]; seen {
-				continue
-			}
-			dup[cand] = struct{}{}
-		} else {
-			seen := false
-			for _, b := range buf {
-				if b == cand {
-					seen = true
-					break
-				}
-			}
-			if seen {
-				continue
-			}
-		}
-		buf = append(buf, cand)
-	}
-	return buf
+	return c.engine.Draw.NeighborsInto(index, buf)
 }
+
+// NewDecoder implements code.Codec.
+func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
 
 // intermediates returns the precode expansion of src: L symbols whose
 // first k alias src and whose last s are the check XORs. Cached per
@@ -363,7 +297,7 @@ func (c *Codec) intermediates(src [][]byte) [][]byte {
 	inter := make([][]byte, c.l)
 	copy(inter, src)
 	store := make([]byte, c.s*c.packetLen)
-	for j, srcs := range c.checkSrc {
+	for j, srcs := range c.engine.CheckSrc {
 		p := store[j*c.packetLen : (j+1)*c.packetLen]
 		for _, s := range srcs {
 			gf.XORSlice(p, src[s])

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/code"
+	"repro/internal/peel"
 )
 
 func testSrc(t testing.TB, k, packetLen int, seed int64) [][]byte {
@@ -56,7 +57,7 @@ func TestSystematicZeroLossZeroXOR(t *testing.T) {
 			t.Fatalf("systematic packet %d does not alias src", i)
 		}
 	}
-	dec := c.NewDecoder().(*decoder)
+	dec := c.NewDecoder().(*peel.Decoder)
 	for i := 0; i < k; i++ {
 		done, err := dec.Add(i, enc[i])
 		if err != nil {
@@ -230,14 +231,15 @@ func TestNeighborsDeterministicAndValid(t *testing.T) {
 }
 
 // The precode graph invariants: every check lists in-range, duplicate-free
-// sources, and the static reverse adjacency is consistent.
+// sources, and the static reverse adjacency handed to the engine is
+// consistent with them.
 func TestPrecodeConsistency(t *testing.T) {
 	for _, k := range []int{1, 2, 10, 1000} {
 		c := mustNew(t, k, 8, int64(k))
 		if c.Checks() < 2 {
 			t.Fatalf("k=%d: checks %d < 2", k, c.Checks())
 		}
-		for j, srcs := range c.checkSrc {
+		for j, srcs := range c.engine.CheckSrc {
 			seen := map[int32]bool{}
 			for _, s := range srcs {
 				if s < 0 || int(s) >= k {
@@ -248,8 +250,17 @@ func TestPrecodeConsistency(t *testing.T) {
 				}
 				seen[s] = true
 			}
-			if int(c.staticDeg[j]) != len(srcs)+1 {
-				t.Fatalf("k=%d check %d: staticDeg %d != %d", k, j, c.staticDeg[j], len(srcs)+1)
+			for _, s := range srcs {
+				found := false
+				for _, e := range c.engine.StaticOf[s] {
+					found = found || int(e) == j
+				}
+				if !found {
+					t.Fatalf("k=%d check %d: source %d lacks the reverse edge", k, j, s)
+				}
+			}
+			if own := c.engine.StaticOf[k+j]; len(own) != 1 || int(own[0]) != j {
+				t.Fatalf("k=%d check %d: own column's static list %v", k, j, own)
 			}
 		}
 	}

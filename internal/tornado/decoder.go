@@ -4,6 +4,7 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/code"
 	"repro/internal/gf"
+	"repro/internal/peel"
 )
 
 // decoder is the incremental Tornado decoder. It runs the two-rule
@@ -12,8 +13,8 @@ import (
 // packet that makes the source recoverable — the property the paper uses
 // to let a receiver leave the multicast session as early as possible.
 //
-// Memory discipline: every packet-sized buffer comes from a slab arena and
-// is recycled through a free list, mirroring Encode's one-allocation store.
+// Memory discipline: every packet-sized buffer comes from the shared slab
+// arena (peel.Arena), mirroring Encode's one-allocation store.
 // Each check carries at most ONE buffer — the residual rhs[ci] = value of
 // the check (once known) XOR the sum of its known neighbors — instead of
 // the classic value+accumulator pair. The residual is exactly the payload
@@ -50,10 +51,7 @@ type decoder struct {
 	retryAt     []int // per scope, in units of received packets
 	residualCap int
 
-	// Buffer arena: packet-sized allocations carved from slabs, recycled
-	// via free.
-	slab []byte
-	free [][]byte
+	arena peel.Arena
 
 	// trySolve scratch, reused across attempts so elimination retries
 	// allocate nothing.
@@ -85,38 +83,13 @@ func newDecoder(c *Codec) *decoder {
 		dead:        make([]bool, len(c.checkNeighbors)),
 		retryAt:     make([]int, len(c.scopes)),
 		residualCap: cap,
+		arena:       peel.Arena{PacketLen: c.packetLen},
 	}
 	for ci, ns := range c.checkNeighbors {
 		d.cnt[ci] = int32(len(ns))
 	}
 	return d
 }
-
-// alloc hands out one packet-sized buffer from the free list or the current
-// slab (growing the slab when exhausted). Buffers may hold stale bytes:
-// every use either copies into them first or clears them explicitly.
-func (d *decoder) alloc() []byte {
-	if n := len(d.free); n > 0 {
-		b := d.free[n-1]
-		d.free = d.free[:n-1]
-		return b
-	}
-	pl := d.c.packetLen
-	if len(d.slab) < pl {
-		n := 16 * pl
-		const minSlab = 16 << 10
-		if n < minSlab {
-			n = (minSlab + pl - 1) / pl * pl
-		}
-		d.slab = make([]byte, n)
-	}
-	b := d.slab[:pl:pl]
-	d.slab = d.slab[pl:]
-	return b
-}
-
-// release returns an arena buffer to the free list.
-func (d *decoder) release(b []byte) { d.free = append(d.free, b) }
 
 // Add implements code.Decoder.
 func (d *decoder) Add(i int, data []byte) (bool, error) {
@@ -133,7 +106,7 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 	d.received++
 	if i < d.c.numValues {
 		if d.data[i] == nil {
-			buf := d.alloc()
+			buf := d.arena.Alloc()
 			copy(buf, data)
 			d.setValue(int32(i), buf)
 		}
@@ -159,7 +132,7 @@ func (d *decoder) checkValArrived(ci int, val []byte) {
 		d.dead[ci] = true
 		return
 	}
-	buf := d.alloc()
+	buf := d.arena.Alloc()
 	copy(buf, val)
 	for _, v := range d.c.checkNeighbors[ci] {
 		if p := d.data[v]; p != nil {
@@ -204,7 +177,7 @@ func (d *decoder) Source() ([][]byte, error) {
 // transfers to the decoder) and folds it into every check that uses it.
 func (d *decoder) setValue(v int32, buf []byte) {
 	if d.data[v] != nil {
-		d.release(buf)
+		d.arena.Free(buf)
 		return
 	}
 	d.data[v] = buf
@@ -226,7 +199,7 @@ func (d *decoder) setValue(v int32, buf []byte) {
 			gf.XORSlice(d.rhs[ci], buf)
 			if d.cnt[ci] == 0 {
 				// Residual is now zero: the equation is spent.
-				d.release(d.rhs[ci])
+				d.arena.Free(d.rhs[ci])
 				d.rhs[ci] = nil
 				d.dead[ci] = true
 			} else if d.cnt[ci] == 1 {
@@ -275,7 +248,7 @@ func (d *decoder) drain() {
 			d.valKnown[ci] = true
 			d.dead[ci] = true
 			if own >= 0 && d.data[own] == nil {
-				buf := d.alloc()
+				buf := d.arena.Alloc()
 				ns := d.c.checkNeighbors[ci]
 				if len(ns) == 0 {
 					clear(buf)
@@ -392,7 +365,7 @@ func (d *decoder) trySolve(si int) bool {
 		panic("tornado: elimination failed after full-rank precheck")
 	}
 	for _, b := range rhs[len(unknowns):] {
-		d.release(b)
+		d.arena.Free(b)
 	}
 	for i, v := range unknowns {
 		d.setValue(v, sol[i])
