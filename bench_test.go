@@ -218,7 +218,7 @@ func NewSessionForBench() (*Session, error) {
 	return NewSession(data, cfg)
 }
 
-// BenchmarkFig8Prototype runs one complete prototype download (server ->
+// BenchmarkFig8Prototype runs one complete prototype download (carousel ->
 // lossy bus -> congestion-controlled client) per iteration.
 func BenchmarkFig8Prototype(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
@@ -243,9 +243,9 @@ func BenchmarkFig8Prototype(b *testing.B) {
 			eng.HandlePacket(pkt)
 		})
 		lvl = bc.SetLevel
-		srv := NewServer(sess, bus)
+		car := NewCarousel(sess)
 		for !eng.Done() {
-			if err := srv.Step(); err != nil {
+			if err := car.NextRound(bus.Send); err != nil {
 				b.Fatal(err)
 			}
 		}

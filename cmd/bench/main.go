@@ -14,12 +14,11 @@
 //	go run ./cmd/bench -suite receiver [-o BENCH_receiver.json] [-receivers 1000000]
 //
 // The sender suite benchmarks the service's aggregate emission throughput
-// at 1/16/256 concurrent sessions — shared pacing scheduler vs the
-// goroutine-per-session baseline — and fails when steady-state emission
-// allocates (see sender.go). The receiver suite benchmarks the intake
-// half — engine packet ingestion, batched vs one-datagram socket reads,
-// and the population simulator at 10^6 receivers — with the same
-// zero-allocation hard gates (see receiver.go).
+// at 1/16/256 concurrent sessions through the shared pacing scheduler and
+// fails when steady-state emission allocates (see sender.go). The receiver
+// suite benchmarks the intake half — engine packet ingestion, batched
+// socket reads, and the population simulator at 10^6 receivers — with the
+// same zero-allocation hard gates (see receiver.go).
 package main
 
 import (

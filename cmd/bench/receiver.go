@@ -7,9 +7,8 @@ package main
 //     HandleBatchFrom in steady state (tag verify, header parse, serial
 //     accounting against the ring window, duplicate decode) — gated to be
 //     allocation-free per packet;
-//   - the UDP socket path: a burst-and-drain loopback comparison of the
-//     pooled one-datagram read (RecvOne) against the batched recvmmsg read
-//     (RecvBatch), with the batched path gated allocation-free;
+//   - the UDP socket path: a burst-and-drain loopback measurement of the
+//     batched recvmmsg read (RecvBatch), gated allocation-free;
 //   - the receiver population simulator: PopulationParallel at a million
 //     receivers with k = 10000 (the paper's large block), hard-checked
 //     bit-identical to the serial oracle on a sampled prefix, plus the §6
@@ -50,7 +49,8 @@ const intakeCycles = 50
 // large enough that the batched path gets full recvmmsg chunks.
 const drainBurst = 128
 
-// drainTarget is the number of datagrams each socket mode drains in total.
+// drainTarget is the number of datagrams the socket benchmark drains in
+// total.
 const drainTarget = 20_000
 
 // simK is the simulated block size (the paper's large-file operating
@@ -88,9 +88,6 @@ type receiverReport struct {
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	Time       time.Time        `json:"time"`
 	Results    []receiverResult `json:"results"`
-	// SpeedupBatch is batched over unbatched socket drain throughput,
-	// measured in this same run.
-	SpeedupBatch float64 `json:"speedup_batch"`
 }
 
 // intakeSession builds the 4-layer Tornado session whose packets feed the
@@ -209,10 +206,10 @@ func measureIntake(sess *core.Session, pkts [][]byte, batch, traced bool) (recei
 
 // measureDrain runs the burst-and-drain socket benchmark: the server
 // blasts drainBurst datagrams (off the clock), then the client drains them
-// with either RecvOne or RecvBatch while time and allocations are
-// accounted. Loss inside a round ends it (counted in Drops), so a dropped
-// datagram costs one timeout, not a hang.
-func measureDrain(batch bool) (receiverResult, error) {
+// with RecvBatch while time and allocations are accounted. Loss inside a
+// round ends it (counted in Drops), so a dropped datagram costs one
+// timeout, not a hang.
+func measureDrain() (receiverResult, error) {
 	const session = 0x7002
 	srv, err := transport.NewUDPServer("127.0.0.1:0", 1)
 	if err != nil {
@@ -253,41 +250,25 @@ func measureDrain(batch bool) (receiverResult, error) {
 		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
 		for got < drainBurst {
-			if batch {
-				n, err := cli.RecvBatch(&rb, 250*time.Millisecond)
-				if err == transport.ErrTimeout {
-					break
-				}
-				if err != nil {
-					return receiverResult{}, err
-				}
-				for _, p := range rb.Packets() {
-					bytes += uint64(len(p))
-				}
-				got += n
-			} else {
-				p, err := cli.RecvOne(250 * time.Millisecond)
-				if err == transport.ErrTimeout {
-					break
-				}
-				if err != nil {
-					return receiverResult{}, err
-				}
-				bytes += uint64(len(p))
-				got++
+			n, err := cli.RecvBatch(&rb, 250*time.Millisecond)
+			if err == transport.ErrTimeout {
+				break
 			}
+			if err != nil {
+				return receiverResult{}, err
+			}
+			for _, p := range rb.Packets() {
+				bytes += uint64(len(p))
+			}
+			got += n
 		}
 		secs += time.Since(t0).Seconds()
 		runtime.ReadMemStats(&m1)
 		total += uint64(got)
 		drops += uint64(drainBurst - got)
 	}
-	mode := "udp-recv-one"
-	if batch {
-		mode = "udp-recv-batch"
-	}
 	res := receiverResult{
-		Mode:    mode,
+		Mode:    "udp-recv-batch",
 		Packets: total,
 		Seconds: secs,
 		Drops:   drops,
@@ -409,22 +390,11 @@ func runReceiverSuite(out string, receivers int) {
 	pkts = nil
 	runtime.GC()
 
-	var one, batched float64
-	for _, batch := range []bool{false, true} {
-		res, err := measureDrain(batch)
-		if err != nil {
-			fail(err)
-		}
-		if batch {
-			batched = res.PacketsPerSec
-		} else {
-			one = res.PacketsPerSec
-		}
-		rep.Results = append(rep.Results, res)
+	resD, err := measureDrain()
+	if err != nil {
+		fail(err)
 	}
-	if one > 0 {
-		rep.SpeedupBatch = batched / one
-	}
+	rep.Results = append(rep.Results, resD)
 
 	resT, err := simThreshold(receivers)
 	if err != nil {
@@ -474,11 +444,6 @@ func runReceiverSuite(out string, receivers int) {
 				fmt.Fprintf(os.Stderr,
 					"bench: FAIL: %s allocates %.4f/packet (gate %.2f)\n",
 					r.Mode, r.AllocsPerPacket, allocGate)
-				os.Exit(1)
-			}
-		case "udp-recv-one":
-			if r.Packets == 0 {
-				fmt.Fprintf(os.Stderr, "bench: FAIL: %s received nothing\n", r.Mode)
 				os.Exit(1)
 			}
 		}

@@ -1,11 +1,9 @@
 package main
 
 // The sender suite measures the service's aggregate emission throughput at
-// 1, 16 and 256 concurrent sessions, comparing the shared pacing scheduler
-// (pooled buffers, per-layer batches, GOMAXPROCS shard workers) against
-// the pre-refactor architecture: one pacing goroutine per session, one
-// fresh allocation per packet (server.Engine.Run, which still exists for
-// single-session use and serves as the in-tree baseline). Both modes run
+// 1, 16 and 256 concurrent sessions through the shared pacing scheduler
+// (pooled buffers, per-layer batches, GOMAXPROCS shard workers), with the
+// flight recorder absent, attached-disabled and recording. Every mode runs
 // at a saturating rate against the same null counting sink, so the numbers
 // isolate the send path itself.
 //
@@ -14,20 +12,17 @@ package main
 // CI bench-smoke step runs this suite).
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/evtrace"
 	"repro/internal/proto"
-	"repro/internal/server"
 	"repro/internal/service"
 )
 
@@ -57,7 +52,7 @@ const saturationRate = 50_000_000
 var fileKiB = 16
 
 type senderResult struct {
-	Mode                string  `json:"mode"` // "goroutine-per-session" or "scheduler"
+	Mode                string  `json:"mode"` // traceMode.label()
 	Sessions            int     `json:"sessions"`
 	Seconds             float64 `json:"seconds"`
 	Packets             uint64  `json:"packets"`
@@ -66,9 +61,9 @@ type senderResult struct {
 	AllocsPerPacket     float64 `json:"allocs_per_packet"`
 	AllocBytesPerPacket float64 `json:"alloc_bytes_per_packet"`
 	// Scrapes counts metrics-registry text expositions rendered
-	// concurrently with the measurement window (scheduler mode only): the
-	// alloc gate is enforced with observability read traffic live, so
-	// "zero-alloc with instrumentation" is what is actually proven.
+	// concurrently with the measurement window: the alloc gate is enforced
+	// with observability read traffic live, so "zero-alloc with
+	// instrumentation" is what is actually proven.
 	Scrapes int `json:"scrapes,omitempty"`
 }
 
@@ -80,13 +75,10 @@ type senderReport struct {
 	Time       time.Time      `json:"time"`
 	PacketLen  int            `json:"packet_len"`
 	Results    []senderResult `json:"results"`
-	// Speedup256 is scheduler packets/s over goroutine-per-session
-	// packets/s at 256 sessions, measured in this same run.
-	Speedup256 float64 `json:"speedup_256"`
 }
 
-// countSink counts packets and bytes without retaining or allocating; it
-// implements the unified transport.Sender so both modes drive it natively.
+// countSink is a transport.Sender that counts packets and bytes without
+// retaining or allocating.
 type countSink struct {
 	packets atomic.Uint64
 	bytes   atomic.Uint64
@@ -159,48 +151,6 @@ func measureWindow(sink *countSink, warmup, window time.Duration) senderResult {
 	return res
 }
 
-// perPacketCounter reproduces the pre-refactor service's countingSender:
-// every packet moved the service stats before reaching the transport. The
-// scheduler path pays the same accounting, but per batch.
-type perPacketCounter struct {
-	packets atomic.Uint64
-	bytes   atomic.Uint64
-	tx      *countSink
-}
-
-func (c *perPacketCounter) Send(layer int, pkt []byte) error {
-	if err := c.tx.Send(layer, pkt); err != nil {
-		return nil
-	}
-	c.packets.Add(1)
-	c.bytes.Add(uint64(len(pkt)))
-	return nil
-}
-
-// benchGoroutinePerSession is the baseline: the pre-refactor service
-// architecture, reproduced with the still-extant single-session engine —
-// one pacing goroutine per session, per-packet allocation, per-packet
-// stats accounting, per-packet sends.
-func benchGoroutinePerSession(sessions []*core.Session, warmup, window time.Duration) senderResult {
-	sink := &countSink{}
-	counter := &perPacketCounter{tx: sink}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for _, sess := range sessions {
-		wg.Add(1)
-		go func(sess *core.Session) {
-			defer wg.Done()
-			server.New(sess, counter).Run(ctx, saturationRate)
-		}(sess)
-	}
-	res := measureWindow(sink, warmup, window)
-	cancel()
-	wg.Wait()
-	res.Mode = "goroutine-per-session"
-	res.Sessions = len(sessions)
-	return res
-}
-
 // traceMode selects how the flight recorder rides along on a scheduler
 // measurement: absent entirely, attached but disabled (the deployment
 // default — each instrumentation site costs one predictable branch), or
@@ -224,9 +174,9 @@ func (m traceMode) label() string {
 	return "scheduler"
 }
 
-// benchScheduler runs the same sessions through the shared pacing
-// scheduler and the pooled, batched send path, with the flight recorder in
-// the requested mode.
+// benchScheduler runs the sessions through the shared pacing scheduler and
+// the pooled, batched send path, with the flight recorder in the requested
+// mode.
 func benchScheduler(sessions []*core.Session, warmup, window time.Duration, tm traceMode) (senderResult, error) {
 	sink := &countSink{}
 	cfg := service.Config{BaseRate: saturationRate}
@@ -291,16 +241,12 @@ func runSenderSuite(out string, pl int) {
 		Time:       time.Now().UTC(),
 		PacketLen:  core.PadPacketLen(pl),
 	}
-	var base256, sched256 float64
 	for _, n := range senderSessionCounts {
 		sessions, err := senderSessions(n, pl)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench: sender sessions: %v\n", err)
 			os.Exit(1)
 		}
-		runtime.GC()
-		baseRes := benchGoroutinePerSession(sessions, warmup, window)
-		rep.Results = append(rep.Results, baseRes)
 		for _, tm := range []traceMode{traceNone, traceOff, traceOn} {
 			runtime.GC()
 			schedRes, err := benchScheduler(sessions, warmup, window, tm)
@@ -309,13 +255,7 @@ func runSenderSuite(out string, pl int) {
 				os.Exit(1)
 			}
 			rep.Results = append(rep.Results, schedRes)
-			if n == 256 && tm == traceNone {
-				base256, sched256 = baseRes.PacketsPerSec, schedRes.PacketsPerSec
-			}
 		}
-	}
-	if base256 > 0 {
-		rep.Speedup256 = sched256 / base256
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -334,16 +274,15 @@ func runSenderSuite(out string, pl int) {
 		fmt.Printf("%-22s sessions=%-4d %12.0f pkts/s %9.2f MB/s %8.4f allocs/pkt %8.1f B/pkt\n",
 			r.Mode, r.Sessions, r.PacketsPerSec, r.MBPerSec, r.AllocsPerPacket, r.AllocBytesPerPacket)
 	}
-	fmt.Printf("speedup at 256 sessions: %.2fx\n", rep.Speedup256)
 	if out != "-" {
 		fmt.Printf("wrote %s\n", out)
 	}
 
 	// The hard gates: every mode must actually emit (a stalled scheduler
-	// must not pass vacuously); steady-state scheduler emission must not
-	// allocate with the recorder absent, attached-disabled, or recording;
-	// and a disabled recorder must not cost more than the traceOffFloor
-	// against the plain scheduler at the same session count.
+	// must not pass vacuously); steady-state emission must not allocate
+	// with the recorder absent, attached-disabled, or recording; and a
+	// disabled recorder must not cost more than the traceOffFloor against
+	// the plain scheduler at the same session count.
 	plain := map[int]float64{}
 	for _, r := range rep.Results {
 		if r.Mode == "scheduler" {
@@ -356,14 +295,11 @@ func runSenderSuite(out string, pl int) {
 				"bench: FAIL: %s at %d sessions emitted nothing\n", r.Mode, r.Sessions)
 			os.Exit(1)
 		}
-		switch r.Mode {
-		case "scheduler", "scheduler+trace-off", "scheduler+trace":
-			if r.AllocsPerPacket > allocGate {
-				fmt.Fprintf(os.Stderr,
-					"bench: FAIL: %s at %d sessions allocates %.4f/packet (gate %.2f)\n",
-					r.Mode, r.Sessions, r.AllocsPerPacket, allocGate)
-				os.Exit(1)
-			}
+		if r.AllocsPerPacket > allocGate {
+			fmt.Fprintf(os.Stderr,
+				"bench: FAIL: %s at %d sessions allocates %.4f/packet (gate %.2f)\n",
+				r.Mode, r.Sessions, r.AllocsPerPacket, allocGate)
+			os.Exit(1)
 		}
 		if r.Mode == "scheduler+trace-off" {
 			if base := plain[r.Sessions]; base > 0 && r.PacketsPerSec < traceOffFloor*base {

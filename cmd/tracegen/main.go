@@ -13,7 +13,7 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/trace"
+	"repro/internal/losstrace"
 )
 
 func main() {
@@ -25,7 +25,7 @@ func main() {
 		seed      = flag.Int64("seed", 1998, "generator seed")
 	)
 	flag.Parse()
-	traces := trace.Generate(trace.GenParams{
+	traces := losstrace.Generate(losstrace.GenParams{
 		Receivers: *receivers, Length: *length, MeanLoss: *mean, Seed: *seed,
 	})
 	f, err := os.Create(*out)
@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, traces); err != nil {
+	if err := losstrace.Write(f, traces); err != nil {
 		log.Fatal(err)
 	}
 	lo, hi := 1.0, 0.0
@@ -47,5 +47,5 @@ func main() {
 		}
 	}
 	fmt.Printf("tracegen: wrote %d traces x %d packets to %s (mean loss %.3f, range %.3f-%.3f)\n",
-		len(traces), *length, *out, trace.MeanLoss(traces), lo, hi)
+		len(traces), *length, *out, losstrace.MeanLoss(traces), lo, hi)
 }

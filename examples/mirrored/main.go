@@ -96,13 +96,11 @@ func main() {
 		if time.Now().After(deadline) {
 			log.Fatal("download never completed")
 		}
-		src, pkt, ok := mc.Recv(time.Second)
-		if !ok {
+		src, pkts, err := mc.RecvBatchFrom(time.Second)
+		if err != nil {
 			continue
 		}
-		if _, err := eng.HandlePacketFrom(src, pkt); err != nil {
-			continue // stray datagram
-		}
+		eng.HandleBatchFrom(src, pkts) // stray datagrams are skipped
 	}
 	got, err := eng.File()
 	if err != nil {

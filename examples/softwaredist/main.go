@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	bus := fountain.NewBus(4)
-	srv := fountain.NewServer(sess, bus)
+	car := fountain.NewCarousel(sess)
 
 	type receiver struct {
 		name    string
@@ -77,7 +77,7 @@ func main() {
 		if allDone {
 			break
 		}
-		if err := srv.Step(); err != nil {
+		if err := car.NextRound(bus.Send); err != nil {
 			log.Fatal(err)
 		}
 		if round > 2_000_000 {

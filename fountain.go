@@ -19,9 +19,9 @@
 //     and a precoded systematic raptor code whose first k packets are the
 //     source itself (see NewRaptor).
 //   - Sessions: a file bound to a codec and a carousel/layered schedule.
-//   - Server and Client engines speaking the prototype's wire protocol
-//     (12-byte headers, SP/burst markers, layered congestion control)
-//     over in-process or UDP transports.
+//   - A multi-session Service and a Client engine speaking the
+//     prototype's wire protocol (12-byte headers, SP/burst markers,
+//     layered congestion control) over in-process or UDP transports.
 //
 // See examples/ for runnable programs and DESIGN.md / EXPERIMENTS.md for
 // the paper-reproduction methodology and results.
@@ -38,7 +38,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/raptor"
 	"repro/internal/rs"
-	"repro/internal/server"
 	"repro/internal/service"
 	"repro/internal/tornado"
 	"repro/internal/transport"
@@ -187,13 +186,6 @@ func NewCarouselAt(sess *Session, phase int) *Carousel { return core.NewCarousel
 // NewReceiver builds a receiver from a session descriptor.
 func NewReceiver(info SessionInfo) (*Receiver, error) { return core.NewReceiver(info) }
 
-// Server walks the carousel schedule and transmits rounds onto a
-// transport (step-by-step or paced in real time).
-type Server = server.Engine
-
-// NewServer binds a session to a transport sender.
-func NewServer(sess *Session, tx server.Sender) *Server { return server.New(sess, tx) }
-
 // Client is the receiving engine: decoding, efficiency accounting and
 // layered congestion control.
 type Client = client.Engine
@@ -220,21 +212,13 @@ func NewMultiSourceClient(info SessionInfo, sources, startLevel int, setLevel fu
 	return client.NewMultiSource(info, sources, startLevel, setLevel)
 }
 
-// PacketSender is the minimal transmit side of a transport: one packet
-// per call. Any struct with Send(layer, pkt) works as a service transport.
-type PacketSender = transport.PacketSender
-
-// Sender is the unified transmit side of a transport: per-packet Send
-// plus per-layer SendBatch. Bus and UDPServer implement it natively; the
-// service's pacing scheduler emits whole carousel rounds through it as
-// per-layer batches built in pooled buffers (zero-copy, zero-alloc).
+// Sender is the transmit side of a transport: per-packet Send plus
+// per-layer SendBatch. Bus and UDPServer implement it; the service's
+// pacing scheduler emits whole carousel rounds through it as per-layer
+// batches built in pooled buffers (zero-copy, zero-alloc).
 // Packet buffers may be reused once Send/SendBatch returns, so receivers
 // must copy anything they keep.
 type Sender = transport.Sender
-
-// AsSender upgrades a PacketSender with a portable SendBatch fallback
-// loop (batch-capable senders pass through untouched).
-func AsSender(s PacketSender) Sender { return transport.AsSender(s) }
 
 // Bus is the in-process lossy multicast transport (deterministic, virtual
 // time — used by the simulations and examples).
@@ -276,7 +260,7 @@ type MultiClient = transport.MultiClient
 
 // NewMultiClient dials every server's data address and subscribes each to
 // layers 0..level of the session. Pair it with NewMultiSourceClient:
-// Recv's source index feeds HandlePacketFrom.
+// RecvBatchFrom's source index feeds HandleBatchFrom.
 func NewMultiClient(servers []*net.UDPAddr, session uint16, level int) (*MultiClient, error) {
 	return transport.NewMultiClient(servers, session, level)
 }
@@ -345,9 +329,8 @@ var (
 	ErrDraining = service.ErrDraining
 )
 
-// NewService creates a service transmitting on tx — any PacketSender
-// works; batch-capable transports (Bus, UDPServer) receive whole
-// per-layer batches per call. Add sessions with Service.AddData /
+// NewService creates a service transmitting on tx, which receives every
+// round as whole per-layer batches. Add sessions with Service.AddData /
 // Service.Add (Service.AddPhased to stagger a mirror's carousel); serve
 // discovery by wiring Service.HandleControl to a control socket.
-func NewService(tx PacketSender, cfg ServiceConfig) *Service { return service.New(tx, cfg) }
+func NewService(tx Sender, cfg ServiceConfig) *Service { return service.New(tx, cfg) }

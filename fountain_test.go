@@ -109,16 +109,17 @@ func TestUDPPrototypeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sess, udp)
+	car := NewCarousel(sess)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		var rb RecvBatch
+		defer rb.Free()
 		for !eng.Done() {
-			pkt, ok := cli.Recv(200000000) // 200ms
-			if !ok {
+			if _, err := cli.RecvBatch(&rb, 200*time.Millisecond); err != nil {
 				continue
 			}
-			eng.HandlePacket(pkt)
+			eng.HandleBatchFrom(0, rb.Packets())
 		}
 	}()
 	deadline := 20000
@@ -127,7 +128,7 @@ func TestUDPPrototypeEndToEnd(t *testing.T) {
 		case <-done:
 			i = deadline
 		default:
-			srv.Step()
+			car.NextRound(udp.Send)
 		}
 	}
 	<-done
@@ -193,11 +194,11 @@ func TestMultiSourceUDPEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("multi-source download never completed")
 		}
-		src, pkt, ok := mc.Recv(time.Second)
-		if !ok {
+		src, pkts, err := mc.RecvBatchFrom(time.Second)
+		if err != nil {
 			continue
 		}
-		if _, err := eng.HandlePacketFrom(src, pkt); err != nil {
+		if _, err := eng.HandleBatchFrom(src, pkts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/proto"
-	"repro/internal/server"
 	"repro/internal/transport"
 )
 
@@ -34,9 +33,9 @@ func TestEndToEndSingleLayer(t *testing.T) {
 			eng.HandlePacket(pkt)
 		})
 		defer bc.Close()
-		srv := server.New(sess, bus)
+		car := core.NewCarousel(sess)
 		for steps := 0; !eng.Done(); steps++ {
-			if err := srv.Step(); err != nil {
+			if err := car.NextRound(bus.Send); err != nil {
 				t.Fatal(err)
 			}
 			if steps > 50*sess.Codec().N() {
@@ -89,9 +88,9 @@ func TestEndToEndLayered(t *testing.T) {
 		eng.HandlePacket(pkt)
 	})
 	defer bc.Close()
-	srv := server.New(sess, bus)
+	car := core.NewCarousel(sess)
 	for steps := 0; !eng.Done(); steps++ {
-		if err := srv.Step(); err != nil {
+		if err := car.NextRound(bus.Send); err != nil {
 			t.Fatal(err)
 		}
 		if steps > 100*sess.Codec().N() {
@@ -131,12 +130,12 @@ func TestLayeredAdaptsDown(t *testing.T) {
 		eng.HandlePacket(pkt)
 	})
 	defer bc.Close()
-	srv := server.New(sess, bus)
+	car := core.NewCarousel(sess)
 	minLevel := 3
 	// Keep stepping past completion: the point is the controller's
 	// adaptation, which runs on every SP regardless of decode state.
 	for steps := 0; steps < 400; steps++ {
-		srv.Step()
+		car.NextRound(bus.Send)
 		if eng.Level() < minLevel {
 			minLevel = eng.Level()
 		}

@@ -23,13 +23,14 @@ func carouselSession(t *testing.T, layers int) *Session {
 	return s
 }
 
-// TestCarouselSerialsAndFlags: the extracted carousel must stamp dense
-// per-layer serials, carry SP only on a round's first packet, and count
-// rounds/sent like the engine it replaced.
+// TestCarouselSerialsAndFlags: the carousel must transmit on every layer,
+// stamp dense per-layer serials, carry SP on at most one packet per layer
+// per round at the SPInterval cadence, and count rounds/sent.
 func TestCarouselSerialsAndFlags(t *testing.T) {
 	sess := carouselSession(t, 4)
 	car := NewCarousel(sess)
 	next := map[int]uint32{}
+	spCount := map[int]int{}
 	spPerRound := 0
 	for round := 0; round < 8; round++ {
 		spThisRound := map[int]int{}
@@ -57,7 +58,17 @@ func TestCarouselSerialsAndFlags(t *testing.T) {
 			if n > 1 {
 				t.Fatalf("round %d layer %d carried %d SPs", round, layer, n)
 			}
+			spCount[layer] += n
 			spPerRound++
+		}
+	}
+	// SPInterval=4: layer 0 SPs at rounds 0 and 4; layer 1 at round 0.
+	if spCount[0] != 2 || spCount[1] != 1 {
+		t.Fatalf("SPs per layer = %v, want 2 on layer 0 and 1 on layer 1", spCount)
+	}
+	for l := 0; l < 4; l++ {
+		if next[l] == 0 {
+			t.Fatalf("layer %d never transmitted", l)
 		}
 	}
 	if car.Round() != 8 {

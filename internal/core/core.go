@@ -135,11 +135,7 @@ func buildCodec(cfg Config, k int) (code.Codec, error) {
 	case proto.CodecCauchy:
 		return rs.NewCauchy(k, n, cfg.PacketLen)
 	case proto.CodecInterleaved:
-		bk := cfg.InterleaveBlockK
-		if bk <= 0 {
-			bk = 50
-		}
-		return interleave.NewForFile(k, bk, cfg.Stretch, cfg.PacketLen)
+		return interleave.NewForFile(k, interleaveBlockK(cfg.InterleaveBlockK), cfg.Stretch, cfg.PacketLen)
 	case proto.CodecLT:
 		cMicro, dMicro := ltWireParams(cfg)
 		return lt.New(k, cfg.PacketLen, cfg.Seed, float64(cMicro)/1e6, float64(dMicro)/1e6)
@@ -150,6 +146,15 @@ func buildCodec(cfg Config, k int) (code.Codec, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown codec %d", cfg.Codec)
 	}
+}
+
+// interleaveBlockK resolves a configured or advertised interleave block
+// size: unset means 50 source packets per block.
+func interleaveBlockK(bk int) int {
+	if bk <= 0 {
+		return 50
+	}
+	return bk
 }
 
 // ratelessID reports whether a wire codec id names a rateless code, whose
@@ -400,11 +405,7 @@ func (s *Session) Info() proto.SessionInfo {
 		Digest:     s.digest,
 	}
 	if s.cfg.Codec == proto.CodecInterleaved {
-		bk := s.cfg.InterleaveBlockK
-		if bk <= 0 {
-			bk = 50
-		}
-		info.InterleaveK = uint32(bk)
+		info.InterleaveK = uint32(interleaveBlockK(s.cfg.InterleaveBlockK))
 	}
 	if s.cfg.Codec == proto.CodecLT {
 		info.LTCMicro, info.LTDeltaMicro = ltWireParams(s.cfg)
@@ -538,12 +539,42 @@ type Receiver struct {
 // reconstructs the codec locally from the descriptor's parameters — no
 // further server state is needed (the "advance agreement" of §5.1).
 func NewReceiver(info proto.SessionInfo) (*Receiver, error) {
-	// The descriptor arrives off a socket: check it before dividing by K.
+	// The descriptor arrives off a socket: check it before dividing by K,
+	// and tie K to the file before building a codec, so decoder memory is
+	// bounded by the file the user asked for, not by a 107-byte datagram.
 	if info.K == 0 {
 		return nil, fmt.Errorf("core: descriptor has k=0")
 	}
 	if !ratelessID(info.Codec) && info.N < info.K {
 		return nil, fmt.Errorf("core: descriptor has n=%d below k=%d", info.N, info.K)
+	}
+	if info.PacketLen == 0 {
+		return nil, fmt.Errorf("core: descriptor has packet length 0")
+	}
+	if info.Layers < 1 || info.Layers > 16 {
+		return nil, fmt.Errorf("core: descriptor has layer count %d out of range", info.Layers)
+	}
+	pl := uint64(info.PacketLen)
+	if info.FileLen > uint64(info.K)*pl {
+		return nil, fmt.Errorf("core: descriptor has k=%d packets of %d bytes for a %d-byte file",
+			info.K, info.PacketLen, info.FileLen)
+	}
+	// The K NewSessionCached derives from the file: one packet at least,
+	// rounded up to whole blocks by the interleaved code.
+	maxK := info.FileLen / pl
+	if info.FileLen%pl != 0 || maxK == 0 {
+		maxK++
+	}
+	if info.Codec == proto.CodecInterleaved {
+		bk := uint64(interleaveBlockK(int(info.InterleaveK)))
+		if bk > maxK {
+			bk = maxK
+		}
+		maxK = (maxK + bk - 1) / bk * bk
+	}
+	if uint64(info.K) > maxK {
+		return nil, fmt.Errorf("core: descriptor has k=%d, a %d-byte file needs at most %d",
+			info.K, info.FileLen, maxK)
 	}
 	cfg := Config{
 		Codec:            info.Codec,

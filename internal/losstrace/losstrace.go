@@ -1,11 +1,11 @@
-// Package trace generates, serializes and replays packet-loss traces in
+// Package losstrace generates, serializes and replays packet-loss traces in
 // the style of the Yajnik/Kurose/Towsley MBone measurements the paper uses
 // in §6.4. The original traces are not redistributable (and the MBone is
 // long gone), so we synthesize the documented characteristics: per-receiver
 // loss rates from under 1% to over 30% with a population mean near 18%,
 // bursty losses from a two-state Gilbert-Elliott process, and hour-long
 // sessions (§6.4; see DESIGN.md for the substitution rationale).
-package trace
+package losstrace
 
 import (
 	"bufio"

@@ -6,10 +6,10 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/losstrace"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/tornado"
-	"repro/internal/trace"
 )
 
 // Fig2 regenerates the reception-overhead distributions: many decode
@@ -298,11 +298,11 @@ func Fig6(w io.Writer, o Options) error {
 	if o.Full {
 		sizes = []int{100, 250, 1024, 4096, 16384}
 	}
-	gp := trace.DefaultGenParams()
+	gp := losstrace.DefaultGenParams()
 	gp.Seed = o.Seed
-	traces := trace.Generate(gp)
+	traces := losstrace.Generate(gp)
 	fprintf(w, "Figure 6: Trace-driven reception efficiency (%d receivers, mean loss %.3f)\n",
-		len(traces), trace.MeanLoss(traces))
+		len(traces), losstrace.MeanLoss(traces))
 	fprintf(w, "  %-10s %-12s %-12s %-12s\n", "SIZE", "TornadoA", "Intl k=50", "Intl k=20")
 	rng := netsim.NewRNG(uint64(o.Seed + 17))
 	for _, kb := range sizes {

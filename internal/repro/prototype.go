@@ -8,7 +8,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/server"
 	"repro/internal/transport"
 )
 
@@ -16,7 +15,7 @@ import (
 // components (ηd distinctness, ηc coding, η total) versus packet loss, for
 // the single-layer protocol and for the 4-layer layered protocol with
 // congestion control. The paper ran this between Berkeley, CMU and Cornell;
-// we run the same server and client engines over the in-process lossy
+// we run the same carousel and client engine over the in-process lossy
 // multicast substrate (see DESIGN.md for the substitution).
 func Fig8(w io.Writer, o Options) error {
 	fileKB := 512
@@ -46,10 +45,10 @@ func Fig8(w io.Writer, o Options) error {
 			eng.HandlePacket(pkt)
 		})
 		defer bc.Close()
-		srv := server.New(sess, bus)
+		car := core.NewCarousel(sess)
 		maxSteps := 400 * sess.Codec().N()
 		for steps := 0; !eng.Done(); steps++ {
-			if err := srv.Step(); err != nil {
+			if err := car.NextRound(bus.Send); err != nil {
 				return 0, 0, 0, 0, err
 			}
 			if steps > maxSteps {

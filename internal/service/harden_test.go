@@ -161,9 +161,11 @@ func TestSoakChurn(t *testing.T) {
 				if err != nil {
 					return
 				}
+				var rb transport.RecvBatch
 				for i := 0; i < 10; i++ {
-					cl.Recv(10 * time.Millisecond)
+					cl.RecvBatch(&rb, 10*time.Millisecond)
 				}
+				rb.Free()
 				if c%2 == 0 {
 					cl.Close() // clean leave
 				} else {

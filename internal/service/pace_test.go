@@ -1,103 +1,12 @@
-package server
+package service
 
 import (
-	"context"
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/proto"
-	"repro/internal/transport"
 )
-
-func newSession(t *testing.T, layers int) *core.Session {
-	t.Helper()
-	rng := rand.New(rand.NewSource(1))
-	data := make([]byte, 40_000)
-	rng.Read(data)
-	cfg := core.DefaultConfig()
-	cfg.Layers = layers
-	cfg.SPInterval = 4
-	s, err := core.NewSession(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestStepSendsEveryLayerWithSerials(t *testing.T) {
-	sess := newSession(t, 4)
-	bus := transport.NewBus(4)
-	type rec struct {
-		layer int
-		hdr   proto.Header
-	}
-	var got []rec
-	bus.NewClient(3, nil, func(layer int, pkt []byte) {
-		h, _, err := proto.ParseHeader(pkt)
-		if err != nil {
-			t.Errorf("bad header: %v", err)
-			return
-		}
-		got = append(got, rec{layer, h})
-	})
-	e := New(sess, bus)
-	for r := 0; r < 8; r++ {
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Round() != 8 || e.Sent() != len(got) {
-		t.Fatalf("round=%d sent=%d delivered=%d", e.Round(), e.Sent(), len(got))
-	}
-	// Serials must be dense per layer (no loss on the bus).
-	next := map[int]uint32{}
-	for _, r := range got {
-		if int(r.hdr.Group) != r.layer {
-			t.Fatalf("header group %d delivered on layer %d", r.hdr.Group, r.layer)
-		}
-		next[r.layer]++
-		if r.hdr.Serial != next[r.layer] {
-			t.Fatalf("layer %d serial %d, want %d", r.layer, r.hdr.Serial, next[r.layer])
-		}
-	}
-	for l := 0; l < 4; l++ {
-		if next[l] == 0 {
-			t.Fatalf("layer %d never transmitted", l)
-		}
-	}
-}
-
-func TestSPOnlyOnFirstPacketOfRound(t *testing.T) {
-	sess := newSession(t, 4)
-	bus := transport.NewBus(4)
-	spCount := map[int]int{}
-	perRound := map[int]int{}
-	round := 0
-	bus.NewClient(3, nil, func(layer int, pkt []byte) {
-		h, _, _ := proto.ParseHeader(pkt)
-		if h.Flags&proto.FlagSP != 0 {
-			spCount[layer]++
-			perRound[round]++
-		}
-	})
-	e := New(sess, bus)
-	for ; round < 8; round++ {
-		e.Step()
-	}
-	// SPInterval=4: layer 0 SPs at rounds 0 and 4; layer 1 at round 0.
-	if spCount[0] != 2 {
-		t.Fatalf("layer 0 SPs = %d, want 2", spCount[0])
-	}
-	if spCount[1] != 1 {
-		t.Fatalf("layer 1 SPs = %d, want 1", spCount[1])
-	}
-	// At most one SP per layer per round (only the round's first packet).
-	if perRound[0] > 4 {
-		t.Fatalf("round 0 carried %d SPs", perRound[0])
-	}
-}
 
 // TestPaceIntervalRateAccuracy: across awkward (perRound, baseRate) pairs
 // — non-divisor ratios, rates near and beyond the nanosecond floor — the
@@ -153,7 +62,12 @@ func TestPaceIntervalRateAccuracy(t *testing.T) {
 // and layered modes.
 func TestPaceEffectiveRate(t *testing.T) {
 	for _, layers := range []int{1, 4} {
-		sess := newSession(t, layers)
+		cfg := sessionConfig(proto.CodecTornadoA, 1, 1)
+		cfg.Layers = layers
+		sess, err := core.NewSession(randBytes(1, 40_000), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		interval, eff := Pace(sess, 1999)
 		if interval != PaceInterval(sess, 1999) {
 			t.Fatalf("layers=%d: Pace interval %v != PaceInterval %v",
@@ -168,22 +82,5 @@ func TestPaceEffectiveRate(t *testing.T) {
 		if eff != want {
 			t.Fatalf("layers=%d: effective %.9f, want %.9f", layers, eff, want)
 		}
-	}
-}
-
-func TestRunPacesAndStops(t *testing.T) {
-	sess := newSession(t, 2)
-	bus := transport.NewBus(2)
-	n := 0
-	bus.NewClient(1, nil, func(int, []byte) { n++ })
-	e := New(sess, bus)
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
-	err := e.Run(ctx, 50_000)
-	if err != context.DeadlineExceeded {
-		t.Fatalf("err = %v", err)
-	}
-	if n == 0 {
-		t.Fatal("Run sent nothing")
 	}
 }

@@ -10,8 +10,7 @@ import (
 	"repro/internal/transport"
 )
 
-// The pacing scheduler replaces the one-goroutine-per-session sender of
-// the earlier service: every paced session is an emission event on a
+// The pacing scheduler: every paced session is an emission event on a
 // min-heap keyed by its next deadline on a monotonic clock, and a fixed
 // set of shard workers (GOMAXPROCS by default) pops due events, emits one
 // carousel round each through pooled buffers and per-layer batches, and
@@ -27,7 +26,7 @@ import (
 type schedEvent struct {
 	e        *entry
 	next     time.Duration // deadline, relative to the scheduler epoch
-	interval time.Duration // carousel round spacing (server.PaceInterval)
+	interval time.Duration // carousel round spacing (PaceInterval)
 	shard    *shard
 	removed  bool // guarded by shard.mu; a removed event is never re-pushed
 }
@@ -265,9 +264,9 @@ func (sh *shard) pop() *schedEvent {
 // emitter is the zero-alloc round emission sink: it implements
 // core.RoundEmitter by building each packet in a pooled buffer, grouping
 // consecutive same-layer packets into one batch, and handing each batch to
-// the service's counting batch sender. Buffers are released back to the
-// pool as soon as their batch is sent (transports and Bus handlers must
-// not retain packet bytes — see transport.Sender).
+// Service.sendBatch. Buffers are released back to the pool as soon as
+// their batch is sent (transports and Bus handlers must not retain packet
+// bytes — see transport.Sender).
 type emitter struct {
 	svc     *Service
 	free    *transport.FreeList
@@ -313,9 +312,9 @@ func (em *emitter) Emit(layer int, pkt []byte) error {
 	return nil
 }
 
-// flush sends the accumulated batch through the counting sender (which
-// swallows transport errors — a fountain retransmits everything
-// eventually) and releases the batch's buffers to the pool.
+// flush sends the accumulated batch through Service.sendBatch (which
+// counts it and swallows transport errors — a fountain retransmits
+// everything eventually) and releases the batch's buffers to the pool.
 func (em *emitter) flush() {
 	if len(em.batch) > 0 {
 		if em.tr.On() {
@@ -328,7 +327,7 @@ func (em *emitter) flush() {
 			em.tr.Emit(evtrace.EvTxBatch, em.sess, em.svc.cfg.TraceID, 0, uint8(em.layer),
 				uint64(len(em.batch)), nb)
 		}
-		countingSender{em.svc}.SendBatch(em.layer, em.batch)
+		em.svc.sendBatch(em.layer, em.batch)
 	}
 	for i, b := range em.bufs {
 		em.free.Put(b)
@@ -341,7 +340,7 @@ func (em *emitter) flush() {
 // emitRound emits one full carousel round through the emitter. The
 // carousel can only fail on emit errors, and Emit never fails, so the
 // round always completes; sends themselves are counted (and their errors
-// swallowed) by the counting sender.
+// swallowed) by Service.sendBatch.
 // The EvRound event fires at the start, before NextRoundTo advances the
 // carousel's round counter: a trace consumer counting EvRound events per
 // source therefore sees exactly Carousel.Rounds() at any downstream event

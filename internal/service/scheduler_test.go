@@ -12,19 +12,23 @@ import (
 	"repro/internal/proto"
 )
 
-// batchCapture is a batch-capable sink that copies every packet (pooled
-// buffers are recycled after SendBatch returns) keyed by (session, layer).
+// batchCapture is a sink that copies every packet (pooled buffers are
+// recycled after SendBatch returns) keyed by (session, layer). Its Send
+// fails the test: a Service reaches its transport by SendBatch only.
 type batchCapture struct {
-	mu  sync.Mutex
-	seq map[[2]uint16][][]byte
+	t              *testing.T
+	mu             sync.Mutex
+	seq            map[[2]uint16][][]byte
+	packets, bytes uint64
 }
 
-func newBatchCapture() *batchCapture {
-	return &batchCapture{seq: make(map[[2]uint16][][]byte)}
+func newBatchCapture(t *testing.T) *batchCapture {
+	return &batchCapture{t: t, seq: make(map[[2]uint16][][]byte)}
 }
 
 func (c *batchCapture) Send(layer int, pkt []byte) error {
-	return c.SendBatch(layer, [][]byte{pkt})
+	c.t.Errorf("service sent a packet on layer %d by Send, not SendBatch", layer)
+	return nil
 }
 
 func (c *batchCapture) SendBatch(layer int, pkts [][]byte) error {
@@ -37,6 +41,8 @@ func (c *batchCapture) SendBatch(layer int, pkts [][]byte) error {
 		}
 		key := [2]uint16{h.Session, uint16(layer)}
 		c.seq[key] = append(c.seq[key], append([]byte(nil), pkt...))
+		c.packets++
+		c.bytes += uint64(len(pkt))
 	}
 	return nil
 }
@@ -55,11 +61,13 @@ func (c *batchCapture) minLen(session uint16, layers int) int {
 }
 
 // TestSchedulerEmissionOrderMatchesCarousel: per (session, layer), the
-// scheduler's pooled, batched emission must be bit-identical to driving
-// the session's carousel directly with the pre-refactor per-packet
-// NextRound — same packets, same order, SP/burst flags included.
+// service's pooled, batched emission — paced by the scheduler and stepped
+// by hand through EmitRound — must be bit-identical to driving the
+// session's carousel directly with the per-packet NextRound: same packets,
+// same order, SP/burst flags included. Every packet leaves by SendBatch,
+// so Stats must equal exactly what SendBatch saw.
 func TestSchedulerEmissionOrderMatchesCarousel(t *testing.T) {
-	capt := newBatchCapture()
+	capt := newBatchCapture(t)
 	svc := New(capt, Config{BaseRate: 50000, Shards: 3})
 	defer svc.Close()
 
@@ -69,20 +77,31 @@ func TestSchedulerEmissionOrderMatchesCarousel(t *testing.T) {
 		sess  *core.Session
 	}
 	var sessions []ses
-	for i, phase := range []int{0, 5, 12} {
+	var manualCar *core.Carousel // the last session is stepped by hand
+	for i, phase := range []int{0, 5, 12, 3} {
 		id := uint16(0x41 + i)
 		cfg := sessionConfig(proto.CodecTornadoA, id, int64(100+i))
 		sess, err := core.NewSession(randBytes(int64(i), 15_000), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.AddPhased(sess, 0, phase); err != nil {
+		if i < 3 {
+			err = svc.AddPhased(sess, 0, phase)
+		} else {
+			manualCar, err = svc.AddManual(sess, 0, phase)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, ses{id, phase, sess})
 	}
 
 	const wantPerLayer = 120
+	for capt.minLen(manualCar.Session().Config().Session, 4) < wantPerLayer {
+		if err := svc.EmitRound(manualCar); err != nil {
+			t.Fatal(err)
+		}
+	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		done := true
@@ -100,9 +119,13 @@ func TestSchedulerEmissionOrderMatchesCarousel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	svc.Close()
+	if st := svc.Stats(); st.PacketsSent != capt.packets || st.BytesSent != capt.bytes {
+		t.Fatalf("Stats count %d packets / %d bytes, SendBatch saw %d / %d",
+			st.PacketsSent, st.BytesSent, capt.packets, capt.bytes)
+	}
 
 	for _, s := range sessions {
-		// Reference: the pre-refactor emission path, packet-at-a-time.
+		// Reference: the carousel's own emission, packet-at-a-time.
 		ref := make(map[int][][]byte)
 		car := core.NewCarouselAt(s.sess, s.phase)
 		for rounds := 0; rounds < 4*wantPerLayer; rounds++ {
@@ -235,7 +258,7 @@ func TestConcurrentAddRemoveStats(t *testing.T) {
 // TestRemoveStopsEmissionPromptly: after Remove returns, not one more
 // packet of that session may reach the transport.
 func TestRemoveStopsEmissionPromptly(t *testing.T) {
-	capt := newBatchCapture()
+	capt := newBatchCapture(t)
 	svc := New(capt, Config{BaseRate: 100000, Shards: 2})
 	defer svc.Close()
 	cfg := sessionConfig(proto.CodecTornadoA, 0x77, 7)
@@ -327,7 +350,7 @@ func TestSchedulerPacing(t *testing.T) {
 // scheduler. We observe it through the public surface: shard count stays
 // fixed while sessions scale, and all sessions make progress.
 func TestManySessionsShareShards(t *testing.T) {
-	capt := newBatchCapture()
+	capt := newBatchCapture(t)
 	svc := New(capt, Config{BaseRate: 20000, Shards: 2})
 	defer svc.Close()
 	const n = 100

@@ -32,7 +32,6 @@ import (
 	"repro/internal/evtrace"
 	"repro/internal/metrics"
 	"repro/internal/proto"
-	"repro/internal/server"
 	"repro/internal/transport"
 )
 
@@ -81,10 +80,9 @@ type Stats struct {
 	Shards      int    // scheduler worker goroutines
 	PacketsSent uint64 // data packets handed to the transport
 	BytesSent   uint64 // data bytes handed to the transport
-	// SendErrors counts transport send failures: dropped packets on the
-	// per-packet path, failure events (at least one errored write in a
-	// batch — batch transports isolate errors per subscriber, so the rest
-	// of the fan-out was still attempted) on the batch path.
+	// SendErrors counts transport send failure events: at least one
+	// errored write in a batch — transports isolate errors per subscriber,
+	// so the rest of the fan-out was still attempted.
 	SendErrors uint64
 	// Scheduler health: total carousel rounds emitted, rounds emitted as
 	// catch-up (the session was behind its pacing deadline), and times a
@@ -118,17 +116,13 @@ type entry struct {
 
 // Service runs any number of fountain sessions over one transport.
 type Service struct {
-	cfg Config
-	tx  server.Sender // as handed in
-	// txBatch is tx when it supports native batching (Bus, UDPServer),
-	// nil otherwise — plain senders take the per-packet counting path,
-	// which isolates and counts errors packet by packet.
-	txBatch transport.Sender
-	pool    *transport.BufPool
-	cache   *core.BlockCache
-	sched   *scheduler
-	ctx     context.Context
-	cancel  context.CancelFunc
+	cfg    Config
+	tx     transport.Sender
+	pool   *transport.BufPool
+	cache  *core.BlockCache
+	sched  *scheduler
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	sessions map[uint16]*entry
@@ -154,11 +148,9 @@ type Service struct {
 	reg *metrics.Registry
 }
 
-// New creates a service transmitting on tx. Any Sender works; transports
-// implementing transport.Sender (Bus, UDPServer) get whole per-layer
-// batches per call, everything else gets a per-packet fallback loop.
-// Close releases the service.
-func New(tx server.Sender, cfg Config) *Service {
+// New creates a service transmitting on tx, which receives every round as
+// whole per-layer batches (SendBatch). Close releases the service.
+func New(tx transport.Sender, cfg Config) *Service {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 64 << 20
 	}
@@ -177,9 +169,6 @@ func New(tx server.Sender, cfg Config) *Service {
 		ctx:      ctx,
 		cancel:   cancel,
 		sessions: make(map[uint16]*entry),
-	}
-	if bs, ok := tx.(transport.Sender); ok {
-		s.txBatch = bs
 	}
 	s.manualEm = newEmitter(s, cfg.Trace.Shard(0))
 	s.sched = newScheduler(s, ctx, cfg.Shards)
@@ -202,7 +191,7 @@ func (s *Service) registerMetrics(r *metrics.Registry) {
 	r.CounterFunc("fountain_bytes_sent_total",
 		"data bytes handed to the transport", s.bytes.Load)
 	r.CounterFunc("fountain_send_errors_total",
-		"transport send failures (dropped packets or batch failure events)", s.sendErrors.Load)
+		"transport send failure events (batches with at least one errored write)", s.sendErrors.Load)
 	r.AddCounter("fountain_sched_rounds_total",
 		"carousel rounds emitted", &s.rounds)
 	r.AddCounter("fountain_sched_catchup_rounds_total",
@@ -293,11 +282,10 @@ func (s *Service) AddPhased(sess *core.Session, rate, phase int) error {
 
 // AddManual registers a session — visible to control/catalog like any
 // other, phase advertised — but schedules no emission: the caller drives
-// the returned carousel (through EmitRound, which runs the same pooled
-// batched send path the scheduler uses, or Sender() for per-packet
-// emission). This is the virtual-time shape: deterministic experiments
-// and the loss-injection harness step mirrors on a virtual clock instead
-// of real pacing.
+// the returned carousel through EmitRound, which runs the same pooled
+// batched send path the scheduler uses. This is the virtual-time shape:
+// deterministic experiments and the loss-injection harness step mirrors on
+// a virtual clock instead of real pacing.
 func (s *Service) AddManual(sess *core.Session, rate, phase int) (*core.Carousel, error) {
 	if _, err := s.register(sess, rate, phase, true); err != nil {
 		return nil, err
@@ -336,17 +324,11 @@ func (s *Service) register(sess *core.Session, rate, phase int, manual bool) (*e
 	e := &entry{sess: sess, rate: rate, phase: phase}
 	if !manual {
 		e.car = core.NewCarouselAt(sess, phase)
-		s.sched.add(e, server.PaceInterval(sess, rate))
+		s.sched.add(e, PaceInterval(sess, rate))
 	}
 	s.sessions[id] = e
 	return e, nil
 }
-
-// Sender returns the service's counting sender: packets emitted through it
-// reach the service transport and move the Stats counters. It implements
-// the unified transport.Sender, so manual-session drivers can emit per
-// packet or per batch and account traffic the same way the scheduler does.
-func (s *Service) Sender() server.Sender { return countingSender{s} }
 
 // EmitRound emits one round of a manual session's carousel through the
 // pooled, batched send path — byte-for-byte the code the scheduler's shard
@@ -359,45 +341,24 @@ func (s *Service) EmitRound(car *core.Carousel) error {
 	return nil
 }
 
-// countingSender forwards to the service transport, counting traffic.
-// Transport errors are counted and the packets dropped — a fountain
-// retransmits everything eventually, so a lost send is indistinguishable
-// from network loss and must not kill the session's emission.
-type countingSender struct{ s *Service }
-
-func (c countingSender) Send(layer int, pkt []byte) error {
-	if err := c.s.tx.Send(layer, pkt); err != nil {
-		c.s.sendErrors.Add(1)
-		return nil
+// sendBatch hands one per-layer batch to the transport and counts it.
+// Transport errors are counted and swallowed — a fountain retransmits
+// everything eventually, so a lost send is indistinguishable from network
+// loss and must not kill the session's emission. Transports isolate errors
+// internally (a failing subscriber forfeits only its own writes — see
+// transport.UDPServer.SendBatch) and report only that *something* failed,
+// so the whole batch counts as handed to the transport and the error as
+// one failure event.
+func (s *Service) sendBatch(layer int, pkts [][]byte) {
+	if err := s.tx.SendBatch(layer, pkts); err != nil {
+		s.sendErrors.Add(1)
 	}
-	c.s.packets.Add(1)
-	c.s.bytes.Add(uint64(len(pkt)))
-	return nil
-}
-
-func (c countingSender) SendBatch(layer int, pkts [][]byte) error {
-	if c.s.txBatch == nil {
-		// Plain per-packet transport: send, swallow and count errors
-		// packet by packet, exactly as the per-goroutine sender did.
-		for _, pkt := range pkts {
-			c.Send(layer, pkt)
-		}
-		return nil
-	}
-	// Batch transports isolate errors internally (a failing subscriber
-	// forfeits only its own writes — see transport.UDPServer.SendBatch)
-	// and report only that *something* failed, so the whole batch counts
-	// as handed to the transport and the error as one failure event.
-	if err := c.s.txBatch.SendBatch(layer, pkts); err != nil {
-		c.s.sendErrors.Add(1)
-	}
-	c.s.packets.Add(uint64(len(pkts)))
+	s.packets.Add(uint64(len(pkts)))
 	var nb uint64
 	for _, p := range pkts {
 		nb += uint64(len(p))
 	}
-	c.s.bytes.Add(nb)
-	return nil
+	s.bytes.Add(nb)
 }
 
 // Remove stops a session's paced emission — waiting out any in-flight

@@ -132,16 +132,17 @@ func fetch(ci int, info proto.SessionInfo, udp *transport.UDPServer, want []byte
 	if err != nil {
 		return err
 	}
+	var rb transport.RecvBatch
+	defer rb.Free()
 	deadline := time.Now().Add(30 * time.Second)
 	for !eng.Done() {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("client %d (session %#x): timed out", ci, info.Session)
 		}
-		pkt, ok := uc.Recv(time.Second)
-		if !ok {
+		if _, err := uc.RecvBatch(&rb, time.Second); err != nil {
 			continue
 		}
-		if _, err := eng.HandlePacket(pkt); err != nil {
+		if _, err := eng.HandleBatchFrom(0, rb.Packets()); err != nil {
 			return fmt.Errorf("client %d (session %#x): foreign packet leaked through mux: %v", ci, info.Session, err)
 		}
 	}
@@ -162,13 +163,19 @@ type recorder struct {
 }
 
 func (r *recorder) Send(layer int, pkt []byte) error {
-	h, _, err := proto.ParseHeader(pkt)
-	if err != nil {
-		return err
-	}
+	return r.SendBatch(layer, [][]byte{pkt})
+}
+
+func (r *recorder) SendBatch(layer int, pkts [][]byte) error {
 	r.mu.Lock()
-	r.hdrs = append(r.hdrs, h)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	for _, pkt := range pkts {
+		h, _, err := proto.ParseHeader(pkt)
+		if err != nil {
+			return err
+		}
+		r.hdrs = append(r.hdrs, h)
+	}
 	return nil
 }
 
@@ -304,8 +311,8 @@ func TestHandleControl(t *testing.T) {
 
 // TestPhasedAndManualSessions: AddPhased must advertise the phase in the
 // control descriptor and start its carousel there; AddManual must register
-// without a sender goroutine, count traffic through Sender(), and tear
-// down cleanly via Remove/Close.
+// without a sender goroutine, count traffic emitted through EmitRound, and
+// tear down cleanly via Remove/Close.
 func TestPhasedAndManualSessions(t *testing.T) {
 	rec := &recorder{}
 	svc := New(rec, Config{BaseRate: 500})
@@ -341,9 +348,9 @@ func TestPhasedAndManualSessions(t *testing.T) {
 		t.Fatal("duplicate manual registration accepted")
 	}
 
-	// Manual stepping through the counting sender moves the stats.
+	// Manual stepping moves the stats.
 	before := svc.Stats().PacketsSent
-	if err := car.NextRound(svc.Sender().Send); err != nil {
+	if err := svc.EmitRound(car); err != nil {
 		t.Fatal(err)
 	}
 	if got := svc.Stats().PacketsSent; got <= before {

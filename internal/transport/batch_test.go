@@ -155,13 +155,23 @@ func TestUDPSendBatchLoopback(t *testing.T) {
 	if err := s.SendBatch(0, batch); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		pkt, ok := c.Recv(5 * time.Second)
-		if !ok {
-			t.Fatalf("receive timed out after %d of %d packets", i, n)
+	expectPackets(t, c, batch)
+}
+
+// expectPackets drains c until it has delivered exactly want, in order.
+func expectPackets(t *testing.T, c *UDPClient, want [][]byte) {
+	t.Helper()
+	var rb RecvBatch
+	defer rb.Free()
+	for got := 0; got < len(want); {
+		if _, err := c.RecvBatch(&rb, 5*time.Second); err != nil {
+			t.Fatalf("receive failed after %d of %d packets: %v", got, len(want), err)
 		}
-		if !bytes.Equal(pkt, batch[i]) {
-			t.Fatalf("packet %d differs (reordered or corrupted)", i)
+		for _, pkt := range rb.Packets() {
+			if got == len(want) || !bytes.Equal(pkt, want[got]) {
+				t.Fatalf("packet %d: got %q (reordered, corrupted or surplus)", got, pkt)
+			}
+			got++
 		}
 	}
 }
@@ -234,15 +244,7 @@ func TestSendBatchEmptyPackets(t *testing.T) {
 	if err := s.SendBatch(0, batch); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range batch {
-		pkt, ok := c.Recv(5 * time.Second)
-		if !ok {
-			t.Fatalf("receive timed out at packet %d", i)
-		}
-		if !bytes.Equal(pkt, want) {
-			t.Fatalf("packet %d: got %q want %q", i, pkt, want)
-		}
-	}
+	expectPackets(t, c, batch)
 }
 
 // TestBusSendBatch: the in-proc bus must deliver a batch in Send-identical
@@ -280,29 +282,6 @@ func TestBusSendBatch(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("delivered %v, want %v", got, want)
 		}
-	}
-}
-
-// sendOnly is a PacketSender that is deliberately not batch-capable.
-type sendOnly struct{ calls [][]byte }
-
-func (s *sendOnly) Send(layer int, pkt []byte) error { s.calls = append(s.calls, pkt); return nil }
-
-// TestAsSender: batch-capable senders pass through untouched; bare
-// PacketSenders gain a SendBatch loop preserving order.
-func TestAsSender(t *testing.T) {
-	bus := NewBus(1)
-	if AsSender(bus) != Sender(bus) {
-		t.Fatal("batch-capable sender was wrapped")
-	}
-	so := &sendOnly{}
-	up := AsSender(so)
-	batch := [][]byte{{1}, {2}, {3}}
-	if err := up.SendBatch(0, batch); err != nil {
-		t.Fatal(err)
-	}
-	if len(so.calls) != 3 || &so.calls[0][0] != &batch[0][0] || &so.calls[2][0] != &batch[2][0] {
-		t.Fatal("fallback loop dropped or copied packets")
 	}
 }
 

@@ -69,8 +69,10 @@ func TestUDPEvictsFailingSubscriber(t *testing.T) {
 	healthyGot.Add(1)
 	go func() {
 		defer healthyGot.Done()
-		for i := 0; i < 5; i++ {
-			if _, ok := healthy.Recv(2 * time.Second); !ok {
+		var rb RecvBatch
+		defer rb.Free()
+		for got := 0; got < 5; got += rb.Len() {
+			if _, err := healthy.RecvBatch(&rb, 2*time.Second); err != nil {
 				return
 			}
 		}
@@ -188,12 +190,15 @@ func TestUDPRateCap(t *testing.T) {
 	if want := uint64(len(pkts) - cap); dropped != want {
 		t.Fatalf("rate-dropped %d packets, want %d", dropped, want)
 	}
+	var rb RecvBatch
+	defer rb.Free()
 	got := 0
 	for {
-		if _, ok := cli.Recv(100 * time.Millisecond); !ok {
+		n, err := cli.RecvBatch(&rb, 100*time.Millisecond)
+		if err != nil {
 			break
 		}
-		got++
+		got += n
 	}
 	if got > cap {
 		t.Fatalf("subscriber received %d packets past a %d pps cap", got, cap)

@@ -436,7 +436,7 @@ func (c *BusClient) deliver(layer int, pkt []byte) {
 // across runs. Ties fire in registration order, so interleaving is
 // reproducible even for sources at identical rates.
 //
-// This substitutes wall-clock pacing (server.Engine.Run) in tests: a full
+// This substitutes wall-clock pacing (the service scheduler) in tests: a full
 // multi-mirror round-trip over lossy buses executes at CPU speed with a
 // stable packet interleaving, which is what makes loss-injection scenarios
 // assertable down to exact packet counts.

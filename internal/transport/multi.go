@@ -34,11 +34,10 @@ type MultiClient struct {
 	mu    sync.Mutex
 	level int
 
-	// Consumer-side cursor over the batch being drained. Recv* calls are
-	// single-consumer (like UDPClient receives): run one receive loop per
-	// MultiClient.
-	cur     *sourcedBatch
-	curNext int
+	// The carrier whose packets the consumer holds, recycled by the next
+	// RecvBatchFrom. RecvBatchFrom is single-consumer (like
+	// UDPClient.RecvBatch): run one receive loop per MultiClient.
+	cur *sourcedBatch
 }
 
 // sourcedBatch is one batch handoff carrier: a receive batch plus the
@@ -49,9 +48,9 @@ type sourcedBatch struct {
 }
 
 // NewMultiClient dials every server's data port and subscribes each to
-// layers 0..level of the given session. Source indices in Recv correspond
-// to positions in servers. On any error the already-opened sockets are
-// closed.
+// layers 0..level of the given session. Source indices in RecvBatchFrom
+// correspond to positions in servers. On any error the already-opened
+// sockets are closed.
 func NewMultiClient(servers []*net.UDPAddr, session uint16, level int) (*MultiClient, error) {
 	if len(servers) == 0 {
 		return nil, errors.New("transport: multi-client needs at least one server")
@@ -129,92 +128,38 @@ func (m *MultiClient) pull(src int, c *UDPClient) {
 // Sources returns the number of joined servers.
 func (m *MultiClient) Sources() int { return len(m.clients) }
 
-// recycle hands the consumer's current batch carrier back to the pull
-// loops and clears the cursor.
-func (m *MultiClient) recycle() {
+// RecvBatchFrom blocks up to timeout for the next batch of packets from
+// any source and returns the packets with the index of the server that
+// sent them. The returned views are valid until the next RecvBatchFrom
+// call on this client (which recycles the carrier). Errors: ErrTimeout,
+// ErrClosed.
+func (m *MultiClient) RecvBatchFrom(timeout time.Duration) (src int, pkts [][]byte, err error) {
 	if m.cur != nil {
 		m.free <- m.cur
 		m.cur = nil
-		m.curNext = 0
 	}
-}
-
-// nextBatch recycles the current carrier and blocks up to timeout for the
-// next filled one. Errors: ErrTimeout, ErrClosed.
-func (m *MultiClient) nextBatch(timeout time.Duration) (*sourcedBatch, error) {
-	m.recycle()
 	select {
 	case <-m.done:
-		return nil, ErrClosed // closed: don't drain stale buffered batches
+		return 0, nil, ErrClosed // closed: don't drain stale buffered batches
 	default:
 	}
 	// Fast path: a buffered batch needs no timer — on a busy stream this
 	// keeps the per-batch cost to one channel receive.
 	select {
-	case sb := <-m.ch:
-		m.cur = sb
-		return sb, nil
+	case m.cur = <-m.ch:
+		return m.cur.src, m.cur.rb.pkts, nil
 	default:
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case sb := <-m.ch:
-		m.cur = sb
-		return sb, nil
+	case m.cur = <-m.ch:
+		return m.cur.src, m.cur.rb.pkts, nil
 	case <-m.done:
-		return nil, ErrClosed
+		return 0, nil, ErrClosed
 	case <-t.C:
-		return nil, ErrTimeout
+		return 0, nil, ErrTimeout
 	}
-}
-
-// RecvBatchFrom blocks up to timeout for the next batch of packets from
-// any source and returns the packets with the index of the server that
-// sent them. If a batch partially drained by RecvFrom is pending, its
-// remainder is returned first, so the two call styles mix without losing
-// packets. The returned views are valid until the next Recv/RecvFrom/
-// RecvBatchFrom call on this client (which recycles the carrier). Errors:
-// ErrTimeout, ErrClosed.
-func (m *MultiClient) RecvBatchFrom(timeout time.Duration) (src int, pkts [][]byte, err error) {
-	if m.cur != nil && m.curNext < len(m.cur.rb.pkts) {
-		pkts = m.cur.rb.pkts[m.curNext:]
-		m.curNext = len(m.cur.rb.pkts)
-		return m.cur.src, pkts, nil
-	}
-	sb, err := m.nextBatch(timeout)
-	if err != nil {
-		return 0, nil, err
-	}
-	m.curNext = len(sb.rb.pkts) // the whole batch is handed out at once
-	return sb.src, sb.rb.pkts, nil
-}
-
-// RecvFrom blocks up to timeout for the next packet from any source,
-// returning the index of the server that sent it. The packet view is
-// valid until its batch is exhausted and a further Recv* call recycles
-// it — copy to keep (decoders in this repository copy on Add). Errors:
-// ErrTimeout, ErrClosed.
-func (m *MultiClient) RecvFrom(timeout time.Duration) (src int, pkt []byte, err error) {
-	if m.cur != nil && m.curNext < len(m.cur.rb.pkts) {
-		pkt = m.cur.rb.pkts[m.curNext]
-		m.curNext++
-		return m.cur.src, pkt, nil
-	}
-	sb, err := m.nextBatch(timeout)
-	if err != nil {
-		return 0, nil, err
-	}
-	m.curNext = 1
-	return sb.src, sb.rb.pkts[0], nil
-}
-
-// Recv blocks for the next packet from any source (with timeout),
-// returning the index of the server that sent it. ok=false on timeout or
-// close; use RecvFrom when the two must be distinguished.
-func (m *MultiClient) Recv(timeout time.Duration) (src int, pkt []byte, ok bool) {
-	src, pkt, err := m.RecvFrom(timeout)
-	return src, pkt, err == nil
 }
 
 // SetLevel adjusts the cumulative subscription level on every source — the

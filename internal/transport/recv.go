@@ -90,8 +90,8 @@ func (rb *RecvBatch) ensure(chunk, size int) {
 }
 
 // Packets returns the datagrams of the last fill, one slice per datagram,
-// in arrival order. The views (and the packets a caller got from Recv*)
-// stay valid only until the next fill of this batch.
+// in arrival order. The views stay valid only until the next fill of this
+// batch.
 func (rb *RecvBatch) Packets() [][]byte { return rb.pkts }
 
 // Len returns the number of datagrams in the last fill.
@@ -138,8 +138,8 @@ func (c *UDPClient) Closed() bool {
 // views are invalidated.
 //
 // Errors: ErrTimeout when nothing arrived in time, ErrClosed once the
-// client is closed. Like Recv, RecvBatch is a single-reader call — run one
-// receive loop per client.
+// client is closed. RecvBatch is a single-reader call — run one receive
+// loop per client.
 func (c *UDPClient) RecvBatch(rb *RecvBatch, timeout time.Duration) (int, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -174,33 +174,4 @@ func (c *UDPClient) readBatchPortable(rb *RecvBatch) (int, error) {
 	}
 	rb.pkts = append(rb.pkts, buf[:n])
 	return 1, nil
-}
-
-// RecvOne blocks for the next datagram (up to timeout) and returns a view
-// into the client's own pooled buffer — valid only until the next
-// Recv/RecvOne call on this client. Errors as in RecvBatch.
-func (c *UDPClient) RecvOne(timeout time.Duration) ([]byte, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	size := c.recvSize
-	if c.recvBuf == nil || cap(c.recvBuf.B) < size {
-		if c.recvBuf != nil {
-			recvPool.Put(c.recvBuf)
-		}
-		c.recvBuf = recvPool.Get(size)
-	}
-	buf := c.recvBuf.B[:cap(c.recvBuf.B)]
-	c.mu.Unlock()
-	c.conn.SetReadDeadline(time.Now().Add(timeout))
-	n, _, err := c.conn.ReadFromUDPAddrPort(buf)
-	if err != nil {
-		return nil, classifyRecvErr(err)
-	}
-	c.rxPackets.Add(1)
-	c.rxBytes.Add(uint64(n))
-	c.rxBatch.Observe(1)
-	return buf[:n], nil
 }

@@ -81,9 +81,6 @@ func TestRecvClosedVsTimeout(t *testing.T) {
 	if c.Closed() {
 		t.Fatal("Closed() true before Close")
 	}
-	if _, err := c.RecvOne(20 * time.Millisecond); err != ErrTimeout {
-		t.Fatalf("RecvOne on idle socket: %v, want ErrTimeout", err)
-	}
 	var rb RecvBatch
 	defer rb.Free()
 	if _, err := c.RecvBatch(&rb, 20*time.Millisecond); err != ErrTimeout {
@@ -95,12 +92,9 @@ func TestRecvClosedVsTimeout(t *testing.T) {
 	if !c.Closed() {
 		t.Fatal("Closed() false after Close")
 	}
-	// Both the early-exit path (closed flag) and the socket path must
-	// classify as ErrClosed, and fast: a receive loop must not spin.
+	// A closed client must classify as ErrClosed, and fast: a receive
+	// loop must not spin.
 	start := time.Now()
-	if _, err := c.RecvOne(5 * time.Second); err != ErrClosed {
-		t.Fatalf("RecvOne after Close: %v, want ErrClosed", err)
-	}
 	if _, err := c.RecvBatch(&rb, 5*time.Second); err != ErrClosed {
 		t.Fatalf("RecvBatch after Close: %v, want ErrClosed", err)
 	}
@@ -204,20 +198,6 @@ func TestMultiClientBatchFunnel(t *testing.T) {
 			}
 			seen[src][h.Serial] = true
 		}
-		// Mixing the cursor API with the batch API must not double-deliver:
-		// the batch above was handed out whole, so RecvFrom pulls a new one.
-		if len(seen[0]) < perSrc || len(seen[1]) < perSrc {
-			if src2, pkt, err := mc.RecvFrom(5 * time.Second); err == nil {
-				h, _, perr := proto.ParseHeader(pkt)
-				if perr != nil {
-					t.Fatal(perr)
-				}
-				if seen[src2][h.Serial] {
-					t.Fatalf("RecvFrom re-delivered source %d serial %d", src2, h.Serial)
-				}
-				seen[src2][h.Serial] = true
-			}
-		}
 	}
 	if len(seen[0]) != perSrc || len(seen[1]) != perSrc {
 		t.Fatalf("delivered %d+%d packets, want %d each", len(seen[0]), len(seen[1]), perSrc)
@@ -240,9 +220,6 @@ func TestMultiClientClosedVsTimeout(t *testing.T) {
 	if mc.Closed() {
 		t.Fatal("Closed() true before Close")
 	}
-	if _, _, err := mc.RecvFrom(20 * time.Millisecond); err != ErrTimeout {
-		t.Fatalf("RecvFrom on idle funnel: %v, want ErrTimeout", err)
-	}
 	if _, _, err := mc.RecvBatchFrom(20 * time.Millisecond); err != ErrTimeout {
 		t.Fatalf("RecvBatchFrom on idle funnel: %v, want ErrTimeout", err)
 	}
@@ -253,9 +230,6 @@ func TestMultiClientClosedVsTimeout(t *testing.T) {
 		t.Fatal("Closed() false after Close")
 	}
 	start := time.Now()
-	if _, _, err := mc.RecvFrom(5 * time.Second); err != ErrClosed {
-		t.Fatalf("RecvFrom after Close: %v, want ErrClosed", err)
-	}
 	if _, _, err := mc.RecvBatchFrom(5 * time.Second); err != ErrClosed {
 		t.Fatalf("RecvBatchFrom after Close: %v, want ErrClosed", err)
 	}

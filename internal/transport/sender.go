@@ -2,14 +2,8 @@ package transport
 
 import "sync"
 
-// PacketSender is the minimal transmit side of a transport: one packet per
-// call. Custom test sinks usually implement just this.
-type PacketSender interface {
-	Send(layer int, pkt []byte) error
-}
-
-// Sender is the unified transmit side of a transport. Send emits one
-// packet; SendBatch emits a whole per-layer batch in one call, letting the
+// Sender is the transmit side of a transport. Send emits one packet;
+// SendBatch emits a whole per-layer batch in one call, letting the
 // transport amortize routing and syscalls across the batch (the UDP
 // substrate coalesces each subscriber's writes, the in-process Bus
 // snapshots its subscriber set once). Bus and UDPServer both satisfy it.
@@ -19,38 +13,8 @@ type PacketSender interface {
 // handlers) must copy anything they keep. All decoders in this repository
 // copy payloads on Add, so the contract holds end to end.
 type Sender interface {
-	PacketSender
+	Send(layer int, pkt []byte) error
 	SendBatch(layer int, pkts [][]byte) error
-}
-
-// sendAdapter upgrades a PacketSender with a SendBatch fallback loop so
-// batch-first callers (the service's pacing scheduler) can drive any sink.
-// Errors are isolated per packet: every packet of the batch is attempted,
-// and the first error (if any) is returned afterwards — one congested
-// packet must not discard the rest of a layer's round.
-type sendAdapter struct {
-	PacketSender
-}
-
-func (a sendAdapter) SendBatch(layer int, pkts [][]byte) error {
-	var first error
-	for _, pkt := range pkts {
-		if err := a.Send(layer, pkt); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// AsSender returns s itself when it already supports batching, or wraps it
-// with a portable per-packet fallback loop. Either way the caller gets the
-// unified Sender interface, so one send path serves real transports and
-// plain test sinks alike.
-func AsSender(s PacketSender) Sender {
-	if bs, ok := s.(Sender); ok {
-		return bs
-	}
-	return sendAdapter{s}
 }
 
 // Buf is one pooled packet buffer. Build the packet in B (starting from

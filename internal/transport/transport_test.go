@@ -85,9 +85,10 @@ func TestUDPSubscribeAndDeliver(t *testing.T) {
 	var got []byte
 	go func() {
 		defer wg.Done()
-		pkt, ok := cli.Recv(2 * time.Second)
-		if ok {
-			got = pkt
+		var rb RecvBatch
+		defer rb.Free()
+		if _, err := cli.RecvBatch(&rb, 2*time.Second); err == nil {
+			got = append(got, rb.Packets()[0]...)
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -132,7 +133,12 @@ func TestUDPUnsubscribe(t *testing.T) {
 
 func TestControlRoundTrip(t *testing.T) {
 	reply := []byte{9, 9, 9}
-	addr, stop, err := ServeControl("127.0.0.1:0", func(b []byte) bool { return len(b) == 1 && b[0] == 7 }, reply)
+	addr, stop, err := ServeControlFunc("127.0.0.1:0", func(b []byte) []byte {
+		if len(b) == 1 && b[0] == 7 {
+			return reply
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,16 +201,19 @@ func TestUDPSessionMux(t *testing.T) {
 	}
 	recvSessions := func(cli *UDPClient, n int) map[uint16]int {
 		got := map[uint16]int{}
-		for i := 0; i < n; i++ {
-			pkt, ok := cli.Recv(time.Second)
-			if !ok {
+		var rb RecvBatch
+		defer rb.Free()
+		for seen := 0; seen < n; seen += rb.Len() {
+			if _, err := cli.RecvBatch(&rb, time.Second); err != nil {
 				break
 			}
-			h, _, err := proto.ParseHeader(pkt)
-			if err != nil {
-				t.Fatal(err)
+			for _, pkt := range rb.Packets() {
+				h, _, err := proto.ParseHeader(pkt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[h.Session]++
 			}
-			got[h.Session]++
 		}
 		return got
 	}
@@ -414,18 +423,20 @@ func TestMultiClientHarvestsAllSources(t *testing.T) {
 	}
 	bySource := map[int]int{}
 	for len(bySource) < 2 {
-		src, pkt, ok := mc.Recv(2 * time.Second)
-		if !ok {
-			t.Fatalf("timed out with sources %v", bySource)
-		}
-		h, payload, err := proto.ParseHeader(pkt)
+		src, pkts, err := mc.RecvBatchFrom(2 * time.Second)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v with sources %v", err, bySource)
 		}
-		if int(h.Index) != src || int(payload[0]) != src {
-			t.Fatalf("packet from server %d delivered as source %d", h.Index, src)
+		for _, pkt := range pkts {
+			h, payload, err := proto.ParseHeader(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(h.Index) != src || int(payload[0]) != src {
+				t.Fatalf("packet from server %d delivered as source %d", h.Index, src)
+			}
+			bySource[src]++
 		}
-		bySource[src]++
 	}
 	// Level fan-out: raising to 1 must join layer 1 on both servers.
 	if err := mc.SetLevel(1); err != nil {
@@ -434,7 +445,7 @@ func TestMultiClientHarvestsAllSources(t *testing.T) {
 	if mc.Level() != 1 {
 		t.Fatalf("level = %d", mc.Level())
 	}
-	deadline = time.Now().Add(2 * time.Second) // fresh budget: Recvs above may have eaten the first
+	deadline = time.Now().Add(2 * time.Second) // fresh budget: receives above may have eaten the first
 	for srvs[0].SessionSubscribers(session, 1) == 0 || srvs[1].SessionSubscribers(session, 1) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("layer-1 joins never registered")
@@ -444,7 +455,7 @@ func TestMultiClientHarvestsAllSources(t *testing.T) {
 	if err := mc.Close(); err != nil { // idempotent double close
 		t.Fatal(err)
 	}
-	if _, _, ok := mc.Recv(50 * time.Millisecond); ok {
-		t.Fatal("Recv succeeded after Close")
+	if _, _, err := mc.RecvBatchFrom(50 * time.Millisecond); err != ErrClosed {
+		t.Fatalf("RecvBatchFrom after Close: %v, want ErrClosed", err)
 	}
 }

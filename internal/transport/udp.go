@@ -542,9 +542,8 @@ func (s *UDPServer) Close() error {
 // UDPClient is the receiver side of the UDP substrate, subscribed to one
 // session (or SessionAny for the legacy single-session behaviour).
 //
-// Receive calls (Recv, RecvOne, RecvBatch) are single-reader: run one
-// receive loop per client. SetLevel/Resubscribe/Close may be called
-// concurrently with it.
+// RecvBatch is single-reader: run one receive loop per client.
+// SetLevel/Resubscribe/Close may be called concurrently with it.
 type UDPClient struct {
 	conn    *net.UDPConn
 	server  *net.UDPAddr
@@ -555,7 +554,6 @@ type UDPClient struct {
 	closed  bool
 
 	recvSize int        // per-datagram receive buffer capacity
-	recvBuf  *Buf       // Recv/RecvOne's pooled reusable buffer
 	rmmsg    *recvState // reusable kernel batch-read state (single-reader)
 
 	// Traffic accounting mirroring the server's send side: datagrams and
@@ -653,20 +651,10 @@ func (c *UDPClient) Resubscribe() error {
 	return nil
 }
 
-// Recv blocks for the next packet (with timeout). ok=false on timeout or
-// close; use RecvOne (or Closed) when the two must be distinguished. The
-// returned slice is a view into the client's pooled buffer, valid only
-// until the next Recv/RecvOne call on this client — callers that keep
-// packet bytes must copy them (every decoder in this repository copies on
-// Add).
-func (c *UDPClient) Recv(timeout time.Duration) (pkt []byte, ok bool) {
-	pkt, err := c.RecvOne(timeout)
-	return pkt, err == nil
-}
-
 // Close leaves all groups and closes the socket. The client runs no
 // background goroutine, so — unlike UDPServer.Close — there is nothing to
-// join; a concurrent Recv simply returns ok=false once the socket closes.
+// join; a concurrent RecvBatch simply returns ErrClosed once the socket
+// closes.
 func (c *UDPClient) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -772,16 +760,4 @@ func ServeControlFunc(addr string, handle func(req []byte) []byte) (local *net.U
 		})
 	}
 	return conn.LocalAddr().(*net.UDPAddr), stop, nil
-}
-
-// ServeControl answers hello datagrams on addr with a fixed payload until
-// the returned stop function is called (the single-session legacy shape of
-// ServeControlFunc).
-func ServeControl(addr string, isHello func([]byte) bool, reply []byte) (local *net.UDPAddr, stop func(), err error) {
-	return ServeControlFunc(addr, func(req []byte) []byte {
-		if isHello(req) {
-			return reply
-		}
-		return nil
-	})
 }
