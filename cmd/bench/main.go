@@ -277,22 +277,38 @@ func fixedOverhead(codec fountain.Codec, enc [][]byte, k int, tornadoStyle bool)
 	return float64(total) / float64(overheadTrials) / float64(k)
 }
 
-// benchLT produces the encode/decode rows of the rateless codec at one k:
-// encode throughput over k-packet windows of the unbounded index stream,
-// decode throughput over a fresh stream region per iteration, and the
-// averaged reception overhead on the decode row.
-func benchLT(k, pl int) ([]result, error) {
-	codec, err := fountain.NewLT(k, pl, 1, 0, 0)
-	if err != nil {
-		return nil, err
+// decodeStream feeds pool, the stream region starting at index base, to a
+// fresh decoder until it completes and the source is rebuilt, and returns
+// the number of packets that took.
+func decodeStream(codec fountain.Codec, base int, pool [][]byte) (int, error) {
+	d := codec.NewDecoder()
+	for j := range pool {
+		done, err := d.Add(base+j, pool[j])
+		if err != nil {
+			return 0, err
+		}
+		if done {
+			_, err = d.Source()
+			return j + 1, err
+		}
 	}
+	return 0, fmt.Errorf("%s k=%d: not decodable from %d packets", codec.Name(), codec.K(), len(pool))
+}
+
+// benchRateless produces the two rows every rateless codec has at one k:
+// encode throughput over k-packet windows of the unbounded index stream
+// starting at encodeBase, and — under the op name decodeOp — decode
+// throughput over a fresh stream region per iteration, carrying the
+// averaged reception overhead.
+func benchRateless(codec fountain.Codec, encodeBase int, decodeOp string) ([]result, error) {
+	k, pl := codec.K(), codec.PacketLen()
 	ranger := codec.(code.RangeEncoder)
 	src := benchproto.Source(k, pl)
 	// Enough stream for any single decode: measured overhead stays under
 	// 1.1; a quarter plus slack gives deterministic headroom.
 	budget := k + k/4 + 256
 
-	base := 0
+	base := encodeBase
 	encRes := runBench(k*pl, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := ranger.EncodeRange(src, base, base+k); err != nil {
@@ -310,52 +326,44 @@ func benchLT(k, pl int) ([]result, error) {
 			// Stream generation is the encoder's work: off the clock.
 			b.StopTimer()
 			pool, err := ranger.EncodeRange(src, decBase, decBase+budget)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.StartTimer()
-			d := codec.NewDecoder()
-			done := false
-			for j := 0; j < len(pool) && !done; j++ {
-				if done, err = d.Add(decBase+j, pool[j]); err != nil {
-					b.Fatal(err)
-				}
+			if err == nil {
+				_, err = decodeStream(codec, decBase, pool)
 			}
-			if !done {
-				b.Fatalf("lt k=%d: stream budget %d exhausted", k, budget)
-			}
-			if _, err := d.Source(); err != nil {
+			if err != nil {
 				b.Fatal(err)
 			}
 			decBase += budget
 		}
 	})
-	decRes.Name, decRes.Op = codec.Name(), "decode"
+	decRes.Name, decRes.Op = codec.Name(), decodeOp
 	decRes.K, decRes.N, decRes.PacketLen = k, codec.N(), pl
 
 	// Reception overhead over fresh stream regions.
 	total := 0
-	ovBase := 1 << 30
 	for trial := 0; trial < overheadTrials; trial++ {
+		ovBase := 1<<30 + trial*budget
 		pool, err := ranger.EncodeRange(src, ovBase, ovBase+budget)
 		if err != nil {
 			return nil, err
 		}
-		d := codec.NewDecoder()
-		done := false
-		for j := 0; j < len(pool) && !done; j++ {
-			total++
-			if done, err = d.Add(ovBase+j, pool[j]); err != nil {
-				return nil, err
-			}
+		used, err := decodeStream(codec, ovBase, pool)
+		if err != nil {
+			return nil, err
 		}
-		if !done {
-			return nil, fmt.Errorf("stream budget %d exhausted", budget)
-		}
-		ovBase += budget
+		total += used
 	}
 	decRes.Overhead = float64(total) / float64(overheadTrials) / float64(k)
 	return []result{encRes, decRes}, nil
+}
+
+// benchLT produces the encode/decode rows of the LT codec at one k.
+func benchLT(k, pl int) ([]result, error) {
+	codec, err := fountain.NewLT(k, pl, 1, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	return benchRateless(codec, 0, "decode")
 }
 
 // benchRaptor produces the rows of the precoded systematic rateless codec
@@ -376,96 +384,25 @@ func benchRaptor(k, pl int) ([]result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranger := codec.(code.RangeEncoder)
+	// Repair region: indices >= k.
+	rows, err := benchRateless(codec, 1<<27, "decode-repair")
+	if err != nil {
+		return nil, err
+	}
 	src := benchproto.Source(k, pl)
-	budget := k + k/4 + 256
-
-	base := 1 << 27 // repair region: indices >= k
-	encRes := runBench(k*pl, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ranger.EncodeRange(src, base, base+k); err != nil {
-				b.Fatal(err)
-			}
-			base += k
-		}
-	})
-	encRes.Name, encRes.Op = codec.Name(), "encode"
-	encRes.K, encRes.N, encRes.PacketLen = k, codec.N(), pl
-
 	sysRes := runBench(k*pl, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The systematic prefix aliases src — no encode work to keep
 			// off the clock; the decoder copies into its own arena.
-			d := codec.NewDecoder()
-			done := false
-			var err error
-			for j := 0; j < k; j++ {
-				if done, err = d.Add(j, src[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if !done {
-				b.Fatalf("raptor k=%d: lossless systematic intake did not complete at k", k)
-			}
-			if _, err := d.Source(); err != nil {
-				b.Fatal(err)
+			if _, err := decodeStream(codec, 0, src); err != nil {
+				b.Fatalf("lossless systematic intake did not complete at k: %v", err)
 			}
 		}
 	})
 	sysRes.Name, sysRes.Op = codec.Name(), "decode"
 	sysRes.K, sysRes.N, sysRes.PacketLen = k, codec.N(), pl
 	sysRes.Overhead = 1 // exactly k packets, asserted above
-
-	decBase := 1 << 28
-	decRes := runBench(k*pl, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			pool, err := ranger.EncodeRange(src, decBase, decBase+budget)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			d := codec.NewDecoder()
-			done := false
-			for j := 0; j < len(pool) && !done; j++ {
-				if done, err = d.Add(decBase+j, pool[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if !done {
-				b.Fatalf("raptor k=%d: stream budget %d exhausted", k, budget)
-			}
-			if _, err := d.Source(); err != nil {
-				b.Fatal(err)
-			}
-			decBase += budget
-		}
-	})
-	decRes.Name, decRes.Op = codec.Name(), "decode-repair"
-	decRes.K, decRes.N, decRes.PacketLen = k, codec.N(), pl
-
-	total := 0
-	ovBase := 1 << 30
-	for trial := 0; trial < overheadTrials; trial++ {
-		pool, err := ranger.EncodeRange(src, ovBase, ovBase+budget)
-		if err != nil {
-			return nil, err
-		}
-		d := codec.NewDecoder()
-		done := false
-		for j := 0; j < len(pool) && !done; j++ {
-			total++
-			if done, err = d.Add(ovBase+j, pool[j]); err != nil {
-				return nil, err
-			}
-		}
-		if !done {
-			return nil, fmt.Errorf("stream budget %d exhausted", budget)
-		}
-		ovBase += budget
-	}
-	decRes.Overhead = float64(total) / float64(overheadTrials) / float64(k)
-	return []result{encRes, sysRes, decRes}, nil
+	return []result{rows[0], sysRes, rows[1]}, nil
 }
 
 // ratelessGate is one hard acceptance bound over a rateless decode row.

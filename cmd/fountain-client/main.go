@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/evtrace"
 	"repro/internal/proto"
 	"repro/internal/transport"
@@ -122,8 +123,8 @@ func main() {
 		if *list {
 			fmt.Printf("fountain-client: %d sessions\n", len(catalog))
 			for _, info := range catalog {
-				fmt.Printf("  session %#04x codec=%d k=%d n=%d layers=%d rate=%d phase=%d file=%d bytes\n",
-					info.Session, info.Codec, info.K, info.N, info.Layers, info.BaseRate, info.Phase, info.FileLen)
+				fmt.Printf("  session %#04x codec=%s k=%d n=%d layers=%d rate=%d phase=%d file=%d bytes\n",
+					info.Session, core.CodecName(info.Codec), info.K, info.N, info.Layers, info.BaseRate, info.Phase, info.FileLen)
 			}
 			return
 		}
@@ -181,8 +182,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fountain-client: session %#x codec=%d k=%d n=%d layers=%d file=%d bytes (%d mirrors)\n",
-		info.Session, info.Codec, info.K, info.N, info.Layers, info.FileLen, len(mirrors))
+	fmt.Printf("fountain-client: session %#x codec=%s k=%d n=%d layers=%d file=%d bytes (%d mirrors)\n",
+		info.Session, core.CodecName(info.Codec), info.K, info.N, info.Layers, info.FileLen, len(mirrors))
 	if err := download(info, mirrors, *out, opts); err != nil {
 		log.Fatal(err)
 	}

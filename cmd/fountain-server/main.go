@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -49,7 +50,7 @@ func main() {
 		ctrlAddr = flag.String("control", "127.0.0.1:9001", "control socket address")
 		layers   = flag.Int("layers", 4, "multicast layers")
 		rate     = flag.Int("rate", 2048, "base-layer rate per session, packets/second")
-		codec    = flag.String("codec", "tornado-a", "tornado-a|tornado-b|cauchy|vandermonde|interleaved|lt|raptor")
+		codec    = flag.String("codec", "tornado-a", strings.Join(core.CodecNames(), "|"))
 		ltc      = flag.Float64("lt-c", 0, "soliton c (0 = default; -codec lt or raptor)")
 		ltdelta  = flag.Float64("lt-delta", 0, "soliton delta (0 = default; -codec lt or raptor)")
 		rchecks  = flag.Int("raptor-checks", 0, "raptor precode check count (0 = k-dependent default; -codec raptor only)")
@@ -79,9 +80,9 @@ func main() {
 		log.Fatalf("fountain-server: -session %#x + %d files exceeds the max session id 0xFFFE", *baseID, len(files))
 	}
 
-	codecID, err := codecByName(*codec)
+	codecID, err := core.CodecByName(*codec)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("fountain-server: %v", err)
 	}
 
 	udp, err := transport.NewUDPServer(*dataAddr, *layers)
@@ -237,25 +238,4 @@ func main() {
 	h := udp.Hardening()
 	fmt.Printf("fountain-server: drained; pkts=%d bytes=%d errs=%d evictions=%d refused-joins=%d rate-dropped=%d\n",
 		s.PacketsSent, s.BytesSent, s.SendErrors, h.Evictions, h.RefusedJoins, h.RateDropped)
-}
-
-func codecByName(name string) (uint8, error) {
-	switch name {
-	case "tornado-a":
-		return proto.CodecTornadoA, nil
-	case "tornado-b":
-		return proto.CodecTornadoB, nil
-	case "cauchy":
-		return proto.CodecCauchy, nil
-	case "vandermonde":
-		return proto.CodecVandermonde, nil
-	case "interleaved":
-		return proto.CodecInterleaved, nil
-	case "lt":
-		return proto.CodecLT, nil
-	case "raptor":
-		return proto.CodecRaptor, nil
-	default:
-		return 0, fmt.Errorf("unknown codec %q", name)
-	}
 }

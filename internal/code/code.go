@@ -1,15 +1,19 @@
 // Package code defines the erasure-code abstraction shared by every codec
 // in this repository (Tornado, Reed-Solomon Vandermonde, Reed-Solomon
-// Cauchy, interleaved block codes, and the rateless LT code), plus payload
-// split/join helpers.
+// Cauchy, interleaved block codes, and the rateless LT and raptor codes),
+// plus payload split/join helpers.
 //
 // The fixed-rate codecs are systematic: k source packets are stretched
-// into n encoding packets whose first k entries are the source packets
-// themselves (the paper fixes the stretch factor n/k = 2 throughout).
-// Rateless codecs (LT) instead expose an effectively unbounded index space
-// — N() returns the UnboundedN sentinel and every encoding packet is
-// derived independently from its index — realizing the paper's ideal
-// digital fountain (§3) that the fixed-rate codes only approximate.
+// into n encoding packets that include the source packets themselves (the
+// paper fixes the stretch factor n/k = 2 throughout). Rateless codecs (LT,
+// raptor) instead expose an effectively unbounded index space — N()
+// returns the UnboundedN sentinel — realizing the paper's ideal digital
+// fountain (§3) that the fixed-rate codes only approximate.
+//
+// Every codec except Tornado encodes packet i as a pure function of
+// (source, i) and states that once, as a RowEncoder; the window form
+// (RangeEncoder), the whole encoding of the finite ones (Codec.Encode) and
+// a session's emission path are all built from its two methods.
 package code
 
 import (
@@ -37,22 +41,15 @@ type Codec interface {
 	NewDecoder() Decoder
 }
 
-// RangeEncoder is an optional Codec capability: codecs whose encoding
-// packets are mutually independent (the Reed-Solomon and interleaved
-// codes — every output row is its own inner product) can produce any
-// contiguous index range of the encoding on demand, without materializing
-// the other n - (hi-lo) packets.
-//
-// A fountain server uses this to keep many large sessions resident at
-// once: instead of holding the full stretch-factor-n encoding per file, it
-// encodes blocks of packet indices on first touch behind a bounded cache
-// (see core.BlockCache). Tornado codes do not implement RangeEncoder —
-// their cascade checks are computed jointly — and fall back to eager
-// encoding.
+// RangeEncoder is the public window form of a RowEncoder: any contiguous
+// index range of the encoding, produced on demand without materializing
+// the other n - (hi-lo) packets. Every RowEncoder in the tree implements it
+// as one call to EncodeRows; Tornado codes do not — their cascade checks
+// are computed jointly.
 type RangeEncoder interface {
-	// EncodeRange returns encoding packets [lo, hi). Entries that are
-	// source packets alias src; repair entries are freshly allocated.
-	// src must be the full k source packets.
+	// EncodeRange returns encoding packets [lo, hi), validating src (the
+	// full k source packets) and the range on every call. Entries that are
+	// source packets alias src; coded entries are freshly allocated.
 	EncodeRange(src [][]byte, lo, hi int) ([][]byte, error)
 }
 
@@ -66,11 +63,11 @@ type RangeEncoder interface {
 const UnboundedN = 1<<31 - 1
 
 // Rateless is an optional Codec capability marking codecs whose encoding
-// is unbounded: N() returns UnboundedN, Encode is unavailable (there is no
-// "full encoding" to materialize), and every packet must be produced
-// through EncodeRange. A rateless codec always implements RangeEncoder —
-// packet i's content is a pure function of (codec parameters, i).
+// is unbounded: N() returns UnboundedN and Encode is unavailable (there is
+// no "full encoding" to materialize). Packet i's content is a pure function
+// of (codec parameters, i), so a rateless codec is always a RowEncoder.
 type Rateless interface {
+	RowEncoder
 	// RatelessCode is a marker; implementations return no value.
 	RatelessCode()
 }
@@ -113,7 +110,7 @@ type ReleaseCounter interface {
 	Released() int
 }
 
-// CheckSrc validates an Encode argument.
+// CheckSrc validates the source packets handed to an encoder.
 func CheckSrc(src [][]byte, k, packetLen int) error {
 	if len(src) != k {
 		return fmt.Errorf("code: got %d source packets, want %d", len(src), k)

@@ -12,9 +12,10 @@ import (
 // chunks must be read-only or internally synchronized. With one worker (or
 // a trivially small n) it runs inline on the calling goroutine.
 //
-// The RS codecs use this to generate repair packets concurrently: each
-// output packet is independent, and the chunked shape lets a worker allocate
-// its per-row scratch once instead of per packet.
+// EncodeAll uses this to generate coded packets concurrently, and the RS
+// decoders to reconstruct missing ones: each output packet is independent,
+// and the chunked shape lets a worker allocate its scratch once instead of
+// per packet.
 func ParallelChunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

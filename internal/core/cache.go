@@ -11,11 +11,11 @@ import (
 // repair packets across all resident files stays under one budget instead
 // of each session materializing its full stretch-factor-n encoding.
 //
-// Only bytes that are not aliases of a session's source packets are charged
-// against the budget (source entries returned by EncodeRange alias the
-// session's file buffer and cost nothing extra). The budget is a high-water
-// mark for charged bytes: eviction runs at insert time, and the one block
-// being inserted is always retained even if it alone exceeds the cap.
+// Only coded packets are charged against the budget (the source entries of
+// a block alias the session's file buffer and cost nothing extra). The
+// budget is a high-water mark for charged bytes: eviction runs at insert
+// time, and the one block being inserted is always retained even if it
+// alone exceeds the cap.
 //
 // All methods are safe for concurrent use. Racing fills of the same block
 // may encode it twice; the loser's work is discarded (the schedules are
@@ -42,7 +42,7 @@ type cacheKey struct {
 type cacheEntry struct {
 	key   cacheKey
 	pkts  [][]byte
-	bytes int64 // charged (non-aliased) bytes
+	bytes int64 // charged (coded-packet) bytes
 }
 
 // NewBlockCache creates a cache with the given byte budget. capBytes <= 0

@@ -81,7 +81,7 @@ func DefaultConfig() Config {
 // materialized at construction, as the one-session prototype did — or lazy:
 // only the k source packets are resident, and repair blocks are encoded on
 // first touch behind a shared bounded BlockCache (NewSessionCached). Lazy
-// sessions require the codec to implement code.RangeEncoder; codecs that
+// sessions require the codec to implement code.RowEncoder; codecs that
 // cannot (Tornado's cascade checks are computed jointly) fall back to eager
 // encoding.
 type Session struct {
@@ -101,22 +101,19 @@ type Session struct {
 	// nothing is worth caching.
 	rateless bool
 
-	// Lazy-encoding state (nil/zero for eager sessions).
-	src       [][]byte      // the k source packets, aliasing one buffer
-	srcAt     []int32       // encoding idx -> source packet index, -1 for repairs
-	srcHeads  map[*byte]int // first-byte identity of each source packet
-	ranger    code.RangeEncoder
-	cache     *BlockCache
-	blockPkts int
-	nBlocks   int
+	// Lazy-encoding state (nil/zero for eager sessions). src passed
+	// code.CheckSrc once, at construction: rows.EncodeInto relies on it.
+	src     [][]byte // the k source packets, aliasing one buffer
+	rows    code.RowEncoder
+	cache   *BlockCache
+	nBlocks int
 
-	// filled marks blocks that have been range-encoded in full once.
-	// After a block is evicted, re-misses encode only the requested
-	// packet: under cache pressure the carousel's randomized order gives
-	// blocks no locality, and re-encoding 64 packets to emit one would
-	// amplify encode work ~64x. With this bound, total lazy encode work
-	// is at most one full materialization plus one packet per post-
-	// eviction miss.
+	// filled marks blocks that have been encoded in full once. After a
+	// block is evicted, re-misses encode only the requested packet: under
+	// cache pressure the carousel's randomized order gives blocks no
+	// locality, and re-encoding 64 packets to emit one would amplify
+	// encode work ~64x. With this bound, total lazy encode work is at most
+	// one full materialization plus one packet per post-eviction miss.
 	fillMu sync.Mutex
 	filled []bool
 }
@@ -157,11 +154,62 @@ func interleaveBlockK(bk int) int {
 	return bk
 }
 
+// codecs is the one table of wire codec ids: the name the CLIs take and
+// print, and whether the id names a rateless code. buildCodec's switch
+// constructs them.
+var codecs = [...]struct {
+	name     string
+	rateless bool
+}{
+	proto.CodecTornadoA:    {name: "tornado-a"},
+	proto.CodecTornadoB:    {name: "tornado-b"},
+	proto.CodecVandermonde: {name: "vandermonde"},
+	proto.CodecCauchy:      {name: "cauchy"},
+	proto.CodecInterleaved: {name: "interleaved"},
+	proto.CodecLT:          {name: "lt", rateless: true},
+	proto.CodecRaptor:      {name: "raptor", rateless: true},
+}
+
+// CodecNames lists the codec names in id order.
+func CodecNames() []string {
+	names := make([]string, len(codecs))
+	for id, c := range codecs {
+		names[id] = c.name
+	}
+	return names
+}
+
+// CodecName returns the name of a wire codec id, or "codec-<id>" for an id
+// off the wire that this build does not know.
+func CodecName(id uint8) string {
+	if int(id) < len(codecs) {
+		return codecs[id].name
+	}
+	return fmt.Sprintf("codec-%d", id)
+}
+
+// CodecByName returns the wire id of a codec name.
+func CodecByName(name string) (uint8, error) {
+	for id, c := range codecs {
+		if c.name == name {
+			return uint8(id), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown codec %q", name)
+}
+
 // ratelessID reports whether a wire codec id names a rateless code, whose
 // descriptor carries the unbounded-N sentinel and no stretch factor.
 func ratelessID(codec uint8) bool {
-	return codec == proto.CodecLT || codec == proto.CodecRaptor
+	return int(codec) < len(codecs) && codecs[codec].rateless
 }
+
+// maxStretch is the largest stretch factor n/k a fixed-rate session may
+// have. Every session in the tree uses 2 (the paper's choice); the ceiling
+// exists so that a descriptor cannot buy an encoding, and the decoder
+// state sized by it, many times the file it advertises. NewSessionCached
+// refuses what NewReceiver would.
+const maxStretch = 16
 
 // ltWireParams resolves and quantizes a config's robust-soliton parameters
 // to the wire's millionth units. Both the sender's session and the
@@ -214,11 +262,11 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 // in the given shared BlockCache. Pass the same cache to every session of a
 // service so the total repair-packet memory stays under one budget.
 //
-// A nil cache, or a codec that does not implement code.RangeEncoder,
+// A nil cache, or a codec that does not implement code.RowEncoder,
 // degrades to eager encoding (full materialization at construction).
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
-	if cfg.Stretch < 2 && !ratelessID(cfg.Codec) {
-		return nil, fmt.Errorf("core: stretch %d < 2", cfg.Stretch)
+	if (cfg.Stretch < 2 || cfg.Stretch > maxStretch) && !ratelessID(cfg.Codec) {
+		return nil, fmt.Errorf("core: stretch %d outside 2..%d", cfg.Stretch, maxStretch)
 	}
 	if cfg.Layers < 1 || cfg.Layers > 16 {
 		return nil, fmt.Errorf("core: layer count %d out of range", cfg.Layers)
@@ -256,46 +304,23 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 		digest:   sha256.Sum256(data),
 		sched:    sc,
 	}
-	if code.IsRateless(codec) {
-		// Rateless session: only the k source packets are resident, ever.
-		// The monotone carousel emits each index once, so there is no
-		// reuse for the block cache to exploit — payloads are generated
-		// per emission and dropped, and memory stays bounded at the
-		// source buffer regardless of how long the fountain runs.
-		s.rateless = true
-		s.src = src
-		s.ranger = codec.(code.RangeEncoder)
-		return s, nil
+	s.rateless = code.IsRateless(codec) // implies a code.RowEncoder
+	if rows, ok := codec.(code.RowEncoder); ok && (s.rateless || cache != nil) {
+		// The one validation of the session-constant source block: every
+		// later EncodeInto (per emission, per cache fill) relies on it.
+		if err := code.CheckSrc(src, codec.K(), cfg.PacketLen); err != nil {
+			return nil, err
+		}
+		s.src, s.rows = src, rows
+	}
+	if s.rateless {
+		return s, nil // only the k source packets are resident, ever
 	}
 	s.perm = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)).Perm(codec.N())
-	if ranger, ok := codec.(code.RangeEncoder); ok && cache != nil {
-		s.src = src
-		s.ranger = ranger
+	if s.rows != nil {
 		s.cache = cache
-		s.blockPkts = cfg.LazyBlock
 		s.nBlocks = (codec.N() + cfg.LazyBlock - 1) / cfg.LazyBlock
 		s.filled = make([]bool, s.nBlocks)
-		s.srcHeads = make(map[*byte]int, len(src))
-		for i, p := range src {
-			s.srcHeads[&p[0]] = i
-		}
-		// Source packets are always resident, so their sends must not
-		// touch the shared cache (the only cross-session lock on the data
-		// path). Codecs that are systematic via a mapping rather than a
-		// prefix (the interleaved code) expose SourceIndex.
-		s.srcAt = make([]int32, codec.N())
-		for i := range s.srcAt {
-			s.srcAt[i] = -1
-		}
-		if si, ok := codec.(interface{ SourceIndex(int) int }); ok {
-			for f := 0; f < codec.K(); f++ {
-				s.srcAt[si.SourceIndex(f)] = int32(f)
-			}
-		} else {
-			for f := 0; f < codec.K(); f++ {
-				s.srcAt[f] = int32(f)
-			}
-		}
 		return s, nil
 	}
 	enc, err := codec.Encode(src)
@@ -322,16 +347,19 @@ func (s *Session) Payload(idx int) []byte {
 	if s.enc != nil {
 		return s.enc[idx]
 	}
+	// Source packets are always resident: their sends touch neither an
+	// encoder nor the shared cache (the only cross-session lock on the
+	// data path).
+	if f := s.rows.SourceOf(idx); f >= 0 {
+		return s.src[f]
+	}
 	if s.rateless {
 		// Each index of the monotone stream is emitted at most once;
 		// generate and forget — no cache, no cross-session lock traffic.
-		return s.encodeRange(idx, idx+1)[0]
+		return s.appendCoded(nil, idx)
 	}
-	if f := s.srcAt[idx]; f >= 0 {
-		return s.src[f] // always resident; no cache traffic
-	}
-	block := idx / s.blockPkts
-	lo := block * s.blockPkts
+	block := idx / s.cfg.LazyBlock
+	lo := block * s.cfg.LazyBlock
 	// Single-packet refill entries live in the key space above the block
 	// ids; one lookup probes both so the hit/miss counters see one event.
 	if pkts, full := s.cache.get2(s, block, s.nBlocks+idx); pkts != nil {
@@ -341,16 +369,13 @@ func (s *Session) Payload(idx int) []byte {
 		return pkts[0]
 	}
 	if s.firstFillDone(block) {
-		pkts := s.encodeRange(idx, idx+1)
-		return s.cachePut(s.nBlocks+idx, pkts)[0]
+		return s.cacheFill(s.nBlocks+idx, idx, idx+1)[0]
 	}
-	hi := min(lo+s.blockPkts, s.codec.N())
-	pkts := s.encodeRange(lo, hi)
-	return s.cachePut(block, pkts)[idx-lo]
+	return s.cacheFill(block, lo, min(lo+s.cfg.LazyBlock, s.codec.N()))[idx-lo]
 }
 
-// firstFillDone reports whether the block was already range-encoded in
-// full once, marking it if not (the caller then performs that first fill).
+// firstFillDone reports whether the block was already encoded in full
+// once, marking it if not (the caller then performs that first fill).
 func (s *Session) firstFillDone(block int) bool {
 	s.fillMu.Lock()
 	defer s.fillMu.Unlock()
@@ -361,24 +386,26 @@ func (s *Session) firstFillDone(block int) bool {
 	return false
 }
 
-func (s *Session) encodeRange(lo, hi int) [][]byte {
-	pkts, err := s.ranger.EncodeRange(s.src, lo, hi)
-	if err != nil {
-		// The inputs were validated at construction; a range-encode failure
-		// here is a codec contract violation, not a runtime condition.
-		panic(fmt.Sprintf("core: lazy encode of [%d,%d) failed: %v", lo, hi, err))
-	}
-	return pkts
+// appendCoded appends coded packet idx to dst, encoding it in place.
+func (s *Session) appendCoded(dst []byte, idx int) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, s.cfg.PacketLen)...)
+	s.rows.EncodeInto(dst[at:], s.src, idx)
+	return dst
 }
 
-// cachePut inserts an encoded run under key, charging only bytes that do
-// not alias the source buffer.
-func (s *Session) cachePut(key int, pkts [][]byte) [][]byte {
+// cacheFill encodes packets [lo, hi) and inserts the run under key. Source
+// entries alias the file buffer; only the coded ones are charged.
+func (s *Session) cacheFill(key, lo, hi int) [][]byte {
+	pkts := make([][]byte, hi-lo)
 	var charged int64
-	for _, p := range pkts {
-		if _, aliased := s.srcHeads[&p[0]]; !aliased {
-			charged += int64(len(p))
+	for i := range pkts {
+		if f := s.rows.SourceOf(lo + i); f >= 0 {
+			pkts[i] = s.src[f]
+			continue
 		}
+		pkts[i] = s.appendCoded(nil, lo+i)
+		charged += int64(len(pkts[i]))
 	}
 	return s.cache.put(s, key, pkts, charged)
 }
@@ -430,9 +457,9 @@ func (s *Session) Packet(idx int, layer uint8, serial uint32, flags uint8) []byt
 // AppendPacket appends the wire form (header + payload + integrity
 // trailer) of encoding packet idx to dst and returns the extended slice —
 // the zero-copy form of Packet for senders that build packets in pooled
-// buffers. With cap(dst) >= WireLen() and an eagerly encoded (or
-// cache-resident) payload, the call allocates nothing: the CRC32C trailer
-// is a hardware checksum plus four appended bytes.
+// buffers. With cap(dst) >= WireLen() and an eagerly encoded, cache-resident
+// or rateless payload, the call allocates nothing: the CRC32C trailer is a
+// hardware checksum plus four appended bytes.
 func (s *Session) AppendPacket(dst []byte, idx int, layer uint8, serial uint32, flags uint8) []byte {
 	h := proto.Header{
 		Index:   uint32(idx),
@@ -443,7 +470,11 @@ func (s *Session) AppendPacket(dst []byte, idx int, layer uint8, serial uint32, 
 	}
 	base := len(dst)
 	dst = h.Marshal(dst)
-	dst = append(dst, s.Payload(idx)...)
+	if s.rateless && s.rows.SourceOf(idx) < 0 {
+		dst = s.appendCoded(dst, idx) // emitted once: no intermediate payload
+	} else {
+		dst = append(dst, s.Payload(idx)...)
+	}
 	sum := proto.Tag(dst[base:])
 	return append(dst, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
 }
@@ -545,8 +576,13 @@ func NewReceiver(info proto.SessionInfo) (*Receiver, error) {
 	if info.K == 0 {
 		return nil, fmt.Errorf("core: descriptor has k=0")
 	}
-	if !ratelessID(info.Codec) && info.N < info.K {
-		return nil, fmt.Errorf("core: descriptor has n=%d below k=%d", info.N, info.K)
+	if ratelessID(info.Codec) {
+		if info.N != code.UnboundedN {
+			return nil, fmt.Errorf("core: rateless descriptor has n=%d, want %d", info.N, code.UnboundedN)
+		}
+	} else if info.N < info.K || info.N%info.K != 0 || info.N/info.K > maxStretch {
+		return nil, fmt.Errorf("core: descriptor has n=%d for k=%d: not a whole stretch factor in 1..%d",
+			info.N, info.K, maxStretch)
 	}
 	if info.PacketLen == 0 {
 		return nil, fmt.Errorf("core: descriptor has packet length 0")

@@ -9,9 +9,10 @@ import (
 
 // TestNewReceiverRejectsBadCounts: a descriptor is untrusted input. For
 // every codec id, K = 0 (which used to panic with an integer divide by
-// zero), N < K, and geometry the advertised file cannot justify must come
-// back as errors — the last before any codec is built, so a 107-byte
-// datagram cannot make a client allocate gigabytes.
+// zero), an N that is not a modest whole stretch of K, and geometry the
+// advertised file cannot justify must come back as errors — before any
+// codec is built, so a 107-byte datagram cannot make a client allocate
+// gigabytes.
 func TestNewReceiverRejectsBadCounts(t *testing.T) {
 	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
 		var good proto.SessionInfo
@@ -37,8 +38,8 @@ func TestNewReceiverRejectsBadCounts(t *testing.T) {
 		}{
 			{"k=0", true, func(i *proto.SessionInfo) { i.K = 0 }},
 			{"k=0,n=0", true, func(i *proto.SessionInfo) { i.K, i.N = 0, 0 }},
-			{"n<k", false, func(i *proto.SessionInfo) { i.N = i.K - 1 }},
-			{"n=0", false, func(i *proto.SessionInfo) { i.N = 0 }},
+			{"n<k", true, func(i *proto.SessionInfo) { i.N = i.K - 1 }},
+			{"n=0", true, func(i *proto.SessionInfo) { i.N = 0 }},
 			{"packetLen=0", true, func(i *proto.SessionInfo) { i.PacketLen = 0 }},
 			{"layers=0", true, func(i *proto.SessionInfo) { i.Layers = 0 }},
 			{"layers=17", true, func(i *proto.SessionInfo) { i.Layers = 17 }},
@@ -47,6 +48,9 @@ func TestNewReceiverRejectsBadCounts(t *testing.T) {
 			{"k>file", true, func(i *proto.SessionInfo) { i.K, i.N = 2*i.K, 2*i.N }},
 			{"hostile", true, func(i *proto.SessionInfo) {
 				i.K, i.N, i.PacketLen, i.FileLen = 1<<24, 1<<31-1, 1024, 10
+			}},
+			{"stretch", true, func(i *proto.SessionInfo) {
+				i.K, i.N, i.PacketLen, i.FileLen = 100, 20_000_000, 1024, 102_400
 			}},
 		} {
 			info := good

@@ -1,0 +1,67 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
+	"testing"
+
+	"repro/internal/proto"
+)
+
+// wireHashes pins, per codec id, the SHA-256 of the first 2k+50 wire
+// packets a fresh carousel emits for a fixed file and seed. Emission order,
+// headers, payloads and integrity tags are all inside the hash, so a change
+// to any encoder that moves one byte on the wire fails here. Recorded
+// before the encoders moved onto code.RowEncoder.
+var wireHashes = map[uint8]string{
+	proto.CodecTornadoA:    "9954e2cd33d08d48a85e25ffc743b35df9a03c3e04f48791c227c216d5d77438",
+	proto.CodecTornadoB:    "9954e2cd33d08d48a85e25ffc743b35df9a03c3e04f48791c227c216d5d77438",
+	proto.CodecVandermonde: "4d7e6a60360c52e62e761f038ae96ca40db8c32b99127d591388956c7328d3f1",
+	proto.CodecCauchy:      "905a25a9c6a2ab6b87127d573f593c05a843a088d5133abdfc764237e6995923",
+	proto.CodecInterleaved: "d041b30177d23b77dd7a1530179318cd75e418246d3cec2e595dd6ddb4728361",
+	proto.CodecLT:          "f1e1cf1b449cb692e6b406c10be364076bf7d713f8c6b097437367c7c511ff94",
+	proto.CodecRaptor:      "69e2cdc88689a007f2d55ea0a1026a796ac36fcf642ee4c52bc33117a5b1a61c",
+}
+
+// TestWireHashes: every codec's wire stream equals the recorded one, both
+// from an eager session and through a BlockCache small enough to evict (the
+// carousel wraps past n, so evicted blocks are refilled packet by packet).
+func TestWireHashes(t *testing.T) {
+	data := randData(rand.New(rand.NewSource(1998)), 64*100-7)
+	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
+		cfg := DefaultConfig()
+		cfg.Codec = id
+		cfg.PacketLen = 64
+		cfg.SPInterval = 4
+		cfg.LazyBlock = 16
+		for _, cache := range []*BlockCache{nil, NewBlockCache(2 << 10)} {
+			sess, err := NewSessionCached(data, cfg, cache)
+			if err != nil {
+				t.Fatalf("codec %d: %v", id, err)
+			}
+			want := 2*sess.Codec().K() + 50
+			h := sha256.New()
+			car := NewCarousel(sess)
+			for got := 0; got < want; {
+				err := car.NextRound(func(layer int, pkt []byte) error {
+					if got < want {
+						h.Write([]byte{byte(layer)})
+						h.Write(pkt)
+						got++
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("codec %d: %v", id, err)
+				}
+			}
+			if cache != nil && sess.Lazy() && !sess.Rateless() && cache.StatsSnapshot().Evictions == 0 {
+				t.Fatalf("codec %d: the cache never evicted", id)
+			}
+			if sum := hex.EncodeToString(h.Sum(nil)); sum != wireHashes[id] {
+				t.Errorf("codec %d (cached=%v): wire hash %s, want %s", id, cache != nil, sum, wireHashes[id])
+			}
+		}
+	}
+}

@@ -83,73 +83,40 @@ func (c *Codec) position(i int) (block, inner int) {
 	return i % c.blocks, i / c.blocks
 }
 
-// index maps (block, within-block index) to an encoding packet index.
-func (c *Codec) index(block, inner int) int {
-	return inner*c.blocks + block
+// SourceOf implements code.RowEncoder. src is in file order (block-major:
+// packets 0..k-1 form block 0) while encoding indices are in carousel
+// order, so the code is systematic via this mapping rather than a prefix:
+// it is the inverse of SourceIndex.
+func (c *Codec) SourceOf(idx int) int {
+	b, inner := c.position(idx)
+	if inner < c.blockK {
+		return b*c.blockK + inner
+	}
+	return -1
 }
 
-// Encode implements code.Codec. src is in file order (block-major: packets
-// 0..k-1 form block 0); the returned encoding is in carousel order, so the
-// code is systematic via the SourceIndex mapping rather than a prefix:
-// out[SourceIndex(f)] aliases src[f].
-func (c *Codec) Encode(src [][]byte) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.K(), c.packetLen); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, c.N())
-	blockSrc := make([][]byte, c.blockK)
-	for b := 0; b < c.blocks; b++ {
-		for j := 0; j < c.blockK; j++ {
-			blockSrc[j] = src[b*c.blockK+j]
-		}
-		enc, err := c.inner.Encode(blockSrc)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < c.blockN; j++ {
-			out[c.index(b, j)] = enc[j]
-		}
-	}
-	return out, nil
+// EncodeInto implements code.RowEncoder: packet idx lives in block idx % B,
+// whose sources are contiguous in file order, and is that block's Cauchy
+// repair row.
+func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
+	b, inner := c.position(idx)
+	c.inner.EncodeInto(dst, src[b*c.blockK:(b+1)*c.blockK], inner)
 }
 
-// EncodeRange implements code.RangeEncoder: packet i lives in block i % B,
-// and within a block every Cauchy repair packet is independent, so any
-// carousel-order index window can be produced block by block. src is in
-// file order (as for Encode); source entries alias src.
+// Encode implements code.Codec: the encoding in carousel order, with
+// out[SourceIndex(f)] aliasing src[f].
+func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return code.EncodeAll(c, src) }
+
+// EncodeRange implements code.RangeEncoder over carousel-order windows.
 func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.K(), c.packetLen); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi < lo || hi > c.N() {
-		return nil, fmt.Errorf("interleave: encode range [%d,%d) out of [0,%d)", lo, hi, c.N())
-	}
-	out := make([][]byte, hi-lo)
-	blockSrc := make([][]byte, c.blockK)
-	for i := lo; i < hi; i++ {
-		b, inner := c.position(i)
-		if inner < c.blockK {
-			out[i-lo] = src[b*c.blockK+inner]
-			continue
-		}
-		for j := 0; j < c.blockK; j++ {
-			blockSrc[j] = src[b*c.blockK+j]
-		}
-		one, err := c.inner.EncodeRange(blockSrc, inner, inner+1)
-		if err != nil {
-			return nil, err
-		}
-		out[i-lo] = one[0]
-	}
-	return out, nil
+	return code.EncodeRows(c, src, lo, hi)
 }
 
 // SourceIndex returns the encoding index of file source packet f (file
 // order: block-major, i.e. packets 0..k-1 are block 0).
 func (c *Codec) SourceIndex(f int) int {
-	block := f / c.blockK
-	inner := f % c.blockK
-	return c.index(block, inner)
+	block, inner := f/c.blockK, f%c.blockK
+	return inner*c.blocks + block
 }
 
 // NewDecoder implements code.Codec.

@@ -163,33 +163,28 @@ func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
 // NewDecoder implements code.Codec.
 func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
 
-// EncodeRange implements code.RangeEncoder: encoding packets [lo, hi), each
-// freshly allocated (an LT code is not systematic — every output is a coded
-// combination, so nothing aliases src).
+// SourceOf implements code.RowEncoder: an LT code is not systematic, every
+// packet is a coded combination.
+func (c *Codec) SourceOf(idx int) int { return -1 }
+
+// EncodeInto implements code.RowEncoder: packet idx is the XOR of its
+// neighbour set. The scratch lives on the stack, so only a degree beyond
+// it (past the soliton spike at the default parameters) allocates.
+func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
+	var scratch [256]int
+	for _, nb := range c.NeighborsInto(uint32(idx), scratch[:0]) {
+		gf.XORSlice(dst, src[nb])
+	}
+}
+
+// EncodeRange implements code.RangeEncoder.
 func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi < lo || hi > code.UnboundedN {
-		return nil, fmt.Errorf("lt: encode range [%d,%d) out of [0,%d)", lo, hi, code.UnboundedN)
-	}
-	out := make([][]byte, hi-lo)
-	store := make([]byte, (hi-lo)*c.packetLen)
-	var nbuf []int
-	for i := lo; i < hi; i++ {
-		p := store[(i-lo)*c.packetLen : (i-lo+1)*c.packetLen]
-		nbuf = c.NeighborsInto(uint32(i), nbuf)
-		for _, nb := range nbuf {
-			gf.XORSlice(p, src[nb])
-		}
-		out[i-lo] = p
-	}
-	return out, nil
+	return code.EncodeRows(c, src, lo, hi)
 }
 
 // Interface conformance.
 var (
 	_ code.Codec        = (*Codec)(nil)
 	_ code.RangeEncoder = (*Codec)(nil)
-	_ code.Rateless     = (*Codec)(nil)
+	_ code.Rateless     = (*Codec)(nil) // embeds code.RowEncoder
 )

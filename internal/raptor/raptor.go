@@ -107,10 +107,10 @@ type Codec struct {
 	// the truncated robust soliton over the l intermediates.
 	engine peel.Code
 
-	// One-slot intermediate-symbol cache: core.Session emits the carousel
-	// one EncodeRange(i, i+1) call at a time, so the precode expansion of
-	// the session's source block must be computed once and reused, keyed
-	// by the source slice's identity.
+	// One-slot intermediate-symbol cache: packets are encoded one
+	// EncodeInto (or EncodeRange(i, i+1)) call at a time, so the precode
+	// expansion of the session's source block must be computed once and
+	// reused, keyed by the source slice's identity.
 	encMu  sync.Mutex
 	encKey *byte
 	inter  [][]byte
@@ -309,51 +309,34 @@ func (c *Codec) intermediates(src [][]byte) [][]byte {
 	return inter
 }
 
-// EncodeRange implements code.RangeEncoder. Systematic entries alias src
-// (zero copies, zero XOR — the lossless receiver's path costs nothing at
-// the sender too); repair entries are freshly allocated inner-code XORs
-// over the cached intermediates.
+// SourceOf implements code.RowEncoder: systematic by identity, so the
+// lossless receiver's path costs nothing at the sender either.
+func (c *Codec) SourceOf(idx int) int {
+	if idx < c.k {
+		return idx
+	}
+	return -1
+}
+
+// EncodeInto implements code.RowEncoder: repair packet idx is the inner-code
+// XOR of its neighbour set over the cached intermediates. maxD <= 200 at
+// the default parameters, so the neighbour scratch stays on the stack.
+func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
+	inter := c.intermediates(src)
+	var scratch [256]int
+	for _, nb := range c.engine.Draw.NeighborsInto(uint32(idx), scratch[:0]) {
+		gf.XORSlice(dst, inter[nb])
+	}
+}
+
+// EncodeRange implements code.RangeEncoder.
 func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi < lo || hi > code.UnboundedN {
-		return nil, fmt.Errorf("raptor: encode range [%d,%d) out of [0,%d)", lo, hi, code.UnboundedN)
-	}
-	out := make([][]byte, hi-lo)
-	repairs := 0
-	for i := lo; i < hi; i++ {
-		if i >= c.k {
-			repairs++
-		}
-	}
-	var store []byte
-	var inter [][]byte
-	if repairs > 0 {
-		store = make([]byte, repairs*c.packetLen)
-		inter = c.intermediates(src)
-	}
-	var nbuf []int
-	r := 0
-	for i := lo; i < hi; i++ {
-		if i < c.k {
-			out[i-lo] = src[i]
-			continue
-		}
-		p := store[r*c.packetLen : (r+1)*c.packetLen]
-		r++
-		nbuf = c.NeighborsInto(uint32(i), nbuf)
-		for _, nb := range nbuf {
-			gf.XORSlice(p, inter[nb])
-		}
-		out[i-lo] = p
-	}
-	return out, nil
+	return code.EncodeRows(c, src, lo, hi)
 }
 
 // Interface conformance.
 var (
 	_ code.Codec        = (*Codec)(nil)
 	_ code.RangeEncoder = (*Codec)(nil)
-	_ code.Rateless     = (*Codec)(nil)
+	_ code.Rateless     = (*Codec)(nil) // embeds code.RowEncoder
 )

@@ -148,59 +148,30 @@ func (c *Cauchy) applySched(sched []xorRun, dst, src []byte) {
 	}
 }
 
-// Encode implements code.Codec. Repair packets are independent, so they are
-// generated by a GOMAXPROCS-sized worker pool over one shared backing store
-// (the XOR-schedule cache is concurrency-safe).
-func (c *Cauchy) Encode(src [][]byte) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
-		return nil, err
+// SourceOf implements code.RowEncoder: the systematic prefix.
+func (c *Cauchy) SourceOf(idx int) int {
+	if idx < c.k {
+		return idx
 	}
-	out := make([][]byte, c.n)
-	copy(out, src)
-	nrep := c.n - c.k
-	store := make([]byte, nrep*c.packetLen)
-	code.ParallelChunks(nrep, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			p := store[r*c.packetLen : (r+1)*c.packetLen]
-			for j := 0; j < c.k; j++ {
-				c.apply(c.coeff(r, j), p, src[j])
-			}
-			out[c.k+r] = p
-		}
-	})
-	return out, nil
+	return -1
 }
 
-// EncodeRange implements code.RangeEncoder: every repair packet is an
-// independent bit-matrix inner product over the sources, so any index
-// window can be produced in isolation. Source indices alias src.
+// EncodeInto implements code.RowEncoder: repair packet idx is the bit-matrix
+// inner product of Cauchy row idx-k with the sources (the XOR-schedule
+// cache is concurrency-safe).
+func (c *Cauchy) EncodeInto(dst []byte, src [][]byte, idx int) {
+	for j := 0; j < c.k; j++ {
+		c.apply(c.coeff(idx-c.k, j), dst, src[j])
+	}
+}
+
+// Encode implements code.Codec. Repair packets are independent, so they are
+// generated by a GOMAXPROCS-sized worker pool.
+func (c *Cauchy) Encode(src [][]byte) ([][]byte, error) { return code.EncodeAll(c, src) }
+
+// EncodeRange implements code.RangeEncoder.
 func (c *Cauchy) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi < lo || hi > c.n {
-		return nil, fmt.Errorf("rs: encode range [%d,%d) out of [0,%d)", lo, hi, c.n)
-	}
-	out := make([][]byte, hi-lo)
-	var store []byte
-	if rep := hi - max(lo, c.k); rep > 0 {
-		store = make([]byte, rep*c.packetLen)
-	}
-	ri := 0
-	for i := lo; i < hi; i++ {
-		if i < c.k {
-			out[i-lo] = src[i]
-			continue
-		}
-		p := store[ri*c.packetLen : (ri+1)*c.packetLen]
-		ri++
-		r := i - c.k
-		for j := 0; j < c.k; j++ {
-			c.apply(c.coeff(r, j), p, src[j])
-		}
-		out[i-lo] = p
-	}
-	return out, nil
+	return code.EncodeRows(c, src, lo, hi)
 }
 
 // NewDecoder implements code.Codec.

@@ -31,7 +31,6 @@ type Vandermonde struct {
 	f         *gf.Field
 	// barycentric weights: w[j] = prod_{m != j, m < k} (j ^ m)
 	weights []uint32
-	invW    []uint32
 }
 
 // NewVandermonde constructs the codec. n must not exceed the field size
@@ -48,7 +47,6 @@ func NewVandermonde(k, n, packetLen int) (*Vandermonde, error) {
 	}
 	v := &Vandermonde{k: k, n: n, packetLen: packetLen, f: f}
 	v.weights = make([]uint32, k)
-	v.invW = make([]uint32, k)
 	for j := 0; j < k; j++ {
 		w := uint32(1)
 		for m := 0; m < k; m++ {
@@ -57,7 +55,6 @@ func NewVandermonde(k, n, packetLen int) (*Vandermonde, error) {
 			}
 		}
 		v.weights[j] = w
-		v.invW[j] = f.Inv(w)
 	}
 	return v, nil
 }
@@ -74,88 +71,51 @@ func (v *Vandermonde) N() int { return v.n }
 // PacketLen implements code.Codec.
 func (v *Vandermonde) PacketLen() int { return v.packetLen }
 
-// repairRow returns the k encoding coefficients of repair packet r
-// (encoding packet index k+r), using the barycentric Lagrange form:
-// c_j = w(x) / ((x ^ j) * W_j) with x = k + r.
-func (v *Vandermonde) repairRow(r int, row []uint32) {
-	f := v.f
-	x := uint32(v.k + r)
+// rowScale returns w(x) = prod_{m < k} (x ^ m), the factor shared by the k
+// encoding coefficients of repair packet idx (evaluation point x = idx).
+func (v *Vandermonde) rowScale(idx int) uint32 {
 	wx := uint32(1)
 	for m := 0; m < v.k; m++ {
-		wx = f.Mul(wx, x^uint32(m))
+		wx = v.f.Mul(wx, uint32(idx^m))
 	}
+	return wx
+}
+
+// coeff returns the coefficient tying repair packet idx (wx its rowScale)
+// to source packet j, in barycentric Lagrange form:
+// c_j = w(x) / ((x ^ j) * W_j). The encoder and the decoder's reception
+// matrix both read it.
+func (v *Vandermonde) coeff(wx uint32, idx, j int) uint32 {
+	return v.f.Mul(wx, v.f.Inv(v.f.Mul(uint32(idx^j), v.weights[j])))
+}
+
+// SourceOf implements code.RowEncoder: the systematic prefix.
+func (v *Vandermonde) SourceOf(idx int) int {
+	if idx < v.k {
+		return idx
+	}
+	return -1
+}
+
+// EncodeInto implements code.RowEncoder: repair packet idx is the source
+// polynomial's value at point idx. The loop is coefficient-major: each
+// coefficient's split tables come from the field's per-coefficient cache
+// (gf.Field.MulTab) and are reused across the whole packet.
+func (v *Vandermonde) EncodeInto(dst []byte, src [][]byte, idx int) {
+	wx := v.rowScale(idx)
 	for j := 0; j < v.k; j++ {
-		row[j] = f.Mul(wx, f.Inv(f.Mul(x^uint32(j), v.weights[j])))
+		gf.MulSliceAddTab16(v.f.MulTab(v.coeff(wx, idx, j)), dst, src[j])
 	}
 }
 
 // Encode implements code.Codec. The returned slice holds the k source
-// packets followed by n-k repair packets.
-//
-// The hot loop is coefficient-major: for each repair row the split tables
-// come from the field's per-coefficient cache (gf.Field.MulTab) and are
-// reused across the whole packet, and repair packets — which are mutually
-// independent — are generated by a GOMAXPROCS-sized worker pool over one
-// shared backing store.
-func (v *Vandermonde) Encode(src [][]byte) ([][]byte, error) {
-	if err := code.CheckSrc(src, v.k, v.packetLen); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, v.n)
-	copy(out, src)
-	nrep := v.n - v.k
-	store := make([]byte, nrep*v.packetLen)
-	code.ParallelChunks(nrep, func(lo, hi int) {
-		row := make([]uint32, v.k)
-		for r := lo; r < hi; r++ {
-			v.repairRow(r, row)
-			p := store[r*v.packetLen : (r+1)*v.packetLen]
-			for j, c := range row {
-				if c == 0 {
-					continue
-				}
-				gf.MulSliceAddTab16(v.f.MulTab(c), p, src[j])
-			}
-			out[v.k+r] = p
-		}
-	})
-	return out, nil
-}
+// packets followed by n-k repair packets, which are mutually independent
+// and generated by a GOMAXPROCS-sized worker pool.
+func (v *Vandermonde) Encode(src [][]byte) ([][]byte, error) { return code.EncodeAll(v, src) }
 
-// EncodeRange implements code.RangeEncoder: repair packets are independent
-// inner products, so any index window can be produced without touching the
-// rest of the encoding. Source indices alias src.
+// EncodeRange implements code.RangeEncoder.
 func (v *Vandermonde) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	if err := code.CheckSrc(src, v.k, v.packetLen); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi < lo || hi > v.n {
-		return nil, fmt.Errorf("rs: encode range [%d,%d) out of [0,%d)", lo, hi, v.n)
-	}
-	out := make([][]byte, hi-lo)
-	row := make([]uint32, v.k)
-	var store []byte
-	if rep := hi - max(lo, v.k); rep > 0 {
-		store = make([]byte, rep*v.packetLen)
-	}
-	ri := 0
-	for i := lo; i < hi; i++ {
-		if i < v.k {
-			out[i-lo] = src[i]
-			continue
-		}
-		p := store[ri*v.packetLen : (ri+1)*v.packetLen]
-		ri++
-		v.repairRow(i-v.k, row)
-		for j, c := range row {
-			if c == 0 {
-				continue
-			}
-			gf.MulSliceAddTab16(v.f.MulTab(c), p, src[j])
-		}
-		out[i-lo] = p
-	}
-	return out, nil
+	return code.EncodeRows(v, src, lo, hi)
 }
 
 // NewDecoder implements code.Codec.
@@ -211,14 +171,15 @@ func (d *vdmDecoder) Source() ([][]byte, error) {
 		}
 	}
 	m := gfmat.New(f, c.k, c.k)
-	rowBuf := make([]uint32, c.k)
 	for r, i := range idx {
 		if i < c.k {
 			m.Set(r, i, 1)
 			continue
 		}
-		c.repairRow(i-c.k, rowBuf)
-		copy(m.Row(r), rowBuf)
+		wx, row := c.rowScale(i), m.Row(r)
+		for j := range row {
+			row[j] = c.coeff(wx, i, j)
+		}
 	}
 	inv, err := m.Invert()
 	if err != nil {

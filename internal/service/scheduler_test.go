@@ -285,38 +285,50 @@ func TestRemoveStopsEmissionPromptly(t *testing.T) {
 	}
 }
 
-// TestEmitRoundZeroAlloc: steady-state emission of an eagerly encoded
-// session through the pooled, batched path must not allocate — the
-// property the sender benchmark suite gates in CI.
+// TestEmitRoundZeroAlloc: steady-state emission through the pooled, batched
+// path must not allocate — the property the sender benchmark suite gates in
+// CI — for an eagerly encoded session and for the rateless codecs, whose
+// coded packets are encoded per emission straight into the pooled buffer
+// (raptor starts past its systematic prefix, so every packet is a repair).
 func TestEmitRoundZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool instrumentation allocates; the sender bench gates this without -race")
 	}
-	sink := &nullBatchSink{}
-	svc := New(sink, Config{})
-	defer svc.Close()
-	cfg := sessionConfig(proto.CodecTornadoA, 0x88, 8)
-	sess, err := core.NewSession(randBytes(8, 30_000), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	car, err := svc.AddManual(sess, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the pool, the scratch slices and the carousel index buffer.
-	for i := 0; i < 64; i++ {
-		if err := svc.EmitRound(car); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := svc.EmitRound(car); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state EmitRound allocates %.2f times per round", allocs)
+	for _, tc := range []struct {
+		name  string
+		codec uint8
+		phase int
+	}{
+		{"tornado-a", proto.CodecTornadoA, 0},
+		{"raptor-repair", proto.CodecRaptor, 100},
+		{"lt", proto.CodecLT, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(&nullBatchSink{}, Config{})
+			defer svc.Close()
+			sess, err := core.NewSession(randBytes(8, 30_000), sessionConfig(tc.codec, 0x88, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			car, err := svc.AddManual(sess, 0, tc.phase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm the pool, the scratch slices and the carousel index buffer.
+			for i := 0; i < 64; i++ {
+				if err := svc.EmitRound(car); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := svc.EmitRound(car); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("steady-state EmitRound allocates %.2f times per round", allocs)
+			}
+		})
 	}
 }
 

@@ -15,10 +15,15 @@ import (
 // a receiver decodes against the full-encoding definition while the server
 // only ever materializes windows.
 //
-// The rateless LT codec has no finite full encoding to slice; its
+// The rateless codecs have no finite full encoding to slice; their
 // reference is per-index generation, and the invariant becomes "batching
 // does not change content" plus prefix consistency across overlapping
 // windows.
+//
+// Every entry is also held to the code.RowEncoder contract the windows are
+// built from: SourceOf(i) >= 0 exactly where the window aliases
+// src[SourceOf(i)], and EncodeInto into a zeroed buffer reproduces every
+// other packet.
 func TestRangeEncoderDifferential(t *testing.T) {
 	const (
 		k   = 120
@@ -40,6 +45,11 @@ func TestRangeEncoderDifferential(t *testing.T) {
 		{"cauchy", func() (Codec, error) { return NewCauchy(k, 2*k, pl) }},
 		{"interleaved", func() (Codec, error) { return NewInterleaved(k, 30, 2, pl) }},
 		{"lt", func() (Codec, error) { return NewLT(k, pl, 99, 0, 0) }},
+		{"raptor", func() (Codec, error) { return NewRaptor(k, pl, 99, 0, 0, 0, 0) }},
+	}
+	heads := make(map[*byte]int, k) // first-byte identity of each source packet
+	for i, p := range src {
+		heads[&p[0]] = i
 	}
 	for _, tc := range codecs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,12 +61,33 @@ func TestRangeEncoderDifferential(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement code.RangeEncoder", tc.name)
 			}
+			rows := c.(code.RowEncoder)
+			checkRow := func(i int, pkt []byte) {
+				t.Helper()
+				f, aliased := heads[&pkt[0]]
+				if !aliased {
+					f = -1
+				}
+				if got := rows.SourceOf(i); got != f {
+					t.Fatalf("SourceOf(%d) = %d, but EncodeRange aliases source %d", i, got, f)
+				}
+				if !aliased {
+					buf := make([]byte, pl)
+					if rows.EncodeInto(buf, src, i); !bytes.Equal(buf, pkt) {
+						t.Fatalf("EncodeInto(%d) differs from EncodeRange", i)
+					}
+				}
+			}
 			if IsRateless(c) {
-				// Reference: one-packet-at-a-time generation; windows drawn
-				// from deep inside the unbounded index space.
+				// Reference: one-packet-at-a-time generation; one window over
+				// the start of the stream (a systematic prefix, if any), the
+				// rest drawn from deep inside the unbounded index space.
 				for w := 0; w < win; w++ {
-					lo := rng.Intn(1 << 30)
-					hi := lo + 1 + rng.Intn(2*k)
+					lo, hi := 0, 2*k
+					if w > 0 {
+						lo = rng.Intn(1 << 30)
+						hi = lo + 1 + rng.Intn(2*k)
+					}
 					got, err := ranger.EncodeRange(src, lo, hi)
 					if err != nil {
 						t.Fatal(err)
@@ -69,6 +100,7 @@ func TestRangeEncoderDifferential(t *testing.T) {
 						if !bytes.Equal(got[i-lo], one[0]) {
 							t.Fatalf("window [%d,%d): packet %d differs from single generation", lo, hi, i)
 						}
+						checkRow(i, one[0])
 					}
 				}
 				return
@@ -98,6 +130,7 @@ func TestRangeEncoderDifferential(t *testing.T) {
 					if !bytes.Equal(got[i-lo], full[i]) {
 						t.Fatalf("window [%d,%d): packet %d differs from Encode", lo, hi, i)
 					}
+					checkRow(i, got[i-lo])
 				}
 			}
 		})
