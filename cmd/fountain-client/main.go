@@ -99,7 +99,7 @@ func main() {
 	}
 
 	if *stats {
-		reply, err := transport.RequestSessionInfoRetry(ctrl, proto.MarshalStatsRequest(), policy)
+		reply, err := transport.RequestSessionInfoRetry(ctrl, proto.AppendStatsRequest(nil), policy)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func main() {
 	}
 
 	if *list || *all {
-		reply, err := transport.RequestSessionInfoRetry(ctrl, proto.MarshalCatalogRequest(), policy)
+		reply, err := transport.RequestSessionInfoRetry(ctrl, proto.AppendCatalogRequest(nil), policy)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -160,13 +160,13 @@ func main() {
 		return
 	}
 
-	hello := proto.MarshalHello()
+	hello := proto.AppendHello(nil)
 	if *sessArg != "" {
 		id, err := strconv.ParseUint(*sessArg, 0, 16)
 		if err != nil {
 			log.Fatalf("fountain-client: bad -session %q: %v", *sessArg, err)
 		}
-		hello = proto.MarshalHelloFor(uint16(id))
+		hello = proto.AppendHelloFor(nil, uint16(id))
 	}
 	reply, err := transport.RequestSessionInfoRetry(ctrl, hello, policy)
 	if err != nil {
@@ -218,7 +218,7 @@ func pollStats(ctrl *net.UDPAddr, policy transport.RetryPolicy, iv time.Duration
 			return
 		case <-t.C:
 		}
-		reply, err := transport.RequestSessionInfoRetry(ctrl, proto.MarshalStatsRequest(), policy)
+		reply, err := transport.RequestSessionInfoRetry(ctrl, proto.AppendStatsRequest(nil), policy)
 		if err != nil {
 			log.Printf("fountain-client: stats poll: %v", err)
 			continue
@@ -255,18 +255,11 @@ type dlOpts struct {
 // decoder, and congestion controllers — no server keeps state for any of
 // them, and the mirrors never hear of each other.
 func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOpts) error {
-	level := o.level
-	if level >= int(info.Layers) {
-		level = int(info.Layers) - 1
-	}
-	mc, err := transport.NewMultiClient(mirrors, info.Session, level)
-	if err != nil {
-		return err
-	}
-	defer mc.Close()
-	// Size the receive buffers to this session's wire packets (header +
-	// payload + integrity tag), with slack for control-plane growth.
-	mc.SetRecvSize(proto.HeaderLen + int(info.PacketLen) + proto.TagLen + 64)
+	// The engine comes first: building it validates the descriptor, and no
+	// buffer below may be sized from an unvalidated one. (mc is assigned
+	// before the engine sees a packet, so before it can call back.)
+	var mc *transport.MultiClient
+	level := min(o.level, int(info.Layers)-1)
 	eng, err := client.NewMultiSource(info, len(mirrors), level, func(l int) {
 		if err := mc.SetLevel(l); err != nil {
 			log.Printf("session %#x: subscription change failed: %v", info.Session, err)
@@ -275,6 +268,14 @@ func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOp
 	if err != nil {
 		return err
 	}
+	mc, err = transport.NewMultiClient(mirrors, info.Session, level)
+	if err != nil {
+		return err
+	}
+	defer mc.Close()
+	// Size the receive buffers to this session's wire packets (header +
+	// payload + integrity tag), with slack for control-plane growth.
+	mc.SetRecvSize(proto.HeaderLen + int(info.PacketLen) + proto.TagLen + 64)
 	var rec *evtrace.Recorder
 	if o.trace != "" {
 		// Record the intake path (accepted packets, integrity drops, symbol

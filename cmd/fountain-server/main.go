@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/evtrace"
-	"repro/internal/proto"
 	"repro/internal/service"
 	"repro/internal/transport"
 )
@@ -51,10 +50,6 @@ func main() {
 		layers   = flag.Int("layers", 4, "multicast layers")
 		rate     = flag.Int("rate", 2048, "base-layer rate per session, packets/second")
 		codec    = flag.String("codec", "tornado-a", strings.Join(core.CodecNames(), "|"))
-		ltc      = flag.Float64("lt-c", 0, "soliton c (0 = default; -codec lt or raptor)")
-		ltdelta  = flag.Float64("lt-delta", 0, "soliton delta (0 = default; -codec lt or raptor)")
-		rchecks  = flag.Int("raptor-checks", 0, "raptor precode check count (0 = k-dependent default; -codec raptor only)")
-		rmaxd    = flag.Int("raptor-maxd", 0, "raptor inner-code degree truncation (0 = k-dependent default; -codec raptor only)")
 		pktLen   = flag.Int("pkt", 500, "payload bytes per packet")
 		seed     = flag.Int64("seed", 1998, "graph seed")
 		baseID   = flag.Uint("session", 0xDF98, "session id of the first file (subsequent files increment)")
@@ -170,35 +165,14 @@ func main() {
 		cfg.PacketLen = *pktLen
 		cfg.Seed = *seed + int64(i)
 		cfg.Session = uint16(*baseID) + uint16(i)
-		cfg.LTC = *ltc
-		cfg.LTDelta = *ltdelta
-		cfg.RaptorChecks = *rchecks
-		cfg.RaptorMaxD = *rmaxd
 		sess, err := svc.AddDataPhased(data, cfg, *rate, *phase)
 		if err != nil {
 			log.Fatal(err)
 		}
-		info := sess.Info()
-		mode := "eager"
-		if sess.Lazy() {
-			mode = "lazy"
-		}
-		if sess.Rateless() {
-			// A rateless mirror needs no phase coordination, only an
-			// arbitrary distinct stream start; describe the fountain shape.
-			if info.Codec == proto.CodecRaptor {
-				fmt.Printf("fountain-server: session %#x %s (%d bytes, k=%d, rateless raptor s=%d maxd=%d c=%.3g delta=%.3g, stream start %d)\n",
-					cfg.Session, file, len(data), info.K, info.RaptorS, info.RaptorMaxD,
-					float64(info.LTCMicro)/1e6, float64(info.LTDeltaMicro)/1e6, *phase)
-				continue
-			}
-			fmt.Printf("fountain-server: session %#x %s (%d bytes, k=%d, rateless LT c=%.3g delta=%.3g, stream start %d)\n",
-				cfg.Session, file, len(data), info.K,
-				float64(info.LTCMicro)/1e6, float64(info.LTDeltaMicro)/1e6, *phase)
-			continue
-		}
-		fmt.Printf("fountain-server: session %#x %s (%d bytes, k=%d, n=%d, phase=%d, %s encoding)\n",
-			cfg.Session, file, len(data), info.K, info.N, *phase, mode)
+		// A rateless mirror needs no phase coordination; its phase is only
+		// an arbitrary distinct stream start.
+		fmt.Printf("fountain-server: session %#x %s (%d bytes, %s, phase=%d, lazy=%v)\n",
+			cfg.Session, file, len(data), core.DescribeCodec(sess.Info()), *phase, sess.Lazy())
 	}
 
 	ctrl, stopCtrl, err := transport.ServeControlFunc(*ctrlAddr, svc.HandleControl)

@@ -66,7 +66,7 @@ func main() {
 	// the real control channel; any mirror's descriptor suffices to decode.
 	var info fountain.SessionInfo
 	for i, ctrl := range ctrlAddrs {
-		reply, err := transport.RequestSessionInfo(ctrl, proto.MarshalHello(), 5*time.Second)
+		reply, err := transport.RequestSessionInfo(ctrl, proto.AppendHello(nil), 5*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}

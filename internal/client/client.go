@@ -169,10 +169,7 @@ func NewMultiSource(info proto.SessionInfo, sources, startLevel int, setLevel Le
 func (e *Engine) addSource(id, level int) *source {
 	ctrl := layered.New(int(e.info.Layers) - 1)
 	ctrl.SetLevel(level)
-	layers := int(e.info.Layers)
-	if layers < 1 {
-		layers = 1
-	}
+	layers := int(e.info.Layers) // 1..16: core.NewReceiver checked
 	s := &source{
 		lastSerial: make([]uint32, layers),
 		haveSerial: make([]bool, layers),
@@ -187,9 +184,6 @@ func (e *Engine) addSource(id, level int) *source {
 // minLevel computes the worst-source subscription level.
 func (e *Engine) minLevel() int {
 	min := int(e.info.Layers) - 1
-	if min < 0 {
-		min = 0
-	}
 	for _, s := range e.sources {
 		if l := s.ctrl.Level(); l < min {
 			min = l

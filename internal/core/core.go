@@ -14,58 +14,35 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
 	"repro/internal/code"
-	"repro/internal/interleave"
-	"repro/internal/lt"
 	"repro/internal/proto"
-	"repro/internal/raptor"
-	"repro/internal/rs"
 	"repro/internal/sched"
-	"repro/internal/tornado"
 )
 
 // Config selects the code and framing of a session.
 type Config struct {
-	Codec      uint8 // proto.CodecTornadoA, ...
+	Codec      uint8 // wire codec id (CodecByName); zero is Tornado A
 	PacketLen  int   // payload bytes per packet (header excluded)
-	Stretch    int   // n/k, the paper uses 2
+	Stretch    int   // n/k, the paper uses 2; the rateless codes have none and ignore it
 	Layers     int   // multicast groups g (1 = single-layer protocol)
 	Seed       int64 // graph/permutation seed
 	SPInterval int   // rounds between synchronization points (0 = 16)
 	Session    uint16
-	// InterleaveBlockK is the per-block k when Codec is CodecInterleaved.
+	// InterleaveBlockK is the per-block k of the interleaved codec (0 = 50).
 	InterleaveBlockK int
 	// LazyBlock is the number of encoding packets per lazily encoded cache
 	// block when the session is built with NewSessionCached (0 = 64). It
 	// has no effect on eager sessions.
 	LazyBlock int
-	// LTC and LTDelta tune the robust soliton degree distribution when
-	// Codec is CodecLT (<= 0 selects the lt package defaults). They are
-	// quantized to millionths for the wire, and the session builds its
-	// codec from the quantized values so sender and receivers derive the
-	// identical distribution. Stretch is ignored for CodecLT — a rateless
-	// code has no stretch factor. For CodecRaptor they tune the weakened
-	// inner distribution instead (<= 0 selects the raptor defaults).
-	LTC     float64
-	LTDelta float64
-	// RaptorChecks and RaptorMaxD pin a CodecRaptor session's precode
-	// check count and inner-code degree truncation (<= 0 selects the
-	// raptor package's k-dependent defaults). The resolved values travel
-	// in the descriptor, so receivers rebuild the identical code without
-	// re-deriving the defaults. Stretch is ignored, as for CodecLT.
-	RaptorChecks int
-	RaptorMaxD   int
 }
 
 // DefaultConfig mirrors the prototype in §7.3: Tornado A, 500-byte
 // payloads (+12-byte header = 512), stretch factor 2, 4 layers.
 func DefaultConfig() Config {
 	return Config{
-		Codec:     proto.CodecTornadoA,
 		PacketLen: 500,
 		Stretch:   2,
 		Layers:    4,
@@ -85,14 +62,12 @@ func DefaultConfig() Config {
 // cannot (Tornado's cascade checks are computed jointly) fall back to eager
 // encoding.
 type Session struct {
-	cfg      Config
-	codec    code.Codec
-	enc      [][]byte // full encoding; nil when lazy
-	fileLen  int
-	fileHash uint64
-	digest   [32]byte // SHA-256 of the file, advertised for end-to-end verification
-	sched    *sched.Schedule
-	perm     []int // randomized carousel order for single-layer mode (nil when rateless)
+	cfg   Config
+	codec code.Codec
+	info  proto.SessionInfo // the descriptor the codec was built from
+	enc   [][]byte          // full encoding; nil when lazy
+	sched *sched.Schedule
+	perm  []int // randomized carousel order for single-layer mode (nil when rateless)
 
 	// rateless marks sessions whose codec has an unbounded index space
 	// (code.Rateless). Their carousels stream monotonically increasing
@@ -116,128 +91,6 @@ type Session struct {
 	// one full materialization plus one packet per post-eviction miss.
 	fillMu sync.Mutex
 	filled []bool
-}
-
-// buildCodec constructs the codec named by cfg for k source packets.
-// Packet lengths are padded to the codec's alignment requirement.
-func buildCodec(cfg Config, k int) (code.Codec, error) {
-	n := k * cfg.Stretch
-	switch cfg.Codec {
-	case proto.CodecTornadoA:
-		return tornado.New(tornado.A(), k, n, cfg.PacketLen, cfg.Seed)
-	case proto.CodecTornadoB:
-		return tornado.New(tornado.B(), k, n, cfg.PacketLen, cfg.Seed)
-	case proto.CodecVandermonde:
-		return rs.NewVandermonde(k, n, cfg.PacketLen)
-	case proto.CodecCauchy:
-		return rs.NewCauchy(k, n, cfg.PacketLen)
-	case proto.CodecInterleaved:
-		return interleave.NewForFile(k, interleaveBlockK(cfg.InterleaveBlockK), cfg.Stretch, cfg.PacketLen)
-	case proto.CodecLT:
-		cMicro, dMicro := ltWireParams(cfg)
-		return lt.New(k, cfg.PacketLen, cfg.Seed, float64(cMicro)/1e6, float64(dMicro)/1e6)
-	case proto.CodecRaptor:
-		cMicro, dMicro := raptorWireParams(cfg)
-		return raptor.New(k, cfg.PacketLen, cfg.Seed, float64(cMicro)/1e6, float64(dMicro)/1e6,
-			cfg.RaptorChecks, cfg.RaptorMaxD)
-	default:
-		return nil, fmt.Errorf("core: unknown codec %d", cfg.Codec)
-	}
-}
-
-// interleaveBlockK resolves a configured or advertised interleave block
-// size: unset means 50 source packets per block.
-func interleaveBlockK(bk int) int {
-	if bk <= 0 {
-		return 50
-	}
-	return bk
-}
-
-// codecs is the one table of wire codec ids: the name the CLIs take and
-// print, and whether the id names a rateless code. buildCodec's switch
-// constructs them.
-var codecs = [...]struct {
-	name     string
-	rateless bool
-}{
-	proto.CodecTornadoA:    {name: "tornado-a"},
-	proto.CodecTornadoB:    {name: "tornado-b"},
-	proto.CodecVandermonde: {name: "vandermonde"},
-	proto.CodecCauchy:      {name: "cauchy"},
-	proto.CodecInterleaved: {name: "interleaved"},
-	proto.CodecLT:          {name: "lt", rateless: true},
-	proto.CodecRaptor:      {name: "raptor", rateless: true},
-}
-
-// CodecNames lists the codec names in id order.
-func CodecNames() []string {
-	names := make([]string, len(codecs))
-	for id, c := range codecs {
-		names[id] = c.name
-	}
-	return names
-}
-
-// CodecName returns the name of a wire codec id, or "codec-<id>" for an id
-// off the wire that this build does not know.
-func CodecName(id uint8) string {
-	if int(id) < len(codecs) {
-		return codecs[id].name
-	}
-	return fmt.Sprintf("codec-%d", id)
-}
-
-// CodecByName returns the wire id of a codec name.
-func CodecByName(name string) (uint8, error) {
-	for id, c := range codecs {
-		if c.name == name {
-			return uint8(id), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown codec %q", name)
-}
-
-// ratelessID reports whether a wire codec id names a rateless code, whose
-// descriptor carries the unbounded-N sentinel and no stretch factor.
-func ratelessID(codec uint8) bool {
-	return int(codec) < len(codecs) && codecs[codec].rateless
-}
-
-// maxStretch is the largest stretch factor n/k a fixed-rate session may
-// have. Every session in the tree uses 2 (the paper's choice); the ceiling
-// exists so that a descriptor cannot buy an encoding, and the decoder
-// state sized by it, many times the file it advertises. NewSessionCached
-// refuses what NewReceiver would.
-const maxStretch = 16
-
-// ltWireParams resolves and quantizes a config's robust-soliton parameters
-// to the wire's millionth units. Both the sender's session and the
-// receiver's reconstructed codec pass through this quantization, so the
-// degree distributions match bit for bit.
-func ltWireParams(cfg Config) (cMicro, deltaMicro uint32) {
-	c, d := cfg.LTC, cfg.LTDelta
-	if c <= 0 {
-		c = lt.DefaultC
-	}
-	if d <= 0 || d >= 1 {
-		d = lt.DefaultDelta
-	}
-	return uint32(math.Round(c * 1e6)), uint32(math.Round(d * 1e6))
-}
-
-// raptorWireParams is ltWireParams with the raptor package's (c, δ)
-// defaults — the weakened inner distribution runs a smaller spike than a
-// plain LT code.
-func raptorWireParams(cfg Config) (cMicro, deltaMicro uint32) {
-	c, d := cfg.LTC, cfg.LTDelta
-	if c <= 0 {
-		c = raptor.DefaultC
-	}
-	if d <= 0 || d >= 1 {
-		d = raptor.DefaultDelta
-	}
-	return uint32(math.Round(c * 1e6)), uint32(math.Round(d * 1e6))
 }
 
 // PadPacketLen rounds a payload length up to the alignment the codec
@@ -265,12 +118,6 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 // A nil cache, or a codec that does not implement code.RowEncoder,
 // degrades to eager encoding (full materialization at construction).
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
-	if (cfg.Stretch < 2 || cfg.Stretch > maxStretch) && !ratelessID(cfg.Codec) {
-		return nil, fmt.Errorf("core: stretch %d outside 2..%d", cfg.Stretch, maxStretch)
-	}
-	if cfg.Layers < 1 || cfg.Layers > 16 {
-		return nil, fmt.Errorf("core: layer count %d out of range", cfg.Layers)
-	}
 	cfg.PacketLen = PadPacketLen(cfg.PacketLen)
 	if cfg.SPInterval <= 0 {
 		cfg.SPInterval = 16
@@ -278,13 +125,38 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 	if cfg.LazyBlock <= 0 {
 		cfg.LazyBlock = 64
 	}
-	k := code.PacketsFor(len(data), cfg.PacketLen)
-	if k == 0 {
-		k = 1
+	row := rowOf(cfg.Codec)
+	// The descriptor comes first: the codec is built from it, through the
+	// same buildCodec — check, then table row — a receiver will use.
+	info := proto.SessionInfo{
+		Session:    cfg.Session,
+		Codec:      cfg.Codec,
+		Layers:     uint8(cfg.Layers),
+		N:          code.UnboundedN,
+		PacketLen:  uint32(cfg.PacketLen),
+		FileLen:    uint64(len(data)),
+		Seed:       cfg.Seed,
+		SPInterval: uint32(cfg.SPInterval),
+		FileHash:   proto.FNV64a(data),
+		Digest:     sha256.Sum256(data),
 	}
-	codec, err := buildCodec(cfg, k)
+	if row.fill != nil {
+		row.fill(&info, cfg)
+	}
+	info.K = uint32(sourcePackets(&info))
+	if !row.rateless {
+		info.N = info.K * uint32(cfg.Stretch)
+	}
+	codec, err := buildCodec(&info)
 	if err != nil {
 		return nil, err
+	}
+	// A configuration value too wide for its descriptor word was truncated
+	// above, possibly into something valid.
+	if int(info.Layers) != cfg.Layers || int(info.PacketLen) != cfg.PacketLen ||
+		!row.rateless && int(info.N/info.K) != cfg.Stretch {
+		return nil, fmt.Errorf("core: %d layers, packet length %d or stretch %d does not fit a session descriptor",
+			cfg.Layers, cfg.PacketLen, cfg.Stretch)
 	}
 	// Interleaved codecs round k up to a whole number of blocks; split
 	// with the codec's actual k (the tail packets are zero padding).
@@ -296,14 +168,7 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		cfg:      cfg,
-		codec:    codec,
-		fileLen:  len(data),
-		fileHash: proto.FNV64a(data),
-		digest:   sha256.Sum256(data),
-		sched:    sc,
-	}
+	s := &Session{cfg: cfg, codec: codec, info: info, sched: sc}
 	s.rateless = code.IsRateless(codec) // implies a code.RowEncoder
 	if rows, ok := codec.(code.RowEncoder); ok && (s.rateless || cache != nil) {
 		// The one validation of the session-constant source block: every
@@ -417,36 +282,7 @@ func (s *Session) Codec() code.Codec { return s.codec }
 func (s *Session) Config() Config { return s.cfg }
 
 // Info returns the control-channel descriptor of the session.
-func (s *Session) Info() proto.SessionInfo {
-	info := proto.SessionInfo{
-		Session:    s.cfg.Session,
-		Codec:      s.cfg.Codec,
-		Layers:     uint8(s.cfg.Layers),
-		K:          uint32(s.codec.K()),
-		N:          uint32(s.codec.N()),
-		PacketLen:  uint32(s.cfg.PacketLen),
-		FileLen:    uint64(s.fileLen),
-		Seed:       s.cfg.Seed,
-		SPInterval: uint32(s.cfg.SPInterval),
-		FileHash:   s.fileHash,
-		Digest:     s.digest,
-	}
-	if s.cfg.Codec == proto.CodecInterleaved {
-		info.InterleaveK = uint32(interleaveBlockK(s.cfg.InterleaveBlockK))
-	}
-	if s.cfg.Codec == proto.CodecLT {
-		info.LTCMicro, info.LTDeltaMicro = ltWireParams(s.cfg)
-	}
-	if s.cfg.Codec == proto.CodecRaptor {
-		info.LTCMicro, info.LTDeltaMicro = raptorWireParams(s.cfg)
-		// Publish the resolved precode geometry, not the config's zeros:
-		// receivers must not re-derive defaults that could drift.
-		rc := s.codec.(*raptor.Codec)
-		info.RaptorS = uint32(rc.Checks())
-		info.RaptorMaxD = uint32(rc.MaxDegree())
-	}
-	return info
-}
+func (s *Session) Info() proto.SessionInfo { return s.info }
 
 // Packet returns the wire form (header + payload) of encoding packet idx
 // for the given layer/serial/flags, in a freshly allocated buffer.
@@ -570,67 +406,19 @@ type Receiver struct {
 // reconstructs the codec locally from the descriptor's parameters — no
 // further server state is needed (the "advance agreement" of §5.1).
 func NewReceiver(info proto.SessionInfo) (*Receiver, error) {
-	// The descriptor arrives off a socket: check it before dividing by K,
-	// and tie K to the file before building a codec, so decoder memory is
-	// bounded by the file the user asked for, not by a 107-byte datagram.
-	if info.K == 0 {
-		return nil, fmt.Errorf("core: descriptor has k=0")
-	}
-	if ratelessID(info.Codec) {
-		if info.N != code.UnboundedN {
-			return nil, fmt.Errorf("core: rateless descriptor has n=%d, want %d", info.N, code.UnboundedN)
-		}
-	} else if info.N < info.K || info.N%info.K != 0 || info.N/info.K > maxStretch {
-		return nil, fmt.Errorf("core: descriptor has n=%d for k=%d: not a whole stretch factor in 1..%d",
-			info.N, info.K, maxStretch)
-	}
-	if info.PacketLen == 0 {
-		return nil, fmt.Errorf("core: descriptor has packet length 0")
-	}
-	if info.Layers < 1 || info.Layers > 16 {
-		return nil, fmt.Errorf("core: descriptor has layer count %d out of range", info.Layers)
-	}
-	pl := uint64(info.PacketLen)
-	if info.FileLen > uint64(info.K)*pl {
-		return nil, fmt.Errorf("core: descriptor has k=%d packets of %d bytes for a %d-byte file",
-			info.K, info.PacketLen, info.FileLen)
-	}
-	// The K NewSessionCached derives from the file: one packet at least,
-	// rounded up to whole blocks by the interleaved code.
-	maxK := info.FileLen / pl
-	if info.FileLen%pl != 0 || maxK == 0 {
-		maxK++
-	}
-	if info.Codec == proto.CodecInterleaved {
-		bk := uint64(interleaveBlockK(int(info.InterleaveK)))
-		if bk > maxK {
-			bk = maxK
-		}
-		maxK = (maxK + bk - 1) / bk * bk
-	}
-	if uint64(info.K) > maxK {
-		return nil, fmt.Errorf("core: descriptor has k=%d, a %d-byte file needs at most %d",
-			info.K, info.FileLen, maxK)
-	}
-	cfg := Config{
-		Codec:            info.Codec,
-		PacketLen:        int(info.PacketLen),
-		Stretch:          int(info.N / info.K),
-		Layers:           int(info.Layers),
-		Seed:             info.Seed,
-		Session:          info.Session,
-		InterleaveBlockK: int(info.InterleaveK),
-		LTC:              float64(info.LTCMicro) / 1e6,
-		LTDelta:          float64(info.LTDeltaMicro) / 1e6,
-		RaptorChecks:     int(info.RaptorS),
-		RaptorMaxD:       int(info.RaptorMaxD),
-	}
-	codec, err := buildCodec(cfg, int(info.K))
+	// The fixed-point test: a sender publishes what its codec resolved, so
+	// building from a sender's descriptor hands the same descriptor back. It
+	// refuses every codec word no construction resolves to (zero raptor
+	// checks, a degree cap beyond the symbols, c = 0) and an N the codec
+	// would not have.
+	built := info
+	codec, err := buildCodec(&built)
 	if err != nil {
 		return nil, err
 	}
-	if codec.N() != int(info.N) {
-		return nil, fmt.Errorf("core: codec produced n=%d, descriptor says %d", codec.N(), info.N)
+	if built != info {
+		return nil, fmt.Errorf("core: descriptor states %s, its codec resolves %s",
+			DescribeCodec(info), DescribeCodec(built))
 	}
 	return &Receiver{info: info, dec: codec.NewDecoder()}, nil
 }

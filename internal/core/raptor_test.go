@@ -42,7 +42,7 @@ func TestRaptorSessionProperties(t *testing.T) {
 		t.Fatalf("precode geometry missing from descriptor: s=%d maxD=%d", info.RaptorS, info.RaptorMaxD)
 	}
 	// The descriptor must survive the wire byte-exactly.
-	parsed, err := proto.ParseSessionInfo(info.Marshal())
+	parsed, err := proto.ParseSessionInfo(info.Append(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRaptorEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parsed, err := proto.ParseSessionInfo(sess.Info().Marshal())
+		parsed, err := proto.ParseSessionInfo(sess.Info().Append(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,7 +101,7 @@ func TestRatelessEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parsed, err := proto.ParseSessionInfo(sess.Info().Marshal())
+		parsed, err := proto.ParseSessionInfo(sess.Info().Append(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,3 +65,37 @@ func TestWireHashes(t *testing.T) {
 		}
 	}
 }
+
+// descriptorHash pins the bytes of the session descriptor: one SHA-256 over
+// Info().Append(nil) for every codec id × four file sizes × {1, 4} layers
+// (the last size with a non-default interleave block). Recorded before the
+// codec table replaced buildCodec's switch and Info's per-codec branches.
+const descriptorHash = "ad87ab015337d919e8ba219ce2670532a83c19f1193334b5a99277464c998775"
+
+// TestDescriptorHash: the descriptor a sender publishes is byte-identical
+// to the recorded one for every codec.
+func TestDescriptorHash(t *testing.T) {
+	h := sha256.New()
+	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
+		for si, size := range []int{10, 64 * 300, 20_000, 100_003} {
+			for _, layers := range []int{1, 4} {
+				cfg := DefaultConfig()
+				cfg.Codec = id
+				cfg.PacketLen = 60 // padded to 64
+				cfg.Layers = layers
+				cfg.Seed = int64(size) + int64(id)
+				if si == 3 {
+					cfg.InterleaveBlockK = 7
+				}
+				sess, err := NewSessionCached(randData(rand.New(rand.NewSource(int64(size))), size), cfg, NewBlockCache(1<<20))
+				if err != nil {
+					t.Fatalf("codec %d, %d bytes: %v", id, size, err)
+				}
+				h.Write(sess.Info().Append(nil))
+			}
+		}
+	}
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != descriptorHash {
+		t.Errorf("descriptor hash %s, want %s", sum, descriptorHash)
+	}
+}

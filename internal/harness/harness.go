@@ -180,7 +180,7 @@ func New(cfg Config) (*Testbed, error) {
 			tb.Close()
 			return nil, err
 		}
-		info, err := proto.ParseSessionInfo(svc.HandleControl(proto.MarshalHelloFor(id)))
+		info, err := proto.ParseSessionInfo(svc.HandleControl(proto.AppendHelloFor(nil, id)))
 		if err != nil {
 			svc.Close()
 			tb.Close()

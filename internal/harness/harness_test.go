@@ -296,7 +296,7 @@ func TestHelloDescriptorDecodes(t *testing.T) {
 	}
 	defer tb.Close()
 	for i, m := range tb.Mirrors {
-		reparsed, err := proto.ParseSessionInfo(m.Info.Marshal())
+		reparsed, err := proto.ParseSessionInfo(m.Info.Append(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -138,7 +138,7 @@ func TestMetricsMatchChannelGroundTruth(t *testing.T) {
 			}
 
 			// The control-plane stats message carries the same numbers.
-			snap, err := proto.ParseStats(m.Service.HandleControl(proto.MarshalStatsRequest()))
+			snap, err := proto.ParseStats(m.Service.HandleControl(proto.AppendStatsRequest(nil)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestCacheEvictionMetricsGroundTruth(t *testing.T) {
 	if v := scraped(t, svc.Metrics(), "fountain_cache_lookups_total"); v != cs.Lookups {
 		t.Fatalf("registry lookups %d, cache %d", v, cs.Lookups)
 	}
-	snap, err := proto.ParseStats(svc.HandleControl(proto.MarshalStatsRequest()))
+	snap, err := proto.ParseStats(svc.HandleControl(proto.AppendStatsRequest(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

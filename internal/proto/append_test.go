@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// randInfo draws an arbitrary descriptor so the differential encoders are
-// exercised across the whole field space, not just handpicked values.
+// randInfo draws an arbitrary descriptor so the encoders are exercised
+// across the whole field space, not just handpicked values.
 func randInfo(rng *rand.Rand) SessionInfo {
 	return SessionInfo{
 		Session:      uint16(rng.Uint32()),
@@ -30,60 +30,49 @@ func randInfo(rng *rand.Rand) SessionInfo {
 	}
 }
 
-// TestAppendEncodersMatchMarshal: every Append* encoder must produce
-// byte-identical output to its Marshal* counterpart, both onto a nil
-// buffer and appended after existing bytes (the pooled-buffer shape).
-func TestAppendEncodersMatchMarshal(t *testing.T) {
+// TestAppendAfterPrefix: every Append* encoder, handed a buffer that
+// already holds bytes (the pooled-buffer shape), must leave them alone and
+// add exactly what it adds to a nil buffer.
+func TestAppendAfterPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	prefix := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	check := func(name string, marshal []byte, appendFn func(dst []byte) []byte) {
+	check := func(name string, appendFn func(dst []byte) []byte) {
 		t.Helper()
-		if got := appendFn(nil); !bytes.Equal(got, marshal) {
-			t.Fatalf("%s: append-to-nil %x != marshal %x", name, got, marshal)
-		}
+		want := appendFn(nil)
 		got := appendFn(append([]byte(nil), prefix...))
 		if !bytes.Equal(got[:len(prefix)], prefix) {
 			t.Fatalf("%s: append clobbered the prefix", name)
 		}
-		if !bytes.Equal(got[len(prefix):], marshal) {
-			t.Fatalf("%s: append-after-prefix %x != marshal %x", name, got[len(prefix):], marshal)
+		if !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%s: append-after-prefix %x != append-to-nil %x", name, got[len(prefix):], want)
 		}
 	}
 
-	check("hello", MarshalHello(), AppendHello)
-	check("catalog-request", MarshalCatalogRequest(), AppendCatalogRequest)
+	check("hello", AppendHello)
+	check("catalog-request", AppendCatalogRequest)
+	check("stats-request", AppendStatsRequest)
 	for trial := 0; trial < 200; trial++ {
 		id := uint16(rng.Uint32())
-		check("hello-for", MarshalHelloFor(id), func(dst []byte) []byte {
-			return AppendHelloFor(dst, id)
-		})
-		check("nak", MarshalNak(id), func(dst []byte) []byte {
-			return AppendNak(dst, id)
-		})
-		info := randInfo(rng)
-		check("session-info", info.Marshal(), info.Append)
+		check("hello-for", func(dst []byte) []byte { return AppendHelloFor(dst, id) })
+		check("nak", func(dst []byte) []byte { return AppendNak(dst, id) })
+		check("session-info", randInfo(rng).Append)
+		check("stats", StatsSnapshot{Sessions: rng.Uint32(), PacketsSent: rng.Uint64(), TxBytes: rng.Uint64()}.Append)
 		infos := make([]SessionInfo, rng.Intn(5))
 		for i := range infos {
 			infos[i] = randInfo(rng)
 		}
-		check("catalog", MarshalCatalog(infos), func(dst []byte) []byte {
-			return AppendCatalog(dst, infos)
-		})
+		check("catalog", func(dst []byte) []byte { return AppendCatalog(dst, infos) })
 	}
 }
 
-// TestAppendCatalogTruncates: the append form must apply the same
-// MaxCatalogEntries truncation as the allocating form.
+// TestAppendCatalogTruncates: a catalog beyond MaxCatalogEntries is cut to
+// the first entries, and what is left parses.
 func TestAppendCatalogTruncates(t *testing.T) {
 	infos := make([]SessionInfo, MaxCatalogEntries+7)
 	for i := range infos {
 		infos[i] = SessionInfo{Session: uint16(i), K: 1, N: 2, PacketLen: 16}
 	}
-	a, m := AppendCatalog(nil, infos), MarshalCatalog(infos)
-	if !bytes.Equal(a, m) {
-		t.Fatalf("truncated catalogs differ: %d vs %d bytes", len(a), len(m))
-	}
-	parsed, err := ParseCatalog(a)
+	parsed, err := ParseCatalog(AppendCatalog(nil, infos))
 	if err != nil {
 		t.Fatal(err)
 	}

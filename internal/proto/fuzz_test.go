@@ -38,7 +38,7 @@ func FuzzParsePacket(f *testing.F) {
 				t.Fatalf("payload %d bytes of %d-byte packet", len(payload), len(pkt))
 			}
 			if got := h.Marshal(nil); !bytes.Equal(got, pkt[:HeaderLen]) {
-				t.Fatalf("parse→marshal diverges: %x vs %x", got, pkt[:HeaderLen])
+				t.Fatalf("parse→append diverges: %x vs %x", got, pkt[:HeaderLen])
 			}
 		}
 
@@ -79,47 +79,41 @@ func FuzzParsePacket(f *testing.F) {
 // must survive a marshal round-trip.
 func FuzzParseControl(f *testing.F) {
 	// Seeds from the existing control-plane test vectors.
-	f.Add(MarshalHello())
-	f.Add(MarshalHelloFor(0xDF98))
-	f.Add(MarshalNak(0xDF99))
-	f.Add(MarshalCatalogRequest())
+	f.Add(AppendHello(nil))
+	f.Add(AppendHelloFor(nil, 0xDF98))
+	f.Add(AppendNak(nil, 0xDF99))
+	f.Add(AppendCatalogRequest(nil))
 	f.Add(SessionInfo{Session: 1, Codec: CodecTornadoA, Layers: 4, K: 100, N: 200,
 		PacketLen: 512, FileLen: 50_000, Seed: 1998, BaseRate: 2048, SPInterval: 16,
 		FileHash: 0xAB, Phase: 33,
-		Digest: [32]byte{1, 2, 3, 0xDF, 0x98, 31: 0xFF}}.Marshal())
-	f.Add(MarshalCatalog([]SessionInfo{
+		Digest: [32]byte{1, 2, 3, 0xDF, 0x98, 31: 0xFF}}.Append(nil))
+	f.Add(AppendCatalog(nil, []SessionInfo{
 		{Session: 1, K: 10, N: 20, PacketLen: 16},
 		{Session: 2, K: 30, N: 60, PacketLen: 16, InterleaveK: 5, Phase: 7},
 	}))
 	f.Add([]byte{controlMag0, controlMag1})
-	f.Add(MarshalStatsRequest())
+	f.Add(AppendStatsRequest(nil))
 	f.Add(StatsSnapshot{Sessions: 1, Shards: 2, PacketsSent: 3,
-		Draining: 1, Subscribers: 4, TxPackets: 5}.Marshal())
+		Draining: 1, Subscribers: 4, TxPackets: 5}.Append(nil))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		if s, err := ParseSessionInfo(buf); err == nil {
 			if len(buf) < sessionInfoLen {
 				t.Fatalf("truncated session info accepted (%d bytes)", len(buf))
 			}
-			if !bytes.Equal(s.Marshal(), buf[:sessionInfoLen]) {
-				t.Fatal("session info parse→marshal diverges")
-			}
-			if !bytes.Equal(s.Append(nil), s.Marshal()) {
-				t.Fatal("session info Append diverges from Marshal")
+			if !bytes.Equal(s.Append(nil), buf[:sessionInfoLen]) {
+				t.Fatal("session info parse→append diverges")
 			}
 		}
 		if infos, err := ParseCatalog(buf); err == nil {
 			if len(buf) < 5+len(infos)*sessionInfoLen {
 				t.Fatalf("catalog of %d entries accepted from %d bytes", len(infos), len(buf))
 			}
-			round, err := ParseCatalog(MarshalCatalog(infos))
+			round, err := ParseCatalog(AppendCatalog(nil, infos))
 			if err != nil && len(infos) <= MaxCatalogEntries {
 				t.Fatalf("catalog re-marshal rejected: %v", err)
 			}
 			if err == nil && len(round) != len(infos) {
 				t.Fatalf("catalog round-trip %d → %d entries", len(infos), len(round))
-			}
-			if !bytes.Equal(AppendCatalog(nil, infos), MarshalCatalog(infos)) {
-				t.Fatal("catalog Append diverges from Marshal")
 			}
 		}
 		if id, specific, ok := HelloSession(buf); ok {
@@ -137,11 +131,8 @@ func FuzzParseControl(f *testing.F) {
 			if len(buf) < statsLen {
 				t.Fatalf("truncated stats accepted (%d bytes)", len(buf))
 			}
-			if !bytes.Equal(s.Marshal(), buf[:statsLen]) {
-				t.Fatal("stats parse→marshal diverges")
-			}
-			if !bytes.Equal(s.Append(nil), s.Marshal()) {
-				t.Fatal("stats Append diverges from Marshal")
+			if !bytes.Equal(s.Append(nil), buf[:statsLen]) {
+				t.Fatal("stats parse→append diverges")
 			}
 		}
 		IsCatalogRequest(buf) // must simply not panic

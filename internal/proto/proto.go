@@ -203,13 +203,6 @@ const (
 
 const sessionInfoLen = 2 + 2 + 1 + 1 + 1 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 32 // magic+type .. lt params, raptor params, digest
 
-// The control encoders come in two forms: Append* appends the encoding to
-// a caller-provided buffer (the zero-copy path — pooled buffers, no
-// per-message allocation), and Marshal* allocates a fresh slice (the
-// legacy convenience form, defined as Append* over a nil buffer). The two
-// forms produce byte-identical output; proto's differential tests and
-// fuzz targets hold them to that.
-
 // AppendHello appends a client hello probe to dst. A bare hello asks for
 // "the" session — a multi-session service answers with its lowest session
 // id (use AppendHelloFor / the catalog for discovery).
@@ -217,16 +210,10 @@ func AppendHello(dst []byte) []byte {
 	return append(dst, controlMag0, controlMag1, msgHello)
 }
 
-// MarshalHello encodes a client hello probe into a fresh slice.
-func MarshalHello() []byte { return AppendHello(nil) }
-
 // AppendHelloFor appends a hello probe asking for one specific session.
 func AppendHelloFor(dst []byte, session uint16) []byte {
 	return append(dst, controlMag0, controlMag1, msgHello, byte(session>>8), byte(session))
 }
-
-// MarshalHelloFor encodes a specific-session hello into a fresh slice.
-func MarshalHelloFor(session uint16) []byte { return AppendHelloFor(nil, session) }
 
 // IsHello reports whether buf is a client hello (with or without a session
 // id).
@@ -254,9 +241,6 @@ func AppendNak(dst []byte, session uint16) []byte {
 	return append(dst, controlMag0, controlMag1, msgNak, byte(session>>8), byte(session))
 }
 
-// MarshalNak encodes a negative control reply into a fresh slice.
-func MarshalNak(session uint16) []byte { return AppendNak(nil, session) }
-
 // ParseNak reports whether buf is a negative control reply, and for which
 // session id.
 func ParseNak(buf []byte) (session uint16, ok bool) {
@@ -271,9 +255,6 @@ func AppendCatalogRequest(dst []byte) []byte {
 	return append(dst, controlMag0, controlMag1, msgCatalogReq)
 }
 
-// MarshalCatalogRequest encodes a catalog request into a fresh slice.
-func MarshalCatalogRequest() []byte { return AppendCatalogRequest(nil) }
-
 // IsCatalogRequest reports whether buf is a catalog request.
 func IsCatalogRequest(buf []byte) bool {
 	return len(buf) >= 3 && buf[0] == controlMag0 && buf[1] == controlMag1 && buf[2] == msgCatalogReq
@@ -284,6 +265,14 @@ func IsCatalogRequest(buf []byte) bool {
 // limit, or the control socket's reply would fail with EMSGSIZE and
 // discovery would silently break.
 const MaxCatalogEntries = (65000 - 5) / sessionInfoLen
+
+// MaxPacketLen is the largest payload length a session may have: a wire
+// packet (header + payload + integrity tag) must fit the same 65,507-byte
+// UDP payload limit, and payload lengths are multiples of 16
+// (core.PadPacketLen). A descriptor stating more names packets no sender
+// could have put on a socket — and would size receive buffers by a
+// datagram's say-so.
+const MaxPacketLen = (65507 - HeaderLen - TagLen) / 16 * 16 // 65,488
 
 // AppendCatalog appends the announce/catalog message: the descriptors of
 // the sessions a service currently carries, so one control round-trip
@@ -302,15 +291,6 @@ func AppendCatalog(dst []byte, infos []SessionInfo) []byte {
 		dst = s.Append(dst)
 	}
 	return dst
-}
-
-// MarshalCatalog encodes the announce/catalog message into a fresh slice.
-func MarshalCatalog(infos []SessionInfo) []byte {
-	n := len(infos)
-	if n > MaxCatalogEntries {
-		n = MaxCatalogEntries
-	}
-	return AppendCatalog(make([]byte, 0, 5+n*sessionInfoLen), infos)
 }
 
 // ParseCatalog decodes a catalog message.
@@ -337,46 +317,25 @@ func ParseCatalog(buf []byte) ([]SessionInfo, error) {
 
 // Append appends the session info control message encoding to dst.
 func (s SessionInfo) Append(dst []byte) []byte {
+	be := binary.BigEndian
 	dst = append(dst, controlMag0, controlMag1, msgSession)
-	var tmp [8]byte
-	binary.BigEndian.PutUint16(tmp[:2], s.Session)
-	dst = append(dst, tmp[:2]...)
+	dst = be.AppendUint16(dst, s.Session)
 	dst = append(dst, s.Codec, s.Layers)
-	binary.BigEndian.PutUint32(tmp[:4], s.K)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.N)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.PacketLen)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint64(tmp[:8], s.FileLen)
-	dst = append(dst, tmp[:8]...)
-	binary.BigEndian.PutUint64(tmp[:8], uint64(s.Seed))
-	dst = append(dst, tmp[:8]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.BaseRate)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.SPInterval)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint64(tmp[:8], s.FileHash)
-	dst = append(dst, tmp[:8]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.InterleaveK)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.Phase)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.LTCMicro)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.LTDeltaMicro)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.RaptorS)
-	dst = append(dst, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], s.RaptorMaxD)
-	dst = append(dst, tmp[:4]...)
-	dst = append(dst, s.Digest[:]...)
-	return dst
-}
-
-// Marshal encodes the session info control message into a fresh slice.
-func (s SessionInfo) Marshal() []byte {
-	return s.Append(make([]byte, 0, sessionInfoLen))
+	dst = be.AppendUint32(dst, s.K)
+	dst = be.AppendUint32(dst, s.N)
+	dst = be.AppendUint32(dst, s.PacketLen)
+	dst = be.AppendUint64(dst, s.FileLen)
+	dst = be.AppendUint64(dst, uint64(s.Seed))
+	dst = be.AppendUint32(dst, s.BaseRate)
+	dst = be.AppendUint32(dst, s.SPInterval)
+	dst = be.AppendUint64(dst, s.FileHash)
+	dst = be.AppendUint32(dst, s.InterleaveK)
+	dst = be.AppendUint32(dst, s.Phase)
+	dst = be.AppendUint32(dst, s.LTCMicro)
+	dst = be.AppendUint32(dst, s.LTDeltaMicro)
+	dst = be.AppendUint32(dst, s.RaptorS)
+	dst = be.AppendUint32(dst, s.RaptorMaxD)
+	return append(dst, s.Digest[:]...)
 }
 
 // ParseSessionInfo decodes a session info message.
@@ -387,27 +346,27 @@ func ParseSessionInfo(buf []byte) (SessionInfo, error) {
 	if buf[0] != controlMag0 || buf[1] != controlMag1 || buf[2] != msgSession {
 		return SessionInfo{}, errors.New("proto: not a session info message")
 	}
-	s := SessionInfo{
-		Session:    binary.BigEndian.Uint16(buf[3:5]),
-		Codec:      buf[5],
-		Layers:     buf[6],
-		K:          binary.BigEndian.Uint32(buf[7:11]),
-		N:          binary.BigEndian.Uint32(buf[11:15]),
-		PacketLen:  binary.BigEndian.Uint32(buf[15:19]),
-		FileLen:    binary.BigEndian.Uint64(buf[19:27]),
-		Seed:       int64(binary.BigEndian.Uint64(buf[27:35])),
-		BaseRate:   binary.BigEndian.Uint32(buf[35:39]),
-		SPInterval: binary.BigEndian.Uint32(buf[39:43]),
-		FileHash:   binary.BigEndian.Uint64(buf[43:51]),
-	}
-	s.InterleaveK = binary.BigEndian.Uint32(buf[51:55])
-	s.Phase = binary.BigEndian.Uint32(buf[55:59])
-	s.LTCMicro = binary.BigEndian.Uint32(buf[59:63])
-	s.LTDeltaMicro = binary.BigEndian.Uint32(buf[63:67])
-	s.RaptorS = binary.BigEndian.Uint32(buf[67:71])
-	s.RaptorMaxD = binary.BigEndian.Uint32(buf[71:75])
-	copy(s.Digest[:], buf[75:107])
-	return s, nil
+	be := binary.BigEndian
+	return SessionInfo{
+		Session:      be.Uint16(buf[3:5]),
+		Codec:        buf[5],
+		Layers:       buf[6],
+		K:            be.Uint32(buf[7:11]),
+		N:            be.Uint32(buf[11:15]),
+		PacketLen:    be.Uint32(buf[15:19]),
+		FileLen:      be.Uint64(buf[19:27]),
+		Seed:         int64(be.Uint64(buf[27:35])),
+		BaseRate:     be.Uint32(buf[35:39]),
+		SPInterval:   be.Uint32(buf[39:43]),
+		FileHash:     be.Uint64(buf[43:51]),
+		InterleaveK:  be.Uint32(buf[51:55]),
+		Phase:        be.Uint32(buf[55:59]),
+		LTCMicro:     be.Uint32(buf[59:63]),
+		LTDeltaMicro: be.Uint32(buf[63:67]),
+		RaptorS:      be.Uint32(buf[67:71]),
+		RaptorMaxD:   be.Uint32(buf[71:75]),
+		Digest:       [32]byte(buf[75:107]),
+	}, nil
 }
 
 // StatsSnapshot is the control-plane observability answer: a fixed-length
@@ -447,9 +406,6 @@ func AppendStatsRequest(dst []byte) []byte {
 	return append(dst, controlMag0, controlMag1, msgStatsReq)
 }
 
-// MarshalStatsRequest encodes a stats request into a fresh slice.
-func MarshalStatsRequest() []byte { return AppendStatsRequest(nil) }
-
 // IsStatsRequest reports whether buf is a stats request.
 func IsStatsRequest(buf []byte) bool {
 	return len(buf) >= 3 && buf[0] == controlMag0 && buf[1] == controlMag1 && buf[2] == msgStatsReq
@@ -458,15 +414,8 @@ func IsStatsRequest(buf []byte) bool {
 // Append appends the stats message encoding to dst.
 func (s StatsSnapshot) Append(dst []byte) []byte {
 	dst = append(dst, controlMag0, controlMag1, msgStats)
-	var tmp [8]byte
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(tmp[:4], v)
-		dst = append(dst, tmp[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.BigEndian.PutUint64(tmp[:8], v)
-		dst = append(dst, tmp[:8]...)
-	}
+	put32 := func(v uint32) { dst = binary.BigEndian.AppendUint32(dst, v) }
+	put64 := func(v uint64) { dst = binary.BigEndian.AppendUint64(dst, v) }
 	put32(s.Sessions)
 	put32(s.Shards)
 	put64(s.PacketsSent)
@@ -486,11 +435,6 @@ func (s StatsSnapshot) Append(dst []byte) []byte {
 	put64(s.TxPackets)
 	put64(s.TxBytes)
 	return dst
-}
-
-// Marshal encodes the stats message into a fresh slice.
-func (s StatsSnapshot) Marshal() []byte {
-	return s.Append(make([]byte, 0, statsLen))
 }
 
 // ParseStats decodes a stats message.

@@ -56,7 +56,7 @@ func TestSessionInfoRoundTrip(t *testing.T) {
 			BaseRate: rate, SPInterval: spi, FileHash: hash,
 			InterleaveK: k % 97, Phase: phase,
 		}
-		got, err := ParseSessionInfo(s.Marshal())
+		got, err := ParseSessionInfo(s.Append(nil))
 		return err == nil && got == s
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
@@ -68,7 +68,7 @@ func TestParseSessionInfoErrors(t *testing.T) {
 	if _, err := ParseSessionInfo(make([]byte, 10)); err == nil {
 		t.Fatal("short buffer accepted")
 	}
-	good := SessionInfo{}.Marshal()
+	good := SessionInfo{}.Append(nil)
 	good[0] = 0x00
 	if _, err := ParseSessionInfo(good); err == nil {
 		t.Fatal("bad magic accepted")
@@ -76,10 +76,10 @@ func TestParseSessionInfoErrors(t *testing.T) {
 }
 
 func TestHello(t *testing.T) {
-	if !IsHello(MarshalHello()) {
+	if !IsHello(AppendHello(nil)) {
 		t.Fatal("hello does not parse")
 	}
-	if IsHello([]byte{1, 2}) || IsHello(SessionInfo{}.Marshal()) {
+	if IsHello([]byte{1, 2}) || IsHello(SessionInfo{}.Append(nil)) {
 		t.Fatal("false positive hello")
 	}
 }
@@ -98,11 +98,11 @@ func TestFNV64a(t *testing.T) {
 }
 
 func TestHelloForSession(t *testing.T) {
-	bare := MarshalHello()
+	bare := AppendHello(nil)
 	if id, specific, ok := HelloSession(bare); !ok || specific || id != 0 {
 		t.Fatalf("bare hello parsed as (%v, %v, %v)", id, specific, ok)
 	}
-	h := MarshalHelloFor(0xDF98)
+	h := AppendHelloFor(nil, 0xDF98)
 	if !IsHello(h) {
 		t.Fatal("hello-for not recognized as hello")
 	}
@@ -116,11 +116,11 @@ func TestHelloForSession(t *testing.T) {
 }
 
 func TestCatalogRoundTrip(t *testing.T) {
-	req := MarshalCatalogRequest()
+	req := AppendCatalogRequest(nil)
 	if !IsCatalogRequest(req) {
 		t.Fatal("request not recognized")
 	}
-	if IsCatalogRequest(MarshalHello()) || IsHello(req) {
+	if IsCatalogRequest(AppendHello(nil)) || IsHello(req) {
 		t.Fatal("hello/catalog confusion")
 	}
 	infos := []SessionInfo{
@@ -129,7 +129,7 @@ func TestCatalogRoundTrip(t *testing.T) {
 		{Session: 2, Codec: CodecInterleaved, Layers: 1, K: 400, N: 800, PacketLen: 512,
 			FileLen: 200_000, Seed: -7, BaseRate: 512, SPInterval: 8, FileHash: 0xCD, InterleaveK: 50},
 	}
-	got, err := ParseCatalog(MarshalCatalog(infos))
+	got, err := ParseCatalog(AppendCatalog(nil, infos))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,10 @@ func TestCatalogRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d: got %+v want %+v", i, got[i], infos[i])
 		}
 	}
-	if empty, err := ParseCatalog(MarshalCatalog(nil)); err != nil || len(empty) != 0 {
+	if empty, err := ParseCatalog(AppendCatalog(nil, nil)); err != nil || len(empty) != 0 {
 		t.Fatalf("empty catalog: %v %v", empty, err)
 	}
-	if _, err := ParseCatalog(MarshalCatalog(infos)[:20]); err == nil {
+	if _, err := ParseCatalog(AppendCatalog(nil, infos)[:20]); err == nil {
 		t.Fatal("truncated catalog parsed")
 	}
 	if _, err := ParseCatalog([]byte("junk")); err == nil {
@@ -157,7 +157,7 @@ func TestCatalogClampedToDatagram(t *testing.T) {
 	for i := range infos {
 		infos[i] = SessionInfo{Session: uint16(i), K: 1, N: 2, PacketLen: 16}
 	}
-	msg := MarshalCatalog(infos)
+	msg := AppendCatalog(nil, infos)
 	if len(msg) > 65507 {
 		t.Fatalf("catalog datagram %d bytes exceeds UDP payload limit", len(msg))
 	}
@@ -183,7 +183,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		CacheHits: 4800, CacheMisses: 200, CacheEvictions: 17,
 		Subscribers: 250_000, TxPackets: 1 << 40, TxBytes: 1 << 50,
 	}
-	buf := want.Marshal()
+	buf := want.Append(nil)
 	if len(buf) != statsLen {
 		t.Fatalf("stats message is %d bytes, want %d", len(buf), statsLen)
 	}
@@ -197,17 +197,17 @@ func TestStatsRoundTrip(t *testing.T) {
 	if _, err := ParseStats(buf[:statsLen-1]); err == nil {
 		t.Fatal("truncated stats message accepted")
 	}
-	if _, err := ParseStats(MarshalHello()); err == nil {
+	if _, err := ParseStats(AppendHello(nil)); err == nil {
 		t.Fatal("hello parsed as stats message")
 	}
 }
 
 func TestStatsRequest(t *testing.T) {
-	req := MarshalStatsRequest()
+	req := AppendStatsRequest(nil)
 	if !IsStatsRequest(req) {
 		t.Fatal("request does not self-identify")
 	}
-	if IsStatsRequest(MarshalHello()) || IsStatsRequest(MarshalCatalogRequest()) {
+	if IsStatsRequest(AppendHello(nil)) || IsStatsRequest(AppendCatalogRequest(nil)) {
 		t.Fatal("other control messages identified as stats requests")
 	}
 	if IsHello(req) || IsCatalogRequest(req) {
@@ -219,17 +219,17 @@ func TestStatsRequest(t *testing.T) {
 }
 
 func TestNakRoundTrip(t *testing.T) {
-	id, ok := ParseNak(MarshalNak(0xDF99))
+	id, ok := ParseNak(AppendNak(nil, 0xDF99))
 	if !ok || id != 0xDF99 {
 		t.Fatalf("nak parsed as (%#x, %v)", id, ok)
 	}
-	if _, ok := ParseNak(MarshalHello()); ok {
+	if _, ok := ParseNak(AppendHello(nil)); ok {
 		t.Fatal("hello parsed as nak")
 	}
 	if _, ok := ParseNak([]byte("x")); ok {
 		t.Fatal("garbage parsed as nak")
 	}
-	if IsHello(MarshalNak(1)) || IsCatalogRequest(MarshalNak(1)) {
+	if IsHello(AppendNak(nil, 1)) || IsCatalogRequest(AppendNak(nil, 1)) {
 		t.Fatal("nak confused with requests")
 	}
 }

@@ -102,7 +102,7 @@ func TestDrainGraceful(t *testing.T) {
 	if _, ok := svc.Lookup(1); !ok {
 		t.Fatal("drained service lost its registry")
 	}
-	if reply := svc.HandleControl(proto.MarshalHelloFor(1)); reply == nil {
+	if reply := svc.HandleControl(proto.AppendHelloFor(nil, 1)); reply == nil {
 		t.Fatal("drained service stopped answering control probes")
 	}
 }

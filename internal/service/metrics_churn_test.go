@@ -113,7 +113,7 @@ func TestMetricsConsistentUnderChurn(t *testing.T) {
 		defer wg.Done()
 		var last proto.StatsSnapshot
 		for !stop.Load() {
-			snap, err := proto.ParseStats(svc.HandleControl(proto.MarshalStatsRequest()))
+			snap, err := proto.ParseStats(svc.HandleControl(proto.AppendStatsRequest(nil)))
 			if err != nil {
 				report("control stats unparseable: " + err.Error())
 				return
@@ -163,7 +163,7 @@ func TestMetricsConsistentUnderChurn(t *testing.T) {
 	if !st.Draining {
 		t.Fatal("Stats does not report the drain")
 	}
-	snap, err := proto.ParseStats(svc.HandleControl(proto.MarshalStatsRequest()))
+	snap, err := proto.ParseStats(svc.HandleControl(proto.AppendStatsRequest(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -417,22 +417,22 @@ func (s *Service) Catalog() []proto.SessionInfo {
 // dead server.
 func (s *Service) HandleControl(req []byte) []byte {
 	if proto.IsCatalogRequest(req) {
-		return proto.MarshalCatalog(s.Catalog())
+		return proto.AppendCatalog(nil, s.Catalog())
 	}
 	if proto.IsStatsRequest(req) {
-		return s.StatsSnapshot().Marshal()
+		return s.StatsSnapshot().Append(nil)
 	}
 	if id, specific, ok := proto.HelloSession(req); ok {
 		if specific {
 			if info, found := s.Lookup(id); found {
-				return info.Marshal()
+				return info.Append(nil)
 			}
-			return proto.MarshalNak(id)
+			return proto.AppendNak(nil, id)
 		}
 		if cat := s.Catalog(); len(cat) > 0 {
-			return cat[0].Marshal()
+			return cat[0].Append(nil)
 		}
-		return proto.MarshalNak(transport.SessionAny)
+		return proto.AppendNak(nil, transport.SessionAny)
 	}
 	return nil
 }

@@ -71,7 +71,7 @@ func TestServiceSoak(t *testing.T) {
 	}
 	defer stopCtrl()
 
-	reply, err := transport.RequestSessionInfo(ctrl, proto.MarshalCatalogRequest(), 5*time.Second)
+	reply, err := transport.RequestSessionInfo(ctrl, proto.AppendCatalogRequest(nil), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestHandleControl(t *testing.T) {
 	rec := &recorder{}
 	svc := New(rec, Config{})
 	defer svc.Close()
-	if id, nak := proto.ParseNak(svc.HandleControl(proto.MarshalHello())); !nak || id != transport.SessionAny {
+	if id, nak := proto.ParseNak(svc.HandleControl(proto.AppendHello(nil))); !nak || id != transport.SessionAny {
 		t.Fatal("empty service must NAK a bare hello")
 	}
 	for id := uint16(3); id >= 1; id-- { // insert descending: catalog must sort
@@ -280,24 +280,24 @@ func TestHandleControl(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cat, err := proto.ParseCatalog(svc.HandleControl(proto.MarshalCatalogRequest()))
+	cat, err := proto.ParseCatalog(svc.HandleControl(proto.AppendCatalogRequest(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cat) != 3 || cat[0].Session != 1 || cat[2].Session != 3 {
 		t.Fatalf("catalog wrong: %+v", cat)
 	}
-	info, err := proto.ParseSessionInfo(svc.HandleControl(proto.MarshalHelloFor(2)))
+	info, err := proto.ParseSessionInfo(svc.HandleControl(proto.AppendHelloFor(nil, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Session != 2 {
 		t.Fatalf("hello-for-2 answered session %#x", info.Session)
 	}
-	if id, nak := proto.ParseNak(svc.HandleControl(proto.MarshalHelloFor(99))); !nak || id != 99 {
+	if id, nak := proto.ParseNak(svc.HandleControl(proto.AppendHelloFor(nil, 99))); !nak || id != 99 {
 		t.Fatal("unknown session must be NAKed with its id")
 	}
-	info, err = proto.ParseSessionInfo(svc.HandleControl(proto.MarshalHello()))
+	info, err = proto.ParseSessionInfo(svc.HandleControl(proto.AppendHello(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestCatalogCarriesPhases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cat, err := proto.ParseCatalog(svc.HandleControl(proto.MarshalCatalogRequest()))
+	cat, err := proto.ParseCatalog(svc.HandleControl(proto.AppendCatalogRequest(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,7 +246,7 @@ func TestRequestSessionInfoRetry(t *testing.T) {
 	policy := RetryPolicy{Attempts: 3, Timeout: 50 * time.Millisecond,
 		Backoff: 10 * time.Millisecond, MaxBackoff: 20 * time.Millisecond, Seed: 1}
 	start := time.Now()
-	if _, err := RequestSessionInfoRetry(dead, proto.MarshalHello(), policy); err == nil {
+	if _, err := RequestSessionInfoRetry(dead, proto.AppendHello(nil), policy); err == nil {
 		t.Fatal("request against a dead port succeeded")
 	} else if want := "after 3 attempts"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name the attempt bound", err)
@@ -258,7 +258,7 @@ func TestRequestSessionInfoRetry(t *testing.T) {
 	// A control server that stays silent for the first two requests —
 	// the restarting mirror — must be reached by a later attempt.
 	var calls atomic.Int32
-	reply := proto.SessionInfo{Session: 7, K: 10, N: 20, PacketLen: 32}.Marshal()
+	reply := proto.SessionInfo{Session: 7, K: 10, N: 20, PacketLen: 32}.Append(nil)
 	addr, stop, err := ServeControlFunc("127.0.0.1:0", func(req []byte) []byte {
 		if calls.Add(1) <= 2 {
 			return nil // silence: the request times out
@@ -269,7 +269,7 @@ func TestRequestSessionInfoRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	got, err := RequestSessionInfoRetry(addr, proto.MarshalHelloFor(7), policy)
+	got, err := RequestSessionInfoRetry(addr, proto.AppendHelloFor(nil, 7), policy)
 	if err != nil {
 		t.Fatalf("retry never reached the recovered control plane: %v", err)
 	}
