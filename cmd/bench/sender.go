@@ -38,11 +38,19 @@ const allocGate = 0.01
 // traceOffFloor is the fraction of the plain scheduler's throughput the
 // scheduler must retain with a flight recorder attached but disabled — the
 // "one predictable branch per site" claim as a hard gate rather than a
-// comment. The floor is deliberately loose (the real cost is ~0) because
-// two separate one-second windows on a shared CI box can diverge that much
-// on their own; it exists to catch a recorder that grew a lock or a
-// per-packet allocation, not to resolve single percents.
+// comment. The floor is deliberately loose (the real cost is ~0): it exists
+// to catch a recorder that grew a lock or a per-packet allocation, not to
+// resolve single percents. What it compares is each row's best of
+// senderRounds interleaved windows — on a shared box a single window lands
+// in a slow second often enough (one run in four: 6.5 M against 21 M
+// pkts/s, in either direction) that comparing one against one failed runs
+// no recorder change had touched.
 const traceOffFloor = 0.60
+
+// senderRounds is how many times the three recorder modes are measured, in
+// turn, at each session count; a row reports its best window's throughput
+// and its worst window's allocations.
+const senderRounds = 3
 
 // saturationRate is a per-session base rate far beyond what any mode can
 // emit, so pacing never idles and the measurement is pure send-path
@@ -226,12 +234,24 @@ func benchScheduler(sessions []*core.Session, warmup, window time.Duration, tm t
 	return res, nil
 }
 
+// bestWindow folds one more window into a row: the faster window's
+// throughput stands (noise only ever slows a window down), but the worse
+// allocation figures of the two do, so the alloc gate sees every window.
+func bestWindow(row, w senderResult) senderResult {
+	if row.PacketsPerSec > w.PacketsPerSec {
+		row, w = w, row
+	}
+	w.AllocsPerPacket = max(w.AllocsPerPacket, row.AllocsPerPacket)
+	w.AllocBytesPerPacket = max(w.AllocBytesPerPacket, row.AllocBytesPerPacket)
+	return w
+}
+
 // runSenderSuite executes the full suite and writes the JSON report. It
 // exits nonzero when the scheduler's steady-state emission allocates.
 func runSenderSuite(out string, pl int) {
 	const (
 		warmup = 250 * time.Millisecond
-		window = time.Second
+		window = 400 * time.Millisecond
 	)
 	rep := senderReport{
 		GOOS:       runtime.GOOS,
@@ -247,15 +267,20 @@ func runSenderSuite(out string, pl int) {
 			fmt.Fprintf(os.Stderr, "bench: sender sessions: %v\n", err)
 			os.Exit(1)
 		}
-		for _, tm := range []traceMode{traceNone, traceOff, traceOn} {
-			runtime.GC()
-			schedRes, err := benchScheduler(sessions, warmup, window, tm)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench: sender scheduler: %v\n", err)
-				os.Exit(1)
+		modes := []traceMode{traceNone, traceOff, traceOn}
+		rows := make([]senderResult, len(modes))
+		for round := 0; round < senderRounds; round++ {
+			for i, tm := range modes {
+				runtime.GC()
+				schedRes, err := benchScheduler(sessions, warmup, window, tm)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "bench: sender scheduler: %v\n", err)
+					os.Exit(1)
+				}
+				rows[i] = bestWindow(rows[i], schedRes)
 			}
-			rep.Results = append(rep.Results, schedRes)
 		}
+		rep.Results = append(rep.Results, rows...)
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")

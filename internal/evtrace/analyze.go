@@ -101,7 +101,10 @@ type ReceiverStats struct {
 	DoneTS    int64
 	// RoundsAtDone[src] counts that mirror's EvRound events preceding this
 	// receiver's EvDone in stream order — the trace twin of the harness's
-	// doneRounds snapshot.
+	// doneRounds snapshot. Exact where each round is flushed before the next
+	// begins (Service.EmitRound, the harness); the paced scheduler begins
+	// every round a pop owes before the batch carrying them leaves, so on
+	// its streams this reads up to one burst bound high.
 	RoundsAtDone map[uint16]uint64
 
 	// Release latency: intake→release per released symbol, measurable when

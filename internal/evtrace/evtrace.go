@@ -45,9 +45,9 @@ const (
 	// EvSlotScheduled: the pacing scheduler (re)armed a session's next
 	// emission deadline. A = deadline in ns on the scheduler's epoch clock.
 	EvSlotScheduled
-	// EvSlotFired: a due slot was popped and its round is about to emit.
-	// A = scheduled deadline ns, B = actual pop time ns (same epoch clock);
-	// B-A is the pacing jitter the slot experienced.
+	// EvSlotFired: a due slot was popped and the rounds it owes are about
+	// to emit. A = oldest unserved deadline ns, B = actual pop time ns (same
+	// epoch clock); B-A is the pacing jitter the slot experienced.
 	EvSlotFired
 	// EvRound: a carousel round began emitting (service send path).
 	// A = round number, B = packets emitted by this carousel so far.

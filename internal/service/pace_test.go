@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -81,6 +82,117 @@ func TestPaceEffectiveRate(t *testing.T) {
 		want := float64(perRound) * 1e9 / float64(interval)
 		if eff != want {
 			t.Fatalf("layers=%d: effective %.9f, want %.9f", layers, eff, want)
+		}
+	}
+}
+
+// TestOwed: the token-bucket arithmetic of one pop, case by case.
+func TestOwed(t *testing.T) {
+	const iv = 50 * time.Microsecond
+	for _, tc := range []struct {
+		name      string
+		next, now time.Duration
+		interval  time.Duration
+		bound     int
+		rounds    int
+		newNext   time.Duration
+		dropped   bool
+	}{
+		{"before the deadline", 100 * iv, 100*iv - 1, iv, 64, 0, 100 * iv, false},
+		{"on the deadline", 100 * iv, 100 * iv, iv, 64, 1, 101 * iv, false},
+		{"just short of the second", 100 * iv, 101*iv - 1, iv, 64, 1, 101 * iv, false},
+		{"a late wake", 100 * iv, 100*iv + 900*time.Microsecond, iv, 64, 19, 119 * iv, false},
+		{"exactly the bound", 0, 63 * iv, iv, 64, 64, 64 * iv, false},
+		{"one over the bound", 0, 64 * iv, iv, 64, 64, 65 * iv, true},
+		{"a 50 ms stall", 0, 50 * time.Millisecond, iv, 64, 64, 1001 * iv, true},
+		{"a one-round bucket", 7 * iv, 10*iv + 1, iv, 1, 1, 11 * iv, true},
+		{"the 1 ns floor", 5, 1_000_000, 1, 64, 64, 1_000_001, true},
+	} {
+		rounds, next, dropped := owed(tc.next, tc.now, tc.interval, tc.bound)
+		if rounds != tc.rounds || next != tc.newNext || dropped != tc.dropped {
+			t.Errorf("%s: owed = (%d, %v, %v), want (%d, %v, %v)", tc.name,
+				rounds, next, dropped, tc.rounds, tc.newNext, tc.dropped)
+		}
+	}
+}
+
+// TestOwedTokenBucket: over a long run of randomly late wakes, a session
+// is never served before a deadline, never more than the bound per pop, and
+// in total never more than elapsed/interval + bound rounds (the bucket's
+// ceiling); while no wake is later than the bucket is deep nothing is
+// dropped and the total is at least elapsed/interval - 1 (the rate is
+// reached); and whatever a too-late wake leaves unserved is exactly what it
+// dropped.
+func TestOwedTokenBucket(t *testing.T) {
+	const iv, bound = 50 * time.Microsecond, 64
+	for _, tc := range []struct {
+		name    string
+		maxLate time.Duration // wakes land up to this long after the deadline
+		lossy   bool
+	}{
+		{"timer granularity", 900 * time.Microsecond, false},
+		{"as deep as the bucket", (bound - 1) * iv, false},
+		{"stalls past the bucket", 20 * time.Millisecond, true},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		var now, next time.Duration
+		emitted, due, drops := int64(0), int64(0), 0
+		for pops := 0; pops < 20_000; pops++ {
+			now = max(now, next) + time.Duration(rng.Int63n(int64(tc.maxLate)+1))
+			rounds, newNext, dropped := owed(next, now, iv, bound)
+			if rounds < 1 || rounds > bound {
+				t.Fatalf("%s: a due pop emits %d rounds, bound %d", tc.name, rounds, bound)
+			}
+			if newNext <= now || newNext > now+iv {
+				t.Fatalf("%s: new deadline %v not within one interval after now %v", tc.name, newNext, now)
+			}
+			// Served or dropped, every deadline up to now is accounted for.
+			skipped := int64((newNext-next)/iv) - int64(rounds)
+			if (skipped > 0) != dropped || skipped < 0 {
+				t.Fatalf("%s: skipped %d deadlines, dropped = %v", tc.name, skipped, dropped)
+			}
+			if dropped {
+				drops++
+			}
+			emitted, due, next = emitted+int64(rounds), int64(now/iv)+1, newNext
+			if emitted > due+bound {
+				t.Fatalf("%s: %d rounds by %v, over the ceiling %d", tc.name, emitted, now, due+bound)
+			}
+			if !tc.lossy && emitted < due-1 {
+				t.Fatalf("%s: %d rounds by %v, under the rate (%d due)", tc.name, emitted, now, due)
+			}
+		}
+		if tc.lossy == (drops == 0) {
+			t.Fatalf("%s: %d pops dropped debt", tc.name, drops)
+		}
+	}
+}
+
+// TestBurstRounds: the packet bound converts to whole rounds of the
+// session at the carousel's own round size.
+func TestBurstRounds(t *testing.T) {
+	for _, tc := range []struct {
+		codec  uint8
+		layers int
+	}{
+		{proto.CodecTornadoA, 1}, {proto.CodecTornadoA, 4}, {proto.CodecLT, 1}, {proto.CodecLT, 4},
+	} {
+		cfg := sessionConfig(tc.codec, 1, 1)
+		cfg.Layers = tc.layers
+		sess, err := core.NewSession(randBytes(1, 15_000), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		car := core.NewCarousel(sess)
+		if err := car.NextRound(func(int, []byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if _, all := roundSize(sess); all != car.Sent() {
+			t.Errorf("codec %d layers %d: roundSize says %d packets a round, the carousel sent %d",
+				tc.codec, tc.layers, all, car.Sent())
+		}
+		if got, want := burstRounds(sess), max(1, maxBurst/car.Sent()); got != want {
+			t.Errorf("codec %d layers %d: burstRounds = %d, want %d", tc.codec, tc.layers, got, want)
 		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 
 // The pacing scheduler: every paced session is an emission event on a
 // min-heap keyed by its next deadline on a monotonic clock, and a fixed
-// set of shard workers (GOMAXPROCS by default) pops due events, emits one
-// carousel round each through pooled buffers and per-layer batches, and
-// pushes the event back at deadline + interval. Registering 1 or 10,000
-// sessions costs the same goroutine count; per-session cost is one heap
-// entry.
+// set of shard workers (GOMAXPROCS by default) pops due events, emits
+// every carousel round the session is owed (a token bucket, see emitDue)
+// through pooled buffers and per-layer batches, and pushes the event back
+// at its next unserved deadline. Registering 1 or 10,000 sessions costs
+// the same goroutine count; per-session cost is one heap entry.
 //
 // Emission content and order per (session, layer) are exactly the
 // carousel's — the scheduler only decides *when* a session's next round
@@ -27,6 +27,7 @@ type schedEvent struct {
 	e        *entry
 	next     time.Duration // deadline, relative to the scheduler epoch
 	interval time.Duration // carousel round spacing (PaceInterval)
+	burst    int           // most rounds one pop emits (burstRounds)
 	shard    *shard
 	removed  bool // guarded by shard.mu; a removed event is never re-pushed
 }
@@ -72,7 +73,7 @@ func newScheduler(svc *Service, ctx context.Context, shards int) *scheduler {
 func (sc *scheduler) add(e *entry, interval time.Duration) {
 	sh := sc.shards[sc.nextSh%len(sc.shards)]
 	sc.nextSh++
-	ev := &schedEvent{e: e, next: time.Since(sc.epoch), interval: interval, shard: sh}
+	ev := &schedEvent{e: e, next: time.Since(sc.epoch), interval: interval, burst: burstRounds(e.sess), shard: sh}
 	e.ev = ev
 	if sh.tr.On() {
 		sh.tr.Emit(evtrace.EvSlotScheduled, e.sess.Config().Session, sc.svc.cfg.TraceID, 0, 0,
@@ -111,7 +112,7 @@ func (sh *shard) wake() {
 }
 
 // run is the shard worker: sleep until the earliest deadline (or a heap
-// change), emit that session's round, reschedule it. Steady-state
+// change), emit that session's owed rounds, reschedule it. Steady-state
 // emission — heap ops, pooled packet building, batched sends — allocates
 // nothing.
 func (sh *shard) run(ctx context.Context) {
@@ -173,51 +174,42 @@ func (sh *shard) run(ctx context.Context) {
 	}
 }
 
-// maxRoundsPerPop caps how many catch-up rounds one pop may emit when the
-// session is behind schedule. Batching a few rounds per pop amortizes the
-// heap, clock and lock costs and reuses the session's encoding while it
-// is cache-hot; the cap keeps co-scheduled sessions fair.
-const maxRoundsPerPop = 4
-
-// emitDue emits the event's due round — plus the back-to-back burst round
-// of §7.1.1 when the next round is a burst, plus up to maxRoundsPerPop-1
-// catch-up rounds while the session remains behind schedule — under the
-// entry's emit lock so Remove can wait out in-flight rounds. It advances
-// ev.next past now (dropping any remaining debt, the analogue of a ticker
-// dropping missed ticks).
+// emitDue serves the event's token bucket (see owed and maxBurst): every
+// round that fell due since the last pop, up to the session's burst bound —
+// each with the back-to-back burst round of §7.1.1 when the next round is
+// one — goes out as one flush, and debt beyond the bound is dropped and
+// counted. It all happens under the entry's emit lock, flush included, so
+// once Remove has taken that lock no packet of the session is still
+// batched: batching is per event, never across sessions.
 func (sh *shard) emitDue(ev *schedEvent, em *emitter) {
 	e := ev.e
 	e.emitMu.Lock()
 	defer e.emitMu.Unlock()
+	now := time.Since(sh.epoch)
 	if sh.tr.On() {
 		// Pacing jitter: the deadline the slot was armed for vs. when the
 		// worker actually popped it.
 		sh.tr.Emit(evtrace.EvSlotFired, e.sess.Config().Session, sh.svc.cfg.TraceID, 0, 0,
-			uint64(ev.next), uint64(time.Since(sh.epoch)))
+			uint64(ev.next), uint64(now))
 	}
-	for rounds := 0; ; {
-		if e.stopped {
-			return
-		}
-		if rounds > 0 {
-			sh.svc.catchupRounds.Inc()
-		}
-		em.emitRound(e.car)
+	if e.stopped {
+		return
+	}
+	rounds, next, dropped := owed(ev.next, now, ev.interval, ev.burst)
+	ev.next = next
+	if dropped {
+		sh.svc.debtDropped.Inc()
+	}
+	if rounds > 1 {
+		sh.svc.catchupRounds.Add(uint64(rounds - 1))
+	}
+	for ; rounds > 0; rounds-- {
+		em.round(e.car)
 		if e.car.BurstNext() {
-			em.emitRound(e.car)
-		}
-		rounds++
-		ev.next += ev.interval
-		now := time.Since(sh.epoch)
-		if ev.next > now {
-			return
-		}
-		if rounds >= maxRoundsPerPop {
-			sh.svc.debtDropped.Inc()
-			ev.next = now // drop the rest of the debt
-			return
+			em.round(e.car)
 		}
 	}
+	em.flush()
 }
 
 // push inserts ev into the deadline heap; callers hold sh.mu.
@@ -337,22 +329,31 @@ func (em *emitter) flush() {
 	em.batch = em.batch[:0]
 }
 
-// emitRound emits one full carousel round through the emitter. The
-// carousel can only fail on emit errors, and Emit never fails, so the
-// round always completes; sends themselves are counted (and their errors
-// swallowed) by Service.sendBatch.
+// round runs one full carousel round into the emitter without flushing
+// its tail, so a pop's consecutive rounds share batches. The carousel can
+// only fail on emit errors, and Emit never fails, so the round always
+// completes; sends themselves are counted (and their errors swallowed) by
+// Service.sendBatch.
 // The EvRound event fires at the start, before NextRoundTo advances the
 // carousel's round counter: a trace consumer counting EvRound events per
 // source therefore sees exactly Carousel.Rounds() at any downstream event
 // of the same stream — including a receiver's completion mid-round, which
-// is when the harness snapshots its rounds-to-decode.
-func (em *emitter) emitRound(car *core.Carousel) {
+// is when the harness snapshots its rounds-to-decode. On the paced path
+// several EvRound events may precede the EvTxBatch that carries their
+// packets; only emitRound (the manual path) keeps round and batch 1:1.
+func (em *emitter) round(car *core.Carousel) {
 	if em.tr.On() {
 		em.sess = car.Session().Config().Session
 		em.tr.Emit(evtrace.EvRound, em.sess, em.svc.cfg.TraceID, 0, 0,
 			uint64(car.Rounds()), uint64(car.Sent()))
 	}
 	_ = car.NextRoundTo(em)
-	em.flush()
 	em.svc.rounds.Inc()
+}
+
+// emitRound is one round, flushed: Service.EmitRound's unit, so the
+// virtual-time harness sees every round's packets before the next begins.
+func (em *emitter) emitRound(car *core.Carousel) {
+	em.round(car)
+	em.flush()
 }

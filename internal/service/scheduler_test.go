@@ -397,3 +397,148 @@ func TestManySessionsShareShards(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// paceSink records the size of every batch it is handed, retains nothing,
+// and can block one SendBatch — a stalled transport — on request.
+type paceSink struct {
+	mu      sync.Mutex
+	sizes   []int         // packets of each SendBatch, in arrival order
+	packets int           // their sum
+	stall   time.Duration // the next SendBatch blocks this long, once
+	stalled int           // index in sizes of the batch that blocked
+}
+
+func (p *paceSink) Send(layer int, pkt []byte) error { return p.SendBatch(layer, [][]byte{pkt}) }
+
+func (p *paceSink) SendBatch(layer int, pkts [][]byte) error {
+	p.mu.Lock()
+	d := p.stall
+	if d > 0 {
+		p.stall, p.stalled = 0, len(p.sizes)
+	}
+	p.sizes = append(p.sizes, len(pkts))
+	p.packets += len(pkts)
+	p.mu.Unlock()
+	time.Sleep(d)
+	return nil
+}
+
+func (p *paceSink) counts() (packets, batches int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.packets, len(p.sizes)
+}
+
+// pacedRateless puts one single-layer rateless session — one packet per
+// round, the shape the pacer's batching exists for — on a one-shard
+// service over sink and waits for its first packet. SPInterval 16 is the
+// servers' default: one §7.1.1 burst round per 16, so the wire carries
+// 1.0625x the requested base rate.
+func pacedRateless(t *testing.T, sink *paceSink, rate int) *Service {
+	t.Helper()
+	svc := New(sink, Config{Shards: 1})
+	t.Cleanup(svc.Close)
+	cfg := sessionConfig(proto.CodecLT, 0xA1, 11)
+	cfg.Layers, cfg.SPInterval = 1, 16
+	if _, err := svc.AddData(randBytes(11, 100_000), cfg, rate); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if n, _ := sink.counts(); n > 0 {
+			return svc
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("session never emitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// measureRate returns the sink's packet rate and mean batch size over the
+// next d of wall time.
+func measureRate(sink *paceSink, d time.Duration) (pps, perBatch float64) {
+	p0, b0 := sink.counts()
+	t0 := time.Now()
+	time.Sleep(d)
+	p1, b1 := sink.counts()
+	return float64(p1-p0) / time.Since(t0).Seconds(), float64(p1-p0) / float64(max(1, b1-b0))
+}
+
+// TestSchedulerReachesRate: a 20 000 pkts/s session of 1-packet rounds asks
+// for a round every 50 µs, far below what a timer wake can honour, so the
+// rate is only reachable by emitting every owed round per wake — and those
+// rounds must leave as real batches. The parent's 4-rounds-per-pop cap
+// delivered 0.25x in batches of exactly one packet.
+func TestSchedulerReachesRate(t *testing.T) {
+	const rate = 20_000
+	sink := &paceSink{}
+	pacedRateless(t, sink, rate)
+	pps, perBatch := measureRate(sink, 300*time.Millisecond)
+	if pps < 0.7*rate || pps > 1.15*rate {
+		t.Fatalf("paced session ran at %.0f pkts/s, requested %d", pps, rate)
+	}
+	if perBatch <= 2 {
+		t.Fatalf("mean SendBatch carried %.2f packets: owed rounds are not leaving as batches", perBatch)
+	}
+}
+
+// TestSchedulerStallDropsDebt: a transport that blocks for 50 ms leaves a
+// 20 000 pkts/s session 1 000 rounds behind. The pop that follows may make
+// up one burst bound of them — a single batch of maxBurst rounds plus
+// their §7.1.1 burst rounds — the rest is dropped and counted, and the
+// session is back at its requested rate, not above it repaying the stall.
+func TestSchedulerStallDropsDebt(t *testing.T) {
+	const rate = 20_000
+	sink := &paceSink{}
+	svc := pacedRateless(t, sink, rate)
+	dropped := svc.Stats().DebtDropped
+	sink.mu.Lock()
+	sink.stall = 50 * time.Millisecond
+	sink.mu.Unlock()
+
+	catchup := 0
+	for deadline := time.Now().Add(10 * time.Second); catchup == 0; {
+		sink.mu.Lock()
+		if sink.stall == 0 && len(sink.sizes) > sink.stalled+1 {
+			catchup = sink.sizes[sink.stalled+1]
+		}
+		sink.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("no batch followed the stalled one")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if catchup < maxBurst || catchup > maxBurst+maxBurst/16+1 {
+		t.Fatalf("catch-up after a 50 ms stall was a batch of %d packets, want the burst bound %d (+ burst rounds)",
+			catchup, maxBurst)
+	}
+	if got := svc.Stats().DebtDropped; got <= dropped {
+		t.Fatalf("DebtDropped stayed at %d across a stall of 1000 rounds", got)
+	}
+	if pps, _ := measureRate(sink, 200*time.Millisecond); pps < 0.7*rate || pps > 1.15*rate {
+		t.Fatalf("after the stall the session ran at %.0f pkts/s, requested %d", pps, rate)
+	}
+}
+
+// TestRemoveStopsBatchedEmission is TestRemoveStopsEmissionPromptly for
+// the batching pacer: a 1-packet-round session at a rate no shard reaches,
+// so every pop is a full multi-round batch, must not leak one packet of a
+// batch in progress past Remove's return — the flush happens under the
+// lock Remove takes.
+func TestRemoveStopsBatchedEmission(t *testing.T) {
+	sink := &paceSink{}
+	svc := pacedRateless(t, sink, 1<<20)
+	time.Sleep(20 * time.Millisecond)
+	if err := svc.Remove(0xA1); err != nil {
+		t.Fatal(err)
+	}
+	n, batches := sink.counts()
+	if n < 3*batches {
+		t.Fatalf("%d packets in %d batches: the session never batched, the test shows nothing", n, batches)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got, _ := sink.counts(); got != n {
+		t.Fatalf("emission continued after Remove: %d -> %d packets", n, got)
+	}
+}

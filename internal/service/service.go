@@ -84,11 +84,14 @@ type Stats struct {
 	// errored write in a batch — transports isolate errors per subscriber,
 	// so the rest of the fan-out was still attempted.
 	SendErrors uint64
-	// Scheduler health: total carousel rounds emitted, rounds emitted as
-	// catch-up (the session was behind its pacing deadline), and times a
-	// shard dropped remaining pacing debt after hitting the per-pop
-	// catch-up cap. Rising catch-up/debt counts mean the configured rates
-	// exceed what the shards can emit.
+	// Scheduler accounting: total carousel rounds emitted; rounds emitted
+	// beyond the first of their pop — the token bucket working as designed
+	// (a session whose round interval is shorter than a timer wake is
+	// served several owed rounds per wake), not a symptom; and pops that
+	// found a session further behind than its burst bound (maxBurst) and
+	// dropped the excess. DebtDropped alone is the overload signal: when
+	// it rises, the configured rates exceed what the shards or the
+	// transport can emit.
 	RoundsEmitted  uint64
 	CatchupRounds  uint64
 	DebtDropped    uint64
@@ -195,9 +198,9 @@ func (s *Service) registerMetrics(r *metrics.Registry) {
 	r.AddCounter("fountain_sched_rounds_total",
 		"carousel rounds emitted", &s.rounds)
 	r.AddCounter("fountain_sched_catchup_rounds_total",
-		"rounds emitted while behind the pacing deadline", &s.catchupRounds)
+		"owed rounds emitted beyond the first of their pop (normal whenever a round interval is below timer granularity)", &s.catchupRounds)
 	r.AddCounter("fountain_sched_debt_dropped_total",
-		"times a shard dropped pacing debt at the per-pop catch-up cap", &s.debtDropped)
+		"pops that found a session behind by more than its burst bound and dropped the excess: the overload signal", &s.debtDropped)
 	r.GaugeFunc("fountain_sessions", "registered sessions", func() float64 {
 		s.mu.Lock()
 		n := len(s.sessions)

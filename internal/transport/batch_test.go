@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"net/netip"
 	"testing"
 	"time"
@@ -92,6 +93,43 @@ func TestSendFanoutBufferIdentity(t *testing.T) {
 		if w.head != &want[0] || w.n != len(want) {
 			t.Fatalf("SendBatch write %d used a different buffer (copied or re-encoded)", wi)
 		}
+	}
+}
+
+// TestSendBatchZeroAlloc: a multi-packet batch to one IPv4 subscriber — the
+// sendmmsg path every paced pop now takes — must not allocate: the
+// sockaddr/iovec/mmsghdr arrays and the RawConn callback live in the
+// server's reusable sendState, not in writeBatchTo's frame (from where they
+// escaped, ~5 KiB per batch).
+func TestSendBatchZeroAlloc(t *testing.T) {
+	s, err := NewUDPServer("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A bound, never-read loopback socket: datagrams beyond its buffer are
+	// dropped by the kernel, the sender never blocks.
+	sub, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	subscribeDirect(s, 0x5A, 0, sub.LocalAddr().(*net.UDPAddr).AddrPort())
+	batch := make([][]byte, mmsgChunk)
+	for i := range batch {
+		batch[i] = testPacket(0x5A, 0, uint32(i), bytes.Repeat([]byte{byte(i)}, 1024))
+	}
+	send := func() {
+		if err := s.SendBatch(0, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // builds the sendState, grows the address scratch
+	if allocs := testing.AllocsPerRun(100, send); allocs > 0 {
+		t.Fatalf("SendBatch of a %d-packet batch allocates %.2f times", len(batch), allocs)
+	}
+	if pk, _ := s.Traffic(); pk != 102*mmsgChunk {
+		t.Fatalf("Traffic counts %d datagram writes, want %d", pk, 102*mmsgChunk)
 	}
 }
 

@@ -113,6 +113,7 @@ type UDPServer struct {
 	addrBuf  []netip.AddrPort
 	v4Socket bool            // data socket is AF_INET: the sendmmsg fast path applies
 	rawConn  syscall.RawConn // cached once: SyscallConn allocates per call
+	mmsg     *sendState      // reusable kernel batch-write state
 
 	// writeOne is the single-datagram write, overridable by tests to
 	// observe the exact buffers handed to the kernel (see the buffer

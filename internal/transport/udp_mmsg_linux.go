@@ -15,7 +15,7 @@ import (
 // round costs a subscriber 2 syscalls instead of 128.
 
 // mmsgChunk is the most datagrams one sendmmsg call carries. 64 keeps the
-// on-stack header/iovec arrays a few KiB while amortizing the syscall ~60x.
+// per-server header/iovec arrays a few KiB while amortizing the syscall ~60x.
 const mmsgChunk = 64
 
 // sysSendmmsg is the linux/amd64 sendmmsg(2) syscall number (the syscall
@@ -30,6 +30,54 @@ type mmsghdr struct {
 	nsent uint32
 }
 
+// sendState is the reusable sendmmsg machinery of one server, the send
+// side's recvState: the sockaddr, iovec and mmsghdr arrays handed to the
+// kernel, the chunk cursor and the RawConn callback. Declared per call they
+// all escape (the callback is an interface argument, the arrays are reached
+// through unsafe.Pointer) and every multi-packet batch costs ~5 KiB of heap;
+// hoisted here and built once, the steady-state batch write allocates
+// nothing. Guarded by UDPServer.sendMu, which SendBatch holds.
+type sendState struct {
+	sa    syscall.RawSockaddrInet4
+	iovs  [mmsgChunk]syscall.Iovec
+	msgs  [mmsgChunk]mmsghdr
+	n     int // messages of the chunk in flight
+	sent  int // of which the kernel has taken
+	opErr error
+	fn    func(fd uintptr) bool
+}
+
+func newSendState() *sendState {
+	st := &sendState{}
+	st.fn = func(fd uintptr) bool {
+		for st.sent < st.n {
+			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+				uintptr(unsafe.Pointer(&st.msgs[st.sent])), uintptr(st.n-st.sent), 0, 0, 0)
+			if errno == syscall.EAGAIN {
+				return false // socket buffer full: wait for writability
+			}
+			if errno == syscall.EINTR {
+				continue
+			}
+			if errno != 0 {
+				st.opErr = errno
+				return true
+			}
+			if r1 == 0 {
+				// Defensive: a zero-progress success would loop forever.
+				st.opErr = syscall.EIO
+				return true
+			}
+			// A UDP datagram sends whole or not at all, so only the
+			// message count r1 advances the cursor (the per-message byte
+			// counts in nsent carry nothing more).
+			st.sent += int(r1)
+		}
+		return true
+	}
+	return st
+}
+
 // writeBatchTo coalesces the batch into sendmmsg calls when the socket and
 // destination are plain IPv4 (the substrate's common case); other
 // combinations take the portable per-datagram loop. Packet buffers are
@@ -39,13 +87,15 @@ func (s *UDPServer) writeBatchTo(pkts [][]byte, to netip.AddrPort) error {
 	if rc == nil || s.batchPortable || !s.v4Socket || !to.Addr().Is4() || len(pkts) == 1 {
 		return s.writePortable(pkts, to)
 	}
-	var sa syscall.RawSockaddrInet4
-	sa.Family = syscall.AF_INET
+	st := s.mmsg
+	if st == nil {
+		st = newSendState()
+		s.mmsg = st
+	}
+	st.sa.Family = syscall.AF_INET
 	port := to.Port()
-	sa.Port = port<<8 | port>>8 // network byte order
-	sa.Addr = to.Addr().As4()
-	var iovs [mmsgChunk]syscall.Iovec
-	var msgs [mmsgChunk]mmsghdr
+	st.sa.Port = port<<8 | port>>8 // network byte order
+	st.sa.Addr = to.Addr().As4()
 	for lo := 0; lo < len(pkts); lo += mmsgChunk {
 		n := min(mmsgChunk, len(pkts)-lo)
 		for i := 0; i < n; i++ {
@@ -54,48 +104,20 @@ func (s *UDPServer) writeBatchTo(pkts [][]byte, to netip.AddrPort) error {
 			if len(pkt) > 0 {
 				base = &pkt[0] // nil base + zero len = valid empty datagram
 			}
-			iovs[i] = syscall.Iovec{Base: base, Len: uint64(len(pkt))}
-			msgs[i] = mmsghdr{hdr: syscall.Msghdr{
-				Name:    (*byte)(unsafe.Pointer(&sa)),
-				Namelen: uint32(unsafe.Sizeof(sa)),
-				Iov:     &iovs[i],
+			st.iovs[i] = syscall.Iovec{Base: base, Len: uint64(len(pkt))}
+			st.msgs[i] = mmsghdr{hdr: syscall.Msghdr{
+				Name:    (*byte)(unsafe.Pointer(&st.sa)),
+				Namelen: uint32(unsafe.Sizeof(st.sa)),
+				Iov:     &st.iovs[i],
 				Iovlen:  1,
 			}}
 		}
-		sent := 0
-		var opErr error
-		werr := rc.Write(func(fd uintptr) bool {
-			for sent < n {
-				r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&msgs[sent])), uintptr(n-sent), 0, 0, 0)
-				if errno == syscall.EAGAIN {
-					return false // socket buffer full: wait for writability
-				}
-				if errno == syscall.EINTR {
-					continue
-				}
-				if errno != 0 {
-					opErr = errno
-					return true
-				}
-				if r1 == 0 {
-					// Defensive: a zero-progress success would loop forever.
-					opErr = syscall.EIO
-					return true
-				}
-				// nsent is per-message byte counts written by the kernel; a
-				// UDP datagram sends whole or not at all, so only the
-				// message count r1 advances the cursor.
-				_ = msgs[sent].nsent
-				sent += int(r1)
-			}
-			return true
-		})
-		if werr != nil {
-			return werr
+		st.n, st.sent, st.opErr = n, 0, nil
+		if err := rc.Write(st.fn); err != nil {
+			return err
 		}
-		if opErr != nil {
-			return opErr
+		if st.opErr != nil {
+			return st.opErr
 		}
 	}
 	return nil
