@@ -92,12 +92,6 @@ type countSink struct {
 	bytes   atomic.Uint64
 }
 
-func (c *countSink) Send(layer int, pkt []byte) error {
-	c.packets.Add(1)
-	c.bytes.Add(uint64(len(pkt)))
-	return nil
-}
-
 func (c *countSink) SendBatch(layer int, pkts [][]byte) error {
 	var nb uint64
 	for _, p := range pkts {

@@ -156,15 +156,15 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // encoding is materialized up front).
 func NewSession(data []byte, cfg Config) (*Session, error) { return core.NewSession(data, cfg) }
 
-// BlockCache is a shared byte-bounded cache of lazily encoded repair
-// blocks: hand one cache to every NewSessionCached call so a server holding
+// BlockCache is a shared byte-bounded cache of lazily encoded
+// packets: hand one cache to every NewSessionCached call so a server holding
 // many files keeps its repair-packet memory under a single budget.
 type BlockCache = core.BlockCache
 
-// NewBlockCache creates a block cache with the given byte budget.
+// NewBlockCache creates a packet cache with the given byte budget.
 func NewBlockCache(capBytes int64) *BlockCache { return core.NewBlockCache(capBytes) }
 
-// NewSessionCached builds a session that encodes repair blocks on first
+// NewSessionCached builds a session that encodes coded packets on first
 // carousel touch, bounded by the shared cache. Codecs without per-range
 // encoding (Tornado) fall back to eager encoding.
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
@@ -212,12 +212,11 @@ func NewMultiSourceClient(info SessionInfo, sources, startLevel int, setLevel fu
 	return client.NewMultiSource(info, sources, startLevel, setLevel)
 }
 
-// Sender is the transmit side of a transport: per-packet Send plus
-// per-layer SendBatch. Bus and UDPServer implement it; the service's
-// pacing scheduler emits whole carousel rounds through it as per-layer
-// batches built in pooled buffers (zero-copy, zero-alloc).
-// Packet buffers may be reused once Send/SendBatch returns, so receivers
-// must copy anything they keep.
+// Sender is the transmit side of a transport: per-layer SendBatch. Bus
+// and UDPServer implement it; the service's pacing scheduler emits whole
+// carousel rounds through it as per-layer batches built in pooled buffers
+// (zero-copy, zero-alloc). Packet buffers may be reused once SendBatch
+// returns, so receivers must copy anything they keep.
 type Sender = transport.Sender
 
 // Bus is the in-process lossy multicast transport (deterministic, virtual

@@ -128,7 +128,7 @@ func TestUDPPrototypeEndToEnd(t *testing.T) {
 		case <-done:
 			i = deadline
 		default:
-			car.NextRound(udp.Send)
+			car.NextRound(func(layer int, pkt []byte) error { return udp.SendBatch(layer, [][]byte{pkt}) })
 		}
 	}
 	<-done

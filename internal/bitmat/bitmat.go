@@ -165,25 +165,16 @@ func (m *Matrix) Rank() int {
 	return rank
 }
 
-// Solve performs Gauss-Jordan elimination on the system A·u = rhs where the
-// right-hand sides are packet payloads: every row operation on A is
+// TrySolve performs Gauss-Jordan elimination on the system A·u = rhs where
+// the right-hand sides are packet payloads: every row operation on A is
 // mirrored by an XOR of the corresponding payload buffers. On success it
 // returns one payload per unknown (column). rhs payloads are modified in
-// place; pass copies if the caller still needs them.
+// place; pass copies if the caller still needs them. Extra consistent rows
+// are allowed and simply reduce to zero.
 //
-// It returns an error if the system is under-determined (rank < cols).
-// Extra consistent rows are allowed and simply reduce to zero.
-func Solve(a *Matrix, rhs [][]byte) ([][]byte, error) {
-	sol, rank, ok := TrySolve(a, rhs)
-	if !ok {
-		return nil, fmt.Errorf("bitmat: under-determined system (rank %d < %d unknowns)", rank, a.ColsN)
-	}
-	return sol, nil
-}
-
-// TrySolve is Solve that additionally reports the achieved rank when the
-// system is under-determined, letting callers (the Tornado decoder) know
-// how many more independent equations they must wait for before retrying.
+// An under-determined system (rank < cols) returns ok = false and the
+// achieved rank, letting callers (the Tornado decoder) know how many more
+// independent equations they must wait for before retrying.
 func TrySolve(a *Matrix, rhs [][]byte) (sol [][]byte, rank int, ok bool) {
 	if len(rhs) != a.RowsN {
 		panic(fmt.Sprintf("bitmat: %d rhs payloads for %d rows", len(rhs), a.RowsN))

@@ -102,10 +102,10 @@ func TestSolveRecoversRandomSystems(t *testing.T) {
 			}
 		}
 		if a.Rank() < nu {
-			return true // under-determined by chance; Solve must error
+			return true // under-determined by chance
 		}
-		got, err := Solve(a, rhs)
-		if err != nil {
+		got, _, ok := TrySolve(a, rhs)
+		if !ok {
 			return false
 		}
 		for c := 0; c < nu; c++ {
@@ -124,9 +124,8 @@ func TestSolveUnderDetermined(t *testing.T) {
 	a := New(2, 3)
 	a.Set(0, 0, true)
 	a.Set(1, 1, true)
-	_, err := Solve(a, [][]byte{make([]byte, 4), make([]byte, 4)})
-	if err == nil {
-		t.Fatal("under-determined system solved")
+	if _, rank, ok := TrySolve(a, [][]byte{make([]byte, 4), make([]byte, 4)}); ok || rank != 2 {
+		t.Fatalf("under-determined system: ok=%v rank=%d, want false/2", ok, rank)
 	}
 }
 
@@ -137,7 +136,7 @@ func TestSolveRhsMismatchPanics(t *testing.T) {
 		}
 	}()
 	a := New(2, 2)
-	Solve(a, [][]byte{make([]byte, 4)})
+	TrySolve(a, [][]byte{make([]byte, 4)})
 }
 
 func TestTrySolveRank(t *testing.T) {

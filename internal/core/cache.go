@@ -5,27 +5,27 @@ import (
 	"sync"
 )
 
-// BlockCache is a shared, byte-bounded LRU cache of lazily encoded packet
-// blocks. One cache serves many sessions: a fountain service hands the same
+// BlockCache is a shared, byte-bounded LRU cache of lazily encoded packets.
+// One cache serves many sessions: a fountain service hands the same
 // BlockCache to every NewSessionCached call, so the total memory spent on
-// repair packets across all resident files stays under one budget instead
+// coded packets across all resident files stays under one budget instead
 // of each session materializing its full stretch-factor-n encoding.
 //
-// Only coded packets are charged against the budget (the source entries of
-// a block alias the session's file buffer and cost nothing extra). The
-// budget is a high-water mark for charged bytes: eviction runs at insert
-// time, and the one block being inserted is always retained even if it
-// alone exceeds the cap.
+// Only coded packets are ever looked up or charged (source packets alias
+// the session's file buffer and never reach the cache). The budget is a
+// high-water mark for charged bytes: eviction runs at insert time, and the
+// one packet being inserted is always retained even if it alone exceeds
+// the cap.
 //
-// All methods are safe for concurrent use. Racing fills of the same block
-// may encode it twice; the loser's work is discarded (the schedules are
+// All methods are safe for concurrent use. Racing misses on the same packet
+// may encode it twice; the loser's work is discarded (encoding is
 // deterministic, so both copies are identical).
 type BlockCache struct {
 	mu           sync.Mutex
 	cap          int64
 	used         int64
 	peak         int64
-	lookups      uint64 // combined get2 probes; invariant: hits + misses == lookups
+	lookups      uint64 // invariant: hits + misses == lookups
 	hits         uint64
 	misses       uint64
 	evictions    uint64     // entries removed to restore the budget (not Drop)
@@ -36,17 +36,16 @@ type BlockCache struct {
 
 type cacheKey struct {
 	owner *Session
-	block int
+	idx   int
 }
 
 type cacheEntry struct {
-	key   cacheKey
-	pkts  [][]byte
-	bytes int64 // charged (coded-packet) bytes
+	key cacheKey
+	pkt []byte // charged at its length
 }
 
 // NewBlockCache creates a cache with the given byte budget. capBytes <= 0
-// means "cache nothing beyond the block currently in use" (every insert
+// means "cache nothing beyond the packet currently in use" (every insert
 // immediately evicts everything else) — still correct, maximally frugal.
 func NewBlockCache(capBytes int64) *BlockCache {
 	return &BlockCache{cap: capBytes, ll: list.New(), entries: make(map[cacheKey]*list.Element)}
@@ -69,18 +68,11 @@ func (c *BlockCache) Peak() int64 {
 	return c.peak
 }
 
-// Stats returns (hits, misses) of block lookups.
-func (c *BlockCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
 // CacheStats is a consistent snapshot of the cache's accounting, read under
 // one lock acquisition so the invariant Hits+Misses == Lookups holds in
 // every snapshot even while other goroutines probe concurrently.
 type CacheStats struct {
-	Lookups      uint64 // combined get2 probes (one per Payload cache path)
+	Lookups      uint64 // one per coded-packet Payload of a cached session
 	Hits         uint64
 	Misses       uint64
 	Evictions    uint64 // entries evicted to restore the byte budget
@@ -88,12 +80,11 @@ type CacheStats struct {
 	Used         int64  // currently charged bytes
 	Peak         int64  // high-water mark of charged bytes
 	Cap          int64  // configured budget
-	Entries      int    // resident blocks
+	Entries      int    // resident packets
 }
 
 // StatsSnapshot returns the full accounting picture. Each lookup counts
-// exactly one hit or one miss — a combined primary/secondary probe is one
-// lookup, never two — so Hits+Misses == Lookups always.
+// exactly one hit or one miss, so Hits+Misses == Lookups always.
 func (c *BlockCache) StatsSnapshot() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -110,41 +101,34 @@ func (c *BlockCache) StatsSnapshot() CacheStats {
 	}
 }
 
-// get2 returns the cached run under the primary key, else the secondary
-// key (fromPrimary reports which), else nil — counting exactly one hit or
-// miss for the combined probe.
-func (c *BlockCache) get2(owner *Session, primary, secondary int) (pkts [][]byte, fromPrimary bool) {
+// get returns the session's cached coded packet idx, or nil.
+func (c *BlockCache) get(owner *Session, idx int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lookups++
-	if el, ok := c.entries[cacheKey{owner, primary}]; ok {
+	if el, ok := c.entries[cacheKey{owner, idx}]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pkts, true
-	}
-	if el, ok := c.entries[cacheKey{owner, secondary}]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pkts, false
+		return el.Value.(*cacheEntry).pkt
 	}
 	c.misses++
-	return nil, false
+	return nil
 }
 
-// put inserts a filled block and evicts least-recently-used blocks until the
-// budget holds (never evicting the block just inserted). If a racing fill
-// already inserted the same key, the existing entry wins and is returned.
-func (c *BlockCache) put(owner *Session, block int, pkts [][]byte, bytes int64) [][]byte {
+// put inserts an encoded packet and evicts least-recently-used ones until
+// the budget holds (never evicting the packet just inserted). If a racing
+// miss already inserted the same key, the existing entry wins and is
+// returned.
+func (c *BlockCache) put(owner *Session, idx int, pkt []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := cacheKey{owner, block}
+	key := cacheKey{owner, idx}
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pkts
+		return el.Value.(*cacheEntry).pkt
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, pkts: pkts, bytes: bytes})
-	c.entries[key] = el
-	c.used += bytes
+	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, pkt: pkt})
+	c.used += int64(len(pkt))
 	if c.used > c.peak {
 		c.peak = c.used
 	}
@@ -153,14 +137,14 @@ func (c *BlockCache) put(owner *Session, block int, pkts [][]byte, bytes int64) 
 		ent := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
 		delete(c.entries, ent.key)
-		c.used -= ent.bytes
+		c.used -= int64(len(ent.pkt))
 		c.evictions++
-		c.evictedBytes += uint64(ent.bytes)
+		c.evictedBytes += uint64(len(ent.pkt))
 	}
-	return pkts
+	return pkt
 }
 
-// Drop removes every block owned by the session (used when a service
+// Drop removes every packet owned by the session (used when a service
 // unregisters a session).
 func (c *BlockCache) Drop(owner *Session) {
 	c.mu.Lock()
@@ -171,7 +155,7 @@ func (c *BlockCache) Drop(owner *Session) {
 		if ent.key.owner == owner {
 			c.ll.Remove(el)
 			delete(c.entries, ent.key)
-			c.used -= ent.bytes
+			c.used -= int64(len(ent.pkt))
 		}
 		el = next
 	}

@@ -184,11 +184,12 @@ func sourcePackets(d *proto.SessionInfo) uint64 {
 	return k
 }
 
-// checkDescriptor is the one set of geometry rules a descriptor must pass
-// before a codec is built from it — what NewSessionCached is about to
-// publish and what NewReceiver took off a socket alike, so a sender cannot
-// publish what a receiver refuses, and decoder memory is bounded by the
-// file the user asked for, not by a 107-byte datagram.
+// checkDescriptor is the one set of rules a descriptor must pass before a
+// codec is built from it — what NewSessionCached is about to publish and
+// what NewReceiver took off a socket alike, so a sender cannot publish what
+// a receiver refuses, decoder memory is bounded by the file the user asked
+// for, not by a 99-byte datagram, and no download starts that could not end
+// on the SHA-256 check.
 func checkDescriptor(d *proto.SessionInfo) error {
 	row := rowOf(d.Codec)
 	switch {
@@ -208,6 +209,8 @@ func checkDescriptor(d *proto.SessionInfo) error {
 	case !row.rateless && (d.N%d.K != 0 || d.N/d.K < 2 || d.N/d.K > maxStretch):
 		return fmt.Errorf("core: descriptor has n=%d for k=%d: not a whole stretch factor in 2..%d",
 			d.N, d.K, maxStretch)
+	case d.Digest == [32]byte{}:
+		return fmt.Errorf("core: descriptor carries no file digest")
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/code"
 	"repro/internal/proto"
@@ -33,10 +32,6 @@ type Config struct {
 	Session    uint16
 	// InterleaveBlockK is the per-block k of the interleaved codec (0 = 50).
 	InterleaveBlockK int
-	// LazyBlock is the number of encoding packets per lazily encoded cache
-	// block when the session is built with NewSessionCached (0 = 64). It
-	// has no effect on eager sessions.
-	LazyBlock int
 }
 
 // DefaultConfig mirrors the prototype in §7.3: Tornado A, 500-byte
@@ -56,8 +51,8 @@ func DefaultConfig() Config {
 //
 // A session is either eager — the full stretch-factor-n encoding is
 // materialized at construction, as the one-session prototype did — or lazy:
-// only the k source packets are resident, and repair blocks are encoded on
-// first touch behind a shared bounded BlockCache (NewSessionCached). Lazy
+// only the k source packets are resident, and each coded packet is encoded
+// on first touch behind a shared bounded BlockCache (NewSessionCached). Lazy
 // sessions require the codec to implement code.RowEncoder; codecs that
 // cannot (Tornado's cascade checks are computed jointly) fall back to eager
 // encoding.
@@ -78,19 +73,9 @@ type Session struct {
 
 	// Lazy-encoding state (nil/zero for eager sessions). src passed
 	// code.CheckSrc once, at construction: rows.EncodeInto relies on it.
-	src     [][]byte // the k source packets, aliasing one buffer
-	rows    code.RowEncoder
-	cache   *BlockCache
-	nBlocks int
-
-	// filled marks blocks that have been encoded in full once. After a
-	// block is evicted, re-misses encode only the requested packet: under
-	// cache pressure the carousel's randomized order gives blocks no
-	// locality, and re-encoding 64 packets to emit one would amplify
-	// encode work ~64x. With this bound, total lazy encode work is at most
-	// one full materialization plus one packet per post-eviction miss.
-	fillMu sync.Mutex
-	filled []bool
+	src   [][]byte // the k source packets, aliasing one buffer
+	rows  code.RowEncoder
+	cache *BlockCache
 }
 
 // PadPacketLen rounds a payload length up to the alignment the codec
@@ -110,9 +95,9 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 	return NewSessionCached(data, cfg, nil)
 }
 
-// NewSessionCached builds a session whose repair packets are encoded
-// lazily, per block, on first carousel touch, with the encoded blocks held
-// in the given shared BlockCache. Pass the same cache to every session of a
+// NewSessionCached builds a session whose coded packets are encoded
+// lazily, one at a time, on first carousel touch, and held in the given
+// shared BlockCache. Pass the same cache to every session of a
 // service so the total repair-packet memory stays under one budget.
 //
 // A nil cache, or a codec that does not implement code.RowEncoder,
@@ -121,9 +106,6 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 	cfg.PacketLen = PadPacketLen(cfg.PacketLen)
 	if cfg.SPInterval <= 0 {
 		cfg.SPInterval = 16
-	}
-	if cfg.LazyBlock <= 0 {
-		cfg.LazyBlock = 64
 	}
 	row := rowOf(cfg.Codec)
 	// The descriptor comes first: the codec is built from it, through the
@@ -137,7 +119,6 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 		FileLen:    uint64(len(data)),
 		Seed:       cfg.Seed,
 		SPInterval: uint32(cfg.SPInterval),
-		FileHash:   proto.FNV64a(data),
 		Digest:     sha256.Sum256(data),
 	}
 	if row.fill != nil {
@@ -184,8 +165,6 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 	s.perm = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)).Perm(codec.N())
 	if s.rows != nil {
 		s.cache = cache
-		s.nBlocks = (codec.N() + cfg.LazyBlock - 1) / cfg.LazyBlock
-		s.filled = make([]bool, s.nBlocks)
 		return s, nil
 	}
 	enc, err := codec.Encode(src)
@@ -196,7 +175,7 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 	return s, nil
 }
 
-// Lazy reports whether the session encodes repair blocks on demand.
+// Lazy reports whether the session encodes coded packets on demand.
 func (s *Session) Lazy() bool { return s.enc == nil }
 
 // Rateless reports whether the session's codec has an unbounded index
@@ -204,10 +183,9 @@ func (s *Session) Lazy() bool { return s.enc == nil }
 func (s *Session) Rateless() bool { return s.rateless }
 
 // Payload returns the payload bytes of encoding packet idx. Eager sessions
-// index the materialized encoding; lazy sessions consult the shared block
-// cache, encoding on a miss — the containing block on its first-ever
-// touch, just the single packet after an eviction. The returned slice is
-// shared and must not be modified.
+// index the materialized encoding; lazy sessions consult the shared cache
+// and encode the one packet on a miss. The returned slice is shared and
+// must not be modified.
 func (s *Session) Payload(idx int) []byte {
 	if s.enc != nil {
 		return s.enc[idx]
@@ -223,32 +201,10 @@ func (s *Session) Payload(idx int) []byte {
 		// generate and forget — no cache, no cross-session lock traffic.
 		return s.appendCoded(nil, idx)
 	}
-	block := idx / s.cfg.LazyBlock
-	lo := block * s.cfg.LazyBlock
-	// Single-packet refill entries live in the key space above the block
-	// ids; one lookup probes both so the hit/miss counters see one event.
-	if pkts, full := s.cache.get2(s, block, s.nBlocks+idx); pkts != nil {
-		if full {
-			return pkts[idx-lo]
-		}
-		return pkts[0]
+	if pkt := s.cache.get(s, idx); pkt != nil {
+		return pkt
 	}
-	if s.firstFillDone(block) {
-		return s.cacheFill(s.nBlocks+idx, idx, idx+1)[0]
-	}
-	return s.cacheFill(block, lo, min(lo+s.cfg.LazyBlock, s.codec.N()))[idx-lo]
-}
-
-// firstFillDone reports whether the block was already encoded in full
-// once, marking it if not (the caller then performs that first fill).
-func (s *Session) firstFillDone(block int) bool {
-	s.fillMu.Lock()
-	defer s.fillMu.Unlock()
-	if s.filled[block] {
-		return true
-	}
-	s.filled[block] = true
-	return false
+	return s.cache.put(s, idx, s.appendCoded(nil, idx))
 }
 
 // appendCoded appends coded packet idx to dst, encoding it in place.
@@ -257,22 +213,6 @@ func (s *Session) appendCoded(dst []byte, idx int) []byte {
 	dst = append(dst, make([]byte, s.cfg.PacketLen)...)
 	s.rows.EncodeInto(dst[at:], s.src, idx)
 	return dst
-}
-
-// cacheFill encodes packets [lo, hi) and inserts the run under key. Source
-// entries alias the file buffer; only the coded ones are charged.
-func (s *Session) cacheFill(key, lo, hi int) [][]byte {
-	pkts := make([][]byte, hi-lo)
-	var charged int64
-	for i := range pkts {
-		if f := s.rows.SourceOf(lo + i); f >= 0 {
-			pkts[i] = s.src[f]
-			continue
-		}
-		pkts[i] = s.appendCoded(nil, lo+i)
-		charged += int64(len(pkts[i]))
-	}
-	return s.cache.put(s, key, pkts, charged)
 }
 
 // Codec exposes the session's erasure codec.
@@ -472,16 +412,10 @@ func (r *Receiver) File() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got := proto.FNV64a(data); got != r.info.FileHash {
-		return nil, fmt.Errorf("core: file hash mismatch: got %#x want %#x", got, r.info.FileHash)
-	}
-	// End-to-end proof: the reassembled bytes must match the catalog's
-	// SHA-256 digest. A zero digest means the descriptor did not advertise
-	// one (legacy or hand-built descriptors) and only the FNV check applies.
-	if r.info.Digest != ([32]byte{}) {
-		if got := sha256.Sum256(data); got != r.info.Digest {
-			return nil, fmt.Errorf("core: file digest mismatch: got %x want %x", got, r.info.Digest)
-		}
+	// End-to-end proof: the reassembled bytes must match the descriptor's
+	// SHA-256 digest (never zero: checkDescriptor refused that).
+	if got := sha256.Sum256(data); got != r.info.Digest {
+		return nil, fmt.Errorf("core: file digest mismatch: got %x want %x", got, r.info.Digest)
 	}
 	r.fileBuf = data
 	return data, nil

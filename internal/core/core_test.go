@@ -144,7 +144,7 @@ func TestFileHashVerification(t *testing.T) {
 	cfg.Layers = 1
 	s, _ := NewSession(data, cfg)
 	info := s.Info()
-	info.FileHash ^= 1 // sabotage
+	info.Digest[31] ^= 1 // sabotage
 	r, _ := NewReceiver(info)
 	for round := 0; !r.Done(); round++ {
 		for _, idx := range s.CarouselIndices(0, round) {
@@ -152,7 +152,7 @@ func TestFileHashVerification(t *testing.T) {
 		}
 	}
 	if _, err := r.File(); err == nil {
-		t.Fatal("hash mismatch not detected")
+		t.Fatal("digest mismatch not detected")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -166,7 +167,7 @@ func TestCodecWordsAwayFromDefaults(t *testing.T) {
 	} {
 		d.Session, d.Layers, d.PacketLen, d.Seed = 9, 1, 32, 77
 		data := randData(rand.New(rand.NewSource(int64(d.Codec))), int(d.K)*32-5)
-		d.FileLen, d.FileHash = uint64(len(data)), proto.FNV64a(data)
+		d.FileLen, d.Digest = uint64(len(data)), sha256.Sum256(data)
 
 		if err := checkDescriptor(&d); err != nil {
 			t.Fatalf("%s: %v", DescribeCodec(d), err)

@@ -92,12 +92,27 @@ func TestCorruptedCatalogDigestRejected(t *testing.T) {
 	if _, err := bad.File(); err == nil {
 		t.Fatal("file accepted against a corrupted catalog digest")
 	}
+}
 
-	// The FNV hash alone (zero digest) keeps working for legacy
-	// descriptors.
-	legacy := s.Info()
-	legacy.Digest = [32]byte{}
-	if _, err := decodeAll(legacy).File(); err != nil {
-		t.Fatalf("legacy descriptor (no digest) rejected: %v", err)
+// TestNewReceiverRefusesZeroDigest: SHA-256 is the only end-to-end check, so
+// a descriptor without a digest — otherwise exactly what a sender of that
+// codec publishes — gets no receiver, for every codec id.
+func TestNewReceiverRefusesZeroDigest(t *testing.T) {
+	data := randData(rand.New(rand.NewSource(13)), 5000)
+	for id := range codecs {
+		cfg := DefaultConfig()
+		cfg.Codec = uint8(id)
+		s, err := NewSession(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := s.Info()
+		if _, err := NewReceiver(info); err != nil {
+			t.Fatalf("%s: published descriptor refused: %v", CodecName(info.Codec), err)
+		}
+		info.Digest = [32]byte{}
+		if _, err := NewReceiver(info); err == nil {
+			t.Fatalf("%s: receiver built from a descriptor without a digest", CodecName(info.Codec))
+		}
 	}
 }

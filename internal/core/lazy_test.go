@@ -13,7 +13,6 @@ func lazyTestConfig(codec uint8) Config {
 	cfg := DefaultConfig()
 	cfg.Codec = codec
 	cfg.Layers = 1
-	cfg.LazyBlock = 16
 	return cfg
 }
 
@@ -41,7 +40,6 @@ func TestLazyMatchesEager(t *testing.T) {
 			t.Fatal("eager session claims lazy")
 		}
 		n := eager.Codec().N()
-		// Touch out of order to exercise block-boundary arithmetic.
 		order := rng.Perm(n)
 		for _, i := range order {
 			if !bytes.Equal(lazy.Payload(i), eager.Payload(i)) {
@@ -58,7 +56,7 @@ func TestLazyMatchesEager(t *testing.T) {
 }
 
 // TestLazyCacheBounded: with a cap far below full materialization, walking
-// the whole carousel repeatedly must keep the cache's peak within one block
+// the whole carousel repeatedly must keep the cache's peak within one packet
 // of the cap — the memory-bounded property the multi-session service relies
 // on.
 func TestLazyCacheBounded(t *testing.T) {
@@ -73,9 +71,9 @@ func TestLazyCacheBounded(t *testing.T) {
 	}
 	n := sess.Codec().N()
 	k := sess.Codec().K()
-	blockBytes := int64(cfg.LazyBlock * PadPacketLen(cfg.PacketLen))
-	fullRepair := int64(n-k) * int64(PadPacketLen(cfg.PacketLen))
-	if cache.Cap()+blockBytes >= fullRepair {
+	pktBytes := int64(PadPacketLen(cfg.PacketLen))
+	fullRepair := int64(n-k) * pktBytes
+	if cache.Cap()+pktBytes >= fullRepair {
 		t.Fatalf("test misconfigured: cap %d not clearly below full materialization %d", cache.Cap(), fullRepair)
 	}
 	for pass := 0; pass < 3; pass++ {
@@ -83,20 +81,21 @@ func TestLazyCacheBounded(t *testing.T) {
 			sess.Payload(i)
 		}
 	}
-	if peak := cache.Peak(); peak > cache.Cap()+blockBytes {
-		t.Fatalf("cache peak %d exceeds cap %d + one block %d", peak, cache.Cap(), blockBytes)
+	if peak := cache.Peak(); peak > cache.Cap()+pktBytes {
+		t.Fatalf("cache peak %d exceeds cap %d + one packet %d", peak, cache.Cap(), pktBytes)
 	}
 	if used := cache.Used(); used > cache.Cap() {
 		t.Fatalf("steady-state cache use %d exceeds cap %d", used, cache.Cap())
 	}
-	hits, misses := cache.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("expected both hits and misses, got %d/%d", hits, misses)
+	// A sequential walk of 3× the working set through an LRU a tenth its
+	// size never re-touches a resident packet.
+	if st := cache.StatsSnapshot(); st.Misses != uint64(3*(n-k)) || st.Hits != 0 {
+		t.Fatalf("hits %d misses %d, want %d misses", st.Hits, st.Misses, 3*(n-k))
 	}
 }
 
-// TestLazySourceBytesNotCharged: blocks that lie entirely in the systematic
-// prefix alias the file buffer and must not consume cache budget.
+// TestLazySourceBytesNotCharged: the systematic prefix aliases the file
+// buffer; its packets are neither looked up in the cache nor charged to it.
 func TestLazySourceBytesNotCharged(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	data := make([]byte, 60_000)
@@ -108,12 +107,11 @@ func TestLazySourceBytesNotCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sess.Codec().K()
-	// Touch only source-prefix blocks.
-	for i := 0; i < k-cfg.LazyBlock; i += cfg.LazyBlock {
+	for i := 0; i < k; i++ {
 		sess.Payload(i)
 	}
-	if used := cache.Used(); used != 0 {
-		t.Fatalf("source-only touches charged %d bytes", used)
+	if st := cache.StatsSnapshot(); st.Used != 0 || st.Lookups != 0 {
+		t.Fatalf("source-only touches: %d bytes charged, %d lookups", st.Used, st.Lookups)
 	}
 }
 

@@ -201,13 +201,11 @@ func TestCacheEvictionMetricsGroundTruth(t *testing.T) {
 	cfg.Codec = proto.CodecCauchy
 	cfg.Layers = 1
 	cfg.PacketLen = 500
-	cfg.LazyBlock = 8
 	cfg.Seed = 88
 	cfg.Session = 0x6001
 
 	bus := transport.NewBus(cfg.Layers)
-	blockBytes := int64(8 * core.PadPacketLen(500))
-	svc := service.New(bus, service.Config{BaseRate: 100, CacheBytes: 2 * blockBytes})
+	svc := service.New(bus, service.Config{BaseRate: 100, CacheBytes: int64(16 * core.PadPacketLen(500))})
 	defer svc.Close()
 	sess, err := core.NewSessionCached(data, cfg, svc.Cache())
 	if err != nil {
@@ -221,7 +219,7 @@ func TestCacheEvictionMetricsGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Emit enough rounds to sweep the repair range several times through a
-	// two-block cache: evictions are guaranteed.
+	// 16-packet cache: evictions are guaranteed.
 	for i := 0; i < 3*sess.Codec().N(); i++ {
 		if err := svc.EmitRound(car); err != nil {
 			t.Fatal(err)
@@ -230,7 +228,7 @@ func TestCacheEvictionMetricsGroundTruth(t *testing.T) {
 
 	cs := svc.Cache().StatsSnapshot()
 	if cs.Evictions == 0 {
-		t.Fatal("no evictions under a two-block budget — working set never exceeded the cache")
+		t.Fatal("no evictions under a 16-packet budget — working set never exceeded the cache")
 	}
 	if cs.Hits+cs.Misses != cs.Lookups {
 		t.Fatalf("lookup ledger broken: hits=%d misses=%d lookups=%d", cs.Hits, cs.Misses, cs.Lookups)

@@ -9,6 +9,8 @@ import (
 // randInfo draws an arbitrary descriptor so the encoders are exercised
 // across the whole field space, not just handpicked values.
 func randInfo(rng *rand.Rand) SessionInfo {
+	var digest [32]byte
+	rng.Read(digest[:])
 	return SessionInfo{
 		Session:      uint16(rng.Uint32()),
 		Codec:        uint8(rng.Intn(7)),
@@ -20,13 +22,13 @@ func randInfo(rng *rand.Rand) SessionInfo {
 		Seed:         rng.Int63() - rng.Int63(),
 		BaseRate:     rng.Uint32(),
 		SPInterval:   rng.Uint32(),
-		FileHash:     rng.Uint64(),
 		InterleaveK:  rng.Uint32(),
 		Phase:        rng.Uint32(),
 		LTCMicro:     rng.Uint32(),
 		LTDeltaMicro: rng.Uint32(),
 		RaptorS:      rng.Uint32(),
 		RaptorMaxD:   rng.Uint32(),
+		Digest:       digest,
 	}
 }
 
@@ -85,7 +87,7 @@ func TestAppendCatalogTruncates(t *testing.T) {
 // allocate — this is the property the zero-copy control path leans on.
 func TestAppendNoAlloc(t *testing.T) {
 	info := SessionInfo{Session: 7, Codec: CodecTornadoA, Layers: 4, K: 100,
-		N: 200, PacketLen: 512, FileLen: 50_000, Seed: 1998, FileHash: 0xAB}
+		N: 200, PacketLen: 512, FileLen: 50_000, Seed: 1998, Digest: [32]byte{0xAB}}
 	buf := make([]byte, 0, 4*sessionInfoLen)
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = info.Append(buf[:0])

@@ -84,8 +84,7 @@ func FuzzParseControl(f *testing.F) {
 	f.Add(AppendNak(nil, 0xDF99))
 	f.Add(AppendCatalogRequest(nil))
 	f.Add(SessionInfo{Session: 1, Codec: CodecTornadoA, Layers: 4, K: 100, N: 200,
-		PacketLen: 512, FileLen: 50_000, Seed: 1998, BaseRate: 2048, SPInterval: 16,
-		FileHash: 0xAB, Phase: 33,
+		PacketLen: 512, FileLen: 50_000, Seed: 1998, BaseRate: 2048, SPInterval: 16, Phase: 33,
 		Digest: [32]byte{1, 2, 3, 0xDF, 0x98, 31: 0xFF}}.Append(nil))
 	f.Add(AppendCatalog(nil, []SessionInfo{
 		{Session: 1, K: 10, N: 20, PacketLen: 16},

@@ -136,7 +136,6 @@ type SessionInfo struct {
 	Seed       int64  // graph seed
 	BaseRate   uint32 // base-layer rate, packets/second
 	SPInterval uint32 // rounds between synchronization points on the base layer
-	FileHash   uint64 // FNV-64a of the file, for end-to-end verification
 	// InterleaveK is the per-block source packet count when Codec is
 	// CodecInterleaved (0 otherwise).
 	InterleaveK uint32
@@ -161,12 +160,11 @@ type SessionInfo struct {
 	// for every other codec.
 	RaptorS    uint32
 	RaptorMaxD uint32
-	// Digest is the SHA-256 of the published file. A receiver verifies its
-	// reassembled download against it, so a completed transfer is provably
-	// the published bytes even if every hop in between was hostile (the
-	// 64-bit FNV FileHash stays for cheap in-test checks; it is not
-	// collision-resistant). An all-zero digest means "not advertised" —
-	// the legacy descriptor shape — and disables the check.
+	// Digest is the SHA-256 of the published file, the one end-to-end proof:
+	// a receiver verifies its reassembled download against it, so a
+	// completed transfer is provably the published bytes even if every hop
+	// in between was hostile. A descriptor without one (all zero) is
+	// refused by core.NewReceiver.
 	Digest [32]byte
 }
 
@@ -201,7 +199,7 @@ const (
 	controlMag1         = 0x98 // 1998
 )
 
-const sessionInfoLen = 2 + 2 + 1 + 1 + 1 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 32 // magic+type .. lt params, raptor params, digest
+const sessionInfoLen = 2 + 2 + 1 + 1 + 1 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 32 // magic+type .. lt params, raptor params, digest
 
 // AppendHello appends a client hello probe to dst. A bare hello asks for
 // "the" session — a multi-session service answers with its lowest session
@@ -328,7 +326,6 @@ func (s SessionInfo) Append(dst []byte) []byte {
 	dst = be.AppendUint64(dst, uint64(s.Seed))
 	dst = be.AppendUint32(dst, s.BaseRate)
 	dst = be.AppendUint32(dst, s.SPInterval)
-	dst = be.AppendUint64(dst, s.FileHash)
 	dst = be.AppendUint32(dst, s.InterleaveK)
 	dst = be.AppendUint32(dst, s.Phase)
 	dst = be.AppendUint32(dst, s.LTCMicro)
@@ -358,14 +355,13 @@ func ParseSessionInfo(buf []byte) (SessionInfo, error) {
 		Seed:         int64(be.Uint64(buf[27:35])),
 		BaseRate:     be.Uint32(buf[35:39]),
 		SPInterval:   be.Uint32(buf[39:43]),
-		FileHash:     be.Uint64(buf[43:51]),
-		InterleaveK:  be.Uint32(buf[51:55]),
-		Phase:        be.Uint32(buf[55:59]),
-		LTCMicro:     be.Uint32(buf[59:63]),
-		LTDeltaMicro: be.Uint32(buf[63:67]),
-		RaptorS:      be.Uint32(buf[67:71]),
-		RaptorMaxD:   be.Uint32(buf[71:75]),
-		Digest:       [32]byte(buf[75:107]),
+		InterleaveK:  be.Uint32(buf[43:47]),
+		Phase:        be.Uint32(buf[47:51]),
+		LTCMicro:     be.Uint32(buf[51:55]),
+		LTDeltaMicro: be.Uint32(buf[55:59]),
+		RaptorS:      be.Uint32(buf[59:63]),
+		RaptorMaxD:   be.Uint32(buf[63:67]),
+		Digest:       [32]byte(buf[67:99]),
 	}, nil
 }
 
@@ -477,19 +473,4 @@ func ParseStats(buf []byte) (StatsSnapshot, error) {
 	s.TxPackets = get64()
 	s.TxBytes = get64()
 	return s, nil
-}
-
-// FNV64a computes the FNV-64a hash of data (used for end-to-end file
-// verification in the prototype and its tests).
-func FNV64a(data []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
 }

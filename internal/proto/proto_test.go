@@ -49,11 +49,11 @@ func TestHeaderMarshalAppends(t *testing.T) {
 }
 
 func TestSessionInfoRoundTrip(t *testing.T) {
-	err := quick.Check(func(session uint16, codec, layers uint8, k, n, pl, rate, spi, phase uint32, fl, hash uint64, seed int64) bool {
+	err := quick.Check(func(session uint16, codec, layers uint8, k, n, pl, rate, spi, phase uint32, fl uint64, digest [32]byte, seed int64) bool {
 		s := SessionInfo{
 			Session: session, Codec: codec % 5, Layers: layers,
 			K: k, N: n, PacketLen: pl, FileLen: fl, Seed: seed,
-			BaseRate: rate, SPInterval: spi, FileHash: hash,
+			BaseRate: rate, SPInterval: spi, Digest: digest,
 			InterleaveK: k % 97, Phase: phase,
 		}
 		got, err := ParseSessionInfo(s.Append(nil))
@@ -81,19 +81,6 @@ func TestHello(t *testing.T) {
 	}
 	if IsHello([]byte{1, 2}) || IsHello(SessionInfo{}.Append(nil)) {
 		t.Fatal("false positive hello")
-	}
-}
-
-func TestFNV64a(t *testing.T) {
-	// Known FNV-64a test vectors.
-	if got := FNV64a(nil); got != 14695981039346656037 {
-		t.Fatalf("FNV64a(\"\") = %d", got)
-	}
-	if got := FNV64a([]byte("a")); got != 0xaf63dc4c8601ec8c {
-		t.Fatalf("FNV64a(\"a\") = %#x", got)
-	}
-	if FNV64a([]byte("abc")) == FNV64a([]byte("acb")) {
-		t.Fatal("order-insensitive hash")
 	}
 }
 
@@ -125,9 +112,9 @@ func TestCatalogRoundTrip(t *testing.T) {
 	}
 	infos := []SessionInfo{
 		{Session: 1, Codec: CodecTornadoA, Layers: 4, K: 100, N: 200, PacketLen: 512,
-			FileLen: 50_000, Seed: 1998, BaseRate: 2048, SPInterval: 16, FileHash: 0xAB},
+			FileLen: 50_000, Seed: 1998, BaseRate: 2048, SPInterval: 16, Digest: [32]byte{0xAB}},
 		{Session: 2, Codec: CodecInterleaved, Layers: 1, K: 400, N: 800, PacketLen: 512,
-			FileLen: 200_000, Seed: -7, BaseRate: 512, SPInterval: 8, FileHash: 0xCD, InterleaveK: 50},
+			FileLen: 200_000, Seed: -7, BaseRate: 512, SPInterval: 8, Digest: [32]byte{31: 0xCD}, InterleaveK: 50},
 	}
 	got, err := ParseCatalog(AppendCatalog(nil, infos))
 	if err != nil {

@@ -26,11 +26,6 @@ func newBatchCapture(t *testing.T) *batchCapture {
 	return &batchCapture{t: t, seq: make(map[[2]uint16][][]byte)}
 }
 
-func (c *batchCapture) Send(layer int, pkt []byte) error {
-	c.t.Errorf("service sent a packet on layer %d by Send, not SendBatch", layer)
-	return nil
-}
-
 func (c *batchCapture) SendBatch(layer int, pkts [][]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -154,8 +149,6 @@ func TestSchedulerEmissionOrderMatchesCarousel(t *testing.T) {
 
 // nullBatchSink counts packets without retaining or allocating.
 type nullBatchSink struct{ packets atomic.Uint64 }
-
-func (n *nullBatchSink) Send(layer int, pkt []byte) error { n.packets.Add(1); return nil }
 
 func (n *nullBatchSink) SendBatch(layer int, pkts [][]byte) error {
 	n.packets.Add(uint64(len(pkts)))
@@ -407,8 +400,6 @@ type paceSink struct {
 	stall   time.Duration // the next SendBatch blocks this long, once
 	stalled int           // index in sizes of the batch that blocked
 }
-
-func (p *paceSink) Send(layer int, pkt []byte) error { return p.SendBatch(layer, [][]byte{pkt}) }
 
 func (p *paceSink) SendBatch(layer int, pkts [][]byte) error {
 	p.mu.Lock()

@@ -2,7 +2,7 @@
 // concurrent sessions keyed by the 12-byte-header session id, one shared
 // pacing scheduler (a deadline min-heap per shard worker, GOMAXPROCS
 // shards) driving every session's core.Carousel, a shared bounded cache
-// for lazily encoded repair blocks, and the control handler that answers
+// for lazily encoded packets, and the control handler that answers
 // hello and catalog probes.
 //
 // This is the shape the paper argues for in §1/§7 — a fountain server is
@@ -37,7 +37,7 @@ import (
 
 // Config tunes a service instance.
 type Config struct {
-	// CacheBytes bounds the shared lazy-encoding block cache
+	// CacheBytes bounds the shared lazy-encoding packet cache
 	// (0 = 64 MiB). Sessions whose codec supports range encoding keep only
 	// their source packets resident plus at most this many repair bytes in
 	// total, instead of full stretch-factor-n materialization each.
@@ -51,7 +51,7 @@ type Config struct {
 	Shards int
 	// MaxSessions caps the registry (0 = unlimited): registrations beyond
 	// the cap are refused with ErrSessionLimit. A fountain server's
-	// per-session cost is small but not zero (a heap entry, cached blocks),
+	// per-session cost is small but not zero (a heap entry, cached packets),
 	// so an operator can bound it.
 	MaxSessions int
 	// Trace attaches a flight recorder to the send path: scheduler slot
@@ -96,8 +96,8 @@ type Stats struct {
 	CatchupRounds  uint64
 	DebtDropped    uint64
 	Draining       bool
-	CacheUsed      int64 // bytes currently held by the shared block cache
-	CachePeak      int64 // high-water mark of the shared block cache
+	CacheUsed      int64 // bytes currently held by the shared packet cache
+	CachePeak      int64 // high-water mark of the shared packet cache
 	CacheLookups   uint64
 	CacheHits      uint64
 	CacheMisses    uint64
@@ -226,25 +226,25 @@ func (s *Service) registerMetrics(r *metrics.Registry) {
 				return float64(n)
 			})
 	}
-	r.GaugeFunc("fountain_cache_used_bytes", "charged bytes resident in the block cache",
+	r.GaugeFunc("fountain_cache_used_bytes", "charged bytes resident in the packet cache",
 		func() float64 { return float64(s.cache.Used()) })
 	r.GaugeFunc("fountain_cache_peak_bytes", "high-water mark of charged cache bytes",
 		func() float64 { return float64(s.cache.Peak()) })
 	r.GaugeFunc("fountain_cache_cap_bytes", "configured cache byte budget",
 		func() float64 { return float64(s.cache.Cap()) })
-	r.CounterFunc("fountain_cache_lookups_total", "combined block-cache probes",
+	r.CounterFunc("fountain_cache_lookups_total", "coded-packet cache lookups",
 		func() uint64 { return s.cache.StatsSnapshot().Lookups })
-	r.CounterFunc("fountain_cache_hits_total", "block-cache hits",
+	r.CounterFunc("fountain_cache_hits_total", "coded-packet cache hits",
 		func() uint64 { return s.cache.StatsSnapshot().Hits })
-	r.CounterFunc("fountain_cache_misses_total", "block-cache misses",
+	r.CounterFunc("fountain_cache_misses_total", "coded-packet cache misses (one encode each)",
 		func() uint64 { return s.cache.StatsSnapshot().Misses })
-	r.CounterFunc("fountain_cache_evictions_total", "blocks evicted to hold the byte budget",
+	r.CounterFunc("fountain_cache_evictions_total", "packets evicted to hold the byte budget",
 		func() uint64 { return s.cache.StatsSnapshot().Evictions })
 	r.CounterFunc("fountain_cache_evicted_bytes_total", "charged bytes reclaimed by evictions",
 		func() uint64 { return s.cache.StatsSnapshot().EvictedBytes })
 }
 
-// Cache exposes the shared block cache (for inspection and tests).
+// Cache exposes the shared packet cache (for inspection and tests).
 func (s *Service) Cache() *core.BlockCache { return s.cache }
 
 // AddData encodes data under cfg — lazily, against the shared cache, when
@@ -365,7 +365,7 @@ func (s *Service) sendBatch(layer int, pkts [][]byte) {
 }
 
 // Remove stops a session's paced emission — waiting out any in-flight
-// round — and drops the session's blocks from the shared cache.
+// round — and drops the session's packets from the shared cache.
 func (s *Service) Remove(id uint16) error {
 	s.mu.Lock()
 	e, ok := s.sessions[id]

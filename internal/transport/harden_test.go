@@ -24,6 +24,12 @@ func waitSubs(t *testing.T, cond func() bool, what string) {
 	}
 }
 
+// seenAs returns the address a loopback server sees c at: c's socket is
+// bound to the unspecified address, its datagrams leave from the server's.
+func seenAs(srv *UDPServer, c *UDPClient) netip.AddrPort {
+	return netip.AddrPortFrom(srv.Addr().AddrPort().Addr(), c.conn.LocalAddr().(*net.UDPAddr).AddrPort().Port())
+}
+
 // TestUDPEvictsFailingSubscriber: a subscriber whose writes persistently
 // fail is evicted after the configured error streak — logged exactly once,
 // barred from rejoining during the cooldown, welcome back afterwards — and
@@ -53,8 +59,7 @@ func TestUDPEvictsFailingSubscriber(t *testing.T) {
 	defer healthy.Close()
 	waitSubs(t, func() bool { return srv.Subscribers(0) == 2 }, "both subscriptions")
 
-	victimAddr := victim.conn.LocalAddr().(*net.UDPAddr).AddrPort()
-	victimAddr = netip.AddrPortFrom(victimAddr.Addr().Unmap(), victimAddr.Port())
+	victimAddr := seenAs(srv, victim)
 	realWrite := srv.writeOne
 	srv.writeOne = func(pkt []byte, to netip.AddrPort) error {
 		if to == victimAddr {
@@ -63,7 +68,7 @@ func TestUDPEvictsFailingSubscriber(t *testing.T) {
 		return realWrite(pkt, to)
 	}
 
-	// Each Send is one delivery attempt per subscriber; three failures
+	// Each SendBatch is one delivery attempt per subscriber; three failures
 	// trip the eviction.
 	var healthyGot sync.WaitGroup
 	healthyGot.Add(1)
@@ -79,7 +84,7 @@ func TestUDPEvictsFailingSubscriber(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	for i := 0; i < 5; i++ {
-		srv.Send(0, []byte("pkt"))
+		srv.SendBatch(0, [][]byte{[]byte("pkt")})
 	}
 	if got := srv.Hardening().Evictions; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
@@ -202,6 +207,109 @@ func TestUDPRateCap(t *testing.T) {
 	}
 	if got > cap {
 		t.Fatalf("subscriber received %d packets past a %d pps cap", got, cap)
+	}
+}
+
+// TestUDPStateFollowsMembership: the per-address defensive state lives
+// only while its address is subscribed or serving an eviction penalty. A
+// churn of clients on distinct ports under a rate cap (every written
+// address gets a token bucket), an eviction served and rejoined, and the
+// writes a fan-out still attempts to an address that left mid-batch all
+// return the table to the resident subscriber's one entry.
+func TestUDPStateFollowsMembership(t *testing.T) {
+	srv, err := NewUDPServer("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetLimits(UDPLimits{MaxPPS: 1000, EvictAfter: 1, EvictCooldown: 30 * time.Millisecond})
+	states := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.state)
+	}
+	send := func() {
+		for layer := 0; layer < 2; layer++ {
+			srv.SendBatch(layer, [][]byte{[]byte("pkt")})
+		}
+	}
+
+	resident, err := NewUDPClient(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resident.Close()
+	waitSubs(t, func() bool { return srv.SubscriberTotal() == 1 }, "resident subscription")
+	send()
+	if got := states(); got != 1 {
+		t.Fatalf("baseline: %d state entries, want the resident's 1", got)
+	}
+
+	var last netip.AddrPort
+	for i := 0; i < 20; i++ {
+		cli, err := NewUDPClient(srv.Addr(), 1) // a fresh port, both layers
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSubs(t, func() bool { return srv.Subscribers(1) == 1 }, "churn join")
+		send()
+		if got := states(); got != 2 {
+			t.Fatalf("client %d subscribed: %d state entries, want 2", i, got)
+		}
+		last = seenAs(srv, cli)
+		cli.Close()
+		waitSubs(t, func() bool { return srv.SubscriberTotal() == 1 }, "churn leave")
+	}
+	if got := states(); got != 1 {
+		t.Fatalf("after 20 join/leave cycles: %d state entries, want 1", got)
+	}
+
+	// A fan-out gathered before the leave still reaches admitWrites and
+	// noteResult for the departed address: neither may resurrect it.
+	if n := srv.admitWrites(last, 1); n != 0 {
+		t.Fatalf("admitted %d writes to a departed address", n)
+	}
+	srv.noteResult(last, errors.New("synthetic"))
+	if got := states(); got != 1 {
+		t.Fatalf("writes to a departed address left %d state entries, want 1", got)
+	}
+
+	// Evicted: the entry is the penalty box. Served and rejoined: reaped,
+	// then rebuilt by the next write; left: gone.
+	victim, err := NewUDPClient(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	waitSubs(t, func() bool { return srv.SubscriberTotal() == 2 }, "victim subscription")
+	realWrite := srv.writeOne
+	residentAddr := seenAs(srv, resident)
+	srv.writeOne = func(pkt []byte, to netip.AddrPort) error {
+		if to != residentAddr {
+			return errors.New("synthetic broken path")
+		}
+		return realWrite(pkt, to)
+	}
+	srv.batchPortable = true
+	send()
+	srv.writeOne = realWrite
+	if srv.Hardening().Evictions != 1 || srv.SubscriberTotal() != 1 || states() != 2 {
+		t.Fatalf("after eviction: %d evictions, %d subscribers, %d state entries; want 1, 1, 2",
+			srv.Hardening().Evictions, srv.SubscriberTotal(), states())
+	}
+	time.Sleep(40 * time.Millisecond)
+	if err := victim.Resubscribe(); err != nil {
+		t.Fatal(err)
+	}
+	waitSubs(t, func() bool { return srv.SubscriberTotal() == 2 }, "post-cooldown rejoin")
+	if got := states(); got != 1 {
+		t.Fatalf("served penalty not reaped on rejoin: %d state entries, want 1", got)
+	}
+	send()
+	victim.Close()
+	waitSubs(t, func() bool { return srv.SubscriberTotal() == 1 }, "victim leave")
+	if got := states(); got != 1 {
+		t.Fatalf("at the end: %d state entries, want 1", got)
 	}
 }
 

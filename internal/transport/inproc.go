@@ -151,11 +151,25 @@ type BusClient struct {
 	nCorrupted  atomic.Uint64 // deliveries with the one-byte flip applied
 	nDuplicated atomic.Uint64 // extra copies delivered by the duplication process
 
-	// Flight-recorder handle and identity: every ground-truth count above
-	// has a matching trace event, emitted at the same decision point, so a
-	// trace's channel accounting reconciles exactly against FaultStats.
-	tr                     *evtrace.Shard
-	trSess, trSrc, trActor uint16
+	// Every ground-truth count above has a matching trace event, emitted
+	// at the same decision point, so a trace's channel accounting
+	// reconciles exactly against FaultStats.
+	trace chanTrace
+}
+
+// chanTrace is a BusClient's flight-recorder handle and the identity
+// stamped on its channel events. Copied under the client lock, used after
+// it is released.
+type chanTrace struct {
+	sh               *evtrace.Shard
+	sess, src, actor uint16
+}
+
+// emit records one channel event about an n-byte packet.
+func (t chanTrace) emit(typ evtrace.Type, layer, n int) {
+	if t.sh.On() {
+		t.sh.Emit(typ, t.sess, t.src, t.actor, uint8(layer), uint64(n), 0)
+	}
 }
 
 // FaultStats is a BusClient's ground-truth fault accounting: what the
@@ -256,19 +270,14 @@ func (c *BusClient) SetReorder(depth int, seed int64) {
 		flush = c.rq
 		c.rq = nil
 	}
-	h := c.handler
 	closed := c.closed
-	tr, sess, src, actor := c.tr, c.trSess, c.trSrc, c.trActor
+	tr := c.trace
 	c.mu.Unlock()
-	if closed || h == nil {
+	if closed {
 		return
 	}
 	for _, q := range flush {
-		c.nDelivered.Add(1)
-		if tr.On() {
-			tr.Emit(evtrace.EvChDeliver, sess, src, actor, uint8(q.layer), uint64(len(q.pkt)), 0)
-		}
-		h(q.layer, q.pkt)
+		c.hand(tr, q.layer, q.pkt, false)
 	}
 }
 
@@ -279,7 +288,7 @@ func (c *BusClient) SetReorder(depth int, seed int64) {
 // decision is taken.
 func (c *BusClient) SetTrace(sh *evtrace.Shard, sess, src, actor uint16) {
 	c.mu.Lock()
-	c.tr, c.trSess, c.trSrc, c.trActor = sh, sess, src, actor
+	c.trace = chanTrace{sh, sess, src, actor}
 	c.mu.Unlock()
 }
 
@@ -350,82 +359,60 @@ func (c *BusClient) deliver(layer int, pkt []byte) {
 	if c.byLayer != nil && c.byLayer[layer] != nil {
 		lp = c.byLayer[layer]
 	}
+	tr := c.trace
 	if lp != nil && lp.Lose() {
 		c.nLost.Add(1)
-		if c.tr.On() {
-			c.tr.Emit(evtrace.EvChLoss, c.trSess, c.trSrc, c.trActor, uint8(layer), uint64(len(pkt)), 0)
-		}
+		tr.emit(evtrace.EvChLoss, layer, len(pkt))
 		c.mu.Unlock()
 		return
 	}
-	h := c.handler
-	out := pkt
 	if c.corrupt != nil && c.corrupt.Lose() && len(pkt) > 0 {
 		// Flip one byte in a private copy: the sender's (pooled, shared)
 		// buffer must reach every other subscriber intact.
 		c.scratch = append(c.scratch[:0], pkt...)
 		c.scratch[int(c.faultN%uint64(len(c.scratch)))] ^= 0x55
-		out = c.scratch
 		c.nCorrupted.Add(1)
-		if c.tr.On() {
-			c.tr.Emit(evtrace.EvChCorrupt, c.trSess, c.trSrc, c.trActor, uint8(layer), uint64(len(pkt)), 0)
-		}
+		tr.emit(evtrace.EvChCorrupt, layer, len(pkt))
+		pkt = c.scratch
 	}
 	c.faultN++
 	dup := c.dup != nil && c.dup.Lose()
-	tr, sess, src, actor := c.tr, c.trSess, c.trSrc, c.trActor
 	if c.reorderDepth > 0 {
 		// Queue a copy (the caller reuses pkt as soon as Send returns) and
 		// release a pseudorandom queued packet once the buffer is full.
-		c.rq = append(c.rq, queuedPacket{layer: layer, pkt: append([]byte(nil), out...)})
+		c.rq = append(c.rq, queuedPacket{layer: layer, pkt: append([]byte(nil), pkt...)})
 		if len(c.rq) <= c.reorderDepth {
 			c.mu.Unlock()
 			return
 		}
 		i := int(splitmix64(c.reorderSeed^c.reorderN) % uint64(len(c.rq)))
 		c.reorderN++
-		rel := c.rq[i]
+		layer, pkt = c.rq[i].layer, c.rq[i].pkt
 		last := len(c.rq) - 1
 		c.rq[i] = c.rq[last]
 		c.rq[last] = queuedPacket{}
 		c.rq = c.rq[:last]
-		c.mu.Unlock()
-		if h == nil {
-			return
-		}
-		c.nDelivered.Add(1)
-		if tr.On() {
-			tr.Emit(evtrace.EvChDeliver, sess, src, actor, uint8(rel.layer), uint64(len(rel.pkt)), 0)
-		}
-		h(rel.layer, rel.pkt)
-		if dup {
-			c.nDuplicated.Add(1)
-			c.nDelivered.Add(1)
-			if tr.On() {
-				tr.Emit(evtrace.EvChDup, sess, src, actor, uint8(rel.layer), uint64(len(rel.pkt)), 0)
-				tr.Emit(evtrace.EvChDeliver, sess, src, actor, uint8(rel.layer), uint64(len(rel.pkt)), 0)
-			}
-			h(rel.layer, rel.pkt)
-		}
-		return
 	}
 	c.mu.Unlock()
-	if h == nil {
+	c.hand(tr, layer, pkt, dup)
+}
+
+// hand gives one packet the pipeline released to the handler — twice when
+// the duplication process fired — counting and tracing every copy. It runs
+// without the client lock: a handler may call back into the client.
+func (c *BusClient) hand(tr chanTrace, layer int, pkt []byte, dup bool) {
+	if c.handler == nil { // set once, by NewClient
 		return
 	}
 	c.nDelivered.Add(1)
-	if tr.On() {
-		tr.Emit(evtrace.EvChDeliver, sess, src, actor, uint8(layer), uint64(len(out)), 0)
-	}
-	h(layer, out)
+	tr.emit(evtrace.EvChDeliver, layer, len(pkt))
+	c.handler(layer, pkt)
 	if dup {
 		c.nDuplicated.Add(1)
 		c.nDelivered.Add(1)
-		if tr.On() {
-			tr.Emit(evtrace.EvChDup, sess, src, actor, uint8(layer), uint64(len(out)), 0)
-			tr.Emit(evtrace.EvChDeliver, sess, src, actor, uint8(layer), uint64(len(out)), 0)
-		}
-		h(layer, out)
+		tr.emit(evtrace.EvChDup, layer, len(pkt))
+		tr.emit(evtrace.EvChDeliver, layer, len(pkt))
+		c.handler(layer, pkt)
 	}
 }
 

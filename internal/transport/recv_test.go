@@ -126,7 +126,7 @@ func TestSetRecvSize(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	jumbo := testPacket(0xBA7E, 0, 1, bytes.Repeat([]byte{0xAB}, 4000))
-	if err := s.Send(0, jumbo); err != nil {
+	if err := s.SendBatch(0, [][]byte{jumbo}); err != nil {
 		t.Fatal(err)
 	}
 	var rb RecvBatch

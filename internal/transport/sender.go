@@ -2,18 +2,17 @@ package transport
 
 import "sync"
 
-// Sender is the transmit side of a transport. Send emits one packet;
-// SendBatch emits a whole per-layer batch in one call, letting the
-// transport amortize routing and syscalls across the batch (the UDP
-// substrate coalesces each subscriber's writes, the in-process Bus
-// snapshots its subscriber set once). Bus and UDPServer both satisfy it.
+// Sender is the transmit side of a transport. SendBatch emits a whole
+// per-layer batch in one call, letting the transport amortize routing and
+// syscalls across the batch (the UDP substrate coalesces each subscriber's
+// writes, the in-process Bus snapshots its subscriber set once). Bus and
+// UDPServer both satisfy it.
 //
 // Buffer ownership: a caller that builds packets in pooled buffers may
-// reuse them as soon as Send/SendBatch returns — transports (and Bus
-// handlers) must copy anything they keep. All decoders in this repository
-// copy payloads on Add, so the contract holds end to end.
+// reuse them as soon as SendBatch returns — transports (and Bus handlers)
+// must copy anything they keep. All decoders in this repository copy
+// payloads on Add, so the contract holds end to end.
 type Sender interface {
-	Send(layer int, pkt []byte) error
 	SendBatch(layer int, pkts [][]byte) error
 }
 

@@ -68,6 +68,11 @@ func TestUDPSubscribeAndDeliver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
+	// Bound to no one interface, so the same client reaches a server off
+	// the loopback; this one it reaches over it.
+	if ip := cli.conn.LocalAddr().(*net.UDPAddr).IP; !ip.IsUnspecified() {
+		t.Fatalf("client socket bound to %v, want the unspecified address", ip)
+	}
 	// Wait for membership to register.
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.Subscribers(0) == 0 || srv.Subscribers(1) == 0 {
@@ -92,7 +97,7 @@ func TestUDPSubscribeAndDeliver(t *testing.T) {
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
-	if err := srv.Send(1, payload); err != nil {
+	if err := srv.SendBatch(1, [][]byte{payload}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -192,10 +197,10 @@ func TestUDPSessionMux(t *testing.T) {
 		t.Fatalf("layer-0 subscriber union = %d, want 3", got)
 	}
 	for i := 0; i < 5; i++ {
-		if err := srv.Send(0, mkPkt(0xAAAA, 'a')); err != nil {
+		if err := srv.SendBatch(0, [][]byte{mkPkt(0xAAAA, 'a')}); err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.Send(0, mkPkt(0xBBBB, 'b')); err != nil {
+		if err := srv.SendBatch(0, [][]byte{mkPkt(0xBBBB, 'b')}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -414,10 +419,10 @@ func TestMultiClientHarvestsAllSources(t *testing.T) {
 		return append(h.Marshal(nil), src)
 	}
 	for i := 0; i < 5; i++ {
-		if err := srvs[0].Send(0, mkPkt(0)); err != nil {
+		if err := srvs[0].SendBatch(0, [][]byte{mkPkt(0)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := srvs[1].Send(0, mkPkt(1)); err != nil {
+		if err := srvs[1].SendBatch(0, [][]byte{mkPkt(1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,8 +17,8 @@ import (
 // The UDP substrate emulates per-group multicast membership with explicit
 // subscribe/unsubscribe datagrams (a stand-in for IGMP). One server socket
 // multiplexes any number of fountain sessions: a subscription names a
-// (session, layer) pair, and Send routes each packet to the subscribers of
-// the session id carried in its 12-byte header. The wire format is
+// (session, layer) pair, and SendBatch routes each packet to the subscribers
+// of the session id carried in its 12-byte header. The wire format is
 //
 //	"SUB" <join:1> <layer:1>                     legacy: all sessions
 //	"SUB" <join:1> <layer:1> <session:2 BE>      one session
@@ -56,8 +56,8 @@ type UDPLimits struct {
 	// (0 = uncapped). Excess packets are dropped for that subscriber only —
 	// to a fountain client that is indistinguishable from path loss.
 	MaxPPS int
-	// Log, when non-nil, receives one line per newly evicted subscriber
-	// and one line the first time the admission cap refuses a join.
+	// Log, when non-nil, receives one line per eviction and one line the
+	// first time the admission cap refuses a join.
 	Log func(format string, args ...any)
 }
 
@@ -68,22 +68,23 @@ type UDPHardening struct {
 	RateDropped  uint64 // packets dropped by per-subscriber rate caps
 }
 
-// subState is the server's per-subscriber-address defensive state.
+// subState is the server's per-subscriber-address defensive state. An
+// entry lives while its address is subscribed or in the penalty box, never
+// both: eviction unsubscribes, and the rejoin after the cooldown reaps it.
 type subState struct {
 	errStreak    int
 	evictedUntil time.Time
 	tokens       float64
 	lastRefill   time.Time
-	logged       bool // eviction for this address already logged once
 }
 
 // UDPServer owns the data socket and the per-(session, layer) subscriber
-// sets. It satisfies the unified transport.Sender: Send(layer, pkt) parses
-// the session id out of the packet header and unicasts to that session's
-// subscribers plus any wildcard subscribers — so one socket serves a whole
-// multi-session service with no per-session sockets. SendBatch fans a
-// per-layer batch out with one routing pass and per-subscriber write
-// coalescing (sendmmsg on Linux, a portable write loop elsewhere).
+// sets. It satisfies the unified transport.Sender: SendBatch(layer, pkts)
+// parses the session id out of each packet header and unicasts to that
+// session's subscribers plus any wildcard subscribers — so one socket
+// serves a whole multi-session service with no per-session sockets — with
+// one routing pass per batch and per-subscriber write coalescing (sendmmsg
+// on Linux, a portable write loop elsewhere).
 //
 // Every packet buffer is encoded exactly once and the same bytes are
 // handed to the kernel for every subscriber; nothing on the fan-out path
@@ -218,6 +219,7 @@ func (s *UDPServer) membershipLoop() {
 					}
 					if s.addrRef[addr]--; s.addrRef[addr] <= 0 {
 						delete(s.addrRef, addr)
+						delete(s.state, addr)
 					}
 				}
 			}
@@ -256,9 +258,12 @@ func (s *UDPServer) Hardening() UDPHardening {
 // while the address sits in the eviction penalty box, and refused for new
 // addresses beyond the MaxSubscribers cap. Callers hold s.mu.
 func (s *UDPServer) admitJoinLocked(addr netip.AddrPort) bool {
-	if st := s.state[addr]; st != nil && time.Now().Before(st.evictedUntil) {
-		s.refusedJoins++
-		return false
+	if st := s.state[addr]; st != nil && !st.evictedUntil.IsZero() {
+		if time.Now().Before(st.evictedUntil) {
+			s.refusedJoins++
+			return false
+		}
+		delete(s.state, addr) // penalty served
 	}
 	if s.limits.MaxSubscribers > 0 && s.addrRef[addr] == 0 &&
 		len(s.addrRef) >= s.limits.MaxSubscribers {
@@ -280,15 +285,18 @@ func (s *UDPServer) admitJoinLocked(addr netip.AddrPort) bool {
 func (s *UDPServer) admitWrites(addr netip.AddrPort, want int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st := s.state[addr]; st != nil && time.Now().Before(st.evictedUntil) {
+	st := s.state[addr]
+	if st != nil && time.Now().Before(st.evictedUntil) {
 		return 0 // raced an eviction: the penalty box wins
 	}
 	cap := s.limits.MaxPPS
 	if cap <= 0 {
 		return want
 	}
-	st := s.state[addr]
 	if st == nil {
+		if s.addrRef[addr] == 0 {
+			return 0 // left since the gather: no state for a departed address
+		}
 		st = &subState{}
 		s.state[addr] = st
 	}
@@ -329,6 +337,9 @@ func (s *UDPServer) noteResult(addr netip.AddrPort, err error) {
 		return
 	}
 	if st == nil {
+		if s.addrRef[addr] == 0 {
+			return // left since the gather
+		}
 		st = &subState{}
 		s.state[addr] = st
 	}
@@ -348,8 +359,7 @@ func (s *UDPServer) noteResult(addr netip.AddrPort, err error) {
 	st.errStreak = 0
 	st.evictedUntil = time.Now().Add(s.limits.EvictCooldown)
 	s.evictions++
-	if s.limits.Log != nil && !st.logged {
-		st.logged = true
+	if s.limits.Log != nil {
 		s.limits.Log("transport: evicted subscriber %s after %d consecutive write errors (cooldown %v)",
 			addr, s.limits.EvictAfter, s.limits.EvictCooldown)
 	}
@@ -388,37 +398,6 @@ func packetSession(pkt []byte) uint16 {
 		return h.Session
 	}
 	return SessionAny
-}
-
-// Send unicasts pkt to every subscriber of the packet's (session, layer):
-// the session id is read from the proto header, and wildcard subscribers of
-// the layer receive every session. The packet is encoded once; the same
-// buffer is written to each subscriber. As in SendBatch, errors are
-// isolated per subscriber — every destination is attempted, the first
-// error is returned afterwards.
-func (s *UDPServer) Send(layer int, pkt []byte) error {
-	if layer < 0 || layer >= s.layers {
-		return fmt.Errorf("transport: layer %d out of range", layer)
-	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	addrs := s.gatherAddrs(s.addrBuf[:0], packetSession(pkt), layer)
-	s.addrBuf = addrs[:0]
-	var first error
-	for _, a := range addrs {
-		if s.admitWrites(a, 1) == 0 {
-			continue
-		}
-		err := s.writeOne(pkt, a)
-		s.noteResult(a, err)
-		s.txPackets.Add(1)
-		s.txBytes.Add(uint64(len(pkt)))
-		s.txBatch.Observe(1)
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // SendBatch unicasts a batch of packets on one layer: the batch is routed
@@ -574,7 +553,13 @@ func NewUDPClient(server *net.UDPAddr, level int) (*UDPClient, error) {
 // NewUDPClientSession dials the server's data port and subscribes to layers
 // 0..level of one session.
 func NewUDPClientSession(server *net.UDPAddr, session uint16, level int) (*UDPClient, error) {
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	// The unspecified address of the server's family: the kernel picks the
+	// source address that routes to the server, loopback or not.
+	network := "udp4"
+	if server.IP.To4() == nil {
+		network = "udp6"
+	}
+	conn, err := net.ListenUDP(network, nil)
 	if err != nil {
 		return nil, err
 	}
