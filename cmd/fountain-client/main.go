@@ -199,8 +199,8 @@ func printStats(s proto.StatsSnapshot) {
 	fmt.Printf("  sessions=%d shards=%d subscribers=%d\n", s.Sessions, s.Shards, s.Subscribers)
 	fmt.Printf("  data: packets=%d bytes=%d send-errors=%d\n", s.PacketsSent, s.BytesSent, s.SendErrors)
 	fmt.Printf("  scheduler: rounds=%d catchup=%d debt-dropped=%d\n", s.RoundsEmitted, s.CatchupRounds, s.DebtDropped)
-	fmt.Printf("  cache: used=%d peak=%d lookups=%d hits=%d misses=%d evictions=%d\n",
-		s.CacheUsed, s.CachePeak, s.CacheLookups, s.CacheHits, s.CacheMisses, s.CacheEvictions)
+	fmt.Printf("  cache: used=%d peak=%d lookups=%d hits=%d misses=%d\n",
+		s.CacheUsed, s.CachePeak, s.CacheLookups, s.CacheHits, s.CacheMisses)
 	fmt.Printf("  transport: tx-packets=%d tx-bytes=%d\n", s.TxPackets, s.TxBytes)
 }
 

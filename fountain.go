@@ -156,17 +156,19 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // encoding is materialized up front).
 func NewSession(data []byte, cfg Config) (*Session, error) { return core.NewSession(data, cfg) }
 
-// BlockCache is a shared byte-bounded cache of lazily encoded
-// packets: hand one cache to every NewSessionCached call so a server holding
-// many files keeps its repair-packet memory under a single budget.
+// BlockCache is the byte budget lazily encoded sessions share: hand one to
+// every NewSessionCached call so a server holding many files keeps its
+// repair-packet memory under a single budget. A coded packet stays resident
+// from its first touch while the budget has room and is encoded per
+// emission once it has none; nothing is evicted.
 type BlockCache = core.BlockCache
 
-// NewBlockCache creates a packet cache with the given byte budget.
+// NewBlockCache creates a packet budget of capBytes.
 func NewBlockCache(capBytes int64) *BlockCache { return core.NewBlockCache(capBytes) }
 
 // NewSessionCached builds a session that encodes coded packets on first
-// carousel touch, bounded by the shared cache. Codecs without per-range
-// encoding (Tornado) fall back to eager encoding.
+// carousel touch and keeps them as far as the shared budget allows. Codecs
+// without per-packet encoding (Tornado) fall back to eager encoding.
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
 	return core.NewSessionCached(data, cfg, cache)
 }

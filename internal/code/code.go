@@ -167,12 +167,3 @@ func Join(pkts [][]byte, origLen int) ([]byte, error) {
 	}
 	return out[:origLen], nil
 }
-
-// PacketsFor returns the number of packets of size packetLen needed to
-// carry length bytes.
-func PacketsFor(length, packetLen int) int {
-	if packetLen <= 0 {
-		return 0
-	}
-	return (length + packetLen - 1) / packetLen
-}

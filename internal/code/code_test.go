@@ -14,10 +14,7 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		data := make([]byte, n)
 		rng.Read(data)
 		packetLen := 1 + rng.Intn(64)
-		k := PacketsFor(n, packetLen)
-		if k == 0 {
-			k = 1
-		}
+		k := max(1, (n+packetLen-1)/packetLen)
 		pkts, err := Split(data, k, packetLen)
 		if err != nil {
 			return false
@@ -64,17 +61,6 @@ func TestJoinErrors(t *testing.T) {
 	}
 	if _, err := Join(nil, -1); err == nil {
 		t.Fatal("negative origLen accepted")
-	}
-}
-
-func TestPacketsFor(t *testing.T) {
-	cases := []struct{ length, pl, want int }{
-		{0, 4, 0}, {1, 4, 1}, {4, 4, 1}, {5, 4, 2}, {100, 0, 0},
-	}
-	for _, c := range cases {
-		if got := PacketsFor(c.length, c.pl); got != c.want {
-			t.Errorf("PacketsFor(%d,%d) = %d, want %d", c.length, c.pl, got, c.want)
-		}
 	}
 }
 

@@ -1,162 +1,160 @@
 package core
 
 import (
-	"container/list"
-	"sync"
+	"bytes"
+	"sync/atomic"
 )
 
-// BlockCache is a shared, byte-bounded LRU cache of lazily encoded packets.
-// One cache serves many sessions: a fountain service hands the same
-// BlockCache to every NewSessionCached call, so the total memory spent on
-// coded packets across all resident files stays under one budget instead
-// of each session materializing its full stretch-factor-n encoding.
+// BlockCache is the byte budget that lazily encoded sessions share. A
+// fountain service hands the same BlockCache to every NewSessionCached
+// call, so the coded rows resident across all its files stay under one
+// budget instead of each session materializing its full stretch-factor-n
+// encoding.
 //
-// Only coded packets are ever looked up or charged (source packets alias
-// the session's file buffer and never reach the cache). The budget is a
-// high-water mark for charged bytes: eviction runs at insert time, and the
-// one packet being inserted is always retained even if it alone exceeds
-// the cap.
+// The rows themselves live with their session (rowTable); what is shared
+// is only the charge for them and the hit/miss ledger. A carousel is a
+// cyclic scan of its rows, the access pattern on which evicting the least
+// recently used row scores no hit at all, so nothing is ever evicted: a
+// coded row is kept on its first touch if the budget has room and encoded
+// per emission if it does not, and the hit ratio under pressure is the
+// resident fraction. Charged bytes never exceed the budget. Only coded rows
+// are looked up or charged — source rows alias the session's file buffer.
 //
-// All methods are safe for concurrent use. Racing misses on the same packet
-// may encode it twice; the loser's work is discarded (encoding is
-// deterministic, so both copies are identical).
+// All methods are safe for concurrent use and take no lock.
 type BlockCache struct {
-	mu           sync.Mutex
-	cap          int64
-	used         int64
-	peak         int64
-	lookups      uint64 // invariant: hits + misses == lookups
-	hits         uint64
-	misses       uint64
-	evictions    uint64     // entries removed to restore the budget (not Drop)
-	evictedBytes uint64     // charged bytes reclaimed by those evictions
-	ll           *list.List // front = most recently used
-	entries      map[cacheKey]*list.Element
+	cap    int64
+	used   atomic.Int64
+	peak   atomic.Int64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
-type cacheKey struct {
-	owner *Session
-	idx   int
-}
-
-type cacheEntry struct {
-	key cacheKey
-	pkt []byte // charged at its length
-}
-
-// NewBlockCache creates a cache with the given byte budget. capBytes <= 0
-// means "cache nothing beyond the packet currently in use" (every insert
-// immediately evicts everything else) — still correct, maximally frugal.
-func NewBlockCache(capBytes int64) *BlockCache {
-	return &BlockCache{cap: capBytes, ll: list.New(), entries: make(map[cacheKey]*list.Element)}
-}
+// NewBlockCache creates a budget of capBytes. capBytes <= 0 keeps nothing:
+// every coded packet is encoded when it is sent — still correct, maximally
+// frugal.
+func NewBlockCache(capBytes int64) *BlockCache { return &BlockCache{cap: capBytes} }
 
 // Cap returns the configured byte budget.
 func (c *BlockCache) Cap() int64 { return c.cap }
 
 // Used returns the currently charged bytes.
-func (c *BlockCache) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
+func (c *BlockCache) Used() int64 { return c.used.Load() }
 
 // Peak returns the high-water mark of charged bytes over the cache's life.
-func (c *BlockCache) Peak() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peak
-}
+func (c *BlockCache) Peak() int64 { return c.peak.Load() }
 
-// CacheStats is a consistent snapshot of the cache's accounting, read under
-// one lock acquisition so the invariant Hits+Misses == Lookups holds in
-// every snapshot even while other goroutines probe concurrently.
+// CacheStats is a snapshot of the cache's accounting.
 type CacheStats struct {
-	Lookups      uint64 // one per coded-packet Payload of a cached session
-	Hits         uint64
-	Misses       uint64
-	Evictions    uint64 // entries evicted to restore the byte budget
-	EvictedBytes uint64 // charged bytes reclaimed by those evictions
-	Used         int64  // currently charged bytes
-	Peak         int64  // high-water mark of charged bytes
-	Cap          int64  // configured budget
-	Entries      int    // resident packets
+	Lookups uint64 // Hits + Misses: one per touch of a coded row of a cached session
+	Hits    uint64 // the row was resident
+	Misses  uint64 // the row was encoded (one EncodeInto each)
+	Used    int64  // currently charged bytes
+	Peak    int64  // high-water mark of charged bytes
+	Cap     int64  // configured budget
 }
 
-// StatsSnapshot returns the full accounting picture. Each lookup counts
-// exactly one hit or one miss, so Hits+Misses == Lookups always.
+// StatsSnapshot returns the accounting picture. Each lookup counts exactly
+// one hit or one miss, and Lookups is their sum as read, so Hits+Misses ==
+// Lookups in every snapshot even while other goroutines probe.
 func (c *BlockCache) StatsSnapshot() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	hits, misses, used := c.hits.Load(), c.misses.Load(), c.used.Load()
 	return CacheStats{
-		Lookups:      c.lookups,
-		Hits:         c.hits,
-		Misses:       c.misses,
-		Evictions:    c.evictions,
-		EvictedBytes: c.evictedBytes,
-		Used:         c.used,
-		Peak:         c.peak,
-		Cap:          c.cap,
-		Entries:      c.ll.Len(),
+		Lookups: hits + misses,
+		Hits:    hits,
+		Misses:  misses,
+		Used:    used,
+		Peak:    max(used, c.peak.Load()), // a reservation raises used first
+		Cap:     c.cap,
 	}
 }
 
-// get returns the session's cached coded packet idx, or nil.
-func (c *BlockCache) get(owner *Session, idx int) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lookups++
-	if el, ok := c.entries[cacheKey{owner, idx}]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pkt
-	}
-	c.misses++
-	return nil
-}
-
-// put inserts an encoded packet and evicts least-recently-used ones until
-// the budget holds (never evicting the packet just inserted). If a racing
-// miss already inserted the same key, the existing entry wins and is
-// returned.
-func (c *BlockCache) put(owner *Session, idx int, pkt []byte) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := cacheKey{owner, idx}
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pkt
-	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, pkt: pkt})
-	c.used += int64(len(pkt))
-	if c.used > c.peak {
-		c.peak = c.used
-	}
-	for c.used > c.cap && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		ent := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.entries, ent.key)
-		c.used -= int64(len(ent.pkt))
-		c.evictions++
-		c.evictedBytes += uint64(len(ent.pkt))
-	}
-	return pkt
-}
-
-// Drop removes every packet owned by the session (used when a service
-// unregisters a session).
-func (c *BlockCache) Drop(owner *Session) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.key.owner == owner {
-			c.ll.Remove(el)
-			delete(c.entries, ent.key)
-			c.used -= int64(len(ent.pkt))
+// reserve charges n bytes if the budget still has room for them.
+func (c *BlockCache) reserve(n int64) bool {
+	for {
+		used := c.used.Load()
+		if used+n > c.cap {
+			return false
 		}
-		el = next
+		if !c.used.CompareAndSwap(used, used+n) {
+			continue
+		}
+		for {
+			if peak := c.peak.Load(); used+n <= peak || c.peak.CompareAndSwap(peak, used+n) {
+				return true
+			}
+		}
+	}
+}
+
+// Drop releases every row the session holds against this budget, and their
+// charge, without stopping anyone's emission: a concurrent reader keeps the
+// row it loaded. The session stays usable and may fill again.
+func (c *BlockCache) Drop(owner *Session) {
+	if owner.table.budget == c { // else not charged here: eager, rateless, or another budget's
+		owner.table.release()
+	}
+}
+
+// rowTable is a session's residency: one slot per encoding row, nil while
+// the row is absent; rows are immutable once published. An eager session's
+// table is complete from construction. A lazy session's starts empty — its
+// source rows alias the file buffer and never come here — and a coded row
+// becomes resident at its first touch if budget has room: first touch
+// wins, nothing is evicted, and a row leaves only through release. A
+// rateless session's has no slots: each index is sent once.
+type rowTable struct {
+	rows   []atomic.Pointer[[]byte]
+	budget *BlockCache // nil: nothing is counted or kept (eager and rateless sessions)
+}
+
+// fullTable is the table of an eager session: the whole encoding.
+func fullTable(enc [][]byte) *rowTable {
+	t := &rowTable{rows: make([]atomic.Pointer[[]byte], len(enc))}
+	for i := range enc {
+		t.rows[i].Store(&enc[i])
+	}
+	return t
+}
+
+// get returns row idx if it is resident: one atomic load. Touches of a
+// budgeted table are the budget's hits and misses.
+func (t *rowTable) get(idx int) []byte {
+	var row []byte
+	if idx < len(t.rows) {
+		if p := t.rows[idx].Load(); p != nil {
+			row = *p
+		}
+	}
+	if t.budget != nil {
+		if row != nil {
+			t.budget.hits.Add(1)
+		} else {
+			t.budget.misses.Add(1)
+		}
+	}
+	return row
+}
+
+// keep makes a copy of the just-encoded row idx resident if the budget has
+// room for it and no racing touch got there first.
+func (t *rowTable) keep(idx int, row []byte) {
+	n := int64(len(row))
+	if t.budget == nil || !t.budget.reserve(n) {
+		return
+	}
+	kept := bytes.Clone(row)
+	if !t.rows[idx].CompareAndSwap(nil, &kept) {
+		t.budget.used.Add(-n)
+	}
+}
+
+// release makes every kept row absent and returns its charge. Each charge
+// belongs to whoever swaps the row out, so release may race keep, get and
+// itself.
+func (t *rowTable) release() {
+	for i := range t.rows {
+		if p := t.rows[i].Swap(nil); p != nil {
+			t.budget.used.Add(-int64(len(*p)))
+		}
 	}
 }

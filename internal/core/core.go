@@ -9,12 +9,21 @@
 // reverse-binary schedule of §7.1.2 across g groups; packets carry the
 // 12-byte header of §7.3 including SP and burst markers for the layered
 // congestion-control scheme.
+//
+// A session keeps the rows that need no encoding in one table (cache.go):
+// complete when the encoding was materialized at construction, otherwise
+// whatever coded rows, kept at their first touch, fit the byte budget
+// shared by every session of a service (source rows are the file buffer).
+// An absent row is encoded straight into the packet being built.
 package core
 
 import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/code"
 	"repro/internal/proto"
@@ -47,12 +56,13 @@ func DefaultConfig() Config {
 }
 
 // Session is an encoded file ready for fountain transmission. It is
-// immutable after creation and safe for concurrent readers.
+// immutable after creation, residency of its rows aside, and safe for
+// concurrent readers.
 //
 // A session is either eager — the full stretch-factor-n encoding is
 // materialized at construction, as the one-session prototype did — or lazy:
-// only the k source packets are resident, and each coded packet is encoded
-// on first touch behind a shared bounded BlockCache (NewSessionCached). Lazy
+// only the k source packets are resident at first, and a coded packet is
+// encoded when it is touched and not resident (NewSessionCached). Lazy
 // sessions require the codec to implement code.RowEncoder; codecs that
 // cannot (Tornado's cascade checks are computed jointly) fall back to eager
 // encoding.
@@ -60,22 +70,26 @@ type Session struct {
 	cfg   Config
 	codec code.Codec
 	info  proto.SessionInfo // the descriptor the codec was built from
-	enc   [][]byte          // full encoding; nil when lazy
 	sched *sched.Schedule
 	perm  []int // randomized carousel order for single-layer mode (nil when rateless)
 
 	// rateless marks sessions whose codec has an unbounded index space
 	// (code.Rateless). Their carousels stream monotonically increasing
-	// fresh indices instead of cycling a permutation, and payloads are
-	// generated per emission — each index is transmitted at most once, so
-	// nothing is worth caching.
+	// fresh indices instead of cycling a permutation: each index is
+	// transmitted at most once, so no coded row is worth keeping and the
+	// table stays empty.
 	rateless bool
 
-	// Lazy-encoding state (nil/zero for eager sessions). src passed
-	// code.CheckSrc once, at construction: rows.EncodeInto relies on it.
-	src   [][]byte // the k source packets, aliasing one buffer
-	rows  code.RowEncoder
-	cache *BlockCache
+	// table holds the rows that need no encoding: all n of an eager
+	// session, whatever coded rows the shared budget had room for of a lazy
+	// one, none of a rateless one.
+	table *rowTable
+
+	// Lazy-encoding state (nil for eager sessions): source rows are served
+	// from src, an absent coded row is rows.EncodeInto over it. src passed
+	// code.CheckSrc once, at construction: EncodeInto relies on it.
+	src  [][]byte // the k source packets, aliasing one buffer
+	rows code.RowEncoder
 }
 
 // PadPacketLen rounds a payload length up to the alignment the codec
@@ -96,9 +110,10 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 }
 
 // NewSessionCached builds a session whose coded packets are encoded
-// lazily, one at a time, on first carousel touch, and held in the given
-// shared BlockCache. Pass the same cache to every session of a
-// service so the total repair-packet memory stays under one budget.
+// lazily, one at a time, on first carousel touch, and stay resident as far
+// as the given shared BlockCache has room. Pass the same cache to every
+// session of a service so the total repair-packet memory stays under one
+// budget.
 //
 // A nil cache, or a codec that does not implement code.RowEncoder,
 // degrades to eager encoding (full materialization at construction).
@@ -151,67 +166,70 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 	}
 	s := &Session{cfg: cfg, codec: codec, info: info, sched: sc}
 	s.rateless = code.IsRateless(codec) // implies a code.RowEncoder
-	if rows, ok := codec.(code.RowEncoder); ok && (s.rateless || cache != nil) {
-		// The one validation of the session-constant source block: every
-		// later EncodeInto (per emission, per cache fill) relies on it.
-		if err := code.CheckSrc(src, codec.K(), cfg.PacketLen); err != nil {
+	if !s.rateless {
+		s.perm = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)).Perm(codec.N())
+	}
+	rows, ok := codec.(code.RowEncoder)
+	if !ok || !s.rateless && cache == nil {
+		enc, err := codec.Encode(src)
+		if err != nil {
 			return nil, err
 		}
-		s.src, s.rows = src, rows
-	}
-	if s.rateless {
-		return s, nil // only the k source packets are resident, ever
-	}
-	s.perm = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)).Perm(codec.N())
-	if s.rows != nil {
-		s.cache = cache
+		s.table = fullTable(enc)
 		return s, nil
 	}
-	enc, err := codec.Encode(src)
-	if err != nil {
+	// The one validation of the session-constant source block: every
+	// later EncodeInto (per emission, per table fill) relies on it.
+	if err := code.CheckSrc(src, codec.K(), cfg.PacketLen); err != nil {
 		return nil, err
 	}
-	s.enc = enc
+	s.src, s.rows = src, rows
+	if s.rateless {
+		s.table = &rowTable{}
+		return s, nil
+	}
+	s.table = &rowTable{rows: make([]atomic.Pointer[[]byte], codec.N()), budget: cache}
+	// A session that becomes garbage without a Drop returns its charge too.
+	runtime.AddCleanup(s, (*rowTable).release, s.table)
 	return s, nil
 }
 
 // Lazy reports whether the session encodes coded packets on demand.
-func (s *Session) Lazy() bool { return s.enc == nil }
+func (s *Session) Lazy() bool { return s.rows != nil }
 
 // Rateless reports whether the session's codec has an unbounded index
 // space: its carousel streams fresh monotone indices instead of cycling.
 func (s *Session) Rateless() bool { return s.rateless }
 
-// Payload returns the payload bytes of encoding packet idx. Eager sessions
-// index the materialized encoding; lazy sessions consult the shared cache
-// and encode the one packet on a miss. The returned slice is shared and
-// must not be modified.
+// Payload returns the payload bytes of encoding packet idx: the resident
+// row, which is shared and must not be modified, or a fresh encoding of an
+// absent one.
 func (s *Session) Payload(idx int) []byte {
-	if s.enc != nil {
-		return s.enc[idx]
+	if row := s.resident(idx); row != nil {
+		return row
 	}
-	// Source packets are always resident: their sends touch neither an
-	// encoder nor the shared cache (the only cross-session lock on the
-	// data path).
-	if f := s.rows.SourceOf(idx); f >= 0 {
-		return s.src[f]
-	}
-	if s.rateless {
-		// Each index of the monotone stream is emitted at most once;
-		// generate and forget — no cache, no cross-session lock traffic.
-		return s.appendCoded(nil, idx)
-	}
-	if pkt := s.cache.get(s, idx); pkt != nil {
-		return pkt
-	}
-	return s.cache.put(s, idx, s.appendCoded(nil, idx))
+	return s.appendCoded(nil, idx)
 }
 
-// appendCoded appends coded packet idx to dst, encoding it in place.
+// resident returns row idx if it needs no encoding. A lazy session's source
+// rows alias the file buffer: never absent, never counted or charged.
+func (s *Session) resident(idx int) []byte {
+	if s.rows != nil {
+		if f := s.rows.SourceOf(idx); f >= 0 {
+			return s.src[f]
+		}
+	}
+	return s.table.get(idx)
+}
+
+// appendCoded appends absent coded packet idx to dst, encoding it in place,
+// and offers the result to the table.
 func (s *Session) appendCoded(dst []byte, idx int) []byte {
 	at := len(dst)
-	dst = append(dst, make([]byte, s.cfg.PacketLen)...)
+	dst = slices.Grow(dst, s.cfg.PacketLen)[:at+s.cfg.PacketLen]
+	clear(dst[at:])
 	s.rows.EncodeInto(dst[at:], s.src, idx)
+	s.table.keep(idx, dst[at:])
 	return dst
 }
 
@@ -233,9 +251,9 @@ func (s *Session) Packet(idx int, layer uint8, serial uint32, flags uint8) []byt
 // AppendPacket appends the wire form (header + payload + integrity
 // trailer) of encoding packet idx to dst and returns the extended slice —
 // the zero-copy form of Packet for senders that build packets in pooled
-// buffers. With cap(dst) >= WireLen() and an eagerly encoded, cache-resident
-// or rateless payload, the call allocates nothing: the CRC32C trailer is a
-// hardware checksum plus four appended bytes.
+// buffers. With cap(dst) >= WireLen() the call allocates nothing, except
+// for the copy of a coded row that becomes resident on this touch: the
+// CRC32C trailer is a hardware checksum plus four appended bytes.
 func (s *Session) AppendPacket(dst []byte, idx int, layer uint8, serial uint32, flags uint8) []byte {
 	h := proto.Header{
 		Index:   uint32(idx),
@@ -246,10 +264,10 @@ func (s *Session) AppendPacket(dst []byte, idx int, layer uint8, serial uint32, 
 	}
 	base := len(dst)
 	dst = h.Marshal(dst)
-	if s.rateless && s.rows.SourceOf(idx) < 0 {
-		dst = s.appendCoded(dst, idx) // emitted once: no intermediate payload
+	if row := s.resident(idx); row != nil {
+		dst = append(dst, row...)
 	} else {
-		dst = append(dst, s.Payload(idx)...)
+		dst = s.appendCoded(dst, idx) // no intermediate payload
 	}
 	sum := proto.Tag(dst[base:])
 	return append(dst, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))

@@ -54,9 +54,6 @@ var jitterBounds = [...]int64{
 	10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000, 10_000_000, 50_000_000, 100_000_000,
 }
 
-// JitterBounds returns the histogram's bucket upper bounds (ns).
-func JitterBounds() []int64 { return append([]int64(nil), jitterBounds[:]...) }
-
 func (j *JitterStats) observe(ns int64) {
 	j.Count++
 	j.sum += ns

@@ -183,15 +183,6 @@ func (m *Matrix) Invert() (*Matrix, error) {
 	return inv, nil
 }
 
-// SubMatrixRows returns a new matrix consisting of the given rows of m.
-func (m *Matrix) SubMatrixRows(rows []int) *Matrix {
-	out := New(m.F, len(rows), m.Cols)
-	for i, r := range rows {
-		copy(out.Row(i), m.Row(r))
-	}
-	return out
-}
-
 func swapRows(m *Matrix, a, b int) {
 	ra, rb := m.Row(a), m.Row(b)
 	for i := range ra {

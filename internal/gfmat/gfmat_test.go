@@ -197,17 +197,6 @@ func TestCauchyInverseErrors(t *testing.T) {
 	}
 }
 
-func TestSubMatrixRows(t *testing.T) {
-	f := gf.New8()
-	m := Vandermonde(f, 6, 3)
-	sub := m.SubMatrixRows([]int{4, 1})
-	for j := 0; j < 3; j++ {
-		if sub.At(0, j) != m.At(4, j) || sub.At(1, j) != m.At(1, j) {
-			t.Fatal("SubMatrixRows content wrong")
-		}
-	}
-}
-
 func TestMulShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

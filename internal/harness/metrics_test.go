@@ -190,12 +190,13 @@ func TestMetricsMatchChannelGroundTruth(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionMetricsGroundTruth drives a lazily encoded session
-// through a cache far too small for its working set and checks that every
-// eviction the cache performed is visible — identically — through the
-// service Stats snapshot, the metrics registry, and the control-plane
-// stats message, and that the lookup ledger balances.
-func TestCacheEvictionMetricsGroundTruth(t *testing.T) {
+// TestCacheMetricsGroundTruth drives a lazily encoded session three
+// carousel cycles through a budget far too small for its coded rows and
+// checks that the cache's own ledger — the sixteen rows that got in hitting
+// on every later cycle, everything else encoded per emission — is visible,
+// identically, through the service Stats snapshot, the metrics registry,
+// and the control-plane stats message.
+func TestCacheMetricsGroundTruth(t *testing.T) {
 	data := testData(88, 60_000)
 	cfg := core.DefaultConfig()
 	cfg.Codec = proto.CodecCauchy
@@ -204,8 +205,9 @@ func TestCacheEvictionMetricsGroundTruth(t *testing.T) {
 	cfg.Seed = 88
 	cfg.Session = 0x6001
 
+	const budget = 16
 	bus := transport.NewBus(cfg.Layers)
-	svc := service.New(bus, service.Config{BaseRate: 100, CacheBytes: int64(16 * core.PadPacketLen(500))})
+	svc := service.New(bus, service.Config{BaseRate: 100, CacheBytes: int64(budget * core.PadPacketLen(500))})
 	defer svc.Close()
 	sess, err := core.NewSessionCached(data, cfg, svc.Cache())
 	if err != nil {
@@ -218,38 +220,44 @@ func TestCacheEvictionMetricsGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Emit enough rounds to sweep the repair range several times through a
-	// 16-packet cache: evictions are guaranteed.
-	for i := 0; i < 3*sess.Codec().N(); i++ {
+	const cycles = 3
+	for i := 0; i < cycles*sess.Codec().N(); i++ {
 		if err := svc.EmitRound(car); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	cs := svc.Cache().StatsSnapshot()
-	if cs.Evictions == 0 {
-		t.Fatal("no evictions under a 16-packet budget — working set never exceeded the cache")
+	coded := uint64(sess.Codec().N() - sess.Codec().K())
+	if cs.Hits != (cycles-1)*budget || cs.Misses != cycles*coded-cs.Hits || cs.Lookups != cycles*coded {
+		t.Fatalf("cache ledger: hits=%d misses=%d lookups=%d over %d cycles of %d coded rows, %d resident",
+			cs.Hits, cs.Misses, cs.Lookups, cycles, coded, budget)
 	}
-	if cs.Hits+cs.Misses != cs.Lookups {
-		t.Fatalf("lookup ledger broken: hits=%d misses=%d lookups=%d", cs.Hits, cs.Misses, cs.Lookups)
+	if cs.Used != cs.Cap || cs.Peak != cs.Cap {
+		t.Fatalf("used %d, peak %d under a full budget of %d", cs.Used, cs.Peak, cs.Cap)
 	}
 	st := svc.Stats()
-	if st.CacheEvictions != cs.Evictions || st.CacheLookups != cs.Lookups {
-		t.Fatalf("Stats (evict=%d lookups=%d) disagrees with cache (evict=%d lookups=%d)",
-			st.CacheEvictions, st.CacheLookups, cs.Evictions, cs.Lookups)
+	if st.CacheHits != cs.Hits || st.CacheMisses != cs.Misses || st.CacheLookups != cs.Lookups ||
+		st.CacheUsed != cs.Used || st.CachePeak != cs.Peak {
+		t.Fatalf("Stats %+v disagrees with cache %+v", st, cs)
 	}
-	if v := scraped(t, svc.Metrics(), "fountain_cache_evictions_total"); v != cs.Evictions {
-		t.Fatalf("registry evictions %d, cache %d", v, cs.Evictions)
-	}
-	if v := scraped(t, svc.Metrics(), "fountain_cache_lookups_total"); v != cs.Lookups {
-		t.Fatalf("registry lookups %d, cache %d", v, cs.Lookups)
+	for name, want := range map[string]uint64{
+		"fountain_cache_hits_total":    cs.Hits,
+		"fountain_cache_misses_total":  cs.Misses,
+		"fountain_cache_lookups_total": cs.Lookups,
+		"fountain_cache_used_bytes":    uint64(cs.Used),
+		"fountain_cache_peak_bytes":    uint64(cs.Peak),
+	} {
+		if v := scraped(t, svc.Metrics(), name); v != want {
+			t.Fatalf("registry %s = %d, cache %d", name, v, want)
+		}
 	}
 	snap, err := proto.ParseStats(svc.HandleControl(proto.AppendStatsRequest(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.CacheEvictions != cs.Evictions || snap.CacheMisses != cs.Misses {
-		t.Fatalf("control stats (evict=%d miss=%d) disagree with cache (evict=%d miss=%d)",
-			snap.CacheEvictions, snap.CacheMisses, cs.Evictions, cs.Misses)
+	if snap.CacheHits != cs.Hits || snap.CacheMisses != cs.Misses || snap.CacheLookups != cs.Lookups ||
+		snap.CacheUsed != uint64(cs.Used) || snap.CachePeak != uint64(cs.Peak) {
+		t.Fatalf("control stats %+v disagree with cache %+v", snap, cs)
 	}
 }

@@ -96,16 +96,6 @@ func (c *Controller) OnPacket(layer uint8, serial uint32, isSP, isBurst bool) in
 	return c.level
 }
 
-// OnSilence signals that a subscribed layer has been silent for a full
-// epoch (e.g. all packets lost): treated as maximal congestion.
-func (c *Controller) OnSilence() int {
-	if c.level > 0 {
-		c.level--
-	}
-	c.reset()
-	return c.level
-}
-
 func (c *Controller) decide() {
 	total := c.received + c.lost
 	if total < c.MinSamples {
@@ -129,9 +119,4 @@ func (c *Controller) reset() {
 	c.lost = 0
 	c.burstSeen = false
 	c.burstLost = false
-}
-
-// EpochStats exposes the current epoch's counters (for instrumentation).
-func (c *Controller) EpochStats() (received, lost int) {
-	return c.received, c.lost
 }

@@ -242,14 +242,6 @@ func (r Reception) Efficiency(k int) float64 {
 	return float64(k) / float64(r.Received)
 }
 
-// DistinctEfficiency returns ηd = Distinct / Received.
-func (r Reception) DistinctEfficiency() float64 {
-	if r.Received == 0 {
-		return 0
-	}
-	return float64(r.Distinct) / float64(r.Received)
-}
-
 // Carousel simulates one receiver downloading from a cycling carousel of n
 // packets: the receiver joins at a random offset, every transmission is
 // subjected to the loss process, and reception stops when dec reports

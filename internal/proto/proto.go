@@ -372,30 +372,29 @@ func ParseSessionInfo(buf []byte) (SessionInfo, error) {
 // Counter semantics match service.Stats; transport fields are zero when
 // the transport keeps no such count (the in-process Bus).
 type StatsSnapshot struct {
-	Sessions       uint32
-	Shards         uint32
-	PacketsSent    uint64
-	BytesSent      uint64
-	SendErrors     uint64
-	RoundsEmitted  uint64
-	CatchupRounds  uint64
-	DebtDropped    uint64
-	Draining       uint8 // 1 once the server began draining
-	CacheUsed      uint64
-	CachePeak      uint64
-	CacheLookups   uint64
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
-	Subscribers    uint32 // transport subscriber addresses
-	TxPackets      uint64 // transport datagram writes (per destination)
-	TxBytes        uint64
+	Sessions      uint32
+	Shards        uint32
+	PacketsSent   uint64
+	BytesSent     uint64
+	SendErrors    uint64
+	RoundsEmitted uint64
+	CatchupRounds uint64
+	DebtDropped   uint64
+	Draining      uint8 // 1 once the server began draining
+	CacheUsed     uint64
+	CachePeak     uint64
+	CacheLookups  uint64
+	CacheHits     uint64
+	CacheMisses   uint64
+	Subscribers   uint32 // transport subscriber addresses
+	TxPackets     uint64 // transport datagram writes (per destination)
+	TxBytes       uint64
 }
 
 // statsLen is the fixed encoding length of a stats message:
 // magic+type, two uint32 counts, six uint64 service counters, the drain
-// flag, six uint64 cache counters, and the three transport fields.
-const statsLen = 3 + 4 + 4 + 6*8 + 1 + 6*8 + 4 + 8 + 8
+// flag, five uint64 cache counters, and the three transport fields.
+const statsLen = 3 + 4 + 4 + 6*8 + 1 + 5*8 + 4 + 8 + 8
 
 // AppendStatsRequest appends a stats request probe to dst.
 func AppendStatsRequest(dst []byte) []byte {
@@ -426,7 +425,6 @@ func (s StatsSnapshot) Append(dst []byte) []byte {
 	put64(s.CacheLookups)
 	put64(s.CacheHits)
 	put64(s.CacheMisses)
-	put64(s.CacheEvictions)
 	put32(s.Subscribers)
 	put64(s.TxPackets)
 	put64(s.TxBytes)
@@ -468,7 +466,6 @@ func ParseStats(buf []byte) (StatsSnapshot, error) {
 	s.CacheLookups = get64()
 	s.CacheHits = get64()
 	s.CacheMisses = get64()
-	s.CacheEvictions = get64()
 	s.Subscribers = get32()
 	s.TxPackets = get64()
 	s.TxBytes = get64()

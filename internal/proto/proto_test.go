@@ -167,7 +167,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		RoundsEmitted: 9999, CatchupRounds: 12, DebtDropped: 2,
 		Draining:  1,
 		CacheUsed: 1 << 20, CachePeak: 1 << 21, CacheLookups: 5000,
-		CacheHits: 4800, CacheMisses: 200, CacheEvictions: 17,
+		CacheHits: 4800, CacheMisses: 200,
 		Subscribers: 250_000, TxPackets: 1 << 40, TxBytes: 1 << 50,
 	}
 	buf := want.Append(nil)

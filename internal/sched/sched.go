@@ -127,18 +127,12 @@ func (s *Schedule) AppendSlots(dst []int, layer, round int) []int {
 	return dst
 }
 
-// PacketIndices expands the round's slots for a layer into encoding-packet
-// indices for an encoding of n packets: slot t yields t, t+B, t+2B, ...
-// (one per block), skipping indices >= n when the last block is partial.
-func (s *Schedule) PacketIndices(layer, round, n int) []int {
-	return s.AppendPacketIndices(nil, layer, round, n)
-}
-
-// AppendPacketIndices is the allocation-free form of PacketIndices: the
-// expanded indices are appended to dst. Steady-state carousel emission
-// walks the schedule through a reused scratch slice, so packet index
-// generation costs no allocations per round. The emitted order
-// (block-major, slot-minor) is identical to PacketIndices'.
+// AppendPacketIndices expands the round's slots for a layer into
+// encoding-packet indices for an encoding of n packets, appended to dst:
+// slot t yields t, t+B, t+2B, ... (one per block), skipping indices >= n
+// when the last block is partial, in block-major, slot-minor order.
+// Steady-state carousel emission walks the schedule through a reused
+// scratch slice, so packet index generation costs no allocations per round.
 func (s *Schedule) AppendPacketIndices(dst []int, layer, round, n int) []int {
 	base := s.slotBase(layer, round)
 	slotCount := s.SlotsPerRound(layer)

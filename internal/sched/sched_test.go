@@ -125,14 +125,14 @@ func TestSlotsPerRound(t *testing.T) {
 func TestPacketIndicesPartialBlock(t *testing.T) {
 	s, _ := New(4) // B = 8
 	n := 20        // 2.5 blocks
-	got := s.PacketIndices(3, 0, n)
+	got := s.AppendPacketIndices(nil, 3, 0, n)
 	// Layer 3 round 0: slots 0-3 in each of blocks 0,1,2 -> 0..3, 8..11, 16..19.
 	want := []int{0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 	// Slots beyond n are skipped.
-	got0 := s.PacketIndices(0, 0, n) // slot 7 -> 7, 15, 23(skip)
+	got0 := s.AppendPacketIndices(nil, 0, 0, n) // slot 7 -> 7, 15, 23(skip)
 	want0 := []int{7, 15}
 	if !reflect.DeepEqual(got0, want0) {
 		t.Fatalf("got %v, want %v", got0, want0)

@@ -20,7 +20,8 @@ var counterSeries = []string{
 	"fountain_bytes_sent_total",
 	"fountain_sched_rounds_total",
 	"fountain_cache_lookups_total",
-	"fountain_cache_evictions_total",
+	"fountain_cache_hits_total",
+	"fountain_cache_misses_total",
 }
 
 func snapshotMap(reg *metrics.Registry) map[string]float64 {
@@ -72,7 +73,7 @@ func TestMetricsConsistentUnderChurn(t *testing.T) {
 	// monotone scrape over scrape. (Cross-series identities like the cache
 	// ledger are NOT asserted here: a registry scrape reads each series
 	// atomically but not the set as a whole, the standard Prometheus
-	// semantics — the ledger is checked below on the single-lock
+	// semantics — the ledger is checked below on the single
 	// snapshots, where it must hold exactly.)
 	wg.Add(1)
 	go func() {

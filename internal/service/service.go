@@ -1,9 +1,9 @@
 // Package service is the multi-session fountain server core: a registry of
 // concurrent sessions keyed by the 12-byte-header session id, one shared
 // pacing scheduler (a deadline min-heap per shard worker, GOMAXPROCS
-// shards) driving every session's core.Carousel, a shared bounded cache
-// for lazily encoded packets, and the control handler that answers
-// hello and catalog probes.
+// shards) driving every session's core.Carousel, one byte budget for the
+// lazily encoded packets of all of them, and the control handler that
+// answers hello and catalog probes.
 //
 // This is the shape the paper argues for in §1/§7 — a fountain server is
 // stateless per receiver, so one process can carry many files for many
@@ -38,9 +38,10 @@ import (
 // Config tunes a service instance.
 type Config struct {
 	// CacheBytes bounds the shared lazy-encoding packet cache
-	// (0 = 64 MiB). Sessions whose codec supports range encoding keep only
+	// (0 = 64 MiB). Sessions whose codec encodes packet by packet keep only
 	// their source packets resident plus at most this many repair bytes in
-	// total, instead of full stretch-factor-n materialization each.
+	// total, instead of full stretch-factor-n materialization each; repair
+	// packets the budget has no room for are encoded at every emission.
 	CacheBytes int64
 	// BaseRate is the default base-layer pacing in packets/second for
 	// sessions added without an explicit rate (0 = 512).
@@ -92,16 +93,15 @@ type Stats struct {
 	// dropped the excess. DebtDropped alone is the overload signal: when
 	// it rises, the configured rates exceed what the shards or the
 	// transport can emit.
-	RoundsEmitted  uint64
-	CatchupRounds  uint64
-	DebtDropped    uint64
-	Draining       bool
-	CacheUsed      int64 // bytes currently held by the shared packet cache
-	CachePeak      int64 // high-water mark of the shared packet cache
-	CacheLookups   uint64
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
+	RoundsEmitted uint64
+	CatchupRounds uint64
+	DebtDropped   uint64
+	Draining      bool
+	CacheUsed     int64 // bytes currently held by the shared packet cache
+	CachePeak     int64 // high-water mark of the shared packet cache
+	CacheLookups  uint64
+	CacheHits     uint64
+	CacheMisses   uint64
 }
 
 type entry struct {
@@ -232,16 +232,12 @@ func (s *Service) registerMetrics(r *metrics.Registry) {
 		func() float64 { return float64(s.cache.Peak()) })
 	r.GaugeFunc("fountain_cache_cap_bytes", "configured cache byte budget",
 		func() float64 { return float64(s.cache.Cap()) })
-	r.CounterFunc("fountain_cache_lookups_total", "coded-packet cache lookups",
+	r.CounterFunc("fountain_cache_lookups_total", "coded-packet touches of cached sessions (hits + misses)",
 		func() uint64 { return s.cache.StatsSnapshot().Lookups })
-	r.CounterFunc("fountain_cache_hits_total", "coded-packet cache hits",
+	r.CounterFunc("fountain_cache_hits_total", "coded packets sent from a resident row",
 		func() uint64 { return s.cache.StatsSnapshot().Hits })
-	r.CounterFunc("fountain_cache_misses_total", "coded-packet cache misses (one encode each)",
+	r.CounterFunc("fountain_cache_misses_total", "coded packets encoded at emission (one encode each)",
 		func() uint64 { return s.cache.StatsSnapshot().Misses })
-	r.CounterFunc("fountain_cache_evictions_total", "packets evicted to hold the byte budget",
-		func() uint64 { return s.cache.StatsSnapshot().Evictions })
-	r.CounterFunc("fountain_cache_evicted_bytes_total", "charged bytes reclaimed by evictions",
-		func() uint64 { return s.cache.StatsSnapshot().EvictedBytes })
 }
 
 // Cache exposes the shared packet cache (for inspection and tests).
@@ -365,7 +361,7 @@ func (s *Service) sendBatch(layer int, pkts [][]byte) {
 }
 
 // Remove stops a session's paced emission — waiting out any in-flight
-// round — and drops the session's packets from the shared cache.
+// round — and returns the session's packets and charge to the shared cache.
 func (s *Service) Remove(id uint16) error {
 	s.mu.Lock()
 	e, ok := s.sessions[id]
@@ -447,20 +443,19 @@ func (s *Service) HandleControl(req []byte) []byte {
 func (s *Service) StatsSnapshot() proto.StatsSnapshot {
 	st := s.Stats()
 	snap := proto.StatsSnapshot{
-		Sessions:       uint32(st.Sessions),
-		Shards:         uint32(st.Shards),
-		PacketsSent:    st.PacketsSent,
-		BytesSent:      st.BytesSent,
-		SendErrors:     st.SendErrors,
-		RoundsEmitted:  st.RoundsEmitted,
-		CatchupRounds:  st.CatchupRounds,
-		DebtDropped:    st.DebtDropped,
-		CacheUsed:      uint64(st.CacheUsed),
-		CachePeak:      uint64(st.CachePeak),
-		CacheLookups:   st.CacheLookups,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		CacheEvictions: st.CacheEvictions,
+		Sessions:      uint32(st.Sessions),
+		Shards:        uint32(st.Shards),
+		PacketsSent:   st.PacketsSent,
+		BytesSent:     st.BytesSent,
+		SendErrors:    st.SendErrors,
+		RoundsEmitted: st.RoundsEmitted,
+		CatchupRounds: st.CatchupRounds,
+		DebtDropped:   st.DebtDropped,
+		CacheUsed:     uint64(st.CacheUsed),
+		CachePeak:     uint64(st.CachePeak),
+		CacheLookups:  st.CacheLookups,
+		CacheHits:     st.CacheHits,
+		CacheMisses:   st.CacheMisses,
 	}
 	if st.Draining {
 		snap.Draining = 1
@@ -481,21 +476,20 @@ func (s *Service) Stats() Stats {
 	s.mu.Unlock()
 	cs := s.cache.StatsSnapshot()
 	return Stats{
-		Sessions:       n,
-		Shards:         len(s.sched.shards),
-		PacketsSent:    s.packets.Load(),
-		BytesSent:      s.bytes.Load(),
-		SendErrors:     s.sendErrors.Load(),
-		RoundsEmitted:  s.rounds.Load(),
-		CatchupRounds:  s.catchupRounds.Load(),
-		DebtDropped:    s.debtDropped.Load(),
-		Draining:       s.draining.Load(),
-		CacheUsed:      cs.Used,
-		CachePeak:      cs.Peak,
-		CacheLookups:   cs.Lookups,
-		CacheHits:      cs.Hits,
-		CacheMisses:    cs.Misses,
-		CacheEvictions: cs.Evictions,
+		Sessions:      n,
+		Shards:        len(s.sched.shards),
+		PacketsSent:   s.packets.Load(),
+		BytesSent:     s.bytes.Load(),
+		SendErrors:    s.sendErrors.Load(),
+		RoundsEmitted: s.rounds.Load(),
+		CatchupRounds: s.catchupRounds.Load(),
+		DebtDropped:   s.debtDropped.Load(),
+		Draining:      s.draining.Load(),
+		CacheUsed:     cs.Used,
+		CachePeak:     cs.Peak,
+		CacheLookups:  cs.Lookups,
+		CacheHits:     cs.Hits,
+		CacheMisses:   cs.Misses,
 	}
 }
 

@@ -108,12 +108,12 @@ func TestServiceSoak(t *testing.T) {
 	if st.PacketsSent == 0 || st.BytesSent == 0 {
 		t.Fatalf("counters never moved: %+v", st)
 	}
-	// The lazy sessions' repair regions far exceed the cache budget; peak
-	// overshoots by at most the one packet being inserted.
+	// The lazy sessions' repair regions far exceed the cache budget, which
+	// is never overshot.
 	if st.CachePeak == 0 {
 		t.Fatal("lazy sessions never touched the cache")
 	}
-	if st.CachePeak > cacheBytes+int64(core.PadPacketLen(500)) {
+	if st.CachePeak > cacheBytes {
 		t.Fatalf("cache peak %d blew past cap %d", st.CachePeak, cacheBytes)
 	}
 }

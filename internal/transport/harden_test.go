@@ -215,7 +215,8 @@ func TestUDPRateCap(t *testing.T) {
 // churn of clients on distinct ports under a rate cap (every written
 // address gets a token bucket), an eviction served and rejoined, and the
 // writes a fan-out still attempts to an address that left mid-batch all
-// return the table to the resident subscriber's one entry.
+// return the table to the resident subscriber's one entry — and so do
+// evicted addresses that never come back, at the next join by anyone.
 func TestUDPStateFollowsMembership(t *testing.T) {
 	srv, err := NewUDPServer("127.0.0.1:0", 2)
 	if err != nil {
@@ -226,7 +227,7 @@ func TestUDPStateFollowsMembership(t *testing.T) {
 	states := func() int {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return len(srv.state)
+		return len(srv.state) + len(srv.penalty)
 	}
 	send := func() {
 		for layer := 0; layer < 2; layer++ {
@@ -284,12 +285,13 @@ func TestUDPStateFollowsMembership(t *testing.T) {
 	waitSubs(t, func() bool { return srv.SubscriberTotal() == 2 }, "victim subscription")
 	realWrite := srv.writeOne
 	residentAddr := seenAs(srv, resident)
-	srv.writeOne = func(pkt []byte, to netip.AddrPort) error {
+	onlyResident := func(pkt []byte, to netip.AddrPort) error {
 		if to != residentAddr {
 			return errors.New("synthetic broken path")
 		}
 		return realWrite(pkt, to)
 	}
+	srv.writeOne = onlyResident
 	srv.batchPortable = true
 	send()
 	srv.writeOne = realWrite
@@ -309,7 +311,37 @@ func TestUDPStateFollowsMembership(t *testing.T) {
 	victim.Close()
 	waitSubs(t, func() bool { return srv.SubscriberTotal() == 1 }, "victim leave")
 	if got := states(); got != 1 {
-		t.Fatalf("at the end: %d state entries, want 1", got)
+		t.Fatalf("after the victim left: %d state entries, want 1", got)
+	}
+
+	// Evicted and never seen again: the penalty entries of dead clients
+	// outlive their cooldown only until the next join, whoever makes it.
+	const dead = 5
+	for i := 0; i < dead; i++ {
+		cli, err := NewUDPClient(srv.Addr(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+	}
+	waitSubs(t, func() bool { return srv.SubscriberTotal() == 1+dead }, "dead clients' subscriptions")
+	srv.writeOne = onlyResident
+	send()
+	srv.writeOne = realWrite
+	if srv.Hardening().Evictions != 1+dead || srv.SubscriberTotal() != 1 || states() != 1+dead {
+		t.Fatalf("after %d evictions: %d subscribers, %d state entries; want 1 and %d",
+			srv.Hardening().Evictions, srv.SubscriberTotal(), states(), 1+dead)
+	}
+	time.Sleep(40 * time.Millisecond)
+	late, err := NewUDPClient(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	waitSubs(t, func() bool { return srv.SubscriberTotal() == 2 }, "late join")
+	send()
+	if got := states(); got != 2 {
+		t.Fatalf("served penalties of addresses that never returned: %d state entries, want the 2 subscribers'", got)
 	}
 }
 

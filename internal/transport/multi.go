@@ -210,7 +210,7 @@ func (m *MultiClient) Closed() bool {
 
 // Close unsubscribes and closes every source socket, waits for the funnel
 // goroutines to exit, and releases the pooled receive buffers held by the
-// batch carriers.
+// batch carriers. It may be called while RecvBatchFrom is in flight.
 func (m *MultiClient) Close() error {
 	var first error
 	m.closing.Do(func() {
@@ -221,12 +221,10 @@ func (m *MultiClient) Close() error {
 			}
 		}
 		m.wg.Wait()
-		// All producers are gone: drain both channels and the consumer's
-		// cursor, returning buffer memory to the shared pool.
-		if m.cur != nil {
-			m.cur.rb.Free()
-			m.cur = nil
-		}
+		// All producers are gone: drain both channels, returning buffer
+		// memory to the shared pool. The carrier a consumer may still be
+		// reading stays its own — Close can race RecvBatchFrom — and goes
+		// to the collector.
 		for {
 			select {
 			case sb := <-m.ch:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -240,4 +241,79 @@ func TestMultiClientClosedVsTimeout(t *testing.T) {
 	if err := mc.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// waitGoroutines fails the test unless the goroutine count comes back to
+// base: whatever was started since must have exited.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 64<<10)
+			t.Fatalf("goroutine leak: %d before, %d after\n%s",
+				base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMultiClientCloseLeaksNoGoroutine: Close joins every funnel goroutine
+// it started and releases a consumer blocked inside RecvBatchFrom with
+// ErrClosed — on an idle funnel and with batches in flight — so a receiver
+// that opens and closes mirrors for months keeps a flat goroutine count.
+func TestMultiClientCloseLeaksNoGoroutine(t *testing.T) {
+	s, err := NewUDPServer("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		session := uint16(0xF420 + i) // fresh: the last round's leaves may still be queued
+		mc, err := NewMultiClient([]*net.UDPAddr{s.Addr(), s.Addr()}, session, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := make(chan struct{}, 1)
+		consumer := make(chan error, 1)
+		go func() {
+			for {
+				_, pkts, err := mc.RecvBatchFrom(5 * time.Second)
+				if err != nil {
+					consumer <- err
+					return
+				}
+				for _, p := range pkts {
+					if len(p) != proto.HeaderLen+1 {
+						consumer <- fmt.Errorf("packet of %d bytes", len(p))
+						return
+					}
+				}
+				select {
+				case first <- struct{}{}:
+				default:
+				}
+			}
+		}()
+		if i%2 == 1 { // Close lands on a busy funnel
+			waitSubs(t, func() bool { return s.SessionSubscribers(session, 0) == 2 }, "both sources")
+			h := proto.Header{Index: 1, Serial: 1, Session: session}
+			batch := make([][]byte, 64)
+			for j := range batch {
+				batch[j] = append(h.Marshal(nil), byte(j))
+			}
+			if err := s.SendBatch(0, batch); err != nil {
+				t.Fatal(err)
+			}
+			<-first
+		}
+		if err := mc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-consumer; err != ErrClosed {
+			t.Fatalf("round %d: consumer ended with %v, want ErrClosed", i, err)
+		}
+	}
+	waitGoroutines(t, base)
 }

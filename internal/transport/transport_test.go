@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -193,6 +194,20 @@ func TestUDPSessionMux(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The 7-byte SUB is the one wire form: a 5- or 6-byte one (once the
+	// wildcard's short form) subscribes nobody. The valid layer-1 join sent
+	// after them from the same socket marks that they were read.
+	raw, err := net.DialUDP("udp4", nil, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	for _, sub := range [][]byte{{'S', 'U', 'B', 1, 0}, {'S', 'U', 'B', 1, 0, 0xFF}, {'S', 'U', 'B', 1, 1, 0xCC, 0xCC}} {
+		if _, err := raw.Write(sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSubs(t, func() bool { return srv.SessionSubscribers(0xCCCC, 1) == 1 }, "marker subscription")
 	if got := srv.Subscribers(0); got != 3 {
 		t.Fatalf("layer-0 subscriber union = %d, want 3", got)
 	}
@@ -275,6 +290,44 @@ func TestUDPServerCloseJoinsLoop(t *testing.T) {
 			t.Fatal("SetLevel succeeded on closed client")
 		}
 	}
+}
+
+// TestUDPServerCloseLeaksNoGoroutine: a server closed while subscribers
+// still join, leave and are being sent to takes its membership goroutine
+// with it, every time.
+func TestUDPServerCloseLeaksNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		srv, err := NewUDPServer("127.0.0.1:0", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := NewUDPClient(srv.Addr(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSubs(t, func() bool { return srv.SubscriberTotal() == 1 }, "subscription")
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				cli.SetLevel(j % 2)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				srv.SendBatch(j%2, [][]byte{[]byte("pkt")}) // errors once the socket is gone
+			}
+		}()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		cli.Close()
+	}
+	waitGoroutines(t, base)
 }
 
 // TestServeControlFuncStopJoins: stop must wait for the control read loop.

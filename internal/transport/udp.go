@@ -20,11 +20,10 @@ import (
 // (session, layer) pair, and SendBatch routes each packet to the subscribers
 // of the session id carried in its 12-byte header. The wire format is
 //
-//	"SUB" <join:1> <layer:1>                     legacy: all sessions
-//	"SUB" <join:1> <layer:1> <session:2 BE>      one session
+//	"SUB" <join:1> <layer:1> <session:2 BE>
 //
-// sent to the server's data port. SessionAny (0xFFFF) in the long form also
-// means "all sessions".
+// sent to the server's data port; the session SessionAny (0xFFFF) means
+// "all sessions". Shorter datagrams are ignored.
 
 // SessionAny is the wildcard session id: a subscription carrying it
 // receives the named layer of every session the socket serves. Real session
@@ -68,14 +67,13 @@ type UDPHardening struct {
 	RateDropped  uint64 // packets dropped by per-subscriber rate caps
 }
 
-// subState is the server's per-subscriber-address defensive state. An
-// entry lives while its address is subscribed or in the penalty box, never
-// both: eviction unsubscribes, and the rejoin after the cooldown reaps it.
+// subState is the server's defensive state for one subscribed address. An
+// entry lives only while its address is subscribed: leaving and eviction
+// both delete it.
 type subState struct {
-	errStreak    int
-	evictedUntil time.Time
-	tokens       float64
-	lastRefill   time.Time
+	errStreak  int
+	tokens     float64
+	lastRefill time.Time
 }
 
 // UDPServer owns the data socket and the per-(session, layer) subscriber
@@ -98,6 +96,9 @@ type UDPServer struct {
 	// address appears in — the admission cap's distinct-address count.
 	addrRef map[netip.AddrPort]int
 	state   map[netip.AddrPort]*subState
+	// penalty is the eviction penalty box: evicted (hence unsubscribed)
+	// addresses and the end of their cooldown. Every join sweeps it.
+	penalty map[netip.AddrPort]time.Time
 	limits  UDPLimits
 	// hardening counters; guarded by mu.
 	evictions, refusedJoins, rateDropped uint64
@@ -150,6 +151,7 @@ func NewUDPServer(addr string, layers int) (*UDPServer, error) {
 		subs:     make(map[subKey]map[netip.AddrPort]struct{}),
 		addrRef:  make(map[netip.AddrPort]int),
 		state:    make(map[netip.AddrPort]*subState),
+		penalty:  make(map[netip.AddrPort]time.Time),
 		limits:   UDPLimits{EvictAfter: 8, EvictCooldown: time.Second},
 		done:     make(chan struct{}),
 		loopDone: make(chan struct{}),
@@ -183,16 +185,13 @@ func (s *UDPServer) membershipLoop() {
 				continue
 			}
 		}
-		if n >= 5 && string(buf[:3]) == "SUB" {
+		if n >= 7 && string(buf[:3]) == "SUB" {
 			join := buf[3] == 1
 			layer := int(buf[4])
 			if layer < 0 || layer >= s.layers {
 				continue
 			}
-			session := SessionAny
-			if n >= 7 {
-				session = uint16(buf[5])<<8 | uint16(buf[6])
-			}
+			session := uint16(buf[5])<<8 | uint16(buf[6])
 			// Unmap 4-in-6 forms so one client always keys identically.
 			addr := netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
 			key := subKey{session, uint8(layer)}
@@ -258,12 +257,17 @@ func (s *UDPServer) Hardening() UDPHardening {
 // while the address sits in the eviction penalty box, and refused for new
 // addresses beyond the MaxSubscribers cap. Callers hold s.mu.
 func (s *UDPServer) admitJoinLocked(addr netip.AddrPort) bool {
-	if st := s.state[addr]; st != nil && !st.evictedUntil.IsZero() {
-		if time.Now().Before(st.evictedUntil) {
-			s.refusedJoins++
-			return false
+	// Served penalties go first, everyone's: an evicted address that never
+	// comes back must not cost an entry for the life of the server.
+	now := time.Now()
+	for a, until := range s.penalty {
+		if !now.Before(until) {
+			delete(s.penalty, a)
 		}
-		delete(s.state, addr) // penalty served
+	}
+	if _, boxed := s.penalty[addr]; boxed {
+		s.refusedJoins++
+		return false
 	}
 	if s.limits.MaxSubscribers > 0 && s.addrRef[addr] == 0 &&
 		len(s.addrRef) >= s.limits.MaxSubscribers {
@@ -285,10 +289,10 @@ func (s *UDPServer) admitJoinLocked(addr netip.AddrPort) bool {
 func (s *UDPServer) admitWrites(addr netip.AddrPort, want int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.state[addr]
-	if st != nil && time.Now().Before(st.evictedUntil) {
+	if _, boxed := s.penalty[addr]; boxed {
 		return 0 // raced an eviction: the penalty box wins
 	}
+	st := s.state[addr]
 	cap := s.limits.MaxPPS
 	if cap <= 0 {
 		return want
@@ -356,8 +360,8 @@ func (s *UDPServer) noteResult(addr netip.AddrPort, err error) {
 		}
 	}
 	delete(s.addrRef, addr)
-	st.errStreak = 0
-	st.evictedUntil = time.Now().Add(s.limits.EvictCooldown)
+	delete(s.state, addr)
+	s.penalty[addr] = time.Now().Add(s.limits.EvictCooldown)
 	s.evictions++
 	if s.limits.Log != nil {
 		s.limits.Log("transport: evicted subscriber %s after %d consecutive write errors (cooldown %v)",
@@ -520,7 +524,7 @@ func (s *UDPServer) Close() error {
 }
 
 // UDPClient is the receiver side of the UDP substrate, subscribed to one
-// session (or SessionAny for the legacy single-session behaviour).
+// session (or to all of them, with SessionAny).
 //
 // RecvBatch is single-reader: run one receive loop per client.
 // SetLevel/Resubscribe/Close may be called concurrently with it.
@@ -583,9 +587,6 @@ func (c *UDPClient) sendSub(layer int, join bool) error {
 	b := []byte{'S', 'U', 'B', 0, byte(layer), byte(c.session >> 8), byte(c.session)}
 	if join {
 		b[3] = 1
-	}
-	if c.session == SessionAny {
-		b = b[:5] // legacy short form
 	}
 	_, err := c.conn.WriteToUDP(b, c.server)
 	return err
