@@ -17,8 +17,9 @@
 //
 // Decoding is the shared peeling engine (internal/peel) with no static
 // equations and no systematic prefix: belief-propagation peeling with lazy
-// XOR release, backed by a GF(2) elimination endgame so reception overhead
-// stays near the rank bound instead of stalling on an empty ripple.
+// XOR release, backed by the inactivation endgame (bitmat.Solver) so a
+// receiver is done at the packet that gives the system full rank instead
+// of stalling on an empty ripple.
 package lt
 
 import (

@@ -27,13 +27,15 @@
 // A parked equation is revived the moment a new packet registers as a
 // waiter on its check symbol.
 //
-// Elimination endgame. When peeling stalls with a small residue, a
-// reduced GF(2) system is solved over the unresolved sources plus only
-// those check symbols some live received equation references — a check
-// symbol appearing solely in its own static equation is a free variable,
-// so that row and column drop together. The rank-deficit gate (needMore)
-// bounds attempts. This is the engine's one endgame policy; both codes
-// use it.
+// The endgame. Peeling alone is not maximum-likelihood, so the engine
+// hands its residual system to bitmat.Solver (inactivation decoding — the
+// same solver the Tornado decoder ends on) behind one exact gate: the
+// first attempt at K distinct packets, since the L-K static rows plus fewer
+// than K received ones cannot have rank L; after an attempt short by δ,
+// each new packet's row is checked against that analysis
+// (bitmat.Solver.Extend), and the next attempt comes when the deficit is
+// zero. The engine is therefore done at exactly the packet that makes the
+// source recoverable.
 package peel
 
 import (
@@ -82,20 +84,18 @@ type Decoder struct {
 	c *Code
 	s int // static equations: L - K
 
-	values   [][]byte // per column; nil while unresolved
-	srcLeft  int      // unresolved source symbols (done when 0)
-	resolved int      // resolved columns (sources + checks)
-	eqs      []eq     // [0,s) static, then received
+	values  [][]byte // per column; nil while unresolved
+	srcLeft int      // unresolved source symbols (done when 0)
+	eqs     []eq     // [0,s) static, then received
 	// Waiter lists (column -> ids of buffered equations covering it) as
 	// linked nodes in one growable arena — registration never allocates
 	// per symbol.
-	whead    []int32 // per column: index into wnodes, -1 = empty
-	wnodes   []wnode
-	relq     []int32
-	active   int                 // equations with remaining > 0
-	parked   []int32             // per check j: 1+id of an equation parked on K+j, 0 if none
-	seen     map[uint32]struct{} // distinct accepted wire indices
-	needMore int                 // rank-deficit gate for the elimination endgame
+	whead   []int32 // per column: index into wnodes, -1 = empty
+	wnodes  []wnode
+	relq    []int32
+	parked  []int32             // per check j: 1+id of an equation parked on K+j, 0 if none
+	seen    map[uint32]struct{} // distinct accepted wire indices
+	deficit int                 // rank deficit of the whole system, once known
 
 	released int // coded-equation releases: the deferred-XOR events
 	xors     int // payload XORSlice calls on the peeling path
@@ -103,6 +103,13 @@ type Decoder struct {
 	nbuf  []int
 	done  bool
 	arena Arena
+
+	// Endgame scratch, reused across attempts.
+	solver bitmat.Solver
+	colOf  []int32 // per column: its index in the last endgame system, -1 if resolved then
+	syms   []int32 // endgame index -> column
+	rows   []int32 // solver row -> equation id
+	prow   []int32 // a new packet's row over the last endgame system
 }
 
 // wnode is one waiter registration: equation id, plus the next node on
@@ -127,7 +134,6 @@ func NewDecoder(c *Code) *Decoder {
 		eqs:     make([]eq, s, s+c.K/2+16),
 		parked:  make([]int32, s),
 		seen:    make(map[uint32]struct{}, c.K+c.K/8),
-		active:  s,
 		srcLeft: c.K,
 		arena:   Arena{PacketLen: c.PacketLen},
 	}
@@ -156,15 +162,12 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 		return false, nil
 	}
 	d.seen[index] = struct{}{}
-	resBefore := d.resolved
-	contributed := false
 	if i < d.c.Systematic {
 		// Systematic packet: the payload IS column i. No XOR, no
 		// equation bookkeeping beyond the resolve ripple.
 		if d.values[i] == nil {
 			buf := d.arena.Alloc()
 			copy(buf, data)
-			contributed = true
 			d.resolve(i, buf)
 			d.drainRipple()
 		}
@@ -180,8 +183,7 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 		}
 		switch unresolved {
 		case 0:
-			// Redundant at arrival: adds no equation, must not pay down a
-			// pending elimination deficit.
+			// Redundant at arrival: adds no equation.
 		case 1:
 			// Immediately releasable.
 			buf := d.arena.Alloc()
@@ -193,7 +195,6 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 				}
 			}
 			d.released++
-			contributed = true
 			d.resolve(last, buf)
 			d.drainRipple()
 		default:
@@ -201,8 +202,6 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 			buf := d.arena.Alloc()
 			copy(buf, data)
 			d.eqs = append(d.eqs, eq{index: index, data: buf, remaining: int32(unresolved)})
-			d.active++
-			contributed = true
 			for _, nb := range d.nbuf {
 				if d.values[nb] != nil {
 					continue
@@ -220,28 +219,13 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 			d.drainRipple()
 		}
 	}
-	// Pay down the elimination rank-deficit gate by actual progress: a
-	// contributing equation adds prospective rank, and every symbol
-	// resolved since the packet arrived removes a column from the residual
-	// system. Counting contributions alone (enough only where packets
-	// never resolve symbols directly) would lock the endgame out for the
-	// whole systematic prefix of a lossy stream.
-	if d.needMore > 0 {
-		progress := d.resolved - resBefore
-		if contributed {
-			progress++
+	if !d.done && len(d.seen) >= d.c.K {
+		if d.deficit > 0 {
+			d.deficit = d.solver.Extend(d.packetRow(i))
 		}
-		if d.needMore -= progress; d.needMore < 0 {
-			d.needMore = 0
+		if d.deficit == 0 {
+			d.endgame()
 		}
-	}
-	if !d.done {
-		// Attempt the endgame only when peeling has actually stalled: an
-		// Add that resolved nothing. While the ripple is alive, building
-		// the residual system would be pure waste — near the active ≈
-		// srcLeft boundary it is both large and rank-deficient, and each
-		// failed build costs a full rhs reduction.
-		d.tryEliminate(d.resolved == resBefore)
 	}
 	return d.done, nil
 }
@@ -251,7 +235,6 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 // buffered received equations via the waiter lists.
 func (d *Decoder) resolve(s int, val []byte) {
 	d.values[s] = val
-	d.resolved++
 	if s < d.c.K {
 		d.srcLeft--
 		if d.srcLeft == 0 {
@@ -268,11 +251,8 @@ func (d *Decoder) resolve(s int, val []byte) {
 			e := &d.eqs[j]
 			if e.remaining > 0 {
 				e.remaining--
-				switch e.remaining {
-				case 1:
+				if e.remaining == 1 {
 					d.relq = append(d.relq, j)
-				case 0:
-					d.active--
 				}
 			}
 		}
@@ -290,7 +270,6 @@ func (d *Decoder) resolve(s int, val []byte) {
 				// fully covered, hence redundant.
 				d.arena.Free(e.data)
 				e.data = nil
-				d.active--
 			}
 		}
 	}
@@ -328,27 +307,11 @@ func (d *Decoder) drainRipple() {
 		if e.remaining != 1 {
 			continue // raced to 0: became redundant while queued
 		}
-		static := id < int32(d.s)
-		target := -1
-		if static {
-			j := int(id)
-			if d.values[d.c.K+j] == nil {
-				target = d.c.K + j
-			} else {
-				for _, nb := range d.c.CheckSrc[j] {
-					if d.values[nb] == nil {
-						target = int(nb)
-						break
-					}
-				}
-			}
-		} else {
-			d.nbuf = d.c.Draw.NeighborsInto(e.index, d.nbuf)
-			for _, nb := range d.nbuf {
-				if d.values[nb] == nil {
-					target = nb
-					break
-				}
+		target, cols := -1, d.columns(id)
+		for _, nb := range cols {
+			if d.values[nb] == nil {
+				target = nb
+				break
 			}
 		}
 		if target < 0 {
@@ -359,212 +322,117 @@ func (d *Decoder) drainRipple() {
 				d.arena.Free(e.data)
 				e.data = nil
 			}
-			d.active--
 			continue
 		}
 		if target >= d.c.K && !d.needed(id, target) {
 			d.parked[target-d.c.K] = id + 1
 			continue
 		}
-		var val []byte
-		if e.data != nil {
-			val = e.data
-			e.data = nil
-		} else {
-			val = d.arena.Alloc()
-			clear(val)
-		}
-		if static {
-			j := int(id)
-			for _, nb := range d.c.CheckSrc[j] {
-				if v := d.values[nb]; v != nil {
-					gf.XORSlice(val, v)
-					d.xors++
-				}
-			}
-			if v := d.values[d.c.K+j]; v != nil {
-				gf.XORSlice(val, v)
-				d.xors++
-			}
-		} else {
-			for _, nb := range d.nbuf {
-				if v := d.values[nb]; v != nil {
-					gf.XORSlice(val, v)
-					d.xors++
-				}
-			}
-		}
+		val := d.payload(e)
+		d.xors += d.fold(val, cols)
 		e.remaining = 0
-		d.active--
 		d.released++
 		d.resolve(target, val)
 	}
 }
 
-// elimMax bounds the residual system the endgame will solve: elimination
-// is cubic, so peeling must shrink the residue below ~K/8 first. Where
-// static rows clean a truncated distribution's residue (raptor), the
-// endgame system is typically a few dozen columns.
-func (d *Decoder) elimMax() int {
-	if m := d.c.K / 8; m > 768 {
-		return m
+// endgame hands the residual system to the shared inactivation solver: the
+// unresolved columns over the live equations, static and received. A
+// resolved column left it together with the equations it retired, so the
+// deficit is the whole system's. Payloads are read only at full rank: a
+// received row folds its resolved neighbours into its own buffer, a static
+// row into an arena buffer, and the solution is those buffers.
+func (d *Decoder) endgame() {
+	if d.colOf == nil {
+		d.colOf = make([]int32, d.c.Draw.L)
 	}
-	return 768
-}
-
-// tryEliminate solves the reduced residual system when peeling has
-// stalled: unresolved sources plus the check symbols some live received
-// equation references, over the live received equations plus the static
-// equations whose own check is either resolved or referenced. A check
-// symbol appearing only in its own static equation is a free variable —
-// that row and column leave the system together, which keeps the matrix
-// near the true information deficit instead of O(s) wide.
-func (d *Decoder) tryEliminate(stalled bool) {
-	if d.done || d.needMore > 0 || d.srcLeft == 0 {
-		return
-	}
-	// A live ripple usually makes the build pure waste — except at the
-	// very end, where the residual system is tiny, solving it is cheaper
-	// than the dribble of tail packets peeling would wait for.
-	if !stalled && d.srcLeft > 768 {
-		return
-	}
-	if d.srcLeft > d.elimMax() {
-		return
-	}
-	if d.active < d.srcLeft {
-		// Not enough live equations to cover the unknowns. This is an O(1)
-		// check recomputed on every Add, so it must NOT set needMore: on a
-		// lossy systematic stream the deficit shrinks by two per packet
-		// (one equation in, one unknown out) and a counted-down gate would
-		// overshoot, locking elimination out past the prefix.
-		return
-	}
-	k, s := d.c.K, d.s
-	colOf := make(map[int]int, 2*d.srcLeft)
-	syms := make([]int, 0, 2*d.srcLeft)
-	addCol := func(v int) {
-		if _, ok := colOf[v]; !ok {
-			colOf[v] = len(syms)
-			syms = append(syms, v)
+	d.syms = d.syms[:0]
+	for v, val := range d.values {
+		if d.colOf[v] = -1; val == nil {
+			d.colOf[v] = int32(len(d.syms))
+			d.syms = append(d.syms, int32(v))
 		}
 	}
-	for v := 0; v < k; v++ {
-		if d.values[v] == nil {
-			addCol(v)
+	d.rows = d.rows[:0]
+	edges := 0
+	for id, e := range d.eqs {
+		if e.remaining > 0 {
+			d.rows = append(d.rows, int32(id))
+			edges += int(e.remaining)
 		}
 	}
-	recvRows := make([]int32, 0, d.active)
-	for id := int32(s); id < int32(len(d.eqs)); id++ {
-		if d.eqs[id].remaining <= 0 {
-			continue
-		}
-		d.nbuf = d.c.Draw.NeighborsInto(d.eqs[id].index, d.nbuf)
-		for _, nb := range d.nbuf {
-			if d.values[nb] == nil {
-				addCol(nb)
-			}
-		}
-		recvRows = append(recvRows, id)
-	}
-	staticRows := make([]int32, 0, s)
-	for j := 0; j < s; j++ {
-		if d.eqs[j].remaining <= 0 {
-			continue
-		}
-		own := k + j
-		if d.values[own] != nil {
-			staticRows = append(staticRows, int32(j))
-			continue
-		}
-		if _, ok := colOf[own]; ok {
-			staticRows = append(staticRows, int32(j))
-		}
-	}
-	cols := len(syms)
-	if cols > 2*d.elimMax() {
-		d.needMore = (cols - d.elimMax() + 3) / 4
-		return
-	}
-	rows := len(recvRows) + len(staticRows)
-	if rows < cols {
-		d.needMore = deficitWait(cols - rows)
-		return
-	}
-	// Received rows first (they carry the payload information), static
-	// rows fill the surplus, capped as in the Tornado endgame.
-	if max := cols + 64; rows > max {
-		rows = max
-	}
-	m := bitmat.New(rows, cols)
-	rhs := make([][]byte, rows)
-	store := make([]byte, rows*d.c.PacketLen)
-	r := 0
-	for _, id := range recvRows {
-		if r == rows {
-			break
-		}
-		buf := store[r*d.c.PacketLen : (r+1)*d.c.PacketLen]
-		copy(buf, d.eqs[id].data)
-		d.nbuf = d.c.Draw.NeighborsInto(d.eqs[id].index, d.nbuf)
-		for _, nb := range d.nbuf {
-			if v := d.values[nb]; v != nil {
-				gf.XORSlice(buf, v)
-			} else {
-				m.Set(r, colOf[nb], true)
-			}
-		}
-		rhs[r] = buf
-		r++
-	}
-	for _, jd := range staticRows {
-		if r == rows {
-			break
-		}
-		j := int(jd)
-		buf := store[r*d.c.PacketLen : (r+1)*d.c.PacketLen] // implicit zero payload
-		for _, nb := range d.c.CheckSrc[j] {
-			if v := d.values[nb]; v != nil {
-				gf.XORSlice(buf, v)
-			} else {
-				m.Set(r, colOf[int(nb)], true)
-			}
-		}
-		own := k + j
-		if v := d.values[own]; v != nil {
-			gf.XORSlice(buf, v)
-		} else {
-			m.Set(r, colOf[own], true)
-		}
-		rhs[r] = buf
-		r++
-	}
-	sol, rank, ok := bitmat.TrySolve(m, rhs)
-	if !ok {
-		d.needMore = deficitWait(cols - rank)
-		return
-	}
-	for ci, v := range syms {
-		if d.values[v] == nil {
-			d.values[v] = sol[ci]
-			if v < k {
-				d.srcLeft--
+	d.solver.Reset(edges)
+	for r, id := range d.rows {
+		for _, v := range d.columns(id) {
+			if c := d.colOf[v]; c >= 0 {
+				d.solver.Add(int32(r), c)
 			}
 		}
 	}
-	d.resolved = d.c.Draw.L
+	if d.deficit = d.solver.Analyze(len(d.rows), len(d.syms)); d.deficit > 0 {
+		return
+	}
+	rhs := make([][]byte, len(d.rows))
+	for r, id := range d.rows {
+		rhs[r] = d.payload(&d.eqs[id])
+		d.fold(rhs[r], d.columns(id))
+	}
+	for i, val := range d.solver.Solve(rhs) {
+		d.values[d.syms[i]] = val
+	}
 	d.finish()
 }
 
-// deficitWait converts a rank deficit into the progress units to wait
-// before the next elimination attempt. The floor adds hysteresis: a
-// deficit of 1-2 would otherwise trigger a full (and likely still
-// deficient) rebuild on nearly every subsequent packet.
-func deficitWait(deficit int) int {
-	if deficit < 8 {
-		return 8
+// packetRow returns packet i's row over the last endgame system's columns.
+func (d *Decoder) packetRow(i int) []int32 {
+	if i < d.c.Systematic {
+		d.nbuf = append(d.nbuf[:0], i)
+	} else {
+		d.nbuf = d.c.Draw.NeighborsInto(uint32(i), d.nbuf)
 	}
-	return deficit
+	d.prow = d.prow[:0]
+	for _, v := range d.nbuf {
+		if c := d.colOf[v]; c >= 0 {
+			d.prow = append(d.prow, c)
+		}
+	}
+	return d.prow
+}
+
+// columns returns equation id's columns in nbuf: a static equation's
+// sources and its own check symbol, a received one's drawn neighbours.
+func (d *Decoder) columns(id int32) []int {
+	if id >= int32(d.s) {
+		d.nbuf = d.c.Draw.NeighborsInto(d.eqs[id].index, d.nbuf)
+		return d.nbuf
+	}
+	d.nbuf = d.nbuf[:0]
+	for _, nb := range d.c.CheckSrc[id] {
+		d.nbuf = append(d.nbuf, int(nb))
+	}
+	return append(d.nbuf, d.c.K+int(id))
+}
+
+// fold XORs into buf the resolved values among cols and returns how many.
+func (d *Decoder) fold(buf []byte, cols []int) (xors int) {
+	for _, v := range cols {
+		if val := d.values[v]; val != nil {
+			gf.XORSlice(buf, val)
+			xors++
+		}
+	}
+	return xors
+}
+
+// payload takes equation e's buffer: its raw payload, or for a static
+// equation the implicit zero packet.
+func (d *Decoder) payload(e *eq) []byte {
+	buf := e.data
+	if e.data = nil; buf == nil {
+		buf = d.arena.Alloc()
+		clear(buf)
+	}
+	return buf
 }
 
 // finish drops the equation state; values (some arena-backed) survive
@@ -578,6 +446,8 @@ func (d *Decoder) finish() {
 	d.wnodes = nil
 	d.parked = nil
 	d.arena = Arena{}
+	d.solver = bitmat.Solver{}
+	d.colOf, d.syms, d.rows, d.prow = nil, nil, nil, nil
 }
 
 // addWaiter registers equation id on column v: one arena append, one
@@ -604,7 +474,7 @@ func (d *Decoder) Received() int { return len(d.seen) }
 func (d *Decoder) Released() int { return d.released }
 
 // XORs returns the payload XORSlice count on the peeling path (the
-// elimination endgame's internal row combinations are not included).
+// endgame's are not included).
 // Zero loss ⇒ zero.
 func (d *Decoder) XORs() int { return d.xors }
 

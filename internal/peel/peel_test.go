@@ -105,7 +105,7 @@ func (tc *testCode) checkSource(t testing.TB, d *Decoder) {
 
 // oracle is the slow reference decoder: dense GF(2) elimination over every
 // equation — static and received — and all L columns. It shares nothing
-// with the engine but the equations themselves: no peeling, no gates, no
+// with the engine but the equations themselves: no peeling, no gate, no
 // reduced system.
 type oracle struct {
 	tc      *testCode
@@ -162,18 +162,12 @@ func (o *oracle) fullRankAt() int {
 	return lo
 }
 
-// oracleSlack is how many packets past the oracle's full-rank point the
-// engine may take at the sizes tested here (k <= 400, where the
-// elimination cap never binds). It is not maximum-likelihood by design: a
-// failed endgame attempt waits out at least deficitWait's floor of 8
-// progress units before the next, and attempts run only on stalled Adds.
-const oracleSlack = 24
-
 // TestEngineAgainstOracle is the differential safety net: over seeds ×
 // loss patterns × {LT shape, raptor repair-only, systematic with loss},
 // with duplicates mixed in, the engine must never be done before the
 // sources are determined, must return exactly the oracle's solution, and
-// must finish within oracleSlack packets of the oracle's full-rank point.
+// must be done at exactly the oracle's full-rank point: the endgame's gate
+// is exact, so the engine is maximum-likelihood.
 func TestEngineAgainstOracle(t *testing.T) {
 	shapes := []struct {
 		name         string
@@ -183,7 +177,6 @@ func TestEngineAgainstOracle(t *testing.T) {
 		{"raptor-repair", func(k int) int { return k/8 + 3 }, func(k int) int { return k }},
 		{"raptor-systematic", func(k int) int { return k/8 + 3 }, func(int) int { return 0 }},
 	}
-	worst := 0
 	for _, shape := range shapes {
 		for _, k := range []int{1, 2, 9, 40, 150, 400} {
 			for seed := int64(1); seed <= 6; seed++ {
@@ -229,18 +222,13 @@ func TestEngineAgainstOracle(t *testing.T) {
 					}
 				}
 				tc.checkSource(t, d)
-				slack := len(o.indices) - o.fullRankAt()
-				if slack > worst {
-					worst = slack
-				}
-				if slack > oracleSlack {
-					t.Errorf("%s k=%d seed=%d loss=%.1f: done %d packets after the oracle's full-rank point (slack %d)",
-						shape.name, k, seed, loss, slack, oracleSlack)
+				if at := o.fullRankAt(); len(o.indices) != at {
+					t.Errorf("%s k=%d seed=%d loss=%.1f: done at %d distinct packets, the oracle at %d",
+						shape.name, k, seed, loss, len(o.indices), at)
 				}
 			}
 		}
 	}
-	t.Logf("worst slack past the oracle's full-rank point: %d packets", worst)
 }
 
 func TestArenaRecyclesWithoutOverlap(t *testing.T) {

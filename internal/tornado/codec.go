@@ -33,20 +33,7 @@ type Codec struct {
 	levels      []int   // cascade layer sizes, outermost first
 	denseInputs int     // size of the layer covered by the dense tail
 	denseStart  int     // first check id of the dense tail
-	edges       int     // total edge count, for instrumentation
 	design      *design // LP-optimized left degree distribution (nil if no cascade)
-
-	// scopes lists the per-level elimination subsystems for the decoder,
-	// deepest last: scope i recovers a contiguous value range from a
-	// contiguous check range. The final scope is the dense tail.
-	scopes []solveScope
-}
-
-// solveScope identifies one level's linear subsystem: the values of the
-// input layer and the checks computed from them.
-type solveScope struct {
-	valOff, valLen     int // unknowns: value ids [valOff, valOff+valLen)
-	checkOff, checkLen int // equations: check ids [checkOff, checkOff+checkLen)
 }
 
 // planCascade computes the cascade layer sizes for a check budget l over a
@@ -122,10 +109,6 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 			counts = c.design.nodeCounts(layerSize)
 		}
 		g := newBigraph(layerSize, s, counts, rand.New(rand.NewSource(mix(seed, int64(li+1)))))
-		c.scopes = append(c.scopes, solveScope{
-			valOff: layerOff, valLen: layerSize,
-			checkOff: len(c.checkNeighbors), checkLen: s,
-		})
 		for ci := 0; ci < s; ci++ {
 			ns := make([]int32, len(g.neighbors[ci]))
 			for i, v := range g.neighbors[ci] {
@@ -133,7 +116,6 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 			}
 			c.checkNeighbors = append(c.checkNeighbors, ns)
 			c.checkOwn = append(c.checkOwn, int32(valOff+ci))
-			c.edges += len(ns)
 		}
 		layerOff = valOff
 		layerSize = s
@@ -144,10 +126,6 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	// cascade is empty, which happens for small k).
 	c.denseStart = len(c.checkNeighbors)
 	c.denseInputs = layerSize
-	c.scopes = append(c.scopes, solveScope{
-		valOff: layerOff, valLen: layerSize,
-		checkOff: c.denseStart, checkLen: dense,
-	})
 	weight := p.DenseRowWeight
 	if weight == 0 {
 		weight = autoDenseWeight(layerSize)
@@ -173,7 +151,6 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 		}
 		c.checkNeighbors = append(c.checkNeighbors, ns)
 		c.checkOwn = append(c.checkOwn, -1)
-		c.edges += weight
 	}
 
 	// Reverse adjacency.
@@ -232,10 +209,6 @@ func (c *Codec) PacketLen() int { return c.packetLen }
 
 // Seed returns the graph seed (carried in the session descriptor).
 func (c *Codec) Seed() int64 { return c.seed }
-
-// Edges returns the total number of graph edges; coding cost is
-// proportional to Edges() * PacketLen().
-func (c *Codec) Edges() int { return c.edges }
 
 // Levels returns the cascade layer sizes (excluding the dense tail) for
 // instrumentation and tests. The returned slice must not be modified.

@@ -8,10 +8,18 @@ import (
 )
 
 // decoder is the incremental Tornado decoder. It runs the two-rule
-// propagation after every packet and falls back to Gaussian elimination on
-// the dense tail when propagation stalls, so Done() flips exactly at the
+// propagation after every packet and, behind one exact gate, hands the
+// whole stalled system to the shared inactivation solver (bitmat.Solver,
+// the one the peeling engine ends on), so Done() flips exactly at the
 // packet that makes the source recoverable — the property the paper uses
 // to let a receiver leave the multicast session as early as possible.
+//
+// The gate: the first attempt at k distinct packets, since the cascade's
+// numValues-k rows plus fewer than k received ones cannot have full column
+// rank. An attempt short by δ keeps its analysis, and each later packet's
+// row is checked against it (bitmat.Solver.Extend): the deficit falls by
+// one exactly when a packet raises the rank, and at zero the next attempt
+// solves.
 //
 // Memory discipline: every packet-sized buffer comes from the shared slab
 // arena (peel.Arena), mirroring Encode's one-allocation store.
@@ -20,10 +28,9 @@ import (
 // the classic value+accumulator pair. The residual is exactly the payload
 // of the check's last unknown neighbor once cnt reaches 1, so rule (a)
 // recoveries transfer buffer ownership instead of allocating, and the
-// elimination fallback solves in place on the live residuals (after a
-// matrix-only rank precheck) so its solutions are transfers too. Steady
-// state decoding therefore allocates nothing per packet and nothing per
-// elimination retry.
+// endgame solves in place on the live residuals (only once the symbolic
+// phase has proven full rank) so its solutions are transfers too. Steady
+// state decoding therefore allocates no packet buffer of its own.
 type decoder struct {
 	c *Codec
 
@@ -31,7 +38,7 @@ type decoder struct {
 	gotPacket []bool   // per packet index, for duplicate suppression
 	received  int
 	srcLeft   int
-	knownVals int // total known values, for cheap residual gating
+	deficit   int // rank deficit of the whole system, once known
 
 	// Per-check state. Invariant: rhs[ci] != nil iff valKnown[ci] &&
 	// !dead[ci] && cnt[ci] > 0. A dead check's equation has been consumed
@@ -44,46 +51,27 @@ type decoder struct {
 
 	queue []int32
 
-	// Elimination bookkeeping: after a failed attempt in a scope, the
-	// retry is deferred by a number of received packets proportional to
-	// the information shortfall, which bounds wasted eliminations while
-	// reacting quickly once a core becomes solvable.
-	retryAt     []int // per scope, in units of received packets
-	residualCap int
-
 	arena peel.Arena
 
-	// trySolve scratch, reused across attempts so elimination retries
-	// allocate nothing.
-	unknownsBuf []int32
-	eqsBuf      []int32
-	colBuf      []int32 // scope-relative column map; kept all -1 at rest
-	matA, matB  bitmat.Matrix
-	solveRHS    [][]byte
+	// Endgame scratch, reused across attempts.
+	solver   bitmat.Solver
+	colOf    []int32 // per value id: its column in the last endgame system, -1 if known then
+	unknowns []int32 // endgame column -> value id
+	rows     []int32 // solver row -> check id
+	prow     []int32 // a new packet's row over the last endgame system
 }
 
 func newDecoder(c *Codec) *decoder {
-	// The cap bounds the cubic elimination cost while still covering the
-	// stalled-core sizes observed when large graphs run at 90-95% of
-	// capacity (up to ~40% of an 8k layer). A larger dense tail (the B
-	// variant) shifts the cap up, which is part of why B decodes more
-	// slowly in exchange for lower overhead.
-	cap := 2*c.params.denseTarget() + 512
-	if cap < c.denseInputs+256 {
-		cap = c.denseInputs + 256
-	}
 	d := &decoder{
-		c:           c,
-		data:        make([][]byte, c.numValues),
-		gotPacket:   make([]bool, c.n),
-		srcLeft:     c.k,
-		rhs:         make([][]byte, len(c.checkNeighbors)),
-		valKnown:    make([]bool, len(c.checkNeighbors)),
-		cnt:         make([]int32, len(c.checkNeighbors)),
-		dead:        make([]bool, len(c.checkNeighbors)),
-		retryAt:     make([]int, len(c.scopes)),
-		residualCap: cap,
-		arena:       peel.Arena{PacketLen: c.packetLen},
+		c:         c,
+		data:      make([][]byte, c.numValues),
+		gotPacket: make([]bool, c.n),
+		srcLeft:   c.k,
+		rhs:       make([][]byte, len(c.checkNeighbors)),
+		valKnown:  make([]bool, len(c.checkNeighbors)),
+		cnt:       make([]int32, len(c.checkNeighbors)),
+		dead:      make([]bool, len(c.checkNeighbors)),
+		arena:     peel.Arena{PacketLen: c.packetLen},
 	}
 	for ci, ns := range c.checkNeighbors {
 		d.cnt[ci] = int32(len(ns))
@@ -115,7 +103,14 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 		d.checkValArrived(ci, data)
 	}
 	d.drain()
-	d.sweepScopes()
+	if !d.Done() && d.received >= d.c.k {
+		if d.deficit > 0 {
+			d.deficit = d.solver.Extend(d.packetRow(i))
+		}
+		if d.deficit == 0 {
+			d.endgame()
+		}
+	}
 	return d.Done(), nil
 }
 
@@ -145,20 +140,6 @@ func (d *decoder) checkValArrived(ci int, val []byte) {
 	}
 }
 
-// sweepScopes repeatedly attempts per-level eliminations, deepest scope
-// first, until no scope makes progress. Solving a deep level unblocks
-// propagation in the level above, so the sweep loops while anything moves.
-func (d *decoder) sweepScopes() {
-	for progress := true; progress && !d.Done(); {
-		progress = false
-		for si := len(d.c.scopes) - 1; si >= 0 && !d.Done(); si-- {
-			if d.trySolve(si) {
-				progress = true
-			}
-		}
-	}
-}
-
 // Done implements code.Decoder.
 func (d *decoder) Done() bool { return d.srcLeft == 0 }
 
@@ -181,7 +162,6 @@ func (d *decoder) setValue(v int32, buf []byte) {
 		return
 	}
 	d.data[v] = buf
-	d.knownVals++
 	if int(v) < d.c.k {
 		d.srcLeft--
 	}
@@ -264,112 +244,81 @@ func (d *decoder) drain() {
 	}
 }
 
-// trySolve attempts Gaussian elimination on one level's stalled subsystem
-// (scope si): the unknown values of that level's input layer against the
-// checks computed from it. This is what bootstraps bottom-up decoding (the
-// dense tail is the deepest scope) and what dissolves the small residual
-// cores propagation leaves when the graphs run near capacity — without it
-// a stalled deep level starves every level above (§5 decoding).
-//
-// The attempt is skipped while the unknown count exceeds residualCap
-// (bounding elimination cost) and, after a rank-deficient attempt, until
-// enough new information has arrived to plausibly close the rank gap.
-// Solvability is established first on a matrix-only scratch copy (no
-// payload work); only a certain success eliminates in place on the live
-// residuals, whose buffers then BECOME the recovered values. All scratch
-// is reused across attempts. It reports whether it recovered anything.
-func (d *decoder) trySolve(si int) bool {
-	if d.received < d.retryAt[si] {
-		return false
-	}
+// endgame solves the joint residual over all levels with the shared
+// inactivation solver. Its unknowns are every unknown value; its rows are
+// the live known-value checks (their residuals already fold the known
+// neighbours) and the cascade checks whose own value is still unknown —
+// static rows 0 = own ⊕ neighbours, whose payload is the XOR of the known
+// neighbours. Consumed equations and known values have left together, so
+// the residual's rank deficit is the whole system's. At full rank the
+// known-value rows hand over their residual buffers, the cascade rows get
+// arena buffers, and the solution is those buffers.
+func (d *decoder) endgame() {
 	c := d.c
-	sc := c.scopes[si]
-	unknowns := d.unknownsBuf[:0]
-	for v := sc.valOff; v < sc.valOff+sc.valLen; v++ {
-		if d.data[v] == nil {
-			unknowns = append(unknowns, int32(v))
+	if d.colOf == nil {
+		d.colOf = make([]int32, c.numValues)
+	}
+	d.unknowns = d.unknowns[:0]
+	for v, p := range d.data {
+		if d.colOf[v] = -1; p == nil {
+			d.colOf[v] = int32(len(d.unknowns))
+			d.unknowns = append(d.unknowns, int32(v))
 		}
 	}
-	d.unknownsBuf = unknowns
-	if len(unknowns) == 0 {
-		d.retryAt[si] = d.received + 1
-		return false
-	}
-	if len(unknowns) > d.residualCap {
-		d.retryAt[si] = d.received + (len(unknowns)-d.residualCap+3)/4
-		return false
-	}
-	eqs := d.eqsBuf[:0]
-	for ci := sc.checkOff; ci < sc.checkOff+sc.checkLen; ci++ {
-		if d.valKnown[ci] && !d.dead[ci] && d.cnt[ci] > 0 {
-			eqs = append(eqs, int32(ci))
+	d.rows = d.rows[:0]
+	edges := 0
+	for ci := range c.checkNeighbors {
+		// Not consumed, and not a dense check whose value never arrived.
+		if !d.dead[ci] && (d.valKnown[ci] || c.checkOwn[ci] >= 0) {
+			d.rows = append(d.rows, int32(ci))
+			edges += int(d.cnt[ci]) + 1
 		}
 	}
-	d.eqsBuf = eqs
-	if len(eqs) < len(unknowns) {
-		d.retryAt[si] = d.received + (len(unknowns)-len(eqs)+3)/4
-		return false
-	}
-	// A modest equation surplus suffices for full rank with overwhelming
-	// probability; keeping the system small bounds elimination cost.
-	maxEqs := len(unknowns) + 64
-	if len(eqs) > maxEqs {
-		eqs = eqs[:maxEqs]
-	}
-	// Scope-relative column map (kept all -1 at rest, restored below).
-	if len(d.colBuf) < sc.valLen {
-		d.colBuf = make([]int32, sc.valLen)
-		for i := range d.colBuf {
-			d.colBuf[i] = -1
-		}
-	}
-	col := d.colBuf
-	for j, v := range unknowns {
-		col[int(v)-sc.valOff] = int32(j)
-	}
-	d.matA.Reset(len(eqs), len(unknowns))
-	for r, ci := range eqs {
+	d.solver.Reset(edges)
+	for r, ci := range d.rows {
 		for _, v := range c.checkNeighbors[ci] {
-			rel := int(v) - sc.valOff
-			if rel >= 0 && rel < sc.valLen && col[rel] >= 0 {
-				d.matA.Set(r, int(col[rel]), true)
+			if d.data[v] == nil {
+				d.solver.Add(int32(r), d.colOf[v])
+			}
+		}
+		if !d.valKnown[ci] {
+			d.solver.Add(int32(r), d.colOf[c.checkOwn[ci]])
+		}
+	}
+	if d.deficit = d.solver.Analyze(len(d.rows), len(d.unknowns)); d.deficit > 0 {
+		return
+	}
+	// Done from here on, so the residual buffers are handed over as they are.
+	rhs := make([][]byte, len(d.rows))
+	for r, ci := range d.rows {
+		if rhs[r] = d.rhs[ci]; rhs[r] == nil { // a cascade check: 0 ⊕ its known neighbours
+			rhs[r] = d.arena.Alloc()
+			clear(rhs[r])
+			for _, v := range c.checkNeighbors[ci] {
+				if p := d.data[v]; p != nil {
+					gf.XORSlice(rhs[r], p)
+				}
 			}
 		}
 	}
-	for _, v := range unknowns {
-		col[int(v)-sc.valOff] = -1
+	for i, p := range d.solver.Solve(rhs) {
+		d.data[d.unknowns[i]] = p
 	}
-	// Matrix-only rank precheck on a scratch copy: a failed attempt costs
-	// no payload XORs and leaves the live residuals untouched.
-	d.matB.CopyFrom(&d.matA)
-	if rank := d.matB.RankDestructive(); rank < len(unknowns) {
-		gap := (len(unknowns) - rank + 3) / 4
-		if gap < 1 {
-			gap = 1
+	d.srcLeft = 0
+}
+
+// packetRow returns packet i's row over the last endgame system's columns:
+// a value is its own column, a dense-tail check its neighbours.
+func (d *decoder) packetRow(i int) []int32 {
+	vals := []int32{int32(i)}
+	if i >= d.c.numValues {
+		vals = d.c.checkNeighbors[d.c.denseStart+i-d.c.numValues]
+	}
+	d.prow = d.prow[:0]
+	for _, v := range vals {
+		if c := d.colOf[v]; c >= 0 {
+			d.prow = append(d.prow, c)
 		}
-		d.retryAt[si] = d.received + gap
-		return false
 	}
-	// Full rank is certain: eliminate in place on the live residuals. The
-	// used equations are consumed wholesale (every scope value they touch
-	// is about to become known), so retire them and transfer their buffers.
-	rhs := d.solveRHS[:0]
-	for _, ci := range eqs {
-		rhs = append(rhs, d.rhs[ci])
-		d.rhs[ci] = nil
-		d.dead[ci] = true
-	}
-	d.solveRHS = rhs
-	sol, _, ok := bitmat.TrySolve(&d.matA, rhs)
-	if !ok {
-		panic("tornado: elimination failed after full-rank precheck")
-	}
-	for _, b := range rhs[len(unknowns):] {
-		d.arena.Free(b)
-	}
-	for i, v := range unknowns {
-		d.setValue(v, sol[i])
-	}
-	d.drain()
-	return true
+	return d.prow
 }

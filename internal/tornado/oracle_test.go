@@ -13,7 +13,7 @@ import (
 // equation the code has — one per cascade check (its value is the XOR of
 // its neighbors), one per received packet — and all numValues columns. It
 // shares nothing with the decoder but the graphs: no propagation, no
-// scopes, no residuals, no retry gates.
+// residuals, no gate, no sparse solver.
 type oracle struct {
 	c       *Codec
 	indices []int // distinct received packet indices, in arrival order
@@ -69,29 +69,14 @@ func (o *oracle) fullRankAt() int {
 	return lo
 }
 
-// oracleSlack is how many packets past the oracle's full-rank point the
-// decoder may take at the sizes tested here. Without a cascade the dense
-// tail sits directly over the sources and its elimination sees every
-// equation there is: none. With one the decoder is not maximum-likelihood
-// by design (§5: propagation plus per-level elimination buys linear time
-// for a reception overhead) — a level's stalled core is solved from that
-// level's own checks only, never jointly with the levels around it — and
-// layers this small run far above the design overhead (worst seen over 12
-// seeds: 0.39·k at k = 150, 0.31·k at k = 400, 25 packets at k = 1100).
-func oracleSlack(c *Codec) int {
-	if len(c.levels) == 0 {
-		return 0
-	}
-	return 8 + 2*c.k/5
-}
-
 // TestTornadoAgainstOracle is the differential safety net under the
 // decoder: over both variants × {shipped dense target (no cascade at these
 // k), a small dense target (a cascade of several levels)} × k × seeds ×
 // loss rates, with duplicates mixed in and the carousel cycling until
 // done, the decoder must never be done before the sources are determined,
-// must return exactly the oracle's solution, and must finish within
-// oracleSlack packets of the oracle's full-rank point.
+// must return exactly the oracle's solution, and must be done at exactly
+// the oracle's full-rank point: the endgame's gate is exact, so the
+// decoder is maximum-likelihood.
 func TestTornadoAgainstOracle(t *testing.T) {
 	const packetLen = 8
 	cascaded := func(p Params) Params {
@@ -111,7 +96,6 @@ func TestTornadoAgainstOracle(t *testing.T) {
 		{cascaded(B()), small},
 		{A(), []size{{1100, 2}}}, // the shipped A with one cascade level
 	}
-	worst, worstAt := 0, ""
 	for _, shape := range shapes {
 		for _, sz := range shape.sizes {
 			k := sz.k
@@ -176,16 +160,11 @@ func TestTornadoAgainstOracle(t *testing.T) {
 						t.Fatalf("%s: source %d differs from the oracle's or from what was sent", name(), i)
 					}
 				}
-				slack := len(o.indices) - o.fullRankAt()
-				if slack > worst {
-					worst, worstAt = slack, name()
-				}
-				if slack > oracleSlack(c) {
-					t.Errorf("%s loss=%.1f: done %d packets after the oracle's full-rank point (slack %d)",
-						name(), loss, slack, oracleSlack(c))
+				if at := o.fullRankAt(); len(o.indices) != at {
+					t.Errorf("%s loss=%.1f: done at %d distinct packets, the oracle at %d",
+						name(), loss, len(o.indices), at)
 				}
 			}
 		}
 	}
-	t.Logf("worst slack past the oracle's full-rank point: %d packets (%s)", worst, worstAt)
 }

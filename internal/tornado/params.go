@@ -11,14 +11,16 @@
 //	          i-1 under a random irregular bipartite graph (heavy-tail
 //	          left degrees, near-regular right degrees)
 //	tail:     a low-density random GF(2) code over the last layer, solved
-//	          by Gaussian elimination (still XOR-only)
+//	          by elimination (still XOR-only)
 //
 // Decoding is the incremental two-rule process described in DESIGN.md:
 // a check with a known value and exactly one unknown neighbor recovers
 // that neighbor; a check whose neighbors are all known recovers its own
-// value; when propagation stalls the dense tail is solved by elimination.
-// The decoder detects completion packet-by-packet, which is what lets the
-// receiver of a digital fountain disconnect as soon as it has "enough".
+// value. What propagation leaves — over all levels and the tail at once —
+// goes to the inactivation solver the peeling engine also ends on
+// (bitmat.Solver), behind an exact gate, so the decoder is done at exactly
+// the packet that makes the source recoverable: the receiver of a digital
+// fountain disconnects as soon as it has "enough".
 package tornado
 
 import "fmt"
@@ -45,9 +47,9 @@ type Params struct {
 	// received inputs + received checks reach the input count), so it must
 	// be large enough that binomial reception fluctuations — relative
 	// σ ≈ 0.7/sqrt(target) — stay inside the overhead margin ε. A larger
-	// tail also shifts decode work from propagation to Gaussian
-	// elimination (slower decode, lower overhead): the B variant uses a
-	// bigger tail. 0 means 1024.
+	// tail also shifts decode work from propagation to the endgame solver
+	// (slower decode, lower overhead): the B variant uses a bigger tail.
+	// 0 means 1024.
 	DenseTarget int
 	// DenseRowWeight is the number of inputs XORed into each dense-tail
 	// check (sampled without replacement). 0 means automatic
@@ -55,16 +57,17 @@ type Params struct {
 	DenseRowWeight int
 }
 
-// A returns the parameters for Tornado A, the fast variant with average
-// reception overhead ≈ 0.05 (tuned; see EXPERIMENTS.md).
+// A returns the parameters for Tornado A, the fast variant, designed for
+// a reception overhead of ≈ 0.05 under propagation alone (the endgame
+// decodes well below it; see EXPERIMENTS.md).
 func A() Params {
 	return Params{Variant: "tornado-a", MaxDegree: 24, TargetOverhead: 0.055, DenseTarget: 1024}
 }
 
-// B returns the parameters for Tornado B, the slower-decoding variant with
-// average reception overhead ≈ 0.03: higher-degree graphs decode closer to
-// capacity, and a larger dense tail absorbs more loss variance at the cost
-// of a bigger Gaussian elimination.
+// B returns the parameters for Tornado B, the slower-decoding variant
+// designed for ≈ 0.03: higher-degree graphs decode closer to capacity, and
+// a larger dense tail absorbs more loss variance at the cost of a bigger
+// endgame.
 func B() Params {
 	return Params{Variant: "tornado-b", MaxDegree: 64, TargetOverhead: 0.032, DenseTarget: 2048}
 }
