@@ -153,7 +153,7 @@ const (
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewSession encodes data for fountain distribution (eagerly — the full
-// encoding is materialized up front).
+// encoding is materialized up front). The session keeps data: do not modify it.
 func NewSession(data []byte, cfg Config) (*Session, error) { return core.NewSession(data, cfg) }
 
 // BlockCache is the byte budget lazily encoded sessions share: hand one to
@@ -168,7 +168,8 @@ func NewBlockCache(capBytes int64) *BlockCache { return core.NewBlockCache(capBy
 
 // NewSessionCached builds a session that encodes coded packets on first
 // carousel touch and keeps them as far as the shared budget allows. Codecs
-// without per-packet encoding (Tornado) fall back to eager encoding.
+// without per-packet encoding (Tornado) fall back to eager encoding. The
+// session keeps data: do not modify it.
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
 	return core.NewSessionCached(data, cfg, cache)
 }

@@ -77,7 +77,7 @@ func TestPublicCodecs(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for i := range src {
-			if !bytes.Equal(got[i], src[i]) {
+			if !bytes.Equal(got[i*pl:(i+1)*pl], src[i]) {
 				t.Fatalf("%s: packet %d differs", name, i)
 			}
 		}

@@ -1,7 +1,7 @@
 // Package code defines the erasure-code abstraction shared by every codec
 // in this repository (Tornado, Reed-Solomon Vandermonde, Reed-Solomon
 // Cauchy, interleaved block codes, and the rateless LT and raptor codes),
-// plus payload split/join helpers.
+// plus Split and SourceBuf, a file's one copy at either end.
 //
 // The fixed-rate codecs are systematic: k source packets are stretched
 // into n encoding packets that include the source packets themselves (the
@@ -92,9 +92,9 @@ type Decoder interface {
 	Done() bool
 	// Received returns the number of distinct packets accepted so far.
 	Received() int
-	// Source recovers and returns the k source packets. It returns an
-	// error if the decoder is not Done.
-	Source() ([][]byte, error)
+	// Source recovers the k source packets into the decoder's SourceBuf
+	// and returns it. It returns an error if the decoder is not Done.
+	Source() ([]byte, error)
 }
 
 // ErrNotReady is returned by Source when not enough packets have arrived.
@@ -134,8 +134,9 @@ func CheckPacket(i int, data []byte, n, packetLen int) error {
 	return nil
 }
 
-// Split partitions data into k packets of packetLen bytes, zero-padding the
-// tail. It returns an error if data does not fit.
+// Split partitions data into k packets of packetLen bytes: views of data
+// where it fills a packet, the rest one zero-padded copy. It returns an
+// error if data does not fit.
 func Split(data []byte, k, packetLen int) ([][]byte, error) {
 	if k <= 0 || packetLen <= 0 {
 		return nil, fmt.Errorf("code: invalid split k=%d packetLen=%d", k, packetLen)
@@ -143,27 +144,35 @@ func Split(data []byte, k, packetLen int) ([][]byte, error) {
 	if len(data) > k*packetLen {
 		return nil, fmt.Errorf("code: %d bytes do not fit in %d packets of %d bytes", len(data), k, packetLen)
 	}
-	buf := make([]byte, k*packetLen)
-	copy(buf, data)
+	whole := len(data) / packetLen
 	out := make([][]byte, k)
-	for i := range out {
-		out[i] = buf[i*packetLen : (i+1)*packetLen]
+	for i := range whole {
+		out[i] = data[i*packetLen : (i+1)*packetLen : (i+1)*packetLen]
+	}
+	if whole < k {
+		tail := make([]byte, (k-whole)*packetLen)
+		copy(tail, data[whole*packetLen:])
+		for i := whole; i < k; i++ {
+			out[i] = tail[(i-whole)*packetLen : (i-whole+1)*packetLen : (i-whole+1)*packetLen]
+		}
 	}
 	return out, nil
 }
 
-// Join reassembles packets into a byte slice of the original length.
-func Join(pkts [][]byte, origLen int) ([]byte, error) {
-	total := 0
-	for _, p := range pkts {
-		total += len(p)
-	}
-	if origLen < 0 || origLen > total {
-		return nil, fmt.Errorf("code: original length %d exceeds packet data %d", origLen, total)
-	}
-	out := make([]byte, 0, total)
-	for _, p := range pkts {
-		out = append(out, p...)
-	}
-	return out[:origLen], nil
+// SourceBuf is the K·PacketLen buffer a decoder resolves source packet i
+// into at [i·PacketLen, (i+1)·PacketLen), allocated at the first Slot.
+type SourceBuf struct {
+	K, PacketLen int
+	buf          []byte
 }
+
+// Slot returns source packet i's bytes, zero until first written.
+func (s *SourceBuf) Slot(i int) []byte {
+	if s.buf == nil {
+		s.buf = make([]byte, s.K*s.PacketLen)
+	}
+	return s.buf[i*s.PacketLen : (i+1)*s.PacketLen : (i+1)*s.PacketLen]
+}
+
+// Bytes returns the buffer, nil before the first Slot.
+func (s *SourceBuf) Bytes() []byte { return s.buf }

@@ -105,6 +105,7 @@ func PadPacketLen(pl int) int {
 // NewSession encodes data for fountain distribution, materializing the
 // full encoding eagerly (the memory/latency profile of the one-session
 // prototype). Servers holding many files should use NewSessionCached.
+// The session keeps data, as NewSessionCached does.
 func NewSession(data []byte, cfg Config) (*Session, error) {
 	return NewSessionCached(data, cfg, nil)
 }
@@ -117,6 +118,8 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 //
 // A nil cache, or a codec that does not implement code.RowEncoder,
 // degrades to eager encoding (full materialization at construction).
+// The session keeps data (code.Split's packets are views of it): do not
+// modify it.
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
 	cfg.PacketLen = PadPacketLen(cfg.PacketLen)
 	if cfg.SPInterval <= 0 {
@@ -417,7 +420,7 @@ func (r *Receiver) Handle(idx int, payload []byte) (bool, error) {
 // Done reports whether the file can be reconstructed.
 func (r *Receiver) Done() bool { return r.done }
 
-// File reassembles and verifies the file.
+// File returns the decoder's source buffer trimmed to the file, verified.
 func (r *Receiver) File() ([]byte, error) {
 	if r.fileBuf != nil {
 		return r.fileBuf, nil
@@ -426,11 +429,8 @@ func (r *Receiver) File() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := code.Join(src, int(r.info.FileLen))
-	if err != nil {
-		return nil, err
-	}
-	// End-to-end proof: the reassembled bytes must match the descriptor's
+	data := src[:r.info.FileLen]
+	// End-to-end proof: the decoded bytes must match the descriptor's
 	// SHA-256 digest (never zero: checkDescriptor refused that).
 	if got := sha256.Sum256(data); got != r.info.Digest {
 		return nil, fmt.Errorf("core: file digest mismatch: got %x want %x", got, r.info.Digest)

@@ -121,9 +121,9 @@ func (c *Codec) SourceIndex(f int) int {
 
 // NewDecoder implements code.Codec.
 func (c *Codec) NewDecoder() code.Decoder {
-	d := &decoder{c: c, blocks: make([]code.Decoder, c.blocks)}
+	d := &decoder{c: c, blocks: make([]code.Decoder, c.blocks), out: code.SourceBuf{K: c.K(), PacketLen: c.packetLen}}
 	for b := range d.blocks {
-		d.blocks[b] = c.inner.NewDecoder()
+		d.blocks[b] = c.inner.NewDecoderInto(&d.out, b*c.blockK)
 	}
 	d.pending = c.blocks
 	return d
@@ -131,7 +131,8 @@ func (c *Codec) NewDecoder() code.Decoder {
 
 type decoder struct {
 	c        *Codec
-	blocks   []code.Decoder
+	blocks   []code.Decoder // block b resolves into file packets [b·k, (b+1)·k) of out
+	out      code.SourceBuf
 	pending  int // blocks not yet decodable
 	received int
 }
@@ -165,17 +166,14 @@ func (d *decoder) Done() bool { return d.pending == 0 }
 func (d *decoder) Received() int { return d.received }
 
 // Source returns the file's source packets in file order (block-major).
-func (d *decoder) Source() ([][]byte, error) {
+func (d *decoder) Source() ([]byte, error) {
 	if !d.Done() {
 		return nil, code.ErrNotReady
 	}
-	out := make([][]byte, 0, d.c.K())
-	for b := 0; b < d.c.blocks; b++ {
-		src, err := d.blocks[b].Source()
-		if err != nil {
+	for _, bd := range d.blocks {
+		if _, err := bd.Source(); err != nil {
 			return nil, err
 		}
-		out = append(out, src...)
 	}
-	return out, nil
+	return d.out.Bytes(), nil
 }

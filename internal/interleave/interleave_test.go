@@ -49,8 +49,8 @@ func TestRoundTripRandomOrder(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := range src {
-			if !bytes.Equal(got[i], src[i]) {
+		for i, p := range src {
+			if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 				return false
 			}
 		}
@@ -138,8 +138,8 @@ func TestBlockFillRequirement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range src {
-		if !bytes.Equal(got[i], src[i]) {
+	for i, p := range src {
+		if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 			t.Fatalf("packet %d differs", i)
 		}
 	}
@@ -244,5 +244,36 @@ func TestEncodeRangeMatchesEncode(t *testing.T) {
 	}
 	if &got[0][0] != &src[0][0] {
 		t.Fatal("source packet copied, want alias")
+	}
+}
+
+// TestBlocksShareOneBuffer: every block decodes into its block-major range
+// of the one buffer Source returns, so nothing is concatenated.
+func TestBlocksShareOneBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	c, _ := New(4, 8, 5, 32)
+	src := randSource(rng, c.K(), 32)
+	enc, _ := c.Encode(src)
+	d := c.NewDecoder()
+	for _, i := range rng.Perm(c.N()) {
+		if done, _ := d.Add(i, enc[i]); done {
+			break
+		}
+	}
+	got, err := d.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.Join(src, nil)) {
+		t.Fatal("source differs")
+	}
+	for b, bd := range d.(*decoder).blocks {
+		part, _ := bd.Source()
+		if &part[0] != &got[b*c.BlockK()*32] || len(part) != c.BlockK()*32 {
+			t.Fatalf("block %d decoded outside its range of the buffer", b)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { d.Source() }); allocs != 0 {
+		t.Fatalf("a second Source allocates %.0f times", allocs)
 	}
 }

@@ -43,8 +43,8 @@ func decodeStream(t *testing.T, c *Codec, src [][]byte, base uint32, loss float6
 			if err != nil {
 				t.Fatalf("Source: %v", err)
 			}
-			for s := range src {
-				if !bytes.Equal(got[s], src[s]) {
+			for s, p := range src {
+				if !bytes.Equal(got[s*len(p):(s+1)*len(p)], p) {
 					t.Fatalf("symbol %d mismatch", s)
 				}
 			}

@@ -39,8 +39,6 @@
 package peel
 
 import (
-	"fmt"
-
 	"repro/internal/bitmat"
 	"repro/internal/code"
 	"repro/internal/gf"
@@ -84,9 +82,10 @@ type Decoder struct {
 	c *Code
 	s int // static equations: L - K
 
-	values  [][]byte // per column; nil while unresolved
-	srcLeft int      // unresolved source symbols (done when 0)
-	eqs     []eq     // [0,s) static, then received
+	values  [][]byte       // per column; nil while unresolved. A source column's is its slot of out.
+	out     code.SourceBuf // the source columns, in place: what Source returns
+	srcLeft int            // unresolved source symbols (done when 0)
+	eqs     []eq           // [0,s) static, then received
 	// Waiter lists (column -> ids of buffered equations covering it) as
 	// linked nodes in one growable arena — registration never allocates
 	// per symbol.
@@ -135,6 +134,7 @@ func NewDecoder(c *Code) *Decoder {
 		parked:  make([]int32, s),
 		seen:    make(map[uint32]struct{}, c.K+c.K/8),
 		srcLeft: c.K,
+		out:     code.SourceBuf{K: c.K, PacketLen: c.PacketLen},
 		arena:   Arena{PacketLen: c.PacketLen},
 	}
 	for v := range d.whead {
@@ -166,9 +166,9 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 		// Systematic packet: the payload IS column i. No XOR, no
 		// equation bookkeeping beyond the resolve ripple.
 		if d.values[i] == nil {
-			buf := d.arena.Alloc()
-			copy(buf, data)
-			d.resolve(i, buf)
+			slot := d.out.Slot(i)
+			copy(slot, data)
+			d.resolve(i, slot)
 			d.drainRipple()
 		}
 	} else {
@@ -195,7 +195,7 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 				}
 			}
 			d.released++
-			d.resolve(last, buf)
+			d.resolve(last, d.keep(last, buf))
 			d.drainRipple()
 		default:
 			id := int32(len(d.eqs))
@@ -332,8 +332,19 @@ func (d *Decoder) drainRipple() {
 		d.xors += d.fold(val, cols)
 		e.remaining = 0
 		d.released++
-		d.resolve(target, val)
+		d.resolve(target, d.keep(target, val))
 	}
+}
+
+// keep moves a released source value into its slot of out.
+func (d *Decoder) keep(v int, buf []byte) []byte {
+	if v >= d.c.K {
+		return buf
+	}
+	slot := d.out.Slot(v)
+	copy(slot, buf)
+	d.arena.Free(buf)
+	return slot
 }
 
 // endgame hands the residual system to the shared inactivation solver: the
@@ -341,7 +352,7 @@ func (d *Decoder) drainRipple() {
 // resolved column left it together with the equations it retired, so the
 // deficit is the whole system's. Payloads are read only at full rank: a
 // received row folds its resolved neighbours into its own buffer, a static
-// row into an arena buffer, and the solution is those buffers.
+// row into an arena buffer; the solution's source columns go to out.
 func (d *Decoder) endgame() {
 	if d.colOf == nil {
 		d.colOf = make([]int32, d.c.Draw.L)
@@ -378,7 +389,9 @@ func (d *Decoder) endgame() {
 		d.fold(rhs[r], d.columns(id))
 	}
 	for i, val := range d.solver.Solve(rhs) {
-		d.values[d.syms[i]] = val
+		if v := int(d.syms[i]); v < d.c.K {
+			copy(d.out.Slot(v), val)
+		}
 	}
 	d.finish()
 }
@@ -435,11 +448,11 @@ func (d *Decoder) payload(e *eq) []byte {
 	return buf
 }
 
-// finish drops the equation state; values (some arena-backed) survive
-// for Source.
+// finish drops all decoding state; out survives for Source.
 func (d *Decoder) finish() {
 	d.done = true
 	d.srcLeft = 0
+	d.values = nil
 	d.eqs = nil
 	d.relq = nil
 	d.whead = nil
@@ -479,14 +492,9 @@ func (d *Decoder) Released() int { return d.released }
 func (d *Decoder) XORs() int { return d.xors }
 
 // Source implements code.Decoder.
-func (d *Decoder) Source() ([][]byte, error) {
+func (d *Decoder) Source() ([]byte, error) {
 	if !d.done {
 		return nil, code.ErrNotReady
 	}
-	for v, val := range d.values[:d.c.K] {
-		if val == nil {
-			return nil, fmt.Errorf("peel: symbol %d unresolved after completion", v)
-		}
-	}
-	return d.values[:d.c.K], nil
+	return d.out.Bytes(), nil
 }

@@ -96,8 +96,8 @@ func (tc *testCode) checkSource(t testing.TB, d *Decoder) {
 	if err != nil {
 		t.Fatalf("Source: %v", err)
 	}
-	for i := range got {
-		if !bytes.Equal(got[i], tc.cols[i]) {
+	for i, want := range tc.cols[:tc.K] {
+		if !bytes.Equal(got[i*tc.PacketLen:(i+1)*tc.PacketLen], want) {
 			t.Fatalf("source symbol %d differs from what was sent", i)
 		}
 	}
@@ -216,8 +216,8 @@ func TestEngineAgainstOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range got {
-					if !bytes.Equal(got[i], sol[i]) {
+				for i, want := range sol[:k] {
+					if !bytes.Equal(got[i*tc.PacketLen:(i+1)*tc.PacketLen], want) {
 						t.Fatalf("%s k=%d seed=%d: symbol %d differs from the oracle's", shape.name, k, seed, i)
 					}
 				}

@@ -35,8 +35,8 @@ func checkSource(t *testing.T, dec code.Decoder, src [][]byte) {
 	if err != nil {
 		t.Fatalf("Source: %v", err)
 	}
-	for i := range src {
-		if !bytes.Equal(got[i], src[i]) {
+	for i, p := range src {
+		if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 			t.Fatalf("source packet %d mismatch", i)
 		}
 	}

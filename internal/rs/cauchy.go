@@ -175,94 +175,38 @@ func (c *Cauchy) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
 }
 
 // NewDecoder implements code.Codec.
-func (c *Cauchy) NewDecoder() code.Decoder {
-	return &cauchyDecoder{c: c, have: make(map[int][]byte, c.k)}
+func (c *Cauchy) NewDecoder() code.Decoder { return c.NewDecoderInto(nil, 0) }
+
+// NewDecoderInto returns a decoder resolving into packets [base, base+k)
+// of out (nil: a buffer of its own).
+func (c *Cauchy) NewDecoderInto(out *code.SourceBuf, base int) code.Decoder {
+	return &cauchyDecoder{c: c, reception: newReception(c.k, c.n, c.packetLen, out, base)}
 }
 
 type cauchyDecoder struct {
-	c    *Cauchy
-	have map[int][]byte
-	src  [][]byte
+	c *Cauchy
+	reception
 }
-
-func (d *cauchyDecoder) Add(i int, data []byte) (bool, error) {
-	if err := code.CheckPacket(i, data, d.c.n, d.c.packetLen); err != nil {
-		return d.Done(), err
-	}
-	if d.Done() {
-		return true, nil
-	}
-	if _, dup := d.have[i]; dup {
-		return false, nil
-	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.have[i] = buf
-	return d.Done(), nil
-}
-
-func (d *cauchyDecoder) Done() bool { return len(d.have) >= d.c.k }
-
-func (d *cauchyDecoder) Received() int { return len(d.have) }
 
 // Source implements code.Decoder. Missing source packets are recovered by
-// (1) adjusting one received repair equation per missing packet by the
-// known source packets (XOR bit-matrix applies), (2) inverting the
-// missing-column/used-repair Cauchy submatrix with the closed-form O(x^2)
-// inverse, and (3) applying the inverse to the adjusted values.
-func (d *cauchyDecoder) Source() ([][]byte, error) {
-	if d.src != nil {
-		return d.src, nil
+// (1) adjusting each held repair packet, in place, by the known source
+// packets (XOR bit-matrix applies), (2) inverting the missing-column/repair
+// Cauchy submatrix with the closed-form O(x^2) inverse, and (3) applying
+// the inverse to the adjusted values, straight into the missing slots.
+func (d *cauchyDecoder) Source() ([]byte, error) {
+	if d.solved {
+		return d.source(), nil
 	}
 	if !d.Done() {
 		return nil, code.ErrNotReady
 	}
 	c := d.c
-	src := make([][]byte, c.k)
-	missing := make([]int, 0)
-	for j := 0; j < c.k; j++ {
-		if p, ok := d.have[j]; ok {
-			src[j] = p
-		} else {
-			missing = append(missing, j)
-		}
-	}
-	if len(missing) == 0 {
-		d.src = src
-		return src, nil
-	}
-	// Pick one received repair row per missing packet.
-	repairs := make([]int, 0, len(missing))
-	for i := c.k; i < c.n && len(repairs) < len(missing); i++ {
-		if _, ok := d.have[i]; ok {
-			repairs = append(repairs, i-c.k)
-		}
-	}
-	if len(repairs) < len(missing) {
-		return nil, code.ErrNotReady
-	}
-	// Adjusted right-hand sides: b_r = repair_r ^ sum_{known j} C[r][j] (x) src_j.
-	// Each adjustment is independent, so fan out across the pool.
-	b := make([][]byte, len(repairs))
-	bStore := make([]byte, len(repairs)*c.packetLen)
-	code.ParallelChunks(len(repairs), func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			r := repairs[bi]
-			buf := bStore[bi*c.packetLen : (bi+1)*c.packetLen]
-			copy(buf, d.have[c.k+r])
-			for j := 0; j < c.k; j++ {
-				if src[j] != nil {
-					c.apply(c.coeff(r, j), buf, src[j])
-				}
-			}
-			b[bi] = buf
-		}
-	})
-	// Invert the Cauchy submatrix with points x = k + repairs, y = missing.
-	x := make([]uint32, len(repairs))
+	missing := d.missing()
+	// Invert the Cauchy submatrix with points x = repairs, y = missing.
+	x := make([]uint32, len(d.repIdx))
 	y := make([]uint32, len(missing))
-	for i, r := range repairs {
-		x[i] = uint32(c.k + r)
+	for i, r := range d.repIdx {
+		x[i] = uint32(r)
 	}
 	for i, j := range missing {
 		y[i] = uint32(j)
@@ -271,21 +215,30 @@ func (d *cauchyDecoder) Source() ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rs: cauchy inverse: %w", err)
 	}
+	// Adjusted right-hand sides: b_r = repair_r ^ sum_{known j} C[r][j] (x) src_j.
+	// Each adjustment is independent, so fan out across the pool.
+	code.ParallelChunks(len(d.repIdx), func(lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			b, r := d.repair(bi), d.repIdx[bi]-c.k
+			for j := range c.k {
+				if d.seen[j] {
+					c.apply(c.coeff(r, j), b, d.slot(j))
+				}
+			}
+		}
+	})
 	// Inverse entries do go through the schedule cache even though they are
 	// reception-specific: a schedule is ~250 bytes (vs the 1 KiB split
 	// tables the Vandermonde decoder deliberately keeps out of its cache),
 	// so even the all-coefficients worst case stays in the low MiB while
 	// rebuilding per entry measurably halves reconstruction throughput.
-	mStore := make([]byte, len(missing)*c.packetLen)
 	code.ParallelChunks(len(missing), func(lo, hi int) {
 		for mi := lo; mi < hi; mi++ {
-			p := mStore[mi*c.packetLen : (mi+1)*c.packetLen]
-			for bi := range repairs {
-				c.apply(inv.At(mi, bi), p, b[bi])
+			p := d.slot(missing[mi])
+			for bi := range d.repIdx {
+				c.apply(inv.At(mi, bi), p, d.repair(bi))
 			}
-			src[missing[mi]] = p
 		}
 	})
-	d.src = src
-	return src, nil
+	return d.source(), nil
 }

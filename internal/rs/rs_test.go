@@ -28,7 +28,7 @@ func randSource(rng *rand.Rand, k, packetLen int) [][]byte {
 
 // decodeFrom feeds the decoder the packets whose indices are in recv
 // and returns the recovered source.
-func decodeFrom(t *testing.T, c code.Codec, enc [][]byte, recv []int) [][]byte {
+func decodeFrom(t *testing.T, c code.Codec, enc [][]byte, recv []int) []byte {
 	t.Helper()
 	d := c.NewDecoder()
 	done := false
@@ -75,8 +75,8 @@ func testAnyKOfN(t *testing.T, mk func(k, n, pl int) (code.Codec, error)) {
 		// Random k-subset of the n packets decodes.
 		recv := rng.Perm(n)[:k]
 		got := decodeFrom(t, c, enc, recv)
-		for i := range src {
-			if !bytes.Equal(got[i], src[i]) {
+		for i, p := range src {
+			if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 				return false
 			}
 		}
@@ -106,8 +106,8 @@ func TestVandermondeRepairOnlyDecode(t *testing.T) {
 	enc, _ := c.Encode(src)
 	recv := []int{8, 9, 10, 11, 12, 13, 14, 15}
 	got := decodeFrom(t, c, enc, recv)
-	for i := range src {
-		if !bytes.Equal(got[i], src[i]) {
+	for i, p := range src {
+		if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 			t.Fatalf("packet %d differs", i)
 		}
 	}
@@ -123,8 +123,8 @@ func TestCauchyRepairOnlyDecode(t *testing.T) {
 	enc, _ := c.Encode(src)
 	recv := []int{16, 17, 18, 19, 20, 21, 22, 23}
 	got := decodeFrom(t, c, enc, recv)
-	for i := range src {
-		if !bytes.Equal(got[i], src[i]) {
+	for i, p := range src {
+		if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 			t.Fatalf("packet %d differs", i)
 		}
 	}
@@ -145,8 +145,8 @@ func TestHalfSourceHalfRepair(t *testing.T) {
 		enc, _ := c.Encode(src)
 		recv := append(rng.Perm(16)[:8], shift(rng.Perm(16)[:8], 16)...)
 		got := decodeFrom(t, c, enc, recv)
-		for i := range src {
-			if !bytes.Equal(got[i], src[i]) {
+		for i, p := range src {
+			if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 				t.Fatalf("%s: packet %d differs", c.Name(), i)
 			}
 		}
@@ -265,7 +265,7 @@ func TestDecoderDataIsCopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got[1], src[1]) {
+	if !bytes.Equal(got[len(src[0]):2*len(src[0])], src[1]) {
 		t.Fatal("decoder aliased caller buffer")
 	}
 }
@@ -396,6 +396,39 @@ func TestEncodeRangeMatchesEncode(t *testing.T) {
 		}
 		if _, err := re.EncodeRange(src, 0, n+1); err == nil {
 			t.Fatalf("%s: hi > n accepted", cd.Name())
+		}
+	}
+}
+
+// TestSourceInPlace: both RS decoders recover into one k·packetLen buffer
+// — received source packets in their slots, the missing ones written in
+// place — and Source hands back that same buffer, again without
+// allocating.
+func TestSourceInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const k, n, pl = 12, 24, 32
+	v, _ := NewVandermonde(k, n, pl)
+	c, _ := NewCauchy(k, n, pl)
+	for _, cd := range []code.Codec{v, c} {
+		src := randSource(rng, k, pl)
+		enc, _ := cd.Encode(src)
+		d := cd.NewDecoder()
+		for _, i := range rng.Perm(n)[:k] {
+			d.Add(i, enc[i])
+		}
+		got, err := d.Source()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, bytes.Join(src, nil)) {
+			t.Fatalf("%s: source differs", cd.Name())
+		}
+		again, _ := d.Source()
+		if &again[0] != &got[0] || len(again) != k*pl {
+			t.Fatalf("%s: a second Source is not the same buffer", cd.Name())
+		}
+		if allocs := testing.AllocsPerRun(10, func() { d.Source() }); allocs != 0 {
+			t.Fatalf("%s: a second Source allocates %.0f times", cd.Name(), allocs)
 		}
 	}
 }

@@ -120,79 +120,120 @@ func (v *Vandermonde) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
 
 // NewDecoder implements code.Codec.
 func (v *Vandermonde) NewDecoder() code.Decoder {
-	return &vdmDecoder{c: v, have: make(map[int][]byte, v.k)}
+	return &vdmDecoder{c: v, reception: newReception(v.k, v.n, v.packetLen, nil, 0)}
+}
+
+// reception is what an RS decoder holds: source packets in their slots of
+// out, repairs back to back in rep — exactly as many as the missing slots.
+type reception struct {
+	k, pl  int
+	out    *code.SourceBuf
+	base   int    // this decoder's source packet 0 is out's packet base
+	seen   []bool // per packet index
+	held   int    // distinct packets held
+	repIdx []int  // repair packets held, in arrival order
+	rep    []byte // their payloads
+	solved bool
+}
+
+func newReception(k, n, pl int, out *code.SourceBuf, base int) reception {
+	if out == nil {
+		out = &code.SourceBuf{K: k, PacketLen: pl}
+	}
+	return reception{k: k, pl: pl, out: out, base: base, seen: make([]bool, n)}
+}
+
+// Add implements code.Decoder.
+func (r *reception) Add(i int, data []byte) (bool, error) {
+	if err := code.CheckPacket(i, data, len(r.seen), r.pl); err != nil {
+		return r.Done(), err
+	}
+	if r.Done() || r.seen[i] {
+		return r.Done(), nil
+	}
+	r.seen[i] = true
+	r.held++
+	if i < r.k {
+		copy(r.slot(i), data)
+	} else {
+		r.repIdx = append(r.repIdx, i)
+		r.rep = append(r.rep, data...)
+	}
+	return r.Done(), nil
+}
+
+// Done implements code.Decoder.
+func (r *reception) Done() bool { return r.held >= r.k }
+
+// Received implements code.Decoder.
+func (r *reception) Received() int { return r.held }
+
+func (r *reception) slot(j int) []byte { return r.out.Slot(r.base + j) }
+
+// repair returns the payload of the m-th repair packet held.
+func (r *reception) repair(m int) []byte { return r.rep[m*r.pl : (m+1)*r.pl : (m+1)*r.pl] }
+
+// missing lists the source packets not received, allocating out first
+// for the parallel workers that write them.
+func (r *reception) missing() []int {
+	r.slot(0)
+	out := make([]int, 0, len(r.repIdx))
+	for j := range r.k {
+		if !r.seen[j] {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// source marks the reception solved and returns its range of out.
+func (r *reception) source() []byte {
+	r.solved = true
+	return r.out.Bytes()[r.base*r.pl : (r.base+r.k)*r.pl]
 }
 
 type vdmDecoder struct {
-	c    *Vandermonde
-	have map[int][]byte // packet index -> payload (first k distinct kept)
-	src  [][]byte       // decoded source, cached
+	c *Vandermonde
+	reception
 }
-
-func (d *vdmDecoder) Add(i int, data []byte) (bool, error) {
-	if err := code.CheckPacket(i, data, d.c.n, d.c.packetLen); err != nil {
-		return d.Done(), err
-	}
-	if d.Done() {
-		return true, nil
-	}
-	if _, dup := d.have[i]; dup {
-		return false, nil
-	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.have[i] = buf
-	return d.Done(), nil
-}
-
-func (d *vdmDecoder) Done() bool { return len(d.have) >= d.c.k }
-
-func (d *vdmDecoder) Received() int { return len(d.have) }
 
 // Source implements code.Decoder. This is the expensive step the paper
 // measures in Table 3: Gaussian inversion of the k x k reception matrix
 // followed by reconstruction of the missing source packets.
-func (d *vdmDecoder) Source() ([][]byte, error) {
-	if d.src != nil {
-		return d.src, nil
+func (d *vdmDecoder) Source() ([]byte, error) {
+	if d.solved {
+		return d.source(), nil
 	}
 	if !d.Done() {
 		return nil, code.ErrNotReady
+	}
+	missing := d.missing()
+	if len(missing) == 0 {
+		return d.source(), nil
 	}
 	c := d.c
 	f := c.f
 	// Deterministic order: source packets first (their rows are units and
 	// make the elimination cheaper), then repairs — mirroring how Rizzo's
 	// decoder shuffles known source packets to the top.
-	idx := make([]int, 0, c.k)
-	for i := 0; i < c.n && len(idx) < c.k; i++ {
-		if _, ok := d.have[i]; ok {
-			idx = append(idx, i)
+	payload := make([][]byte, 0, c.k)
+	m := gfmat.New(f, c.k, c.k)
+	for j := range c.k {
+		if d.seen[j] {
+			m.Set(len(payload), j, 1)
+			payload = append(payload, d.slot(j))
 		}
 	}
-	m := gfmat.New(f, c.k, c.k)
-	for r, i := range idx {
-		if i < c.k {
-			m.Set(r, i, 1)
-			continue
-		}
-		wx, row := c.rowScale(i), m.Row(r)
+	for ri, i := range d.repIdx {
+		wx, row := c.rowScale(i), m.Row(len(payload))
 		for j := range row {
 			row[j] = c.coeff(wx, i, j)
 		}
+		payload = append(payload, d.repair(ri))
 	}
 	inv, err := m.Invert()
 	if err != nil {
 		return nil, fmt.Errorf("rs: reception matrix singular: %w", err)
-	}
-	src := make([][]byte, c.k)
-	missing := make([]int, 0, c.k)
-	for j := 0; j < c.k; j++ {
-		if p, ok := d.have[j]; ok {
-			src[j] = p
-		} else {
-			missing = append(missing, j)
-		}
 	}
 	// Reconstruction is coefficient-major (one table per inverse entry,
 	// reused across the packet) and parallel across the missing packets,
@@ -200,22 +241,18 @@ func (d *vdmDecoder) Source() ([][]byte, error) {
 	// this reception pattern and essentially never repeat, so the tables
 	// are built into per-worker scratch rather than the field's permanent
 	// cache (which is for the repeating encode-matrix coefficients).
-	store := make([]byte, len(missing)*c.packetLen)
 	code.ParallelChunks(len(missing), func(lo, hi int) {
 		tab := new(gf.MulTab16)
-		for mi := lo; mi < hi; mi++ {
-			j := missing[mi]
-			p := store[mi*c.packetLen : (mi+1)*c.packetLen]
+		for _, j := range missing[lo:hi] {
+			p := d.slot(j)
 			for r, coeff := range inv.Row(j) {
 				if coeff == 0 {
 					continue
 				}
 				f.MulTabInto(coeff, tab)
-				gf.MulSliceAddTab16(tab, p, d.have[idx[r]])
+				gf.MulSliceAddTab16(tab, p, payload[r])
 			}
-			src[j] = p
 		}
 	})
-	d.src = src
-	return src, nil
+	return d.source(), nil
 }

@@ -245,7 +245,8 @@ func (s *Service) Cache() *core.BlockCache { return s.cache }
 
 // AddData encodes data under cfg — lazily, against the shared cache, when
 // the codec supports it — registers the session under cfg.Session, and
-// schedules its paced emission. rate <= 0 uses the service default.
+// schedules its paced emission. rate <= 0 uses the service default. The
+// session keeps data: do not modify it.
 func (s *Service) AddData(data []byte, cfg core.Config, rate int) (*core.Session, error) {
 	return s.AddDataPhased(data, cfg, rate, 0)
 }

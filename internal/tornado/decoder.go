@@ -21,21 +21,24 @@ import (
 // one exactly when a packet raises the rank, and at zero the next attempt
 // solves.
 //
-// Memory discipline: every packet-sized buffer comes from the shared slab
-// arena (peel.Arena), mirroring Encode's one-allocation store.
+// Memory discipline: a source value lives in its slot of out; every other
+// packet-sized buffer comes from the shared slab arena (peel.Arena),
+// mirroring Encode's one-allocation store.
 // Each check carries at most ONE buffer — the residual rhs[ci] = value of
 // the check (once known) XOR the sum of its known neighbors — instead of
 // the classic value+accumulator pair. The residual is exactly the payload
 // of the check's last unknown neighbor once cnt reaches 1, so rule (a)
 // recoveries transfer buffer ownership instead of allocating, and the
 // endgame solves in place on the live residuals (only once the symbolic
-// phase has proven full rank) so its solutions are transfers too. Steady
-// state decoding therefore allocates no packet buffer of its own.
+// phase has proven full rank) so its solutions are transfers too (a source
+// value's is copied to its slot). Steady state decoding therefore
+// allocates no packet buffer beyond out.
 type decoder struct {
 	c *Codec
 
-	data      [][]byte // per value id; nil while unknown (arena-owned)
-	gotPacket []bool   // per packet index, for duplicate suppression
+	data      [][]byte       // per value id; nil while unknown (a source's slot of out, else arena-owned)
+	out       code.SourceBuf // the source values, in place: what Source returns
+	gotPacket []bool         // per packet index, for duplicate suppression
 	received  int
 	srcLeft   int
 	deficit   int // rank deficit of the whole system, once known
@@ -71,6 +74,7 @@ func newDecoder(c *Codec) *decoder {
 		valKnown:  make([]bool, len(c.checkNeighbors)),
 		cnt:       make([]int32, len(c.checkNeighbors)),
 		dead:      make([]bool, len(c.checkNeighbors)),
+		out:       code.SourceBuf{K: c.k, PacketLen: c.packetLen},
 		arena:     peel.Arena{PacketLen: c.packetLen},
 	}
 	for ci, ns := range c.checkNeighbors {
@@ -94,7 +98,12 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 	d.received++
 	if i < d.c.numValues {
 		if d.data[i] == nil {
-			buf := d.arena.Alloc()
+			var buf []byte
+			if i < d.c.k {
+				buf = d.out.Slot(i)
+			} else {
+				buf = d.arena.Alloc()
+			}
 			copy(buf, data)
 			d.setValue(int32(i), buf)
 		}
@@ -147,24 +156,24 @@ func (d *decoder) Done() bool { return d.srcLeft == 0 }
 func (d *decoder) Received() int { return d.received }
 
 // Source implements code.Decoder.
-func (d *decoder) Source() ([][]byte, error) {
+func (d *decoder) Source() ([]byte, error) {
 	if !d.Done() {
 		return nil, code.ErrNotReady
 	}
-	return d.data[:d.c.k], nil
+	return d.out.Bytes(), nil
 }
 
-// setValue marks value v known with the arena-owned payload buf (ownership
-// transfers to the decoder) and folds it into every check that uses it.
+// setValue marks value v known with payload buf (a source's slot, else an
+// arena buffer the decoder takes over) and folds it into its checks.
 func (d *decoder) setValue(v int32, buf []byte) {
 	if d.data[v] != nil {
 		d.arena.Free(buf)
 		return
 	}
-	d.data[v] = buf
 	if int(v) < d.c.k {
 		d.srcLeft--
 	}
+	d.data[v] = buf
 	// The value is itself the output of a cascade check: that check's value
 	// is now known.
 	if int(v) >= d.c.k {
@@ -220,6 +229,12 @@ func (d *decoder) drain() {
 			buf := d.rhs[ci]
 			d.rhs[ci] = nil
 			d.dead[ci] = true
+			if int(unknown) < d.c.k { // a source value lives in its slot
+				slot := d.out.Slot(int(unknown))
+				copy(slot, buf)
+				d.arena.Free(buf)
+				buf = slot
+			}
 			d.setValue(unknown, buf)
 		case !d.valKnown[ci] && d.cnt[ci] == 0:
 			// Rule (b): all inputs known; the check's value is their XOR,
@@ -252,7 +267,7 @@ func (d *decoder) drain() {
 // neighbours. Consumed equations and known values have left together, so
 // the residual's rank deficit is the whole system's. At full rank the
 // known-value rows hand over their residual buffers, the cascade rows get
-// arena buffers, and the solution is those buffers.
+// arena buffers; the solution's source values go to out.
 func (d *decoder) endgame() {
 	c := d.c
 	if d.colOf == nil {
@@ -302,7 +317,9 @@ func (d *decoder) endgame() {
 		}
 	}
 	for i, p := range d.solver.Solve(rhs) {
-		d.data[d.unknowns[i]] = p
+		if v := int(d.unknowns[i]); v < c.k {
+			copy(d.out.Slot(v), p)
+		}
 	}
 	d.srcLeft = 0
 }

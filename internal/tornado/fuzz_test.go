@@ -103,8 +103,8 @@ func FuzzTornadoStream(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range src {
-				if !bytes.Equal(got[i], src[i]) {
+			for i, p := range src {
+				if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 					t.Fatalf("source packet %d differs from what was sent", i)
 				}
 			}

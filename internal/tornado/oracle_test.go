@@ -155,8 +155,9 @@ func TestTornadoAgainstOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range src {
-					if !bytes.Equal(dec[i], sol[i]) || !bytes.Equal(dec[i], src[i]) {
+				for i, p := range src {
+					got := dec[i*len(p) : (i+1)*len(p)]
+					if !bytes.Equal(got, sol[i]) || !bytes.Equal(got, p) {
 						t.Fatalf("%s: source %d differs from the oracle's or from what was sent", name(), i)
 					}
 				}

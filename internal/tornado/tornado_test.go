@@ -44,8 +44,8 @@ func decodeRandomOrder(t *testing.T, c *Codec, enc [][]byte, src [][]byte, rng *
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range src {
-		if !bytes.Equal(got[i], src[i]) {
+	for i, p := range src {
+		if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 			t.Fatalf("source packet %d differs", i)
 		}
 	}
@@ -105,8 +105,8 @@ func TestRoundTripPropertyQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := range src {
-			if !bytes.Equal(got[i], src[i]) {
+		for i, p := range src {
+			if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 				return false
 			}
 		}
@@ -234,8 +234,8 @@ func TestDuplicatesAndJunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range src {
-		if !bytes.Equal(got[i], src[i]) {
+	for i, p := range src {
+		if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 			t.Fatalf("packet %d differs", i)
 		}
 	}
@@ -263,8 +263,8 @@ func TestDecoderDataCopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range src {
-		if !bytes.Equal(got[i], src[i]) {
+	for i, p := range src {
+		if !bytes.Equal(got[i*len(p):(i+1)*len(p)], p) {
 			t.Fatalf("decoder aliased caller buffer (packet %d)", i)
 		}
 	}
