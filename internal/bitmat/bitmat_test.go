@@ -39,15 +39,16 @@ func TestRankIdentityAndSingular(t *testing.T) {
 		m := New(4, 4)
 		rhs := make([][]byte, 4)
 		var s Solver
+		s.Reset(4, 4)
 		for r, row := range tc.rows {
 			m.Set(r, int(row[0]), true)
 			rhs[r] = []byte{byte(r)}
-			s.Add(int32(r), row[0])
+			s.AddRow(row)
 		}
 		if _, rank, _ := TrySolve(m, rhs); rank != tc.rank {
 			t.Fatalf("TrySolve rank %d, want %d", rank, tc.rank)
 		}
-		if d := s.Analyze(4, 4); d != 4-tc.rank {
+		if d := s.Analyze(4); d != 4-tc.rank {
 			t.Fatalf("Solver deficit %d, want %d", d, 4-tc.rank)
 		}
 	}

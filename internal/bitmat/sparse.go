@@ -7,19 +7,20 @@ import (
 	"repro/internal/gf"
 )
 
-// Solver is the stalled-core solver both peeling decoders end on: a sparse
+// Solver is the inactivation solver both decoders solve with: a sparse
 // GF(2) system whose right-hand sides are packet payloads, solved by
 // inactivation decoding (RFC 5053/6330; Qureshi et al.'s Primer).
 //
-// Analyze is the symbolic phase. It peels by degree-one rows; when that
-// stalls it inactivates a column and keeps peeling, so every column ends
-// peeled (by one pivot row, as a function of earlier peeled and of
-// inactivated columns) or inactivated. The other rows then say something
-// only about the inactivated set — a small dense system, and rank = peeled
-// + its rank. No payload byte is read or written. After a deficient
-// Analyze, Extend tells in O((row degree + rank) · inactivated/64) word
-// operations whether one more row raises the rank, so a decoder analyses
-// again only once the deficit is gone.
+// Rows are added in order, as their column lists (AddRow). Analyze is the
+// symbolic phase. It peels by degree-one rows; when that stalls it
+// inactivates a column and keeps peeling, so every column ends peeled (by
+// one pivot row, as a function of earlier peeled and of inactivated
+// columns) or inactivated. The other rows then say something only about the
+// inactivated set — a small dense system, and rank = peeled + its rank. No
+// payload byte is read or written. After a deficient Analyze, Extend tells
+// in O((row degree + rank) · inactivated/64) word operations whether one
+// more row raises the rank, and keeps it in the system if it does, so a
+// decoder analyses once and solves as soon as the deficit is gone.
 //
 // Solve is the payload phase, legal only at full rank: O(residual edges +
 // inactivated²) XORs, in place on the caller's row buffers, which become
@@ -27,7 +28,6 @@ import (
 // attempts again without allocating.
 type Solver struct {
 	cols       int
-	ri, ci     []int32 // the coefficients as added: (ri[e], ci[e])
 	off, idx   []int32 // row r's columns are idx[off[r]:off[r+1]]
 	colOff, cr []int32 // column c's rows are cr[colOff[c]:colOff[c+1]]
 
@@ -46,6 +46,7 @@ type Solver struct {
 	drows  []int32  // non-pivot rows with a nonzero vec; [:rank] independent
 	rank   int      // of the dense system
 	x, sol [][]byte
+	xors   int // payload XORs of the last Solve
 }
 
 const (
@@ -60,26 +61,27 @@ const (
 	addVec      // add vec·x
 )
 
-// Reset starts a new system of up to edges coefficients, keeping all
-// scratch. The count only sizes storage, so a first attempt allocates once
-// instead of growing.
-func (s *Solver) Reset(edges int) {
-	s.ri, s.ci = slices.Grow(s.ri[:0], edges), slices.Grow(s.ci[:0], edges)
+// Reset starts a new system, before its first AddRow, of about rows rows
+// and edges coefficients, keeping all scratch. The counts only size
+// storage, so a first attempt allocates once instead of growing.
+func (s *Solver) Reset(rows, edges int) {
+	s.off, s.idx = append(slices.Grow(s.off[:0], rows+1), 0), slices.Grow(s.idx[:0], edges)
 }
 
-// Add puts column c in row r's equation, ⊕ of its columns = rhs[r]. Any
-// order; each (r, c) at most once.
-func (s *Solver) Add(r, c int32) {
-	s.ri, s.ci = append(s.ri, r), append(s.ci, c)
+// AddRow appends the next row, r: ⊕ of its columns = rhs[r]. Each column
+// at most once, in any order.
+func (s *Solver) AddRow(cols []int32) {
+	s.idx = append(s.idx, cols...)
+	s.off = append(s.off, int32(len(s.idx)))
 }
 
-// Analyze runs the symbolic phase over the rows × cols system added since
-// Reset and returns the rank deficit, cols minus the rank. Zero means
+// Analyze runs the symbolic phase over the rows added since Reset and cols
+// columns and returns the rank deficit, cols minus the rank. Zero means
 // Solve will succeed.
-func (s *Solver) Analyze(rows, cols int) (deficit int) {
+func (s *Solver) Analyze(cols int) (deficit int) {
+	rows := len(s.off) - 1
 	s.cols = cols
-	s.off, s.idx = group(s.ri, s.ci, rows, s.off, s.idx)
-	s.colOff, s.cr = group(s.ci, s.ri, cols, s.colOff, s.cr)
+	s.transpose()
 	s.deg, s.rowCol, s.queue = resize(s.deg, rows), resize(s.rowCol, rows), s.queue[:0]
 	for r := range s.deg {
 		s.deg[r], s.rowCol[r] = s.off[r+1]-s.off[r], noPivot
@@ -142,22 +144,25 @@ func (s *Solver) Analyze(rows, cols int) (deficit int) {
 	return len(s.inact) - s.rank
 }
 
-// group is a counting sort of vals by keys in [0, n): key k's values,
-// in the order added, end as out[off[k]:off[k+1]].
-func group(keys, vals []int32, n int, off, out []int32) ([]int32, []int32) {
-	off, out = resize(off, n+1), resize(out, len(vals))
+// transpose indexes the rows by column: column c's rows, in increasing
+// order, end as cr[colOff[c]:colOff[c+1]].
+func (s *Solver) transpose() {
+	off := resize(s.colOff, s.cols+1)
 	clear(off)
-	for _, k := range keys {
-		off[k]++
+	for _, c := range s.idx {
+		off[c]++
 	}
-	for k := 1; k <= n; k++ {
-		off[k] += off[k-1] // the end of k, until the fill below
+	for c := 1; c <= s.cols; c++ {
+		off[c] += off[c-1] // the end of c, until the fill below
 	}
-	for e := len(keys) - 1; e >= 0; e-- {
-		off[keys[e]]--
-		out[off[keys[e]]] = vals[e]
+	s.cr = resize(s.cr, len(s.idx))
+	for r := int32(len(s.off) - 2); r >= 0; r-- {
+		for _, c := range s.row(r) {
+			off[c]--
+			s.cr[off[c]] = r
+		}
 	}
-	return off, out
+	s.colOff = off
 }
 
 // retire takes column c out of every row's active count.
@@ -184,15 +189,20 @@ func (s *Solver) express(v []uint64, cols []int32, skip int32) bool {
 	return slices.ContainsFunc(v, nonzero)
 }
 
-// Extend adds a row to the system Analyze last found deficient, given as
-// its columns there (one given twice cancels), and returns the deficit
-// left. The row raises the rank iff, its peeled columns substituted, it is
-// independent of the dense rows. Reset and Analyze again to solve.
+// Extend offers one more row to the system Analyze last found deficient,
+// given as its columns there (one given twice cancels), and returns the
+// deficit left. The row raises the rank iff, its peeled columns
+// substituted, it is independent of the dense rows; then it becomes the
+// system's next row, and Solve takes its payload after the analysed rows'
+// and those of the rows Extend kept before it. A row that does not raise
+// the rank is dropped.
 func (s *Solver) Extend(cols []int32) (deficit int) {
-	w := s.w
+	w, r := s.w, int32(len(s.off)-1)
+	s.vec = slices.Grow(s.vec, w)[:(int(r)+1)*w]
 	s.dense = slices.Grow(s.dense[:s.rank*w], w)[:(s.rank+1)*w]
 	v := s.dense[s.rank*w:]
-	s.express(v, cols, -1)
+	s.express(s.vecOf(r), cols, -1)
+	copy(v, s.vecOf(r))
 	for p := 0; p < s.rank; p++ {
 		// An echelon row's pivot is its first set bit and the rows stored
 		// after it are zero there, so one pass clears v at every pivot.
@@ -201,9 +211,16 @@ func (s *Solver) Extend(cols []int32) (deficit int) {
 			xorWords(v, row)
 		}
 	}
-	if slices.ContainsFunc(v, nonzero) {
-		s.rank++
+	if !slices.ContainsFunc(v, nonzero) {
+		s.vec = s.vec[:int(r)*w]
+		return len(s.inact) - s.rank
 	}
+	s.AddRow(cols)
+	s.rowCol = append(s.rowCol, noPivot)
+	s.drows = append(s.drows, r)
+	last := len(s.drows) - 1
+	s.drows[s.rank], s.drows[last] = s.drows[last], s.drows[s.rank]
+	s.rank++
 	return len(s.inact) - s.rank
 }
 
@@ -243,7 +260,7 @@ func (s *Solver) reduce(rows []int32, x [][]byte) (rank int) {
 			if o := j*w + wi; j != rank && s.dense[o]&bit != 0 {
 				xorWords(s.dense[o:o+len(pr)], pr)
 				if x != nil {
-					gf.XORSlice(x[j], x[rank])
+					s.xor(x[j], x[rank])
 				}
 			}
 		}
@@ -252,14 +269,15 @@ func (s *Solver) reduce(rows []int32, x [][]byte) (rank int) {
 	return rank
 }
 
-// Solve runs the payload phase after Analyze returned 0. rhs holds one
-// payload per row. It returns one payload per column, each one of rhs's
+// Solve runs the payload phase once the deficit is 0. rhs holds one
+// payload per row: the analysed rows', then those Extend kept. It returns one payload per column, each one of rhs's
 // buffers, modified in place; the returned slice is the Solver's and valid
 // until the next Reset.
 func (s *Solver) Solve(rhs [][]byte) [][]byte {
 	if s.rank != len(s.inact) {
 		panic("bitmat: Solve on a rank-deficient system")
 	}
+	s.xors = 0
 	// Each peeled column's constant part b: its pivot row's payload plus
 	// the b of the earlier peeled columns in that row. Then the dense
 	// pivots' right-hand sides, and the inactivated values from them.
@@ -312,7 +330,7 @@ func (s *Solver) Solve(rhs [][]byte) [][]byte {
 		case addVec:
 			for k, word := range s.vecOf(r) {
 				for ; word != 0; word &= word - 1 {
-					gf.XORSlice(rhs[r], s.x[k*64+bits.TrailingZeros64(word)])
+					s.xor(rhs[r], s.x[k*64+bits.TrailingZeros64(word)])
 				}
 			}
 		}
@@ -334,11 +352,19 @@ func (s *Solver) substitute(r int32, rhs [][]byte, depOnly bool, x [][]byte) {
 	for _, c := range s.row(r) {
 		switch st := s.state[c]; {
 		case st < 0 && x != nil:
-			gf.XORSlice(rhs[r], x[-2-int(st)])
+			s.xor(rhs[r], x[-2-int(st)])
 		case st >= 0 && c != s.rowCol[r] && (!depOnly || s.dep[st] != independent):
-			gf.XORSlice(rhs[r], rhs[st])
+			s.xor(rhs[r], rhs[st])
 		}
 	}
+}
+
+// XORs returns the number of payload XORs the last Solve performed.
+func (s *Solver) XORs() int { return s.xors }
+
+func (s *Solver) xor(dst, src []byte) {
+	gf.XORSlice(dst, src)
+	s.xors++
 }
 
 func (s *Solver) row(r int32) []int32 { return s.idx[s.off[r]:s.off[r+1]] }

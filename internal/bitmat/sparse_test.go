@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gf"
@@ -121,6 +122,23 @@ func denseRows(rng *rand.Rand, cols, n int) [][]int32 {
 	return rows
 }
 
+// redundantRows is a dense system whose first rows include XORs of earlier
+// ones, so the dense part of an analysis over them holds dependent rows
+// beside the independent ones, followed by fresh rows to complete the rank.
+func redundantRows(rng *rand.Rand, cols int) [][]int32 {
+	rows := denseRows(rng, cols, cols/2)
+	for i := 0; i+1 < cols/2; i += 2 {
+		var sum []int32
+		for c := int32(0); c < int32(cols); c++ {
+			if contains(rows[i], c) != contains(rows[i+1], c) {
+				sum = append(sum, c)
+			}
+		}
+		rows = append(rows, sum)
+	}
+	return append(rows, denseRows(rng, cols, cols)...)
+}
+
 // testSystems is the differential table: every shape the decoders hand
 // the solver, plus the degenerate ones.
 func testSystems() []struct {
@@ -152,6 +170,7 @@ func testSystems() []struct {
 		}
 		rng.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
 		add(fmt.Sprintf("dup-empty/%d/%d", n, seed), rng, n, dup)
+		add(fmt.Sprintf("redundant/%d/%d", m, seed), rng, m, redundantRows(rng, m))
 	}
 	rng := rand.New(rand.NewSource(0))
 	add("cols0", rng, 0, nil)
@@ -163,18 +182,18 @@ func testSystems() []struct {
 	return out
 }
 
-// addRows resets s and adds rows, row r's columns in reverse so the
+// addRows resets s and adds rows, each row's columns in reverse so the
 // Solver cannot lean on its callers' order.
 func addRows(s *Solver, rows [][]int32) {
 	edges := 0
 	for _, row := range rows {
 		edges += len(row)
 	}
-	s.Reset(edges)
-	for r, row := range rows {
-		for i := len(row) - 1; i >= 0; i-- {
-			s.Add(int32(r), row[i])
-		}
+	s.Reset(len(rows), edges)
+	for _, row := range rows {
+		slices.Reverse(row)
+		s.AddRow(row)
+		slices.Reverse(row)
 	}
 }
 
@@ -202,7 +221,7 @@ func checkSolver(t testing.TB, s *Solver, sys *system) bool {
 		work[r] = append([]byte(nil), sys.rhs[r]...)
 	}
 	addRows(s, sys.rows)
-	deficit := s.Analyze(len(sys.rows), sys.cols)
+	deficit := s.Analyze(sys.cols)
 	if deficit != sys.cols-rank {
 		t.Fatalf("deficit %d, want cols %d − rank %d", deficit, sys.cols, rank)
 	}
@@ -243,26 +262,58 @@ func denseRank(sys *system, n int) int {
 }
 
 // checkExtend analyses sys's first rows, then, while the system stays
-// deficient, adds up to 25 more one at a time with Extend, checking each
-// deficit against TrySolve's rank over the same rows.
-func checkExtend(t testing.TB, s *Solver, sys *system, first int) {
+// deficient, offers the rest one at a time to Extend, checking each deficit
+// against TrySolve's rank over the same rows. If the deficit reaches zero
+// it solves on the payloads of the analysed rows and of the rows Extend
+// kept, and checks the bytes against TrySolve's over every row offered. It
+// reports whether it solved.
+func checkExtend(t testing.TB, s *Solver, sys *system, first int) bool {
 	t.Helper()
 	addRows(s, sys.rows[:first])
-	deficit := s.Analyze(first, sys.cols)
-	for n := first; n < min(len(sys.rows), first+25) && deficit > 0; n++ {
+	deficit := s.Analyze(sys.cols)
+	var work [][]byte
+	for _, p := range sys.rhs[:first] {
+		work = append(work, append([]byte(nil), p...))
+	}
+	n := first
+	for ; n < len(sys.rows) && deficit > 0; n++ {
+		before := deficit
 		deficit = s.Extend(sys.rows[n])
 		if want := sys.cols - denseRank(sys, n+1); deficit != want {
 			t.Fatalf("after Extend of row %d: deficit %d, want %d", n, deficit, want)
 		}
+		if deficit < before {
+			work = append(work, append([]byte(nil), sys.rhs[n]...))
+		}
 	}
+	if deficit > 0 {
+		return false
+	}
+	m := New(n, sys.cols)
+	ref := make([][]byte, n)
+	for r, row := range sys.rows[:n] {
+		for _, c := range row {
+			m.Set(r, int(c), true)
+		}
+		ref[r] = append([]byte(nil), sys.rhs[r]...)
+	}
+	refSol, _, _ := TrySolve(m, ref)
+	for c, val := range s.Solve(work) {
+		if !bytes.Equal(val, refSol[c]) || !bytes.Equal(val, sys.u[c]) {
+			t.Fatalf("column %d after Extend differs from TrySolve's solution or from u", c)
+		}
+	}
+	return true
 }
 
 // TestSolverAgainstTrySolve differential-tests the inactivation solver
 // against dense Gauss-Jordan over every shape in testSystems, reusing one
-// Solver throughout, as a decoder does across its attempts.
+// Solver throughout, as a decoder does across its attempts: once with every
+// row analysed, once with the first half analysed and the rest offered to
+// Extend, solving as soon as the deficit is gone.
 func TestSolverAgainstTrySolve(t *testing.T) {
 	var s Solver
-	solved, failed := 0, 0
+	solved, failed, extended := 0, 0, 0
 	for _, tc := range testSystems() {
 		t.Run(tc.name, func(t *testing.T) {
 			if checkSolver(t, &s, tc.sys) {
@@ -270,10 +321,13 @@ func TestSolverAgainstTrySolve(t *testing.T) {
 			} else {
 				failed++
 			}
+			if checkExtend(t, &s, tc.sys, len(tc.sys.rows)/2) {
+				extended++
+			}
 		})
 	}
-	if solved < 20 || failed < 20 {
-		t.Fatalf("table too one-sided: %d solved, %d rank-deficient", solved, failed)
+	if solved < 20 || failed < 20 || extended < 20 {
+		t.Fatalf("table too one-sided: %d solved, %d rank-deficient, %d solved after Extend", solved, failed, extended)
 	}
 }
 
@@ -289,7 +343,8 @@ func TestSolverExtendTracksRank(t *testing.T) {
 }
 
 // TestSolverRetryAllocatesNothing: a warmed Solver re-attempting a system
-// of the same size, failed or solved, allocates nothing.
+// of the same size — failed, solved, or solved after Extend kept rows —
+// allocates nothing.
 func TestSolverRetryAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cols, rows := tornadoRows(rng, 300)
@@ -297,34 +352,41 @@ func TestSolverRetryAllocatesNothing(t *testing.T) {
 		rows = append(rows, sample(rng, cols, 3, int32(c)))
 	}
 	for _, tc := range []struct {
-		n      int
-		solved bool
-	}{{len(rows), true}, {len(rows) / 2, false}} {
-		n := tc.n
-		sys := newSystem(rng, cols, rows[:n], 64)
-		work := make([][]byte, n)
+		n, first int
+		solved   bool
+	}{{len(rows), len(rows), true}, {len(rows) / 2, len(rows) / 2, false}, {len(rows), len(rows) / 2, true}} {
+		sys := newSystem(rng, cols, rows[:tc.n], 64)
+		work := make([][]byte, tc.n)
 		for r := range work {
 			work[r] = make([]byte, 64)
 		}
 		var s Solver
 		solved := false
 		attempt := func() {
-			addRows(&s, sys.rows)
-			if solved = s.Analyze(len(sys.rows), sys.cols) == 0; solved {
-				for r := range work {
+			addRows(&s, sys.rows[:tc.first])
+			deficit, kept := s.Analyze(sys.cols), tc.first
+			for r := tc.first; r < tc.n && deficit > 0; r++ {
+				before := deficit
+				if deficit = s.Extend(sys.rows[r]); deficit < before {
+					copy(work[kept], sys.rhs[r])
+					kept++
+				}
+			}
+			if solved = deficit == 0; solved {
+				for r := range sys.rhs[:tc.first] {
 					copy(work[r], sys.rhs[r])
 				}
-				s.Solve(work)
+				s.Solve(work[:kept])
 			}
 		}
-		if checkSolver(t, &s, sys) != tc.solved {
-			t.Fatalf("%d rows: solved=%v, want %v", n, !tc.solved, tc.solved)
+		if checkExtend(t, &s, sys, tc.first) != tc.solved {
+			t.Fatalf("%d rows, %d analysed: solved=%v, want %v", tc.n, tc.first, !tc.solved, tc.solved)
 		}
 		if attempt(); solved != tc.solved {
-			t.Fatalf("%d rows: solved=%v, want %v", n, solved, tc.solved)
+			t.Fatalf("%d rows, %d analysed: solved=%v, want %v", tc.n, tc.first, solved, tc.solved)
 		}
 		if a := testing.AllocsPerRun(10, attempt); a != 0 {
-			t.Errorf("%d rows: %.1f allocs per warmed attempt", n, a)
+			t.Errorf("%d rows, %d analysed: %.1f allocs per warmed attempt", tc.n, tc.first, a)
 		}
 	}
 }

@@ -341,8 +341,8 @@ func (e *Engine) HandlePacketFrom(src int, pkt []byte) (done bool, err error) {
 		s.duplicate.Add(1)
 	}
 	if e.tr.On() {
-		// Decoders that count symbol-release XOR work get it surfaced per
-		// packet: the delta since the last traced count. A systematic codec
+		// Decoders that count the values they resolve from coded packets get
+		// them surfaced per packet: the delta since the last traced count. A systematic codec
 		// on a lossless channel emits no EvRelease at all — the property the
 		// zero-XOR differential tests assert through the trace.
 		if rel := e.rcv.Released(); rel > e.relSeen {

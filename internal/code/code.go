@@ -100,13 +100,15 @@ type Decoder interface {
 // ErrNotReady is returned by Source when not enough packets have arrived.
 var ErrNotReady = errors.New("code: not enough packets received to decode")
 
-// ReleaseCounter is an optional Decoder capability counting symbol-release
-// work: how many coded symbols the decoder has XOR-combined to expose a
-// source or intermediate value. A systematic decoder fed a lossless stream
-// reports zero — every packet was stored verbatim — which is the property
-// differential tests pin down and traces surface per receiver.
+// ReleaseCounter is an optional Decoder capability counting decode work:
+// how many source or intermediate values the decoder has resolved from
+// coded packets rather than received verbatim. A systematic decoder fed a
+// lossless stream reports zero — every packet was stored verbatim — which
+// is the property differential tests pin down and traces surface per
+// receiver.
 type ReleaseCounter interface {
-	// Released returns the count of release operations performed so far.
+	// Released returns the count of values resolved from coded packets so
+	// far.
 	Released() int
 }
 

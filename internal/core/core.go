@@ -439,8 +439,8 @@ func (r *Receiver) File() ([]byte, error) {
 	return data, nil
 }
 
-// Released returns the decoder's symbol-release XOR count, or -1 when the
-// decoder does not count releases (code.ReleaseCounter). A systematic
+// Released returns the values the decoder resolved from coded packets, or
+// -1 when the decoder does not count them (code.ReleaseCounter). A systematic
 // rateless session on a lossless channel reports 0: every packet was
 // stored verbatim, no decode work happened at all.
 func (r *Receiver) Released() int {

@@ -80,11 +80,11 @@ const (
 	// EvDone: the session's decode completed at this receiver. A = total
 	// packets accepted, B = k<<32 | distinct.
 	EvDone
-	// EvRelease: the decoder performed symbol-release XOR work while
-	// ingesting a packet (only emitted for decoders that count it —
+	// EvRelease: the decoder resolved values from coded packets while
+	// ingesting a packet (only emitted for decoders that count them —
 	// code.ReleaseCounter). A = encoding index of the triggering packet,
-	// B = release operations performed during its ingestion. A systematic
-	// codec on a lossless channel emits none of these.
+	// B = values resolved during its ingestion. A systematic codec on a
+	// lossless channel emits none of these.
 	EvRelease
 )
 

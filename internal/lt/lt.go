@@ -15,11 +15,11 @@
 // decoder fails with probability at most δ after k + O(√k·ln²(k/δ))
 // packets. Tunables c and δ trade average degree against ripple robustness.
 //
-// Decoding is the shared peeling engine (internal/peel) with no static
-// equations and no systematic prefix: belief-propagation peeling with lazy
-// XOR release, backed by the inactivation endgame (bitmat.Solver) so a
-// receiver is done at the packet that gives the system full rank instead
-// of stalling on an empty ripple.
+// Decoding is the shared decoder (internal/peel) with no static equations
+// and no systematic prefix: it keeps the received packets until k of them,
+// analyses the system once by inactivation decoding (bitmat.Solver), and
+// solves at the packet that gives the system full rank instead of stalling
+// where belief-propagation peeling's ripple would empty.
 package lt
 
 import (

@@ -1,41 +1,34 @@
-// Package peel is the one belief-propagation peeling engine under the LT
-// and raptor codecs, plus the pieces every peeling code shares: the
-// per-index neighbour sampler (sampler.go) and the packet-buffer arena
-// (arena.go).
+// Package peel is the one decoder under the LT and raptor codecs, plus the
+// pieces every such code shares: the per-index neighbour sampler
+// (sampler.go) and the packet-buffer arena (arena.go).
 //
-// The engine decodes a system of XOR equations over L columns, of which
+// The decoder solves a system of XOR equations over L columns, of which
 // the first K are the source symbols. The equation set is the union of
 //
 //   - the L-K *static* equations 0 = column(K+j) ⊕ ⊕ CheckSrc[j], known
-//     by construction and present from packet zero (their "payload" is the
-//     implicit all-zero packet — never allocated, never transmitted), and
-//   - the received coded packets (packets of the systematic prefix resolve
-//     their column directly; the rest are neighbour-function equations).
+//     by construction (their right-hand side is the implicit all-zero
+//     packet, never transmitted), and
+//   - the received packets: a packet of the systematic prefix is its
+//     column verbatim, any other the XOR of its drawn neighbours.
 //
-// LT is the engine with no static rows and no systematic prefix; raptor
+// LT is the decoder with no static rows and no systematic prefix; raptor
 // supplies its precode as static rows. Static equations are free rank: a
 // receiver needs only ≈K received symbols regardless of L-K, because the
 // check symbols come with their own defining equations.
 //
-// Two mechanisms keep the hot path linear and the lossless path free:
-//
-// Parking. An equation whose single unknown is a *check* symbol that no
-// other live equation wants is parked, not released: releasing it would
-// spend check-degree XORs computing a value nobody reads. At zero loss
-// every static equation ends parked on its own check symbol, so a
-// receiver of the K systematic packets performs exactly zero XOR work.
-// A parked equation is revived the moment a new packet registers as a
-// waiter on its check symbol.
-//
-// The endgame. Peeling alone is not maximum-likelihood, so the engine
-// hands its residual system to bitmat.Solver (inactivation decoding — the
-// same solver the Tornado decoder ends on) behind one exact gate: the
-// first attempt at K distinct packets, since the L-K static rows plus fewer
-// than K received ones cannot have rank L; after an attempt short by δ,
-// each new packet's row is checked against that analysis
-// (bitmat.Solver.Extend), and the next attempt comes when the deficit is
-// zero. The engine is therefore done at exactly the packet that makes the
-// source recoverable.
+// Collect, then solve once. The L-K static rows plus fewer than K received
+// ones cannot have rank L, so until the K-th distinct packet the decoder
+// only keeps what it received: a systematic packet in its slot of the
+// source buffer plus one bit, a coded one as its payload and its neighbour
+// set, drawn once. At the K-th it analyses the whole system once
+// (bitmat.Solver: inactivation decoding, the solver the Tornado decoder
+// ends on) over every column not received verbatim. If that analysis is
+// short by δ, each later packet's row is offered to it (Solver.Extend),
+// which keeps the row iff it raises the rank. At deficit zero the decoder
+// folds the known columns into the right-hand sides, solves, and writes the
+// solution's source columns to their slots. It is therefore done at exactly
+// the packet that makes the source recoverable, and a receiver of the K
+// systematic packets is done at the K-th with no analysis and no XOR.
 package peel
 
 import (
@@ -44,7 +37,7 @@ import (
 	"repro/internal/gf"
 )
 
-// Code is what a code contributes to the engine. It is immutable and
+// Code is what a code contributes to the decoder. It is immutable and
 // shared by every decoder of a session.
 type Code struct {
 	K         int // source symbols: columns [0, K)
@@ -59,94 +52,43 @@ type Code struct {
 	// CheckSrc[j] lists the sources of static equation j (0 <= j < L-K):
 	// 0 = column(K+j) ⊕ ⊕_{i∈CheckSrc[j]} column(i).
 	CheckSrc [][]int32
-	// StaticOf[v] lists the static equations covering column v — the
-	// reverse adjacency walked when v resolves; for a check column K+j it
-	// is exactly {j}. Unused (may be nil) when L == K.
-	StaticOf [][]int32
-}
-
-// eq is one decoding equation. Ids [0, s) are the static equations
-// (data == nil: the implicit zero payload); received packets append
-// after. data holds the raw payload as received; resolved neighbors are
-// XORed out lazily at release time, so each payload is touched O(degree)
-// times total.
-type eq struct {
-	index     uint32 // wire index (received equations only)
-	data      []byte // arena-backed payload; nil for static equations
-	remaining int32  // unresolved neighbors; 0 = retired
 }
 
 // Decoder is one reception session over a Code. It implements
 // code.Decoder and code.ReleaseCounter.
 type Decoder struct {
-	c *Code
-	s int // static equations: L - K
+	c    *Code
+	out  code.SourceBuf      // the source columns, in place: what Source returns
+	got  []uint64            // per systematic index: received, as a bitset
+	nsys int                 // systematic packets received
+	seen map[uint32]struct{} // coded indices received; nil before the first
+	done bool
 
-	values  [][]byte       // per column; nil while unresolved. A source column's is its slot of out.
-	out     code.SourceBuf // the source columns, in place: what Source returns
-	srcLeft int            // unresolved source symbols (done when 0)
-	eqs     []eq           // [0,s) static, then received
-	// Waiter lists (column -> ids of buffered equations covering it) as
-	// linked nodes in one growable arena — registration never allocates
-	// per symbol.
-	whead   []int32 // per column: index into wnodes, -1 = empty
-	wnodes  []wnode
-	relq    []int32
-	parked  []int32             // per check j: 1+id of an equation parked on K+j, 0 if none
-	seen    map[uint32]struct{} // distinct accepted wire indices
-	deficit int                 // rank deficit of the whole system, once known
-
-	released int // coded-equation releases: the deferred-XOR events
-	xors     int // payload XORSlice calls on the peeling path
-
-	nbuf  []int
-	done  bool
+	// The kept coded rows, in arrival order: row r's payload is data[r] and
+	// its neighbours are nbrs[off[r]:off[r+1]].
+	data  [][]byte
+	nbrs  []int32
+	off   []int32
 	arena Arena
 
-	// Endgame scratch, reused across attempts.
-	solver bitmat.Solver
-	colOf  []int32 // per column: its index in the last endgame system, -1 if resolved then
-	syms   []int32 // endgame index -> column
-	rows   []int32 // solver row -> equation id
-	prow   []int32 // a new packet's row over the last endgame system
+	solver  bitmat.Solver
+	colOf   []int32 // per column: its index in the analysis, -1 if received verbatim; nil before it
+	deficit int     // of the analysed system, extensions included
+	row     []int32 // scratch: one row over the analysis' columns
+	nbuf    []int
+
+	analyses, released, xors int
 }
 
-// wnode is one waiter registration: equation id, plus the next node on
-// the same column's list.
-type wnode struct {
-	id   int32
-	next int32
-}
-
-// NewDecoder starts a reception session. The static equations are live
-// immediately; a zero-source check (possible on tiny precodes) starts
-// releasable and is parked on first drain.
+// NewDecoder starts a reception session. Nothing per column is allocated
+// until a packet needs it.
 func NewDecoder(c *Code) *Decoder {
-	l := c.Draw.L
-	s := l - c.K
-	d := &Decoder{
-		c:       c,
-		s:       s,
-		values:  make([][]byte, l),
-		whead:   make([]int32, l),
-		wnodes:  make([]wnode, 0, 2*c.K),
-		eqs:     make([]eq, s, s+c.K/2+16),
-		parked:  make([]int32, s),
-		seen:    make(map[uint32]struct{}, c.K+c.K/8),
-		srcLeft: c.K,
-		out:     code.SourceBuf{K: c.K, PacketLen: c.PacketLen},
-		arena:   Arena{PacketLen: c.PacketLen},
+	return &Decoder{
+		c:     c,
+		out:   code.SourceBuf{K: c.K, PacketLen: c.PacketLen},
+		got:   make([]uint64, (c.Systematic+63)/64),
+		arena: Arena{PacketLen: c.PacketLen},
 	}
-	for v := range d.whead {
-		d.whead[v] = -1
-	}
-	for j, srcs := range c.CheckSrc {
-		d.eqs[j].remaining = int32(len(srcs)) + 1 // its sources plus its own check symbol
-		if len(srcs) == 0 {
-			d.relq = append(d.relq, int32(j))
-		}
-	}
-	return d
 }
 
 // Add implements code.Decoder.
@@ -157,317 +99,153 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 	if d.done {
 		return true, nil
 	}
-	index := uint32(i)
-	if _, dup := d.seen[index]; dup {
-		return false, nil
-	}
-	d.seen[index] = struct{}{}
 	if i < d.c.Systematic {
-		// Systematic packet: the payload IS column i. No XOR, no
-		// equation bookkeeping beyond the resolve ripple.
-		if d.values[i] == nil {
-			slot := d.out.Slot(i)
-			copy(slot, data)
-			d.resolve(i, slot)
-			d.drainRipple()
+		w, bit := i/64, uint64(1)<<(i%64)
+		if d.got[w]&bit != 0 {
+			return false, nil
 		}
+		d.got[w] |= bit
+		d.nsys++
+		copy(d.out.Slot(i), data)
+		if d.nsys == d.c.K {
+			d.finish()
+			return true, nil
+		}
+		d.nbuf = append(d.nbuf[:0], i)
 	} else {
-		d.nbuf = d.c.Draw.NeighborsInto(index, d.nbuf)
-		unresolved := 0
-		last := -1
-		for _, nb := range d.nbuf {
-			if d.values[nb] == nil {
-				unresolved++
-				last = nb
-			}
+		if d.seen == nil {
+			d.size()
 		}
-		switch unresolved {
-		case 0:
-			// Redundant at arrival: adds no equation.
-		case 1:
-			// Immediately releasable.
-			buf := d.arena.Alloc()
-			copy(buf, data)
-			for _, nb := range d.nbuf {
-				if v := d.values[nb]; v != nil {
-					gf.XORSlice(buf, v)
-					d.xors++
-				}
-			}
-			d.released++
-			d.resolve(last, d.keep(last, buf))
-			d.drainRipple()
-		default:
-			id := int32(len(d.eqs))
-			buf := d.arena.Alloc()
-			copy(buf, data)
-			d.eqs = append(d.eqs, eq{index: index, data: buf, remaining: int32(unresolved)})
-			for _, nb := range d.nbuf {
-				if d.values[nb] != nil {
-					continue
-				}
-				d.addWaiter(nb, id)
-				if nb >= d.c.K {
-					// A new customer for this check symbol: revive any
-					// equation parked on it.
-					if p := d.parked[nb-d.c.K]; p != 0 {
-						d.parked[nb-d.c.K] = 0
-						d.relq = append(d.relq, p-1)
-					}
-				}
-			}
-			d.drainRipple()
+		if _, dup := d.seen[uint32(i)]; dup {
+			return false, nil
 		}
+		d.seen[uint32(i)] = struct{}{}
+		d.nbuf = d.c.Draw.NeighborsInto(uint32(i), d.nbuf)
 	}
-	if !d.done && len(d.seen) >= d.c.K {
-		if d.deficit > 0 {
-			d.deficit = d.solver.Extend(d.packetRow(i))
+	switch {
+	case d.colOf != nil:
+		// After the analysis a packet is kept only if it raises the rank,
+		// a systematic one too: its column is one of the analysis'.
+		before := d.deficit
+		d.row = over(d.row[:0], d.colOf, d.nbuf)
+		if d.deficit = d.solver.Extend(d.row); d.deficit < before {
+			d.store(d.nbuf, data)
 		}
-		if d.deficit == 0 {
-			d.endgame()
-		}
+	case i >= d.c.Systematic:
+		d.store(d.nbuf, data)
+	}
+	if d.colOf == nil && d.Received() >= d.c.K {
+		d.analyse()
+	}
+	if d.colOf != nil && d.deficit == 0 {
+		d.solve()
 	}
 	return d.done, nil
 }
 
-// resolve records column s's value and decrements every live equation
-// covering it: the static equations via the code's reverse adjacency, the
-// buffered received equations via the waiter lists.
-func (d *Decoder) resolve(s int, val []byte) {
-	d.values[s] = val
-	if s < d.c.K {
-		d.srcLeft--
-		if d.srcLeft == 0 {
-			d.finish()
-			return
-		}
-	} else if p := d.parked[s-d.c.K]; p != 0 {
-		// Anything parked on this check symbol is now redundant; its
-		// remaining hits 0 in the decrement loops below.
-		d.parked[s-d.c.K] = 0
-	}
-	if d.s > 0 {
-		for _, j := range d.c.StaticOf[s] {
-			e := &d.eqs[j]
-			if e.remaining > 0 {
-				e.remaining--
-				if e.remaining == 1 {
-					d.relq = append(d.relq, j)
-				}
-			}
-		}
-	}
-	for nid := d.whead[s]; nid >= 0; nid = d.wnodes[nid].next {
-		id := d.wnodes[nid].id
-		e := &d.eqs[id]
-		if e.remaining > 0 {
-			e.remaining--
-			switch e.remaining {
-			case 1:
-				d.relq = append(d.relq, id)
-			case 0:
-				// Queued for release with s as its last unknown; now
-				// fully covered, hence redundant.
-				d.arena.Free(e.data)
-				e.data = nil
-			}
-		}
-	}
-	d.whead[s] = -1 // nodes stay in the arena; freed wholesale at finish
+// size makes the coded store at the first coded packet: room for the rows
+// still to come (K less the systematic packets held, plus a margin for the
+// reception overhead) at the sampler's mean degree, and for the static
+// rows' right-hand sides.
+func (d *Decoder) size() {
+	n := d.c.K - d.nsys + d.c.K/64 + 16
+	d.seen = make(map[uint32]struct{}, n)
+	d.data = make([][]byte, 0, n)
+	d.off = append(make([]int32, 0, n+1), 0)
+	d.nbrs = make([]int32, 0, int(float64(n)*d.c.Draw.meanDegree()*9/8))
+	d.arena.slab = make([]byte, (n+len(d.c.CheckSrc))*d.c.PacketLen)
 }
 
-// needed reports whether releasing equation id's check-symbol target
-// would feed any *other* live equation. A static equation wants its own
-// check only while it still has another unknown to peel (remaining > 1);
-// a waiter likewise contributes nothing if the check is its sole unknown
-// too (releasing either one retires both with no symbol gained).
-func (d *Decoder) needed(id int32, target int) bool {
-	j := int32(target - d.c.K)
-	if j != id && d.eqs[j].remaining > 1 {
-		return true
+// store keeps a row: a copy of its payload and its neighbours.
+func (d *Decoder) store(nbs []int, data []byte) {
+	buf := d.arena.Alloc()
+	copy(buf, data)
+	d.data = append(d.data, buf)
+	for _, v := range nbs {
+		d.nbrs = append(d.nbrs, int32(v))
 	}
-	for nid := d.whead[target]; nid >= 0; nid = d.wnodes[nid].next {
-		if wid := d.wnodes[nid].id; wid != id && d.eqs[wid].remaining > 1 {
-			return true
-		}
-	}
-	return false
+	d.off = append(d.off, int32(len(d.nbrs)))
 }
 
-// drainRipple releases queued equations until the ripple is empty or the
-// decode completes. Releasing performs the whole deferred XOR at once;
-// equations whose last unknown is an unwanted check symbol are parked
-// instead (see the package comment — this is the zero-loss zero-XOR
-// path).
-func (d *Decoder) drainRipple() {
-	for len(d.relq) > 0 && !d.done {
-		id := d.relq[len(d.relq)-1]
-		d.relq = d.relq[:len(d.relq)-1]
-		e := &d.eqs[id]
-		if e.remaining != 1 {
-			continue // raced to 0: became redundant while queued
+// analyse runs the one analysis: the static rows, then the kept rows, over
+// every column not received verbatim.
+func (d *Decoder) analyse() {
+	d.colOf = make([]int32, d.c.Draw.L)
+	cols := int32(0)
+	for v := range d.colOf {
+		if d.colOf[v] = -1; v >= d.c.Systematic || d.got[v/64]&(1<<(v%64)) == 0 {
+			d.colOf[v] = cols
+			cols++
 		}
-		target, cols := -1, d.columns(id)
-		for _, nb := range cols {
-			if d.values[nb] == nil {
-				target = nb
-				break
-			}
-		}
-		if target < 0 {
-			// Bookkeeping says one unknown but none found — defensive:
-			// retire rather than corrupt.
-			e.remaining = 0
-			if e.data != nil {
-				d.arena.Free(e.data)
-				e.data = nil
-			}
-			continue
-		}
-		if target >= d.c.K && !d.needed(id, target) {
-			d.parked[target-d.c.K] = id + 1
-			continue
-		}
-		val := d.payload(e)
-		d.xors += d.fold(val, cols)
-		e.remaining = 0
-		d.released++
-		d.resolve(target, d.keep(target, val))
 	}
+	edges := len(d.nbrs)
+	for _, srcs := range d.c.CheckSrc {
+		edges += len(srcs) + 1
+	}
+	d.solver.Reset(len(d.c.CheckSrc)+len(d.data), edges)
+	for j, srcs := range d.c.CheckSrc {
+		d.row = append(over(d.row[:0], d.colOf, srcs), d.colOf[d.c.K+j])
+		d.solver.AddRow(d.row)
+	}
+	for r := range d.data {
+		d.row = over(d.row[:0], d.colOf, d.nbrs[d.off[r]:d.off[r+1]])
+		d.solver.AddRow(d.row)
+	}
+	d.deficit = d.solver.Analyze(int(cols))
+	d.analyses++
 }
 
-// keep moves a released source value into its slot of out.
-func (d *Decoder) keep(v int, buf []byte) []byte {
-	if v >= d.c.K {
-		return buf
+// solve folds the known columns into the right-hand sides (a static row's
+// starts as the zero packet), solves in place, and copies the solution's
+// source columns to their slots.
+func (d *Decoder) solve() {
+	rhs := make([][]byte, 0, len(d.c.CheckSrc)+len(d.data))
+	for _, srcs := range d.c.CheckSrc {
+		buf := d.arena.Alloc()
+		clear(buf)
+		rhs = append(rhs, d.fold(buf, srcs))
 	}
-	slot := d.out.Slot(v)
-	copy(slot, buf)
-	d.arena.Free(buf)
-	return slot
-}
-
-// endgame hands the residual system to the shared inactivation solver: the
-// unresolved columns over the live equations, static and received. A
-// resolved column left it together with the equations it retired, so the
-// deficit is the whole system's. Payloads are read only at full rank: a
-// received row folds its resolved neighbours into its own buffer, a static
-// row into an arena buffer; the solution's source columns go to out.
-func (d *Decoder) endgame() {
-	if d.colOf == nil {
-		d.colOf = make([]int32, d.c.Draw.L)
+	for r, buf := range d.data {
+		rhs = append(rhs, d.fold(buf, d.nbrs[d.off[r]:d.off[r+1]]))
 	}
-	d.syms = d.syms[:0]
-	for v, val := range d.values {
-		if d.colOf[v] = -1; val == nil {
-			d.colOf[v] = int32(len(d.syms))
-			d.syms = append(d.syms, int32(v))
+	sol := d.solver.Solve(rhs)
+	for v, c := range d.colOf[:d.c.K] {
+		if c >= 0 {
+			copy(d.out.Slot(v), sol[c])
 		}
 	}
-	d.rows = d.rows[:0]
-	edges := 0
-	for id, e := range d.eqs {
-		if e.remaining > 0 {
-			d.rows = append(d.rows, int32(id))
-			edges += int(e.remaining)
-		}
-	}
-	d.solver.Reset(edges)
-	for r, id := range d.rows {
-		for _, v := range d.columns(id) {
-			if c := d.colOf[v]; c >= 0 {
-				d.solver.Add(int32(r), c)
-			}
-		}
-	}
-	if d.deficit = d.solver.Analyze(len(d.rows), len(d.syms)); d.deficit > 0 {
-		return
-	}
-	rhs := make([][]byte, len(d.rows))
-	for r, id := range d.rows {
-		rhs[r] = d.payload(&d.eqs[id])
-		d.fold(rhs[r], d.columns(id))
-	}
-	for i, val := range d.solver.Solve(rhs) {
-		if v := int(d.syms[i]); v < d.c.K {
-			copy(d.out.Slot(v), val)
-		}
-	}
+	d.released, d.xors = len(sol), d.xors+d.solver.XORs()
 	d.finish()
 }
 
-// packetRow returns packet i's row over the last endgame system's columns.
-func (d *Decoder) packetRow(i int) []int32 {
-	if i < d.c.Systematic {
-		d.nbuf = append(d.nbuf[:0], i)
-	} else {
-		d.nbuf = d.c.Draw.NeighborsInto(uint32(i), d.nbuf)
-	}
-	d.prow = d.prow[:0]
-	for _, v := range d.nbuf {
-		if c := d.colOf[v]; c >= 0 {
-			d.prow = append(d.prow, c)
+// fold XORs into buf the columns among vs received verbatim.
+func (d *Decoder) fold(buf []byte, vs []int32) []byte {
+	for _, v := range vs {
+		if d.colOf[v] < 0 {
+			gf.XORSlice(buf, d.out.Slot(int(v)))
+			d.xors++
 		}
-	}
-	return d.prow
-}
-
-// columns returns equation id's columns in nbuf: a static equation's
-// sources and its own check symbol, a received one's drawn neighbours.
-func (d *Decoder) columns(id int32) []int {
-	if id >= int32(d.s) {
-		d.nbuf = d.c.Draw.NeighborsInto(d.eqs[id].index, d.nbuf)
-		return d.nbuf
-	}
-	d.nbuf = d.nbuf[:0]
-	for _, nb := range d.c.CheckSrc[id] {
-		d.nbuf = append(d.nbuf, int(nb))
-	}
-	return append(d.nbuf, d.c.K+int(id))
-}
-
-// fold XORs into buf the resolved values among cols and returns how many.
-func (d *Decoder) fold(buf []byte, cols []int) (xors int) {
-	for _, v := range cols {
-		if val := d.values[v]; val != nil {
-			gf.XORSlice(buf, val)
-			xors++
-		}
-	}
-	return xors
-}
-
-// payload takes equation e's buffer: its raw payload, or for a static
-// equation the implicit zero packet.
-func (d *Decoder) payload(e *eq) []byte {
-	buf := e.data
-	if e.data = nil; buf == nil {
-		buf = d.arena.Alloc()
-		clear(buf)
 	}
 	return buf
+}
+
+// over appends to row the analysis' columns among vs.
+func over[T int | int32](row, colOf []int32, vs []T) []int32 {
+	for _, v := range vs {
+		if c := colOf[v]; c >= 0 {
+			row = append(row, c)
+		}
+	}
+	return row
 }
 
 // finish drops all decoding state; out survives for Source.
 func (d *Decoder) finish() {
 	d.done = true
-	d.srcLeft = 0
-	d.values = nil
-	d.eqs = nil
-	d.relq = nil
-	d.whead = nil
-	d.wnodes = nil
-	d.parked = nil
+	d.got, d.data, d.nbrs, d.off = nil, nil, nil, nil
+	d.colOf, d.row, d.nbuf = nil, nil, nil
 	d.arena = Arena{}
 	d.solver = bitmat.Solver{}
-	d.colOf, d.syms, d.rows, d.prow = nil, nil, nil, nil
-}
-
-// addWaiter registers equation id on column v: one arena append, one
-// head swap.
-func (d *Decoder) addWaiter(v int, id int32) {
-	d.wnodes = append(d.wnodes, wnode{id: id, next: d.whead[v]})
-	d.whead[v] = int32(len(d.wnodes) - 1)
 }
 
 var (
@@ -479,16 +257,15 @@ var (
 func (d *Decoder) Done() bool { return d.done }
 
 // Received implements code.Decoder: distinct accepted packets.
-func (d *Decoder) Received() int { return len(d.seen) }
+func (d *Decoder) Received() int { return d.nsys + len(d.seen) }
 
-// Released implements code.ReleaseCounter: the number of coded-equation
-// releases — each one a deferred-XOR event exposing a symbol. A receiver
-// of the k systematic packets reports exactly 0.
+// Released implements code.ReleaseCounter: the columns the solve resolved
+// from coded equations — every column not received verbatim, once done by
+// a solve. A receiver of the K systematic packets reports exactly 0.
 func (d *Decoder) Released() int { return d.released }
 
-// XORs returns the payload XORSlice count on the peeling path (the
-// endgame's are not included).
-// Zero loss ⇒ zero.
+// XORs returns the decoder's payload XORs: known columns folded into
+// right-hand sides plus the solve's own. Zero loss ⇒ zero.
 func (d *Decoder) XORs() int { return d.xors }
 
 // Source implements code.Decoder.

@@ -3,6 +3,7 @@ package peel
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -55,15 +56,12 @@ func newTestCode(k, checks, packetLen int, seed int64) *testCode {
 	if checks > 0 {
 		tc.Systematic = k
 		tc.CheckSrc = make([][]int32, checks)
-		tc.StaticOf = make([][]int32, l)
 		for i := 0; i < k; i++ {
 			for _, j := range rng.Perm(checks)[:min(3, checks)] {
 				tc.CheckSrc[j] = append(tc.CheckSrc[j], int32(i))
-				tc.StaticOf[i] = append(tc.StaticOf[i], int32(j))
 			}
 		}
 		for j, srcs := range tc.CheckSrc {
-			tc.StaticOf[k+j] = []int32{int32(j)}
 			tc.cols[k+j] = make([]byte, packetLen)
 			for _, i := range srcs {
 				gf.XORSlice(tc.cols[k+j], tc.cols[i])
@@ -255,5 +253,78 @@ func TestArenaRecyclesWithoutOverlap(t *testing.T) {
 	a.Free(nil)
 	if got := a.Alloc(); &got[0] != &bufs[7][0] {
 		t.Fatal("freed buffer not reused first")
+	}
+}
+
+// TestOneAnalysisPerDecode: over random streams of every shape — loss,
+// duplicates, a systematic prefix or none — the decoder analyses its system
+// at most once, and a lossless systematic receive not at all.
+func TestOneAnalysisPerDecode(t *testing.T) {
+	analysed := 0
+	for _, k := range []int{1, 9, 150, 400} {
+		for seed := int64(1); seed <= 8; seed++ {
+			checks, base := 0, 0
+			if seed%2 == 0 {
+				checks = k/8 + 3
+			}
+			if seed%4 == 2 {
+				base = k // raptor repair-only
+			}
+			loss := []float64{0, 0.1, 0.3}[seed%3]
+			tc := newTestCode(k, checks, 8, seed)
+			rng := rand.New(rand.NewSource(seed))
+			d := NewDecoder(&tc.Code)
+			for i := base; !d.Done(); i++ {
+				if rng.Float64() < loss {
+					continue
+				}
+				index := uint32(i)
+				if rng.Intn(8) == 0 && i > base {
+					index = uint32(base + rng.Intn(i-base)) // a duplicate, or a late packet
+				}
+				if _, err := d.Add(int(index), tc.packet(index)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.checkSource(t, d)
+			if d.analyses > 1 {
+				t.Errorf("k=%d seed=%d: %d analyses", k, seed, d.analyses)
+			}
+			analysed += d.analyses
+			if checks > 0 && base == 0 && loss == 0 && d.analyses != 0 {
+				t.Errorf("k=%d seed=%d: a lossless systematic receive analysed", k, seed)
+			}
+		}
+	}
+	if analysed < 16 {
+		t.Fatalf("only %d of 32 decodes analysed", analysed)
+	}
+}
+
+// TestLosslessSystematicAllocatesTheFile: a receiver of the K systematic
+// packets allocates the file and one bit per packet, plus a constant. The
+// file is whole pages, so the allocator rounds nothing up.
+func TestLosslessSystematicAllocatesTheFile(t *testing.T) {
+	const k, pl = 4096, 64
+	tc := newTestCode(k, k/8, pl, 5)
+	pkts := make([][]byte, k)
+	for i := range pkts {
+		pkts[i] = tc.packet(uint32(i))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := NewDecoder(&tc.Code)
+	for i, p := range pkts {
+		if done, err := d.Add(i, p); err != nil || done != (i == k-1) {
+			t.Fatalf("packet %d: done=%v err=%v", i, done, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	tc.checkSource(t, d)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(k*pl+k/8+1024); got > limit {
+		t.Fatalf("lossless systematic receive allocated %d B, want ≤ %d (file %d + bits %d + 1 KiB)", got, limit, k*pl, k/8)
+	}
+	if d.Released() != 0 || d.XORs() != 0 {
+		t.Fatalf("released %d, xors %d, want 0 and 0", d.Released(), d.XORs())
 	}
 }

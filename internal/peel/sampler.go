@@ -1,6 +1,10 @@
 package peel
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+	"sort"
+)
 
 // Sampler is the advance agreement between a rateless sender and its
 // receivers: packet index i's degree and neighbour set are a pure function
@@ -65,33 +69,42 @@ func (s *Sampler) NeighborsInto(index uint32, buf []int) []int {
 	}
 	// Rejection sampling keeps the draw sequence identical regardless of
 	// how duplicates are detected: a linear scan for the common degrees
-	// (including the soliton spike, which would otherwise allocate a map on
-	// a meaningful fraction of packets), a set once quadratic scanning
-	// would genuinely bite.
-	var dup map[int]struct{}
+	// (including the soliton spike), and past 256, where quadratic scanning
+	// would bite, an open-addressing set of at least 2d slots in buf's spare
+	// capacity beyond the d neighbours, holding neighbour+1 (0 = empty).
+	var set []int
+	var shift uint
 	if d > 256 {
-		dup = make(map[int]struct{}, d)
+		n := bits.Len(uint(2*d - 1)) // 1<<n >= 2d slots, indexed by a hash's top n bits
+		buf = slices.Grow(buf, d+1<<n)
+		set, shift = buf[d:d+1<<n], uint(64-n)
+		clear(set)
 	}
 	for len(buf) < d {
 		cand := int(p.next() % uint64(s.L))
-		if dup != nil {
-			if _, seen := dup[cand]; seen {
+		if set != nil {
+			h := uint64(cand) * 0x9E3779B97F4A7C15 >> shift
+			for set[h] != 0 && set[h] != cand+1 {
+				h = (h + 1) & uint64(len(set)-1)
+			}
+			if set[h] != 0 {
 				continue
 			}
-			dup[cand] = struct{}{}
-		} else {
-			seen := false
-			for _, b := range buf {
-				if b == cand {
-					seen = true
-					break
-				}
-			}
-			if seen {
-				continue
-			}
+			set[h] = cand + 1
+		} else if slices.Contains(buf, cand) {
+			continue
 		}
 		buf = append(buf, cand)
 	}
 	return buf
+}
+
+// meanDegree is the expected degree of a drawn packet.
+func (s *Sampler) meanDegree() float64 {
+	mean, prev := 0.0, 0.0
+	for i, c := range s.CDF {
+		mean += float64(i+1) * (c - prev)
+		prev = c
+	}
+	return mean
 }

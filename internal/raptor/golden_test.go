@@ -39,11 +39,14 @@ func goldenStream(t *testing.T, k int, seed int64, base int, loss float64) (rece
 }
 
 // TestGoldenDecodePins holds the decoder observably fixed: packets-to-
-// decode, release count and peeling-path XOR count over
-// systematic-with-loss, repair-only and far-offset streams. The `old`
-// column is the packets-to-decode before the engine's endgame became
-// inactivation decoding behind the exact gate; every row is now done at
-// the full-rank packet, never later than before.
+// decode, released columns and payload XORs over systematic-with-loss,
+// repair-only and far-offset streams. Released counts the columns the one
+// solve resolved from coded equations (every column not received
+// verbatim; 0 when the K systematic packets arrive), XORs every payload
+// XOR of the decode: known columns folded into right-hand sides plus the
+// solve's own. The `old` column is the packets-to-decode before the
+// decoder's endgame became inactivation decoding behind the exact gate;
+// every row is now done at the full-rank packet, never later than before.
 func TestGoldenDecodePins(t *testing.T) {
 	for _, tc := range []struct {
 		k                        int
@@ -55,15 +58,15 @@ func TestGoldenDecodePins(t *testing.T) {
 	}{
 		{10, 1, 0, 0.2, 10, 0, 0, 10},
 		{100, 1, 0, 0, 100, 0, 0, 100},
-		{100, 7, 0, 0.1, 108, 16, 206, 108},
-		{100, 7, 100, 0, 103, 31, 22, 110},
-		{1000, 42, 0, 0.1, 1299, 97, 965, 1299},
-		{1000, 42, 0, 0.3, 1392, 267, 1263, 1401},
-		{1000, 42, 1000, 0, 1016, 414, 469, 1017},
-		{1000, 1998, 1 << 28, 0.2, 1031, 776, 1396, 1037},
-		{3000, 5, 0, 0.5, 3915, 1431, 7389, 3915},
-		{3000, 5, 3000, 0.1, 3052, 2616, 5836, 3052},
-		{10000, 1, 10000, 0, 10057, 5489, 7842, 10220},
+		{100, 7, 0, 0.1, 108, 23, 390, 108},
+		{100, 7, 100, 0, 103, 114, 718, 110},
+		{1000, 42, 0, 0.1, 1299, 128, 5767, 1299},
+		{1000, 42, 0, 0.3, 1392, 317, 9616, 1401},
+		{1000, 42, 1000, 0, 1016, 1024, 11345, 1017},
+		{1000, 1998, 1 << 28, 0.2, 1031, 1024, 8908, 1037},
+		{3000, 5, 0, 0.5, 3915, 1518, 53339, 3915},
+		{3000, 5, 3000, 0.1, 3052, 3036, 33789, 3052},
+		{10000, 1, 10000, 0, 10057, 10059, 143264, 10220},
 	} {
 		received, released, xors := goldenStream(t, tc.k, tc.seed, tc.base, tc.loss)
 		if received != tc.received || released != tc.released || xors != tc.xors {

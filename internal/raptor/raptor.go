@@ -160,18 +160,10 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 	}
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
-	checkSrc := tornado.PrecodeGraph(k, checks, precodeMaxDegree, seed^0x5DEECE66D1CE4E5B)
-	staticOf := make([][]int32, l)
-	for j, srcs := range checkSrc {
-		for _, s := range srcs {
-			staticOf[s] = append(staticOf[s], int32(j))
-		}
-		staticOf[k+j] = []int32{int32(j)}
-	}
 	rc.engine = peel.Code{
 		K: k, PacketLen: packetLen, Systematic: k,
 		Draw:     peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l},
-		CheckSrc: checkSrc, StaticOf: staticOf,
+		CheckSrc: tornado.PrecodeGraph(k, checks, precodeMaxDegree, seed^0x5DEECE66D1CE4E5B),
 	}
 	return rc, nil
 }

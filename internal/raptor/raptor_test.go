@@ -231,8 +231,7 @@ func TestNeighborsDeterministicAndValid(t *testing.T) {
 }
 
 // The precode graph invariants: every check lists in-range, duplicate-free
-// sources, and the static reverse adjacency handed to the engine is
-// consistent with them.
+// sources.
 func TestPrecodeConsistency(t *testing.T) {
 	for _, k := range []int{1, 2, 10, 1000} {
 		c := mustNew(t, k, 8, int64(k))
@@ -249,18 +248,6 @@ func TestPrecodeConsistency(t *testing.T) {
 					t.Fatalf("k=%d check %d: duplicate source %d", k, j, s)
 				}
 				seen[s] = true
-			}
-			for _, s := range srcs {
-				found := false
-				for _, e := range c.engine.StaticOf[s] {
-					found = found || int(e) == j
-				}
-				if !found {
-					t.Fatalf("k=%d check %d: source %d lacks the reverse edge", k, j, s)
-				}
-			}
-			if own := c.engine.StaticOf[k+j]; len(own) != 1 || int(own[0]) != j {
-				t.Fatalf("k=%d check %d: own column's static list %v", k, j, own)
 			}
 		}
 	}

@@ -109,10 +109,9 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 			counts = c.design.nodeCounts(layerSize)
 		}
 		g := newBigraph(layerSize, s, counts, rand.New(rand.NewSource(mix(seed, int64(li+1)))))
-		for ci := 0; ci < s; ci++ {
-			ns := make([]int32, len(g.neighbors[ci]))
-			for i, v := range g.neighbors[ci] {
-				ns[i] = v + int32(layerOff)
+		for ci, ns := range g.neighbors {
+			for i := range ns {
+				ns[i] += int32(layerOff)
 			}
 			c.checkNeighbors = append(c.checkNeighbors, ns)
 			c.checkOwn = append(c.checkOwn, int32(valOff+ci))

@@ -10,7 +10,7 @@ import (
 // decoder is the incremental Tornado decoder. It runs the two-rule
 // propagation after every packet and, behind one exact gate, hands the
 // whole stalled system to the shared inactivation solver (bitmat.Solver,
-// the one the peeling engine ends on), so Done() flips exactly at the
+// the one the LT/raptor decoder solves with), so Done() flips exactly at the
 // packet that makes the source recoverable — the property the paper uses
 // to let a receiver leave the multicast session as early as possible.
 //
@@ -61,7 +61,7 @@ type decoder struct {
 	colOf    []int32 // per value id: its column in the last endgame system, -1 if known then
 	unknowns []int32 // endgame column -> value id
 	rows     []int32 // solver row -> check id
-	prow     []int32 // a new packet's row over the last endgame system
+	prow     []int32 // scratch: one row over the last endgame system's columns
 }
 
 func newDecoder(c *Codec) *decoder {
@@ -289,18 +289,20 @@ func (d *decoder) endgame() {
 			edges += int(d.cnt[ci]) + 1
 		}
 	}
-	d.solver.Reset(edges)
-	for r, ci := range d.rows {
+	d.solver.Reset(len(d.rows), edges)
+	for _, ci := range d.rows {
+		d.prow = d.prow[:0]
 		for _, v := range c.checkNeighbors[ci] {
 			if d.data[v] == nil {
-				d.solver.Add(int32(r), d.colOf[v])
+				d.prow = append(d.prow, d.colOf[v])
 			}
 		}
 		if !d.valKnown[ci] {
-			d.solver.Add(int32(r), d.colOf[c.checkOwn[ci]])
+			d.prow = append(d.prow, d.colOf[c.checkOwn[ci]])
 		}
+		d.solver.AddRow(d.prow)
 	}
-	if d.deficit = d.solver.Analyze(len(d.rows), len(d.unknowns)); d.deficit > 0 {
+	if d.deficit = d.solver.Analyze(len(d.unknowns)); d.deficit > 0 {
 		return
 	}
 	// Done from here on, so the residual buffers are handed over as they are.

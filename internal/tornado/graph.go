@@ -1,13 +1,15 @@
 package tornado
 
 import (
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // bigraph is a random bipartite graph between `left` value nodes and
 // `right` check nodes. neighbors[c] lists the left indices (0-based within
-// the layer) feeding check c. The construction is deterministic given the
+// the layer) feeding check c, in increasing order; the lists are views of
+// one array. The construction is deterministic given the
 // rng state, so a sender and receiver sharing the session seed derive
 // identical graphs.
 type bigraph struct {
@@ -45,20 +47,16 @@ func newBigraph(left, right int, counts map[int]int, rng *rand.Rand) *bigraph {
 		counts[3] += counts[2] - (right - 1)
 		counts[2] = right - 1
 	}
-	degs := make([]int, 0, len(counts))
-	for d := range counts {
-		degs = append(degs, d)
-	}
-	sort.Ints(degs)
 	// Assign degrees to left nodes in a shuffled order so degree classes
 	// are spread uniformly.
-	leftDeg := make([]int, left)
-	pos := 0
-	for _, d := range degs {
+	leftDeg := make([]int32, left)
+	pos, edges := 0, 0
+	for _, d := range slices.Sorted(maps.Keys(counts)) {
 		for i := 0; i < counts[d]; i++ {
-			leftDeg[pos] = d
+			leftDeg[pos] = int32(d)
 			pos++
 		}
+		edges += min(d, right) * counts[d]
 	}
 	rng.Shuffle(left, func(i, j int) { leftDeg[i], leftDeg[j] = leftDeg[j], leftDeg[i] })
 
@@ -66,34 +64,40 @@ func newBigraph(left, right int, counts map[int]int, rng *rand.Rand) *bigraph {
 	perm := rng.Perm(right)
 	next2 := 0
 
-	g := &bigraph{left: left, right: right, neighbors: make([][]int32, right)}
-	var scratch []int32
-	for i, d := range leftDeg {
+	// Draw each left node's checks, in node order, into to[e]; then lay the
+	// edges out by check (CSR), each check's nodes in increasing order.
+	to := make([]int32, 0, edges)
+	for _, d := range leftDeg {
 		if d == 2 && right >= 2 {
-			a, b := perm[next2], perm[next2+1]
+			to = append(to, int32(perm[next2]), int32(perm[next2+1]))
 			next2++
-			g.neighbors[a] = append(g.neighbors[a], int32(i))
-			g.neighbors[b] = append(g.neighbors[b], int32(i))
 			continue
 		}
-		if d > right {
-			d = right
-		}
 		// Sample d distinct checks by rejection (d << right in practice).
-		scratch = scratch[:0]
-	pick:
-		for len(scratch) < d {
-			c := int32(rng.Intn(right))
-			for _, prev := range scratch {
-				if prev == c {
-					continue pick
-				}
+		for node := len(to); len(to)-node < min(int(d), right); {
+			if c := int32(rng.Intn(right)); !slices.Contains(to[node:], c) {
+				to = append(to, c)
 			}
-			scratch = append(scratch, c)
 		}
-		for _, c := range scratch {
-			g.neighbors[c] = append(g.neighbors[c], int32(i))
+	}
+	off := make([]int32, right+1) // check c's end in flat; its start once filled
+	for _, c := range to {
+		off[c]++
+	}
+	for c := 1; c <= right; c++ {
+		off[c] += off[c-1]
+	}
+	flat := make([]int32, edges)
+	for i, e := left-1, edges; i >= 0; i-- {
+		for n := min(int(leftDeg[i]), right); n > 0; n-- {
+			e--
+			off[to[e]]--
+			flat[off[to[e]]] = int32(i)
 		}
+	}
+	g := &bigraph{left: left, right: right, neighbors: make([][]int32, right)}
+	for c := range g.neighbors {
+		g.neighbors[c] = flat[off[c]:off[c+1]:off[c+1]]
 	}
 	return g
 }

@@ -17,7 +17,7 @@
 // a check with a known value and exactly one unknown neighbor recovers
 // that neighbor; a check whose neighbors are all known recovers its own
 // value. What propagation leaves — over all levels and the tail at once —
-// goes to the inactivation solver the peeling engine also ends on
+// goes to the inactivation solver the LT/raptor decoder also solves with
 // (bitmat.Solver), behind an exact gate, so the decoder is done at exactly
 // the packet that makes the source recoverable: the receiver of a digital
 // fountain disconnects as soon as it has "enough".

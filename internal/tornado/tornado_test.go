@@ -2,7 +2,9 @@ package tornado
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -369,5 +371,68 @@ func TestEncodeValidatesSource(t *testing.T) {
 	c, _ := New(A(), 8, 16, 16, 1)
 	if _, err := c.Encode(make([][]byte, 7)); err == nil {
 		t.Fatal("wrong source count accepted")
+	}
+}
+
+// appendBigraph builds the graph newBigraph draws with each check's list
+// grown by append in node order: the reference the CSR build must match
+// edge for edge.
+func appendBigraph(left, right int, counts map[int]int, rng *rand.Rand) [][]int32 {
+	cp := make(map[int]int, len(counts))
+	for d, c := range counts {
+		cp[d] = c
+	}
+	if right >= 2 && cp[2] > right-1 {
+		cp[3] += cp[2] - (right - 1)
+		cp[2] = right - 1
+	}
+	var leftDeg []int
+	for _, d := range slices.Sorted(maps.Keys(cp)) {
+		for i := 0; i < cp[d]; i++ {
+			leftDeg = append(leftDeg, d)
+		}
+	}
+	rng.Shuffle(left, func(i, j int) { leftDeg[i], leftDeg[j] = leftDeg[j], leftDeg[i] })
+	perm := rng.Perm(right)
+	next2 := 0
+	neighbors := make([][]int32, right)
+	for i, d := range leftDeg {
+		if d == 2 && right >= 2 {
+			a, b := perm[next2], perm[next2+1]
+			next2++
+			neighbors[a] = append(neighbors[a], int32(i))
+			neighbors[b] = append(neighbors[b], int32(i))
+			continue
+		}
+		var picked []int32
+		for len(picked) < min(d, right) {
+			if c := int32(rng.Intn(right)); !slices.Contains(picked, c) {
+				picked = append(picked, c)
+			}
+		}
+		for _, c := range picked {
+			neighbors[c] = append(neighbors[c], int32(i))
+		}
+	}
+	return neighbors
+}
+
+// TestBigraphMatchesAppendBuild: the CSR build draws the same graph as the
+// append build, down to each check's node order, from a thousand-node
+// layer to a right side smaller than the largest degree.
+func TestBigraphMatchesAppendBuild(t *testing.T) {
+	for _, tc := range []struct{ left, right, maxDeg int }{
+		{1000, 500, 20}, {4, 2, 8}, {8, 1, 8}, {10, 3, 8}, {300, 37, 12}, {2500, 60, 8},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			counts := heavyTailCounts(tc.left, tc.maxDeg)
+			got := newBigraph(tc.left, tc.right, counts, rand.New(rand.NewSource(seed))).neighbors
+			want := appendBigraph(tc.left, tc.right, counts, rand.New(rand.NewSource(seed)))
+			for c := range want {
+				if !slices.Equal(got[c], want[c]) {
+					t.Fatalf("left=%d right=%d seed=%d: check %d lists %v, want %v", tc.left, tc.right, seed, c, got[c], want[c])
+				}
+			}
+		}
 	}
 }
