@@ -39,14 +39,15 @@ type Solver struct {
 	queue  []int32  // rows fallen to degree one
 	byDeg  []uint64 // ^rows<<32 | column, sorted: the inactivation order
 
-	w      int      // words per vector over the inactivated set
-	vec    []uint64 // per row: its inactivated part, peeled columns substituted
-	dep    []uint8  // per pivot row: independent, or how Solve finishes it
-	dense  []uint64 // rows under elimination; [:rank] in echelon form
-	drows  []int32  // non-pivot rows with a nonzero vec; [:rank] independent
-	rank   int      // of the dense system
-	x, sol [][]byte
-	xors   int // payload XORs of the last Solve
+	w     int      // words per vector over the inactivated set
+	vec   []uint64 // per row: its inactivated part, peeled columns substituted
+	dep   []uint8  // per pivot row: independent, or how Solve finishes it
+	dense []uint64 // rows under elimination; [:rank] in echelon form
+	drows []int32  // non-pivot rows with a nonzero vec; [:rank] independent
+	rank  int      // of the dense system
+	x     [][]byte // Solve: the inactivated columns' values, x[i] = rhs[drows[i]]
+	at    []int32  // Solve: per column, the row whose payload holds its value
+	xors  int      // payload XORs of the last Solve
 }
 
 const (
@@ -99,7 +100,7 @@ func (s *Solver) Analyze(cols int) (deficit int) {
 		s.byDeg[c] = uint64(^uint32(s.colOff[c+1]-s.colOff[c]))<<32 | uint64(c)
 	}
 	slices.Sort(s.byDeg)
-	s.order, s.inact = s.order[:0], s.inact[:0]
+	s.order, s.inact = slices.Grow(s.order[:0], cols), s.inact[:0]
 	for next := 0; len(s.order)+len(s.inact) < cols; {
 		if len(s.queue) == 0 {
 			for s.state[uint32(s.byDeg[next])] != active {
@@ -270,10 +271,11 @@ func (s *Solver) reduce(rows []int32, x [][]byte) (rank int) {
 }
 
 // Solve runs the payload phase once the deficit is 0. rhs holds one
-// payload per row: the analysed rows', then those Extend kept. It returns one payload per column, each one of rhs's
-// buffers, modified in place; the returned slice is the Solver's and valid
-// until the next Reset.
-func (s *Solver) Solve(rhs [][]byte) [][]byte {
+// payload per row: the analysed rows', then those Extend kept. It solves in
+// place and returns, per column, the row whose payload now holds its value:
+// column c's is rhs[at[c]], and no two columns share a row. The returned
+// slice is the Solver's and valid until the next Reset.
+func (s *Solver) Solve(rhs [][]byte) (at []int32) {
 	if s.rank != len(s.inact) {
 		panic("bitmat: Solve on a rank-deficient system")
 	}
@@ -335,14 +337,14 @@ func (s *Solver) Solve(rhs [][]byte) [][]byte {
 			}
 		}
 	}
-	s.sol = resize(s.sol, s.cols)
+	s.at = resize(s.at, s.cols)
 	for _, c := range s.order {
-		s.sol[c] = rhs[s.state[c]]
+		s.at[c] = s.state[c]
 	}
 	for i, c := range s.inact {
-		s.sol[c] = s.x[i]
+		s.at[c] = dense[i]
 	}
-	return s.sol
+	return s.at
 }
 
 // substitute XORs into rhs[r] the payload of each peeled column of row r

@@ -236,12 +236,17 @@ func checkSolver(t testing.TB, s *Solver, sys *system) bool {
 		}
 		return false
 	}
-	sol := s.Solve(work)
-	if len(sol) != sys.cols {
-		t.Fatalf("%d solution payloads for %d columns", len(sol), sys.cols)
+	at := s.Solve(work)
+	if len(at) != sys.cols {
+		t.Fatalf("%d solution rows for %d columns", len(at), sys.cols)
 	}
-	for c := range sol {
-		if !bytes.Equal(sol[c], refSol[c]) || !bytes.Equal(sol[c], sys.u[c]) {
+	held := map[int32]bool{}
+	for c, r := range at {
+		if held[r] {
+			t.Fatalf("column %d's value in row %d, which holds another column's", c, r)
+		}
+		held[r] = true
+		if !bytes.Equal(work[r], refSol[c]) || !bytes.Equal(work[r], sys.u[c]) {
 			t.Fatalf("column %d differs from TrySolve's solution or from u", c)
 		}
 	}
@@ -298,8 +303,8 @@ func checkExtend(t testing.TB, s *Solver, sys *system, first int) bool {
 		ref[r] = append([]byte(nil), sys.rhs[r]...)
 	}
 	refSol, _, _ := TrySolve(m, ref)
-	for c, val := range s.Solve(work) {
-		if !bytes.Equal(val, refSol[c]) || !bytes.Equal(val, sys.u[c]) {
+	for c, r := range s.Solve(work) {
+		if !bytes.Equal(work[r], refSol[c]) || !bytes.Equal(work[r], sys.u[c]) {
 			t.Fatalf("column %d after Extend differs from TrySolve's solution or from u", c)
 		}
 	}

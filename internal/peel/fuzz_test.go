@@ -1,6 +1,7 @@
 package peel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -20,6 +21,10 @@ func FuzzPeelStream(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2})
 	f.Add([]byte{1, 30, 7, 1, 0xff, 0xff, 0xff, 0x7f, 2, 0, 0, 0, 0, 3, 0, 0, 0, 0, 4, 9, 9, 9, 9})
 	f.Add([]byte{3, 12, 9, 5, 0, 0, 0, 0, 5, 1, 0, 0, 0, 5, 2, 0, 0, 0, 5, 3, 0, 0, 0})
+	// Raptor-shaped: repair packets first, then the systematic stream, so
+	// systematic packets land on slots where coded payloads wait.
+	repairFirst := append([]byte{1, 20, 4}, bytes.Repeat([]byte{7, 0, 0, 0, 0}, 9)...)
+	f.Add(append(repairFirst, bytes.Repeat([]byte{6, 0, 0, 0, 0}, 20)...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
@@ -32,7 +37,8 @@ func FuzzPeelStream(f *testing.F) {
 		corrupt := in[0]&2 != 0
 		tc := newTestCode(k, checks, 8, int64(in[2]))
 		d := NewDecoder(&tc.Code)
-		next := uint32(0) // the in-order stream position
+		next := uint32(0)   // the in-order stream position
+		repair := uint32(k) // the repair stream's, past the systematic prefix of a raptor shape
 		for ops := in[3:]; len(ops) >= 5 && !d.Done(); ops = ops[5:] {
 			kind, raw := ops[0]%8, binary.LittleEndian.Uint32(ops[1:5])
 			if kind < 2 {
@@ -62,6 +68,9 @@ func FuzzPeelStream(f *testing.F) {
 				index = raw % uint32(3*k)
 			case 4: // counting down from the top
 				index = code.UnboundedN - 1 - raw%uint32(4*k)
+			case 7: // the repair stream, so systematic packets can follow coded ones
+				index = repair
+				repair++
 			default: // the in-order stream, so fuzzing reaches done
 				index = next
 				next += 1 + raw%2

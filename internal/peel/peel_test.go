@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bitmat"
+	"repro/internal/code"
 	"repro/internal/gf"
 )
 
@@ -326,5 +327,132 @@ func TestLosslessSystematicAllocatesTheFile(t *testing.T) {
 	}
 	if d.Released() != 0 || d.XORs() != 0 {
 		t.Fatalf("released %d, xors %d, want 0 and 0", d.Released(), d.XORs())
+	}
+}
+
+// TestRepairOnlyAllocatesOneFile: a receiver that decodes from coded
+// packets keeps them in the file's own slots, so a repair-only raptor-shaped
+// decode and an LT decode allocate less than 1.5 files in all, not a file
+// of payloads plus the file they solve into.
+func TestRepairOnlyAllocatesOneFile(t *testing.T) {
+	const k, pl = 1000, 1024
+	for _, shape := range []struct {
+		name   string
+		checks int
+		base   uint32
+	}{{"raptor-repair", k/8 + 3, k}, {"lt", 0, 0}} {
+		tc := newTestCode(k, shape.checks, pl, 9)
+		pkts := make([][]byte, 2*k)
+		for i := range pkts {
+			pkts[i] = tc.packet(shape.base + uint32(i))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := NewDecoder(&tc.Code)
+		for i := 0; !d.Done(); i++ {
+			if _, err := d.Add(int(shape.base)+i, pkts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		tc.checkSource(t, d)
+		files := float64(after.TotalAlloc-before.TotalAlloc) / (k * pl)
+		t.Logf("%s: %.2f files", shape.name, files)
+		if files >= 1.5 {
+			t.Errorf("%s: decode allocated %.2f files, want < 1.5", shape.name, files)
+		}
+	}
+}
+
+// TestSystematicIntoOwnedSlots: coded packets arrive first and wait in the
+// low slots; then the systematic packets of those slots arrive, before the
+// analysis (each moves the payload in its slot on) and after it (each is a
+// row like a coded one). The decoder must still be done at exactly the
+// oracle's full-rank packet with the source's bytes.
+func TestSystematicIntoOwnedSlots(t *testing.T) {
+	for _, k := range []int{2, 9, 60, 200} {
+		for seed := int64(1); seed <= 8; seed++ {
+			tc := newTestCode(k, k/8+3, 8, seed)
+			d := NewDecoder(&tc.Code)
+			o := &oracle{tc: tc}
+			add := func(index uint32) {
+				t.Helper()
+				if _, err := d.Add(int(index), tc.packet(index)); err != nil {
+					t.Fatal(err)
+				}
+				if d.Received() > len(o.indices) {
+					o.add(index, tc.packet(index))
+				}
+			}
+			repair := uint32(k)
+			for d.Received() < (k+1)/2 {
+				add(repair)
+				repair++
+			}
+			owned := func(v int) bool { return d.owner != nil && d.owner[v] >= 0 }
+			for v := 0; v < k && !d.Done(); v += 2 {
+				if owned(v) {
+					analysed := d.colOf != nil
+					add(uint32(v))
+					if !analysed && owned(v) {
+						t.Fatalf("k=%d seed=%d: slot %d holds a coded payload after its systematic packet", k, seed, v)
+					}
+				}
+			}
+			for d.colOf == nil && !d.Done() {
+				add(repair)
+				repair++
+			}
+			for v := 1; v < k && !d.Done(); v += 2 {
+				if owned(v) {
+					add(uint32(v))
+				}
+			}
+			for !d.Done() {
+				add(repair)
+				repair++
+			}
+			tc.checkSource(t, d)
+			if at := o.fullRankAt(); len(o.indices) != at {
+				t.Errorf("k=%d seed=%d: done at %d distinct packets, the oracle at %d", k, seed, len(o.indices), at)
+			}
+		}
+	}
+}
+
+// TestPermutePlacesChainsAndCycles drives the placement on a laid-out
+// solution: values in place, a chain from a slot whose content nobody needs
+// through two slots to the spill, a single value in the spill, and a
+// 2-cycle and a 3-cycle. Every slot must end holding its own value, with
+// one scratch copy per cycle.
+func TestPermutePlacesChainsAndCycles(t *testing.T) {
+	const pl = 4
+	from := []int32{
+		0,        // in place
+		2, 3, -1, // chain: 1 ← 2 ← 3 ← spill 0
+		5, 4, // 2-cycle
+		7, 8, 6, // 3-cycle
+		-2, // from spill 1 into a slot nobody needs
+		10, // in place
+	}
+	value := func(v int) []byte { return bytes.Repeat([]byte{byte(v + 1)}, pl) }
+	d := &Decoder{
+		c:     &Code{K: len(from), PacketLen: pl},
+		out:   code.SourceBuf{K: len(from), PacketLen: pl},
+		spill: make([]byte, 2*pl),
+	}
+	for v := range from {
+		copy(d.out.Slot(v), "junk") // what a slot whose content nobody needs holds
+	}
+	for v, j := range from {
+		copy(d.at(j), value(v))
+	}
+	if cycles := d.permute(append([]int32(nil), from...), make([]int32, len(from))); cycles != 2 {
+		t.Errorf("%d cycles, want 2", cycles)
+	}
+	for v := range from {
+		if got := d.out.Slot(v); !bytes.Equal(got, value(v)) {
+			t.Errorf("slot %d holds %v, want %v", v, got, value(v))
+		}
 	}
 }

@@ -318,9 +318,9 @@ func (d *decoder) endgame() {
 			}
 		}
 	}
-	for i, p := range d.solver.Solve(rhs) {
+	for i, r := range d.solver.Solve(rhs) {
 		if v := int(d.unknowns[i]); v < c.k {
-			copy(d.out.Slot(v), p)
+			copy(d.out.Slot(v), rhs[r])
 		}
 	}
 	d.srcLeft = 0
