@@ -4,8 +4,9 @@
 // and writes the results as machine-readable JSON, so the performance
 // trajectory can be tracked PR over PR. Decode rows also carry the measured
 // reception overhead (packets needed / k, averaged over fresh reception
-// orders), and the rateless rows sit under hard regression gates
-// (checkRatelessGates): overhead or allocation drift fails the run.
+// orders), and the Tornado and rateless decode rows sit under hard
+// regression gates (checkDecodeGates): overhead or allocation drift fails
+// the run.
 //
 // Usage:
 //
@@ -28,6 +29,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,7 +203,7 @@ func main() {
 		rep.Results = append(rep.Results, res...)
 	}
 
-	if err := checkRatelessGates(rep.Results); err != nil {
+	if err := checkDecodeGates(rep.Results, kk); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
 	}
@@ -405,11 +407,11 @@ func benchRaptor(k, pl int) ([]result, error) {
 	return []result{rows[0], sysRes, rows[1]}, nil
 }
 
-// ratelessGate is one hard acceptance bound over a rateless decode row.
-// Overhead regressions and decoder-allocation regressions fail the bench
-// run (and CI's codec-bench step) outright instead of drifting silently
-// into the trajectory file.
-type ratelessGate struct {
+// decodeGate is one hard acceptance bound over a decode row. Overhead
+// regressions and decoder-allocation regressions fail the bench run (and
+// CI's codec-bench step) outright instead of drifting silently into the
+// trajectory file.
+type decodeGate struct {
 	name, op    string
 	k           int
 	maxOverhead float64
@@ -418,11 +420,17 @@ type ratelessGate struct {
 }
 
 // Every byte ceiling is below 2 files: the decoder's source buffer is the
-// one file a decode allocates (a repair-only receiver keeps its coded
-// payloads in the slots not yet filled), so a second file-sized copy coming
-// back — a join, a payload store beside the file — fails the run. Each
-// ceiling is its measured value plus about 0.15 files.
-var ratelessGates = []ratelessGate{
+// one file a decode allocates (coded payloads wait in the slots not yet
+// filled), so a second file-sized copy coming back — a join, a payload
+// store beside the file — fails the run. Each ceiling is its measured value
+// plus about 0.15 files.
+var decodeGates = []decodeGate{
+	// Tornado, at the default -k: no cascade at k = 512, so the rest is the
+	// dense rows' neighbour sets and the solver's state. A decoder keeping
+	// its own propagation state and packet arena (1.75 files, 96
+	// allocs/op) fails both ceilings.
+	{"tornado-a", "decode", 512, 1.02, 80, 1.55},
+	{"tornado-b", "decode", 512, 1.02, 80, 1.55},
 	// LT: the rest is the received rows' neighbour sets and the solver's
 	// state over the full robust soliton.
 	{"lt", "decode", 1000, 1.15, 300, 1.5},
@@ -435,11 +443,15 @@ var ratelessGates = []ratelessGate{
 	{"raptor", "decode-repair", 10000, 1.03, 1_000, 1.45},
 }
 
-// checkRatelessGates enforces ratelessGates over the collected rows. A
-// gate whose row is missing is itself a failure — a renamed or dropped
-// benchmark must not pass vacuously.
-func checkRatelessGates(results []result) error {
-	for _, g := range ratelessGates {
+// checkDecodeGates enforces decodeGates over the collected rows. A gate
+// whose row is missing is itself a failure — a renamed or dropped
+// benchmark must not pass vacuously. The fixed-rate rows run at -k, so
+// their gates hold only for a run at the k they name.
+func checkDecodeGates(results []result, fixedK int) error {
+	for _, g := range decodeGates {
+		if strings.HasPrefix(g.name, "tornado") && g.k != fixedK {
+			continue
+		}
 		found := false
 		for _, r := range results {
 			if r.Name != g.name || r.Op != g.op || r.K != g.k {

@@ -361,6 +361,9 @@ func (s *Solver) substitute(r int32, rhs [][]byte, depOnly bool, x [][]byte) {
 	}
 }
 
+// Inactivated returns the number of columns the last Analyze inactivated.
+func (s *Solver) Inactivated() int { return len(s.inact) }
+
 // XORs returns the number of payload XORs the last Solve performed.
 func (s *Solver) XORs() int { return s.xors }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/proto"
+	"repro/internal/raptor"
+	"repro/internal/tornado"
 )
 
 func randData(rng *rand.Rand, n int) []byte {
@@ -207,5 +209,62 @@ func TestEmptyishFile(t *testing.T) {
 	got, err := r.File()
 	if err != nil || len(got) != 1 || got[0] != 42 {
 		t.Fatalf("tiny file: %v %v", got, err)
+	}
+}
+
+// TestReceiverCountsDecodeWork: every codec on the one decode engine counts
+// its decode work through the receiver. A receiver of the k source packets
+// resolves no column and XORs nothing; one that lost every fifth source
+// reports as released each column its one solve resolved: all L columns but
+// the sources it held when it analysed.
+func TestReceiverCountsDecodeWork(t *testing.T) {
+	data := randData(rand.New(rand.NewSource(8)), 64*1200-5) // Tornado A has a cascade level at k = 1200
+	for _, id := range []uint8{proto.CodecTornadoA, proto.CodecTornadoB, proto.CodecRaptor} {
+		cfg := DefaultConfig()
+		cfg.Codec = id
+		cfg.PacketLen = 64
+		cfg.Layers = 1
+		s, err := NewSession(data, cfg)
+		if err != nil {
+			t.Fatalf("codec %d: %v", id, err)
+		}
+		k, l := s.Codec().K(), 0
+		switch c := s.Codec().(type) {
+		case *tornado.Codec:
+			l = k
+			for _, n := range c.Levels() {
+				l += n
+			}
+		case *raptor.Codec:
+			l = c.Intermediates()
+		}
+		for _, lossy := range []bool{false, true} {
+			r, err := NewReceiver(s.Info())
+			if err != nil {
+				t.Fatalf("codec %d: %v", id, err)
+			}
+			held := 0
+			for idx := 0; idx < k; idx++ {
+				if !lossy || idx%5 != 0 {
+					r.HandleRaw(s.Packet(idx, 0, 0, 0))
+					held++
+				}
+			}
+			for idx := k; !r.Done() && idx < s.Codec().N(); idx++ {
+				r.HandleRaw(s.Packet(idx, 0, 0, 0))
+			}
+			if _, err := r.File(); err != nil {
+				t.Fatalf("codec %d lossy=%v: %v", id, lossy, err)
+			}
+			want := 0
+			if lossy {
+				want = l - held
+			}
+			xors := r.dec.(interface{ XORs() int }).XORs()
+			if r.Released() != want || (xors == 0) != !lossy {
+				t.Errorf("codec %d lossy=%v: released %d, xors %d; want %d released, xors > 0 iff lossy",
+					id, lossy, r.Released(), xors, want)
+			}
+		}
 	}
 }

@@ -48,8 +48,10 @@ type Codec struct {
 	packetLen int
 	c         float64
 	delta     float64
-	// engine is what every decoder of the session runs on; its sampler,
-	// the robust soliton over the k sources, is also the encoder's.
+	// draw is the robust soliton over the k sources: the encoder's sampler,
+	// and the neighbour function of engine, what every decoder of the
+	// session runs on.
+	draw   peel.Sampler
 	engine peel.Code
 }
 
@@ -71,10 +73,8 @@ func New(k, packetLen int, seed int64, c, delta float64) (*Codec, error) {
 		delta = DefaultDelta
 	}
 	lc := &Codec{k: k, packetLen: packetLen, c: c, delta: delta}
-	lc.engine = peel.Code{
-		K: k, PacketLen: packetLen,
-		Draw: peel.Sampler{Seed: seed, CDF: robustSolitonCDF(k, c, delta), L: k},
-	}
+	lc.draw = peel.Sampler{Seed: seed, CDF: robustSolitonCDF(k, c, delta), L: k}
+	lc.engine = peel.Code{K: k, N: code.UnboundedN, PacketLen: packetLen, Draw: &lc.draw}
 	return lc, nil
 }
 
@@ -136,7 +136,7 @@ func (c *Codec) PacketLen() int { return c.packetLen }
 func (c *Codec) Params() (cc, delta float64) { return c.c, c.delta }
 
 // Seed returns the session seed the packet streams derive from.
-func (c *Codec) Seed() int64 { return c.engine.Draw.Seed }
+func (c *Codec) Seed() int64 { return c.draw.Seed }
 
 // RatelessCode implements code.Rateless.
 func (c *Codec) RatelessCode() {}
@@ -151,14 +151,14 @@ func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return nil, ErrUnbounde
 
 // Degree returns encoding packet index's degree — deterministic, in
 // [1, k].
-func (c *Codec) Degree(index uint32) int { return c.engine.Draw.Degree(index) }
+func (c *Codec) Degree(index uint32) int { return c.draw.Degree(index) }
 
 // NeighborsInto writes encoding packet index's neighbor set — the source
 // packets XORed into it — into buf (reused if capacity allows) and returns
 // it. The set is deterministic in (seed, index, k), duplicate-free, and
 // every entry is in [0, k).
 func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
-	return c.engine.Draw.NeighborsInto(index, buf)
+	return c.draw.NeighborsInto(index, buf)
 }
 
 // NewDecoder implements code.Codec.

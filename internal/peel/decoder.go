@@ -1,43 +1,45 @@
-// Package peel is the one decoder under the LT and raptor codecs, plus the
-// pieces every such code shares: the per-index neighbour sampler
-// (sampler.go) and the packet-buffer arena the Tornado decoder draws from
-// (arena.go).
+// Package peel is the one decoder under the Tornado, LT and raptor codecs,
+// plus the per-index neighbour sampler the rateless codes draw their rows
+// from (sampler.go).
 //
-// The decoder solves a system of XOR equations over L columns, of which
-// the first K are the source symbols. The equation set is the union of
+// The decoder solves a system of XOR equations over L = K + len(CheckSrc)
+// columns, of which the first K are the source symbols. The equation set is
+// the union of
 //
 //   - the L-K *static* equations 0 = column(K+j) ⊕ ⊕ CheckSrc[j], known
 //     by construction (their right-hand side is the implicit all-zero
 //     packet, never transmitted), and
 //   - the received packets: a packet of the systematic prefix is its
-//     column verbatim, any other the XOR of its drawn neighbours.
+//     column verbatim, any other the XOR of its neighbours (Code.Draw).
 //
 // LT is the decoder with no static rows and no systematic prefix; raptor
-// supplies its precode as static rows. Static equations are free rank: a
-// receiver needs only ≈K received symbols regardless of L-K, because the
-// check symbols come with their own defining equations.
+// supplies its precode as static rows. A Tornado code supplies its cascade:
+// check j's value is column K+j, a received cascade value the one-neighbour
+// row {i}, and a dense-tail packet its check's row, read from a table.
+// Static equations are free rank: a receiver needs only ≈K received symbols
+// regardless of L-K, because the check symbols come with their own defining
+// equations.
 //
 // Collect, then solve once. The L-K static rows plus fewer than K received
 // ones cannot have rank L, so until the K-th distinct packet the decoder
 // only keeps what it received: a systematic packet in its slot of the
 // source buffer plus one bit, a coded one as its payload and its neighbour
 // set, drawn once. At the K-th it analyses the whole system once
-// (bitmat.Solver: inactivation decoding, the solver the Tornado decoder
-// ends on) over every column not received verbatim. If that analysis is
-// short by δ, each later packet's row is offered to it (Solver.Extend),
-// which keeps the row iff it raises the rank. At deficit zero the decoder
-// folds the known columns into the right-hand sides, solves in place, and
-// permutes the solution's source columns into their slots. It is therefore
-// done at exactly the packet that makes the source recoverable, and a
-// receiver of the K systematic packets is done at the K-th with no analysis
-// and no XOR.
+// (bitmat.Solver: inactivation decoding) over every column not received
+// verbatim. If that analysis is short by δ, each later packet's row is
+// offered to it (Solver.Extend), which keeps the row iff it raises the
+// rank. At deficit zero the decoder folds the known columns into the
+// right-hand sides, solves in place, and permutes the solution's source
+// columns into their slots. It is therefore done at exactly the packet
+// that makes the source recoverable, and a receiver of the K systematic
+// packets is done at the K-th with no analysis and no XOR.
 //
 // One buffer. The source buffer is the decoder's only file-sized store: a
 // coded payload waits in a free slot — one of a column not received
 // verbatim that holds no other payload — and only the rows that find none
-// (the static rows' right-hand sides, the rows Extend keeps) go to a small
-// spill. A systematic packet whose slot holds a coded payload moves
-// that payload on first.
+// (the static rows' right-hand sides, the rows Extend keeps) go to a
+// spill. A systematic packet whose slot holds a coded payload moves that
+// payload on first.
 package peel
 
 import (
@@ -52,17 +54,29 @@ import (
 // shared by every decoder of a session.
 type Code struct {
 	K         int // source symbols: columns [0, K)
+	N         int // packet indices: [0, N), code.UnboundedN for a rateless code
 	PacketLen int
-	// Draw is the per-index neighbour function: the columns XORed into
-	// packet index (>= Systematic), drawn over all L = Draw.L columns.
-	// Columns [K, L) are the static equations' check symbols.
-	Draw Sampler
+	// Draw is the neighbour function: the columns XORed into packet index
+	// (>= Systematic), over all L = K + len(CheckSrc) columns. Columns
+	// [K, L) are the static equations' check symbols.
+	Draw Neighbors
 	// Systematic is the length of the identity prefix: packet index
-	// i < Systematic carries column i verbatim (0 for LT, K for raptor).
+	// i < Systematic carries column i verbatim (0 for LT, K otherwise).
 	Systematic int
-	// CheckSrc[j] lists the sources of static equation j (0 <= j < L-K):
-	// 0 = column(K+j) ⊕ ⊕_{i∈CheckSrc[j]} column(i).
+	// CheckSrc[j] lists the other columns of static equation j
+	// (0 <= j < L-K): 0 = column(K+j) ⊕ ⊕_{i∈CheckSrc[j]} column(i). They
+	// may be check columns too: a Tornado level's checks name the level
+	// before theirs.
 	CheckSrc [][]int32
+}
+
+// Neighbors is a code's neighbour function: a Sampler's draw, or a table.
+type Neighbors interface {
+	// NeighborsInto writes packet index's columns into buf (reused if
+	// capacity allows) and returns it: duplicate-free, each below L.
+	NeighborsInto(index uint32, buf []int) []int
+	// MeanDegree is the expected number of columns of a packet.
+	MeanDegree() float64
 }
 
 // Decoder is one reception session over a Code. It implements
@@ -93,7 +107,7 @@ type Decoder struct {
 	row     []int32 // scratch: one row over the analysis' columns
 	nbuf    []int
 
-	analyses, released, xors int
+	analyses, released, inactivated, xors int
 }
 
 // NewDecoder starts a reception session. Nothing per column is allocated
@@ -108,7 +122,7 @@ func NewDecoder(c *Code) *Decoder {
 
 // Add implements code.Decoder.
 func (d *Decoder) Add(i int, data []byte) (bool, error) {
-	if err := code.CheckPacket(i, data, code.UnboundedN, d.c.PacketLen); err != nil {
+	if err := code.CheckPacket(i, data, d.c.N, d.c.PacketLen); err != nil {
 		return d.done, err
 	}
 	if d.done {
@@ -171,7 +185,7 @@ func (d *Decoder) size() {
 	d.seen = make(map[uint32]struct{}, n)
 	d.loc = make([]int32, s, s+n)
 	d.off = append(make([]int32, 0, n+1), 0)
-	d.nbrs = make([]int32, 0, int(float64(n)*d.c.Draw.meanDegree()*9/8))
+	d.nbrs = make([]int32, 0, int(float64(n)*d.c.Draw.MeanDegree()*9/8))
 	d.owner = make([]int32, d.c.K)
 	for v := range d.owner {
 		d.owner[v] = -1
@@ -236,7 +250,7 @@ func (d *Decoder) at(j int32) []byte {
 // analyse runs the one analysis: the static rows, then the kept rows, over
 // every column not received verbatim.
 func (d *Decoder) analyse() {
-	d.colOf = make([]int32, d.c.Draw.L)
+	d.colOf = make([]int32, d.c.K+len(d.c.CheckSrc))
 	cols := int32(0)
 	for v := range d.colOf {
 		if d.colOf[v] = -1; v >= d.c.Systematic || d.got[v/64]&(1<<(v%64)) == 0 {
@@ -287,7 +301,7 @@ func (d *Decoder) solve() {
 		}
 	}
 	d.permute(from, d.owner)
-	d.released, d.xors = len(rowOf), d.xors+d.solver.XORs()
+	d.released, d.inactivated, d.xors = len(rowOf), d.solver.Inactivated(), d.xors+d.solver.XORs()
 	d.finish()
 }
 
@@ -387,6 +401,10 @@ func (d *Decoder) Received() int { return d.nsys + len(d.seen) }
 // from coded equations — every column not received verbatim, once done by
 // a solve. A receiver of the K systematic packets reports exactly 0.
 func (d *Decoder) Released() int { return d.released }
+
+// Inactivated returns the columns the one analysis inactivated, 0 before
+// a solve.
+func (d *Decoder) Inactivated() int { return d.inactivated }
 
 // XORs returns the decoder's payload XORs: known columns folded into
 // right-hand sides plus the solve's own. Zero loss ⇒ zero.

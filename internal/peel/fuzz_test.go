@@ -9,9 +9,11 @@ import (
 )
 
 // FuzzPeelStream drives the engine with a hostile but well-tagged packet
-// stream: the fuzzer picks the code shape and an arbitrary sequence of
-// indices — duplicates, the top of the index space, adversarial orders,
-// out-of-range and wrong-length packets — while payloads stay authentic
+// stream: the fuzzer picks the code shape — LT, raptor, or a Tornado shape
+// read from a table over a bounded index space, whose static rows name
+// check columns — and an arbitrary sequence of indices — duplicates, the
+// top of the index space, adversarial orders, out-of-range and
+// wrong-length packets — while payloads stay authentic
 // (the integrity tag is checked before a packet reaches a decoder). The
 // engine must never panic, must reject malformed packets without counting
 // them, and if it reports done must reproduce the source. With the
@@ -25,6 +27,10 @@ func FuzzPeelStream(f *testing.F) {
 	// systematic packets land on slots where coded payloads wait.
 	repairFirst := append([]byte{1, 20, 4}, bytes.Repeat([]byte{7, 0, 0, 0, 0}, 9)...)
 	f.Add(append(repairFirst, bytes.Repeat([]byte{6, 0, 0, 0, 0}, 20)...))
+	// Table-shaped: index N itself, refused; then every other source and
+	// the stream past them, wrapping at N, to a solve.
+	tableAtN := append([]byte{4, 20, 5, 0, 1, 0, 0, 0}, bytes.Repeat([]byte{6, 1, 0, 0, 0}, 5)...)
+	f.Add(append(tableAtN, bytes.Repeat([]byte{6, 0, 0, 0, 0}, 40)...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
@@ -36,6 +42,9 @@ func FuzzPeelStream(f *testing.F) {
 		}
 		corrupt := in[0]&2 != 0
 		tc := newTestCode(k, checks, 8, int64(in[2]))
+		if in[0]&4 != 0 {
+			tc = newTableCode(k, 8, int64(in[2]))
+		}
 		d := NewDecoder(&tc.Code)
 		next := uint32(0)   // the in-order stream position
 		repair := uint32(k) // the repair stream's, past the systematic prefix of a raptor shape
@@ -47,7 +56,7 @@ func FuzzPeelStream(f *testing.F) {
 				case kind == 1: // wrong length
 					p = p[:int(raw>>8)%tc.PacketLen]
 				case raw&1 != 0: // past the index space
-					i = code.UnboundedN + int(raw>>1)
+					i = tc.N + int(raw>>1)
 				default: // negative
 					i = -1 - int(raw>>1)
 				}
@@ -67,7 +76,7 @@ func FuzzPeelStream(f *testing.F) {
 			case 3: // around the systematic boundary
 				index = raw % uint32(3*k)
 			case 4: // counting down from the top
-				index = code.UnboundedN - 1 - raw%uint32(4*k)
+				index = uint32(tc.N) - 1 - raw%uint32(4*k)
 			case 7: // the repair stream, so systematic packets can follow coded ones
 				index = repair
 				repair++
@@ -75,6 +84,7 @@ func FuzzPeelStream(f *testing.F) {
 				index = next
 				next += 1 + raw%2
 			}
+			index %= uint32(tc.N)
 			p := tc.packet(index)
 			if corrupt {
 				copy(p, ops[1:5])

@@ -11,11 +11,12 @@ import (
 	"repro/internal/gf"
 )
 
-// testCode is a small code of either shape plus the column values its
+// testCode is a small code of any shape plus the column values its
 // packets are built from, so tests can act as the sender.
 type testCode struct {
 	Code
-	cols [][]byte // all L column values; cols[:K] is the source
+	sampler Sampler  // the neighbour function of an LT or raptor shape
+	cols    [][]byte // all L column values; cols[:K] is the source
 }
 
 // newTestCode builds an LT-shaped code (no static rows, no systematic
@@ -48,12 +49,9 @@ func newTestCode(k, checks, packetLen int, seed int64) *testCode {
 		cdf[i] /= sum
 	}
 	cdf[maxD-1] = 1
-	tc := &testCode{cols: make([][]byte, l)}
-	tc.Code = Code{K: k, PacketLen: packetLen, Draw: Sampler{Seed: seed, CDF: cdf, L: l}}
-	for i := 0; i < k; i++ {
-		tc.cols[i] = make([]byte, packetLen)
-		rng.Read(tc.cols[i])
-	}
+	tc := &testCode{cols: make([][]byte, l), sampler: Sampler{Seed: seed, CDF: cdf, L: l}}
+	tc.Code = Code{K: k, N: code.UnboundedN, PacketLen: packetLen, Draw: &tc.sampler}
+	tc.fillSource(rng)
 	if checks > 0 {
 		tc.Systematic = k
 		tc.CheckSrc = make([][]int32, checks)
@@ -62,14 +60,85 @@ func newTestCode(k, checks, packetLen int, seed int64) *testCode {
 				tc.CheckSrc[j] = append(tc.CheckSrc[j], int32(i))
 			}
 		}
-		for j, srcs := range tc.CheckSrc {
-			tc.cols[k+j] = make([]byte, packetLen)
-			for _, i := range srcs {
-				gf.XORSlice(tc.cols[k+j], tc.cols[i])
-			}
-		}
+		tc.fillChecks()
 	}
 	return tc
+}
+
+// table is a neighbour function read from rows: packet index i's columns
+// are rows[i-first].
+type table struct {
+	first int
+	rows  [][]int
+}
+
+func (t *table) NeighborsInto(index uint32, buf []int) []int {
+	return append(buf[:0], t.rows[int(index)-t.first]...)
+}
+
+func (t *table) MeanDegree() float64 {
+	edges := 0
+	for _, r := range t.rows {
+		edges += len(r)
+	}
+	return float64(edges) / float64(len(t.rows))
+}
+
+// newTableCode builds a Tornado-shaped code: a systematic prefix, two
+// cascade levels as static rows — level 1 over the sources, level 2 over
+// level 1, so a static row names check columns — and a bounded index space
+// read from a table: past k, each check value as a one-neighbour row, then
+// dense rows over level 2.
+func newTableCode(k, packetLen int, seed int64) *testCode {
+	rng := rand.New(rand.NewSource(seed))
+	c1 := k/2 + 1
+	c2 := c1/2 + 1
+	l := k + c1 + c2
+	tb := &table{first: k}
+	for v := k; v < l; v++ {
+		tb.rows = append(tb.rows, []int{v})
+	}
+	for range c2 + 2 {
+		row := rng.Perm(c2)[:min(4, c2)]
+		for i := range row {
+			row[i] += k + c1
+		}
+		tb.rows = append(tb.rows, row)
+	}
+	tc := &testCode{cols: make([][]byte, l)}
+	tc.Code = Code{K: k, N: k + len(tb.rows), PacketLen: packetLen, Systematic: k, Draw: tb}
+	tc.CheckSrc = make([][]int32, c1+c2)
+	for j := range tc.CheckSrc {
+		first, n := 0, k
+		if j >= c1 {
+			first, n = k, c1
+		}
+		for _, v := range rng.Perm(n)[:min(3, n)] {
+			tc.CheckSrc[j] = append(tc.CheckSrc[j], int32(first+v))
+		}
+	}
+	tc.fillSource(rng)
+	tc.fillChecks()
+	return tc
+}
+
+// fillSource draws the K source columns.
+func (tc *testCode) fillSource(rng *rand.Rand) {
+	for i := 0; i < tc.K; i++ {
+		tc.cols[i] = make([]byte, tc.PacketLen)
+		rng.Read(tc.cols[i])
+	}
+}
+
+// fillChecks computes the check columns in order, so a static row may name
+// an earlier check.
+func (tc *testCode) fillChecks() {
+	for j, srcs := range tc.CheckSrc {
+		tc.cols[tc.K+j] = make([]byte, tc.PacketLen)
+		for _, i := range srcs {
+			gf.XORSlice(tc.cols[tc.K+j], tc.cols[i])
+		}
+	}
 }
 
 // columns returns the columns XORed into packet index.
@@ -119,12 +188,12 @@ func (o *oracle) add(index uint32, data []byte) {
 
 // solve eliminates over the static equations plus the first n received
 // packets. ok reports full column rank; every check column sits in a
-// static equation with only sources beside it, so that is exactly "the
-// sources are determined".
+// static equation with only earlier columns beside it, so that is exactly
+// "the sources are determined".
 func (o *oracle) solve(n int) (sol [][]byte, ok bool) {
 	tc := o.tc
-	l := tc.Draw.L
-	s := l - tc.K
+	s := len(tc.CheckSrc)
+	l := tc.K + s
 	m := bitmat.New(s+n, l)
 	rhs := make([][]byte, s+n)
 	for j, srcs := range tc.CheckSrc {
@@ -227,33 +296,6 @@ func TestEngineAgainstOracle(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestArenaRecyclesWithoutOverlap(t *testing.T) {
-	a := Arena{PacketLen: 24}
-	var bufs [][]byte
-	for i := 0; i < 2000; i++ {
-		b := a.Alloc()
-		if len(b) != 24 || cap(b) != 24 {
-			t.Fatalf("buffer %d: len %d cap %d", i, len(b), cap(b))
-		}
-		for j := range b {
-			b[j] = byte(i)
-		}
-		bufs = append(bufs, b)
-	}
-	for i, b := range bufs {
-		for _, v := range b {
-			if v != byte(i) {
-				t.Fatalf("buffer %d overwritten by a later allocation", i)
-			}
-		}
-	}
-	a.Free(bufs[7])
-	a.Free(nil)
-	if got := a.Alloc(); &got[0] != &bufs[7][0] {
-		t.Fatal("freed buffer not reused first")
 	}
 }
 

@@ -99,8 +99,8 @@ func (s *Sampler) NeighborsInto(index uint32, buf []int) []int {
 	return buf
 }
 
-// meanDegree is the expected degree of a drawn packet.
-func (s *Sampler) meanDegree() float64 {
+// MeanDegree is the expected degree of a drawn packet.
+func (s *Sampler) MeanDegree() float64 {
 	mean, prev := 0.0, 0.0
 	for i, c := range s.CDF {
 		mean += float64(i+1) * (c - prev)

@@ -103,8 +103,10 @@ type Codec struct {
 	// engine is what every decoder of the session runs on, and the encoder
 	// shares two of its parts: CheckSrc[j] lists the source symbols XORed
 	// into check intermediate k+j (the static equation 0 = value(k+j) ⊕
-	// ⊕_{i∈CheckSrc[j]} value(i)), and Draw is the inner code's sampler,
-	// the truncated robust soliton over the l intermediates.
+	// ⊕_{i∈CheckSrc[j]} value(i)), and Draw points at draw, the inner
+	// code's sampler: the truncated robust soliton over the l
+	// intermediates, which the encoder calls directly.
+	draw   peel.Sampler
 	engine peel.Code
 
 	// One-slot intermediate-symbol cache: packets are encoded one
@@ -160,9 +162,10 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 	}
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
+	rc.draw = peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l}
 	rc.engine = peel.Code{
-		K: k, PacketLen: packetLen, Systematic: k,
-		Draw:     peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l},
+		K: k, N: code.UnboundedN, PacketLen: packetLen, Systematic: k,
+		Draw:     &rc.draw,
 		CheckSrc: tornado.PrecodeGraph(k, checks, precodeMaxDegree, seed^0x5DEECE66D1CE4E5B),
 	}
 	return rc, nil
@@ -240,7 +243,7 @@ func (c *Codec) MaxDegree() int { return c.maxD }
 func (c *Codec) Intermediates() int { return c.l }
 
 // Seed returns the session seed the packet streams derive from.
-func (c *Codec) Seed() int64 { return c.engine.Draw.Seed }
+func (c *Codec) Seed() int64 { return c.draw.Seed }
 
 // RatelessCode implements code.Rateless.
 func (c *Codec) RatelessCode() {}
@@ -258,7 +261,7 @@ func (c *Codec) Degree(index uint32) int {
 	if int64(index) < int64(c.k) {
 		return 1
 	}
-	return c.engine.Draw.Degree(index)
+	return c.draw.Degree(index)
 }
 
 // NeighborsInto writes encoding packet index's neighbor set over the
@@ -270,7 +273,7 @@ func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
 	if int64(index) < int64(c.k) {
 		return append(buf[:0], int(index))
 	}
-	return c.engine.Draw.NeighborsInto(index, buf)
+	return c.draw.NeighborsInto(index, buf)
 }
 
 // NewDecoder implements code.Codec.
@@ -316,7 +319,7 @@ func (c *Codec) SourceOf(idx int) int {
 func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
 	inter := c.intermediates(src)
 	var scratch [256]int
-	for _, nb := range c.engine.Draw.NeighborsInto(uint32(idx), scratch[:0]) {
+	for _, nb := range c.draw.NeighborsInto(uint32(idx), scratch[:0]) {
 		gf.XORSlice(dst, inter[nb])
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/gf"
+	"repro/internal/peel"
 )
 
 // Codec is an immutable Tornado code instance for a fixed (k, n, packetLen,
@@ -28,12 +29,17 @@ type Codec struct {
 	// checkOwn[c]), then dense rows (checkOwn = -1).
 	checkNeighbors [][]int32 // value ids feeding each check
 	checkOwn       []int32   // value id computed by the check, -1 for dense rows
-	valueChecks    [][]int32 // value id -> checks it feeds (reverse adjacency)
 
 	levels      []int   // cascade layer sizes, outermost first
 	denseInputs int     // size of the layer covered by the dense tail
 	denseStart  int     // first check id of the dense tail
 	design      *design // LP-optimized left degree distribution (nil if no cascade)
+
+	// engine is the code as every decoder of it sees it: the k sources are
+	// the systematic prefix, cascade check j is static row j (its value is
+	// column k+j, so L = numValues), and the packets past k are read through
+	// NeighborsInto.
+	engine peel.Code
 }
 
 // planCascade computes the cascade layer sizes for a check budget l over a
@@ -152,21 +158,9 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 		c.checkOwn = append(c.checkOwn, -1)
 	}
 
-	// Reverse adjacency.
-	c.valueChecks = make([][]int32, c.numValues)
-	deg := make([]int32, c.numValues)
-	for _, ns := range c.checkNeighbors {
-		for _, v := range ns {
-			deg[v]++
-		}
-	}
-	for v := range c.valueChecks {
-		c.valueChecks[v] = make([]int32, 0, deg[v])
-	}
-	for ci, ns := range c.checkNeighbors {
-		for _, v := range ns {
-			c.valueChecks[v] = append(c.valueChecks[v], int32(ci))
-		}
+	c.engine = peel.Code{
+		K: k, N: n, PacketLen: packetLen, Systematic: k,
+		Draw: c, CheckSrc: c.checkNeighbors[:c.denseStart],
 	}
 	return c, nil
 }
@@ -252,5 +246,29 @@ func (c *Codec) Encode(src [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
+// NeighborsInto writes the value ids XORed into packet index into buf
+// (reused if capacity allows) and returns it: a value's packet (index <
+// numValues) is the value itself, a dense-tail packet its check's inputs.
+func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
+	buf = buf[:0]
+	if int(index) < c.numValues {
+		return append(buf, int(index))
+	}
+	for _, v := range c.checkNeighbors[c.denseStart+int(index)-c.numValues] {
+		buf = append(buf, int(v))
+	}
+	return buf
+}
+
+// MeanDegree returns the mean length of NeighborsInto over the packets past
+// the source.
+func (c *Codec) MeanDegree() float64 {
+	edges := c.numValues - c.k
+	for _, ns := range c.checkNeighbors[c.denseStart:] {
+		edges += len(ns)
+	}
+	return float64(edges) / float64(c.n-c.k)
+}
+
 // NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return newDecoder(c) }
+func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }

@@ -13,14 +13,12 @@
 //	tail:     a low-density random GF(2) code over the last layer, solved
 //	          by elimination (still XOR-only)
 //
-// Decoding is the incremental two-rule process described in DESIGN.md:
-// a check with a known value and exactly one unknown neighbor recovers
-// that neighbor; a check whose neighbors are all known recovers its own
-// value. What propagation leaves — over all levels and the tail at once —
-// goes to the inactivation solver the LT/raptor decoder also solves with
-// (bitmat.Solver), behind an exact gate, so the decoder is done at exactly
-// the packet that makes the source recoverable: the receiver of a digital
-// fountain disconnects as soon as it has "enough".
+// A Tornado code is decoded by the one decoder the LT and raptor codes run
+// on (peel.Decoder): cascade check j is its static equation j, whose value
+// is column k+j, and each packet past the source a row read from the
+// graphs (NeighborsInto). The decoder is done at exactly the packet that
+// makes the source recoverable: the receiver of a digital fountain
+// disconnects as soon as it has "enough".
 package tornado
 
 import "fmt"
@@ -47,8 +45,9 @@ type Params struct {
 	// received inputs + received checks reach the input count), so it must
 	// be large enough that binomial reception fluctuations — relative
 	// σ ≈ 0.7/sqrt(target) — stay inside the overhead margin ε. A larger
-	// tail also shifts decode work from propagation to the endgame solver
-	// (slower decode, lower overhead): the B variant uses a bigger tail.
+	// tail also shifts decode work from peeling to the solver's dense
+	// phase (slower decode, lower overhead): the B variant uses a bigger
+	// tail.
 	// 0 means 1024.
 	DenseTarget int
 	// DenseRowWeight is the number of inputs XORed into each dense-tail
@@ -58,8 +57,8 @@ type Params struct {
 }
 
 // A returns the parameters for Tornado A, the fast variant, designed for
-// a reception overhead of ≈ 0.05 under propagation alone (the endgame
-// decodes well below it; see EXPERIMENTS.md).
+// a reception overhead of ≈ 0.05 under propagation alone (the exact
+// decoder decodes well below it; see EXPERIMENTS.md).
 func A() Params {
 	return Params{Variant: "tornado-a", MaxDegree: 24, TargetOverhead: 0.055, DenseTarget: 1024}
 }

@@ -6,10 +6,14 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/code"
 )
 
 // TestTuningReport prints, per variant and k, the reception overhead
-// (distinct packets / k: mean and max) and the decode time (p50, p90) over
+// (distinct packets / k: mean and max), the decode time (p50, p90) and the
+// decode work (means of the columns the solve resolved, of those it
+// inactivated, and of the payload XORs) over
 // 30 receivers of 1 KiB packets in random carousel order at 10 % Bernoulli
 // loss — the frontier EXPERIMENTS.md records, beside the paper's Figure 2
 // (ε = overhead − 1: A mean .0548 max .085; B mean .0306 max .055).
@@ -30,9 +34,15 @@ func TestTuningReport(t *testing.T) {
 				t.Fatal(err)
 			}
 			var over, ms []float64
+			var released, inactivated, xors float64
 			for seed := int64(0); seed < receivers; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				d := c.NewDecoder()
+				d := c.NewDecoder().(interface {
+					code.Decoder
+					Released() int
+					Inactivated() int
+					XORs() int
+				})
 				var spent time.Duration
 				for !d.Done() {
 					for _, i := range rng.Perm(c.N()) {
@@ -49,6 +59,9 @@ func TestTuningReport(t *testing.T) {
 				}
 				over = append(over, float64(d.Received())/float64(k))
 				ms = append(ms, spent.Seconds()*1e3)
+				released += float64(d.Released()) / receivers
+				inactivated += float64(d.Inactivated()) / receivers
+				xors += float64(d.XORs()) / receivers
 			}
 			sort.Float64s(over)
 			sort.Float64s(ms)
@@ -57,8 +70,8 @@ func TestTuningReport(t *testing.T) {
 				mean += o / receivers
 			}
 			p50, p90 := ms[receivers/2], ms[receivers*9/10]
-			t.Logf("%s k=%-5d levels=%v: overhead mean %.4f max %.4f; decode ms p50 %.1f p90 %.1f (p90/p50 %.2f)",
-				p.Variant, k, c.Levels(), mean, over[receivers-1], p50, p90, p90/p50)
+			t.Logf("%s k=%-5d levels=%v: overhead mean %.4f max %.4f; decode ms p50 %.1f p90 %.1f (p90/p50 %.2f); released %.0f, inactivated %.0f, XORs %.0f",
+				p.Variant, k, c.Levels(), mean, over[receivers-1], p50, p90, p90/p50, released, inactivated, xors)
 		}
 	}
 }
