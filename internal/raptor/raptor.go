@@ -105,9 +105,13 @@ type Codec struct {
 	// into check intermediate k+j (the static equation 0 = value(k+j) ⊕
 	// ⊕_{i∈CheckSrc[j]} value(i)), and Draw points at draw, the inner
 	// code's sampler: the truncated robust soliton over the l
-	// intermediates, which the encoder calls directly.
-	draw   peel.Sampler
-	engine peel.Code
+	// intermediates, which the encoder calls directly. CheckSrc is built
+	// from precodeSeed at first use (code), so a sender that only ever
+	// sends the systematic prefix never builds the precode graph.
+	draw        peel.Sampler
+	engine      peel.Code
+	precodeSeed int64
+	precodeOnce sync.Once
 
 	// One-slot intermediate-symbol cache: packets are encoded one
 	// EncodeInto (or EncodeRange(i, i+1)) call at a time, so the precode
@@ -160,15 +164,25 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 		k: k, packetLen: packetLen,
 		c: c, delta: delta, s: checks, maxD: maxD, l: l,
 	}
+	rc.draw = peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l}
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
-	rc.draw = peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l}
+	rc.precodeSeed = seed ^ 0x5DEECE66D1CE4E5B
 	rc.engine = peel.Code{
 		K: k, N: code.UnboundedN, PacketLen: packetLen, Systematic: k,
-		Draw:     &rc.draw,
-		CheckSrc: tornado.PrecodeGraph(k, checks, precodeMaxDegree, seed^0x5DEECE66D1CE4E5B),
+		Draw: &rc.draw,
 	}
 	return rc, nil
+}
+
+// code returns the peel.Code every decoder of the session runs on, building
+// its precode graph on the first call (a decoder's, or the first repair
+// packet's encode).
+func (c *Codec) code() *peel.Code {
+	c.precodeOnce.Do(func() {
+		c.engine.CheckSrc = tornado.PrecodeGraph(c.k, c.s, precodeMaxDegree, c.precodeSeed)
+	})
+	return &c.engine
 }
 
 // truncatedSolitonCDF is the weakened inner distribution, the Raptor
@@ -277,7 +291,7 @@ func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
 }
 
 // NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
+func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(c.code()) }
 
 // intermediates returns the precode expansion of src: L symbols whose
 // first k alias src and whose last s are the check XORs. Cached per
@@ -292,7 +306,7 @@ func (c *Codec) intermediates(src [][]byte) [][]byte {
 	inter := make([][]byte, c.l)
 	copy(inter, src)
 	store := make([]byte, c.s*c.packetLen)
-	for j, srcs := range c.engine.CheckSrc {
+	for j, srcs := range c.code().CheckSrc {
 		p := store[j*c.packetLen : (j+1)*c.packetLen]
 		for _, s := range srcs {
 			gf.XORSlice(p, src[s])

@@ -238,7 +238,7 @@ func TestPrecodeConsistency(t *testing.T) {
 		if c.Checks() < 2 {
 			t.Fatalf("k=%d: checks %d < 2", k, c.Checks())
 		}
-		for j, srcs := range c.engine.CheckSrc {
+		for j, srcs := range c.code().CheckSrc {
 			seen := map[int32]bool{}
 			for _, s := range srcs {
 				if s < 0 || int(s) >= k {

@@ -2,7 +2,8 @@ package rs
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math/bits"
+	"sync"
 
 	"repro/internal/code"
 	"repro/internal/gf"
@@ -12,14 +13,15 @@ import (
 // Cauchy is a systematic Cauchy Reed-Solomon erasure code (Blömer et al.,
 // "An XOR-Based Erasure-Resilient Coding Scheme"). The generator's repair
 // part is the Cauchy matrix C[i][j] = 1/((k+i) ^ j) over GF(2^16); each
-// field coefficient is expanded into a 16x16 bit matrix so that all packet
-// arithmetic is XOR of 1/16-packet sub-blocks.
+// field coefficient acts as a 16x16 bit matrix on the packet's 16
+// sub-blocks, so all packet arithmetic is XOR (see mulAdd).
 type Cauchy struct {
 	k, n      int
 	packetLen int
 	w         int // symbol width in bits (16)
 	sub       int // sub-block length in bytes (packetLen / w)
 	f         *gf.Field
+	scratch   sync.Pool // *[]byte: mulAdd's buckets 1..w-1, one packet each
 }
 
 // NewCauchy constructs the codec. packetLen must be a multiple of 16
@@ -35,7 +37,12 @@ func NewCauchy(k, n, packetLen int) (*Cauchy, error) {
 	case packetLen <= 0 || packetLen%w != 0:
 		return nil, fmt.Errorf("rs: packetLen %d must be a positive multiple of %d", packetLen, w)
 	}
-	return &Cauchy{k: k, n: n, packetLen: packetLen, w: w, sub: packetLen / w, f: f}, nil
+	c := &Cauchy{k: k, n: n, packetLen: packetLen, w: w, sub: packetLen / w, f: f}
+	c.scratch.New = func() any {
+		b := make([]byte, (w-1)*packetLen)
+		return &b
+	}
+	return c, nil
 }
 
 // Name implements code.Codec.
@@ -56,95 +63,72 @@ func (c *Cauchy) coeff(r, j int) uint32 {
 	return c.f.Inv(uint32(c.k+r) ^ uint32(j))
 }
 
-// xorRun is one diagonal run of the bit-matrix of multiplication by a
-// fixed coefficient: XOR m consecutive sub-blocks of src, starting at
-// block si, into the m consecutive dst sub-blocks starting at block di.
+// mulAdd sets dst ^= ⊕_{t<n} e_t ⊗ s_t, where term(t) = (e_t, s_t) and ⊗
+// is multiplication by a GF(2^16) element on the bit-sliced packet:
+// sub-block i holds the x^i coefficient of every symbol, so output
+// sub-block i accumulates input sub-block j whenever bit i of e·x^j is set.
+// It is the only packet arithmetic the codec does.
 //
-// Diagonal runs exist because column j+1 of the bit matrix is column j
-// doubled: whenever e·2^j stays below the reduction threshold the next
-// column is a pure shift, so set bits continue down the diagonal. Merging
-// them turns many sub-block XORs into one longer XOR, which is where the
-// vectorized XOR kernel earns its width (see the DESIGN.md ablation).
-type xorRun struct{ di, si, m uint8 }
-
-// runCache memoizes the XOR schedule per GF(2^16) coefficient. Cauchy
-// codecs revisit the same coefficients for every packet (the encode matrix
-// at fixed (k, n) uses at most n-1 distinct coefficients), so after warmup
-// apply() does no bit-matrix work at all. The zero coefficient maps to an
-// empty schedule and coefficient 1 is special-cased before lookup.
-var runCache [1 << 16]atomic.Pointer[[]xorRun]
-
-// mulRuns returns the diagonal-run XOR schedule of multiplication by e over
-// GF(2^16), building and caching it on first use (concurrency-safe: racing
-// builders store identical schedules). The cache is valid only for the
-// shared gf.New16() field (schedules depend on the reduction polynomial);
-// foreign fields get an uncached build.
-func mulRuns(f *gf.Field, e uint32) []xorRun {
-	e &= 0xFFFF
-	if f != gf.New16() {
-		return appendRuns(nil, f, e)
-	}
-	if p := runCache[e].Load(); p != nil {
-		return *p
-	}
-	runs := appendRuns(make([]xorRun, 0, 16*16/2), f, e)
-	runCache[e].Store(&runs)
-	return runs
-}
-
-// appendRuns appends the diagonal runs of the bit-matrix of multiplication
-// by e to runs. mulRuns wraps it with the schedule cache; the direct path
-// exists for GF(2^16) fields other than the gf.New16() singleton, whose
-// schedules must not share the cache.
-func appendRuns(runs []xorRun, f *gf.Field, e uint32) []xorRun {
-	const w = 16
-	// cols[j] = e·2^j: column j of the bit matrix.
-	var cols [w]uint32
-	for j := 0; j < w; j++ {
-		cols[j] = f.Mul(e, 1<<uint(j))
-	}
-	bit := func(i, j int) bool { return cols[j]&(1<<uint(i)) != 0 }
-	var seen [w][w]bool
-	for i := 0; i < w; i++ {
-		for j := 0; j < w; j++ {
-			if seen[i][j] || !bit(i, j) {
-				continue
+// The sum is taken by coefficient bit. Writing e_t = Σ_b e_t,b·x^b, it is
+// Σ_b x^b·B_b, where bucket B_b is the XOR of the s_t whose coefficient has
+// bit b set. Each source is XORed at full packet width into one bucket per
+// set bit (a bucket's first touch is a copy, so nothing is cleared), and the
+// buckets are combined by Horner's rule: acc = B_h, then acc = x·acc ⊕ B_b
+// for b from h−1 down to 0. Bucket 0 is dst itself; buckets 1..15 are
+// scratch from the codec's pool, and each Horner step writes x·acc into the
+// next bucket, which then becomes acc.
+func (c *Cauchy) mulAdd(dst []byte, n int, term func(t int) (uint32, []byte)) {
+	pl := c.packetLen
+	sp := c.scratch.Get().(*[]byte)
+	buckets := *sp
+	var touched uint32 // bit b: bucket b holds a value
+	for t := range n {
+		e, s := term(t)
+		if e&1 != 0 {
+			gf.XORSlice(dst, s)
+		}
+		for m := e &^ 1; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros32(m)
+			bucket := buckets[(b-1)*pl : b*pl]
+			if touched&(1<<b) != 0 {
+				gf.XORSlice(bucket, s)
+			} else {
+				copy(bucket, s)
+				touched |= 1 << b
 			}
-			m := 1
-			for i+m < w && j+m < w && bit(i+m, j+m) && !seen[i+m][j+m] {
-				seen[i+m][j+m] = true
-				m++
-			}
-			runs = append(runs, xorRun{di: uint8(i), si: uint8(j), m: uint8(m)})
 		}
 	}
-	return runs
+	if touched != 0 {
+		h := bits.Len32(touched) - 1
+		acc := buckets[(h-1)*pl : h*pl]
+		for b := h - 1; b > 0; b-- {
+			next := buckets[(b-1)*pl : b*pl]
+			c.timesX(next, acc, touched&(1<<b) != 0)
+			acc = next
+		}
+		c.timesX(dst, acc, true)
+	}
+	c.scratch.Put(sp)
 }
 
-// apply computes dst ^= e (x) src, where (x) is the bit-matrix expansion of
-// multiplication by the field element e acting on w sub-blocks: output
-// sub-block i accumulates input sub-block j whenever bit i of e·2^j is set.
-// The bit matrix is walked as cached diagonal runs so each schedule entry
-// is one contiguous XOR.
-func (c *Cauchy) apply(e uint32, dst, src []byte) {
-	if e == 0 {
-		return
-	}
-	if e == 1 {
-		gf.XORSlice(dst, src)
-		return
-	}
-	c.applySched(mulRuns(c.f, e), dst, src)
-}
-
-// applySched walks a prebuilt diagonal-run schedule.
-func (c *Cauchy) applySched(sched []xorRun, dst, src []byte) {
+// timesX sets dst = x·a, or dst ^= x·a if add. Doubling shifts the
+// sub-blocks up by one; the old sub-block 15 (the x^16 coefficient) becomes
+// sub-block 0 and is XORed into the other taps of gf.Poly16
+// (x^16 = x^12 + x^3 + x + 1).
+func (c *Cauchy) timesX(dst, a []byte, add bool) {
 	sub := c.sub
-	for _, r := range sched {
-		n := int(r.m) * sub
-		d := dst[int(r.di)*sub:]
-		s := src[int(r.si)*sub:]
-		gf.XORSlice(d[:n], s[:n])
+	hi := (c.w - 1) * sub
+	top := a[hi:]
+	if add {
+		gf.XORSlice(dst[sub:], a[:hi])
+		gf.XORSlice(dst[:sub], top)
+	} else {
+		copy(dst[sub:], a[:hi])
+		copy(dst, top)
+	}
+	for m := uint32(gf.Poly16) & (1<<c.w - 2); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		gf.XORSlice(dst[i*sub:(i+1)*sub], top)
 	}
 }
 
@@ -156,13 +140,12 @@ func (c *Cauchy) SourceOf(idx int) int {
 	return -1
 }
 
-// EncodeInto implements code.RowEncoder: repair packet idx is the bit-matrix
-// inner product of Cauchy row idx-k with the sources (the XOR-schedule
-// cache is concurrency-safe).
+// EncodeInto implements code.RowEncoder: repair packet idx is the inner
+// product of Cauchy row idx-k with the sources. It is safe for concurrent
+// use and, once the scratch pool is warm, allocates nothing.
 func (c *Cauchy) EncodeInto(dst []byte, src [][]byte, idx int) {
-	for j := 0; j < c.k; j++ {
-		c.apply(c.coeff(idx-c.k, j), dst, src[j])
-	}
+	r := idx - c.k
+	c.mulAdd(dst, c.k, func(j int) (uint32, []byte) { return c.coeff(r, j), src[j] })
 }
 
 // Encode implements code.Codec. Repair packets are independent, so they are
@@ -190,9 +173,10 @@ type cauchyDecoder struct {
 
 // Source implements code.Decoder. Missing source packets are recovered by
 // (1) adjusting each held repair packet, in place, by the known source
-// packets (XOR bit-matrix applies), (2) inverting the missing-column/repair
-// Cauchy submatrix with the closed-form O(x^2) inverse, and (3) applying
-// the inverse to the adjusted values, straight into the missing slots.
+// packets, (2) inverting the missing-column/repair Cauchy submatrix with
+// the closed-form O(x^2) inverse, and (3) applying the inverse to the
+// adjusted values, straight into the missing slots. Steps (1) and (3) are
+// one mulAdd per packet.
 func (d *cauchyDecoder) Source() ([]byte, error) {
 	if d.solved {
 		return d.source(), nil
@@ -219,25 +203,22 @@ func (d *cauchyDecoder) Source() ([]byte, error) {
 	// Each adjustment is independent, so fan out across the pool.
 	code.ParallelChunks(len(d.repIdx), func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
-			b, r := d.repair(bi), d.repIdx[bi]-c.k
-			for j := range c.k {
-				if d.seen[j] {
-					c.apply(c.coeff(r, j), b, d.slot(j))
+			r := d.repIdx[bi] - c.k
+			c.mulAdd(d.repair(bi), c.k, func(j int) (uint32, []byte) {
+				if !d.seen[j] {
+					return 0, nil
 				}
-			}
+				return c.coeff(r, j), d.slot(j)
+			})
 		}
 	})
-	// Inverse entries do go through the schedule cache even though they are
-	// reception-specific: a schedule is ~250 bytes (vs the 1 KiB split
-	// tables the Vandermonde decoder deliberately keeps out of its cache),
-	// so even the all-coefficients worst case stays in the low MiB while
-	// rebuilding per entry measurably halves reconstruction throughput.
+	// Inverse entries are specific to this reception; like the encode
+	// coefficients they need no per-coefficient state, only mulAdd's bits.
 	code.ParallelChunks(len(missing), func(lo, hi int) {
 		for mi := lo; mi < hi; mi++ {
-			p := d.slot(missing[mi])
-			for bi := range d.repIdx {
-				c.apply(inv.At(mi, bi), p, d.repair(bi))
-			}
+			c.mulAdd(d.slot(missing[mi]), len(d.repIdx), func(bi int) (uint32, []byte) {
+				return inv.At(mi, bi), d.repair(bi)
+			})
 		}
 	})
 	return d.source(), nil

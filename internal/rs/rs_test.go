@@ -2,6 +2,7 @@ package rs
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -271,8 +272,9 @@ func TestDecoderDataIsCopied(t *testing.T) {
 }
 
 func TestEncodeConcurrent(t *testing.T) {
-	// One codec, many goroutines encoding at once: exercises the shared
-	// per-coefficient table/schedule caches and the worker pool under -race.
+	// One codec, many goroutines encoding at once: exercises Vandermonde's
+	// shared per-coefficient tables, Cauchy's scratch pool and the worker
+	// pool under -race.
 	rng := rand.New(rand.NewSource(18))
 	for _, mk := range []func() (code.Codec, error){
 		func() (code.Codec, error) { return NewVandermonde(24, 48, 64) },
@@ -309,38 +311,136 @@ func TestEncodeConcurrent(t *testing.T) {
 	}
 }
 
-func TestCauchyScheduleMatchesBitMatrix(t *testing.T) {
-	// The cached diagonal-run schedule must cover exactly the set bits of
-	// the multiplication bit-matrix, each exactly once.
-	f := gf.New16()
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 200; trial++ {
-		e := uint32(2 + rng.Intn(1<<16-2))
-		var want [16][16]bool
+// mulAddRef is the literal bit-matrix product the kernel must equal:
+// dst ^= ⊕_t e_t ⊗ s_t, where output sub-block i accumulates input
+// sub-block j of s_t whenever bit i of e_t·x^j is set.
+func mulAddRef(f *gf.Field, dst []byte, coeffs []uint32, srcs [][]byte) {
+	sub := len(dst) / 16
+	for t, e := range coeffs {
 		for j := 0; j < 16; j++ {
 			col := f.Mul(e, 1<<uint(j))
 			for i := 0; i < 16; i++ {
-				want[i][j] = col&(1<<uint(i)) != 0
-			}
-		}
-		var got [16][16]int
-		for _, r := range mulRuns(f, e) {
-			for m := 0; m < int(r.m); m++ {
-				got[int(r.di)+m][int(r.si)+m]++
-			}
-		}
-		for i := 0; i < 16; i++ {
-			for j := 0; j < 16; j++ {
-				w := 0
-				if want[i][j] {
-					w = 1
-				}
-				if got[i][j] != w {
-					t.Fatalf("e=%#x: bit (%d,%d) covered %d times, want %d", e, i, j, got[i][j], w)
+				if col&(1<<uint(i)) != 0 {
+					gf.XORSlice(dst[i*sub:(i+1)*sub], srcs[t][j*sub:(j+1)*sub])
 				}
 			}
 		}
 	}
+}
+
+// TestCauchyKernelMatchesBitMatrix: mulAdd, which sums by coefficient bit
+// and combines by Horner's rule, computes the bit-matrix product exactly,
+// accumulating into a nonzero dst; and a warm EncodeInto allocates nothing.
+func TestCauchyKernelMatchesBitMatrix(t *testing.T) {
+	f := gf.New16()
+	rng := rand.New(rand.NewSource(19))
+	special := []uint32{0, 1, 2, 0x8000, 0xFFFF}
+	for _, pl := range []int{16, 48, 1024} {
+		c, err := NewCauchy(1, 2, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, terms := range []int{1, 3, 50} {
+			for trial := 0; trial < 20; trial++ {
+				coeffs := make([]uint32, terms)
+				for i := range coeffs {
+					if trial < len(special) && i%2 == 0 {
+						coeffs[i] = special[(trial+i)%len(special)]
+					} else {
+						coeffs[i] = uint32(rng.Intn(1 << 16))
+					}
+				}
+				srcs := randSource(rng, terms, pl)
+				got := randSource(rng, 1, pl)[0]
+				want := bytes.Clone(got)
+				mulAddRef(f, want, coeffs, srcs)
+				c.mulAdd(got, terms, func(i int) (uint32, []byte) { return coeffs[i], srcs[i] })
+				if !bytes.Equal(got, want) {
+					t.Fatalf("pl=%d terms=%d coeffs=%#x: kernel differs from the bit matrix", pl, terms, coeffs)
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops scratch at random; allocations are checked without -race")
+	}
+	const k, n, pl = 50, 100, 1024
+	c, _ := NewCauchy(k, n, pl)
+	src, dst := randSource(rng, k, pl), make([]byte, pl)
+	if a := testing.AllocsPerRun(20, func() { c.EncodeInto(dst, src, k+7) }); a != 0 {
+		t.Fatalf("EncodeInto allocates %.0f times per row", a)
+	}
+}
+
+// FuzzCauchyStream feeds a Cauchy decoder a hostile index stream: fuzzed
+// k (1–16), n (k+1 to 2k) and packet length (16·1–4), indices repeated
+// and out of range. An out-of-range index is refused before it is
+// counted, Source before Done is code.ErrNotReady, and any k distinct
+// packets — repair-only too, when in[3]&1 folds sources onto repairs —
+// decode to the source bytes.
+func FuzzCauchyStream(f *testing.F) {
+	f.Add([]byte{3, 2, 0, 0, 0, 1, 2, 3})
+	f.Add([]byte{15, 15, 3, 1, 40, 41, 42, 40, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56})
+	f.Add([]byte{7, 3, 1, 0, 0xff, 0xfe, 9, 9, 10, 11, 1, 2, 3, 4, 5, 6, 7})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 4 {
+			return
+		}
+		k := int(in[0])%16 + 1
+		n := k + 1 + int(in[1])%k
+		pl := 16 * (int(in[2])%4 + 1)
+		repairOnly := in[3]&1 != 0
+		c, err := NewCauchy(k, n, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := randSource(rand.New(rand.NewSource(int64(len(in)))), k, pl)
+		enc, err := c.Encode(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.NewDecoder()
+		held := map[int]bool{}
+		for _, b := range in[4:] {
+			i := int(b)%(n+4) - 2 // two below the index space, two past it
+			if repairOnly && i >= 0 && i < k {
+				i = k + i%(n-k)
+			}
+			if i < 0 || i >= n {
+				if _, err := d.Add(i, make([]byte, pl)); err == nil {
+					t.Fatalf("index %d of n=%d accepted", i, n)
+				}
+			} else {
+				if _, err := d.Add(i, enc[i]); err != nil {
+					t.Fatalf("Add(%d): %v", i, err)
+				}
+				if len(held) < k {
+					held[i] = true
+				}
+			}
+			if d.Received() != len(held) {
+				t.Fatalf("Received = %d, want %d distinct", d.Received(), len(held))
+			}
+			if d.Done() != (len(held) == k) {
+				t.Fatalf("Done = %v with %d of k=%d distinct packets", d.Done(), len(held), k)
+			}
+			if !d.Done() {
+				if _, err := d.Source(); !errors.Is(err, code.ErrNotReady) {
+					t.Fatalf("Source before Done: %v, want ErrNotReady", err)
+				}
+			}
+		}
+		if !d.Done() {
+			return
+		}
+		got, err := d.Source()
+		if err != nil {
+			t.Fatalf("Source: %v", err)
+		}
+		if !bytes.Equal(got, bytes.Join(src, nil)) {
+			t.Fatalf("k=%d n=%d pl=%d from %v: source differs", k, n, pl, held)
+		}
+	})
 }
 
 // TestEncodeRangeMatchesEncode: any window of EncodeRange must equal the
@@ -429,6 +529,41 @@ func TestSourceInPlace(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(10, func() { d.Source() }); allocs != 0 {
 			t.Fatalf("%s: a second Source allocates %.0f times", cd.Name(), allocs)
+		}
+	}
+}
+
+// BenchmarkCauchyEncodeInto: one coded row of the deployed interleaved
+// block shape (k = 50, n = 100, 1 KiB packets).
+func BenchmarkCauchyEncodeInto(b *testing.B) {
+	const k, n, pl = 50, 100, 1024
+	c, _ := NewCauchy(k, n, pl)
+	src, dst := randSource(rand.New(rand.NewSource(1)), k, pl), make([]byte, pl)
+	b.SetBytes(pl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.EncodeInto(dst, src, k+i%(n-k))
+	}
+}
+
+// BenchmarkCauchyDecodeBlock: one block of that shape decoded from every
+// other source packet and as many repairs, so half the sources are rebuilt.
+func BenchmarkCauchyDecodeBlock(b *testing.B) {
+	const k, n, pl = 50, 100, 1024
+	c, _ := NewCauchy(k, n, pl)
+	enc, _ := c.Encode(randSource(rand.New(rand.NewSource(1)), k, pl))
+	b.SetBytes(k * pl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := c.NewDecoder()
+		for j := 0; j < k; j += 2 {
+			d.Add(j, enc[j])
+			d.Add(k+j, enc[k+j])
+		}
+		if _, err := d.Source(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -7,8 +7,9 @@
 //     (O(k^3)) — the behaviour that makes the baseline collapse at large k.
 //   - Cauchy codes in the style of Blömer et al. [2]: the generator is a
 //     Cauchy matrix expanded to bit matrices so that encoding and decoding
-//     are pure XORs of sub-packets, and the decode-time matrix inversion
-//     uses the closed-form O(x^2) Cauchy inverse.
+//     are pure XORs (applied by coefficient bit, one packet XOR per set
+//     bit), and the decode-time matrix inversion uses the closed-form
+//     O(x^2) Cauchy inverse.
 //
 // Both are systematic MDS codes: any k of the n encoding packets recover
 // the source.
