@@ -47,6 +47,7 @@ type Solver struct {
 	rank  int      // of the dense system
 	x     [][]byte // Solve: the inactivated columns' values, x[i] = rhs[drows[i]]
 	at    []int32  // Solve: per column, the row whose payload holds its value
+	srcs  [][]byte // Solve: the payloads one row gathers for gf.XORMany
 	xors  int      // payload XORs of the last Solve
 }
 
@@ -280,6 +281,12 @@ func (s *Solver) Solve(rhs [][]byte) (at []int32) {
 		panic("bitmat: Solve on a rank-deficient system")
 	}
 	s.xors = 0
+	// A row gathers at most its columns, or the inactivated values.
+	most := len(s.inact)
+	for r := range len(s.off) - 1 {
+		most = max(most, int(s.off[r+1]-s.off[r]))
+	}
+	s.srcs = slices.Grow(s.srcs[:0], most)
 	// Each peeled column's constant part b: its pivot row's payload plus
 	// the b of the earlier peeled columns in that row. Then the dense
 	// pivots' right-hand sides, and the inactivated values from them.
@@ -330,11 +337,13 @@ func (s *Solver) Solve(rhs [][]byte) (at []int32) {
 		case redoRow:
 			s.substitute(r, rhs, true, s.x)
 		case addVec:
+			srcs := s.srcs[:0]
 			for k, word := range s.vecOf(r) {
 				for ; word != 0; word &= word - 1 {
-					s.xor(rhs[r], s.x[k*64+bits.TrailingZeros64(word)])
+					srcs = append(srcs, s.x[k*64+bits.TrailingZeros64(word)])
 				}
 			}
+			s.xorMany(rhs[r], srcs)
 		}
 	}
 	s.at = resize(s.at, s.cols)
@@ -351,14 +360,16 @@ func (s *Solver) Solve(rhs [][]byte) (at []int32) {
 // but the one it peels — only the dependent ones if depOnly — and, given
 // x, the value of each inactivated one.
 func (s *Solver) substitute(r int32, rhs [][]byte, depOnly bool, x [][]byte) {
+	srcs := s.srcs[:0]
 	for _, c := range s.row(r) {
 		switch st := s.state[c]; {
 		case st < 0 && x != nil:
-			s.xor(rhs[r], x[-2-int(st)])
+			srcs = append(srcs, x[-2-int(st)])
 		case st >= 0 && c != s.rowCol[r] && (!depOnly || s.dep[st] != independent):
-			s.xor(rhs[r], rhs[st])
+			srcs = append(srcs, rhs[st])
 		}
 	}
+	s.xorMany(rhs[r], srcs)
 }
 
 // Inactivated returns the number of columns the last Analyze inactivated.
@@ -370,6 +381,13 @@ func (s *Solver) XORs() int { return s.xors }
 func (s *Solver) xor(dst, src []byte) {
 	gf.XORSlice(dst, src)
 	s.xors++
+}
+
+// xorMany folds srcs, gathered in s.srcs, into dst, counting one XOR per
+// source.
+func (s *Solver) xorMany(dst []byte, srcs [][]byte) {
+	gf.XORMany(dst, srcs)
+	s.xors += len(srcs)
 }
 
 func (s *Solver) row(r int32) []int32 { return s.idx[s.off[r]:s.off[r+1]] }

@@ -119,6 +119,67 @@ func TestXORKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// xorManyCase checks XORMany against the byte loop on m sources of n+extra
+// bytes, each at its own offset, folded into a nonzero dst of n bytes.
+func xorManyCase(t testing.TB, rng *rand.Rand, n, m, extra int) {
+	dst := unaligned(n, rng.Intn(8), rng)
+	srcs := make([][]byte, m)
+	for j := range srcs {
+		srcs[j] = unaligned(n+extra, rng.Intn(8), rng)
+	}
+	want := bytes.Clone(dst)
+	for _, s := range srcs {
+		xorSliceScalar(want, s[:n])
+	}
+	XORMany(dst, srcs)
+	if !bytes.Equal(dst, want) {
+		t.Fatalf("n=%d m=%d extra=%d: XORMany diverges from scalar", n, m, extra)
+	}
+}
+
+// TestXORManyMatchesScalar: the multi-source kernel equals one byte-loop
+// XOR per source, across the 64- and 16-byte block edges, source counts on
+// both sides of a batch, and sources longer than dst; a source overlapping
+// dst, or shorter than it, panics.
+func TestXORManyMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{0, 1, 8, 63, 64, 65, 1024, 1030} {
+		for m := 0; m <= 40; m++ {
+			for _, extra := range []int{0, 5} {
+				xorManyCase(t, rng, n, m, extra)
+			}
+		}
+	}
+	buf := make([]byte, 256)
+	for _, tc := range []struct {
+		name string
+		src  []byte
+	}{
+		{"exact overlap", buf[:64]},
+		{"partial overlap", buf[63:127]},
+		{"short source", make([]byte, 63)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: XORMany did not panic", tc.name)
+				}
+			}()
+			XORMany(buf[:64], [][]byte{buf[128:192], tc.src})
+		}()
+	}
+}
+
+func FuzzXORMany(f *testing.F) {
+	f.Add(uint16(1030), uint8(17), int64(1))
+	f.Add(uint16(63), uint8(1), int64(2))
+	f.Add(uint16(0), uint8(0), int64(3))
+	f.Fuzz(func(t *testing.T, n uint16, m uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		xorManyCase(t, rng, int(n%4096), int(m%48), rng.Intn(3))
+	})
+}
+
 func TestMulTabCached(t *testing.T) {
 	f := New16()
 	if f.MulTab(0x1234) != f.MulTab(0x1234) {
@@ -215,6 +276,53 @@ func BenchmarkXORKernels(b *testing.B) {
 				xorSliceScalar(dst, src)
 			}
 		})
+	}
+}
+
+// BenchmarkXORMany folds m random 1 KiB packets of a working set into
+// another, one XORSlice per source against one XORMany call; ns/src is
+// the cost per source packet.
+func BenchmarkXORMany(b *testing.B) {
+	const pl = 1024
+	for _, set := range []int{256, 2500, 10000} {
+		buf := make([]byte, set*pl)
+		rng := rand.New(rand.NewSource(7))
+		rng.Read(buf)
+		pkts := make([][]byte, set)
+		for i := range pkts {
+			pkts[i] = buf[i*pl : (i+1)*pl]
+		}
+		for _, m := range []int{1, 2, 4, 7, 16} {
+			// 4096 folds, each m+1 indices: dst first, then sources other
+			// than dst.
+			draws := make([]int, 4096*(m+1))
+			for i := range draws {
+				draws[i] = rng.Intn(set)
+				if d := i - i%(m+1); i != d && draws[i] == draws[d] {
+					draws[i] = (draws[i] + 1) % set
+				}
+			}
+			for _, kernel := range []string{"pairwise", "many"} {
+				b.Run(fmt.Sprintf("%s/set=%d/m=%d", kernel, set, m), func(b *testing.B) {
+					srcs := make([][]byte, m)
+					for i := 0; i < b.N; i++ {
+						d := draws[i%4096*(m+1):][:m+1]
+						dst := pkts[d[0]]
+						if kernel == "many" {
+							for j, s := range d[1:] {
+								srcs[j] = pkts[s]
+							}
+							XORMany(dst, srcs)
+						} else {
+							for _, s := range d[1:] {
+								XORSlice(dst, pkts[s])
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/src")
+				})
+			}
+		}
 	}
 }
 

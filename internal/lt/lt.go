@@ -169,13 +169,20 @@ func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
 func (c *Codec) SourceOf(idx int) int { return -1 }
 
 // EncodeInto implements code.RowEncoder: packet idx is the XOR of its
-// neighbour set. The scratch lives on the stack, so only a degree beyond
-// it (past the soliton spike at the default parameters) allocates.
+// neighbour set, folded by gf.XORMany a batch of gathered sources at a
+// time. The scratch lives on the stack, so only a degree beyond 256 (past
+// the soliton spike at the default parameters) allocates.
 func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
-	var scratch [256]int
+	var scratch [768]int
+	var gather [16][]byte
+	srcs := gather[:0]
 	for _, nb := range c.NeighborsInto(uint32(idx), scratch[:0]) {
-		gf.XORSlice(dst, src[nb])
+		if srcs = append(srcs, src[nb]); len(srcs) == len(gather) {
+			gf.XORMany(dst, srcs)
+			srcs = srcs[:0]
+		}
 	}
+	gf.XORMany(dst, srcs)
 }
 
 // EncodeRange implements code.RangeEncoder.

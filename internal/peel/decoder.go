@@ -305,14 +305,22 @@ func (d *Decoder) solve() {
 	d.finish()
 }
 
-// fold XORs into buf the columns among vs received verbatim.
+// fold XORs into buf the columns among vs received verbatim, folded by
+// gf.XORMany a stack batch of gathered columns at a time.
 func (d *Decoder) fold(buf []byte, vs []int32) {
+	var gather [16][]byte
+	srcs := gather[:0]
 	for _, v := range vs {
-		if d.colOf[v] < 0 {
-			gf.XORSlice(buf, d.out.Slot(int(v)))
-			d.xors++
+		if d.colOf[v] >= 0 {
+			continue
+		}
+		d.xors++
+		if srcs = append(srcs, d.out.Slot(int(v))); len(srcs) == len(gather) {
+			gf.XORMany(buf, srcs)
+			srcs = srcs[:0]
 		}
 	}
+	gf.XORMany(buf, srcs)
 }
 
 // permute puts every source column's value in its slot. Slot v's value is

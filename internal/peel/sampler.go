@@ -68,13 +68,14 @@ func (s *Sampler) NeighborsInto(index uint32, buf []int) []int {
 		return buf
 	}
 	// Rejection sampling keeps the draw sequence identical regardless of
-	// how duplicates are detected: a linear scan for the common degrees
-	// (including the soliton spike), and past 256, where quadratic scanning
-	// would bite, an open-addressing set of at least 2d slots in buf's spare
-	// capacity beyond the d neighbours, holding neighbour+1 (0 = empty).
+	// how duplicates are detected: a linear scan for the common degrees,
+	// and past 32, where the quadratic scan overtakes the cost of the draws
+	// themselves, an open-addressing set of at least 2d slots in buf's
+	// spare capacity beyond the d neighbours, holding neighbour+1 (0 =
+	// empty). Up to degree 256 that is at most 768 ints in all.
 	var set []int
 	var shift uint
-	if d > 256 {
+	if d > 32 {
 		n := bits.Len(uint(2*d - 1)) // 1<<n >= 2d slots, indexed by a hash's top n bits
 		buf = slices.Grow(buf, d+1<<n)
 		set, shift = buf[d:d+1<<n], uint(64-n)

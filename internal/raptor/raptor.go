@@ -306,11 +306,19 @@ func (c *Codec) intermediates(src [][]byte) [][]byte {
 	inter := make([][]byte, c.l)
 	copy(inter, src)
 	store := make([]byte, c.s*c.packetLen)
-	for j, srcs := range c.code().CheckSrc {
+	checks := c.code().CheckSrc
+	most := 0
+	for _, cols := range checks {
+		most = max(most, len(cols))
+	}
+	srcs := make([][]byte, 0, most)
+	for j, cols := range checks {
 		p := store[j*c.packetLen : (j+1)*c.packetLen]
-		for _, s := range srcs {
-			gf.XORSlice(p, src[s])
+		srcs = srcs[:0]
+		for _, s := range cols {
+			srcs = append(srcs, src[s])
 		}
+		gf.XORMany(p, srcs)
 		inter[c.k+j] = p
 	}
 	c.encKey = key
@@ -328,14 +336,22 @@ func (c *Codec) SourceOf(idx int) int {
 }
 
 // EncodeInto implements code.RowEncoder: repair packet idx is the inner-code
-// XOR of its neighbour set over the cached intermediates. maxD <= 200 at
-// the default parameters, so the neighbour scratch stays on the stack.
+// XOR of its neighbour set over the cached intermediates, folded by
+// gf.XORMany a batch of gathered sources at a time. maxD <= 200 at the
+// default parameters, so the neighbour scratch (with the draw's duplicate
+// set) stays on the stack.
 func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
 	inter := c.intermediates(src)
-	var scratch [256]int
+	var scratch [768]int
+	var gather [16][]byte
+	srcs := gather[:0]
 	for _, nb := range c.draw.NeighborsInto(uint32(idx), scratch[:0]) {
-		gf.XORSlice(dst, inter[nb])
+		if srcs = append(srcs, inter[nb]); len(srcs) == len(gather) {
+			gf.XORMany(dst, srcs)
+			srcs = srcs[:0]
+		}
 	}
+	gf.XORMany(dst, srcs)
 }
 
 // EncodeRange implements code.RangeEncoder.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/code"
+	"repro/internal/lt"
 	"repro/internal/peel"
 )
 
@@ -302,5 +303,41 @@ func TestBadInputs(t *testing.T) {
 	}
 	if _, err := dec.Source(); err == nil {
 		t.Fatal("Source before done")
+	}
+}
+
+// TestRatelessEncodeAllocatesNothing: a warm per-emission encode, LT and
+// raptor at k = 2500 with default parameters, keeps the neighbour set, the
+// draw's duplicate set and the gathered sources on the stack. Past degree
+// 256 (LT's soliton tail, never raptor's truncated inner code) the
+// neighbour scratch is outgrown, so those indices are skipped.
+func TestRatelessEncodeAllocatesNothing(t *testing.T) {
+	const k, pl = 2500, 1024
+	src := testSrc(t, k, pl, 3)
+	lc, err := lt.New(k, pl, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := mustNew(t, k, pl, 1)
+	dst := make([]byte, pl)
+	for _, c := range []interface {
+		code.RowEncoder
+		Degree(uint32) int
+	}{lc, rc} {
+		c.EncodeInto(dst, src, k) // builds raptor's intermediates
+		idx, spikes := k, 0
+		allocs := testing.AllocsPerRun(1, func() {
+			for range 2000 {
+				for idx++; c.Degree(uint32(idx)) > 256; idx++ {
+				}
+				if c.Degree(uint32(idx)) > 32 {
+					spikes++
+				}
+				c.EncodeInto(dst, src, idx)
+			}
+		})
+		if allocs != 0 || spikes == 0 {
+			t.Fatalf("%T: %v allocs in 2000 warm encodes (%d past the linear duplicate scan)", c, allocs, spikes)
+		}
 	}
 }

@@ -71,31 +71,46 @@ func (c *Cauchy) coeff(r, j int) uint32 {
 //
 // The sum is taken by coefficient bit. Writing e_t = Σ_b e_t,b·x^b, it is
 // Σ_b x^b·B_b, where bucket B_b is the XOR of the s_t whose coefficient has
-// bit b set. Each source is XORed at full packet width into one bucket per
-// set bit (a bucket's first touch is a copy, so nothing is cleared), and the
-// buckets are combined by Horner's rule: acc = B_h, then acc = x·acc ⊕ B_b
-// for b from h−1 down to 0. Bucket 0 is dst itself; buckets 1..15 are
-// scratch from the codec's pool, and each Horner step writes x·acc into the
-// next bucket, which then becomes acc.
+// bit b set. Buckets are filled by destination: the terms are read 64 at a
+// time onto the stack, and each bucket gathers the sources of that chunk
+// whose coefficient has its bit set and folds them in with one gf.XORMany
+// (a bucket's first touch copies its first source, so nothing is cleared).
+// The buckets are combined by Horner's rule: acc = B_h, then
+// acc = x·acc ⊕ B_b for b from h−1 down to 0. Bucket 0 is dst itself;
+// buckets 1..15 are scratch from the codec's pool, and each Horner step
+// writes x·acc into the next bucket, which then becomes acc.
 func (c *Cauchy) mulAdd(dst []byte, n int, term func(t int) (uint32, []byte)) {
 	pl := c.packetLen
 	sp := c.scratch.Get().(*[]byte)
 	buckets := *sp
 	var touched uint32 // bit b: bucket b holds a value
-	for t := range n {
-		e, s := term(t)
-		if e&1 != 0 {
-			gf.XORSlice(dst, s)
+	var es [64]uint32
+	var ss, srcs [64][]byte
+	for lo := 0; lo < n; lo += len(es) {
+		m := min(n-lo, len(es))
+		var set uint32 // bit b: some term of the chunk has coefficient bit b
+		for t := range m {
+			es[t], ss[t] = term(lo + t)
+			set |= es[t]
 		}
-		for m := e &^ 1; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros32(m)
-			bucket := buckets[(b-1)*pl : b*pl]
-			if touched&(1<<b) != 0 {
-				gf.XORSlice(bucket, s)
-			} else {
-				copy(bucket, s)
-				touched |= 1 << b
+		for ; set != 0; set &= set - 1 {
+			b := bits.TrailingZeros32(set)
+			g := srcs[:0]
+			for t, e := range es[:m] {
+				if e>>b&1 != 0 {
+					g = append(g, ss[t])
+				}
 			}
+			bucket := dst
+			if b > 0 {
+				bucket = buckets[(b-1)*pl : b*pl]
+				if touched&(1<<b) == 0 {
+					copy(bucket, g[0])
+					g = g[1:]
+					touched |= 1 << b
+				}
+			}
+			gf.XORMany(bucket, g)
 		}
 	}
 	if touched != 0 {

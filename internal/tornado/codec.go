@@ -230,11 +230,18 @@ func (c *Codec) Encode(src [][]byte) ([][]byte, error) {
 		next++
 		return p
 	}
+	most := 0
+	for _, ns := range c.checkNeighbors {
+		most = max(most, len(ns))
+	}
+	srcs := make([][]byte, 0, most)
 	for ci, ns := range c.checkNeighbors {
 		p := alloc()
+		srcs = srcs[:0]
 		for _, v := range ns {
-			gf.XORSlice(p, vals[v])
+			srcs = append(srcs, vals[v])
 		}
+		gf.XORMany(p, srcs)
 		own := c.checkOwn[ci]
 		if own >= 0 {
 			vals[own] = p
