@@ -2,11 +2,10 @@
 // plus the per-index neighbour sampler the rateless codes draw their rows
 // from (sampler.go).
 //
-// The decoder solves a system of XOR equations over L = K + len(CheckSrc)
-// columns, of which the first K are the source symbols. The equation set is
-// the union of
+// The decoder solves a system of XOR equations over L = K + s columns, of
+// which the first K are the source symbols. The equation set is the union of
 //
-//   - the L-K *static* equations 0 = column(K+j) ⊕ ⊕ CheckSrc[j], known
+//   - the s *static* equations 0 = column(K+j) ⊕ ⊕ CheckSrc()[j], known
 //     by construction (their right-hand side is the implicit all-zero
 //     packet, never transmitted), and
 //   - the received packets: a packet of the systematic prefix is its
@@ -18,9 +17,10 @@
 // row {i}, and a dense-tail packet its check's row, read from a table.
 // Static equations are free rank: a receiver needs only ≈K received symbols
 // regardless of L-K, because the check symbols come with their own defining
-// equations.
+// equations. The decoder asks for them at its first coded packet, so a
+// receiver of only systematic packets never has a code build them.
 //
-// Collect, then solve once. The L-K static rows plus fewer than K received
+// Collect, then solve once. The s static rows plus fewer than K received
 // ones cannot have rank L, so until the K-th distinct packet the decoder
 // only keeps what it received: a systematic packet in its slot of the
 // source buffer plus one bit, a coded one as its payload and its neighbour
@@ -57,17 +57,19 @@ type Code struct {
 	N         int // packet indices: [0, N), code.UnboundedN for a rateless code
 	PacketLen int
 	// Draw is the neighbour function: the columns XORed into packet index
-	// (>= Systematic), over all L = K + len(CheckSrc) columns. Columns
-	// [K, L) are the static equations' check symbols.
+	// (>= Systematic), over all L = K + s columns, s the static rows.
+	// Columns [K, L) are the static equations' check symbols.
 	Draw Neighbors
 	// Systematic is the length of the identity prefix: packet index
 	// i < Systematic carries column i verbatim (0 for LT, K otherwise).
 	Systematic int
-	// CheckSrc[j] lists the other columns of static equation j
-	// (0 <= j < L-K): 0 = column(K+j) ⊕ ⊕_{i∈CheckSrc[j]} column(i). They
-	// may be check columns too: a Tornado level's checks name the level
-	// before theirs.
-	CheckSrc [][]int32
+	// CheckSrc returns the static rows, nil for a code with none (LT):
+	// row j lists the other columns of static equation j (0 <= j < s):
+	// 0 = column(K+j) ⊕ ⊕_{i∈row j} column(i). They may be check columns
+	// too: a Tornado level's checks name the level before theirs. A decoder
+	// calls it once, at its first coded packet, so a code may build the
+	// rows then; decoders of one session may call it concurrently.
+	CheckSrc func() [][]int32
 }
 
 // Neighbors is a code's neighbour function: a Sampler's draw, or a table.
@@ -89,7 +91,7 @@ type Decoder struct {
 	seen map[uint32]struct{} // coded indices received; nil before the first
 	done bool
 
-	// The system's rows: the L-K static rows, then the kept coded rows in
+	// The system's rows: the static rows, then the kept coded rows in
 	// arrival order. Row r's payload is slot loc[r] of out if loc[r] >= 0,
 	// else packet -1-loc[r] of spill; a static row gets one only at the
 	// solve. Kept row r's neighbours are nbrs[off[r-s]:off[r-s+1]], s the
@@ -108,6 +110,8 @@ type Decoder struct {
 	nbuf    []int
 
 	analyses, released, inactivated, xors int
+
+	checks [][]int32 // the code's static rows, from its first coded packet
 }
 
 // NewDecoder starts a reception session. Nothing per column is allocated
@@ -175,12 +179,16 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 	return d.done, nil
 }
 
-// size makes the row store at the first coded packet: room for the rows
-// still to come (K less the systematic packets held, plus a margin for the
-// reception overhead) at the sampler's mean degree, and a spill for the
-// static rows' right-hand sides and that margin.
+// size fetches the static rows and makes the row store at the first coded
+// packet: room for the rows still to come (K less the systematic packets
+// held, plus a margin for the reception overhead) at the sampler's mean
+// degree, and a spill for the static rows' right-hand sides and that
+// margin.
 func (d *Decoder) size() {
-	s, margin := len(d.c.CheckSrc), d.c.K/64+16
+	if d.c.CheckSrc != nil {
+		d.checks = d.c.CheckSrc()
+	}
+	s, margin := len(d.checks), d.c.K/64+16
 	n := d.c.K - d.nsys + margin
 	d.seen = make(map[uint32]struct{}, n)
 	d.loc = make([]int32, s, s+n)
@@ -250,7 +258,7 @@ func (d *Decoder) at(j int32) []byte {
 // analyse runs the one analysis: the static rows, then the kept rows, over
 // every column not received verbatim.
 func (d *Decoder) analyse() {
-	d.colOf = make([]int32, d.c.K+len(d.c.CheckSrc))
+	d.colOf = make([]int32, d.c.K+len(d.checks))
 	cols := int32(0)
 	for v := range d.colOf {
 		if d.colOf[v] = -1; v >= d.c.Systematic || d.got[v/64]&(1<<(v%64)) == 0 {
@@ -259,11 +267,11 @@ func (d *Decoder) analyse() {
 		}
 	}
 	edges := len(d.nbrs)
-	for _, srcs := range d.c.CheckSrc {
+	for _, srcs := range d.checks {
 		edges += len(srcs) + 1
 	}
 	d.solver.Reset(len(d.loc), edges)
-	for j, srcs := range d.c.CheckSrc {
+	for j, srcs := range d.checks {
 		d.row = append(over(d.row[:0], d.colOf, srcs), d.colOf[d.c.K+j])
 		d.solver.AddRow(d.row)
 	}
@@ -279,14 +287,14 @@ func (d *Decoder) analyse() {
 // starts as the zero packet), solves in place, and permutes the solution's
 // source columns into their slots.
 func (d *Decoder) solve() {
-	s := len(d.c.CheckSrc)
+	s := len(d.checks)
 	for j := range s {
 		clear(d.alloc(int32(j)))
 	}
 	rhs := make([][]byte, len(d.loc))
 	for r := range rhs {
 		if rhs[r] = d.at(d.loc[r]); r < s {
-			d.fold(rhs[r], d.c.CheckSrc[r])
+			d.fold(rhs[r], d.checks[r])
 		} else {
 			d.fold(rhs[r], d.nbrs[d.off[r-s]:d.off[r-s+1]])
 		}
@@ -389,7 +397,7 @@ func over[T int | int32](row, colOf []int32, vs []T) []int32 {
 // finish drops all decoding state; out survives for Source.
 func (d *Decoder) finish() {
 	d.done = true
-	d.got, d.loc, d.nbrs, d.off, d.owner, d.spill = nil, nil, nil, nil, nil, nil
+	d.got, d.checks, d.loc, d.nbrs, d.off, d.owner, d.spill = nil, nil, nil, nil, nil, nil, nil
 	d.colOf, d.row, d.nbuf = nil, nil, nil
 	d.solver = bitmat.Solver{}
 }

@@ -15,8 +15,15 @@ import (
 // packets are built from, so tests can act as the sender.
 type testCode struct {
 	Code
-	sampler Sampler  // the neighbour function of an LT or raptor shape
-	cols    [][]byte // all L column values; cols[:K] is the source
+	sampler Sampler   // the neighbour function of an LT or raptor shape
+	checks  [][]int32 // the static rows CheckSrc returns
+	cols    [][]byte  // all L column values; cols[:K] is the source
+}
+
+// setChecks makes checks the code's static rows.
+func (tc *testCode) setChecks(checks [][]int32) {
+	tc.checks = checks
+	tc.CheckSrc = func() [][]int32 { return tc.checks }
 }
 
 // newTestCode builds an LT-shaped code (no static rows, no systematic
@@ -54,10 +61,10 @@ func newTestCode(k, checks, packetLen int, seed int64) *testCode {
 	tc.fillSource(rng)
 	if checks > 0 {
 		tc.Systematic = k
-		tc.CheckSrc = make([][]int32, checks)
+		tc.setChecks(make([][]int32, checks))
 		for i := 0; i < k; i++ {
 			for _, j := range rng.Perm(checks)[:min(3, checks)] {
-				tc.CheckSrc[j] = append(tc.CheckSrc[j], int32(i))
+				tc.checks[j] = append(tc.checks[j], int32(i))
 			}
 		}
 		tc.fillChecks()
@@ -107,14 +114,14 @@ func newTableCode(k, packetLen int, seed int64) *testCode {
 	}
 	tc := &testCode{cols: make([][]byte, l)}
 	tc.Code = Code{K: k, N: k + len(tb.rows), PacketLen: packetLen, Systematic: k, Draw: tb}
-	tc.CheckSrc = make([][]int32, c1+c2)
-	for j := range tc.CheckSrc {
+	tc.setChecks(make([][]int32, c1+c2))
+	for j := range tc.checks {
 		first, n := 0, k
 		if j >= c1 {
 			first, n = k, c1
 		}
 		for _, v := range rng.Perm(n)[:min(3, n)] {
-			tc.CheckSrc[j] = append(tc.CheckSrc[j], int32(first+v))
+			tc.checks[j] = append(tc.checks[j], int32(first+v))
 		}
 	}
 	tc.fillSource(rng)
@@ -133,7 +140,7 @@ func (tc *testCode) fillSource(rng *rand.Rand) {
 // fillChecks computes the check columns in order, so a static row may name
 // an earlier check.
 func (tc *testCode) fillChecks() {
-	for j, srcs := range tc.CheckSrc {
+	for j, srcs := range tc.checks {
 		tc.cols[tc.K+j] = make([]byte, tc.PacketLen)
 		for _, i := range srcs {
 			gf.XORSlice(tc.cols[tc.K+j], tc.cols[i])
@@ -192,11 +199,11 @@ func (o *oracle) add(index uint32, data []byte) {
 // "the sources are determined".
 func (o *oracle) solve(n int) (sol [][]byte, ok bool) {
 	tc := o.tc
-	s := len(tc.CheckSrc)
+	s := len(tc.checks)
 	l := tc.K + s
 	m := bitmat.New(s+n, l)
 	rhs := make([][]byte, s+n)
-	for j, srcs := range tc.CheckSrc {
+	for j, srcs := range tc.checks {
 		rhs[j] = make([]byte, tc.PacketLen)
 		m.Set(j, tc.K+j, true)
 		for _, i := range srcs {

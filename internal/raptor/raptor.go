@@ -88,9 +88,9 @@ func DefaultChecks(k, maxD int) int {
 }
 
 // Codec is the precoded rateless code over fixed-size packets. Immutable
-// after construction and safe for concurrent use; the precode graph and
-// degree CDF are built once and shared by every encoder and decoder of
-// the session.
+// after construction and safe for concurrent use; the degree CDF is built
+// in New, the precode graph at its first use, and both are shared by every
+// encoder and decoder of the session.
 type Codec struct {
 	k         int
 	packetLen int
@@ -101,17 +101,16 @@ type Codec struct {
 	l         int // k + s intermediate symbols
 
 	// engine is what every decoder of the session runs on, and the encoder
-	// shares two of its parts: CheckSrc[j] lists the source symbols XORed
+	// shares two of its parts: CheckSrc()[j] lists the source symbols XORed
 	// into check intermediate k+j (the static equation 0 = value(k+j) ⊕
-	// ⊕_{i∈CheckSrc[j]} value(i)), and Draw points at draw, the inner
+	// ⊕_{i∈CheckSrc()[j]} value(i)), and Draw points at draw, the inner
 	// code's sampler: the truncated robust soliton over the l
-	// intermediates, which the encoder calls directly. CheckSrc is built
-	// from precodeSeed at first use (code), so a sender that only ever
-	// sends the systematic prefix never builds the precode graph.
-	draw        peel.Sampler
-	engine      peel.Code
-	precodeSeed int64
-	precodeOnce sync.Once
+	// intermediates, which the encoder calls directly. CheckSrc builds the
+	// precode graph on its first call — a decoder's first repair packet, or
+	// the first repair packet's encode — so a sender of only the systematic
+	// prefix, and a receiver of only it, never build it.
+	draw   peel.Sampler
+	engine peel.Code
 
 	// One-slot intermediate-symbol cache: packets are encoded one
 	// EncodeInto (or EncodeRange(i, i+1)) call at a time, so the precode
@@ -167,22 +166,15 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 	rc.draw = peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l}
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
-	rc.precodeSeed = seed ^ 0x5DEECE66D1CE4E5B
+	precodeSeed := seed ^ 0x5DEECE66D1CE4E5B
 	rc.engine = peel.Code{
 		K: k, N: code.UnboundedN, PacketLen: packetLen, Systematic: k,
 		Draw: &rc.draw,
+		CheckSrc: sync.OnceValue(func() [][]int32 {
+			return tornado.PrecodeGraph(k, checks, precodeMaxDegree, precodeSeed)
+		}),
 	}
 	return rc, nil
-}
-
-// code returns the peel.Code every decoder of the session runs on, building
-// its precode graph on the first call (a decoder's, or the first repair
-// packet's encode).
-func (c *Codec) code() *peel.Code {
-	c.precodeOnce.Do(func() {
-		c.engine.CheckSrc = tornado.PrecodeGraph(c.k, c.s, precodeMaxDegree, c.precodeSeed)
-	})
-	return &c.engine
 }
 
 // truncatedSolitonCDF is the weakened inner distribution, the Raptor
@@ -291,7 +283,7 @@ func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
 }
 
 // NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(c.code()) }
+func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
 
 // intermediates returns the precode expansion of src: L symbols whose
 // first k alias src and whose last s are the check XORs. Cached per
@@ -306,7 +298,7 @@ func (c *Codec) intermediates(src [][]byte) [][]byte {
 	inter := make([][]byte, c.l)
 	copy(inter, src)
 	store := make([]byte, c.s*c.packetLen)
-	checks := c.code().CheckSrc
+	checks := c.engine.CheckSrc()
 	most := 0
 	for _, cols := range checks {
 		most = max(most, len(cols))

@@ -3,6 +3,8 @@ package raptor
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/code"
@@ -78,6 +80,89 @@ func TestSystematicZeroLossZeroXOR(t *testing.T) {
 		t.Fatalf("Received() = %d, want %d", dec.Received(), k)
 	}
 	checkSource(t, dec, src)
+}
+
+// TestLosslessRaptorReceiverBuildsNoGraph: a fresh codec's receiver of the
+// k systematic packets allocates the file, one bit per packet and little
+// else, the bound TestLosslessSystematicAllocatesTheFile sets on a prebuilt
+// code. The precode graph (≈ 0.55 MB here) is built at a decoder's first
+// repair packet, so this receiver never builds it.
+func TestLosslessRaptorReceiverBuildsNoGraph(t *testing.T) {
+	const k, pl = 16384, 64
+	src := testSrc(t, k, pl, 4)
+	c := mustNew(t, k, pl, 1)
+	// A collection first: the process's first one starts the runtime's
+	// mark workers, whose allocations are not the receiver's.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dec := c.NewDecoder()
+	for i, p := range src {
+		if done, err := dec.Add(i, p); err != nil || done != (i == k-1) {
+			t.Fatalf("packet %d: done=%v err=%v", i, done, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	checkSource(t, dec, src)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(k*pl+k/8+1024); got > limit {
+		t.Fatalf("lossless receiver on a fresh codec allocated %d B, want ≤ %d (file %d + bits %d + 1 KiB)", got, limit, k*pl, k/8)
+	}
+}
+
+// TestConcurrentFirstUse: one fresh codec serves eight decoders, each
+// starting on a repair packet, while an encoder emits repair packets, so
+// all nine ask for the precode graph at once. Every decode and every
+// encoded packet is byte-exact; under -race this is also the check that
+// the graph's first use is synchronised.
+func TestConcurrentFirstUse(t *testing.T) {
+	const k, pl, decoders = 500, 16, 8
+	src := testSrc(t, k, pl, 5)
+	// The packets come from a second codec of the same session, so the
+	// codec under test is first used by the goroutines below.
+	want, err := mustNew(t, k, pl, 9).EncodeRange(src, k, 3*k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustNew(t, k, pl, 9)
+	file := bytes.Join(src, nil)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(decoders + 1)
+	for g := range decoders {
+		go func() {
+			defer wg.Done()
+			<-start
+			dec := c.NewDecoder()
+			for i := g * k / decoders; i < len(want) && !dec.Done(); i++ {
+				if _, err := dec.Add(k+i, want[i]); err != nil {
+					t.Errorf("decoder %d: Add(%d): %v", g, k+i, err)
+					return
+				}
+			}
+			got, err := dec.Source()
+			if err != nil {
+				t.Errorf("decoder %d: %v", g, err)
+				return
+			}
+			if !bytes.Equal(got, file) {
+				t.Errorf("decoder %d: source differs from what was sent", g)
+			}
+		}()
+	}
+	go func() {
+		defer wg.Done()
+		<-start
+		dst := make([]byte, pl)
+		for i, p := range want {
+			clear(dst)
+			if c.EncodeInto(dst, src, k+i); !bytes.Equal(dst, p) {
+				t.Errorf("repair packet %d differs from the reference codec's", k+i)
+				return
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
 }
 
 // Repair-only reception (an uncoordinated mirror's receiver that joined
@@ -239,7 +324,7 @@ func TestPrecodeConsistency(t *testing.T) {
 		if c.Checks() < 2 {
 			t.Fatalf("k=%d: checks %d < 2", k, c.Checks())
 		}
-		for j, srcs := range c.code().CheckSrc {
+		for j, srcs := range c.engine.CheckSrc() {
 			seen := map[int32]bool{}
 			for _, s := range srcs {
 				if s < 0 || int(s) >= k {

@@ -37,8 +37,9 @@ type Codec struct {
 
 	// engine is the code as every decoder of it sees it: the k sources are
 	// the systematic prefix, cascade check j is static row j (its value is
-	// column k+j, so L = numValues), and the packets past k are read through
-	// NeighborsInto.
+	// column k+j, so L = numValues; CheckSrc returns the cascade, built in
+	// New because the sender encodes it there), and the packets past k are
+	// read through NeighborsInto.
 	engine peel.Code
 }
 
@@ -140,27 +141,34 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	}
 	drng := rand.New(rand.NewSource(mix(seed, -7)))
 	perm := make([]int, layerSize)
+	for i := range perm {
+		perm[i] = i
+	}
+	swaps := make([]int, weight)
 	for r := 0; r < dense; r++ {
-		for i := range perm {
-			perm[i] = i
-		}
 		// Partial Fisher-Yates: first `weight` entries are a uniform sample
 		// without replacement.
-		for i := 0; i < weight; i++ {
+		ns := make([]int32, weight)
+		for i := range weight {
 			j := i + drng.Intn(layerSize-i)
 			perm[i], perm[j] = perm[j], perm[i]
-		}
-		ns := make([]int32, weight)
-		for i := 0; i < weight; i++ {
+			swaps[i] = j
 			ns[i] = int32(layerOff + perm[i])
+		}
+		// Undo the swaps, last first, so perm is the identity again at
+		// O(weight) instead of O(inputs) per row.
+		for i := weight - 1; i >= 0; i-- {
+			j := swaps[i]
+			perm[i], perm[j] = perm[j], perm[i]
 		}
 		c.checkNeighbors = append(c.checkNeighbors, ns)
 		c.checkOwn = append(c.checkOwn, -1)
 	}
 
+	cascade := c.checkNeighbors[:c.denseStart]
 	c.engine = peel.Code{
 		K: k, N: n, PacketLen: packetLen, Systematic: k,
-		Draw: c, CheckSrc: c.checkNeighbors[:c.denseStart],
+		Draw: c, CheckSrc: func() [][]int32 { return cascade },
 	}
 	return c, nil
 }
