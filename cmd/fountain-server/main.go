@@ -2,9 +2,9 @@
 // data socket multiplexes every session (clients subscribe to a specific
 // session id, or to all of them), and one control socket answers catalog
 // and session-info requests (the paper's "UDP unicast thread which provides
-// control information"). Repair packets of range-encodable codecs are
-// produced lazily behind a shared bounded cache, so one server can carry
-// many large files.
+// control information"). Repair packets of every codec are produced
+// lazily behind a shared bounded cache, so one server can carry many large
+// files.
 //
 // Usage:
 //

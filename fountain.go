@@ -167,9 +167,9 @@ type BlockCache = core.BlockCache
 func NewBlockCache(capBytes int64) *BlockCache { return core.NewBlockCache(capBytes) }
 
 // NewSessionCached builds a session that encodes coded packets on first
-// carousel touch and keeps them as far as the shared budget allows. Codecs
-// without per-packet encoding (Tornado) fall back to eager encoding. The
-// session keeps data: do not modify it.
+// carousel touch and keeps them as far as the shared budget allows; every
+// codec, Tornado included, encodes this way. The session keeps data: do not
+// modify it.
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
 	return core.NewSessionCached(data, cfg, cache)
 }

@@ -10,10 +10,10 @@
 // returns the UnboundedN sentinel — realizing the paper's ideal digital
 // fountain (§3) that the fixed-rate codes only approximate.
 //
-// Every codec except Tornado encodes packet i as a pure function of
-// (source, i) and states that once, as a RowEncoder; the window form
-// (RangeEncoder), the whole encoding of the finite ones (Codec.Encode) and
-// a session's emission path are all built from its two methods.
+// Every codec encodes packet i as a pure function of (source, i) and
+// states that once, as a RowEncoder; the window form (RangeEncoder), the
+// whole encoding of the finite ones (Codec.Encode) and a session's emission
+// path are all built from its three methods.
 package code
 
 import (
@@ -25,12 +25,7 @@ import (
 type Codec interface {
 	// Name identifies the codec in experiment output (e.g. "tornado-a").
 	Name() string
-	// K returns the number of source packets.
-	K() int
-	// N returns the total number of encoding packets (stretch = N/K).
-	N() int
-	// PacketLen returns the packet length in bytes.
-	PacketLen() int
+	RowEncoder
 	// Encode produces the full encoding of the k source packets: a slice
 	// of n packets whose first k entries alias src. Each src packet must
 	// have length PacketLen.
@@ -43,9 +38,9 @@ type Codec interface {
 
 // RangeEncoder is the public window form of a RowEncoder: any contiguous
 // index range of the encoding, produced on demand without materializing
-// the other n - (hi-lo) packets. Every RowEncoder in the tree implements it
-// as one call to EncodeRows; Tornado codes do not — their cascade checks
-// are computed jointly.
+// the other n - (hi-lo) packets. The RS, interleaved, LT and raptor codecs
+// implement it as one call to EncodeRows; Tornado does not, as nothing asks
+// it for windows.
 type RangeEncoder interface {
 	// EncodeRange returns encoding packets [lo, hi), validating src (the
 	// full k source packets) and the range on every call. Entries that are
@@ -64,10 +59,9 @@ const UnboundedN = 1<<31 - 1
 
 // Rateless is an optional Codec capability marking codecs whose encoding
 // is unbounded: N() returns UnboundedN and Encode is unavailable (there is
-// no "full encoding" to materialize). Packet i's content is a pure function
-// of (codec parameters, i), so a rateless codec is always a RowEncoder.
+// no "full encoding" to materialize), so packets are only ever encoded one
+// row at a time.
 type Rateless interface {
-	RowEncoder
 	// RatelessCode is a marker; implementations return no value.
 	RatelessCode()
 }

@@ -18,7 +18,8 @@ import (
 // coded row is kept on its first touch if the budget has room and encoded
 // per emission if it does not, and the hit ratio under pressure is the
 // resident fraction. Charged bytes never exceed the budget. Only coded rows
-// are looked up or charged — source rows alias the session's file buffer.
+// are looked up or charged — a session's columns (source rows, which alias
+// its file buffer, and a Tornado cascade's values) are served beside it.
 //
 // All methods are safe for concurrent use and take no lock.
 type BlockCache struct {
@@ -98,10 +99,10 @@ func (c *BlockCache) Drop(owner *Session) {
 // rowTable is a session's residency: one slot per encoding row, nil while
 // the row is absent; rows are immutable once published. An eager session's
 // table is complete from construction. A lazy session's starts empty — its
-// source rows alias the file buffer and never come here — and a coded row
-// becomes resident at its first touch if budget has room: first touch
-// wins, nothing is evicted, and a row leaves only through release. A
-// rateless session's has no slots: each index is sent once.
+// columns, the source rows and any computed beside them, never come here —
+// and a coded row becomes resident at its first touch if budget has room:
+// first touch wins, nothing is evicted, and a row leaves only through
+// release. A rateless session's has no slots: each index is sent once.
 type rowTable struct {
 	rows   []atomic.Pointer[[]byte]
 	budget *BlockCache // nil: nothing is counted or kept (eager and rateless sessions)

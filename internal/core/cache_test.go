@@ -16,22 +16,22 @@ import (
 // cachePkt is the charged size of one coded packet of lazySessionForCache.
 var cachePkt = int64(PadPacketLen(500))
 
-// countingRows counts EncodeInto calls on a session's row encoder (single
+// countingRows counts EncodeInto calls on a session's codec (single
 // goroutine only).
 type countingRows struct {
-	code.RowEncoder
+	code.Codec
 	encodes *int
 }
 
-func (c countingRows) EncodeInto(dst []byte, src [][]byte, idx int) {
+func (c countingRows) EncodeInto(dst []byte, cols [][]byte, idx int) {
 	*c.encodes++
-	c.RowEncoder.EncodeInto(dst, src, idx)
+	c.Codec.EncodeInto(dst, cols, idx)
 }
 
 // countEncodes makes sess count its EncodeInto calls.
 func countEncodes(sess *Session) *int {
 	n := new(int)
-	sess.rows = countingRows{sess.rows, n}
+	sess.codec = countingRows{sess.codec, n}
 	return n
 }
 
@@ -265,7 +265,7 @@ func TestCyclicScan(t *testing.T) {
 				hit, miss := -1, -1
 				for idx := 0; idx < n; idx++ {
 					switch {
-					case sess.rows.SourceOf(idx) >= 0:
+					case sess.codec.SourceOf(idx) >= 0:
 					case sess.table.rows[idx].Load() != nil:
 						hit = idx
 					default:

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/code"
@@ -62,10 +63,8 @@ func DefaultConfig() Config {
 // A session is either eager — the full stretch-factor-n encoding is
 // materialized at construction, as the one-session prototype did — or lazy:
 // only the k source packets are resident at first, and a coded packet is
-// encoded when it is touched and not resident (NewSessionCached). Lazy
-// sessions require the codec to implement code.RowEncoder; codecs that
-// cannot (Tornado's cascade checks are computed jointly) fall back to eager
-// encoding.
+// encoded when it is touched and not resident (NewSessionCached). Every
+// codec can be lazy: it is a code.RowEncoder.
 type Session struct {
 	cfg   Config
 	codec code.Codec
@@ -86,10 +85,12 @@ type Session struct {
 	table *rowTable
 
 	// Lazy-encoding state (nil for eager sessions): source rows are served
-	// from src, an absent coded row is rows.EncodeInto over it. src passed
-	// code.CheckSrc once, at construction: EncodeInto relies on it.
+	// from src, other columns (raptor's intermediates, Tornado's cascade)
+	// from cols, computed at the first emission that needs one, and an
+	// absent coded row is codec.EncodeInto over cols. src passed
+	// code.CheckSrc once, at construction: Columns and EncodeInto rely on it.
 	src  [][]byte // the k source packets, aliasing one buffer
-	rows code.RowEncoder
+	cols func() [][]byte
 }
 
 // PadPacketLen rounds a payload length up to the alignment the codec
@@ -114,12 +115,12 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 // lazily, one at a time, on first carousel touch, and stay resident as far
 // as the given shared BlockCache has room. Pass the same cache to every
 // session of a service so the total repair-packet memory stays under one
-// budget.
+// budget. Columns past the source (raptor's intermediates, Tornado's
+// cascade) are computed once, at need, and not charged to it.
 //
-// A nil cache, or a codec that does not implement code.RowEncoder,
-// degrades to eager encoding (full materialization at construction).
-// The session keeps data (code.Split's packets are views of it): do not
-// modify it.
+// A nil cache degrades a fixed-rate session to eager encoding (full
+// materialization at construction). The session keeps data (code.Split's
+// packets are views of it): do not modify it.
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
 	cfg.PacketLen = PadPacketLen(cfg.PacketLen)
 	if cfg.SPInterval <= 0 {
@@ -168,12 +169,11 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 		return nil, err
 	}
 	s := &Session{cfg: cfg, codec: codec, info: info, sched: sc}
-	s.rateless = code.IsRateless(codec) // implies a code.RowEncoder
+	s.rateless = code.IsRateless(codec)
 	if !s.rateless {
 		s.perm = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)).Perm(codec.N())
 	}
-	rows, ok := codec.(code.RowEncoder)
-	if !ok || !s.rateless && cache == nil {
+	if !s.rateless && cache == nil {
 		enc, err := codec.Encode(src)
 		if err != nil {
 			return nil, err
@@ -181,12 +181,13 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 		s.table = fullTable(enc)
 		return s, nil
 	}
-	// The one validation of the session-constant source block: every
-	// later EncodeInto (per emission, per table fill) relies on it.
+	// The one validation of the session-constant source block: Columns and
+	// every later EncodeInto (per emission, per table fill) rely on it.
 	if err := code.CheckSrc(src, codec.K(), cfg.PacketLen); err != nil {
 		return nil, err
 	}
-	s.src, s.rows = src, rows
+	s.src = src
+	s.cols = sync.OnceValue(func() [][]byte { return codec.Columns(src) })
 	if s.rateless {
 		s.table = &rowTable{}
 		return s, nil
@@ -198,7 +199,7 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 }
 
 // Lazy reports whether the session encodes coded packets on demand.
-func (s *Session) Lazy() bool { return s.rows != nil }
+func (s *Session) Lazy() bool { return s.cols != nil }
 
 // Rateless reports whether the session's codec has an unbounded index
 // space: its carousel streams fresh monotone indices instead of cycling.
@@ -214,11 +215,14 @@ func (s *Session) Payload(idx int) []byte {
 	return s.appendCoded(nil, idx)
 }
 
-// resident returns row idx if it needs no encoding. A lazy session's source
-// rows alias the file buffer: never absent, never counted or charged.
+// resident returns row idx if it needs no encoding. A lazy session's
+// columns — its source rows, which alias the file buffer, and any computed
+// beside it — are never absent, never counted or charged.
 func (s *Session) resident(idx int) []byte {
-	if s.rows != nil {
-		if f := s.rows.SourceOf(idx); f >= 0 {
+	if s.cols != nil {
+		if f := s.codec.SourceOf(idx); f >= len(s.src) {
+			return s.cols()[f]
+		} else if f >= 0 {
 			return s.src[f]
 		}
 	}
@@ -231,7 +235,7 @@ func (s *Session) appendCoded(dst []byte, idx int) []byte {
 	at := len(dst)
 	dst = slices.Grow(dst, s.cfg.PacketLen)[:at+s.cfg.PacketLen]
 	clear(dst[at:])
-	s.rows.EncodeInto(dst[at:], s.src, idx)
+	s.codec.EncodeInto(dst[at:], s.cols(), idx)
 	s.table.keep(idx, dst[at:])
 	return dst
 }

@@ -189,6 +189,7 @@ func TestCodecWordsAwayFromDefaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows := enc.(code.RowEncoder)
+		cols := rows.Columns(src)
 		loss := rand.New(rand.NewSource(5))
 		for idx := 0; !rcv.Done(); idx++ {
 			if idx == min(int(d.N), 4*int(d.K)) {
@@ -199,9 +200,9 @@ func TestCodecWordsAwayFromDefaults(t *testing.T) {
 			}
 			pkt := make([]byte, d.PacketLen)
 			if f := rows.SourceOf(idx); f >= 0 {
-				copy(pkt, src[f])
+				copy(pkt, cols[f])
 			} else {
-				rows.EncodeInto(pkt, src, idx)
+				rows.EncodeInto(pkt, cols, idx)
 			}
 			if _, err := rcv.Handle(idx, pkt); err != nil {
 				t.Fatalf("%s: packet %d: %v", DescribeCodec(d), idx, err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/proto"
+	"repro/internal/tornado"
 )
 
 func lazyTestConfig(codec uint8) Config {
@@ -17,12 +18,24 @@ func lazyTestConfig(codec uint8) Config {
 }
 
 // TestLazyMatchesEager: every packet of a lazy session must be byte-identical
-// to the eager session's, for every range-encodable codec.
+// to the eager session's, for every fixed-rate codec. The Tornado file has
+// k = 2 500 packets, enough for a cascade: its columns past the source are
+// computed, not only its dense tail.
 func TestLazyMatchesEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	data := make([]byte, 60_000)
-	rng.Read(data)
-	for _, codec := range []uint8{proto.CodecCauchy, proto.CodecVandermonde, proto.CodecInterleaved} {
+	for _, tc := range []struct {
+		codec uint8
+		size  int
+	}{
+		{proto.CodecCauchy, 60_000},
+		{proto.CodecVandermonde, 60_000},
+		{proto.CodecInterleaved, 60_000},
+		{proto.CodecTornadoA, 2500 * PadPacketLen(500)},
+		{proto.CodecTornadoB, 2500 * PadPacketLen(500)},
+	} {
+		codec := tc.codec
+		data := make([]byte, tc.size)
+		rng.Read(data)
 		cfg := lazyTestConfig(codec)
 		eager, err := NewSession(data, cfg)
 		if err != nil {
@@ -38,6 +51,9 @@ func TestLazyMatchesEager(t *testing.T) {
 		}
 		if eager.Lazy() {
 			t.Fatal("eager session claims lazy")
+		}
+		if tc, ok := lazy.Codec().(*tornado.Codec); ok && len(tc.Levels()) == 0 {
+			t.Fatalf("codec %d: no cascade at k = %d", codec, tc.K())
 		}
 		n := eager.Codec().N()
 		order := rng.Perm(n)
@@ -114,25 +130,53 @@ func TestLazySourceBytesNotCharged(t *testing.T) {
 	}
 }
 
-// TestLazyTornadoFallsBackToEager: Tornado cannot range-encode; a cached
-// construction must still work, just eagerly.
-func TestLazyTornadoFallsBackToEager(t *testing.T) {
+// TestLazyTornado: a cached Tornado session is lazy like any other. Its
+// cascade values are columns, computed once beside the file, served
+// without a lookup and not charged; only its dense tail is looked up and
+// kept against the budget, one row at its first touch.
+func TestLazyTornado(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	data := make([]byte, 30_000)
+	data := make([]byte, 2500*PadPacketLen(500)) // k = 2 500: a cascade of 1 875 values, 625 dense rows
 	rng.Read(data)
 	cfg := lazyTestConfig(proto.CodecTornadoA)
-	cache := NewBlockCache(1 << 20)
+	cache := NewBlockCache(1 << 30)
 	sess, err := NewSessionCached(data, cfg, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Lazy() {
-		t.Fatal("tornado session claims lazy encoding")
+	if !sess.Lazy() {
+		t.Fatal("cached tornado session is not lazy")
 	}
-	if used := cache.Used(); used != 0 {
-		t.Fatalf("eager fallback touched the cache: %d bytes", used)
+	n := sess.Codec().N()
+	tc := sess.Codec().(*tornado.Codec)
+	_, dense := tc.DenseSize()
+	if len(tc.Levels()) == 0 || dense >= n-tc.K() {
+		t.Fatalf("no cascade: %d dense rows of %d coded packets", dense, n-tc.K())
 	}
-	sess.Payload(sess.Codec().N() - 1) // must not panic
+	for cycle := range 2 {
+		for i := range n {
+			sess.Payload(i)
+		}
+		want := CacheStats{
+			Lookups: uint64((cycle + 1) * dense),
+			Hits:    uint64(cycle * dense),
+			Misses:  uint64(dense),
+			Used:    int64(dense * sess.Config().PacketLen),
+		}
+		want.Peak, want.Cap = want.Used, cache.Cap()
+		if got := cache.StatsSnapshot(); got != want {
+			t.Fatalf("after cycle %d: %+v, want %+v (only the %d dense rows looked up and charged)", cycle+1, got, want, dense)
+		}
+	}
+	t.Logf("resident: the file (%d packets), %d cascade columns, %d dense rows charged (%d B)",
+		tc.K(), len(sess.cols())-tc.K(), dense, cache.Used())
+	eager, err := NewSession(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sess.Payload(n-1), eager.Payload(n-1)) {
+		t.Fatal("last dense-tail packet differs from the eager session's")
+	}
 }
 
 // TestLazyConcurrentReaders: many goroutines hammering Payload through a

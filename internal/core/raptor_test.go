@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/code"
@@ -48,6 +49,35 @@ func TestRaptorSessionProperties(t *testing.T) {
 	}
 	if parsed != info {
 		t.Fatalf("descriptor changed across the wire:\n got %+v\nwant %+v", parsed, info)
+	}
+}
+
+// TestSystematicRaptorSenderBuildsNoGraph: a raptor session that emits only
+// the systematic prefix computes no intermediates, so it never builds the
+// precode graph (≈ 0.55 MB here) or the intermediates' L slice headers
+// (≈ 0.4 MB). What it allocates is the session — chiefly the k packet
+// headers code.Split makes over the file — and nothing per packet.
+func TestSystematicRaptorSenderBuildsNoGraph(t *testing.T) {
+	const k, pl = 16384, 64
+	data := make([]byte, k*pl)
+	rand.New(rand.NewSource(3)).Read(data)
+	cfg := raptorConfig(1)
+	// A collection first: the process's first one starts the runtime's
+	// mark workers, whose allocations are not the session's.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sess, err := NewSessionCached(data, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, sess.WireLen())
+	for i := range k {
+		buf = sess.AppendPacket(buf[:0], i, 0, uint32(i), 0)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(k*24+64<<10); got > limit {
+		t.Fatalf("a sender of the %d systematic packets allocated %d B, want ≤ %d (packet headers %d + 64 KiB)", k, got, limit, k*24)
 	}
 }
 

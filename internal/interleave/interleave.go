@@ -83,6 +83,9 @@ func (c *Codec) position(i int) (block, inner int) {
 	return i % c.blocks, i / c.blocks
 }
 
+// Columns implements code.RowEncoder: no static rows, the columns are src.
+func (c *Codec) Columns(src [][]byte) [][]byte { return src }
+
 // SourceOf implements code.RowEncoder. src is in file order (block-major:
 // packets 0..k-1 form block 0) while encoding indices are in carousel
 // order, so the code is systematic via this mapping rather than a prefix:

@@ -15,11 +15,12 @@
 // decoder fails with probability at most δ after k + O(√k·ln²(k/δ))
 // packets. Tunables c and δ trade average degree against ripple robustness.
 //
-// Decoding is the shared decoder (internal/peel) with no static equations
-// and no systematic prefix: it keeps the received packets until k of them,
-// analyses the system once by inactivation decoding (bitmat.Solver), and
-// solves at the packet that gives the system full rank instead of stalling
-// where belief-propagation peeling's ripple would empty.
+// Encoding and decoding are the shared encoder and decoder (internal/peel)
+// with no static equations and no systematic prefix: a packet is the XOR of
+// its neighbour set over the sources, and the decoder keeps the received
+// packets until k of them, analyses the system once by inactivation decoding
+// (bitmat.Solver), and solves at the packet that gives the system full rank
+// instead of stalling where belief-propagation peeling's ripple would empty.
 package lt
 
 import (
@@ -28,7 +29,6 @@ import (
 	"math"
 
 	"repro/internal/code"
-	"repro/internal/gf"
 	"repro/internal/peel"
 )
 
@@ -44,15 +44,17 @@ const (
 // after construction and safe for concurrent use; the degree CDF is built
 // once and shared by every encoder and decoder of the session.
 type Codec struct {
+	// Code is what every decoder of the session runs on, and the encoder
+	// the codec satisfies code.RowEncoder through (its fields K, N and
+	// PacketLen are shadowed by the methods).
+	peel.Code
 	k         int
 	packetLen int
 	c         float64
 	delta     float64
-	// draw is the robust soliton over the k sources: the encoder's sampler,
-	// and the neighbour function of engine, what every decoder of the
-	// session runs on.
-	draw   peel.Sampler
-	engine peel.Code
+	// draw is the robust soliton over the k sources, Code's neighbour
+	// function.
+	draw peel.Sampler
 }
 
 // New constructs the codec for k source packets of packetLen bytes. The
@@ -74,7 +76,7 @@ func New(k, packetLen int, seed int64, c, delta float64) (*Codec, error) {
 	}
 	lc := &Codec{k: k, packetLen: packetLen, c: c, delta: delta}
 	lc.draw = peel.Sampler{Seed: seed, CDF: robustSolitonCDF(k, c, delta), L: k}
-	lc.engine = peel.Code{K: k, N: code.UnboundedN, PacketLen: packetLen, Draw: &lc.draw}
+	lc.Code = peel.Code{K: k, N: code.UnboundedN, PacketLen: packetLen, Draw: &lc.draw}
 	return lc, nil
 }
 
@@ -162,28 +164,7 @@ func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
 }
 
 // NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
-
-// SourceOf implements code.RowEncoder: an LT code is not systematic, every
-// packet is a coded combination.
-func (c *Codec) SourceOf(idx int) int { return -1 }
-
-// EncodeInto implements code.RowEncoder: packet idx is the XOR of its
-// neighbour set, folded by gf.XORMany a batch of gathered sources at a
-// time. The scratch lives on the stack, so only a degree beyond 256 (past
-// the soliton spike at the default parameters) allocates.
-func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
-	var scratch [768]int
-	var gather [16][]byte
-	srcs := gather[:0]
-	for _, nb := range c.NeighborsInto(uint32(idx), scratch[:0]) {
-		if srcs = append(srcs, src[nb]); len(srcs) == len(gather) {
-			gf.XORMany(dst, srcs)
-			srcs = srcs[:0]
-		}
-	}
-	gf.XORMany(dst, srcs)
-}
+func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.Code) }
 
 // EncodeRange implements code.RangeEncoder.
 func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
@@ -194,5 +175,5 @@ func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
 var (
 	_ code.Codec        = (*Codec)(nil)
 	_ code.RangeEncoder = (*Codec)(nil)
-	_ code.Rateless     = (*Codec)(nil) // embeds code.RowEncoder
+	_ code.Rateless     = (*Codec)(nil)
 )

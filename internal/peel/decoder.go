@@ -1,6 +1,6 @@
-// Package peel is the one decoder under the Tornado, LT and raptor codecs,
-// plus the per-index neighbour sampler the rateless codes draw their rows
-// from (sampler.go).
+// Package peel is the one decoder and the one encoder (encoder.go) under the
+// Tornado, LT and raptor codecs, plus the per-index neighbour sampler the
+// rateless codes draw their rows from (sampler.go).
 //
 // The decoder solves a system of XOR equations over L = K + s columns, of
 // which the first K are the source symbols. The equation set is the union of
@@ -50,8 +50,8 @@ import (
 	"repro/internal/gf"
 )
 
-// Code is what a code contributes to the decoder. It is immutable and
-// shared by every decoder of a session.
+// Code is what a code contributes to the decoder and the encoder. It is
+// immutable and shared by every decoder and encoder of a session.
 type Code struct {
 	K         int // source symbols: columns [0, K)
 	N         int // packet indices: [0, N), code.UnboundedN for a rateless code
@@ -63,12 +63,16 @@ type Code struct {
 	// Systematic is the length of the identity prefix: packet index
 	// i < Systematic carries column i verbatim (0 for LT, K otherwise).
 	Systematic int
+	// Verbatim is the prefix the encoder sends as columns: Systematic, or
+	// for Tornado its cascade too, which the decoder reads as rows {i}.
+	Verbatim int
 	// CheckSrc returns the static rows, nil for a code with none (LT):
 	// row j lists the other columns of static equation j (0 <= j < s):
 	// 0 = column(K+j) ⊕ ⊕_{i∈row j} column(i). They may be check columns
 	// too: a Tornado level's checks name the level before theirs. A decoder
-	// calls it once, at its first coded packet, so a code may build the
-	// rows then; decoders of one session may call it concurrently.
+	// calls it once, at its first coded packet, and an encoder once per
+	// source, in Columns, so a code may build the rows then; decoders and
+	// encoders of one session may call it concurrently.
 	CheckSrc func() [][]int32
 }
 

@@ -308,6 +308,34 @@ func TestEngineAgainstOracle(t *testing.T) {
 
 // TestOneAnalysisPerDecode: over random streams of every shape — loss,
 // duplicates, a systematic prefix or none — the decoder analyses its system
+// TestEncoderMatchesTestCode: the one encoder, over an LT shape (no static
+// rows), a raptor shape (static rows over the sources) and a Tornado-like
+// table (a second level naming the first, its values sent verbatim),
+// computes the columns the test code holds and every packet it builds.
+func TestEncoderMatchesTestCode(t *testing.T) {
+	lt, rp, tb := newTestCode(60, 0, 16, 1), newTestCode(60, 9, 16, 2), newTableCode(60, 16, 3)
+	rp.Verbatim, tb.Verbatim = rp.K, len(tb.cols)
+	for _, tc := range []*testCode{lt, rp, tb} {
+		cols := tc.Columns(tc.cols[:tc.K])
+		for j, want := range tc.cols {
+			if !bytes.Equal(cols[j], want) {
+				t.Fatalf("K=%d Verbatim=%d: column %d differs", tc.K, tc.Verbatim, j)
+			}
+		}
+		for i := range min(tc.N, 4*tc.K) {
+			got := make([]byte, tc.PacketLen)
+			if f := tc.SourceOf(i); f >= 0 {
+				got = cols[f]
+			} else {
+				tc.EncodeInto(got, cols, i)
+			}
+			if !bytes.Equal(got, tc.packet(uint32(i))) {
+				t.Fatalf("K=%d Verbatim=%d: packet %d differs", tc.K, tc.Verbatim, i)
+			}
+		}
+	}
+}
+
 // at most once, and a lossless systematic receive not at all.
 func TestOneAnalysisPerDecode(t *testing.T) {
 	analysed := 0

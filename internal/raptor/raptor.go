@@ -27,9 +27,9 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/code"
-	"repro/internal/gf"
 	"repro/internal/peel"
 	"repro/internal/tornado"
 )
@@ -92,6 +92,15 @@ func DefaultChecks(k, maxD int) int {
 // in New, the precode graph at its first use, and both are shared by every
 // encoder and decoder of the session.
 type Codec struct {
+	// Code is what every decoder of the session runs on, and the encoder
+	// the codec satisfies code.RowEncoder through (its fields K, N and
+	// PacketLen are shadowed by the methods). CheckSrc()[j] lists the
+	// sources XORed into intermediate k+j and builds the precode graph at
+	// its first call — a decoder's first repair packet, or Columns — so a
+	// sender or receiver of only the systematic prefix never builds it.
+	// Draw points at draw, the truncated robust soliton over the l
+	// intermediates.
+	peel.Code
 	k         int
 	packetLen int
 	c         float64
@@ -99,27 +108,18 @@ type Codec struct {
 	s         int // precode checks
 	maxD      int // inner-code degree truncation
 	l         int // k + s intermediate symbols
+	draw      peel.Sampler
 
-	// engine is what every decoder of the session runs on, and the encoder
-	// shares two of its parts: CheckSrc()[j] lists the source symbols XORed
-	// into check intermediate k+j (the static equation 0 = value(k+j) ⊕
-	// ⊕_{i∈CheckSrc()[j]} value(i)), and Draw points at draw, the inner
-	// code's sampler: the truncated robust soliton over the l
-	// intermediates, which the encoder calls directly. CheckSrc builds the
-	// precode graph on its first call — a decoder's first repair packet, or
-	// the first repair packet's encode — so a sender of only the systematic
-	// prefix, and a receiver of only it, never build it.
-	draw   peel.Sampler
-	engine peel.Code
-
-	// One-slot intermediate-symbol cache: packets are encoded one
-	// EncodeInto (or EncodeRange(i, i+1)) call at a time, so the precode
-	// expansion of the session's source block must be computed once and
-	// reused, keyed by the source slice's identity.
-	encMu  sync.Mutex
-	encKey *byte
-	inter  [][]byte
+	// window is EncodeRange's one-slot cache: the intermediates of the last
+	// source slice it was given. It goes once the benchmark's traced replay
+	// encodes through EncodeInto instead of an EncodeRange(src, i, i+1) per
+	// emitted index (ROADMAP, benchmark v2 item (2)); until then such a
+	// one-index window must not recompute the intermediates.
+	window atomic.Pointer[window]
 }
+
+// window is a source slice and its intermediates.
+type window struct{ src, cols [][]byte }
 
 // New constructs the codec for k source packets of packetLen bytes. seed
 // is the advance agreement between sender and receivers: precode graph,
@@ -167,8 +167,8 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
 	precodeSeed := seed ^ 0x5DEECE66D1CE4E5B
-	rc.engine = peel.Code{
-		K: k, N: code.UnboundedN, PacketLen: packetLen, Systematic: k,
+	rc.Code = peel.Code{
+		K: k, N: code.UnboundedN, PacketLen: packetLen, Systematic: k, Verbatim: k,
 		Draw: &rc.draw,
 		CheckSrc: sync.OnceValue(func() [][]int32 {
 			return tornado.PrecodeGraph(k, checks, precodeMaxDegree, precodeSeed)
@@ -283,77 +283,31 @@ func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
 }
 
 // NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
+func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.Code) }
 
-// intermediates returns the precode expansion of src: L symbols whose
-// first k alias src and whose last s are the check XORs. Cached per
-// source-slice identity (the resident session block) under encMu.
-func (c *Codec) intermediates(src [][]byte) [][]byte {
-	key := &src[0][0]
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	if c.encKey == key {
-		return c.inter
-	}
-	inter := make([][]byte, c.l)
-	copy(inter, src)
-	store := make([]byte, c.s*c.packetLen)
-	checks := c.engine.CheckSrc()
-	most := 0
-	for _, cols := range checks {
-		most = max(most, len(cols))
-	}
-	srcs := make([][]byte, 0, most)
-	for j, cols := range checks {
-		p := store[j*c.packetLen : (j+1)*c.packetLen]
-		srcs = srcs[:0]
-		for _, s := range cols {
-			srcs = append(srcs, src[s])
-		}
-		gf.XORMany(p, srcs)
-		inter[c.k+j] = p
-	}
-	c.encKey = key
-	c.inter = inter
-	return inter
-}
-
-// SourceOf implements code.RowEncoder: systematic by identity, so the
-// lossless receiver's path costs nothing at the sender either.
-func (c *Codec) SourceOf(idx int) int {
-	if idx < c.k {
-		return idx
-	}
-	return -1
-}
-
-// EncodeInto implements code.RowEncoder: repair packet idx is the inner-code
-// XOR of its neighbour set over the cached intermediates, folded by
-// gf.XORMany a batch of gathered sources at a time. maxD <= 200 at the
-// default parameters, so the neighbour scratch (with the draw's duplicate
-// set) stays on the stack.
-func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
-	inter := c.intermediates(src)
-	var scratch [768]int
-	var gather [16][]byte
-	srcs := gather[:0]
-	for _, nb := range c.draw.NeighborsInto(uint32(idx), scratch[:0]) {
-		if srcs = append(srcs, inter[nb]); len(srcs) == len(gather) {
-			gf.XORMany(dst, srcs)
-			srcs = srcs[:0]
-		}
-	}
-	gf.XORMany(dst, srcs)
-}
-
-// EncodeRange implements code.RangeEncoder.
+// EncodeRange implements code.RangeEncoder. The intermediates of src are
+// kept from one call to the next while src is the same slice (the address
+// of src[0] and its length), so the packets under one slice must not change
+// between calls.
 func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	return code.EncodeRows(c, src, lo, hi)
+	return code.EncodeRows(windowed{c}, src, lo, hi)
+}
+
+// windowed is the codec with its intermediates read through the window.
+type windowed struct{ *Codec }
+
+func (w windowed) Columns(src [][]byte) [][]byte {
+	if last := w.window.Load(); last != nil && len(last.src) == len(src) && &last.src[0] == &src[0] {
+		return last.cols
+	}
+	cols := w.Code.Columns(src)
+	w.window.Store(&window{src, cols})
+	return cols
 }
 
 // Interface conformance.
 var (
 	_ code.Codec        = (*Codec)(nil)
 	_ code.RangeEncoder = (*Codec)(nil)
-	_ code.Rateless     = (*Codec)(nil) // embeds code.RowEncoder
+	_ code.Rateless     = (*Codec)(nil)
 )

@@ -10,6 +10,7 @@ import (
 	"repro/internal/code"
 	"repro/internal/lt"
 	"repro/internal/peel"
+	"repro/internal/tornado"
 )
 
 func testSrc(t testing.TB, k, packetLen int, seed int64) [][]byte {
@@ -110,8 +111,8 @@ func TestLosslessRaptorReceiverBuildsNoGraph(t *testing.T) {
 }
 
 // TestConcurrentFirstUse: one fresh codec serves eight decoders, each
-// starting on a repair packet, while an encoder emits repair packets, so
-// all nine ask for the precode graph at once. Every decode and every
+// starting on a repair packet, while an encoder computes the intermediates
+// and emits repair packets, so all nine ask for the precode graph at once. Every decode and every
 // encoded packet is byte-exact; under -race this is also the check that
 // the graph's first use is synchronised.
 func TestConcurrentFirstUse(t *testing.T) {
@@ -153,9 +154,10 @@ func TestConcurrentFirstUse(t *testing.T) {
 		defer wg.Done()
 		<-start
 		dst := make([]byte, pl)
+		cols := c.Columns(src)
 		for i, p := range want {
 			clear(dst)
-			if c.EncodeInto(dst, src, k+i); !bytes.Equal(dst, p) {
+			if c.EncodeInto(dst, cols, k+i); !bytes.Equal(dst, p) {
 				t.Errorf("repair packet %d differs from the reference codec's", k+i)
 				return
 			}
@@ -163,6 +165,36 @@ func TestConcurrentFirstUse(t *testing.T) {
 	}()
 	close(start)
 	wg.Wait()
+}
+
+// TestEncodeRangeNewSourceInReusedBuffer: a second file read into the
+// buffer that held the first, and split again, is a new source slice, so
+// EncodeRange does not serve it the first file's intermediates.
+func TestEncodeRangeNewSourceInReusedBuffer(t *testing.T) {
+	const k, pl = 200, 16
+	buf := make([]byte, k*pl)
+	rng := rand.New(rand.NewSource(8))
+	c := mustNew(t, k, pl, 3)
+	for file := range 2 {
+		rng.Read(buf)
+		src, err := code.Split(buf, k, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.EncodeRange(src, k, k+50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mustNew(t, k, pl, 3).EncodeRange(src, k, k+50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("file %d: repair packet %d differs from a fresh codec's", file, k+i)
+			}
+		}
+	}
 }
 
 // Repair-only reception (an uncoordinated mirror's receiver that joined
@@ -324,7 +356,7 @@ func TestPrecodeConsistency(t *testing.T) {
 		if c.Checks() < 2 {
 			t.Fatalf("k=%d: checks %d < 2", k, c.Checks())
 		}
-		for j, srcs := range c.engine.CheckSrc() {
+		for j, srcs := range c.Code.CheckSrc() {
 			seen := map[int32]bool{}
 			for _, s := range srcs {
 				if s < 0 || int(s) >= k {
@@ -391,12 +423,14 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-// TestRatelessEncodeAllocatesNothing: a warm per-emission encode, LT and
-// raptor at k = 2500 with default parameters, keeps the neighbour set, the
-// draw's duplicate set and the gathered sources on the stack. Past degree
-// 256 (LT's soliton tail, never raptor's truncated inner code) the
-// neighbour scratch is outgrown, so those indices are skipped.
-func TestRatelessEncodeAllocatesNothing(t *testing.T) {
+// TestEncodeIntoAllocatesNothing: a warm per-emission encode through the
+// one peel encoder — LT and raptor at k = 2500 with default parameters,
+// then Tornado A's dense tail — keeps the neighbour set, the draw's
+// duplicate set and the gathered columns on the stack, and reads a Tornado
+// row in place. Past degree 256 (LT's soliton tail, never raptor's
+// truncated inner code) the neighbour scratch is outgrown, so those
+// indices are skipped.
+func TestEncodeIntoAllocatesNothing(t *testing.T) {
 	const k, pl = 2500, 1024
 	src := testSrc(t, k, pl, 3)
 	lc, err := lt.New(k, pl, 1, 0, 0)
@@ -409,7 +443,8 @@ func TestRatelessEncodeAllocatesNothing(t *testing.T) {
 		code.RowEncoder
 		Degree(uint32) int
 	}{lc, rc} {
-		c.EncodeInto(dst, src, k) // builds raptor's intermediates
+		cols := c.Columns(src) // raptor's intermediates
+		c.EncodeInto(dst, cols, k)
 		idx, spikes := k, 0
 		allocs := testing.AllocsPerRun(1, func() {
 			for range 2000 {
@@ -418,11 +453,28 @@ func TestRatelessEncodeAllocatesNothing(t *testing.T) {
 				if c.Degree(uint32(idx)) > 32 {
 					spikes++
 				}
-				c.EncodeInto(dst, src, idx)
+				c.EncodeInto(dst, cols, idx)
 			}
 		})
 		if allocs != 0 || spikes == 0 {
 			t.Fatalf("%T: %v allocs in 2000 warm encodes (%d past the linear duplicate scan)", c, allocs, spikes)
 		}
+	}
+	tc, err := tornado.New(tornado.A(), k, 2*k, pl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tc.Levels()) == 0 {
+		t.Fatal("no cascade at this k")
+	}
+	cols := tc.Columns(src) // the cascade
+	tc.EncodeInto(dst, cols, tc.Verbatim)
+	allocs := testing.AllocsPerRun(1, func() {
+		for idx := tc.Verbatim; idx < tc.N(); idx++ {
+			tc.EncodeInto(dst, cols, idx)
+		}
+	})
+	if _, rows := tc.DenseSize(); allocs != 0 || rows != tc.N()-tc.Verbatim {
+		t.Fatalf("tornado: %v allocs in %d warm dense-tail encodes", allocs, rows)
 	}
 }

@@ -147,6 +147,9 @@ func (c *Cauchy) timesX(dst, a []byte, add bool) {
 	}
 }
 
+// Columns implements code.RowEncoder: no static rows, the columns are src.
+func (c *Cauchy) Columns(src [][]byte) [][]byte { return src }
+
 // SourceOf implements code.RowEncoder: the systematic prefix.
 func (c *Cauchy) SourceOf(idx int) int {
 	if idx < c.k {

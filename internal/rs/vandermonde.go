@@ -90,6 +90,9 @@ func (v *Vandermonde) coeff(wx uint32, idx, j int) uint32 {
 	return v.f.Mul(wx, v.f.Inv(v.f.Mul(uint32(idx^j), v.weights[j])))
 }
 
+// Columns implements code.RowEncoder: no static rows, the columns are src.
+func (v *Vandermonde) Columns(src [][]byte) [][]byte { return src }
+
 // SourceOf implements code.RowEncoder: the systematic prefix.
 func (v *Vandermonde) SourceOf(idx int) int {
 	if idx < v.k {

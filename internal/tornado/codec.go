@@ -5,16 +5,23 @@ import (
 	"math/rand"
 
 	"repro/internal/code"
-	"repro/internal/gf"
 	"repro/internal/peel"
 )
 
 // Codec is an immutable Tornado code instance for a fixed (k, n, packetLen,
-// seed). Construction materializes the cascade graphs; Encode and decoders
+// seed). Construction materializes the cascade graphs; encoders and decoders
 // share them read-only, so one Codec can serve many concurrent sessions
 // (the digital fountain server encodes once; every receiver decodes with
 // the same graphs, derived from the seed carried in the session descriptor).
 type Codec struct {
+	// Code is what every decoder of the code runs on, and the encoder the
+	// codec satisfies code.RowEncoder through (its fields K, N and
+	// PacketLen are shadowed by the methods): the k sources are the
+	// systematic prefix, cascade check j is static row j (its value is
+	// column k+j, sent verbatim as packet k+j), and a dense-tail packet is
+	// its row of a peel.Table.
+	peel.Code
+
 	params    Params
 	k, n      int
 	packetLen int
@@ -26,21 +33,13 @@ type Codec struct {
 	numValues int
 
 	// Global check list: cascade checks first (check c computes value
-	// checkOwn[c]), then dense rows (checkOwn = -1).
+	// k+c), then dense rows (dense row r is packet numValues+r).
 	checkNeighbors [][]int32 // value ids feeding each check
-	checkOwn       []int32   // value id computed by the check, -1 for dense rows
 
 	levels      []int   // cascade layer sizes, outermost first
 	denseInputs int     // size of the layer covered by the dense tail
 	denseStart  int     // first check id of the dense tail
 	design      *design // LP-optimized left degree distribution (nil if no cascade)
-
-	// engine is the code as every decoder of it sees it: the k sources are
-	// the systematic prefix, cascade check j is static row j (its value is
-	// column k+j, so L = numValues; CheckSrc returns the cascade, built in
-	// New because the sender encodes it there), and the packets past k are
-	// read through NeighborsInto.
-	engine peel.Code
 }
 
 // planCascade computes the cascade layer sizes for a check budget l over a
@@ -106,7 +105,6 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	c.n = n
 	totalChecks := (c.numValues - k) + dense
 	c.checkNeighbors = make([][]int32, 0, totalChecks)
-	c.checkOwn = make([]int32, 0, totalChecks)
 
 	layerOff := 0 // value id of first node in the input layer
 	layerSize := k
@@ -116,12 +114,11 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 			counts = c.design.nodeCounts(layerSize)
 		}
 		g := newBigraph(layerSize, s, counts, rand.New(rand.NewSource(mix(seed, int64(li+1)))))
-		for ci, ns := range g.neighbors {
+		for _, ns := range g.neighbors {
 			for i := range ns {
 				ns[i] += int32(layerOff)
 			}
 			c.checkNeighbors = append(c.checkNeighbors, ns)
-			c.checkOwn = append(c.checkOwn, int32(valOff+ci))
 		}
 		layerOff = valOff
 		layerSize = s
@@ -162,13 +159,13 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 		c.checkNeighbors = append(c.checkNeighbors, ns)
-		c.checkOwn = append(c.checkOwn, -1)
 	}
 
 	cascade := c.checkNeighbors[:c.denseStart]
-	c.engine = peel.Code{
-		K: k, N: n, PacketLen: packetLen, Systematic: k,
-		Draw: c, CheckSrc: func() [][]int32 { return cascade },
+	c.Code = peel.Code{
+		K: k, N: n, PacketLen: packetLen, Systematic: k, Verbatim: c.numValues,
+		Draw:     &peel.Table{K: k, First: c.numValues, Rows: c.checkNeighbors[c.denseStart:]},
+		CheckSrc: func() [][]int32 { return cascade },
 	}
 	return c, nil
 }
@@ -220,70 +217,9 @@ func (c *Codec) DenseSize() (inputs, rows int) {
 	return c.denseInputs, len(c.checkNeighbors) - c.denseStart
 }
 
-// Encode implements code.Codec: it computes every cascade layer and the
-// dense tail. The first k output packets alias src.
-func (c *Codec) Encode(src [][]byte) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
-		return nil, err
-	}
-	vals := make([][]byte, c.numValues)
-	copy(vals, src)
-	out := make([][]byte, c.n)
-	copy(out, src)
-	// Backing store for all produced packets, one allocation.
-	store := make([]byte, (c.n-c.k)*c.packetLen)
-	next := 0
-	alloc := func() []byte {
-		p := store[next*c.packetLen : (next+1)*c.packetLen]
-		next++
-		return p
-	}
-	most := 0
-	for _, ns := range c.checkNeighbors {
-		most = max(most, len(ns))
-	}
-	srcs := make([][]byte, 0, most)
-	for ci, ns := range c.checkNeighbors {
-		p := alloc()
-		srcs = srcs[:0]
-		for _, v := range ns {
-			srcs = append(srcs, vals[v])
-		}
-		gf.XORMany(p, srcs)
-		own := c.checkOwn[ci]
-		if own >= 0 {
-			vals[own] = p
-			out[own] = p
-		} else {
-			out[c.numValues+(ci-c.denseStart)] = p
-		}
-	}
-	return out, nil
-}
-
-// NeighborsInto writes the value ids XORed into packet index into buf
-// (reused if capacity allows) and returns it: a value's packet (index <
-// numValues) is the value itself, a dense-tail packet its check's inputs.
-func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
-	buf = buf[:0]
-	if int(index) < c.numValues {
-		return append(buf, int(index))
-	}
-	for _, v := range c.checkNeighbors[c.denseStart+int(index)-c.numValues] {
-		buf = append(buf, int(v))
-	}
-	return buf
-}
-
-// MeanDegree returns the mean length of NeighborsInto over the packets past
-// the source.
-func (c *Codec) MeanDegree() float64 {
-	edges := c.numValues - c.k
-	for _, ns := range c.checkNeighbors[c.denseStart:] {
-		edges += len(ns)
-	}
-	return float64(edges) / float64(c.n-c.k)
-}
+// Encode implements code.Codec: the cascade's values, then the dense tail.
+// The first k output packets alias src.
+func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return code.EncodeAll(c, src) }
 
 // NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.engine) }
+func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.Code) }

@@ -35,7 +35,7 @@ func (o *oracle) solve(n int) (sol [][]byte, ok bool) {
 	rhs := make([][]byte, cascade+n)
 	for ci := 0; ci < cascade; ci++ {
 		rhs[ci] = make([]byte, c.packetLen)
-		m.Set(ci, int(c.checkOwn[ci]), true)
+		m.Set(ci, c.k+ci, true) // check ci computes value k+ci
 		for _, v := range c.checkNeighbors[ci] {
 			m.Set(ci, int(v), true)
 		}

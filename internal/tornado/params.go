@@ -13,12 +13,14 @@
 //	tail:     a low-density random GF(2) code over the last layer, solved
 //	          by elimination (still XOR-only)
 //
-// A Tornado code is decoded by the one decoder the LT and raptor codes run
-// on (peel.Decoder): cascade check j is its static equation j, whose value
-// is column k+j, and each packet past the source a row read from the
-// graphs (NeighborsInto). The decoder is done at exactly the packet that
-// makes the source recoverable: the receiver of a digital fountain
-// disconnects as soon as it has "enough".
+// A Tornado code is encoded and decoded by the one encoder and decoder the
+// LT and raptor codes run on (peel.Code, peel.Decoder): cascade check j is
+// its static equation j, whose value is column k+j, sent verbatim, and each
+// dense-tail packet a row read from the graphs (a peel.Table). The encoder
+// computes the cascade once per source and a dense-tail packet at need, so
+// a session can encode lazily under a byte budget. The decoder is done at
+// exactly the packet that makes the source recoverable: the receiver of a
+// digital fountain disconnects as soon as it has "enough".
 package tornado
 
 import "fmt"

@@ -22,8 +22,8 @@ import (
 //
 // Every entry is also held to the code.RowEncoder contract the windows are
 // built from: SourceOf(i) >= 0 exactly where the window aliases
-// src[SourceOf(i)], and EncodeInto into a zeroed buffer reproduces every
-// other packet.
+// src[SourceOf(i)], and EncodeInto over Columns(src) into a zeroed buffer
+// reproduces every other packet.
 func TestRangeEncoderDifferential(t *testing.T) {
 	const (
 		k   = 120
@@ -62,6 +62,7 @@ func TestRangeEncoderDifferential(t *testing.T) {
 				t.Fatalf("%s does not implement code.RangeEncoder", tc.name)
 			}
 			rows := c.(code.RowEncoder)
+			cols := rows.Columns(src)
 			checkRow := func(i int, pkt []byte) {
 				t.Helper()
 				f, aliased := heads[&pkt[0]]
@@ -73,7 +74,7 @@ func TestRangeEncoderDifferential(t *testing.T) {
 				}
 				if !aliased {
 					buf := make([]byte, pl)
-					if rows.EncodeInto(buf, src, i); !bytes.Equal(buf, pkt) {
+					if rows.EncodeInto(buf, cols, i); !bytes.Equal(buf, pkt) {
 						t.Fatalf("EncodeInto(%d) differs from EncodeRange", i)
 					}
 				}
