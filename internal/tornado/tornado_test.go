@@ -2,6 +2,10 @@ package tornado
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -299,6 +303,43 @@ func TestCascadeStructure(t *testing.T) {
 	}
 	if target := A().denseTarget(); drows > 2*target {
 		t.Fatalf("dense rows %d far exceed target %d", drows, target)
+	}
+}
+
+// cascadeHashes pins the graphs of both variants where they have a cascade
+// (k = 2 500: at stretch 2 A's levels are [1250 625] and B's [1250]; at
+// stretch 3 and 16 both run ten levels down to 2) at the smallest, the next
+// and the largest stretch a descriptor admits: one SHA-256 over every
+// check's neighbour list, cascade and dense tail, in check order.
+var cascadeHashes = map[string]string{
+	"tornado-a/2":  "21d417d2f877bb33192872bd5efdb19185c9c69e4fe4afaf957f54a7a382e1e1",
+	"tornado-a/3":  "adb8ec3e79903aad85ae9d268d6d21bc43f31f961514b6fe2ad753c1d0fd4d01",
+	"tornado-a/16": "9aa09ee1017c1309afa0d0949b3ecc8e96f06d92af3dcd883c22c1bbcaefe1cf",
+	"tornado-b/2":  "f2ddb4dde0e3696935d448237b5c6826cb60d80b4fd9df1b97c807dd1c9c90c0",
+	"tornado-b/3":  "df3e38ccac51cebcb44ae3edbc49ecd728b82ac14111536f887a58753408cc9f",
+	"tornado-b/16": "12fe57d1ac486e23222cc4ec454236383cb5a793e4b3e9368b88d25c5bc7854e",
+}
+
+func TestCascadeHashes(t *testing.T) {
+	const k = 2500
+	for _, p := range []Params{A(), B()} {
+		for _, stretch := range []int{2, 3, 16} {
+			c, err := New(p, k, stretch*k, 16, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, ns := range c.checkNeighbors {
+				h.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(ns))))
+				for _, v := range ns {
+					h.Write(binary.LittleEndian.AppendUint32(nil, uint32(v)))
+				}
+			}
+			key := fmt.Sprintf("%s/%d", p.Variant, stretch)
+			if sum := hex.EncodeToString(h.Sum(nil)); sum != cascadeHashes[key] {
+				t.Errorf("%s levels=%v: graph hash %s, want %s", key, c.Levels(), sum, cascadeHashes[key])
+			}
+		}
 	}
 }
 
