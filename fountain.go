@@ -64,8 +64,10 @@ var (
 )
 
 // NewTornado constructs a Tornado codec: an XOR-only erasure code over a
-// cascade of LP-designed sparse random bipartite graphs. The seed
-// determines the graphs; sender and receivers must agree on it.
+// cascade of sparse random bipartite graphs whose degrees were designed by
+// LP offline (the table is the design). n must be a whole stretch factor
+// s·k, s in 2..16, as in a session descriptor. The seed determines the
+// graphs; sender and receivers must agree on it.
 func NewTornado(p tornado.Params, k, n, packetLen int, seed int64) (Codec, error) {
 	return tornado.New(p, k, n, packetLen, seed)
 }

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/tornado"
 )
 
 // TestPublicAPIQuickstart exercises the documented public surface end to
@@ -81,6 +83,22 @@ func TestPublicCodecs(t *testing.T) {
 				t.Fatalf("%s: packet %d differs", name, i)
 			}
 		}
+	}
+}
+
+// TestNewTornadoWholeStretch: the public constructor refuses an n that is
+// not a whole stretch factor in 2..16, as a session descriptor does.
+func TestNewTornadoWholeStretch(t *testing.T) {
+	const k = 32
+	for _, n := range []int{2*k + 1, k, 17 * k} {
+		for _, p := range []tornado.Params{TornadoA(), TornadoB()} {
+			if _, err := NewTornado(p, k, n, 16, 1); err == nil {
+				t.Errorf("%s: n=%d for k=%d accepted", p.Variant, n, k)
+			}
+		}
+	}
+	if _, err := NewTornado(TornadoB(), k, 16*k, 16, 1); err != nil {
+		t.Fatalf("stretch 16 refused: %v", err)
 	}
 }
 

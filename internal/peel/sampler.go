@@ -104,7 +104,7 @@ func (s *Sampler) NeighborsInto(index uint32, buf []int) []int {
 func (s *Sampler) MeanDegree() float64 {
 	mean, prev := 0.0, 0.0
 	for i, c := range s.CDF {
-		mean += float64(i+1) * (c - prev)
+		mean += float64(float64(i+1) * (c - prev)) // the conversion forbids a fused multiply-add
 		prev = c
 	}
 	return mean

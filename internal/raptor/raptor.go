@@ -199,7 +199,7 @@ func truncatedSolitonCDF(l, maxD int, c, delta float64) []float64 {
 	if d >= 5 {
 		eps = 4.0 / float64(d-4)
 	}
-	mu := eps/2 + eps*eps/4
+	mu := float64(eps/2) + float64(eps*eps/4) // the conversions forbid a fused multiply-add
 	if r := c * math.Log(float64(l)/delta) * math.Sqrt(float64(l)); r/float64(l) > mu {
 		mu = r / float64(l)
 	}

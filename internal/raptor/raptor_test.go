@@ -2,6 +2,7 @@ package raptor
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -91,21 +92,30 @@ func TestSystematicZeroLossZeroXOR(t *testing.T) {
 func TestLosslessRaptorReceiverBuildsNoGraph(t *testing.T) {
 	const k, pl = 16384, 64
 	src := testSrc(t, k, pl, 4)
-	c := mustNew(t, k, pl, 1)
-	// A collection first: the process's first one starts the runtime's
-	// mark workers, whose allocations are not the receiver's.
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	dec := c.NewDecoder()
-	for i, p := range src {
-		if done, err := dec.Add(i, p); err != nil || done != (i == k-1) {
-			t.Fatalf("packet %d: done=%v err=%v", i, done, err)
+	// MemStats count the whole process: another goroutine (a finished
+	// test's runner, the runtime) may allocate inside the window. A receiver
+	// that built the graph would allocate it on every fresh codec, so the
+	// receiver's own bytes are the fewest of three receives, the first of
+	// which also warms the decode path.
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		c := mustNew(t, k, pl, 1)
+		// A collection first: the process's first one starts the runtime's
+		// mark workers, whose allocations are not the receiver's.
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dec := c.NewDecoder()
+		for i, p := range src {
+			if done, err := dec.Add(i, p); err != nil || done != (i == k-1) {
+				t.Fatalf("packet %d: done=%v err=%v", i, done, err)
+			}
 		}
+		runtime.ReadMemStats(&after)
+		checkSource(t, dec, src)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	checkSource(t, dec, src)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(k*pl+k/8+1024); got > limit {
+	if limit := uint64(k*pl + k/8 + 1024); got > limit {
 		t.Fatalf("lossless receiver on a fresh codec allocated %d B, want ≤ %d (file %d + bits %d + 1 KiB)", got, limit, k*pl, k/8)
 	}
 }

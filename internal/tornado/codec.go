@@ -2,6 +2,7 @@ package tornado
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/code"
@@ -36,10 +37,9 @@ type Codec struct {
 	// k+c), then dense rows (dense row r is packet numValues+r).
 	checkNeighbors [][]int32 // value ids feeding each check
 
-	levels      []int   // cascade layer sizes, outermost first
-	denseInputs int     // size of the layer covered by the dense tail
-	denseStart  int     // first check id of the dense tail
-	design      *design // LP-optimized left degree distribution (nil if no cascade)
+	levels      []int // cascade layer sizes, outermost first
+	denseInputs int   // size of the layer covered by the dense tail
+	denseStart  int   // first check id of the dense tail
 }
 
 // planCascade computes the cascade layer sizes for a check budget l over a
@@ -63,16 +63,18 @@ func planCascade(k, l, denseTarget int) (sizes []int, dense int) {
 	return sizes, rem
 }
 
-// New constructs a Tornado codec. n must exceed k (the paper always uses
-// n = 2k); packetLen is arbitrary positive. The seed determines the random
-// graphs: sender and receivers must agree on it (it travels in the session
-// descriptor, like the "graph structure agreed in advance" of §5.1).
+// New constructs a Tornado codec. n must be a whole stretch factor s·k
+// with s in 2..16 (the paper always uses n = 2k): the degree design is the
+// table's entry for s. packetLen is arbitrary positive. The seed determines
+// the random graphs: sender and receivers must agree on it (it travels in
+// the session descriptor, like the "graph structure agreed in advance" of
+// §5.1).
 func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if k <= 0 || n <= k {
-		return nil, fmt.Errorf("tornado: invalid k=%d n=%d", k, n)
+	if k <= 0 || n%k != 0 || n/k < minStretch || n/k > maxStretch {
+		return nil, fmt.Errorf("tornado: n=%d for k=%d is not a whole stretch factor in %d..%d", n, k, minStretch, maxStretch)
 	}
 	if packetLen <= 0 {
 		return nil, fmt.Errorf("tornado: invalid packetLen %d", packetLen)
@@ -80,29 +82,13 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	c := &Codec{params: p, k: k, n: n, packetLen: packetLen, seed: seed}
 	sizes, dense := planCascade(k, n-k, p.denseTarget())
 	c.levels = sizes
-
-	// LP-design the left degree distribution for the loss fraction a
-	// receiver of (1+ε)k out of n uniformly sampled packets presents.
-	delta := 1 - (1+p.targetOverhead())*float64(k)/float64(n)
-	if delta < 0.05 {
-		delta = 0.05
-	}
-	var counts map[int]int
-	if len(sizes) > 0 {
-		dd, err := designDistribution(delta, 0.5, p.MaxDegree)
-		if err != nil {
-			return nil, err
-		}
-		c.design = dd
-		counts = dd.nodeCounts(k) // re-quantized per level below
-	}
+	degrees := p.table[n/k-minStretch]
 
 	// Allocate value ids and build cascade graphs.
 	c.numValues = k
 	for _, s := range sizes {
 		c.numValues += s
 	}
-	c.n = n
 	totalChecks := (c.numValues - k) + dense
 	c.checkNeighbors = make([][]int32, 0, totalChecks)
 
@@ -110,10 +96,7 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	layerSize := k
 	valOff := k // value id of first node in the layer being created
 	for li, s := range sizes {
-		if layerSize != k {
-			counts = c.design.nodeCounts(layerSize)
-		}
-		g := newBigraph(layerSize, s, counts, rand.New(rand.NewSource(mix(seed, int64(li+1)))))
+		g := newBigraph(layerSize, s, degrees.nodeCounts(layerSize), rand.New(rand.NewSource(mix(seed, int64(li+1)))))
 		for _, ns := range g.neighbors {
 			for i := range ns {
 				ns[i] += int32(layerOff)
@@ -129,13 +112,10 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	// cascade is empty, which happens for small k).
 	c.denseStart = len(c.checkNeighbors)
 	c.denseInputs = layerSize
-	weight := p.DenseRowWeight
-	if weight == 0 {
-		weight = autoDenseWeight(layerSize)
-	}
-	if weight > layerSize {
-		weight = layerSize
-	}
+	// Each dense row XORs 8 + 2·log2 of the inputs, enough for the random
+	// binary matrix to be full rank with overwhelming probability while
+	// keeping maintenance cost low.
+	weight := min(8+2*(bits.Len(uint(layerSize))-1), layerSize)
 	drng := rand.New(rand.NewSource(mix(seed, -7)))
 	perm := make([]int, layerSize)
 	for i := range perm {
@@ -168,21 +148,6 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 		CheckSrc: func() [][]int32 { return cascade },
 	}
 	return c, nil
-}
-
-// autoDenseWeight picks the per-row weight of the dense tail: 8 + 2·log2 of
-// the input count, enough for the random binary matrix to be full rank with
-// overwhelming probability while keeping maintenance cost low.
-func autoDenseWeight(inputs int) int {
-	lg := 0
-	for s := inputs; s > 1; s >>= 1 {
-		lg++
-	}
-	w := 8 + 2*lg
-	if w < 8 {
-		w = 8
-	}
-	return w
 }
 
 // mix derives a sub-seed; splitmix64-style so levels are decorrelated.

@@ -1,21 +1,14 @@
 package tornado
 
-import (
-	"fmt"
-	"math"
-	"sync"
-
-	"repro/internal/lp"
-)
-
-// This file designs the left (value-side) degree distributions of the
-// cascade graphs by linear programming, following the original authors'
-// methodology ("the degree sequences were found using linear programming",
-// Luby et al.). The plain heavy-tail/Poisson pair is capacity-achieving but
-// only marginally stable: its And-Or recursion converges with vanishing
-// margin, so finite graphs stall in bulk well below the asymptotic
-// threshold. Maximizing the convergence margin instead buys geometric
-// convergence that finite graphs can actually follow.
+// This file holds the left (value-side) degree distributions of the cascade
+// graphs. They were designed by LP offline; the table is the design. The
+// original authors did the same ("the degree sequences were found using
+// linear programming", Luby et al.) and then fixed the result. The plain
+// heavy-tail/Poisson pair is capacity-achieving but only marginally stable:
+// its And-Or recursion converges with vanishing margin, so finite graphs
+// stall in bulk well below the asymptotic threshold. Maximizing the
+// convergence margin instead buys geometric convergence that finite graphs
+// can actually follow.
 //
 // The graph builder wires every degree-2 left node onto a path over the
 // checks (see newBigraph), so a check of mean total degree α has exactly 2
@@ -29,215 +22,71 @@ import (
 //	δ · λ(1 - ρ(1-x)) < x   for all x in (0, δ],
 //
 // where λ(y) = Σ_j λ_j y^(j-1) is the edge-perspective left degree
-// polynomial. We maximize s subject to
+// polynomial. The LP maximizes s subject to
 //
 //	δ · Σ_j λ_j y_t^(j-1) ≤ (1-s)·x_t        (grid points x_t, y_t = 1-ρ(1-x_t))
 //	δ · ρ'(1) · λ_2 ≤ 1 - s                   (stability at x → 0)
 //	Σ_j λ_j = 1,   Σ_j λ_j / j = 1/(α·β)      (normalization, rate)
 //
-// and grid-search α. The result is cached per (δ, β, D) since it is
-// independent of the graph size.
+// over a grid of α, for every check layer half its input (β = ½), at the
+// loss δ = 1 - (1+ε)/s a receiver of (1+ε)k of n = s·k packets sees, and
+// backs δ off in 0.005 steps until the margin exceeds 0.01. The generator
+// and the simplex are design_test.go and lp_test.go; `TORNADO_DESIGN=1 go
+// test -run TestDesignTable ./internal/tornado` re-derives all 30 designs
+// and compares them with design_table.go bit for bit, and
+// `TORNADO_DESIGN=write` rewrites that file.
 
-// design is an LP-optimized left degree distribution.
-type design struct {
-	Lambda []float64 // edge fractions indexed by degree (Lambda[j], j>=2)
-	Alpha  float64   // Poisson right mean the distribution was designed for
-	Margin float64   // achieved And-Or margin s
-	Delta  float64   // loss fraction actually designed for (≤ requested)
-}
-
-type designKey struct {
-	delta float64
-	beta  float64
-	maxD  int
-}
-
-var (
-	designMu    sync.Mutex
-	designCache = map[designKey]*design{}
+// The constants each table was designed for: the cap D on left degrees (the
+// A/B axis: larger D lets the design approach capacity, at the cost of more
+// edges, hence slower coding) and the reception overhead ε whose loss
+// fraction the design recovers.
+const (
+	maxDegreeA, overheadA = 24, 0.055
+	maxDegreeB, overheadB = 64, 0.032
 )
 
-// designDistribution returns the margin-maximizing left distribution for
-// recovering a δ fraction of losses on a bipartite graph with right/left
-// ratio β and maximum left degree maxD. If the requested δ is infeasible
-// even with zero margin, δ is backed off in 0.005 steps.
-func designDistribution(delta, beta float64, maxD int) (*design, error) {
-	if delta <= 0 || delta >= 1 || beta <= 0 || beta >= 1 || maxD < 3 {
-		return nil, fmt.Errorf("tornado: bad design request δ=%v β=%v D=%d", delta, beta, maxD)
-	}
-	key := designKey{delta, beta, maxD}
-	designMu.Lock()
-	cached := designCache[key]
-	designMu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
-	var best *design
-	for d := delta; d > 0.25; d -= 0.005 {
-		for alpha := 6.0; alpha <= 14.01; alpha += 1.0 {
-			dd := solveDesign(d, beta, maxD, alpha)
-			if dd == nil {
-				continue
-			}
-			if best == nil || dd.Margin > best.Margin {
-				best = dd
-			}
-		}
-		if best != nil && best.Margin > 0.01 {
-			break
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("tornado: no feasible degree design for δ=%v β=%v D=%d", delta, beta, maxD)
-	}
-	designMu.Lock()
-	designCache[key] = best
-	designMu.Unlock()
-	return best, nil
+// The stretch factors n/k a table covers: those a session descriptor
+// admits.
+const minStretch, maxStretch = 2, 16
+
+// A design is a left degree distribution: its nonzero edge fractions λ_j in
+// increasing degree j.
+type design []term
+
+type term struct {
+	deg    int
+	lambda float64
 }
 
-// solveDesign runs one LP for fixed (δ, β, D, α). Variables are
-// x = [λ_2 .. λ_D, s]; returns nil if infeasible.
-func solveDesign(delta, beta float64, maxD int, alpha float64) *design {
-	nl := maxD - 1 // λ_2..λ_maxD
-	nv := nl + 1   // plus margin s
-	si := nl       // index of s
-
-	var A [][]float64
-	var B []float64
-	row := func() []float64 { return make([]float64, nv) }
-
-	// Grid constraints: δ·Σ λ_j y^(j-1) + x·s <= x.
-	// Mixed linear + logarithmic grid covers both the bulk and the x→0 tail.
-	var grid []float64
-	for t := 1; t <= 60; t++ {
-		grid = append(grid, delta*float64(t)/60)
-	}
-	for _, f := range []float64{0.001, 0.002, 0.004, 0.008} {
-		grid = append(grid, delta*f)
-	}
-	// Edge-perspective right polynomial for checks with 2 path edges plus
-	// Poisson(α-2) random edges.
-	rho := func(z float64) float64 {
-		return (2*z + (alpha-2)*z*z) * math.Exp((alpha-2)*(z-1)) / alpha
-	}
-	for _, x := range grid {
-		y := 1 - rho(1-x)
-		r := row()
-		p := y
-		for j := 2; j <= maxD; j++ {
-			r[j-2] = delta * p
-			p *= y
-		}
-		r[si] = x
-		// Scale the row so its largest coefficient is 1: the raw rows mix
-		// magnitudes from y^(D-1) (down to 1e-16 at small x) with O(1)
-		// entries, which destabilizes the simplex pivoting.
-		scale := 0.0
-		for _, v := range r {
-			if math.Abs(v) > scale {
-				scale = math.Abs(v)
-			}
-		}
-		if scale == 0 {
-			continue
-		}
-		for j := range r {
-			r[j] /= scale
-			if math.Abs(r[j]) < 1e-12 {
-				r[j] = 0
-			}
-		}
-		A = append(A, r)
-		B = append(B, x/scale)
-	}
-	// Stability: δ·ρ'(1)·λ_2 + s <= 1, with ρ'(1) = (α²-2)/α for the
-	// path-plus-Poisson right distribution.
-	st := row()
-	st[0] = delta * (alpha*alpha - 2) / alpha
-	st[si] = 1
-	A = append(A, st)
-	B = append(B, 1)
-	// Σ λ_j = 1 (two inequalities).
-	eq1 := row()
-	for j := 0; j < nl; j++ {
-		eq1[j] = 1
-	}
-	neg1 := row()
-	for j := 0; j < nl; j++ {
-		neg1[j] = -1
-	}
-	A = append(A, eq1, neg1)
-	B = append(B, 1, -1)
-	// Rate: Σ λ_j / j = 1/(α·β).
-	rate := 1 / (alpha * beta)
-	eq2 := row()
-	neg2 := row()
-	for j := 2; j <= maxD; j++ {
-		eq2[j-2] = 1 / float64(j)
-		neg2[j-2] = -1 / float64(j)
-	}
-	A = append(A, eq2, neg2)
-	B = append(B, rate, -rate)
-	// s <= 1 for sanity.
-	sc := row()
-	sc[si] = 1
-	A = append(A, sc)
-	B = append(B, 1)
-
-	C := row()
-	C[si] = 1 // maximize margin
-	x, obj, err := lp.Solve(lp.Problem{C: C, A: A, B: B})
-	if err != nil {
-		return nil
-	}
-	lam := make([]float64, maxD+1)
-	for j := 2; j <= maxD; j++ {
-		lam[j] = x[j-2]
-	}
-	return &design{Lambda: lam, Alpha: alpha, Margin: obj, Delta: delta}
-}
+// A designTable holds a variant's designs, indexed by stretch factor -
+// minStretch.
+type designTable [maxStretch - minStretch + 1]design
 
 // nodeCounts quantizes the edge-perspective distribution onto `nodes` left
 // nodes: node fractions are proportional to λ_j / j, rounded by largest
-// remainder. Degrees with negligible mass are dropped.
-func (d *design) nodeCounts(nodes int) map[int]int {
-	type frac struct {
-		deg  int
-		want float64
-	}
-	var fracs []frac
+// remainder.
+func (d design) nodeCounts(nodes int) map[int]int {
+	want := make([]float64, len(d))
 	total := 0.0
-	for j := 2; j < len(d.Lambda); j++ {
-		if d.Lambda[j] < 1e-9 {
-			continue
-		}
-		w := d.Lambda[j] / float64(j)
-		fracs = append(fracs, frac{j, w})
-		total += w
+	for i, t := range d {
+		want[i] = t.lambda / float64(t.deg)
+		total += want[i]
 	}
-	counts := make(map[int]int, len(fracs))
-	if len(fracs) == 0 {
-		counts[2] = nodes
-		return counts
-	}
+	counts := make(map[int]int, len(d))
 	assigned := 0
-	for i := range fracs {
-		fracs[i].want = fracs[i].want / total * float64(nodes)
-		c := int(fracs[i].want)
-		counts[fracs[i].deg] = c
-		assigned += c
+	for i, t := range d {
+		want[i] = want[i] / total * float64(nodes)
+		counts[t.deg] = int(want[i])
+		assigned += counts[t.deg]
 	}
-	for assigned < nodes {
+	for ; assigned < nodes; assigned++ {
 		best, bestRem := -1, -1.0
-		for _, f := range fracs {
-			rem := f.want - float64(counts[f.deg])
-			if rem > bestRem {
-				bestRem, best = rem, f.deg
+		for i, t := range d {
+			if rem := want[i] - float64(counts[t.deg]); rem > bestRem {
+				bestRem, best = rem, t.deg
 			}
 		}
 		counts[best]++
-		assigned++
 	}
 	return counts
 }

@@ -8,15 +8,15 @@ import (
 
 // FuzzTornadoStream drives the decoder with a hostile but well-tagged
 // packet stream: the fuzzer picks the variant, a dense target small enough
-// for a cascade or the shipped one, k, and an arbitrary sequence of indices
-// — duplicates, the dense checks before any value, adversarial orders,
-// out-of-range and wrong-length packets — while payloads stay authentic
-// (the integrity tag is checked before a packet reaches a decoder). The
-// decoder must never panic, must reject malformed packets without counting
-// them, must count each distinct index once, and if it reports done must
-// reproduce the source. With the header's corrupt bit set payloads are
-// garbage instead: the equations are then inconsistent, so only "never
-// panics" is asserted.
+// for a cascade or the shipped one, a stretch factor, k, and an arbitrary
+// sequence of indices — duplicates, the dense checks before any value,
+// adversarial orders, out-of-range and wrong-length packets — while
+// payloads stay authentic (the integrity tag is checked before a packet
+// reaches a decoder). The decoder must never panic, must reject malformed
+// packets without counting them, must count each distinct index once, and
+// if it reports done must reproduce the source. With the header's corrupt
+// bit set payloads are garbage instead: the equations are then
+// inconsistent, so only "never panics" is asserted.
 func FuzzTornadoStream(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 5, 0, 0, 0, 0, 5, 0, 0, 0, 0, 4, 0, 0, 0, 0, 5, 1, 0, 0, 0})
 	f.Add([]byte{1, 47, 7, 3, 0, 0, 0, 0, 3, 1, 0, 0, 0, 0, 9, 9, 9, 9, 1, 0, 3, 0, 0, 2, 0xff, 0xff, 0xff, 0x7f})
@@ -35,7 +35,8 @@ func FuzzTornadoStream(f *testing.F) {
 		corrupt := in[0]&2 != 0
 		k := int(in[1])%48 + 1
 		const packetLen = 8
-		c, err := New(p, k, 2*k+int(in[0]>>4), packetLen, int64(in[2]))
+		stretch := 2 + int(in[0]>>4)%15 // 2..16
+		c, err := New(p, k, stretch*k, packetLen, int64(in[2]))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,19 +28,11 @@ import "fmt"
 // Params selects a Tornado code variant. The paper's Tornado A and
 // Tornado B are characterized by their reception-overhead distributions
 // (Figure 2: A averages 5.5% with fast decoding, B averages 3.1% and
-// decodes more slowly); the knobs below reproduce that trade-off.
+// decodes more slowly). A and B differ in their degree designs, designed by
+// LP offline (the table is the design), and in the size of the dense tail.
 type Params struct {
 	// Variant is the display name ("tornado-a", "tornado-b").
 	Variant string
-	// MaxDegree caps the left degree of the LP-designed distributions.
-	// Larger values let the optimizer push the decoding threshold closer
-	// to capacity (lower overhead) at the cost of more edges, hence
-	// slower coding — this is the A/B axis.
-	MaxDegree int
-	// TargetOverhead ε is the reception overhead the graphs are designed
-	// for: the degree LP optimizes the And-Or margin at the loss fraction
-	// seen by a receiver holding (1+ε)k of the n packets. 0 means 0.055.
-	TargetOverhead float64
 	// DenseTarget is the size the final dense layer aims for: the cascade
 	// halves the check budget until the remainder is at most this value.
 	// The dense code runs at capacity (it recovers its inputs as soon as
@@ -52,17 +44,15 @@ type Params struct {
 	// tail.
 	// 0 means 1024.
 	DenseTarget int
-	// DenseRowWeight is the number of inputs XORed into each dense-tail
-	// check (sampled without replacement). 0 means automatic
-	// (8 + 2·log2(tail size)).
-	DenseRowWeight int
+
+	table *designTable // the variant's degree designs; A() and B() set it
 }
 
 // A returns the parameters for Tornado A, the fast variant, designed for
 // a reception overhead of ≈ 0.05 under propagation alone (the exact
 // decoder decodes well below it; see EXPERIMENTS.md).
 func A() Params {
-	return Params{Variant: "tornado-a", MaxDegree: 24, TargetOverhead: 0.055, DenseTarget: 1024}
+	return Params{Variant: "tornado-a", DenseTarget: 1024, table: &designsA}
 }
 
 // B returns the parameters for Tornado B, the slower-decoding variant
@@ -70,18 +60,15 @@ func A() Params {
 // a larger dense tail absorbs more loss variance at the cost of a bigger
 // endgame.
 func B() Params {
-	return Params{Variant: "tornado-b", MaxDegree: 64, TargetOverhead: 0.032, DenseTarget: 2048}
+	return Params{Variant: "tornado-b", DenseTarget: 2048, table: &designsB}
 }
 
 func (p Params) validate() error {
-	if p.MaxDegree < 3 {
-		return fmt.Errorf("tornado: MaxDegree %d too small (want >= 3)", p.MaxDegree)
+	if p.table == nil {
+		return fmt.Errorf("tornado: Params %q has no degree design: start from A() or B()", p.Variant)
 	}
 	if p.DenseTarget < 0 {
 		return fmt.Errorf("tornado: negative DenseTarget")
-	}
-	if p.DenseRowWeight < 0 {
-		return fmt.Errorf("tornado: negative DenseRowWeight")
 	}
 	return nil
 }
@@ -92,14 +79,6 @@ func (p Params) denseTarget() int {
 		return 1024
 	}
 	return p.DenseTarget
-}
-
-// targetOverhead returns the design overhead ε.
-func (p Params) targetOverhead() float64 {
-	if p.TargetOverhead == 0 {
-		return 0.055
-	}
-	return p.TargetOverhead
 }
 
 // heavyTailCounts quantizes the heavy-tail node-degree distribution

@@ -61,24 +61,26 @@ func decodeRandomOrder(t *testing.T, c *Codec, enc [][]byte, src [][]byte, rng *
 func TestRoundTripVariousK(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range []int{1, 2, 3, 8, 50, 256, 1000} {
-		c, err := New(A(), k, 2*k+1, 64, 42)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		src := randSource(rng, k, 64)
-		enc, err := c.Encode(src)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if len(enc) != c.N() {
-			t.Fatalf("k=%d: got %d packets, want %d", k, len(enc), c.N())
-		}
-		for i := 0; i < k; i++ {
-			if !bytes.Equal(enc[i], src[i]) {
-				t.Fatalf("k=%d: not systematic at %d", k, i)
+		for _, stretch := range []int{2, 3, 16} {
+			c, err := New(A(), k, stretch*k, 64, 42)
+			if err != nil {
+				t.Fatalf("k=%d stretch=%d: %v", k, stretch, err)
 			}
+			src := randSource(rng, k, 64)
+			enc, err := c.Encode(src)
+			if err != nil {
+				t.Fatalf("k=%d stretch=%d: %v", k, stretch, err)
+			}
+			if len(enc) != c.N() {
+				t.Fatalf("k=%d stretch=%d: got %d packets, want %d", k, stretch, len(enc), c.N())
+			}
+			for i := 0; i < k; i++ {
+				if !bytes.Equal(enc[i], src[i]) {
+					t.Fatalf("k=%d stretch=%d: not systematic at %d", k, stretch, i)
+				}
+			}
+			decodeRandomOrder(t, c, enc, src, rng)
 		}
-		decodeRandomOrder(t, c, enc, src, rng)
 	}
 }
 
@@ -344,14 +346,16 @@ func TestCascadeHashes(t *testing.T) {
 }
 
 func TestParamValidation(t *testing.T) {
-	if _, err := New(Params{Variant: "x", MaxDegree: 2, DenseTarget: 64}, 8, 16, 4, 1); err == nil {
-		t.Fatal("MaxDegree 2 accepted")
+	if _, err := New(Params{Variant: "x", DenseTarget: 64}, 8, 16, 4, 1); err == nil {
+		t.Fatal("Params without a degree design accepted")
+	}
+	for _, n := range []int{2*8 + 1, 8, 17 * 8} {
+		if _, err := New(A(), 8, n, 4, 1); err == nil {
+			t.Fatalf("n=%d for k=8 accepted: not a whole stretch factor in 2..16", n)
+		}
 	}
 	if _, err := New(A(), 0, 8, 4, 1); err == nil {
 		t.Fatal("k=0 accepted")
-	}
-	if _, err := New(A(), 8, 8, 4, 1); err == nil {
-		t.Fatal("n=k accepted")
 	}
 	if _, err := New(A(), 8, 16, 0, 1); err == nil {
 		t.Fatal("packetLen=0 accepted")
