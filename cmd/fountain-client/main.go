@@ -19,7 +19,10 @@
 //	fountain-client -control ... -server 10.0.0.1:9000 -server 10.0.0.2:9000 -session 0xDF98
 //
 // With neither -session nor -all, the server's default (lowest-id) session
-// is fetched, as the one-session prototype did.
+// is fetched, as the one-session prototype did. -metrics-addr serves the
+// server's diagnostics endpoints (/metrics, /debug/pprof/, /debug/evtrace)
+// for the download, with each mirror socket's series, the kernel's queue
+// and drop counts among them.
 package main
 
 import (
@@ -34,7 +37,9 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/evtrace"
+	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/transport"
 )
@@ -62,6 +67,7 @@ func main() {
 		ctrlTO   = flag.Duration("ctrl-timeout", 2*time.Second, "per-attempt control reply timeout")
 		rejoinIv = flag.Duration("rejoin", 3*time.Second, "resubscribe to a mirror silent for this long (0 = never)")
 		stall    = flag.Duration("stall", 45*time.Second, "abort when no mirror delivers anything for this long")
+		metricsA = flag.String("metrics-addr", "", "serve Prometheus text metrics, pprof and flight-recorder dumps on this address while downloading (empty = off)")
 	)
 	flag.Var(&servers, "server", "mirror data address carrying the same session (repeatable)")
 	flag.Parse()
@@ -131,21 +137,23 @@ func main() {
 		if len(catalog) == 0 {
 			log.Fatal("fountain-client: catalog is empty")
 		}
+		opts.reg, opts.rec = diagnostics(len(catalog), *traceOut != "", *metricsA)
 		var wg sync.WaitGroup
 		failed := make(chan error, len(catalog))
-		for _, info := range catalog {
+		for i, info := range catalog {
 			wg.Add(1)
-			go func(info proto.SessionInfo) {
+			go func(i int, info proto.SessionInfo) {
 				defer wg.Done()
 				name := fmt.Sprintf("%s.%04x", *out, info.Session)
 				sopts := opts
+				sopts.slot = i
 				if opts.trace != "" {
 					sopts.trace = fmt.Sprintf("%s.%04x", opts.trace, info.Session)
 				}
 				if err := download(info, mirrors, name, sopts); err != nil {
 					failed <- fmt.Errorf("session %#x: %w", info.Session, err)
 				}
-			}(info)
+			}(i, info)
 		}
 		wg.Wait()
 		close(failed)
@@ -184,9 +192,32 @@ func main() {
 	}
 	fmt.Printf("fountain-client: session %#x codec=%s k=%d n=%d layers=%d file=%d bytes (%d mirrors)\n",
 		info.Session, core.CodecName(info.Codec), info.K, info.N, info.Layers, info.FileLen, len(mirrors))
+	opts.reg, opts.rec = diagnostics(1, *traceOut != "", *metricsA)
 	if err := download(info, mirrors, *out, opts); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// diagnostics builds the process's metrics registry and flight recorder for
+// n concurrent downloads (download i records into shard i) and, when addr
+// is set, serves both on it the way fountain-server does. Without tracing
+// or an address there is neither, and downloads pay nothing for them.
+func diagnostics(n int, trace bool, addr string) (*metrics.Registry, *evtrace.Recorder) {
+	if !trace && addr == "" {
+		return nil, nil
+	}
+	rec := evtrace.New(evtrace.Config{Shards: n, ShardSize: 1 << 18})
+	if trace {
+		rec.Enable()
+	}
+	if addr == "" {
+		return nil, rec
+	}
+	reg := metrics.NewRegistry()
+	if _, err := diag.Serve("fountain-client", addr, reg, rec); err != nil {
+		log.Fatal(err)
+	}
+	return reg, rec
 }
 
 // printStats renders a server stats snapshot for operators.
@@ -248,6 +279,14 @@ type dlOpts struct {
 	rejoin  time.Duration // resubscribe to a mirror silent this long
 	stall   time.Duration // abort when every mirror is silent this long
 	trace   string        // non-empty = write a flight-recorder dump here
+
+	// The process's diagnostics (see diagnostics): the registry this
+	// download's sockets join (nil = none), the recorder its engine
+	// records into (nil = none), and the download's slot — its recorder
+	// shard, and the first of its mirrors' source labels, slot·mirrors.
+	reg  *metrics.Registry
+	rec  *evtrace.Recorder
+	slot int
 }
 
 // download fetches one session from every mirror at once and writes the
@@ -276,14 +315,13 @@ func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOp
 	// Size the receive buffers to this session's wire packets (header +
 	// payload + integrity tag), with slack for control-plane growth.
 	mc.SetRecvSize(proto.HeaderLen + int(info.PacketLen) + proto.TagLen + 64)
-	var rec *evtrace.Recorder
-	if o.trace != "" {
-		// Record the intake path (accepted packets, integrity drops, symbol
-		// releases, completion) in wall-monotonic time for fountain-trace.
-		rec = evtrace.New(evtrace.Config{Shards: 1, ShardSize: 1 << 18})
-		rec.Enable()
-		eng.SetTrace(rec.Shard(0), 0)
+	if o.reg != nil {
+		mc.RegisterMetrics(o.reg, o.slot*len(mirrors))
 	}
+	// Record the intake path (accepted packets, integrity drops, symbol
+	// releases, completion) in wall-monotonic time for fountain-trace,
+	// while the recorder is enabled.
+	eng.SetTrace(o.rec.Shard(o.slot), 0)
 	// Silent-mirror watchdog: a mirror that delivered nothing for a whole
 	// rejoin interval may have crashed and restarted with an empty
 	// membership table, so its subscriptions are re-sent (idempotent on a
@@ -339,9 +377,14 @@ func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOp
 	if err := os.WriteFile(out, file, 0o644); err != nil {
 		return err
 	}
-	if rec != nil {
-		rec.Disable()
-		events := rec.Snapshot()
+	if o.trace != "" {
+		// Concurrent downloads share the recorder: keep this session's events.
+		var events []evtrace.Event
+		for _, ev := range o.rec.Snapshot() {
+			if ev.Sess == info.Session {
+				events = append(events, ev)
+			}
+		}
 		tf, err := os.Create(o.trace)
 		if err != nil {
 			return err
@@ -354,7 +397,7 @@ func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOp
 			return fmt.Errorf("writing trace %s: %w", o.trace, werr)
 		}
 		fmt.Printf("fountain-client: wrote trace %s (%d events, %d overwritten)\n",
-			o.trace, len(events), rec.Dropped())
+			o.trace, len(events), o.rec.Dropped())
 	}
 	eta, etaC, etaD := eng.Efficiency()
 	fmt.Printf("fountain-client: wrote %s (%d bytes); loss=%.1f%% corrupt=%d eta=%.3f eta_c=%.3f eta_d=%.3f level=%d\n",

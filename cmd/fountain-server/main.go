@@ -21,9 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -32,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/evtrace"
 	"repro/internal/service"
 	"repro/internal/transport"
@@ -107,51 +105,11 @@ func main() {
 	// own at construction; the transport adds its socket-level counters.
 	udp.RegisterMetrics(svc.Metrics())
 	if *metricsA != "" {
-		// One diagnostics port: Prometheus metrics, Go pprof profiles, and
-		// flight-recorder dumps all live on the -metrics-addr mux (unknown
-		// paths get the mux's plain 404).
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", svc.Metrics().Handler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.HandleFunc("/debug/evtrace", func(w http.ResponseWriter, r *http.Request) {
-			events := rec.Snapshot()
-			if r.URL.Query().Get("format") == "chrome" {
-				w.Header().Set("Content-Type", "application/json")
-				if err := evtrace.WriteChrome(w, events); err != nil {
-					log.Printf("fountain-server: evtrace dump: %v", err)
-				}
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Disposition", `attachment; filename="fountain.evtrace"`)
-			if err := evtrace.WriteBinary(w, events); err != nil {
-				log.Printf("fountain-server: evtrace dump: %v", err)
-			}
-		})
-		mux.HandleFunc("/debug/evtrace/enable", func(w http.ResponseWriter, r *http.Request) {
-			rec.Enable()
-			fmt.Fprintln(w, "tracing enabled")
-		})
-		mux.HandleFunc("/debug/evtrace/disable", func(w http.ResponseWriter, r *http.Request) {
-			rec.Disable()
-			fmt.Fprintln(w, "tracing disabled")
-		})
-		msrv := &http.Server{Addr: *metricsA, Handler: mux}
-		ln, err := net.Listen("tcp", *metricsA)
+		msrv, err := diag.Serve("fountain-server", *metricsA, svc.Metrics(), rec)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer msrv.Close()
-		go func() {
-			if err := msrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Printf("fountain-server: metrics endpoint: %v", err)
-			}
-		}()
-		fmt.Printf("fountain-server: metrics at http://%s/metrics (pprof at /debug/pprof/, trace dumps at /debug/evtrace)\n", ln.Addr())
 	}
 
 	for i, file := range files {

@@ -58,6 +58,21 @@ func (c *UDPClient) RegisterMetrics(r *metrics.Registry, src int) {
 		"datagrams taken off the client socket", c.rxPackets.Load)
 	r.CounterFunc(name("fountain_udp_rx_bytes_total"),
 		"bytes taken off the client socket", c.rxBytes.Load)
+	// The kernel's side of the socket: one getsockopt per series per
+	// scrape, zero where SocketStats is unsupported.
+	sock := func() SocketStats {
+		st, _ := c.SocketStats()
+		return st
+	}
+	r.GaugeFunc(name("fountain_udp_rx_socket_buffer_bytes"),
+		"receive buffer the kernel granted the client socket",
+		func() float64 { return float64(sock().Buffer) })
+	r.GaugeFunc(name("fountain_udp_rx_socket_queued_bytes"),
+		"bytes queued in the client socket, at the kernel's per-datagram cost",
+		func() float64 { return float64(sock().Queued) })
+	r.CounterFunc(name("fountain_udp_rx_socket_drops_total"),
+		"datagrams the kernel dropped at the client socket",
+		func() uint64 { return sock().Drops })
 	if src < 0 {
 		r.AddHistogram("fountain_udp_recv_batch_size",
 			"datagrams per kernel receive visit", c.rxBatch)

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // MultiClient joins the same session on several fountain servers at once —
@@ -88,6 +90,14 @@ func NewMultiClient(servers []*net.UDPAddr, session uint16, level int) (*MultiCl
 func (m *MultiClient) SetRecvSize(n int) {
 	for _, c := range m.clients {
 		c.SetRecvSize(n)
+	}
+}
+
+// RegisterMetrics registers every source's UDPClient series on r, source i
+// under the label base+i.
+func (m *MultiClient) RegisterMetrics(r *metrics.Registry, base int) {
+	for i, c := range m.clients {
+		c.RegisterMetrics(r, base+i)
 	}
 }
 

@@ -122,6 +122,21 @@ func (c *UDPClient) SetRecvSize(n int) {
 	c.recvSize = n
 }
 
+// SocketStats is the kernel's account of a client's receive socket,
+// read with getsockopt(SO_MEMINFO).
+type SocketStats struct {
+	// Buffer is the receive buffer the kernel granted, in bytes: twice
+	// the request, capped at twice net.core.rmem_max.
+	Buffer int
+	// Queued is the memory the datagrams waiting in the socket hold now,
+	// charged at the kernel's per-datagram cost (a 1 040-byte wire packet
+	// costs about 2 300 bytes on loopback).
+	Queued int
+	// Drops counts the datagrams the kernel dropped at this socket since
+	// it was opened, a full buffer being the usual cause.
+	Drops uint64
+}
+
 // Closed reports whether Close has been called. Receive loops use it (or
 // the ErrClosed return) to stop polling a dead client.
 func (c *UDPClient) Closed() bool {

@@ -548,6 +548,18 @@ type UDPClient struct {
 	rxBatch   *metrics.Histogram
 }
 
+// rxSocketBuffer is the receive buffer every client socket requests. A
+// receive loop stalls while its decoder works (Receiver.File on a
+// k = 2500 session takes 40-80 ms), and a saturating sender keeps
+// sending; whatever the socket cannot queue in the meantime the kernel
+// drops. The common Linux default (rmem_default, 212 992 B) queues 92 wire
+// packets of 1 040 B — a few milliseconds of stream. Linux grants
+// 2·min(request, net.core.rmem_max): 8 MiB, about 3 600 such packets,
+// where rmem_max is 4 MiB. Of the sizes measured on a saturated four-codec
+// download (EXPERIMENTS.md), 1 MiB bought about a third of 4 MiB's
+// reception-overhead gain.
+const rxSocketBuffer = 4 << 20
+
 // NewUDPClient dials the server's data port and subscribes to layers
 // 0..level of every session the server carries (wildcard).
 func NewUDPClient(server *net.UDPAddr, level int) (*UDPClient, error) {
@@ -567,6 +579,9 @@ func NewUDPClientSession(server *net.UDPAddr, session uint16, level int) (*UDPCl
 	if err != nil {
 		return nil, err
 	}
+	// Best effort: a request the kernel caps is not an error (SocketStats
+	// reports the grant), and some platforms refuse a size they cannot give.
+	_ = conn.SetReadBuffer(rxSocketBuffer)
 	c := &UDPClient{conn: conn, server: server, session: session, level: -1,
 		recvSize: defaultRecvSize, rxBatch: metrics.NewHistogram(batchSizeBounds...)}
 	// A nil raw conn just disables the kernel batch read; the portable
