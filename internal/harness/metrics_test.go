@@ -2,8 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -259,5 +262,124 @@ func TestCacheMetricsGroundTruth(t *testing.T) {
 	if snap.CacheHits != cs.Hits || snap.CacheMisses != cs.Misses || snap.CacheLookups != cs.Lookups ||
 		snap.CacheUsed != uint64(cs.Used) || snap.CachePeak != uint64(cs.Peak) {
 		t.Fatalf("control stats %+v disagree with cache %+v", snap, cs)
+	}
+}
+
+// exposition is the schema every registry below must render: the sorted
+// HELP and TYPE lines of a service on a Bus, a UDP server, a UDP client
+// registered under a source label, and a two-source client engine.
+const exposition = `# HELP fountain_bytes_sent_total data bytes handed to the transport
+# HELP fountain_cache_cap_bytes configured cache byte budget
+# HELP fountain_cache_hits_total coded packets sent from a resident row
+# HELP fountain_cache_lookups_total coded-packet touches of cached sessions (hits + misses)
+# HELP fountain_cache_misses_total coded packets encoded at emission (one encode each)
+# HELP fountain_cache_peak_bytes high-water mark of charged cache bytes
+# HELP fountain_cache_used_bytes charged bytes resident in the packet cache
+# HELP fountain_client_corrupt_total packets dropped for a failed integrity tag
+# HELP fountain_client_distinct_total packets that were new to the decoder
+# HELP fountain_client_duplicate_total packets the decoder had already seen
+# HELP fountain_client_lost_total packets counted lost from serial gaps (net of reorder refunds)
+# HELP fountain_client_received_total packets accepted from the source
+# HELP fountain_draining 1 once Drain has begun
+# HELP fountain_packets_sent_total data packets handed to the transport
+# HELP fountain_sched_backlog paced sessions queued on the shard's deadline heap
+# HELP fountain_sched_catchup_rounds_total owed rounds emitted beyond the first of their pop (normal whenever a round interval is below timer granularity)
+# HELP fountain_sched_debt_dropped_total pops that found a session behind by more than its burst bound and dropped the excess: the overload signal
+# HELP fountain_sched_rounds_total carousel rounds emitted
+# HELP fountain_scheduler_shards scheduler worker goroutines
+# HELP fountain_send_errors_total transport send failure events (batches with at least one errored write)
+# HELP fountain_sessions registered sessions
+# HELP fountain_udp_evictions_total subscribers evicted for persistent write errors
+# HELP fountain_udp_rate_dropped_total packets dropped by per-subscriber rate caps
+# HELP fountain_udp_refused_joins_total joins refused by the admission cap or penalty box
+# HELP fountain_udp_rx_bytes_total bytes taken off the client socket
+# HELP fountain_udp_rx_packets_total datagrams taken off the client socket
+# HELP fountain_udp_rx_socket_buffer_bytes receive buffer the kernel granted the client socket
+# HELP fountain_udp_rx_socket_drops_total datagrams the kernel dropped at the client socket
+# HELP fountain_udp_rx_socket_queued_bytes bytes queued in the client socket, at the kernel's per-datagram cost
+# HELP fountain_udp_send_batch_size datagrams per per-subscriber kernel batch write
+# HELP fountain_udp_subscribers distinct subscriber addresses across all sessions and layers
+# HELP fountain_udp_tx_bytes_total bytes handed to the kernel (per destination)
+# HELP fountain_udp_tx_packets_total datagram writes handed to the kernel (per destination)
+# TYPE fountain_bytes_sent_total counter
+# TYPE fountain_cache_cap_bytes gauge
+# TYPE fountain_cache_hits_total counter
+# TYPE fountain_cache_lookups_total counter
+# TYPE fountain_cache_misses_total counter
+# TYPE fountain_cache_peak_bytes gauge
+# TYPE fountain_cache_used_bytes gauge
+# TYPE fountain_client_corrupt_total counter
+# TYPE fountain_client_distinct_total counter
+# TYPE fountain_client_duplicate_total counter
+# TYPE fountain_client_lost_total counter
+# TYPE fountain_client_received_total counter
+# TYPE fountain_draining gauge
+# TYPE fountain_packets_sent_total counter
+# TYPE fountain_sched_backlog gauge
+# TYPE fountain_sched_catchup_rounds_total counter
+# TYPE fountain_sched_debt_dropped_total counter
+# TYPE fountain_sched_rounds_total counter
+# TYPE fountain_scheduler_shards gauge
+# TYPE fountain_send_errors_total counter
+# TYPE fountain_sessions gauge
+# TYPE fountain_udp_evictions_total counter
+# TYPE fountain_udp_rate_dropped_total counter
+# TYPE fountain_udp_refused_joins_total counter
+# TYPE fountain_udp_rx_bytes_total counter
+# TYPE fountain_udp_rx_packets_total counter
+# TYPE fountain_udp_rx_socket_buffer_bytes gauge
+# TYPE fountain_udp_rx_socket_drops_total counter
+# TYPE fountain_udp_rx_socket_queued_bytes gauge
+# TYPE fountain_udp_send_batch_size histogram
+# TYPE fountain_udp_subscribers gauge
+# TYPE fountain_udp_tx_bytes_total counter
+# TYPE fountain_udp_tx_packets_total counter`
+
+// TestExpositionSchema pins every series name, help text and type the
+// program's registries expose, so no series is renamed, dropped or
+// re-typed without this test changing with it.
+func TestExpositionSchema(t *testing.T) {
+	svc := service.New(transport.NewBus(1), service.Config{Shards: 1})
+	defer svc.Close()
+	srv, err := transport.NewUDPServer("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	udpSrv := metrics.NewRegistry()
+	srv.RegisterMetrics(udpSrv)
+	cli, err := transport.NewUDPClient(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	udpCli := metrics.NewRegistry()
+	cli.RegisterMetrics(udpCli, 0)
+	sess, err := core.NewSession(testData(5, 4_000), singleLayerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := client.NewMultiSource(sess.Info(), 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := metrics.NewRegistry()
+	eng.RegisterMetrics(engine)
+
+	var lines []string
+	for _, r := range []*metrics.Registry{svc.Metrics(), udpSrv, udpCli, engine} {
+		var b strings.Builder
+		if _, err := r.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(l, "# ") {
+				lines = append(lines, l)
+			}
+		}
+	}
+	sort.Strings(lines)
+	if got := strings.Join(lines, "\n"); got != exposition {
+		t.Fatalf("exposition schema changed:\n%s", got)
 	}
 }

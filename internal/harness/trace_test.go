@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/evtrace"
@@ -100,6 +102,29 @@ func TestTraceBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(da.Bytes(), db.Bytes()) {
 		t.Fatalf("traces diverged: %d vs %d bytes", da.Len(), db.Len())
+	}
+}
+
+// TestTraceDumpHash pins the fault-matrix scenario's binary dump by
+// SHA-256: the trace format, the order of every event and each event's
+// arguments. It covers all nine event types that are also counters —
+// round, tx_batch, the four channel faults, intake, intake_drop and
+// symbol — plus release and done, so a change to how any of them is
+// counted or recorded must leave the stream byte-identical.
+func TestTraceDumpHash(t *testing.T) {
+	const want = "ae78bc3802027bc0da49ea0515a8aea9ca882d43349ba20e9ee64562a8e6fa3e"
+	o := tracedMatrixRun(t)
+	var dump bytes.Buffer
+	if err := evtrace.WriteBinary(&dump, o.rec.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(dump.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		counts := map[evtrace.Type]int{}
+		for _, ev := range o.rec.Snapshot() {
+			counts[ev.Type]++
+		}
+		t.Fatalf("trace dump (%d B) hashes to %s, want %s; events by type: %v", dump.Len(), got, want, counts)
 	}
 }
 
