@@ -57,12 +57,13 @@ type source struct {
 	ctrl       *layered.Controller
 	// Accounting counters are atomics: intake is single-goroutine, but a
 	// metrics scrape (RegisterMetrics) reads them from another goroutine
-	// while packets flow. lost/received are signed — late arrivals refund
-	// provisional losses, and a decode error rolls one reception back.
-	received  atomic.Int64
+	// while packets flow. Three are counted events, recorded by the same
+	// call that counts them (see Engine.SetTrace); lost is signed — late
+	// arrivals refund provisional losses.
+	received  evtrace.Counted // EvIntake
 	lost      atomic.Int64
-	corrupt   atomic.Int64
-	distinct  atomic.Int64
+	corrupt   evtrace.Counted // EvIntakeDrop
+	distinct  evtrace.Counted // EvSymbol
 	duplicate atomic.Int64
 }
 
@@ -76,12 +77,10 @@ type Engine struct {
 	ids     []int // registration order (stats iteration)
 	level   int   // effective subscription level: min over source controllers
 
-	// Flight recorder: intake, drop, symbol-release and completion events
-	// stamped with this receiver's actor id. Nil-safe; one branch when off.
-	tr        *evtrace.Shard
-	trActor   uint16
-	traceDone bool // EvDone emitted (once, at the done transition)
-	relSeen   int  // decoder release count already traced (EvRelease deltas)
+	// Flight recorder: the shard and actor id every source's counted events
+	// are bound to, and through which the completion events are emitted.
+	tr      *evtrace.Shard
+	trActor uint16
 }
 
 // maxTrackedMissing bounds the per-(source, layer) window of refundable
@@ -178,7 +177,16 @@ func (e *Engine) addSource(id, level int) *source {
 	}
 	e.sources[id] = s
 	e.ids = append(e.ids, id)
+	e.trace(id, s)
 	return s
+}
+
+// trace binds a source's counted events to the engine's shard and actor.
+func (e *Engine) trace(id int, s *source) {
+	sess, src := e.info.Session, uint16(id)
+	s.received.Trace(e.tr, evtrace.EvIntake, sess, src, e.trActor)
+	s.corrupt.Trace(e.tr, evtrace.EvIntakeDrop, sess, src, e.trActor)
+	s.distinct.Trace(e.tr, evtrace.EvSymbol, sess, src, e.trActor)
 }
 
 // minLevel computes the worst-source subscription level.
@@ -194,11 +202,15 @@ func (e *Engine) minLevel() int {
 
 // SetTrace attaches a flight-recorder shard and the actor (receiver) id
 // stamped on this engine's events: packet intake, integrity drops, symbol
-// releases, and the decode-completion transition. The engine is
-// single-goroutine, so the shard may be shared with the delivering
-// transport for causally ordered streams.
+// releases, and the decode-completion transition — for every source,
+// including those registered later. The engine is single-goroutine, so the
+// shard may be shared with the delivering transport for causally ordered
+// streams.
 func (e *Engine) SetTrace(sh *evtrace.Shard, actor uint16) {
 	e.tr, e.trActor = sh, actor
+	for id, s := range e.sources {
+		e.trace(id, s)
+	}
 }
 
 // Controller exposes source 0's congestion controller (for tests/tuning of
@@ -229,10 +241,7 @@ func (e *Engine) HandlePacketFrom(src int, pkt []byte) (done bool, err error) {
 		if s == nil {
 			s = e.addSource(src, e.level)
 		}
-		s.corrupt.Add(1)
-		if e.tr.On() {
-			e.tr.Emit(evtrace.EvIntakeDrop, e.info.Session, uint16(src), e.trActor, 0, uint64(len(pkt)), 0)
-		}
+		s.corrupt.Add(1, 0, uint64(len(pkt)), 0)
 		return e.rcv.Done(), nil
 	}
 	if err != nil {
@@ -300,11 +309,7 @@ func (e *Engine) HandlePacketFrom(src int, pkt []byte) (done bool, err error) {
 		s.haveSerial[h.Group] = true
 		s.lastSerial[h.Group] = h.Serial
 	}
-	s.received.Add(1)
-	if e.tr.On() {
-		e.tr.Emit(evtrace.EvIntake, e.info.Session, uint16(src), e.trActor, h.Group,
-			uint64(h.Serial), uint64(h.Index))
-	}
+	s.received.Add(1, h.Group, uint64(h.Serial), uint64(h.Index))
 	// Congestion control: only meaningful with multiple layers. The packet
 	// feeds its own source's controller; the level requested from the
 	// transport is the minimum across all sources — the highest rate every
@@ -322,37 +327,31 @@ func (e *Engine) HandlePacketFrom(src int, pkt []byte) (done bool, err error) {
 		}
 	}
 	_, d0, _ := e.rcv.Stats()
+	wasDone := e.rcv.Done()
 	done, err = e.rcv.Handle(int(h.Index), payload)
 	if err != nil {
 		// Unreachable for well-formed input (index and length were
 		// validated above — the decoder's only error conditions); undo the
 		// reception count so Received == Distinct + Duplicate still holds
 		// if a codec ever grows new failure modes.
-		s.received.Add(-1)
+		s.received.Undo()
 		return done, err
 	}
 	if _, d1, _ := e.rcv.Stats(); d1 > d0 {
-		s.distinct.Add(1)
-		if e.tr.On() {
-			e.tr.Emit(evtrace.EvSymbol, e.info.Session, uint16(src), e.trActor, h.Group,
-				uint64(h.Index), uint64(d1))
-		}
+		s.distinct.Add(1, h.Group, uint64(h.Index), uint64(d1))
 	} else {
 		s.duplicate.Add(1)
 	}
-	if e.tr.On() {
-		// Decoders that count the values they resolve from coded packets get
-		// them surfaced per packet: the delta since the last traced count. A systematic codec
-		// on a lossless channel emits no EvRelease at all — the property the
-		// zero-XOR differential tests assert through the trace.
-		if rel := e.rcv.Released(); rel > e.relSeen {
+	if done && !wasDone && e.tr.On() {
+		// This packet completed the decode. A decoder that counts the values
+		// it resolved from coded packets resolves them all in the solve this
+		// packet triggered; a systematic codec on a lossless channel resolves
+		// none and emits no EvRelease — the property the zero-XOR
+		// differential tests assert through the trace.
+		if rel := e.rcv.Released(); rel > 0 {
 			e.tr.Emit(evtrace.EvRelease, e.info.Session, uint16(src), e.trActor, h.Group,
-				uint64(h.Index), uint64(rel-e.relSeen))
-			e.relSeen = rel
+				uint64(h.Index), uint64(rel))
 		}
-	}
-	if done && !e.traceDone && e.tr.On() {
-		e.traceDone = true
 		total, distinct, k := e.rcv.Stats()
 		e.tr.Emit(evtrace.EvDone, e.info.Session, uint16(src), e.trActor, 0,
 			uint64(total), uint64(k)<<32|uint64(uint32(distinct)))
@@ -436,7 +435,7 @@ func (e *Engine) WorstSource() (id int, loss float64) {
 // Corrupt returns the total number of packets dropped for failed
 // integrity tags, aggregated across all sources.
 func (e *Engine) Corrupt() int {
-	var n int64
+	var n uint64
 	for _, s := range e.sources {
 		n += s.corrupt.Load()
 	}
@@ -448,7 +447,7 @@ func (e *Engine) Corrupt() int {
 func (e *Engine) MeasuredLoss() float64 {
 	var received, lost int64
 	for _, s := range e.sources {
-		received += s.received.Load()
+		received += int64(s.received.Load())
 		lost += s.lost.Load()
 	}
 	total := received + lost
@@ -469,17 +468,14 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 		s := e.sources[id]
 		src := strconv.Itoa(id)
 		r.CounterFunc(metrics.Label("fountain_client_received_total", "source", src),
-			"packets accepted from the source",
-			func() uint64 { return uint64(s.received.Load()) })
+			"packets accepted from the source", s.received.Load)
 		r.CounterFunc(metrics.Label("fountain_client_lost_total", "source", src),
 			"packets counted lost from serial gaps (net of reorder refunds)",
 			func() uint64 { return uint64(s.lost.Load()) })
 		r.CounterFunc(metrics.Label("fountain_client_corrupt_total", "source", src),
-			"packets dropped for a failed integrity tag",
-			func() uint64 { return uint64(s.corrupt.Load()) })
+			"packets dropped for a failed integrity tag", s.corrupt.Load)
 		r.CounterFunc(metrics.Label("fountain_client_distinct_total", "source", src),
-			"packets that were new to the decoder",
-			func() uint64 { return uint64(s.distinct.Load()) })
+			"packets that were new to the decoder", s.distinct.Load)
 		r.CounterFunc(metrics.Label("fountain_client_duplicate_total", "source", src),
 			"packets the decoder had already seen",
 			func() uint64 { return uint64(s.duplicate.Load()) })

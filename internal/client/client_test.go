@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/evtrace"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/transport"
@@ -502,5 +503,95 @@ func TestPerSourceDuplicateBookkeeping(t *testing.T) {
 	}
 	if _, err := eng.File(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompletionEventsOnce: EvRelease and EvDone mark the packet that
+// completes the decode and no other. A lossy raptor download traced
+// throughout records exactly one of each, the release carrying the
+// decoder's whole Released() count immediately before the done event. A
+// recorder enabled only after completion records neither for the packets
+// that follow.
+func TestCompletionEventsOnce(t *testing.T) {
+	data := make([]byte, 8_000)
+	rand.New(rand.NewSource(9)).Read(data)
+	cfg := core.DefaultConfig()
+	cfg.Codec = proto.CodecRaptor
+	cfg.Layers = 1
+	cfg.PacketLen = 16
+	cfg.Seed = 77
+	sess, err := core.NewSession(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// download feeds the carousel, losing every fourth packet, until the
+	// engine is done, calls afterDone, and feeds a few packets more.
+	download := func(eng *Engine, afterDone func()) {
+		car := core.NewCarousel(sess)
+		n := 0
+		feed := func(_ int, pkt []byte) error {
+			if n++; n%4 == 0 {
+				return nil
+			}
+			_, err := eng.HandlePacket(pkt)
+			return err
+		}
+		for !eng.Done() {
+			if err := car.NextRound(feed); err != nil {
+				t.Fatal(err)
+			}
+			if n > 20*int(sess.Info().K) {
+				t.Fatal("never completed")
+			}
+		}
+		afterDone()
+		for i := 0; i < 4; i++ {
+			if err := car.NextRound(feed); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	rec := evtrace.New(evtrace.Config{Shards: 1, ShardSize: 1 << 14})
+	rec.Enable()
+	eng, err := New(sess.Info(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetTrace(rec.Shard(0), 1)
+	download(eng, func() {})
+	evs := rec.Snapshot()
+	var seq []evtrace.Event
+	for _, ev := range evs {
+		if ev.Type == evtrace.EvRelease || ev.Type == evtrace.EvDone {
+			seq = append(seq, ev)
+		}
+	}
+	if len(seq) != 2 || seq[0].Type != evtrace.EvRelease || seq[1].Type != evtrace.EvDone {
+		t.Fatalf("completion events %+v, want one release then one done", seq)
+	}
+	if rel := eng.rcv.Released(); rel <= 0 || seq[0].B != uint64(rel) {
+		t.Fatalf("release B = %d, decoder released %d", seq[0].B, rel)
+	}
+	for i := range evs {
+		if evs[i] == seq[0] && (i+1 == len(evs) || evs[i+1] != seq[1]) {
+			t.Fatalf("release is not immediately followed by done: %+v", evs[i:])
+		}
+	}
+
+	late := evtrace.New(evtrace.Config{Shards: 1, ShardSize: 1 << 14})
+	eng, err = New(sess.Info(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetTrace(late.Shard(0), 1)
+	download(eng, late.Enable)
+	for _, ev := range late.Snapshot() {
+		if ev.Type == evtrace.EvRelease || ev.Type == evtrace.EvDone {
+			t.Fatalf("recorder enabled after completion recorded %v (A=%d B=%d)", ev.Type, ev.A, ev.B)
+		}
+	}
+	if len(late.Snapshot()) == 0 {
+		t.Fatal("nothing recorded after completion: the test fed no packet past it")
 	}
 }

@@ -104,10 +104,11 @@ type ReceiverStats struct {
 	// its streams this reads up to one burst bound high.
 	RoundsAtDone map[uint16]uint64
 
-	// Release latency: intake→release per released symbol, measurable when
-	// intake and symbol events interleave (ns). For threshold decoders a
-	// release follows its intake immediately; LT-style lazy release shows
-	// up as nonzero latency.
+	// Release latency: intake→EvSymbol per distinct symbol (ns). Both
+	// events come from one Engine.HandlePacketFrom call, so this is the
+	// time that call spends between accepting a packet and handing it to
+	// the decoder as new: the congestion controller and the decoder's Add,
+	// including the solve on the packet that completes the decode.
 	ReleaseLat LatencyStats
 
 	hasFirst bool

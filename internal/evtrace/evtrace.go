@@ -15,6 +15,10 @@
 //     guards on Shard.On() (a nil check plus one atomic bool load) before
 //     computing anything, so the proven 0 allocs/packet send and receive
 //     paths are untouched when tracing is off.
+//   - An event that is also counted is one Counted: its Add counts and,
+//     while the recorder is on, records, so the count a metrics scrape
+//     reads and the events a trace holds come from one call site. Add
+//     inlines; with no shard bound it is one atomic add and a nil check.
 //   - Enabled cost is bounded and allocation-free: a clock read, one
 //     atomic counter increment, and a 32-byte store into a preallocated
 //     ring. No locks, no formatting, no growth. Rendering cost (merging,
@@ -80,11 +84,12 @@ const (
 	// EvDone: the session's decode completed at this receiver. A = total
 	// packets accepted, B = k<<32 | distinct.
 	EvDone
-	// EvRelease: the decoder resolved values from coded packets while
-	// ingesting a packet (only emitted for decoders that count them —
-	// code.ReleaseCounter). A = encoding index of the triggering packet,
-	// B = values resolved during its ingestion. A systematic codec on a
-	// lossless channel emits none of these.
+	// EvRelease: the packet that completed the decode made the decoder
+	// resolve values from coded packets (only emitted for decoders that
+	// count them — code.ReleaseCounter); it immediately precedes that
+	// packet's EvDone. A = encoding index of the completing packet,
+	// B = values resolved. A systematic codec on a lossless channel emits
+	// none.
 	EvRelease
 )
 
@@ -256,6 +261,53 @@ func (sh *Shard) Emit(typ Type, sess, src, actor uint16, layer uint8, a, b uint6
 	}
 }
 
+// Counted is a counter whose every increment is one event of a single
+// type: the count a Stats field or a metrics series reads, and the record a
+// trace holds, come from one Add call, so a scrape and a trace of one run
+// agree by construction. The zero value counts, and records nothing until
+// Trace binds it to a shard. All methods are safe for concurrent use.
+type Counted struct {
+	// n is a plain word read and written only through sync/atomic's
+	// functions: the atomic.Uint64 methods would push Add past the
+	// inlining budget. id's atomic.Uint64 type 64-bit aligns Counted on
+	// 32-bit platforms, and with it n at offset 0.
+	n  uint64
+	sh atomic.Pointer[Shard]
+	id atomic.Uint64 // Type | sess<<8 | src<<24 | actor<<40
+}
+
+// Trace binds the shard Add records through (nil records nothing) and the
+// identity it stamps: event type, session, source and actor. It may be
+// called while Add runs on other goroutines.
+func (c *Counted) Trace(sh *Shard, typ Type, sess, src, actor uint16) {
+	c.id.Store(uint64(typ) | uint64(sess)<<8 | uint64(src)<<24 | uint64(actor)<<40)
+	c.sh.Store(sh)
+}
+
+// Add counts n and, while the recorder is on, records one event with the
+// given layer and arguments. It never allocates and never blocks.
+func (c *Counted) Add(n uint64, layer uint8, a, b uint64) {
+	atomic.AddUint64(&c.n, n)
+	if c.sh.Load() != nil {
+		c.record(layer, a, b)
+	}
+}
+
+// record is Add's recording half, out of line so that Add inlines.
+func (c *Counted) record(layer uint8, a, b uint64) {
+	if sh := c.sh.Load(); sh.On() {
+		id := c.id.Load()
+		sh.Emit(Type(id), uint16(id>>8), uint16(id>>24), uint16(id>>40), layer, a, b)
+	}
+}
+
+// Undo takes one count back and records nothing: for a count whose event
+// stands but whose effect the caller rolled back.
+func (c *Counted) Undo() { atomic.AddUint64(&c.n, ^uint64(0)) }
+
+// Load returns the count.
+func (c *Counted) Load() uint64 { return atomic.LoadUint64(&c.n) }
+
 // Dropped returns the number of events lost to ring overwrites so far.
 // Completeness-sensitive consumers (the harness acceptance tests) assert
 // it is zero.
@@ -267,17 +319,6 @@ func (r *Recorder) Dropped() uint64 {
 		}
 	}
 	return n
-}
-
-// Reset discards all recorded events (the toggle state is unchanged).
-// Not safe concurrently with Emit.
-func (r *Recorder) Reset() {
-	for _, sh := range r.shards {
-		sh.pos.Store(0)
-		for i := range sh.ring {
-			sh.ring[i] = Event{}
-		}
-	}
 }
 
 // Snapshot copies the retained events out of every ring and merges them

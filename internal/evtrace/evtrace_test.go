@@ -87,10 +87,6 @@ func TestRingOverwriteAndDropped(t *testing.T) {
 	if r.Dropped() != 12 {
 		t.Fatalf("Dropped = %d, want 12", r.Dropped())
 	}
-	r.Reset()
-	if len(r.Snapshot()) != 0 || r.Dropped() != 0 {
-		t.Fatal("Reset did not clear the ring")
-	}
 }
 
 func TestShardSizeRoundsToPowerOfTwo(t *testing.T) {
@@ -143,6 +139,64 @@ func TestEmitZeroAlloc(t *testing.T) {
 		sh.Emit(EvIntake, 1, 2, 3, 0, 4, 5)
 	}); n != 0 {
 		t.Fatalf("disabled Emit allocates %.2f/op, want 0", n)
+	}
+}
+
+// TestCountedCountsAndRecords: every Add counts; only an Add through a
+// bound, enabled shard records, stamped with the bound identity; Undo takes
+// a count back and records nothing.
+func TestCountedCountsAndRecords(t *testing.T) {
+	r := New(Config{Shards: 1, ShardSize: 16})
+	var c Counted
+	c.Add(1, 0, 0, 0) // unbound
+	c.Trace(r.Shard(0), EvIntake, 7, 2, 9)
+	c.Add(1, 0, 0, 0) // bound, recorder off
+	r.Enable()
+	c.Add(3, 4, 10, 11)
+	c.Trace(r.Shard(0), EvIntake, 8, 2, 9)
+	c.Add(1, 0, 12, 13)
+	c.Undo()
+	c.Trace(nil, EvIntake, 8, 2, 9)
+	c.Add(1, 0, 14, 15) // unbound again
+	if got := c.Load(); got != 6 {
+		t.Fatalf("count = %d, want 6", got)
+	}
+	want := []Event{
+		{A: 10, B: 11, Sess: 7, Src: 2, Actor: 9, Type: EvIntake, Layer: 4},
+		{A: 12, B: 13, Sess: 8, Src: 2, Actor: 9, Type: EvIntake},
+	}
+	evs := r.Snapshot()
+	if len(evs) != len(want) {
+		t.Fatalf("recorded %d events, want %d: %+v", len(evs), len(want), evs)
+	}
+	for i := range want {
+		if evs[i].TS = 0; evs[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
+		}
+	}
+}
+
+// TestCountedAddZeroAlloc: Add allocates nothing with the recorder nil,
+// off and on — it runs once per packet on the send and intake paths.
+func TestCountedAddZeroAlloc(t *testing.T) {
+	var nilRec *Recorder
+	r := New(Config{Shards: 1, ShardSize: 1 << 10})
+	for _, tc := range []struct {
+		name string
+		sh   *Shard
+		on   bool
+	}{{"nil", nilRec.Shard(0), false}, {"off", r.Shard(0), false}, {"on", r.Shard(0), true}} {
+		if tc.on {
+			r.Enable()
+		}
+		var c Counted
+		c.Trace(tc.sh, EvChDeliver, 1, 2, 3)
+		if n := testing.AllocsPerRun(1000, func() {
+			c.Trace(tc.sh, EvChDeliver, 1, 2, 3)
+			c.Add(1, 0, 4, 5)
+		}); n != 0 {
+			t.Fatalf("recorder %s: Add allocates %.2f/op, want 0", tc.name, n)
+		}
 	}
 }
 

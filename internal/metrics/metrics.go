@@ -1,22 +1,23 @@
 // Package metrics is the observability substrate of the fountain stack: a
-// small registry of atomically updated counters, gauges, and fixed-bucket
-// histograms with a Prometheus text exposition writer.
+// small registry of atomically updated counters, sampled gauges, and
+// fixed-bucket histograms with a Prometheus text exposition writer.
 //
 // The design constraint is the send and intake hot paths: a paced server
 // emits hundreds of thousands of packets per second through code that is
 // proven allocation-free by hard bench gates, and instrumentation must not
 // bend that. So every series name is interned at registration time, every
 // update is plain sync/atomic arithmetic on pre-existing memory (one
-// atomic add for a counter or gauge, two for a histogram observation), and
+// atomic add for a counter, two for a histogram observation), and
 // nothing on the update path takes a lock, formats a string, or allocates.
 // All rendering cost — sorting, formatting, bucket accumulation — is paid
 // by the scraper, not the hot path.
 //
-// Components either own their counters directly (metrics.Counter embeds as
-// a plain struct field) or keep the raw atomics / mutex-guarded fields they
-// already had and expose them through func-backed series (CounterFunc,
-// GaugeFunc), which the registry samples at scrape time. Both shapes render
-// identically.
+// A component keeps its counts where its hot path updates them — a
+// metrics.Counter field, an evtrace.Counted for a count that is also a
+// flight-recorder event, an atomic, a mutex-guarded field — and exposes them
+// through AddCounter or the func-backed series (CounterFunc, GaugeFunc),
+// which the registry samples at scrape time. Every gauge is sampled: a
+// gauge reports state the component already holds.
 package metrics
 
 import (
@@ -45,20 +46,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous int64 value. The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram counts integer observations into fixed buckets chosen at
 // construction. Observe costs two atomic adds (bucket + sum) and a linear
@@ -132,7 +119,6 @@ type series struct {
 	kind kind
 	help string
 	c    *Counter
-	g    *Gauge
 	h    *Histogram
 	cf   func() uint64
 	gf   func() float64
@@ -141,7 +127,7 @@ type series struct {
 // Registry holds registered series. Registration (which interns names and
 // may allocate) happens at wiring time; scraping walks the series and reads
 // each one atomically. A Registry is safe for concurrent registration and
-// scraping, and the same Counter/Gauge/Histogram may be registered in any
+// scraping, and the same Counter/Histogram may be registered in any
 // number of registries.
 type Registry struct {
 	mu     sync.Mutex
@@ -249,18 +235,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(&series{name: name, kind: kindCounter, help: help, cf: fn})
 }
 
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.AddGauge(name, help, g)
-	return g
-}
-
-// AddGauge registers an existing gauge under name.
-func (r *Registry) AddGauge(name, help string, g *Gauge) {
-	r.register(&series{name: name, kind: kindGauge, help: help, g: g})
-}
-
 // GaugeFunc registers a gauge series sampled from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&series{name: name, kind: kindGauge, help: help, gf: fn})
@@ -302,7 +276,7 @@ func (r *Registry) Snapshot() []Sample {
 		case kindCounter:
 			out = append(out, Sample{s.name, float64(s.counterValue())})
 		case kindGauge:
-			out = append(out, Sample{s.name, s.gaugeValue()})
+			out = append(out, Sample{s.name, s.gf()})
 		case kindHistogram:
 			out = append(out, Sample{s.name + "_count", float64(s.h.Count())})
 			out = append(out, Sample{s.name + "_sum", float64(s.h.Sum())})
@@ -317,13 +291,6 @@ func (s *series) counterValue() uint64 {
 		return s.cf()
 	}
 	return s.c.Load()
-}
-
-func (s *series) gaugeValue() float64 {
-	if s.gf != nil {
-		return s.gf()
-	}
-	return float64(s.g.Load())
 }
 
 // WriteTo renders the registry in the Prometheus text exposition format
@@ -373,7 +340,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		case kindGauge:
 			b.WriteString(s.name)
 			b.WriteByte(' ')
-			b.WriteString(strconv.FormatFloat(s.gaugeValue(), 'g', -1, 64))
+			b.WriteString(strconv.FormatFloat(s.gf(), 'g', -1, 64))
 			b.WriteByte('\n')
 		case kindHistogram:
 			writeHistogram(&b, s)

@@ -7,19 +7,13 @@ import (
 	"testing"
 )
 
-// TestCounterGaugeBasics: atomic arithmetic, zero values ready.
+// TestCounterGaugeBasics: atomic arithmetic, zero value ready.
 func TestCounterGaugeBasics(t *testing.T) {
 	var c Counter
 	c.Inc()
 	c.Add(41)
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
-	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-10)
-	if got := g.Load(); got != -3 {
-		t.Fatalf("gauge = %d, want -3", got)
 	}
 }
 
@@ -320,13 +314,10 @@ func TestConcurrentScrapeAndUpdate(t *testing.T) {
 // TestUpdateZeroAlloc: the hot-path update ops must not allocate.
 func TestUpdateZeroAlloc(t *testing.T) {
 	var c Counter
-	var g Gauge
 	h := NewHistogram(1, 8, 64)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(5)
-		g.Add(-1)
 		h.Observe(7)
 	}); n != 0 {
 		t.Fatalf("update path allocates %.2f allocs/op, want 0", n)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -38,6 +39,7 @@ type shard struct {
 	svc   *Service
 	epoch time.Time      // the deadline clock's zero, fixed at construction
 	tr    *evtrace.Shard // flight-recorder handle (nil-safe, one branch when off)
+	em    emitter        // used by the worker alone; its counts are atomic
 	mu    sync.Mutex
 	heap  []*schedEvent // min-heap by next
 	kick  chan struct{}
@@ -59,6 +61,7 @@ func newScheduler(svc *Service, ctx context.Context, shards int) *scheduler {
 			svc:   svc,
 			epoch: sc.epoch,
 			tr:    svc.cfg.Trace.Shard(i),
+			em:    newEmitter(svc, svc.cfg.Trace.Shard(i)),
 			kick:  make(chan struct{}, 1),
 			done:  make(chan struct{}),
 		}
@@ -117,7 +120,6 @@ func (sh *shard) wake() {
 // nothing.
 func (sh *shard) run(ctx context.Context) {
 	defer close(sh.done)
-	em := newEmitter(sh.svc, sh.tr)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
@@ -156,7 +158,7 @@ func (sh *shard) run(ctx context.Context) {
 		sh.pop()
 		sh.mu.Unlock()
 
-		sh.emitDue(ev, &em)
+		sh.emitDue(ev, &sh.em)
 		if ctx.Err() != nil {
 			return
 		}
@@ -256,9 +258,9 @@ func (sh *shard) pop() *schedEvent {
 // emitter is the zero-alloc round emission sink: it implements
 // core.RoundEmitter by building each packet in a pooled buffer, grouping
 // consecutive same-layer packets into one batch, and handing each batch to
-// Service.sendBatch. Buffers are released back to the pool as soon as
-// their batch is sent (transports and Bus handlers must not retain packet
-// bytes — see transport.Sender).
+// the transport. Buffers are released back to the pool as soon as their
+// batch is sent (transports and Bus handlers must not retain packet bytes —
+// see transport.Sender).
 type emitter struct {
 	svc     *Service
 	free    *transport.FreeList
@@ -267,11 +269,19 @@ type emitter struct {
 	batch   [][]byte         // packets of the in-progress batch
 	layer   int
 	tr      *evtrace.Shard // flight-recorder handle (nil-safe)
-	sess    uint16         // session of the round in flight; set while tracing
+
+	// What this emitter handed the transport, read by Service.Stats and
+	// the registry: rounds counts EvRound events, batches counts packets in
+	// EvTxBatch events, bytes sums the events' B. bound is the session both
+	// events are bound to (-1 before the first round).
+	rounds  evtrace.Counted
+	batches evtrace.Counted
+	bytes   atomic.Uint64
+	bound   int
 }
 
 func newEmitter(svc *Service, tr *evtrace.Shard) emitter {
-	return emitter{svc: svc, free: transport.NewFreeList(svc.pool), tr: tr}
+	return emitter{svc: svc, free: transport.NewFreeList(svc.pool), tr: tr, bound: -1}
 }
 
 // PacketBuf implements core.RoundEmitter. The buffer joins the batch only
@@ -304,22 +314,29 @@ func (em *emitter) Emit(layer int, pkt []byte) error {
 	return nil
 }
 
-// flush sends the accumulated batch through Service.sendBatch (which
-// counts it and swallows transport errors — a fountain retransmits
-// everything eventually) and releases the batch's buffers to the pool.
+// flush counts the accumulated batch, hands it to the transport and
+// releases the batch's buffers to the pool.
+//
+// Transport errors are counted and swallowed — a fountain retransmits
+// everything eventually, so a lost send is indistinguishable from network
+// loss and must not kill the session's emission. Transports isolate errors
+// internally (a failing subscriber forfeits only its own writes — see
+// transport.UDPServer.SendBatch) and report only that *something* failed,
+// so the whole batch counts as handed to the transport and the error as
+// one failure event.
 func (em *emitter) flush() {
-	if len(em.batch) > 0 {
-		if em.tr.On() {
-			// Before SendBatch, so channel events of the batch's deliveries
-			// follow their tx event in single-shard stream order.
-			var nb uint64
-			for _, p := range em.batch {
-				nb += uint64(len(p))
-			}
-			em.tr.Emit(evtrace.EvTxBatch, em.sess, em.svc.cfg.TraceID, 0, uint8(em.layer),
-				uint64(len(em.batch)), nb)
+	if n := len(em.batch); n > 0 {
+		var nb uint64
+		for _, p := range em.batch {
+			nb += uint64(len(p))
 		}
-		em.svc.sendBatch(em.layer, em.batch)
+		// Before SendBatch, so channel events of the batch's deliveries
+		// follow their tx event in single-shard stream order.
+		em.batches.Add(uint64(n), uint8(em.layer), uint64(n), nb)
+		em.bytes.Add(nb)
+		if err := em.svc.tx.SendBatch(em.layer, em.batch); err != nil {
+			em.svc.sendErrors.Add(1)
+		}
 	}
 	for i, b := range em.bufs {
 		em.free.Put(b)
@@ -333,7 +350,10 @@ func (em *emitter) flush() {
 // its tail, so a pop's consecutive rounds share batches. The carousel can
 // only fail on emit errors, and Emit never fails, so the round always
 // completes; sends themselves are counted (and their errors swallowed) by
-// Service.sendBatch.
+// flush. A shard's emitter serves many sessions, so a round of a session
+// other than the bound one first rebinds the round and batch events to it
+// (a batch never spans two sessions). Rebinding only on a change keeps a
+// one-packet round as cheap as the bare counter it replaced.
 // The EvRound event fires at the start, before NextRoundTo advances the
 // carousel's round counter: a trace consumer counting EvRound events per
 // source therefore sees exactly Carousel.Rounds() at any downstream event
@@ -342,13 +362,13 @@ func (em *emitter) flush() {
 // several EvRound events may precede the EvTxBatch that carries their
 // packets; only emitRound (the manual path) keeps round and batch 1:1.
 func (em *emitter) round(car *core.Carousel) {
-	if em.tr.On() {
-		em.sess = car.Session().Config().Session
-		em.tr.Emit(evtrace.EvRound, em.sess, em.svc.cfg.TraceID, 0, 0,
-			uint64(car.Rounds()), uint64(car.Sent()))
+	if sess := car.Session().Config().Session; int(sess) != em.bound {
+		em.bound = int(sess)
+		em.rounds.Trace(em.tr, evtrace.EvRound, sess, em.svc.cfg.TraceID, 0)
+		em.batches.Trace(em.tr, evtrace.EvTxBatch, sess, em.svc.cfg.TraceID, 0)
 	}
+	em.rounds.Add(1, 0, uint64(car.Rounds()), uint64(car.Sent()))
 	_ = car.NextRoundTo(em)
-	em.svc.rounds.Inc()
 }
 
 // emitRound is one round, flushed: Service.EmitRound's unit, so the

@@ -137,14 +137,12 @@ type Service struct {
 	manualMu sync.Mutex
 	manualEm emitter
 
-	packets    atomic.Uint64
-	bytes      atomic.Uint64
 	sendErrors atomic.Uint64
 	draining   atomic.Bool
 
 	// Scheduler counters (see Stats); metrics.Counter so the registry can
-	// expose them directly — one atomic add on the emit path each.
-	rounds        metrics.Counter
+	// expose them directly — one atomic add on the emit path each. Rounds,
+	// packets and bytes are the emitters' own (see sent).
 	catchupRounds metrics.Counter
 	debtDropped   metrics.Counter
 
@@ -189,14 +187,14 @@ func (s *Service) Metrics() *metrics.Registry { return s.reg }
 // func-backed series — nothing on the emit path changes, the scraper reads
 // the same atomics (or takes the same short locks Stats does).
 func (s *Service) registerMetrics(r *metrics.Registry) {
-	r.CounterFunc("fountain_packets_sent_total",
-		"data packets handed to the transport", s.packets.Load)
-	r.CounterFunc("fountain_bytes_sent_total",
-		"data bytes handed to the transport", s.bytes.Load)
+	r.CounterFunc("fountain_packets_sent_total", "data packets handed to the transport",
+		func() uint64 { _, n, _ := s.sent(); return n })
+	r.CounterFunc("fountain_bytes_sent_total", "data bytes handed to the transport",
+		func() uint64 { _, _, n := s.sent(); return n })
 	r.CounterFunc("fountain_send_errors_total",
 		"transport send failure events (batches with at least one errored write)", s.sendErrors.Load)
-	r.AddCounter("fountain_sched_rounds_total",
-		"carousel rounds emitted", &s.rounds)
+	r.CounterFunc("fountain_sched_rounds_total", "carousel rounds emitted",
+		func() uint64 { n, _, _ := s.sent(); return n })
 	r.AddCounter("fountain_sched_catchup_rounds_total",
 		"owed rounds emitted beyond the first of their pop (normal whenever a round interval is below timer granularity)", &s.catchupRounds)
 	r.AddCounter("fountain_sched_debt_dropped_total",
@@ -341,24 +339,19 @@ func (s *Service) EmitRound(car *core.Carousel) error {
 	return nil
 }
 
-// sendBatch hands one per-layer batch to the transport and counts it.
-// Transport errors are counted and swallowed — a fountain retransmits
-// everything eventually, so a lost send is indistinguishable from network
-// loss and must not kill the session's emission. Transports isolate errors
-// internally (a failing subscriber forfeits only its own writes — see
-// transport.UDPServer.SendBatch) and report only that *something* failed,
-// so the whole batch counts as handed to the transport and the error as
-// one failure event.
-func (s *Service) sendBatch(layer int, pkts [][]byte) {
-	if err := s.tx.SendBatch(layer, pkts); err != nil {
-		s.sendErrors.Add(1)
+// sent sums what every emitter — the manual path's and each scheduler
+// shard's — handed the transport: rounds, packets and bytes.
+func (s *Service) sent() (rounds, packets, bytes uint64) {
+	add := func(em *emitter) {
+		rounds += em.rounds.Load()
+		packets += em.batches.Load()
+		bytes += em.bytes.Load()
 	}
-	s.packets.Add(uint64(len(pkts)))
-	var nb uint64
-	for _, p := range pkts {
-		nb += uint64(len(p))
+	add(&s.manualEm)
+	for _, sh := range s.sched.shards {
+		add(&sh.em)
 	}
-	s.bytes.Add(nb)
+	return rounds, packets, bytes
 }
 
 // Remove stops a session's paced emission — waiting out any in-flight
@@ -476,13 +469,14 @@ func (s *Service) Stats() Stats {
 	n := len(s.sessions)
 	s.mu.Unlock()
 	cs := s.cache.StatsSnapshot()
+	rounds, packets, bytes := s.sent()
 	return Stats{
 		Sessions:      n,
 		Shards:        len(s.sched.shards),
-		PacketsSent:   s.packets.Load(),
-		BytesSent:     s.bytes.Load(),
+		PacketsSent:   packets,
+		BytesSent:     bytes,
 		SendErrors:    s.sendErrors.Load(),
-		RoundsEmitted: s.rounds.Load(),
+		RoundsEmitted: rounds,
 		CatchupRounds: s.catchupRounds.Load(),
 		DebtDropped:   s.debtDropped.Load(),
 		Draining:      s.draining.Load(),

@@ -14,7 +14,6 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/evtrace"
 	"repro/internal/netsim"
@@ -142,34 +141,14 @@ type BusClient struct {
 	rq           []queuedPacket
 
 	// Fault-pipeline ground truth: every decision the pipeline takes is
-	// counted at the moment it is taken, so a harness can assert a
-	// receiver's (or a metrics registry's) view against what the channel
-	// verifiably did. Atomics — incremented under c.mu but read lock-free
-	// by FaultStats during live traffic.
-	nDelivered  atomic.Uint64 // handler invocations (duplicate copies included)
-	nLost       atomic.Uint64 // drops by the loss process (not sleep/level filtering)
-	nCorrupted  atomic.Uint64 // deliveries with the one-byte flip applied
-	nDuplicated atomic.Uint64 // extra copies delivered by the duplication process
-
-	// Every ground-truth count above has a matching trace event, emitted
-	// at the same decision point, so a trace's channel accounting
-	// reconciles exactly against FaultStats.
-	trace chanTrace
-}
-
-// chanTrace is a BusClient's flight-recorder handle and the identity
-// stamped on its channel events. Copied under the client lock, used after
-// it is released.
-type chanTrace struct {
-	sh               *evtrace.Shard
-	sess, src, actor uint16
-}
-
-// emit records one channel event about an n-byte packet.
-func (t chanTrace) emit(typ evtrace.Type, layer, n int) {
-	if t.sh.On() {
-		t.sh.Emit(typ, t.sess, t.src, t.actor, uint8(layer), uint64(n), 0)
-	}
+	// counted, and recorded while a recorder is on, at the moment it is
+	// taken, so a harness can assert a receiver's, a metrics registry's or
+	// a trace's view against what the channel verifiably did. Read
+	// lock-free by FaultStats during live traffic.
+	delivered  evtrace.Counted // handler invocations (duplicate copies included)
+	lost       evtrace.Counted // drops by the loss process (not sleep/level filtering)
+	corrupted  evtrace.Counted // deliveries with the one-byte flip applied
+	duplicated evtrace.Counted // extra copies delivered by the duplication process
 }
 
 // FaultStats is a BusClient's ground-truth fault accounting: what the
@@ -186,10 +165,10 @@ type FaultStats struct {
 // SetReorder(0, 0) before reconciling exact totals.
 func (c *BusClient) FaultStats() FaultStats {
 	return FaultStats{
-		Delivered:  c.nDelivered.Load(),
-		Lost:       c.nLost.Load(),
-		Corrupted:  c.nCorrupted.Load(),
-		Duplicated: c.nDuplicated.Load(),
+		Delivered:  c.delivered.Load(),
+		Lost:       c.lost.Load(),
+		Corrupted:  c.corrupted.Load(),
+		Duplicated: c.duplicated.Load(),
 	}
 }
 
@@ -271,25 +250,24 @@ func (c *BusClient) SetReorder(depth int, seed int64) {
 		c.rq = nil
 	}
 	closed := c.closed
-	tr := c.trace
 	c.mu.Unlock()
 	if closed {
 		return
 	}
 	for _, q := range flush {
-		c.hand(tr, q.layer, q.pkt, false)
+		c.hand(q.layer, q.pkt, false)
 	}
 }
 
 // SetTrace attaches a flight-recorder shard and the identity (session,
-// source, receiver) stamped on this client's channel events. Call before
-// traffic flows; nil detaches. The fault pipeline then emits one event per
-// ground-truth count — deliver/loss/corrupt/duplicate — at the moment the
-// decision is taken.
+// source, receiver) stamped on this client's channel events; nil detaches.
+// Every ground-truth count — deliver/loss/corrupt/duplicate — is then also
+// one event about the packet (A = wire length).
 func (c *BusClient) SetTrace(sh *evtrace.Shard, sess, src, actor uint16) {
-	c.mu.Lock()
-	c.trace = chanTrace{sh, sess, src, actor}
-	c.mu.Unlock()
+	c.delivered.Trace(sh, evtrace.EvChDeliver, sess, src, actor)
+	c.lost.Trace(sh, evtrace.EvChLoss, sess, src, actor)
+	c.corrupted.Trace(sh, evtrace.EvChCorrupt, sess, src, actor)
+	c.duplicated.Trace(sh, evtrace.EvChDup, sess, src, actor)
 }
 
 // SetAsleep pauses (true) or resumes (false) the client: an asleep client
@@ -359,10 +337,8 @@ func (c *BusClient) deliver(layer int, pkt []byte) {
 	if c.byLayer != nil && c.byLayer[layer] != nil {
 		lp = c.byLayer[layer]
 	}
-	tr := c.trace
 	if lp != nil && lp.Lose() {
-		c.nLost.Add(1)
-		tr.emit(evtrace.EvChLoss, layer, len(pkt))
+		c.lost.Add(1, uint8(layer), uint64(len(pkt)), 0)
 		c.mu.Unlock()
 		return
 	}
@@ -371,8 +347,7 @@ func (c *BusClient) deliver(layer int, pkt []byte) {
 		// buffer must reach every other subscriber intact.
 		c.scratch = append(c.scratch[:0], pkt...)
 		c.scratch[int(c.faultN%uint64(len(c.scratch)))] ^= 0x55
-		c.nCorrupted.Add(1)
-		tr.emit(evtrace.EvChCorrupt, layer, len(pkt))
+		c.corrupted.Add(1, uint8(layer), uint64(len(pkt)), 0)
 		pkt = c.scratch
 	}
 	c.faultN++
@@ -394,24 +369,21 @@ func (c *BusClient) deliver(layer int, pkt []byte) {
 		c.rq = c.rq[:last]
 	}
 	c.mu.Unlock()
-	c.hand(tr, layer, pkt, dup)
+	c.hand(layer, pkt, dup)
 }
 
 // hand gives one packet the pipeline released to the handler — twice when
-// the duplication process fired — counting and tracing every copy. It runs
-// without the client lock: a handler may call back into the client.
-func (c *BusClient) hand(tr chanTrace, layer int, pkt []byte, dup bool) {
+// the duplication process fired — counting every copy. It runs without the
+// client lock: a handler may call back into the client.
+func (c *BusClient) hand(layer int, pkt []byte, dup bool) {
 	if c.handler == nil { // set once, by NewClient
 		return
 	}
-	c.nDelivered.Add(1)
-	tr.emit(evtrace.EvChDeliver, layer, len(pkt))
+	c.delivered.Add(1, uint8(layer), uint64(len(pkt)), 0)
 	c.handler(layer, pkt)
 	if dup {
-		c.nDuplicated.Add(1)
-		c.nDelivered.Add(1)
-		tr.emit(evtrace.EvChDup, layer, len(pkt))
-		tr.emit(evtrace.EvChDeliver, layer, len(pkt))
+		c.duplicated.Add(1, uint8(layer), uint64(len(pkt)), 0)
+		c.delivered.Add(1, uint8(layer), uint64(len(pkt)), 0)
 		c.handler(layer, pkt)
 	}
 }
