@@ -11,43 +11,28 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/benchproto"
 	"repro/internal/gf"
 	"repro/internal/netsim"
 	"repro/internal/repro"
 	"repro/internal/tornado"
 )
 
-func mkSrc(b *testing.B, k, pl int) [][]byte {
-	b.Helper()
-	return benchproto.Source(k, pl)
-}
-
-// BenchmarkTable2Encode measures encoding across the codec family
-// (Table 2's columns) at a 512KB file size.
+// BenchmarkTable2Encode measures encoding across Table 2's roster at a
+// 512KB file size.
 func BenchmarkTable2Encode(b *testing.B) {
 	const k, pl = 512, 1024
-	cases := []struct {
-		name string
-		mk   func() (Codec, error)
-	}{
-		{"Vandermonde", func() (Codec, error) { return NewVandermonde(k, 2*k, pl) }},
-		{"Cauchy", func() (Codec, error) { return NewCauchy(k, 2*k, pl) }},
-		{"TornadoA", func() (Codec, error) { return NewTornado(TornadoA(), k, 2*k, pl, 1) }},
-		{"TornadoB", func() (Codec, error) { return NewTornado(TornadoB(), k, 2*k, pl, 1) }},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			codec, err := c.mk()
+	for _, e := range repro.Roster {
+		b.Run(e.Name, func(b *testing.B) {
+			c, err := e.New(k, pl, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			src := mkSrc(b, k, pl)
+			src := repro.Corpus(rand.New(rand.NewSource(1)), k, pl)
 			b.SetBytes(int64(k * pl))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := codec.Encode(src); err != nil {
+				if _, err := c.Encode(src); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -55,58 +40,42 @@ func BenchmarkTable2Encode(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3Decode measures decoding (Table 3's protocol: RS from
-// k/2 source + k/2 repair; Tornado from a random stream).
-func BenchmarkTable3Decode(b *testing.B) {
-	const k, pl = 512, 1024
+// benchDecode times repro.Decode of c's encoding of a fresh corpus, one
+// reception order from order per iteration; order generation is off the
+// clock, as in cmd/bench.
+func benchDecode(b *testing.B, c Codec, order func(rng *rand.Rand) []int) {
+	src := repro.Corpus(rand.New(rand.NewSource(1)), c.K(), c.PacketLen())
+	enc, err := c.Encode(src)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(2))
-	run := func(b *testing.B, codec Codec, tornadoStyle bool) {
-		src := mkSrc(b, k, pl)
-		enc, err := codec.Encode(src)
-		if err != nil {
+	b.SetBytes(int64(c.K() * c.PacketLen()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		o := order(rng)
+		b.StartTimer()
+		if _, err := repro.Decode(c, enc, 0, o); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(k * pl))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Order generation is off the clock, mirroring cmd/bench, so
-			// both surfaces report the same workload.
-			b.StopTimer()
-			var order []int
-			if tornadoStyle {
-				order = benchproto.TornadoOrder(rng, codec.N())
-			} else {
-				order = benchproto.RSOrder(rng, k)
-			}
-			b.StartTimer()
-			d := codec.NewDecoder()
-			for _, j := range order {
-				if done, _ := d.Add(j, enc[j]); done {
-					break
-				}
-			}
-			if _, err := d.Source(); err != nil {
+	}
+}
+
+// BenchmarkTable3Decode measures decoding across Table 3's roster with its
+// protocol: RS from k/2 source + k/2 repair; Tornado from a random stream.
+func BenchmarkTable3Decode(b *testing.B) {
+	const k, pl = 512, 1024
+	for _, e := range repro.Roster {
+		b.Run(e.Name, func(b *testing.B) {
+			c, err := e.New(k, pl, 1)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
+			benchDecode(b, c, func(rng *rand.Rand) []int { return e.Order(rng, k) })
+		})
 	}
-	b.Run("Vandermonde", func(b *testing.B) {
-		c, _ := NewVandermonde(k, 2*k, pl)
-		run(b, c, false)
-	})
-	b.Run("Cauchy", func(b *testing.B) {
-		c, _ := NewCauchy(k, 2*k, pl)
-		run(b, c, false)
-	})
-	b.Run("TornadoA", func(b *testing.B) {
-		c, _ := NewTornado(TornadoA(), k, 2*k, pl, 1)
-		run(b, c, true)
-	})
-	b.Run("TornadoB", func(b *testing.B) {
-		c, _ := NewTornado(TornadoB(), k, 2*k, pl, 1)
-		run(b, c, true)
-	})
 }
 
 // BenchmarkFig2OverheadTrial measures one reception-overhead sample of the
@@ -119,18 +88,7 @@ func BenchmarkFig2OverheadTrial(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			src := mkSrc(b, k, 16)
-			enc, _ := c.Encode(src)
-			rng := rand.New(rand.NewSource(4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := c.NewDecoder()
-				for _, j := range rng.Perm(c.N()) {
-					if done, _ := d.Add(j, enc[j]); done {
-						break
-					}
-				}
-			}
+			benchDecode(b, c, func(rng *rand.Rand) []int { return rng.Perm(c.N()) })
 		})
 	}
 }
@@ -253,8 +211,10 @@ func BenchmarkFig8Prototype(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationXORKernel compares the crypto/subtle XOR kernel used
-// throughout against a byte loop (the DESIGN.md ablation).
+// BenchmarkAblationXORKernel compares gf.XORSlice, the one-source XOR left
+// in Cauchy's bucket combine and bitmat's dense reference, against a byte
+// loop (the DESIGN.md ablation). Every encoder and decoder folds through
+// gf.XORMany instead; internal/gf's BenchmarkXORMany times that kernel.
 func BenchmarkAblationXORKernel(b *testing.B) {
 	dst := make([]byte, 1024)
 	src := make([]byte, 1024)
@@ -287,18 +247,7 @@ func BenchmarkAblationDenseTail(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			src := mkSrc(b, k, 64)
-			enc, _ := c.Encode(src)
-			rng := rand.New(rand.NewSource(12))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := c.NewDecoder()
-				for _, j := range rng.Perm(c.N()) {
-					if done, _ := d.Add(j, enc[j]); done {
-						break
-					}
-				}
-			}
+			benchDecode(b, c, func(rng *rand.Rand) []int { return rng.Perm(c.N()) })
 		})
 	}
 }

@@ -2,17 +2,19 @@
 // (encode and decode throughput for Tornado A/B and the two Reed-Solomon
 // baselines, plus the rateless LT and raptor codecs at k = 1000 and 10000)
 // and writes the results as machine-readable JSON, so the performance
-// trajectory can be tracked PR over PR. Decode rows also carry the measured
-// reception overhead (packets needed / k, averaged over fresh reception
-// orders), and the Tornado and rateless decode rows sit under hard
-// regression gates (checkDecodeGates): overhead or allocation drift fails
-// the run.
+// trajectory can be tracked PR over PR. Every decode row times
+// repro.Decode, the decode the paper's tables time, and carries its
+// measured reception overhead (packets needed / k, averaged over fresh
+// reception orders). The Tornado and rateless decode rows sit under hard
+// regression gates, and Tornado A's speed against Cauchy RS under a ratio
+// gate (checkDecodeGates): overhead, allocation or ratio drift fails the
+// run.
 //
 // Usage:
 //
-//	go run ./cmd/bench [-suite codecs] [-o BENCH_codecs.json] [-k 512] [-pl 1024]
+//	go run ./cmd/bench [-suite codecs] [-o BENCH_codecs.json]
 //	go run ./cmd/bench -suite sender [-o BENCH_sender.json]
-//	go run ./cmd/bench -suite receiver [-o BENCH_receiver.json] [-receivers 1000000]
+//	go run ./cmd/bench -suite receiver [-o BENCH_receiver.json]
 //
 // The sender suite benchmarks the service's aggregate emission throughput
 // at 1/16/256 concurrent sessions through the shared pacing scheduler and
@@ -29,13 +31,12 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	fountain "repro"
-	"repro/internal/benchproto"
 	"repro/internal/code"
+	"repro/internal/repro"
 )
 
 type result struct {
@@ -58,243 +59,188 @@ type result struct {
 // into each decode row's Overhead figure.
 const overheadTrials = 5
 
-type report struct {
+// The codecs suite's shape: the fixed-rate roster at fixedK source
+// packets, and every code at packetLen bytes.
+const (
+	fixedK    = 512
+	packetLen = 1024
+)
+
+// envelope is the header of every suite's report.
+type envelope struct {
 	GOOS       string    `json:"goos"`
 	GOARCH     string    `json:"goarch"`
 	GoVersion  string    `json:"go_version"`
 	GOMAXPROCS int       `json:"gomaxprocs"`
 	Time       time.Time `json:"time"`
-	Results    []result  `json:"results"`
 }
 
-func main() {
-	suite := flag.String("suite", "codecs", "benchmark suite: codecs|sender|receiver")
-	out := flag.String("o", "", "output JSON path ('-' for stdout; default BENCH_<suite>.json)")
-	k := flag.Int("k", 512, "source packets per block (codecs suite only)")
-	pl := flag.Int("pl", 1024, "packet length in bytes (sender suite default: 500)")
-	receivers := flag.Int("receivers", 1_000_000, "simulated population size (receiver suite only)")
-	flag.Parse()
-
-	switch *suite {
-	case "receiver":
-		if *out == "" {
-			*out = "BENCH_receiver.json"
-		}
-		runReceiverSuite(*out, *receivers)
-		return
-	case "sender":
-		if *out == "" {
-			*out = "BENCH_sender.json"
-		}
-		spl := *pl
-		if !flagWasSet("pl") {
-			spl = 500 // the paper prototype's payload, the suite's reference point
-		}
-		runSenderSuite(*out, spl)
-		return
-	case "codecs":
-		if *out == "" {
-			*out = "BENCH_codecs.json"
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "bench: unknown suite %q (codecs|sender|receiver)\n", *suite)
-		os.Exit(1)
-	}
-
-	kk, ppl := *k, *pl
-	codecs := []struct {
-		name string
-		mk   func() (fountain.Codec, error)
-	}{
-		{"rs-vandermonde", func() (fountain.Codec, error) { return fountain.NewVandermonde(kk, 2*kk, ppl) }},
-		{"rs-cauchy", func() (fountain.Codec, error) { return fountain.NewCauchy(kk, 2*kk, ppl) }},
-		{"tornado-a", func() (fountain.Codec, error) { return fountain.NewTornado(fountain.TornadoA(), kk, 2*kk, ppl, 1) }},
-		{"tornado-b", func() (fountain.Codec, error) { return fountain.NewTornado(fountain.TornadoB(), kk, 2*kk, ppl, 1) }},
-	}
-
-	rep := report{
+func newEnvelope() envelope {
+	return envelope{
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Time:       time.Now().UTC(),
 	}
-	for _, c := range codecs {
-		codec, err := c.mk()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %s: %v\n", c.name, err)
-			os.Exit(1)
-		}
-		src := benchproto.Source(kk, ppl)
-		enc, err := codec.Encode(src)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %s encode: %v\n", c.name, err)
-			os.Exit(1)
-		}
-		tornadoStyle := false
-		switch c.name {
-		case "tornado-a", "tornado-b":
-			tornadoStyle = true
-		}
+}
 
-		encRes := runBench(kk*ppl, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.Encode(src); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		encRes.Name, encRes.Op = c.name, "encode"
-		encRes.K, encRes.N, encRes.PacketLen = kk, codec.N(), ppl
-		rep.Results = append(rep.Results, encRes)
+type report struct {
+	envelope
+	Results []result `json:"results"`
+}
 
-		rng := rand.New(rand.NewSource(2))
-		decRes := runBench(kk*ppl, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Packet-order generation is not the decoder's work: keep
-				// it off the clock and out of the allocation accounting.
-				b.StopTimer()
-				var order []int
-				if tornadoStyle {
-					order = benchproto.TornadoOrder(rng, codec.N())
-				} else {
-					order = benchproto.RSOrder(rng, kk)
-				}
-				b.StartTimer()
-				d := codec.NewDecoder()
-				for _, j := range order {
-					done, err := d.Add(j, enc[j])
-					if err != nil {
-						b.Fatal(err)
-					}
-					if done {
-						break
-					}
-				}
-				if _, err := d.Source(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		decRes.Name, decRes.Op = c.name, "decode"
-		decRes.K, decRes.N, decRes.PacketLen = kk, codec.N(), ppl
-		decRes.Overhead = fixedOverhead(codec, enc, kk, tornadoStyle)
-		rep.Results = append(rep.Results, decRes)
+func main() {
+	suite := flag.String("suite", "codecs", "benchmark suite: codecs|sender|receiver")
+	out := flag.String("o", "", "output JSON path ('-' for stdout; default BENCH_<suite>.json)")
+	flag.Parse()
+
+	run := map[string]func(string){
+		"codecs":   runCodecSuite,
+		"sender":   runSenderSuite,
+		"receiver": runReceiverSuite,
+	}[*suite]
+	if run == nil {
+		fatalf("unknown suite %q (codecs|sender|receiver)", *suite)
 	}
-
-	// The rateless codecs, at the ISSUE-4 reference sizes. Throughput is
-	// per k packets' worth of payload so the MB/s figures are comparable
-	// with the fixed-rate rows, and reception overhead is measured over
-	// fresh regions of the unbounded index space.
-	for _, ltK := range []int{1000, 10000} {
-		res, err := benchLT(ltK, ppl)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: lt k=%d: %v\n", ltK, err)
-			os.Exit(1)
-		}
-		rep.Results = append(rep.Results, res...)
+	if *out == "" {
+		*out = "BENCH_" + *suite + ".json"
 	}
-	for _, rk := range []int{1000, 10000} {
-		res, err := benchRaptor(rk, ppl)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: raptor k=%d: %v\n", rk, err)
-			os.Exit(1)
-		}
-		rep.Results = append(rep.Results, res...)
-	}
+	run(*out)
+}
 
-	if err := checkDecodeGates(rep.Results, kk); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
+// fatalf reports a failure on stderr and exits nonzero.
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "bench: "+format+"\n", args...)
+	os.Exit(1)
+}
 
+// writeReport writes rep as indented JSON to out, or to stdout when out is
+// "-". Written to a file, it then prints the suite's table and the path.
+func writeReport(out string, rep any, table func()) {
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: marshal: %v\n", err)
-		os.Exit(1)
+		fatalf("marshal: %v", err)
 	}
 	buf = append(buf, '\n')
-	if *out == "-" {
+	if out == "-" {
 		os.Stdout.Write(buf)
 		return
 	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: write: %v\n", err)
-		os.Exit(1)
+	if err := os.WriteFile(out, buf, 0o644); err != nil {
+		fatalf("write: %v", err)
 	}
-	for _, r := range rep.Results {
-		ov := ""
-		if r.Overhead > 0 {
-			ov = fmt.Sprintf(" %7.4f pkts/k", r.Overhead)
-		}
-		fmt.Printf("%-16s %-7s k=%-6d %12.0f ns/op %9.2f MB/s %10d B/op %7d allocs/op%s\n",
-			r.Name, r.Op, r.K, r.NsPerOp, r.MBPerSec, r.BytesPerOp, r.AllocsPerOp, ov)
-	}
-	fmt.Printf("wrote %s\n", *out)
+	table()
+	fmt.Printf("wrote %s\n", out)
 }
 
-// flagWasSet reports whether the named flag was given on the command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
+// runCodecSuite measures every codec, enforces the gates, and writes the
+// JSON report.
+func runCodecSuite(out string) {
+	rep := report{envelope: newEnvelope()}
+	for _, e := range repro.Roster {
+		rows, err := benchFixed(e)
+		if err != nil {
+			fatalf("%s: %v", e.Name, err)
+		}
+		rep.Results = append(rep.Results, rows...)
+	}
+	// The rateless codecs. Throughput is per k packets' worth of payload
+	// so the MB/s figures are comparable with the fixed-rate rows, and
+	// reception overhead is measured over fresh regions of the unbounded
+	// index space.
+	for _, k := range []int{1000, 10000} {
+		rows, err := benchLT(k)
+		if err != nil {
+			fatalf("lt k=%d: %v", k, err)
+		}
+		rep.Results = append(rep.Results, rows...)
+	}
+	for _, k := range []int{1000, 10000} {
+		rows, err := benchRaptor(k)
+		if err != nil {
+			fatalf("raptor k=%d: %v", k, err)
+		}
+		rep.Results = append(rep.Results, rows...)
+	}
+
+	if err := checkDecodeGates(rep.Results); err != nil {
+		fatalf("%v", err)
+	}
+	writeReport(out, rep, func() {
+		for _, r := range rep.Results {
+			ov := ""
+			if r.Overhead > 0 {
+				ov = fmt.Sprintf(" %7.4f pkts/k", r.Overhead)
+			}
+			fmt.Printf("%-16s %-7s k=%-6d %12.0f ns/op %9.2f MB/s %10d B/op %7d allocs/op%s\n",
+				r.Name, r.Op, r.K, r.NsPerOp, r.MBPerSec, r.BytesPerOp, r.AllocsPerOp, ov)
 		}
 	})
-	return set
 }
 
-// fixedOverhead measures a fixed-rate codec's reception overhead (packets
-// needed / k) over fresh Table-3 reception orders.
-func fixedOverhead(codec fountain.Codec, enc [][]byte, k int, tornadoStyle bool) float64 {
-	rng := rand.New(rand.NewSource(77))
+// benchFixed produces a roster code's encode and decode rows at fixedK:
+// the decode row times repro.Decode over a fresh Table 3 reception per
+// iteration.
+func benchFixed(e repro.Entry) ([]result, error) {
+	codec, err := e.New(fixedK, packetLen, 1)
+	if err != nil {
+		return nil, err
+	}
+	src := repro.Corpus(rand.New(rand.NewSource(1)), fixedK, packetLen)
+	enc, err := codec.Encode(src)
+	if err != nil {
+		return nil, err
+	}
+	encRes := runBench(codec, "encode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := codec.Encode(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	rng := rand.New(rand.NewSource(2))
+	decRes := runBench(codec, "decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			// Packet-order generation is not the decoder's work: keep
+			// it off the clock and out of the allocation accounting.
+			b.StopTimer()
+			order := e.Order(rng, fixedK)
+			b.StartTimer()
+			if _, err := repro.Decode(codec, enc, 0, order); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	ovRng := rand.New(rand.NewSource(77))
+	decRes.Overhead, err = meanOverhead(fixedK, func(int) (int, error) {
+		return repro.Decode(codec, enc, 0, e.Order(ovRng, fixedK))
+	})
+	return []result{encRes, decRes}, err
+}
+
+// meanOverhead averages the packets per source packet that decode(trial)
+// takes over overheadTrials trials.
+func meanOverhead(k int, decode func(trial int) (int, error)) (float64, error) {
 	total := 0
 	for trial := 0; trial < overheadTrials; trial++ {
-		var order []int
-		if tornadoStyle {
-			order = benchproto.TornadoOrder(rng, codec.N())
-		} else {
-			order = benchproto.RSOrder(rng, k)
-		}
-		d := codec.NewDecoder()
-		for _, j := range order {
-			total++
-			done, err := d.Add(j, enc[j])
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench: overhead add: %v\n", err)
-				os.Exit(1)
-			}
-			if done {
-				break
-			}
-		}
-		if !d.Done() {
-			// A decoder that exhausts its reception order without
-			// completing is a regression; a quiet overhead figure would
-			// mask exactly what this field exists to track.
-			fmt.Fprintf(os.Stderr, "bench: %s did not decode within its reception order\n", codec.Name())
-			os.Exit(1)
-		}
-	}
-	return float64(total) / float64(overheadTrials) / float64(k)
-}
-
-// decodeStream feeds pool, the stream region starting at index base, to a
-// fresh decoder until it completes and the source is rebuilt, and returns
-// the number of packets that took.
-func decodeStream(codec fountain.Codec, base int, pool [][]byte) (int, error) {
-	d := codec.NewDecoder()
-	for j := range pool {
-		done, err := d.Add(base+j, pool[j])
+		used, err := decode(trial)
 		if err != nil {
 			return 0, err
 		}
-		if done {
-			_, err = d.Source()
-			return j + 1, err
-		}
+		total += used
 	}
-	return 0, fmt.Errorf("%s k=%d: not decodable from %d packets", codec.Name(), codec.K(), len(pool))
+	return float64(total) / overheadTrials / float64(k), nil
+}
+
+// inOrder returns the reception order 0, 1, …, n-1: a stream region in
+// index order.
+func inOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 // benchRateless produces the two rows every rateless codec has at one k:
@@ -303,15 +249,16 @@ func decodeStream(codec fountain.Codec, base int, pool [][]byte) (int, error) {
 // throughput over a fresh stream region per iteration, carrying the
 // averaged reception overhead.
 func benchRateless(codec fountain.Codec, encodeBase int, decodeOp string) ([]result, error) {
-	k, pl := codec.K(), codec.PacketLen()
+	k := codec.K()
 	ranger := codec.(code.RangeEncoder)
-	src := benchproto.Source(k, pl)
+	src := repro.Corpus(rand.New(rand.NewSource(1)), k, packetLen)
 	// Enough stream for any single decode: measured overhead stays under
 	// 1.1; a quarter plus slack gives deterministic headroom.
 	budget := k + k/4 + 256
+	stream := inOrder(budget)
 
 	base := encodeBase
-	encRes := runBench(k*pl, func(b *testing.B) {
+	encRes := runBench(codec, "encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := ranger.EncodeRange(src, base, base+k); err != nil {
 				b.Fatal(err)
@@ -319,18 +266,16 @@ func benchRateless(codec fountain.Codec, encodeBase int, decodeOp string) ([]res
 			base += k
 		}
 	})
-	encRes.Name, encRes.Op = codec.Name(), "encode"
-	encRes.K, encRes.N, encRes.PacketLen = k, codec.N(), pl
 
 	decBase := 1 << 28
-	decRes := runBench(k*pl, func(b *testing.B) {
+	decRes := runBench(codec, decodeOp, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Stream generation is the encoder's work: off the clock.
 			b.StopTimer()
 			pool, err := ranger.EncodeRange(src, decBase, decBase+budget)
 			b.StartTimer()
 			if err == nil {
-				_, err = decodeStream(codec, decBase, pool)
+				_, err = repro.Decode(codec, pool, decBase, stream)
 			}
 			if err != nil {
 				b.Fatal(err)
@@ -338,30 +283,23 @@ func benchRateless(codec fountain.Codec, encodeBase int, decodeOp string) ([]res
 			decBase += budget
 		}
 	})
-	decRes.Name, decRes.Op = codec.Name(), decodeOp
-	decRes.K, decRes.N, decRes.PacketLen = k, codec.N(), pl
 
 	// Reception overhead over fresh stream regions.
-	total := 0
-	for trial := 0; trial < overheadTrials; trial++ {
+	var err error
+	decRes.Overhead, err = meanOverhead(k, func(trial int) (int, error) {
 		ovBase := 1<<30 + trial*budget
 		pool, err := ranger.EncodeRange(src, ovBase, ovBase+budget)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		used, err := decodeStream(codec, ovBase, pool)
-		if err != nil {
-			return nil, err
-		}
-		total += used
-	}
-	decRes.Overhead = float64(total) / float64(overheadTrials) / float64(k)
-	return []result{encRes, decRes}, nil
+		return repro.Decode(codec, pool, ovBase, stream)
+	})
+	return []result{encRes, decRes}, err
 }
 
 // benchLT produces the encode/decode rows of the LT codec at one k.
-func benchLT(k, pl int) ([]result, error) {
-	codec, err := fountain.NewLT(k, pl, 1, 0, 0)
+func benchLT(k int) ([]result, error) {
+	codec, err := fountain.NewLT(k, packetLen, 1, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -381,8 +319,8 @@ func benchLT(k, pl int) ([]result, error) {
 //
 // The encode row measures repair-packet production (the systematic prefix
 // aliases the source and costs nothing).
-func benchRaptor(k, pl int) ([]result, error) {
-	codec, err := fountain.NewRaptor(k, pl, 1, 0, 0, 0, 0)
+func benchRaptor(k int) ([]result, error) {
+	codec, err := fountain.NewRaptor(k, packetLen, 1, 0, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -391,18 +329,17 @@ func benchRaptor(k, pl int) ([]result, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := benchproto.Source(k, pl)
-	sysRes := runBench(k*pl, func(b *testing.B) {
+	src := repro.Corpus(rand.New(rand.NewSource(1)), k, packetLen)
+	prefix := inOrder(k)
+	sysRes := runBench(codec, "decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The systematic prefix aliases src — no encode work to keep
 			// off the clock; the decoder copies it into its source buffer.
-			if _, err := decodeStream(codec, 0, src); err != nil {
+			if _, err := repro.Decode(codec, src, 0, prefix); err != nil {
 				b.Fatalf("lossless systematic intake did not complete at k: %v", err)
 			}
 		}
 	})
-	sysRes.Name, sysRes.Op = codec.Name(), "decode"
-	sysRes.K, sysRes.N, sysRes.PacketLen = k, codec.N(), pl
 	sysRes.Overhead = 1 // exactly k packets, asserted above
 	return []result{rows[0], sysRes, rows[1]}, nil
 }
@@ -425,10 +362,10 @@ type decodeGate struct {
 // store beside the file — fails the run. Each ceiling is its measured value
 // plus about 0.15 files.
 var decodeGates = []decodeGate{
-	// Tornado, at the default -k: no cascade at k = 512, so the rest is the
-	// dense rows' neighbour sets and the solver's state. A decoder keeping
-	// its own propagation state and packet arena (1.75 files, 96
-	// allocs/op) fails both ceilings.
+	// Tornado, at fixedK: no cascade at k = 512, so the rest is the dense
+	// rows' neighbour sets and the solver's state. A decoder keeping its
+	// own propagation state and packet arena (1.75 files, 96 allocs/op)
+	// fails both ceilings.
 	{"tornado-a", "decode", 512, 1.02, 80, 1.55},
 	{"tornado-b", "decode", 512, 1.02, 80, 1.55},
 	// LT: the rest is the received rows' neighbour sets and the solver's
@@ -443,44 +380,71 @@ var decodeGates = []decodeGate{
 	{"raptor", "decode-repair", 10000, 1.03, 1_000, 1.45},
 }
 
-// checkDecodeGates enforces decodeGates over the collected rows. A gate
-// whose row is missing is itself a failure — a renamed or dropped
-// benchmark must not pass vacuously. The fixed-rate rows run at -k, so
-// their gates hold only for a run at the k they name.
-func checkDecodeGates(results []result, fixedK int) error {
-	for _, g := range decodeGates {
-		if strings.HasPrefix(g.name, "tornado") && g.k != fixedK {
-			continue
-		}
-		found := false
+// ratioGates are the paper's central claim (Tables 2-3) as a gate that
+// holds on any box: at fixedK, Tornado A's MB/s over Cauchy RS's MB/s in
+// the same run, for each op, is at least min. Each min is half the ratio
+// of the run that set it: 102.6x for encode and 21.9x for decode on a
+// 2-core x86-64 box at GOMAXPROCS 2.
+var ratioGates = []struct {
+	op  string
+	min float64
+}{
+	{"encode", 51.3},
+	{"decode", 10.9},
+}
+
+// checkDecodeGates enforces decodeGates and ratioGates over the collected
+// rows. A gate whose row is missing is itself a failure — a renamed or
+// dropped benchmark must not pass vacuously.
+func checkDecodeGates(results []result) error {
+	row := func(name, op string, k int) (result, error) {
 		for _, r := range results {
-			if r.Name != g.name || r.Op != g.op || r.K != g.k {
-				continue
-			}
-			found = true
-			if r.Overhead > g.maxOverhead {
-				return fmt.Errorf("gate %s/%s k=%d: overhead %.4f exceeds %.2f",
-					g.name, g.op, g.k, r.Overhead, g.maxOverhead)
-			}
-			if r.AllocsPerOp > g.maxAllocs {
-				return fmt.Errorf("gate %s/%s k=%d: %d allocs/op exceeds %d",
-					g.name, g.op, g.k, r.AllocsPerOp, g.maxAllocs)
-			}
-			if files := float64(r.BytesPerOp) / float64(r.K*r.PacketLen); files > g.maxFiles {
-				return fmt.Errorf("gate %s/%s k=%d: %d B/op is %.2f files, exceeds %.2f",
-					g.name, g.op, g.k, r.BytesPerOp, files, g.maxFiles)
+			if r.Name == name && r.Op == op && r.K == k {
+				return r, nil
 			}
 		}
-		if !found {
-			return fmt.Errorf("gate %s/%s k=%d matched no benchmark row (vacuous pass)", g.name, g.op, g.k)
+		return result{}, fmt.Errorf("gate %s/%s k=%d matched no benchmark row (vacuous pass)", name, op, k)
+	}
+	for _, g := range decodeGates {
+		r, err := row(g.name, g.op, g.k)
+		if err != nil {
+			return err
+		}
+		if r.Overhead > g.maxOverhead {
+			return fmt.Errorf("gate %s/%s k=%d: overhead %.4f exceeds %.2f",
+				g.name, g.op, g.k, r.Overhead, g.maxOverhead)
+		}
+		if r.AllocsPerOp > g.maxAllocs {
+			return fmt.Errorf("gate %s/%s k=%d: %d allocs/op exceeds %d",
+				g.name, g.op, g.k, r.AllocsPerOp, g.maxAllocs)
+		}
+		if files := float64(r.BytesPerOp) / float64(r.K*r.PacketLen); files > g.maxFiles {
+			return fmt.Errorf("gate %s/%s k=%d: %d B/op is %.2f files, exceeds %.2f",
+				g.name, g.op, g.k, r.BytesPerOp, files, g.maxFiles)
+		}
+	}
+	for _, g := range ratioGates {
+		t, err := row("tornado-a", g.op, fixedK)
+		if err != nil {
+			return err
+		}
+		c, err := row("rs-cauchy", g.op, fixedK)
+		if err != nil {
+			return err
+		}
+		if ratio := t.MBPerSec / c.MBPerSec; !(ratio >= g.min) {
+			return fmt.Errorf("gate tornado-a/rs-cauchy %s k=%d: %.2f / %.2f MB/s is %.1fx, below %.1fx",
+				g.op, fixedK, t.MBPerSec, c.MBPerSec, ratio, g.min)
 		}
 	}
 	return nil
 }
 
 // runBench wraps testing.Benchmark (which scales iterations to ~1s of
-// measured time) with byte-rate accounting.
-func runBench(bytesPerOp int, fn func(b *testing.B)) result {
+// measured time) into a row of codec's op, with byte-rate accounting per
+// k packets.
+func runBench(codec fountain.Codec, op string, fn func(b *testing.B)) result {
+	bytesPerOp := codec.K() * codec.PacketLen()
 	r := testing.Benchmark(func(b *testing.B) {
 		b.SetBytes(int64(bytesPerOp))
 		b.ReportAllocs()
@@ -490,17 +454,20 @@ func runBench(bytesPerOp int, fn func(b *testing.B)) result {
 		// testing.Benchmark returns the zero result when the benchmark
 		// body b.Fatals; writing zero metrics would silently corrupt the
 		// trajectory file.
-		fmt.Fprintln(os.Stderr, "bench: benchmark failed (zero iterations)")
-		os.Exit(1)
+		fatalf("%s %s: benchmark failed (zero iterations)", codec.Name(), op)
 	}
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
 	mbps := 0.0
 	if r.T > 0 {
 		mbps = float64(bytesPerOp) * float64(r.N) / r.T.Seconds() / 1e6
 	}
 	return result{
+		Name:        codec.Name(),
+		Op:          op,
+		K:           codec.K(),
+		N:           codec.N(),
+		PacketLen:   codec.PacketLen(),
 		Iterations:  r.N,
-		NsPerOp:     ns,
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		MBPerSec:    mbps,
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),

@@ -19,9 +19,7 @@ package main
 // fails the build, not just a trend line.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -61,6 +59,9 @@ const (
 	simLoss = 0.05
 )
 
+// simReceivers is the population of the headline simulator row.
+const simReceivers = 1_000_000
+
 // identityPrefix is the receiver-index prefix on which the parallel
 // population run is re-simulated serially and compared bit for bit.
 const identityPrefix = 4096
@@ -83,12 +84,8 @@ type receiverResult struct {
 }
 
 type receiverReport struct {
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	GoVersion  string           `json:"go_version"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Time       time.Time        `json:"time"`
-	Results    []receiverResult `json:"results"`
+	envelope
+	Results []receiverResult `json:"results"`
 }
 
 // intakeSession builds the 4-layer Tornado session whose packets feed the
@@ -287,11 +284,11 @@ func measureDrain() (receiverResult, error) {
 // re-read each round), so allocations from the server's send path between
 // rounds never land in the receiver's account.
 
-// simThreshold runs the headline row: `receivers` i.i.d. ThresholdDecoder
+// simThreshold runs the headline row: simReceivers i.i.d. ThresholdDecoder
 // receivers at k = simK under Bernoulli loss, through the sharded parallel
 // simulator, then re-simulates an identityPrefix-receiver prefix serially
 // and requires bitwise identity.
-func simThreshold(receivers int) (receiverResult, error) {
+func simThreshold() (receiverResult, error) {
 	mkDec := func(rng *netsim.RNG) netsim.Decodability {
 		return &netsim.ThresholdDecoder{NTotal: 2 * simK, Need: simK}
 	}
@@ -300,13 +297,9 @@ func simThreshold(receivers int) (receiverResult, error) {
 	}
 	const seed = 98
 	t0 := time.Now()
-	effs := netsim.PopulationParallel(receivers, simK, mkDec, mkLoss, nil, seed)
+	effs := netsim.PopulationParallel(simReceivers, simK, mkDec, mkLoss, nil, seed)
 	secs := time.Since(t0).Seconds()
-	prefix := identityPrefix
-	if prefix > receivers {
-		prefix = receivers
-	}
-	oracle := netsim.Population(prefix, simK, mkDec, mkLoss, nil, seed)
+	oracle := netsim.Population(identityPrefix, simK, mkDec, mkLoss, nil, seed)
 	for i := range oracle {
 		if effs[i] != oracle[i] {
 			return receiverResult{}, fmt.Errorf(
@@ -321,10 +314,10 @@ func simThreshold(receivers int) (receiverResult, error) {
 	mean /= float64(len(effs))
 	return receiverResult{
 		Mode:            "netsim-threshold",
-		Receivers:       receivers,
+		Receivers:       simReceivers,
 		K:               simK,
 		Seconds:         secs,
-		ReceiversPerSec: float64(receivers) / secs,
+		ReceiversPerSec: simReceivers / secs,
 		MeanEfficiency:  mean,
 	}, nil
 }
@@ -361,18 +354,9 @@ func simBlock() (receiverResult, error) {
 // exits nonzero when steady-state intake or the batched socket read
 // allocates, or when the parallel simulator diverges from the serial
 // oracle.
-func runReceiverSuite(out string, receivers int) {
-	rep := receiverReport{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Time:       time.Now().UTC(),
-	}
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "bench: receiver: %v\n", err)
-		os.Exit(1)
-	}
+func runReceiverSuite(out string) {
+	rep := receiverReport{envelope: newEnvelope()}
+	fail := func(err error) { fatalf("receiver: %v", err) }
 
 	sess, err := intakeSession()
 	if err != nil {
@@ -397,7 +381,7 @@ func runReceiverSuite(out string, receivers int) {
 	}
 	rep.Results = append(rep.Results, resD)
 
-	resT, err := simThreshold(receivers)
+	resT, err := simThreshold()
 	if err != nil {
 		fail(err)
 	}
@@ -408,29 +392,18 @@ func runReceiverSuite(out string, receivers int) {
 	}
 	rep.Results = append(rep.Results, resB)
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-	}
-	buf = append(buf, '\n')
-	if out == "-" {
-		os.Stdout.Write(buf)
-	} else if err := os.WriteFile(out, buf, 0o644); err != nil {
-		fail(err)
-	}
-	for _, r := range rep.Results {
-		switch {
-		case r.Receivers > 0:
-			fmt.Printf("%-20s receivers=%-9d k=%-6d %8.2f s %12.0f recv/s mean eta %.4f\n",
-				r.Mode, r.Receivers, r.K, r.Seconds, r.ReceiversPerSec, r.MeanEfficiency)
-		default:
-			fmt.Printf("%-20s %9d pkts %12.0f pkts/s %9.2f MB/s %8.4f allocs/pkt %8.1f B/pkt (drops %d)\n",
-				r.Mode, r.Packets, r.PacketsPerSec, r.MBPerSec, r.AllocsPerPacket, r.AllocBytesPerPacket, r.Drops)
+	writeReport(out, rep, func() {
+		for _, r := range rep.Results {
+			switch {
+			case r.Receivers > 0:
+				fmt.Printf("%-20s receivers=%-9d k=%-6d %8.2f s %12.0f recv/s mean eta %.4f\n",
+					r.Mode, r.Receivers, r.K, r.Seconds, r.ReceiversPerSec, r.MeanEfficiency)
+			default:
+				fmt.Printf("%-20s %9d pkts %12.0f pkts/s %9.2f MB/s %8.4f allocs/pkt %8.1f B/pkt (drops %d)\n",
+					r.Mode, r.Packets, r.PacketsPerSec, r.MBPerSec, r.AllocsPerPacket, r.AllocBytesPerPacket, r.Drops)
+			}
 		}
-	}
-	if out != "-" {
-		fmt.Printf("wrote %s\n", out)
-	}
+	})
 
 	// Hard gates: nothing passes vacuously, and the steady-state receive
 	// path must not allocate.
@@ -438,14 +411,10 @@ func runReceiverSuite(out string, receivers int) {
 		switch r.Mode {
 		case "engine-intake", "engine-intake-batch", "engine-intake-trace", "udp-recv-batch":
 			if r.Packets == 0 {
-				fmt.Fprintf(os.Stderr, "bench: FAIL: %s processed nothing\n", r.Mode)
-				os.Exit(1)
+				fatalf("FAIL: %s processed nothing", r.Mode)
 			}
 			if r.AllocsPerPacket > allocGate {
-				fmt.Fprintf(os.Stderr,
-					"bench: FAIL: %s allocates %.4f/packet (gate %.2f)\n",
-					r.Mode, r.AllocsPerPacket, allocGate)
-				os.Exit(1)
+				fatalf("FAIL: %s allocates %.4f/packet (gate %.2f)", r.Mode, r.AllocsPerPacket, allocGate)
 			}
 		}
 	}

@@ -12,10 +12,8 @@ package main
 // CI bench-smoke step runs this suite).
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -59,6 +57,10 @@ const saturationRate = 50_000_000
 
 var fileKiB = 16
 
+// senderPayload is the payload of every session: the paper prototype's
+// 500 bytes, the suite's reference point.
+const senderPayload = 500
+
 type senderResult struct {
 	Mode                string  `json:"mode"` // traceMode.label()
 	Sessions            int     `json:"sessions"`
@@ -76,13 +78,9 @@ type senderResult struct {
 }
 
 type senderReport struct {
-	GOOS       string         `json:"goos"`
-	GOARCH     string         `json:"goarch"`
-	GoVersion  string         `json:"go_version"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Time       time.Time      `json:"time"`
-	PacketLen  int            `json:"packet_len"`
-	Results    []senderResult `json:"results"`
+	envelope
+	PacketLen int            `json:"packet_len"`
+	Results   []senderResult `json:"results"`
 }
 
 // countSink is a transport.Sender that counts packets and bytes without
@@ -242,24 +240,16 @@ func bestWindow(row, w senderResult) senderResult {
 
 // runSenderSuite executes the full suite and writes the JSON report. It
 // exits nonzero when the scheduler's steady-state emission allocates.
-func runSenderSuite(out string, pl int) {
+func runSenderSuite(out string) {
 	const (
 		warmup = 250 * time.Millisecond
 		window = 400 * time.Millisecond
 	)
-	rep := senderReport{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Time:       time.Now().UTC(),
-		PacketLen:  core.PadPacketLen(pl),
-	}
+	rep := senderReport{envelope: newEnvelope(), PacketLen: core.PadPacketLen(senderPayload)}
 	for _, n := range senderSessionCounts {
-		sessions, err := senderSessions(n, pl)
+		sessions, err := senderSessions(n, senderPayload)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: sender sessions: %v\n", err)
-			os.Exit(1)
+			fatalf("sender sessions: %v", err)
 		}
 		modes := []traceMode{traceNone, traceOff, traceOn}
 		rows := make([]senderResult, len(modes))
@@ -268,8 +258,7 @@ func runSenderSuite(out string, pl int) {
 				runtime.GC()
 				schedRes, err := benchScheduler(sessions, warmup, window, tm)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "bench: sender scheduler: %v\n", err)
-					os.Exit(1)
+					fatalf("sender scheduler: %v", err)
 				}
 				rows[i] = bestWindow(rows[i], schedRes)
 			}
@@ -277,25 +266,12 @@ func runSenderSuite(out string, pl int) {
 		rep.Results = append(rep.Results, rows...)
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: marshal: %v\n", err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if out == "-" {
-		os.Stdout.Write(buf)
-	} else if err := os.WriteFile(out, buf, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: write: %v\n", err)
-		os.Exit(1)
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-22s sessions=%-4d %12.0f pkts/s %9.2f MB/s %8.4f allocs/pkt %8.1f B/pkt\n",
-			r.Mode, r.Sessions, r.PacketsPerSec, r.MBPerSec, r.AllocsPerPacket, r.AllocBytesPerPacket)
-	}
-	if out != "-" {
-		fmt.Printf("wrote %s\n", out)
-	}
+	writeReport(out, rep, func() {
+		for _, r := range rep.Results {
+			fmt.Printf("%-22s sessions=%-4d %12.0f pkts/s %9.2f MB/s %8.4f allocs/pkt %8.1f B/pkt\n",
+				r.Mode, r.Sessions, r.PacketsPerSec, r.MBPerSec, r.AllocsPerPacket, r.AllocBytesPerPacket)
+		}
+	})
 
 	// The hard gates: every mode must actually emit (a stalled scheduler
 	// must not pass vacuously); steady-state emission must not allocate
@@ -310,22 +286,16 @@ func runSenderSuite(out string, pl int) {
 	}
 	for _, r := range rep.Results {
 		if r.Packets == 0 {
-			fmt.Fprintf(os.Stderr,
-				"bench: FAIL: %s at %d sessions emitted nothing\n", r.Mode, r.Sessions)
-			os.Exit(1)
+			fatalf("FAIL: %s at %d sessions emitted nothing", r.Mode, r.Sessions)
 		}
 		if r.AllocsPerPacket > allocGate {
-			fmt.Fprintf(os.Stderr,
-				"bench: FAIL: %s at %d sessions allocates %.4f/packet (gate %.2f)\n",
+			fatalf("FAIL: %s at %d sessions allocates %.4f/packet (gate %.2f)",
 				r.Mode, r.Sessions, r.AllocsPerPacket, allocGate)
-			os.Exit(1)
 		}
 		if r.Mode == "scheduler+trace-off" {
 			if base := plain[r.Sessions]; base > 0 && r.PacketsPerSec < traceOffFloor*base {
-				fmt.Fprintf(os.Stderr,
-					"bench: FAIL: disabled recorder at %d sessions costs too much: %.0f pkts/s vs %.0f plain (floor %.0f%%)\n",
+				fatalf("FAIL: disabled recorder at %d sessions costs too much: %.0f pkts/s vs %.0f plain (floor %.0f%%)",
 					r.Sessions, r.PacketsPerSec, base, traceOffFloor*100)
-				os.Exit(1)
 			}
 		}
 	}

@@ -112,49 +112,29 @@ func Table4(w io.Writer, o Options) error {
 	rng := rand.New(rand.NewSource(o.Seed + 4))
 	simRng := netsim.NewRNG(uint64(o.Seed + 4))
 	trials := o.trials(100)
+	// decodeTime times one Table 3 decode of e at k, at least 1µs.
+	decodeTime := func(e Entry, k int) (time.Duration, error) {
+		_, d, err := timeEntry(e, k, o.Seed, Corpus(rng, k, packetLen), rng, true)
+		return max(d, time.Microsecond), err
+	}
 	// Cache per-block Cauchy decode times by block size.
 	blockDecode := map[int]time.Duration{}
 	measureBlock := func(blockK int) (time.Duration, error) {
 		if d, ok := blockDecode[blockK]; ok {
 			return d, nil
 		}
-		c, err := newCauchy(blockK)
+		d, err := decodeTime(entry("rs-cauchy"), blockK)
 		if err != nil {
 			return 0, err
-		}
-		src := mkSource(rng, blockK, packetLen)
-		enc, err := c.Encode(src)
-		if err != nil {
-			return 0, err
-		}
-		d, err := rsDecodeTime(c, enc, rng)
-		if err != nil {
-			return 0, err
-		}
-		if d <= 0 {
-			d = time.Microsecond
 		}
 		blockDecode[blockK] = d
 		return d, nil
 	}
 	for _, kb := range o.sizesKB() {
 		K := kb
-		// Tornado A decode time at this size.
-		ca, err := newTornadoA(K, o.Seed)
+		tDec, err := decodeTime(entry("tornado-a"), K)
 		if err != nil {
 			return err
-		}
-		src := mkSource(rng, K, packetLen)
-		enc, err := ca.Encode(src)
-		if err != nil {
-			return err
-		}
-		tDec, err := tornadoDecodeTime(ca, enc, rng)
-		if err != nil {
-			return err
-		}
-		if tDec <= 0 {
-			tDec = time.Microsecond
 		}
 		fprintf(w, "%-10s", sizeName(kb))
 		for _, p := range lossGrid {

@@ -12,8 +12,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/code"
-	"repro/internal/rs"
 	"repro/internal/stats"
 	"repro/internal/tornado"
 )
@@ -49,17 +47,6 @@ func (o Options) trials(def int) int {
 	return def
 }
 
-// mkSource builds k deterministic pseudo-random packets.
-func mkSource(rng *rand.Rand, k, pl int) [][]byte {
-	buf := make([]byte, k*pl)
-	rng.Read(buf)
-	out := make([][]byte, k)
-	for i := range out {
-		out[i] = buf[i*pl : (i+1)*pl]
-	}
-	return out
-}
-
 // overheadSamples measures the reception-overhead distribution of a
 // Tornado codec with the real decoder: fraction of extra packets (beyond
 // k) needed when packets arrive in a uniformly random order.
@@ -69,22 +56,16 @@ func overheadSamples(p tornado.Params, k, trials int, seed int64) ([]float64, er
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
-	src := mkSource(rng, k, 16)
+	src := Corpus(rng, k, 16)
 	enc, err := c.Encode(src)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, trials)
-	for t := 0; t < trials; t++ {
-		d := c.NewDecoder()
-		used := 0
-		for _, i := range rng.Perm(c.N()) {
-			used++
-			if done, err := d.Add(i, enc[i]); err != nil {
-				return nil, err
-			} else if done {
-				break
-			}
+	for t := range out {
+		used, err := Decode(c, enc, 0, rng.Perm(c.N()))
+		if err != nil {
+			return nil, err
 		}
 		out[t] = float64(used)/float64(k) - 1
 	}
@@ -117,84 +98,6 @@ func overheadCDF(p tornado.Params, k int, seed int64) (*stats.CDF, error) {
 	return c, nil
 }
 
-// timeIt runs f once and returns the wall-clock duration.
-func timeIt(f func() error) (time.Duration, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start), err
-}
-
-// encodeTime measures one Encode call of a freshly built codec.
-func encodeTime(c code.Codec, src [][]byte) (time.Duration, error) {
-	return timeIt(func() error {
-		_, err := c.Encode(src)
-		return err
-	})
-}
-
-// rsDecodeTime measures the Table 3 protocol for an RS codec: k/2 source
-// packets and k/2 repair packets are received; the reconstruction of the
-// missing half is timed.
-func rsDecodeTime(c code.Codec, enc [][]byte, rng *rand.Rand) (time.Duration, error) {
-	k := c.K()
-	d := c.NewDecoder()
-	srcIdx := rng.Perm(k)[: k/2 : k/2]
-	repIdx := rng.Perm(c.N() - k)[: k-k/2 : k-k/2]
-	for _, i := range srcIdx {
-		if _, err := d.Add(i, enc[i]); err != nil {
-			return 0, err
-		}
-	}
-	for _, i := range repIdx {
-		if _, err := d.Add(k+i, enc[k+i]); err != nil {
-			return 0, err
-		}
-	}
-	if !d.Done() {
-		return 0, fmt.Errorf("repro: RS decoder not ready at k packets")
-	}
-	return timeIt(func() error {
-		_, err := d.Source()
-		return err
-	})
-}
-
-// tornadoDecodeTime measures a Tornado decode: packets stream in random
-// order and the full incremental decode (propagation + eliminations) is
-// timed until completion.
-func tornadoDecodeTime(c code.Codec, enc [][]byte, rng *rand.Rand) (time.Duration, error) {
-	d := c.NewDecoder()
-	order := rng.Perm(c.N())
-	var dur time.Duration
-	start := time.Now()
-	for _, i := range order {
-		done, err := d.Add(i, enc[i])
-		if err != nil {
-			return 0, err
-		}
-		if done {
-			break
-		}
-	}
-	dur = time.Since(start)
-	if !d.Done() {
-		return 0, fmt.Errorf("repro: tornado decode incomplete")
-	}
-	return dur, nil
-}
-
-func newTornadoA(k int, seed int64) (code.Codec, error) {
-	return tornado.New(tornado.A(), k, 2*k, packetLen, seed)
-}
-
-func newTornadoB(k int, seed int64) (code.Codec, error) {
-	return tornado.New(tornado.B(), k, 2*k, packetLen, seed)
-}
-
-func newCauchy(k int) (code.Codec, error) { return rs.NewCauchy(k, 2*k, packetLen) }
-
-func newVandermonde(k int) (code.Codec, error) { return rs.NewVandermonde(k, 2*k, packetLen) }
-
 func fmtDur(d time.Duration) string {
 	switch {
 	case d <= 0:
@@ -202,7 +105,7 @@ func fmtDur(d time.Duration) string {
 	case d < time.Millisecond:
 		return fmt.Sprintf("%.3fms", float64(d.Microseconds())/1000)
 	case d < time.Second:
-		return fmt.Sprintf("%.0fms", float64(d.Milliseconds()))
+		return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
 	default:
 		return fmt.Sprintf("%.2fs", d.Seconds())
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -145,5 +146,36 @@ func TestOverheadCDFCached(t *testing.T) {
 	c2, _ := overheadCDF(tornadoParamsA(), 256, 1)
 	if c1 != c2 {
 		t.Fatal("CDF not cached")
+	}
+}
+
+// TestDecodeNeedsACompleteReception checks the one decode every timing
+// surface measures: it counts the packets a full reception took, and fails
+// rather than returning a count when the order runs out (k-1 packets of an
+// MDS code) or when Add refuses a packet.
+func TestDecodeNeedsACompleteReception(t *testing.T) {
+	const k, pl = 16, 32
+	rng := rand.New(rand.NewSource(1))
+	for _, e := range Roster {
+		c, err := e.New(k, pl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := c.Encode(Corpus(rng, k, pl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := e.Order(rng, k)
+		if n, err := Decode(c, enc, 0, order); err != nil || n < k || n > len(order) {
+			t.Fatalf("%s: Decode of its Table 3 reception = %d, %v", e.Name, n, err)
+		}
+		if _, err := Decode(c, enc, c.N(), order); err == nil {
+			t.Fatalf("%s: Decode past the last index succeeded", e.Name)
+		}
+		if e.rs {
+			if n, err := Decode(c, enc, 0, order[:k-1]); err == nil {
+				t.Fatalf("%s: Decode of k-1 packets returned %d and no error", e.Name, n)
+			}
+		}
 	}
 }
