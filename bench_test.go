@@ -32,7 +32,7 @@ func BenchmarkTable2Encode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Encode(src); err != nil {
+				if _, err := Encode(c, src); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -45,7 +45,7 @@ func BenchmarkTable2Encode(b *testing.B) {
 // clock, as in cmd/bench.
 func benchDecode(b *testing.B, c Codec, order func(rng *rand.Rand) []int) {
 	src := repro.Corpus(rand.New(rand.NewSource(1)), c.K(), c.PacketLen())
-	enc, err := c.Encode(src)
+	enc, err := Encode(c, src)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -188,13 +188,13 @@ func benchFixed(e repro.Entry) ([]result, error) {
 		return nil, err
 	}
 	src := repro.Corpus(rand.New(rand.NewSource(1)), fixedK, packetLen)
-	enc, err := codec.Encode(src)
+	enc, err := code.EncodeAll(codec, src)
 	if err != nil {
 		return nil, err
 	}
 	encRes := runBench(codec, "encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := codec.Encode(src); err != nil {
+			if _, err := code.EncodeAll(codec, src); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,7 +10,7 @@
 //
 //	fountain-server -file software.bin -file patch.bin \
 //	                -data 127.0.0.1:9000 -control 127.0.0.1:9001 \
-//	                -layers 4 -rate 2048 -codec cauchy -cache 67108864
+//	                -layers 4 -rate 2048 -codec interleaved -cache 67108864
 //
 // Each -file becomes its own session: the first gets session id -session,
 // the next -session+1, and so on.

@@ -126,6 +126,12 @@ func NewRaptor(k, packetLen int, seed int64, c, delta float64, checks, maxD int)
 // is RatelessN and every packet is derivable independently by index).
 func IsRateless(c Codec) bool { return code.IsRateless(c) }
 
+// Encode returns the whole encoding of a fixed-rate codec: n packets, the
+// source packets among them aliasing src. A rateless codec has no whole
+// encoding and is refused: its packets are encoded one at a time, through
+// the RowEncoder methods every Codec has (Columns, SourceOf, EncodeInto).
+func Encode(c Codec, src [][]byte) ([][]byte, error) { return code.EncodeAll(c, src) }
+
 // Session is an encoded file ready for fountain transmission.
 type Session = core.Session
 
@@ -143,7 +149,6 @@ type SessionInfo = proto.SessionInfo
 const (
 	CodecTornadoA    = proto.CodecTornadoA
 	CodecTornadoB    = proto.CodecTornadoB
-	CodecVandermonde = proto.CodecVandermonde
 	CodecCauchy      = proto.CodecCauchy
 	CodecInterleaved = proto.CodecInterleaved
 	CodecLT          = proto.CodecLT

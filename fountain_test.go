@@ -2,11 +2,13 @@ package fountain
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/code"
 	"repro/internal/tornado"
 )
 
@@ -43,6 +45,33 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestEncodeRefusesRateless: LT and raptor have no whole encoding, so
+// Encode (code.EncodeAll) refuses them up front instead of sizing one by
+// their unbounded N; they report RatelessN and IsRateless.
+func TestEncodeRefusesRateless(t *testing.T) {
+	const k, pl = 10, 16
+	lt, err := NewLT(k, pl, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raptor, err := NewRaptor(k, pl, 1, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([][]byte, k)
+	for i := range src {
+		src[i] = make([]byte, pl)
+	}
+	for _, c := range []Codec{lt, raptor} {
+		if c.N() != RatelessN || !IsRateless(c) {
+			t.Fatalf("%s: N() = %d, IsRateless %v", c.Name(), c.N(), IsRateless(c))
+		}
+		if enc, err := Encode(c, src); !errors.Is(err, code.ErrUnbounded) || enc != nil {
+			t.Fatalf("%s: Encode = %d packets, %v; want code.ErrUnbounded", c.Name(), len(enc), err)
+		}
+	}
+}
+
 // TestPublicCodecs constructs each public codec and round-trips it.
 func TestPublicCodecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -64,7 +93,7 @@ func TestPublicCodecs(t *testing.T) {
 			src[i] = make([]byte, pl)
 			rng.Read(src[i])
 		}
-		enc, err := c.Encode(src)
+		enc, err := Encode(c, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

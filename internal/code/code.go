@@ -10,10 +10,10 @@
 // returns the UnboundedN sentinel — realizing the paper's ideal digital
 // fountain (§3) that the fixed-rate codes only approximate.
 //
-// Every codec encodes packet i as a pure function of (source, i) and
-// states that once, as a RowEncoder; the window form (RangeEncoder), the
-// whole encoding of the finite ones (Codec.Encode) and a session's emission
-// path are all built from its three methods.
+// A codec is three things: a name, a RowEncoder and a decoder. It encodes
+// packet i as a pure function of (source, i) and states that once, as a
+// RowEncoder; the window and whole-encoding forms (EncodeRows, EncodeAll)
+// and a session's emission path are all built from its three methods.
 package code
 
 import (
@@ -26,21 +26,18 @@ type Codec interface {
 	// Name identifies the codec in experiment output (e.g. "tornado-a").
 	Name() string
 	RowEncoder
-	// Encode produces the full encoding of the k source packets: a slice
-	// of n packets whose first k entries alias src. Each src packet must
-	// have length PacketLen.
-	Encode(src [][]byte) ([][]byte, error)
 	// NewDecoder returns a fresh decoder for one reception session.
 	// Decoders are independent; the codec itself is immutable and safe
 	// for concurrent use once constructed.
 	NewDecoder() Decoder
 }
 
-// RangeEncoder is the public window form of a RowEncoder: any contiguous
-// index range of the encoding, produced on demand without materializing
-// the other n - (hi-lo) packets. The RS, interleaved, LT and raptor codecs
-// implement it as one call to EncodeRows; Tornado does not, as nothing asks
-// it for windows.
+// RangeEncoder is the window form of a RowEncoder as a method: any
+// contiguous index range of the encoding, produced on demand without
+// materializing the rest. Only the rateless codecs (LT, raptor) implement
+// it, as one call to EncodeRows, for callers that take a window of an
+// unbounded encoding through the interface; everything else calls
+// EncodeRows itself.
 type RangeEncoder interface {
 	// EncodeRange returns encoding packets [lo, hi), validating src (the
 	// full k source packets) and the range on every call. Entries that are
@@ -57,20 +54,11 @@ type RangeEncoder interface {
 // long-consumed indices if a session outlives the space.
 const UnboundedN = 1<<31 - 1
 
-// Rateless is an optional Codec capability marking codecs whose encoding
-// is unbounded: N() returns UnboundedN and Encode is unavailable (there is
-// no "full encoding" to materialize), so packets are only ever encoded one
-// row at a time.
-type Rateless interface {
-	// RatelessCode is a marker; implementations return no value.
-	RatelessCode()
-}
-
-// IsRateless reports whether the codec's encoding is unbounded.
-func IsRateless(c Codec) bool {
-	_, ok := c.(Rateless)
-	return ok
-}
+// IsRateless reports whether the codec's encoding is unbounded: N() is
+// UnboundedN, so there is no whole encoding and packets are only ever
+// encoded a window at a time. No fixed-rate codec has that N: 2^31 - 1 is
+// prime, RS n is at most 65 536, and a Tornado n is a whole stretch of k.
+func IsRateless(c RowEncoder) bool { return c.N() == UnboundedN }
 
 // Decoder incrementally consumes encoding packets until the source data is
 // recoverable. This mirrors the paper's receiver: packets arrive in

@@ -1,6 +1,9 @@
 package code
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // RowEncoder is the encode contract of every codec: packet idx is a pure
 // function of (src, idx), read from the code's columns. A code with static
@@ -30,20 +33,27 @@ type RowEncoder interface {
 	EncodeInto(dst []byte, cols [][]byte, idx int)
 }
 
-// EncodeRows is the window form every codec's EncodeRange delegates to:
-// encoding packets [lo, hi) of c, with src and the range validated. Entries
-// that are columns alias them (src, for a source packet); the coded rows
-// share one fresh backing store.
+// EncodeRows is the window form of a RowEncoder: encoding packets [lo, hi)
+// of c, with src and the range validated. Entries that are columns alias
+// them (src, for a source packet); the coded rows share one fresh backing
+// store.
 func EncodeRows(c RowEncoder, src [][]byte, lo, hi int) ([][]byte, error) {
 	return encodeRows(c, src, lo, hi, func(n int, fn func(lo, hi int)) { fn(0, n) })
 }
 
-// EncodeAll is the whole-encoding form a finite row codec's Encode
-// delegates to: EncodeRows over [0, N), with the coded rows — not the index
-// range, whose systematic part is no work — split across ParallelChunks.
+// EncodeAll is the whole encoding of a fixed-rate codec: EncodeRows over
+// [0, N), with the coded rows — not the index range, whose systematic part
+// is no work — split across ParallelChunks. A rateless codec has no whole
+// encoding and is refused.
 func EncodeAll(c RowEncoder, src [][]byte) ([][]byte, error) {
+	if IsRateless(c) {
+		return nil, ErrUnbounded
+	}
 	return encodeRows(c, src, 0, c.N(), ParallelChunks)
 }
+
+// ErrUnbounded is returned by EncodeAll for a rateless codec.
+var ErrUnbounded = errors.New("code: a rateless codec has no whole encoding; encode a window with EncodeRows")
 
 func encodeRows(c RowEncoder, src [][]byte, lo, hi int, split func(n int, fn func(lo, hi int))) ([][]byte, error) {
 	pl := c.PacketLen()

@@ -22,6 +22,10 @@ import (
 type codecRow struct {
 	name     string // what the CLIs take and print
 	rateless bool   // N is the unbounded sentinel; no stretch factor
+	// blockK returns the K of the Reed-Solomon block the descriptor asks a
+	// receiver to decode, which checkDescriptor holds to maxBlockK; nil
+	// for a code with no RS block.
+	blockK func(d *proto.SessionInfo) uint32
 	// fill writes the descriptor words the sender takes from its Config.
 	fill func(d *proto.SessionInfo, cfg Config)
 	// roundK maps the packet count a file needs to the K of the codec
@@ -32,7 +36,15 @@ type codecRow struct {
 	build func(d *proto.SessionInfo) (code.Codec, error)
 }
 
-// codecs is the one table of wire codec ids.
+// maxBlockK is the largest Reed-Solomon block a descriptor may ask for.
+// Cauchy decode time grows about as K², and faster past 1 024: a receiver
+// of one block of K 16-byte sources, half of them lost, spends 103–115 ms
+// at K = 1 024 and 288–296 ms at 2 048 on a 2-core box (EXPERIMENTS.md,
+// "The Reed-Solomon block bound"). A larger file goes as interleaved
+// blocks.
+const maxBlockK = 1024
+
+// codecs is the one table of wire codec ids; id 2 is reserved (proto).
 var codecs = [...]codecRow{
 	proto.CodecTornadoA: {name: "tornado-a", build: func(d *proto.SessionInfo) (code.Codec, error) {
 		return tornado.New(tornado.A(), int(d.K), int(d.N), int(d.PacketLen), d.Seed)
@@ -40,14 +52,18 @@ var codecs = [...]codecRow{
 	proto.CodecTornadoB: {name: "tornado-b", build: func(d *proto.SessionInfo) (code.Codec, error) {
 		return tornado.New(tornado.B(), int(d.K), int(d.N), int(d.PacketLen), d.Seed)
 	}},
-	proto.CodecVandermonde: {name: "vandermonde", build: func(d *proto.SessionInfo) (code.Codec, error) {
-		return rs.NewVandermonde(int(d.K), int(d.N), int(d.PacketLen))
-	}},
-	proto.CodecCauchy: {name: "cauchy", build: func(d *proto.SessionInfo) (code.Codec, error) {
-		return rs.NewCauchy(int(d.K), int(d.N), int(d.PacketLen))
-	}},
+	proto.CodecCauchy: {
+		name:   "cauchy",
+		blockK: func(d *proto.SessionInfo) uint32 { return d.K },
+		build: func(d *proto.SessionInfo) (code.Codec, error) {
+			return rs.NewCauchy(int(d.K), int(d.N), int(d.PacketLen))
+		},
+	},
 	proto.CodecInterleaved: {
 		name: "interleaved",
+		// Not min(InterleaveK, K): a larger block size is whole-file Cauchy
+		// under another name, and is held to the same bound.
+		blockK: func(d *proto.SessionInfo) uint32 { return d.InterleaveK },
 		fill: func(d *proto.SessionInfo, cfg Config) {
 			d.InterleaveK = 50 // source packets per block unless configured
 			if cfg.InterleaveBlockK > 0 {
@@ -113,11 +129,13 @@ func rowOf(id uint8) codecRow {
 	return codecRow{}
 }
 
-// CodecNames lists the codec names in id order.
+// CodecNames lists the codec names in id order, reserved ids skipped.
 func CodecNames() []string {
-	names := make([]string, len(codecs))
-	for id, c := range codecs {
-		names[id] = c.name
+	var names []string
+	for _, c := range codecs {
+		if c.build != nil {
+			names = append(names, c.name)
+		}
 	}
 	return names
 }
@@ -134,7 +152,7 @@ func CodecName(id uint8) string {
 // CodecByName returns the wire id of a codec name.
 func CodecByName(name string) (uint8, error) {
 	for id, c := range codecs {
-		if c.name == name {
+		if c.build != nil && c.name == name {
 			return uint8(id), nil
 		}
 	}
@@ -204,6 +222,9 @@ func checkDescriptor(d *proto.SessionInfo) error {
 	case uint64(d.K) != sourcePackets(d): // never 0: the divisions below are safe
 		return fmt.Errorf("core: descriptor has k=%d, a %d-byte file in %d-byte packets has %d",
 			d.K, d.FileLen, d.PacketLen, sourcePackets(d))
+	case row.blockK != nil && row.blockK(d) > maxBlockK:
+		return fmt.Errorf("core: %s descriptor asks for a Reed-Solomon block of k=%d, above %d; send a larger file as interleaved blocks",
+			row.name, row.blockK(d), maxBlockK)
 	case row.rateless && d.N != code.UnboundedN:
 		return fmt.Errorf("core: rateless descriptor has n=%d, want %d", d.N, code.UnboundedN)
 	case !row.rateless && (d.N%d.K != 0 || d.N/d.K < 2 || d.N/d.K > maxStretch):

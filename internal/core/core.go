@@ -73,7 +73,7 @@ type Session struct {
 	perm  []int // randomized carousel order for single-layer mode (nil when rateless)
 
 	// rateless marks sessions whose codec has an unbounded index space
-	// (code.Rateless). Their carousels stream monotonically increasing
+	// (code.IsRateless). Their carousels stream monotonically increasing
 	// fresh indices instead of cycling a permutation: each index is
 	// transmitted at most once, so no coded row is worth keeping and the
 	// table stays empty.
@@ -94,8 +94,7 @@ type Session struct {
 }
 
 // PadPacketLen rounds a payload length up to the alignment the codec
-// needs (16 bytes covers the Cauchy bit-matrix sub-blocking and the
-// 16-bit symbols of Vandermonde).
+// needs: 16 bytes, one sub-block per bit of Cauchy's 16-bit symbols.
 func PadPacketLen(pl int) int {
 	if pl%16 == 0 {
 		return pl
@@ -174,7 +173,7 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 		s.perm = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)).Perm(codec.N())
 	}
 	if !s.rateless && cache == nil {
-		enc, err := codec.Encode(src)
+		enc, err := code.EncodeAll(codec, src)
 		if err != nil {
 			return nil, err
 		}

@@ -19,7 +19,7 @@ func randData(rng *rand.Rand, n int) []byte {
 func TestSessionRoundTripAllCodecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := randData(rng, 50_000)
-	for _, codec := range []uint8{proto.CodecTornadoA, proto.CodecTornadoB, proto.CodecVandermonde, proto.CodecCauchy, proto.CodecInterleaved} {
+	for _, codec := range []uint8{proto.CodecTornadoA, proto.CodecTornadoB, proto.CodecCauchy, proto.CodecInterleaved} {
 		cfg := DefaultConfig()
 		cfg.Codec = codec
 		cfg.Layers = 1

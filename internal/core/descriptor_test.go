@@ -14,6 +14,18 @@ import (
 	"repro/internal/proto"
 )
 
+// servedIDs lists the wire codec ids the table serves, in id order: every
+// id up to CodecRaptor but the reserved ones.
+func servedIDs() []uint8 {
+	var ids []uint8
+	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
+		if rowOf(id).build != nil {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
 // badDescriptors are edits that turn a sender's descriptor into one
 // NewReceiver must refuse: TestNewReceiverRejectsBadCounts applies each to
 // every codec id it names, and FuzzNewReceiver starts from the results.
@@ -77,7 +89,7 @@ var badDescriptors = []struct {
 // codec is built, so a 107-byte datagram cannot make a client allocate
 // gigabytes.
 func TestNewReceiverRejectsBadCounts(t *testing.T) {
-	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
+	for _, id := range servedIDs() {
 		var good proto.SessionInfo
 		// A file below one packet (k = 1), one ending mid-packet, and one
 		// filling whole packets must all still be accepted.
@@ -235,7 +247,7 @@ const (
 // caller is willing to spend on a file is the caller's budget, not checked
 // here).
 func FuzzNewReceiver(f *testing.F) {
-	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
+	published := func(id uint8) proto.SessionInfo {
 		cfg := DefaultConfig()
 		cfg.Codec = id
 		cfg.PacketLen = 64
@@ -243,16 +255,36 @@ func FuzzNewReceiver(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(sess.Info().Append(nil))
+		return sess.Info()
+	}
+	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
+		// A reserved id's seeds are a Cauchy session's descriptors naming it.
+		base := id
+		if rowOf(id).build == nil {
+			base = proto.CodecCauchy
+		}
+		good := published(base)
+		good.Codec = id
+		f.Add(good.Append(nil))
 		for _, tc := range badDescriptors {
-			info := sess.Info()
+			info := good
 			tc.edit(&info)
 			f.Add(info.Append(nil))
 		}
 	}
+	// One Reed-Solomon block past maxBlockK: whole-file Cauchy, and an
+	// interleaved block size.
+	cauchy := published(proto.CodecCauchy)
+	cauchy.K, cauchy.N, cauchy.PacketLen, cauchy.FileLen = maxBlockK+1, 2*(maxBlockK+1), 16, (maxBlockK+1)*16
+	interleaved := published(proto.CodecInterleaved)
+	interleaved.InterleaveK = maxBlockK + 1
+	f.Add(cauchy.Append(nil))
+	f.Add(interleaved.Append(nil))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		info, err := proto.ParseSessionInfo(buf)
-		if err != nil || info.FileLen > fuzzFileCap {
+		// A larger file is built only if checkDescriptor refuses it, which
+		// it must do before building anything.
+		if err != nil || info.FileLen > fuzzFileCap && checkDescriptor(&info) == nil {
 			return
 		}
 		var before, after runtime.MemStats

@@ -99,9 +99,9 @@ func TestCorruptedCatalogDigestRejected(t *testing.T) {
 // codec publishes — gets no receiver, for every codec id.
 func TestNewReceiverRefusesZeroDigest(t *testing.T) {
 	data := randData(rand.New(rand.NewSource(13)), 5000)
-	for id := range codecs {
+	for _, id := range servedIDs() {
 		cfg := DefaultConfig()
-		cfg.Codec = uint8(id)
+		cfg.Codec = id
 		s, err := NewSession(data, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,6 @@ func TestLazyMatchesEager(t *testing.T) {
 		size  int
 	}{
 		{proto.CodecCauchy, 60_000},
-		{proto.CodecVandermonde, 60_000},
 		{proto.CodecInterleaved, 60_000},
 		{proto.CodecTornadoA, 2500 * PadPacketLen(500)},
 		{proto.CodecTornadoB, 2500 * PadPacketLen(500)},
@@ -185,7 +184,7 @@ func TestLazyConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	data := make([]byte, 40_000)
 	rng.Read(data)
-	cfg := lazyTestConfig(proto.CodecVandermonde)
+	cfg := lazyTestConfig(proto.CodecCauchy)
 	eager, err := NewSession(data, cfg)
 	if err != nil {
 		t.Fatal(err)

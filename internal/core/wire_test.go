@@ -17,7 +17,6 @@ import (
 var wireHashes = map[uint8]string{
 	proto.CodecTornadoA:    "9954e2cd33d08d48a85e25ffc743b35df9a03c3e04f48791c227c216d5d77438",
 	proto.CodecTornadoB:    "9954e2cd33d08d48a85e25ffc743b35df9a03c3e04f48791c227c216d5d77438",
-	proto.CodecVandermonde: "4d7e6a60360c52e62e761f038ae96ca40db8c32b99127d591388956c7328d3f1",
 	proto.CodecCauchy:      "905a25a9c6a2ab6b87127d573f593c05a843a088d5133abdfc764237e6995923",
 	proto.CodecInterleaved: "d041b30177d23b77dd7a1530179318cd75e418246d3cec2e595dd6ddb4728361",
 	proto.CodecLT:          "f1e1cf1b449cb692e6b406c10be364076bf7d713f8c6b097437367c7c511ff94",
@@ -29,7 +28,7 @@ var wireHashes = map[uint8]string{
 // carousel wraps past n, so the rows it refused are encoded again).
 func TestWireHashes(t *testing.T) {
 	data := randData(rand.New(rand.NewSource(1998)), 64*100-7)
-	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
+	for _, id := range servedIDs() {
 		cfg := DefaultConfig()
 		cfg.Codec = id
 		cfg.PacketLen = 64
@@ -68,10 +67,14 @@ func TestWireHashes(t *testing.T) {
 
 // descriptorHash pins the bytes of the session descriptor: one SHA-256 over
 // Info().Append(nil) for every codec id × four file sizes × {1, 4} layers
-// (the last size with a non-default interleave block). It is the hash of
-// the 107-byte descriptors recorded before the codec table replaced
-// buildCodec's switch, with bytes 43..50 (the FNV-64a word) cut from each.
-const descriptorHash = "bed6cd7d3da52d0fc03e12a9b25a6e4029fdc811d40f5eea26facc319ace0071"
+// (the last size with a non-default interleave block), less the ones the
+// table now refuses: id 2, reserved since whole-file Vandermonde left the
+// wire, and the Cauchy file whose k = 1 563 is past maxBlockK. It was
+// recorded on the tree before those refusals, over the same descriptors;
+// that tree's hash over all of them (bed6cd7d…0071) was in turn the 107-byte
+// descriptors from before the codec table replaced buildCodec's switch,
+// with bytes 43..50 (the FNV-64a word) cut from each.
+const descriptorHash = "3ac54a6b233fee1902214b0be0afdd429a33c83224f8614c67d5a261d2ad6660"
 
 // TestDescriptorHash: the descriptor a sender publishes is byte-identical
 // to the recorded one for every codec.
@@ -89,6 +92,12 @@ func TestDescriptorHash(t *testing.T) {
 					cfg.InterleaveBlockK = 7
 				}
 				sess, err := NewSessionCached(randData(rand.New(rand.NewSource(int64(size))), size), cfg, NewBlockCache(1<<20))
+				if rowOf(id).build == nil || id == proto.CodecCauchy && size > maxBlockK*64 {
+					if err == nil {
+						t.Fatalf("codec %d, %d bytes: accepted, want refused", id, size)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("codec %d, %d bytes: %v", id, size, err)
 				}

@@ -36,7 +36,7 @@ func TestSessionServesCallerBytes(t *testing.T) {
 func TestFileSharesDecoderBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	data := randData(rng, 64*100-7)
-	for id := proto.CodecTornadoA; id <= proto.CodecRaptor; id++ {
+	for _, id := range servedIDs() {
 		cfg := DefaultConfig()
 		cfg.Codec = id
 		cfg.PacketLen = 64
@@ -84,7 +84,7 @@ func TestFileSharesDecoderBuffer(t *testing.T) {
 func TestLosslessFileAllocatesOneCopy(t *testing.T) {
 	const n = 1 << 20
 	data := randData(rand.New(rand.NewSource(7)), n)
-	for _, id := range []uint8{proto.CodecVandermonde, proto.CodecCauchy, proto.CodecInterleaved, proto.CodecRaptor} {
+	for _, id := range []uint8{proto.CodecCauchy, proto.CodecInterleaved, proto.CodecRaptor} {
 		cfg := DefaultConfig()
 		cfg.Codec = id
 		cfg.PacketLen = 1024

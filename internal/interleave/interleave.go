@@ -106,15 +106,6 @@ func (c *Codec) EncodeInto(dst []byte, src [][]byte, idx int) {
 	c.inner.EncodeInto(dst, src[b*c.blockK:(b+1)*c.blockK], inner)
 }
 
-// Encode implements code.Codec: the encoding in carousel order, with
-// out[SourceIndex(f)] aliasing src[f].
-func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return code.EncodeAll(c, src) }
-
-// EncodeRange implements code.RangeEncoder over carousel-order windows.
-func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	return code.EncodeRows(c, src, lo, hi)
-}
-
 // SourceIndex returns the encoding index of file source packet f (file
 // order: block-major, i.e. packets 0..k-1 are block 0).
 func (c *Codec) SourceIndex(f int) int {

@@ -30,7 +30,7 @@ func TestRoundTripRandomOrder(t *testing.T) {
 			return false
 		}
 		src := randSource(rng, c.K(), 32)
-		enc, err := c.Encode(src)
+		enc, err := code.EncodeAll(c, src)
 		if err != nil {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestSystematicMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := randSource(rng, 12, 32)
-	enc, err := c.Encode(src)
+	enc, err := code.EncodeAll(c, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestBlockFillRequirement(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := randSource(rng, c.K(), 32)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	// Fill block 0 entirely: packets at indices 0, 2, 4 (inner 0..2, block 0).
 	for inner := 0; inner < 3; inner++ {
@@ -149,7 +149,7 @@ func TestDuplicatesDoNotFillBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c, _ := New(2, 4, 1, 32)
 	src := randSource(rng, 2, 32)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	d.Add(0, enc[0])
 	d.Add(0, enc[0])
@@ -209,7 +209,8 @@ func TestAddErrors(t *testing.T) {
 }
 
 // TestEncodeRangeMatchesEncode: carousel-order windows of the interleaved
-// encoding must match the full encoding, with source entries aliased.
+// encoding (code.EncodeRows) must match the full encoding, with source
+// entries aliased.
 func TestEncodeRangeMatchesEncode(t *testing.T) {
 	c, err := NewForFile(40, 10, 2, 64)
 	if err != nil {
@@ -221,13 +222,13 @@ func TestEncodeRangeMatchesEncode(t *testing.T) {
 		src[i] = make([]byte, 64)
 		rng.Read(src[i])
 	}
-	full, err := c.Encode(src)
+	full, err := code.EncodeAll(c, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := c.N()
 	for _, win := range [][2]int{{0, n}, {0, 7}, {n - 9, n}, {n/2 - 3, n/2 + 3}} {
-		got, err := c.EncodeRange(src, win[0], win[1])
+		got, err := code.EncodeRows(c, src, win[0], win[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +239,7 @@ func TestEncodeRangeMatchesEncode(t *testing.T) {
 		}
 	}
 	si := c.SourceIndex(0)
-	got, err := c.EncodeRange(src, si, si+1)
+	got, err := code.EncodeRows(c, src, si, si+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestBlocksShareOneBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	c, _ := New(4, 8, 5, 32)
 	src := randSource(rng, c.K(), 32)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	for _, i := range rng.Perm(c.N()) {
 		if done, _ := d.Add(i, enc[i]); done {

@@ -24,7 +24,6 @@
 package lt
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -44,14 +43,11 @@ const (
 // after construction and safe for concurrent use; the degree CDF is built
 // once and shared by every encoder and decoder of the session.
 type Codec struct {
-	// Code is what every decoder of the session runs on, and the encoder
-	// the codec satisfies code.RowEncoder through (its fields K, N and
-	// PacketLen are shadowed by the methods).
+	// Code is what every decoder of the session runs on, and the sizes,
+	// encoder and decoder the codec satisfies code.Codec through.
 	peel.Code
-	k         int
-	packetLen int
-	c         float64
-	delta     float64
+	c     float64
+	delta float64
 	// draw is the robust soliton over the k sources, Code's neighbour
 	// function.
 	draw peel.Sampler
@@ -74,9 +70,9 @@ func New(k, packetLen int, seed int64, c, delta float64) (*Codec, error) {
 	if delta <= 0 || delta >= 1 {
 		delta = DefaultDelta
 	}
-	lc := &Codec{k: k, packetLen: packetLen, c: c, delta: delta}
+	lc := &Codec{c: c, delta: delta}
 	lc.draw = peel.Sampler{Seed: seed, CDF: robustSolitonCDF(k, c, delta), L: k}
-	lc.Code = peel.Code{K: k, N: code.UnboundedN, PacketLen: packetLen, Draw: &lc.draw}
+	lc.Code = peel.Code{Sources: k, Indices: code.UnboundedN, PacketBytes: packetLen, Draw: &lc.draw}
 	return lc, nil
 }
 
@@ -124,32 +120,11 @@ func robustSolitonCDF(k int, c, delta float64) []float64 {
 // Name implements code.Codec.
 func (c *Codec) Name() string { return "lt" }
 
-// K implements code.Codec.
-func (c *Codec) K() int { return c.k }
-
-// N implements code.Codec: the encoding is unbounded; every index below
-// the code.UnboundedN sentinel is a valid encoding packet.
-func (c *Codec) N() int { return code.UnboundedN }
-
-// PacketLen implements code.Codec.
-func (c *Codec) PacketLen() int { return c.packetLen }
-
 // Params returns the degree-distribution tunables (c, δ) in effect.
 func (c *Codec) Params() (cc, delta float64) { return c.c, c.delta }
 
 // Seed returns the session seed the packet streams derive from.
 func (c *Codec) Seed() int64 { return c.draw.Seed }
-
-// RatelessCode implements code.Rateless.
-func (c *Codec) RatelessCode() {}
-
-// ErrUnbounded is returned by Encode: a rateless code has no finite "full
-// encoding" to materialize.
-var ErrUnbounded = errors.New("lt: rateless codec has no finite encoding; use EncodeRange")
-
-// Encode implements code.Codec by failing: callers must use EncodeRange
-// (core sessions detect the Rateless capability and never call Encode).
-func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return nil, ErrUnbounded }
 
 // Degree returns encoding packet index's degree — deterministic, in
 // [1, k].
@@ -163,9 +138,6 @@ func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
 	return c.draw.NeighborsInto(index, buf)
 }
 
-// NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.Code) }
-
 // EncodeRange implements code.RangeEncoder.
 func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
 	return code.EncodeRows(c, src, lo, hi)
@@ -175,5 +147,4 @@ func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
 var (
 	_ code.Codec        = (*Codec)(nil)
 	_ code.RangeEncoder = (*Codec)(nil)
-	_ code.Rateless     = (*Codec)(nil)
 )

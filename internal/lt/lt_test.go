@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"repro/internal/code"
 )
 
 func randomSrc(t testing.TB, rng *rand.Rand, k, pl int) [][]byte {
@@ -192,22 +190,6 @@ func TestEncodeRangeBatchingInvariant(t *testing.T) {
 		if !bytes.Equal(batch[i-lo], one[0]) {
 			t.Fatalf("packet %d differs between batch and single generation", i)
 		}
-	}
-}
-
-func TestEncodeIsUnavailable(t *testing.T) {
-	c, err := New(10, 16, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Encode(make([][]byte, 10)); err == nil {
-		t.Fatal("Encode should fail for a rateless codec")
-	}
-	if c.N() != code.UnboundedN {
-		t.Fatalf("N() = %d, want UnboundedN", c.N())
-	}
-	if !code.IsRateless(c) {
-		t.Fatal("codec should report rateless capability")
 	}
 }
 

@@ -53,9 +53,9 @@ import (
 // Code is what a code contributes to the decoder and the encoder. It is
 // immutable and shared by every decoder and encoder of a session.
 type Code struct {
-	K         int // source symbols: columns [0, K)
-	N         int // packet indices: [0, N), code.UnboundedN for a rateless code
-	PacketLen int
+	Sources     int // K, the source symbols: columns [0, K)
+	Indices     int // N, the packet indices: [0, N), code.UnboundedN for a rateless code
+	PacketBytes int // the packet length
 	// Draw is the neighbour function: the columns XORed into packet index
 	// (>= Systematic), over all L = K + s columns, s the static rows.
 	// Columns [K, L) are the static equations' check symbols.
@@ -75,6 +75,14 @@ type Code struct {
 	// encoders of one session may call it concurrently.
 	CheckSrc func() [][]int32
 }
+
+// K, N and PacketLen implement code.RowEncoder: the code's sizes.
+func (c *Code) K() int         { return c.Sources }
+func (c *Code) N() int         { return c.Indices }
+func (c *Code) PacketLen() int { return c.PacketBytes }
+
+// NewDecoder implements code.Codec: a fresh reception session.
+func (c *Code) NewDecoder() code.Decoder { return NewDecoder(c) }
 
 // Neighbors is a code's neighbour function: a Sampler's draw, or a table.
 type Neighbors interface {
@@ -123,14 +131,14 @@ type Decoder struct {
 func NewDecoder(c *Code) *Decoder {
 	return &Decoder{
 		c:   c,
-		out: code.SourceBuf{K: c.K, PacketLen: c.PacketLen},
+		out: code.SourceBuf{K: c.Sources, PacketLen: c.PacketBytes},
 		got: make([]uint64, (c.Systematic+63)/64),
 	}
 }
 
 // Add implements code.Decoder.
 func (d *Decoder) Add(i int, data []byte) (bool, error) {
-	if err := code.CheckPacket(i, data, d.c.N, d.c.PacketLen); err != nil {
+	if err := code.CheckPacket(i, data, d.c.N(), d.c.PacketLen()); err != nil {
 		return d.done, err
 	}
 	if d.done {
@@ -145,7 +153,7 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 		d.nsys++
 		if d.colOf == nil {
 			d.put(i, data)
-			if d.nsys == d.c.K {
+			if d.nsys == d.c.K() {
 				d.finish()
 				return true, nil
 			}
@@ -174,7 +182,7 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 	case i >= d.c.Systematic:
 		d.store(d.nbuf, data)
 	}
-	if d.colOf == nil && d.Received() >= d.c.K {
+	if d.colOf == nil && d.Received() >= d.c.K() {
 		d.analyse()
 	}
 	if d.colOf != nil && d.deficit == 0 {
@@ -192,17 +200,17 @@ func (d *Decoder) size() {
 	if d.c.CheckSrc != nil {
 		d.checks = d.c.CheckSrc()
 	}
-	s, margin := len(d.checks), d.c.K/64+16
-	n := d.c.K - d.nsys + margin
+	s, margin := len(d.checks), d.c.K()/64+16
+	n := d.c.K() - d.nsys + margin
 	d.seen = make(map[uint32]struct{}, n)
 	d.loc = make([]int32, s, s+n)
 	d.off = append(make([]int32, 0, n+1), 0)
 	d.nbrs = make([]int32, 0, int(float64(n)*d.c.Draw.MeanDegree()*9/8))
-	d.owner = make([]int32, d.c.K)
+	d.owner = make([]int32, d.c.K())
 	for v := range d.owner {
 		d.owner[v] = -1
 	}
-	d.spill = make([]byte, 0, (s+margin)*d.c.PacketLen)
+	d.spill = make([]byte, 0, (s+margin)*d.c.PacketLen())
 }
 
 // put writes systematic packet i to its slot, first moving on a coded
@@ -230,7 +238,7 @@ func (d *Decoder) store(nbs []int, data []byte) {
 // free slot, else the spill's next packet. A later alloc may move the
 // spill, so the buffer is valid only until then.
 func (d *Decoder) alloc(r int32) []byte {
-	for ; d.free < d.c.K; d.free++ {
+	for ; d.free < d.c.K(); d.free++ {
 		if v := d.free; d.owner[v] < 0 && (v >= d.c.Systematic || d.got[v/64]&(1<<(v%64)) == 0) {
 			d.owner[v], d.loc[r] = r, int32(v)
 			d.free++
@@ -245,8 +253,8 @@ func (d *Decoder) alloc(r int32) []byte {
 // returns its index there.
 func (d *Decoder) grow() int32 {
 	n := len(d.spill)
-	d.spill = slices.Grow(d.spill, d.c.PacketLen)[:n+d.c.PacketLen]
-	return int32(n / d.c.PacketLen)
+	d.spill = slices.Grow(d.spill, d.c.PacketLen())[:n+d.c.PacketLen()]
+	return int32(n / d.c.PacketLen())
 }
 
 // at returns slot j of out if j >= 0, else packet -1-j of the spill.
@@ -254,7 +262,7 @@ func (d *Decoder) at(j int32) []byte {
 	if j >= 0 {
 		return d.out.Slot(int(j))
 	}
-	pl := d.c.PacketLen
+	pl := d.c.PacketLen()
 	o := int(-1-j) * pl
 	return d.spill[o : o+pl : o+pl]
 }
@@ -262,7 +270,7 @@ func (d *Decoder) at(j int32) []byte {
 // analyse runs the one analysis: the static rows, then the kept rows, over
 // every column not received verbatim.
 func (d *Decoder) analyse() {
-	d.colOf = make([]int32, d.c.K+len(d.checks))
+	d.colOf = make([]int32, d.c.K()+len(d.checks))
 	cols := int32(0)
 	for v := range d.colOf {
 		if d.colOf[v] = -1; v >= d.c.Systematic || d.got[v/64]&(1<<(v%64)) == 0 {
@@ -276,7 +284,7 @@ func (d *Decoder) analyse() {
 	}
 	d.solver.Reset(len(d.loc), edges)
 	for j, srcs := range d.checks {
-		d.row = append(over(d.row[:0], d.colOf, srcs), d.colOf[d.c.K+j])
+		d.row = append(over(d.row[:0], d.colOf, srcs), d.colOf[d.c.K()+j])
 		d.solver.AddRow(d.row)
 	}
 	for r := range len(d.off) - 1 {
@@ -306,7 +314,7 @@ func (d *Decoder) solve() {
 	rowOf := d.solver.Solve(rhs)
 	// The analysis' columns and the slots' owners are not read again; their
 	// storage holds where each slot's value is and which slot needs it.
-	from := d.colOf[:d.c.K]
+	from := d.colOf[:d.c.K()]
 	for v, c := range from {
 		if from[v] = int32(v); c >= 0 {
 			from[v] = d.loc[rowOf[c]]

@@ -18,8 +18,8 @@ func (c *Code) Columns(src [][]byte) [][]byte {
 	if len(checks) == 0 {
 		return src
 	}
-	pl := c.PacketLen
-	cols := append(make([][]byte, 0, c.K+len(checks)), src...)
+	pl := c.PacketBytes
+	cols := append(make([][]byte, 0, c.Sources+len(checks)), src...)
 	store := make([]byte, len(checks)*pl)
 	for j, row := range checks {
 		p := store[j*pl : (j+1)*pl : (j+1)*pl]

@@ -51,12 +51,12 @@ func FuzzPeelStream(f *testing.F) {
 		for ops := in[3:]; len(ops) >= 5 && !d.Done(); ops = ops[5:] {
 			kind, raw := ops[0]%8, binary.LittleEndian.Uint32(ops[1:5])
 			if kind < 2 {
-				i, p := int(raw%uint32(2*k)), make([]byte, tc.PacketLen)
+				i, p := int(raw%uint32(2*k)), make([]byte, tc.PacketLen())
 				switch {
 				case kind == 1: // wrong length
-					p = p[:int(raw>>8)%tc.PacketLen]
+					p = p[:int(raw>>8)%tc.PacketLen()]
 				case raw&1 != 0: // past the index space
-					i = tc.N + int(raw>>1)
+					i = tc.N() + int(raw>>1)
 				default: // negative
 					i = -1 - int(raw>>1)
 				}
@@ -76,7 +76,7 @@ func FuzzPeelStream(f *testing.F) {
 			case 3: // around the systematic boundary
 				index = raw % uint32(3*k)
 			case 4: // counting down from the top
-				index = uint32(tc.N) - 1 - raw%uint32(4*k)
+				index = uint32(tc.N()) - 1 - raw%uint32(4*k)
 			case 7: // the repair stream, so systematic packets can follow coded ones
 				index = repair
 				repair++
@@ -84,7 +84,7 @@ func FuzzPeelStream(f *testing.F) {
 				index = next
 				next += 1 + raw%2
 			}
-			index %= uint32(tc.N)
+			index %= uint32(tc.N())
 			p := tc.packet(index)
 			if corrupt {
 				copy(p, ops[1:5])

@@ -57,7 +57,7 @@ func newTestCode(k, checks, packetLen int, seed int64) *testCode {
 	}
 	cdf[maxD-1] = 1
 	tc := &testCode{cols: make([][]byte, l), sampler: Sampler{Seed: seed, CDF: cdf, L: l}}
-	tc.Code = Code{K: k, N: code.UnboundedN, PacketLen: packetLen, Draw: &tc.sampler}
+	tc.Code = Code{Sources: k, Indices: code.UnboundedN, PacketBytes: packetLen, Draw: &tc.sampler}
 	tc.fillSource(rng)
 	if checks > 0 {
 		tc.Systematic = k
@@ -113,7 +113,7 @@ func newTableCode(k, packetLen int, seed int64) *testCode {
 		tb.rows = append(tb.rows, row)
 	}
 	tc := &testCode{cols: make([][]byte, l)}
-	tc.Code = Code{K: k, N: k + len(tb.rows), PacketLen: packetLen, Systematic: k, Draw: tb}
+	tc.Code = Code{Sources: k, Indices: k + len(tb.rows), PacketBytes: packetLen, Systematic: k, Draw: tb}
 	tc.setChecks(make([][]int32, c1+c2))
 	for j := range tc.checks {
 		first, n := 0, k
@@ -131,8 +131,8 @@ func newTableCode(k, packetLen int, seed int64) *testCode {
 
 // fillSource draws the K source columns.
 func (tc *testCode) fillSource(rng *rand.Rand) {
-	for i := 0; i < tc.K; i++ {
-		tc.cols[i] = make([]byte, tc.PacketLen)
+	for i := 0; i < tc.K(); i++ {
+		tc.cols[i] = make([]byte, tc.PacketLen())
 		rng.Read(tc.cols[i])
 	}
 }
@@ -141,9 +141,9 @@ func (tc *testCode) fillSource(rng *rand.Rand) {
 // an earlier check.
 func (tc *testCode) fillChecks() {
 	for j, srcs := range tc.checks {
-		tc.cols[tc.K+j] = make([]byte, tc.PacketLen)
+		tc.cols[tc.K()+j] = make([]byte, tc.PacketLen())
 		for _, i := range srcs {
-			gf.XORSlice(tc.cols[tc.K+j], tc.cols[i])
+			gf.XORSlice(tc.cols[tc.K()+j], tc.cols[i])
 		}
 	}
 }
@@ -158,7 +158,7 @@ func (tc *testCode) columns(index uint32, buf []int) []int {
 
 // packet returns the encoding packet with the given index.
 func (tc *testCode) packet(index uint32) []byte {
-	p := make([]byte, tc.PacketLen)
+	p := make([]byte, tc.PacketLen())
 	for _, v := range tc.columns(index, nil) {
 		gf.XORSlice(p, tc.cols[v])
 	}
@@ -171,8 +171,8 @@ func (tc *testCode) checkSource(t testing.TB, d *Decoder) {
 	if err != nil {
 		t.Fatalf("Source: %v", err)
 	}
-	for i, want := range tc.cols[:tc.K] {
-		if !bytes.Equal(got[i*tc.PacketLen:(i+1)*tc.PacketLen], want) {
+	for i, want := range tc.cols[:tc.K()] {
+		if !bytes.Equal(got[i*tc.PacketLen():(i+1)*tc.PacketLen()], want) {
 			t.Fatalf("source symbol %d differs from what was sent", i)
 		}
 	}
@@ -200,12 +200,12 @@ func (o *oracle) add(index uint32, data []byte) {
 func (o *oracle) solve(n int) (sol [][]byte, ok bool) {
 	tc := o.tc
 	s := len(tc.checks)
-	l := tc.K + s
+	l := tc.K() + s
 	m := bitmat.New(s+n, l)
 	rhs := make([][]byte, s+n)
 	for j, srcs := range tc.checks {
-		rhs[j] = make([]byte, tc.PacketLen)
-		m.Set(j, tc.K+j, true)
+		rhs[j] = make([]byte, tc.PacketLen())
+		m.Set(j, tc.K()+j, true)
 		for _, i := range srcs {
 			m.Set(j, int(i), true)
 		}
@@ -292,7 +292,7 @@ func TestEngineAgainstOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, want := range sol[:k] {
-					if !bytes.Equal(got[i*tc.PacketLen:(i+1)*tc.PacketLen], want) {
+					if !bytes.Equal(got[i*tc.PacketLen():(i+1)*tc.PacketLen()], want) {
 						t.Fatalf("%s k=%d seed=%d: symbol %d differs from the oracle's", shape.name, k, seed, i)
 					}
 				}
@@ -314,23 +314,23 @@ func TestEngineAgainstOracle(t *testing.T) {
 // computes the columns the test code holds and every packet it builds.
 func TestEncoderMatchesTestCode(t *testing.T) {
 	lt, rp, tb := newTestCode(60, 0, 16, 1), newTestCode(60, 9, 16, 2), newTableCode(60, 16, 3)
-	rp.Verbatim, tb.Verbatim = rp.K, len(tb.cols)
+	rp.Verbatim, tb.Verbatim = rp.K(), len(tb.cols)
 	for _, tc := range []*testCode{lt, rp, tb} {
-		cols := tc.Columns(tc.cols[:tc.K])
+		cols := tc.Columns(tc.cols[:tc.K()])
 		for j, want := range tc.cols {
 			if !bytes.Equal(cols[j], want) {
-				t.Fatalf("K=%d Verbatim=%d: column %d differs", tc.K, tc.Verbatim, j)
+				t.Fatalf("K=%d Verbatim=%d: column %d differs", tc.K(), tc.Verbatim, j)
 			}
 		}
-		for i := range min(tc.N, 4*tc.K) {
-			got := make([]byte, tc.PacketLen)
+		for i := range min(tc.N(), 4*tc.K()) {
+			got := make([]byte, tc.PacketLen())
 			if f := tc.SourceOf(i); f >= 0 {
 				got = cols[f]
 			} else {
 				tc.EncodeInto(got, cols, i)
 			}
 			if !bytes.Equal(got, tc.packet(uint32(i))) {
-				t.Fatalf("K=%d Verbatim=%d: packet %d differs", tc.K, tc.Verbatim, i)
+				t.Fatalf("K=%d Verbatim=%d: packet %d differs", tc.K(), tc.Verbatim, i)
 			}
 		}
 	}
@@ -514,7 +514,7 @@ func TestPermutePlacesChainsAndCycles(t *testing.T) {
 	}
 	value := func(v int) []byte { return bytes.Repeat([]byte{byte(v + 1)}, pl) }
 	d := &Decoder{
-		c:     &Code{K: len(from), PacketLen: pl},
+		c:     &Code{Sources: len(from), PacketBytes: pl},
 		out:   code.SourceBuf{K: len(from), PacketLen: pl},
 		spill: make([]byte, 2*pl),
 	}

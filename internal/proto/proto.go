@@ -172,7 +172,10 @@ type SessionInfo struct {
 const (
 	CodecTornadoA uint8 = iota
 	CodecTornadoB
-	CodecVandermonde
+	// Id 2 was whole-file Vandermonde Reed-Solomon, which the paper uses
+	// only as a Tables 2-3 baseline. It is reserved: refused like an
+	// unassigned id, and never given to another codec.
+	_
 	CodecCauchy
 	CodecInterleaved
 	// CodecLT is the rateless Luby Transform code: N is the unbounded

@@ -23,7 +23,6 @@
 package raptor
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -92,23 +91,20 @@ func DefaultChecks(k, maxD int) int {
 // in New, the precode graph at its first use, and both are shared by every
 // encoder and decoder of the session.
 type Codec struct {
-	// Code is what every decoder of the session runs on, and the encoder
-	// the codec satisfies code.RowEncoder through (its fields K, N and
-	// PacketLen are shadowed by the methods). CheckSrc()[j] lists the
-	// sources XORed into intermediate k+j and builds the precode graph at
-	// its first call — a decoder's first repair packet, or Columns — so a
-	// sender or receiver of only the systematic prefix never builds it.
-	// Draw points at draw, the truncated robust soliton over the l
-	// intermediates.
+	// Code is what every decoder of the session runs on, and the sizes,
+	// encoder and decoder the codec satisfies code.Codec through.
+	// CheckSrc()[j] lists the sources XORed into intermediate k+j and
+	// builds the precode graph at its first call — a decoder's first
+	// repair packet, or Columns — so a sender or receiver of only the
+	// systematic prefix never builds it. Draw points at draw, the truncated
+	// robust soliton over the l intermediates.
 	peel.Code
-	k         int
-	packetLen int
-	c         float64
-	delta     float64
-	s         int // precode checks
-	maxD      int // inner-code degree truncation
-	l         int // k + s intermediate symbols
-	draw      peel.Sampler
+	c     float64
+	delta float64
+	s     int // precode checks
+	maxD  int // inner-code degree truncation
+	l     int // k + s intermediate symbols
+	draw  peel.Sampler
 
 	// window is EncodeRange's one-slot cache: the intermediates of the last
 	// source slice it was given. It goes once the benchmark's traced replay
@@ -159,16 +155,13 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 	if maxD > l {
 		maxD = l
 	}
-	rc := &Codec{
-		k: k, packetLen: packetLen,
-		c: c, delta: delta, s: checks, maxD: maxD, l: l,
-	}
+	rc := &Codec{c: c, delta: delta, s: checks, maxD: maxD, l: l}
 	rc.draw = peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l}
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
 	precodeSeed := seed ^ 0x5DEECE66D1CE4E5B
 	rc.Code = peel.Code{
-		K: k, N: code.UnboundedN, PacketLen: packetLen, Systematic: k, Verbatim: k,
+		Sources: k, Indices: code.UnboundedN, PacketBytes: packetLen, Systematic: k, Verbatim: k,
 		Draw: &rc.draw,
 		CheckSrc: sync.OnceValue(func() [][]int32 {
 			return tornado.PrecodeGraph(k, checks, precodeMaxDegree, precodeSeed)
@@ -227,15 +220,6 @@ func truncatedSolitonCDF(l, maxD int, c, delta float64) []float64 {
 // Name implements code.Codec.
 func (c *Codec) Name() string { return "raptor" }
 
-// K implements code.Codec.
-func (c *Codec) K() int { return c.k }
-
-// N implements code.Codec: the encoding is unbounded.
-func (c *Codec) N() int { return code.UnboundedN }
-
-// PacketLen implements code.Codec.
-func (c *Codec) PacketLen() int { return c.packetLen }
-
 // Params returns the inner degree-distribution tunables (c, δ) in effect.
 func (c *Codec) Params() (cc, delta float64) { return c.c, c.delta }
 
@@ -251,20 +235,10 @@ func (c *Codec) Intermediates() int { return c.l }
 // Seed returns the session seed the packet streams derive from.
 func (c *Codec) Seed() int64 { return c.draw.Seed }
 
-// RatelessCode implements code.Rateless.
-func (c *Codec) RatelessCode() {}
-
-// ErrUnbounded is returned by Encode: a rateless code has no finite "full
-// encoding" to materialize.
-var ErrUnbounded = errors.New("raptor: rateless codec has no finite encoding; use EncodeRange")
-
-// Encode implements code.Codec by failing: callers must use EncodeRange.
-func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return nil, ErrUnbounded }
-
 // Degree returns encoding packet index's inner degree — deterministic,
 // in [1, maxD]; systematic indices report 1.
 func (c *Codec) Degree(index uint32) int {
-	if int64(index) < int64(c.k) {
+	if int64(index) < int64(c.Sources) {
 		return 1
 	}
 	return c.draw.Degree(index)
@@ -276,14 +250,11 @@ func (c *Codec) Degree(index uint32) int {
 // is intermediate `index` itself. Repair indices draw a truncated-soliton
 // degree and that many distinct intermediates from the shared sampler.
 func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
-	if int64(index) < int64(c.k) {
+	if int64(index) < int64(c.Sources) {
 		return append(buf[:0], int(index))
 	}
 	return c.draw.NeighborsInto(index, buf)
 }
-
-// NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.Code) }
 
 // EncodeRange implements code.RangeEncoder. The intermediates of src are
 // kept from one call to the next while src is the same slice (the address
@@ -309,5 +280,4 @@ func (w windowed) Columns(src [][]byte) [][]byte {
 var (
 	_ code.Codec        = (*Codec)(nil)
 	_ code.RangeEncoder = (*Codec)(nil)
-	_ code.Rateless     = (*Codec)(nil)
 )

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/code"
 	"repro/internal/stats"
 	"repro/internal/tornado"
 )
@@ -57,7 +58,7 @@ func overheadSamples(p tornado.Params, k, trials int, seed int64) ([]float64, er
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
 	src := Corpus(rng, k, 16)
-	enc, err := c.Encode(src)
+	enc, err := code.EncodeAll(c, src)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/code"
 )
 
 // The experiment generators are exercised end-to-end at tiny scales: they
@@ -161,7 +163,7 @@ func TestDecodeNeedsACompleteReception(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := c.Encode(Corpus(rng, k, pl))
+		enc, err := code.EncodeAll(c, Corpus(rng, k, pl))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func timeEntry(e Entry, k int, seed int64, src [][]byte, rng *rand.Rand, decode 
 		return 0, 0, err
 	}
 	start := time.Now()
-	coded, err := c.Encode(src)
+	coded, err := code.EncodeAll(c, src)
 	enc = time.Since(start)
 	if err != nil || !decode {
 		return enc, 0, err

@@ -166,15 +166,6 @@ func (c *Cauchy) EncodeInto(dst []byte, src [][]byte, idx int) {
 	c.mulAdd(dst, c.k, func(j int) (uint32, []byte) { return c.coeff(r, j), src[j] })
 }
 
-// Encode implements code.Codec. Repair packets are independent, so they are
-// generated by a GOMAXPROCS-sized worker pool.
-func (c *Cauchy) Encode(src [][]byte) ([][]byte, error) { return code.EncodeAll(c, src) }
-
-// EncodeRange implements code.RangeEncoder.
-func (c *Cauchy) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	return code.EncodeRows(c, src, lo, hi)
-}
-
 // NewDecoder implements code.Codec.
 func (c *Cauchy) NewDecoder() code.Decoder { return c.NewDecoderInto(nil, 0) }
 

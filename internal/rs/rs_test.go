@@ -62,7 +62,7 @@ func testAnyKOfN(t *testing.T, mk func(k, n, pl int) (code.Codec, error)) {
 			return false
 		}
 		src := randSource(rng, k, pl)
-		enc, err := c.Encode(src)
+		enc, err := code.EncodeAll(c, src)
 		if err != nil {
 			t.Logf("encode: %v", err)
 			return false
@@ -104,7 +104,7 @@ func TestVandermondeRepairOnlyDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := randSource(rng, 8, 64)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	recv := []int{8, 9, 10, 11, 12, 13, 14, 15}
 	got := decodeFrom(t, c, enc, recv)
 	for i, p := range src {
@@ -121,7 +121,7 @@ func TestCauchyRepairOnlyDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := randSource(rng, 8, 64)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	recv := []int{16, 17, 18, 19, 20, 21, 22, 23}
 	got := decodeFrom(t, c, enc, recv)
 	for i, p := range src {
@@ -143,7 +143,7 @@ func TestHalfSourceHalfRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := randSource(rng, 16, 32)
-		enc, _ := c.Encode(src)
+		enc, _ := code.EncodeAll(c, src)
 		recv := append(rng.Perm(16)[:8], shift(rng.Perm(16)[:8], 16)...)
 		got := decodeFrom(t, c, enc, recv)
 		for i, p := range src {
@@ -166,7 +166,7 @@ func TestDuplicatesIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	c, _ := NewCauchy(4, 8, 32)
 	src := randSource(rng, 4, 32)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	for i := 0; i < 10; i++ {
 		d.Add(5, enc[5]) // same packet over and over
@@ -218,7 +218,7 @@ func TestDecodersIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	c, _ := NewCauchy(4, 8, 32)
 	src := randSource(rng, 4, 32)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d1 := c.NewDecoder()
 	d2 := c.NewDecoder()
 	d1.Add(0, enc[0])
@@ -231,7 +231,7 @@ func TestAddAfterDoneIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	c, _ := NewVandermonde(3, 6, 32)
 	src := randSource(rng, 3, 32)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	for i := 0; i < 3; i++ {
 		d.Add(i, enc[i])
@@ -253,7 +253,7 @@ func TestDecoderDataIsCopied(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	c, _ := NewCauchy(2, 4, 32)
 	src := randSource(rng, 2, 32)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	buf := make([]byte, 32)
 	copy(buf, enc[2])
@@ -285,7 +285,7 @@ func TestEncodeConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := randSource(rng, 24, 64)
-		want, err := c.Encode(src)
+		want, err := code.EncodeAll(c, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestEncodeConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := c.Encode(src)
+				got, err := code.EncodeAll(c, src)
 				if err != nil {
 					t.Errorf("%s: concurrent encode: %v", c.Name(), err)
 					return
@@ -398,7 +398,7 @@ func FuzzCauchyStream(f *testing.F) {
 			t.Fatal(err)
 		}
 		src := randSource(rand.New(rand.NewSource(int64(len(in)))), k, pl)
-		enc, err := c.Encode(src)
+		enc, err := code.EncodeAll(c, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,8 +446,9 @@ func FuzzCauchyStream(f *testing.F) {
 	})
 }
 
-// TestEncodeRangeMatchesEncode: any window of EncodeRange must equal the
-// corresponding slice of the full encoding, for both RS codecs.
+// TestEncodeRangeMatchesEncode: any window of the encoding (code.EncodeRows)
+// must equal the corresponding slice of the full encoding, for both RS
+// codecs.
 func TestEncodeRangeMatchesEncode(t *testing.T) {
 	const k, n, pl = 30, 60, 64
 	rng := rand.New(rand.NewSource(11))
@@ -467,13 +468,12 @@ func TestEncodeRangeMatchesEncode(t *testing.T) {
 	}
 	codecs = append(codecs, v, c)
 	for _, cd := range codecs {
-		full, err := cd.Encode(src)
+		full, err := code.EncodeAll(cd, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		re := cd.(code.RangeEncoder)
 		for _, win := range [][2]int{{0, n}, {0, k}, {k, n}, {k - 3, k + 3}, {n - 5, n}, {17, 17}} {
-			got, err := re.EncodeRange(src, win[0], win[1])
+			got, err := code.EncodeRows(cd, src, win[0], win[1])
 			if err != nil {
 				t.Fatalf("%s range %v: %v", cd.Name(), win, err)
 			}
@@ -487,17 +487,17 @@ func TestEncodeRangeMatchesEncode(t *testing.T) {
 			}
 		}
 		// Source windows must alias, not copy.
-		got, err := re.EncodeRange(src, 0, 1)
+		got, err := code.EncodeRows(cd, src, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &got[0][0] != &src[0][0] {
 			t.Fatalf("%s: source packet copied, want alias", cd.Name())
 		}
-		if _, err := re.EncodeRange(src, -1, 2); err == nil {
+		if _, err := code.EncodeRows(cd, src, -1, 2); err == nil {
 			t.Fatalf("%s: negative lo accepted", cd.Name())
 		}
-		if _, err := re.EncodeRange(src, 0, n+1); err == nil {
+		if _, err := code.EncodeRows(cd, src, 0, n+1); err == nil {
 			t.Fatalf("%s: hi > n accepted", cd.Name())
 		}
 	}
@@ -514,7 +514,7 @@ func TestSourceInPlace(t *testing.T) {
 	c, _ := NewCauchy(k, n, pl)
 	for _, cd := range []code.Codec{v, c} {
 		src := randSource(rng, k, pl)
-		enc, _ := cd.Encode(src)
+		enc, _ := code.EncodeAll(cd, src)
 		d := cd.NewDecoder()
 		for _, i := range rng.Perm(n)[:k] {
 			d.Add(i, enc[i])
@@ -555,7 +555,7 @@ func BenchmarkCauchyEncodeInto(b *testing.B) {
 func BenchmarkCauchyDecodeBlock(b *testing.B) {
 	const k, n, pl = 50, 100, 1024
 	c, _ := NewCauchy(k, n, pl)
-	enc, _ := c.Encode(randSource(rand.New(rand.NewSource(1)), k, pl))
+	enc, _ := code.EncodeAll(c, randSource(rand.New(rand.NewSource(1)), k, pl))
 	b.SetBytes(k * pl)
 	b.ReportAllocs()
 	b.ResetTimer()

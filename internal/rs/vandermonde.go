@@ -112,16 +112,6 @@ func (v *Vandermonde) EncodeInto(dst []byte, src [][]byte, idx int) {
 	}
 }
 
-// Encode implements code.Codec. The returned slice holds the k source
-// packets followed by n-k repair packets, which are mutually independent
-// and generated by a GOMAXPROCS-sized worker pool.
-func (v *Vandermonde) Encode(src [][]byte) ([][]byte, error) { return code.EncodeAll(v, src) }
-
-// EncodeRange implements code.RangeEncoder.
-func (v *Vandermonde) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	return code.EncodeRows(v, src, lo, hi)
-}
-
 // NewDecoder implements code.Codec.
 func (v *Vandermonde) NewDecoder() code.Decoder {
 	return &vdmDecoder{c: v, reception: newReception(v.k, v.n, v.packetLen, nil, 0)}

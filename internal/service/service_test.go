@@ -31,7 +31,7 @@ func sessionConfig(codec uint8, id uint16, seed int64) core.Config {
 }
 
 // TestServiceSoak is the multi-session smoke the CI runs under -race: one
-// service, one muxed UDP socket, three sessions of different codecs (one
+// service, one muxed UDP socket, three sessions of different codecs (all
 // lazily encoded under a tight shared cache), and eight concurrent clients
 // spread across the sessions. Every client must reconstruct its file, and
 // the shared encoding cache must stay bounded.
@@ -53,8 +53,8 @@ func TestServiceSoak(t *testing.T) {
 	}
 	adds := []add{
 		{proto.CodecCauchy, 0x0001, 45_000},      // lazy
-		{proto.CodecTornadoA, 0x0002, 30_000},    // eager fallback
-		{proto.CodecVandermonde, 0x0003, 25_000}, // lazy
+		{proto.CodecTornadoA, 0x0002, 30_000},    // lazy
+		{proto.CodecInterleaved, 0x0003, 25_000}, // lazy
 	}
 	for _, a := range adds {
 		data := randBytes(int64(a.id), a.size)

@@ -15,18 +15,15 @@ import (
 // (the digital fountain server encodes once; every receiver decodes with
 // the same graphs, derived from the seed carried in the session descriptor).
 type Codec struct {
-	// Code is what every decoder of the code runs on, and the encoder the
-	// codec satisfies code.RowEncoder through (its fields K, N and
-	// PacketLen are shadowed by the methods): the k sources are the
-	// systematic prefix, cascade check j is static row j (its value is
-	// column k+j, sent verbatim as packet k+j), and a dense-tail packet is
-	// its row of a peel.Table.
+	// Code is what every decoder of the code runs on, and the sizes,
+	// encoder and decoder the codec satisfies code.Codec through: the k
+	// sources are the systematic prefix, cascade check j is static row j
+	// (its value is column k+j, sent verbatim as packet k+j), and a
+	// dense-tail packet is its row of a peel.Table.
 	peel.Code
 
-	params    Params
-	k, n      int
-	packetLen int
-	seed      int64
+	params Params
+	seed   int64
 
 	// Value nodes: ids [0, numValues). Ids [0,k) are source packets;
 	// the rest are cascade check layers in order. Packet index i < numValues
@@ -79,7 +76,7 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	if packetLen <= 0 {
 		return nil, fmt.Errorf("tornado: invalid packetLen %d", packetLen)
 	}
-	c := &Codec{params: p, k: k, n: n, packetLen: packetLen, seed: seed}
+	c := &Codec{params: p, seed: seed}
 	sizes, dense := planCascade(k, n-k, p.denseTarget())
 	c.levels = sizes
 	degrees := p.table[n/k-minStretch]
@@ -143,7 +140,7 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 
 	cascade := c.checkNeighbors[:c.denseStart]
 	c.Code = peel.Code{
-		K: k, N: n, PacketLen: packetLen, Systematic: k, Verbatim: c.numValues,
+		Sources: k, Indices: n, PacketBytes: packetLen, Systematic: k, Verbatim: c.numValues,
 		Draw:     &peel.Table{K: k, First: c.numValues, Rows: c.checkNeighbors[c.denseStart:]},
 		CheckSrc: func() [][]int32 { return cascade },
 	}
@@ -161,15 +158,6 @@ func mix(seed, salt int64) int64 {
 // Name implements code.Codec.
 func (c *Codec) Name() string { return c.params.Variant }
 
-// K implements code.Codec.
-func (c *Codec) K() int { return c.k }
-
-// N implements code.Codec.
-func (c *Codec) N() int { return c.n }
-
-// PacketLen implements code.Codec.
-func (c *Codec) PacketLen() int { return c.packetLen }
-
 // Seed returns the graph seed (carried in the session descriptor).
 func (c *Codec) Seed() int64 { return c.seed }
 
@@ -182,9 +170,5 @@ func (c *Codec) DenseSize() (inputs, rows int) {
 	return c.denseInputs, len(c.checkNeighbors) - c.denseStart
 }
 
-// Encode implements code.Codec: the cascade's values, then the dense tail.
-// The first k output packets alias src.
-func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return code.EncodeAll(c, src) }
-
-// NewDecoder implements code.Codec.
-func (c *Codec) NewDecoder() code.Decoder { return peel.NewDecoder(&c.Code) }
+// Interface conformance.
+var _ code.Codec = (*Codec)(nil)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"repro/internal/code"
 )
 
 // FuzzTornadoStream drives the decoder with a hostile but well-tagged
@@ -44,22 +46,22 @@ func FuzzTornadoStream(f *testing.F) {
 		for i := range src {
 			src[i] = bytes.Repeat([]byte{byte(i), in[2]}, packetLen/2)
 		}
-		enc, err := c.Encode(src)
+		enc, err := code.EncodeAll(c, src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := c.NewDecoder()
-		seen := make([]bool, c.n)
+		seen := make([]bool, c.N())
 		distinct, next, last := 0, 0, 0
 		for ops := in[3:]; len(ops) >= 5 && !d.Done(); ops = ops[5:] {
 			kind, raw := ops[0]%8, binary.LittleEndian.Uint32(ops[1:5])
 			if kind < 2 {
-				i, pkt := int(raw%uint32(c.n)), make([]byte, packetLen)
+				i, pkt := int(raw%uint32(c.N())), make([]byte, packetLen)
 				switch {
 				case kind == 1: // wrong length
 					pkt = pkt[:int(raw>>8)%packetLen]
 				case raw&1 != 0: // past the encoding
-					i = c.n + int(raw>>1)
+					i = c.N() + int(raw>>1)
 				default: // negative
 					i = -1 - int(raw>>1)
 				}
@@ -74,13 +76,13 @@ func FuzzTornadoStream(f *testing.F) {
 			var index int
 			switch kind {
 			case 2: // anywhere in the encoding
-				index = int(raw % uint32(c.n))
+				index = int(raw % uint32(c.N()))
 			case 3: // counting down from the top: dense checks first
-				index = c.n - 1 - int(raw%uint32(c.n))
+				index = c.N() - 1 - int(raw%uint32(c.N()))
 			case 4: // the last packet again
 				index = last
 			default: // the carousel, so fuzzing reaches done
-				index = next % c.n
+				index = next % c.N()
 				next += 1 + int(raw%2)
 			}
 			last = index

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bitmat"
+	"repro/internal/code"
 )
 
 // oracle is the slow reference decoder: dense GF(2) elimination over every
@@ -34,8 +35,8 @@ func (o *oracle) solve(n int) (sol [][]byte, ok bool) {
 	m := bitmat.New(cascade+n, c.numValues)
 	rhs := make([][]byte, cascade+n)
 	for ci := 0; ci < cascade; ci++ {
-		rhs[ci] = make([]byte, c.packetLen)
-		m.Set(ci, c.k+ci, true) // check ci computes value k+ci
+		rhs[ci] = make([]byte, c.PacketLen())
+		m.Set(ci, c.K()+ci, true) // check ci computes value k+ci
 		for _, v := range c.checkNeighbors[ci] {
 			m.Set(ci, int(v), true)
 		}
@@ -107,7 +108,7 @@ func TestTornadoAgainstOracle(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(seed))
 				src := randSource(rng, k, packetLen)
-				enc, err := c.Encode(src)
+				enc, err := code.EncodeAll(c, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,8 +117,8 @@ func TestTornadoAgainstOracle(t *testing.T) {
 				}
 				d := c.NewDecoder()
 				o := &oracle{c: c}
-				got := make([]bool, c.n)
-				order := rng.Perm(c.n)
+				got := make([]bool, c.N())
+				order := rng.Perm(c.N())
 				for pass := 0; !d.Done(); pass++ {
 					if pass == 50 {
 						t.Fatalf("%s: no decode after %d carousel cycles", name(), pass)

@@ -67,7 +67,7 @@ func TestRoundTripVariousK(t *testing.T) {
 				t.Fatalf("k=%d stretch=%d: %v", k, stretch, err)
 			}
 			src := randSource(rng, k, 64)
-			enc, err := c.Encode(src)
+			enc, err := code.EncodeAll(c, src)
 			if err != nil {
 				t.Fatalf("k=%d stretch=%d: %v", k, stretch, err)
 			}
@@ -94,7 +94,7 @@ func TestRoundTripPropertyQuick(t *testing.T) {
 			return false
 		}
 		src := randSource(rng, k, pl)
-		enc, err := c.Encode(src)
+		enc, err := code.EncodeAll(c, src)
 		if err != nil {
 			return false
 		}
@@ -130,15 +130,15 @@ func TestDeterministicEncoding(t *testing.T) {
 	src := randSource(rng, 128, 32)
 	c1, _ := New(A(), 128, 256, 32, 99)
 	c2, _ := New(A(), 128, 256, 32, 99)
-	e1, _ := c1.Encode(src)
-	e2, _ := c2.Encode(src)
+	e1, _ := code.EncodeAll(c1, src)
+	e2, _ := code.EncodeAll(c2, src)
 	for i := range e1 {
 		if !bytes.Equal(e1[i], e2[i]) {
 			t.Fatalf("same seed produced different packet %d", i)
 		}
 	}
 	c3, _ := New(A(), 128, 256, 32, 100)
-	e3, _ := c3.Encode(src)
+	e3, _ := code.EncodeAll(c3, src)
 	same := 0
 	for i := 128; i < 256; i++ {
 		if bytes.Equal(e1[i], e3[i]) {
@@ -162,7 +162,7 @@ func TestOverheadReasonable(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := randSource(rng, k, 16)
-		enc, _ := c.Encode(src)
+		enc, _ := code.EncodeAll(c, src)
 		totalOverhead := 0.0
 		trials := 20
 		for trial := 0; trial < trials; trial++ {
@@ -184,7 +184,7 @@ func TestIncrementalDoneDetection(t *testing.T) {
 	k := 64
 	c, _ := New(A(), k, 2*k, 16, 11)
 	src := randSource(rng, k, 16)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	doneAt := -1
 	for step, i := range rng.Perm(c.N()) {
@@ -218,7 +218,7 @@ func TestDuplicatesAndJunk(t *testing.T) {
 	k := 32
 	c, _ := New(A(), k, 2*k, 16, 12)
 	src := randSource(rng, k, 16)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	// Duplicates must not advance Received.
 	d.Add(0, enc[0])
@@ -254,7 +254,7 @@ func TestDecoderDataCopied(t *testing.T) {
 	k := 16
 	c, _ := New(A(), k, 2*k, 16, 13)
 	src := randSource(rng, k, 16)
-	enc, _ := c.Encode(src)
+	enc, _ := code.EncodeAll(c, src)
 	d := c.NewDecoder()
 	buf := make([]byte, 16)
 	for _, i := range rng.Perm(c.N()) {
@@ -414,7 +414,7 @@ func TestBigraphShape(t *testing.T) {
 
 func TestEncodeValidatesSource(t *testing.T) {
 	c, _ := New(A(), 8, 16, 16, 1)
-	if _, err := c.Encode(make([][]byte, 7)); err == nil {
+	if _, err := code.EncodeAll(c, make([][]byte, 7)); err == nil {
 		t.Fatal("wrong source count accepted")
 	}
 }

@@ -29,7 +29,7 @@ func TestTuningReport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc, err := c.Encode(randSource(rand.New(rand.NewSource(1)), k, packetLen))
+			enc, err := code.EncodeAll(c, randSource(rand.New(rand.NewSource(1)), k, packetLen))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,21 +8,22 @@ import (
 	"repro/internal/code"
 )
 
-// TestRangeEncoderDifferential: for every codec implementing
-// code.RangeEncoder, EncodeRange(src, lo, hi) must be byte-identical to the
-// corresponding slice of the full encoding — property-style over random
-// [lo, hi) windows. The lazy fountain service depends on this exactness:
-// a receiver decodes against the full-encoding definition while the server
-// only ever materializes windows.
+// TestRangeEncoderDifferential: for every codec, a window of its encoding —
+// code.EncodeRows(c, src, lo, hi) for a fixed-rate codec — must be
+// byte-identical to the corresponding slice of the full encoding (Encode),
+// property-style over random [lo, hi) windows. The lazy fountain service
+// depends on this exactness: a receiver decodes against the full-encoding
+// definition while the server only ever materializes windows.
 //
-// The rateless codecs have no finite full encoding to slice; their
-// reference is per-index generation, and the invariant becomes "batching
-// does not change content" plus prefix consistency across overlapping
-// windows.
+// The rateless codecs have no finite full encoding to slice; their windows
+// are code.RangeEncoder's EncodeRange, their reference is per-index
+// generation, and the invariant becomes "batching does not change content"
+// plus prefix consistency across overlapping windows.
 //
 // Every entry is also held to the code.RowEncoder contract the windows are
-// built from: SourceOf(i) >= 0 exactly where the window aliases
-// src[SourceOf(i)], and EncodeInto over Columns(src) into a zeroed buffer
+// built from: a window aliases src[f] exactly where SourceOf(i) = f < k, a
+// packet with SourceOf(i) >= k (a Tornado cascade value) is that column of
+// Columns(src), and EncodeInto over Columns(src) into a zeroed buffer
 // reproduces every other packet.
 func TestRangeEncoderDifferential(t *testing.T) {
 	const (
@@ -44,6 +45,7 @@ func TestRangeEncoderDifferential(t *testing.T) {
 		{"vandermonde", func() (Codec, error) { return NewVandermonde(k, 2*k, pl) }},
 		{"cauchy", func() (Codec, error) { return NewCauchy(k, 2*k, pl) }},
 		{"interleaved", func() (Codec, error) { return NewInterleaved(k, 30, 2, pl) }},
+		{"tornado-a", func() (Codec, error) { return NewTornado(TornadoA(), k, 2*k, pl, 99) }},
 		{"lt", func() (Codec, error) { return NewLT(k, pl, 99, 0, 0) }},
 		{"raptor", func() (Codec, error) { return NewRaptor(k, pl, 99, 0, 0, 0, 0) }},
 	}
@@ -57,29 +59,33 @@ func TestRangeEncoderDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranger, ok := c.(code.RangeEncoder)
-			if !ok {
-				t.Fatalf("%s does not implement code.RangeEncoder", tc.name)
-			}
-			rows := c.(code.RowEncoder)
-			cols := rows.Columns(src)
+			cols := c.Columns(src)
 			checkRow := func(i int, pkt []byte) {
 				t.Helper()
 				f, aliased := heads[&pkt[0]]
 				if !aliased {
 					f = -1
 				}
-				if got := rows.SourceOf(i); got != f {
-					t.Fatalf("SourceOf(%d) = %d, but EncodeRange aliases source %d", i, got, f)
+				got := c.SourceOf(i)
+				if got != f && (aliased || got < k) {
+					t.Fatalf("SourceOf(%d) = %d, but the window aliases source %d", i, got, f)
 				}
-				if !aliased {
-					buf := make([]byte, pl)
-					if rows.EncodeInto(buf, cols, i); !bytes.Equal(buf, pkt) {
-						t.Fatalf("EncodeInto(%d) differs from EncodeRange", i)
+				if got >= 0 {
+					if !bytes.Equal(cols[got], pkt) {
+						t.Fatalf("packet %d differs from column %d", i, got)
 					}
+					return
+				}
+				buf := make([]byte, pl)
+				if c.EncodeInto(buf, cols, i); !bytes.Equal(buf, pkt) {
+					t.Fatalf("EncodeInto(%d) differs from the window", i)
 				}
 			}
 			if IsRateless(c) {
+				ranger, ok := c.(code.RangeEncoder)
+				if !ok {
+					t.Fatalf("%s does not implement code.RangeEncoder", tc.name)
+				}
 				// Reference: one-packet-at-a-time generation; one window over
 				// the start of the stream (a systematic prefix, if any), the
 				// rest drawn from deep inside the unbounded index space.
@@ -106,7 +112,7 @@ func TestRangeEncoderDifferential(t *testing.T) {
 				}
 				return
 			}
-			full, err := c.Encode(src)
+			full, err := Encode(c, src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,12 +126,12 @@ func TestRangeEncoderDifferential(t *testing.T) {
 			}
 			for _, lohi := range windows {
 				lo, hi := lohi[0], lohi[1]
-				got, err := ranger.EncodeRange(src, lo, hi)
+				got, err := code.EncodeRows(c, src, lo, hi)
 				if err != nil {
-					t.Fatalf("EncodeRange[%d,%d): %v", lo, hi, err)
+					t.Fatalf("EncodeRows[%d,%d): %v", lo, hi, err)
 				}
 				if len(got) != hi-lo {
-					t.Fatalf("EncodeRange[%d,%d): %d packets", lo, hi, len(got))
+					t.Fatalf("EncodeRows[%d,%d): %d packets", lo, hi, len(got))
 				}
 				for i := lo; i < hi; i++ {
 					if !bytes.Equal(got[i-lo], full[i]) {
