@@ -161,10 +161,11 @@ func BenchmarkTable5Schedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var idxs []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for layer := 0; layer < 4; layer++ {
-			s.CarouselIndices(layer, i)
+			idxs = s.AppendCarouselIndices(idxs[:0], layer, i)
 		}
 	}
 }
@@ -176,8 +177,8 @@ func NewSessionForBench() (*Session, error) {
 	return NewSession(data, cfg)
 }
 
-// BenchmarkFig8Prototype runs one complete prototype download (carousel ->
-// lossy bus -> congestion-controlled client) per iteration.
+// BenchmarkFig8Prototype runs one complete prototype download (manual
+// service -> lossy bus -> congestion-controlled client) per iteration.
 func BenchmarkFig8Prototype(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	data := make([]byte, 128<<10)
@@ -201,12 +202,17 @@ func BenchmarkFig8Prototype(b *testing.B) {
 			eng.HandlePacket(pkt)
 		})
 		lvl = bc.SetLevel
-		car := NewCarousel(sess)
+		svc := NewService(bus, ServiceConfig{})
+		car, err := svc.AddManual(sess, 0, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for !eng.Done() {
-			if err := car.NextRound(bus.Send); err != nil {
+			if err := svc.EmitRound(car); err != nil {
 				b.Fatal(err)
 			}
 		}
+		svc.Close()
 		bc.Close()
 	}
 }

@@ -123,7 +123,7 @@ func intakePackets(sess *core.Session) [][]byte {
 			if count[l]%97 == 0 {
 				serial[l] += 3 // a small gap: the ring window stays exercised
 			}
-			pkts = append(pkts, sess.Packet(i, uint8(l), serial[l], 0))
+			pkts = append(pkts, sess.AppendPacket(make([]byte, 0, sess.WireLen()), i, uint8(l), serial[l], 0))
 		}
 	}
 	return pkts

@@ -45,16 +45,20 @@ func main() {
 		{name: "satellite", loss: &netsim.Bernoulli{P: 0.30, Rng: lossRng}, delay: 120},
 	}
 
-	rcv, err := fountain.NewReceiver(info)
+	// The destination: one client engine, each path a source of its own.
+	rcv, err := fountain.NewClient(info, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	type inflight struct {
 		at  int
 		idx int
+		src int
 		p   *path
 	}
 	var queue []inflight
+	var idxs []int
+	var pkt []byte
 	tick := 0
 	next := 0 // carousel position
 	n := int(info.N)
@@ -62,11 +66,11 @@ func main() {
 	for doneAt < 0 {
 		// Source sprays one packet per path per tick, round-robin over the
 		// encoding.
-		for _, p := range paths {
-			idx := sess.CarouselIndices(0, next)[0]
+		for src, p := range paths {
+			idxs = sess.AppendCarouselIndices(idxs[:0], 0, next)
 			next++
 			if !p.loss.Lose() {
-				queue = append(queue, inflight{at: tick + p.delay, idx: idx, p: p})
+				queue = append(queue, inflight{at: tick + p.delay, idx: idxs[0], src: src, p: p})
 			}
 		}
 		// Deliveries due this tick (sorted for determinism).
@@ -75,7 +79,8 @@ func main() {
 			d := queue[0]
 			queue = queue[1:]
 			d.p.used++
-			if done, _ := rcv.HandleRaw(sess.Packet(d.idx, 0, uint32(tick), 0)); done {
+			pkt = sess.AppendPacket(pkt[:0], d.idx, 0, uint32(tick), 0)
+			if done, _ := rcv.HandlePacketFrom(d.src, pkt); done {
 				doneAt = tick
 				break
 			}

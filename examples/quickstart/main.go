@@ -9,6 +9,7 @@ import (
 	"math/rand"
 
 	fountain "repro"
+	"repro/internal/netsim"
 )
 
 func main() {
@@ -27,21 +28,30 @@ func main() {
 	info := sess.Info()
 	fmt.Printf("session: k=%d source packets stretched to n=%d\n", info.K, info.N)
 
-	// A receiver that joined mid-stream, behind a 40%-loss channel.
-	rcv, err := fountain.NewReceiver(info)
+	// The fountain: a service emitting the session's carousel onto an
+	// in-process multicast bus, one round per call.
+	bus := fountain.NewBus(1)
+	svc := fountain.NewService(bus, fountain.ServiceConfig{})
+	defer svc.Close()
+	car, err := svc.AddManual(sess, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sent := 0
-	for round := 0; !rcv.Done(); round++ {
-		for _, idx := range sess.CarouselIndices(0, round) {
-			sent++
-			if rng.Float64() < 0.4 {
-				continue // lost in the network
-			}
-			if _, err := rcv.HandleRaw(sess.Packet(idx, 0, uint32(round), 0)); err != nil {
-				log.Fatal(err)
-			}
+
+	// A receiver behind a 40%-loss channel.
+	rcv, err := fountain.NewClient(info, 0, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	link := bus.NewClient(0, &netsim.Bernoulli{P: 0.4, Rng: netsim.NewRNG(42)}, func(_ int, pkt []byte) {
+		if _, err := rcv.HandlePacket(pkt); err != nil {
+			log.Fatal(err)
+		}
+	})
+	defer link.Close()
+	for !rcv.Done() {
+		if err := svc.EmitRound(car); err != nil {
+			log.Fatal(err)
 		}
 	}
 	got, err := rcv.File()
@@ -52,6 +62,6 @@ func main() {
 		log.Fatal("reconstructed file differs!")
 	}
 	eta, etaC, etaD := rcv.Efficiency()
-	fmt.Printf("reconstructed %d bytes intact after %d transmissions\n", len(got), sent)
+	fmt.Printf("reconstructed %d bytes intact after %d transmissions\n", len(got), car.Sent())
 	fmt.Printf("reception efficiency: eta=%.3f (coding %.3f x distinctness %.3f)\n", eta, etaC, etaD)
 }

@@ -15,7 +15,6 @@ import (
 
 func main() {
 	rng := rand.New(rand.NewSource(7))
-	lossRng := netsim.NewRNG(7)
 	image := make([]byte, 512<<10) // the software release
 	rng.Read(image)
 
@@ -25,7 +24,12 @@ func main() {
 		log.Fatal(err)
 	}
 	bus := fountain.NewBus(4)
-	car := fountain.NewCarousel(sess)
+	svc := fountain.NewService(bus, fountain.ServiceConfig{})
+	defer svc.Close()
+	car, err := svc.AddManual(sess, 0, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	type receiver struct {
 		name    string
@@ -53,16 +57,17 @@ func main() {
 	// Drive the fountain; receivers attach asynchronously.
 	for round := 0; ; round++ {
 		allDone := true
-		for _, r := range pop {
+		for i, r := range pop {
 			if r.joinAt == round && !r.started {
 				r.started = true
 				rr := r
-				var bc interface{ SetLevel(int) }
-				c := bus.NewClient(1, &netsim.Bernoulli{P: r.lossP, Rng: lossRng}, func(_ int, pkt []byte) {
+				// Each receiver draws its losses from its own stream, so the
+				// outcome does not depend on the bus's delivery order.
+				loss := &netsim.Bernoulli{P: r.lossP, Rng: netsim.ReceiverRNG(7, i)}
+				link := bus.NewClient(1, loss, func(_ int, pkt []byte) {
 					rr.client.HandlePacket(pkt)
 				})
-				bc = c
-				_ = bc
+				defer link.Close() // each receiver joins once
 			}
 			if r.started && !r.client.Done() {
 				allDone = false
@@ -77,7 +82,7 @@ func main() {
 		if allDone {
 			break
 		}
-		if err := car.NextRound(bus.Send); err != nil {
+		if err := svc.EmitRound(car); err != nil {
 			log.Fatal(err)
 		}
 		if round > 2_000_000 {

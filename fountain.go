@@ -19,12 +19,19 @@
 //     and a precoded systematic raptor code whose first k packets are the
 //     source itself (see NewRaptor).
 //   - Sessions: a file bound to a codec and a carousel/layered schedule.
-//   - A multi-session Service and a Client engine speaking the
-//     prototype's wire protocol (12-byte headers, SP/burst markers,
-//     layered congestion control) over in-process or UDP transports.
+//   - One send path: a multi-session Service emits every session's
+//     carousel rounds as per-layer batches in pooled buffers, paced by its
+//     scheduler (Service.Add) or stepped by the caller (Service.AddManual
+//     and Service.EmitRound, the virtual-time shape of the simulations).
+//   - One receive path: a Client engine takes each wire packet (12-byte
+//     header, payload, CRC32C trailer) through HandlePacket,
+//     HandlePacketFrom or HandleBatchFrom, with loss accounting, SP/burst
+//     layered congestion control and per-mirror sources.
+//   - Transports between them: the in-process lossy Bus and UDP.
 //
-// See examples/ for runnable programs and DESIGN.md / EXPERIMENTS.md for
-// the paper-reproduction methodology and results.
+// ExampleNewClient shows a whole download. See examples/ for runnable
+// programs and DESIGN.md / EXPERIMENTS.md for the paper-reproduction
+// methodology and results.
 package fountain
 
 import (
@@ -139,9 +146,6 @@ type Session = core.Session
 // count and seed.
 type Config = core.Config
 
-// Receiver consumes fountain packets and reconstructs the file.
-type Receiver = core.Receiver
-
 // SessionInfo is the control-channel descriptor a server hands to clients.
 type SessionInfo = proto.SessionInfo
 
@@ -183,25 +187,19 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 
 // Carousel walks a session's transmission schedule as a stream of stamped
 // wire packets (rounds, per-layer serials, SP/burst flags).
+// Service.AddManual returns one; Service.EmitRound sends its next round.
 type Carousel = core.Carousel
 
-// NewCarousel starts a fresh carousel over the session.
-func NewCarousel(sess *Session) *Carousel { return core.NewCarousel(sess) }
-
-// NewCarouselAt starts a carousel at a round phase offset — mirrors of a
-// shared encoding transmit from staggered positions (§8) so a multi-source
-// receiver accumulates few early duplicates.
-func NewCarouselAt(sess *Session, phase int) *Carousel { return core.NewCarouselAt(sess, phase) }
-
-// NewReceiver builds a receiver from a session descriptor.
-func NewReceiver(info SessionInfo) (*Receiver, error) { return core.NewReceiver(info) }
-
-// Client is the receiving engine: decoding, efficiency accounting and
-// layered congestion control.
+// Client is the receiving engine and the one way a wire packet enters:
+// HandlePacket, HandlePacketFrom and HandleBatchFrom verify the integrity
+// tag, check the header against the session, account loss and duplicates
+// per source, run layered congestion control, decode, and File checks the
+// result against the descriptor's SHA-256 digest.
 type Client = client.Engine
 
-// NewClient builds a client engine; setLevel (may be nil) is called when
-// the congestion controller changes the subscription level.
+// NewClient builds a client engine from a session descriptor; setLevel (may
+// be nil) is called when the congestion controller changes the
+// subscription level.
 func NewClient(info SessionInfo, startLevel int, setLevel func(int)) (*Client, error) {
 	return client.New(info, startLevel, setLevel)
 }
@@ -339,7 +337,10 @@ var (
 )
 
 // NewService creates a service transmitting on tx, which receives every
-// round as whole per-layer batches. Add sessions with Service.AddData /
-// Service.Add (Service.AddPhased to stagger a mirror's carousel); serve
-// discovery by wiring Service.HandleControl to a control socket.
+// round as whole per-layer batches. Add paced sessions with
+// Service.AddData / Service.Add (Service.AddPhased to stagger a mirror's
+// carousel), or register one with Service.AddManual and send its rounds
+// one Service.EmitRound call at a time — the same pooled, batched emission
+// the scheduler runs, on the caller's clock. Serve discovery by wiring
+// Service.HandleControl to a control socket.
 func NewService(tx Sender, cfg ServiceConfig) *Service { return service.New(tx, cfg) }

@@ -13,7 +13,8 @@ import (
 )
 
 // TestPublicAPIQuickstart exercises the documented public surface end to
-// end: codec construction, session, receiver, efficiency accounting.
+// end: session, manual service over a lossy bus, client engine, efficiency
+// accounting.
 func TestPublicAPIQuickstart(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	file := make([]byte, 100<<10)
@@ -24,24 +25,40 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv, err := NewReceiver(sess.Info())
+	bus := NewBus(1)
+	svc := NewService(bus, ServiceConfig{})
+	defer svc.Close()
+	car, err := svc.AddManual(sess, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; !rcv.Done(); round++ {
-		for _, idx := range sess.CarouselIndices(0, round) {
-			if rng.Float64() < 0.3 {
-				continue
-			}
-			rcv.HandleRaw(sess.Packet(idx, 0, uint32(round), 0))
+	eng, err := NewClient(sess.Info(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := bus.NewClient(0, nil, func(_ int, pkt []byte) {
+		if rng.Float64() < 0.3 {
+			return
+		}
+		if _, err := eng.HandlePacket(pkt); err != nil {
+			t.Error(err)
+		}
+	})
+	defer link.Close()
+	for !eng.Done() {
+		if err := svc.EmitRound(car); err != nil {
+			t.Fatal(err)
 		}
 	}
-	got, err := rcv.File()
+	got, err := eng.File()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, file) {
 		t.Fatal("file corrupted")
+	}
+	if eta, etaC, etaD := eng.Efficiency(); eta <= 0 || eta > 1 || etaC > 1 || etaD != 1 {
+		t.Fatalf("implausible efficiencies: %v %v %v", eta, etaC, etaD)
 	}
 }
 
@@ -156,7 +173,12 @@ func TestUDPPrototypeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	car := NewCarousel(sess)
+	svc := NewService(udp, ServiceConfig{})
+	defer svc.Close()
+	car, err := svc.AddManual(sess, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -175,7 +197,7 @@ func TestUDPPrototypeEndToEnd(t *testing.T) {
 		case <-done:
 			i = deadline
 		default:
-			car.NextRound(func(layer int, pkt []byte) error { return udp.SendBatch(layer, [][]byte{pkt}) })
+			svc.EmitRound(car)
 		}
 	}
 	<-done

@@ -9,8 +9,29 @@ import (
 	"repro/internal/evtrace"
 	"repro/internal/netsim"
 	"repro/internal/proto"
+	"repro/internal/service"
 	"repro/internal/transport"
 )
+
+// emitFunc is the tests' fresh-buffer core.RoundEmitter: every packet in a
+// new allocation, handed to the function.
+type emitFunc func(layer int, pkt []byte) error
+
+func (emitFunc) PacketBuf(size int) []byte { return make([]byte, 0, size) }
+
+func (f emitFunc) Emit(layer int, pkt []byte) error { return f(layer, pkt) }
+
+// manualRounds registers sess on a manual service sending onto bus and
+// returns the call that emits its next carousel round.
+func manualRounds(t *testing.T, bus *transport.Bus, sess *core.Session) func() error {
+	svc := service.New(bus, service.Config{})
+	t.Cleanup(svc.Close)
+	car, err := svc.AddManual(sess, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() error { return svc.EmitRound(car) }
+}
 
 // TestEndToEndSingleLayer runs server -> lossy bus -> client at several
 // loss rates and verifies file integrity and efficiency accounting.
@@ -34,9 +55,9 @@ func TestEndToEndSingleLayer(t *testing.T) {
 			eng.HandlePacket(pkt)
 		})
 		defer bc.Close()
-		car := core.NewCarousel(sess)
+		emitRound := manualRounds(t, bus, sess)
 		for steps := 0; !eng.Done(); steps++ {
-			if err := car.NextRound(bus.Send); err != nil {
+			if err := emitRound(); err != nil {
 				t.Fatal(err)
 			}
 			if steps > 50*sess.Codec().N() {
@@ -89,9 +110,9 @@ func TestEndToEndLayered(t *testing.T) {
 		eng.HandlePacket(pkt)
 	})
 	defer bc.Close()
-	car := core.NewCarousel(sess)
+	emitRound := manualRounds(t, bus, sess)
 	for steps := 0; !eng.Done(); steps++ {
-		if err := car.NextRound(bus.Send); err != nil {
+		if err := emitRound(); err != nil {
 			t.Fatal(err)
 		}
 		if steps > 100*sess.Codec().N() {
@@ -131,12 +152,12 @@ func TestLayeredAdaptsDown(t *testing.T) {
 		eng.HandlePacket(pkt)
 	})
 	defer bc.Close()
-	car := core.NewCarousel(sess)
+	emitRound := manualRounds(t, bus, sess)
 	minLevel := 3
 	// Keep stepping past completion: the point is the controller's
 	// adaptation, which runs on every SP regardless of decode state.
 	for steps := 0; steps < 400; steps++ {
-		car.NextRound(bus.Send)
+		emitRound()
 		if eng.Level() < minLevel {
 			minLevel = eng.Level()
 		}
@@ -156,7 +177,7 @@ func TestRejectsForeignPackets(t *testing.T) {
 	eng, _ := New(sess.Info(), 0, nil)
 	// A foreign-session packet with a *valid* integrity tag: re-tag after
 	// flipping the session id, so it is the session check that must reject.
-	pkt := sess.Packet(0, 0, 1, 0)
+	pkt := sess.AppendPacket(nil, 0, 0, 1, 0)
 	pkt[10] ^= 0x55
 	pkt = proto.AppendTag(pkt[:len(pkt)-proto.TagLen])
 	if _, err := eng.HandlePacket(pkt); err == nil {
@@ -167,7 +188,7 @@ func TestRejectsForeignPackets(t *testing.T) {
 	}
 	// A corrupted packet (bad tag) is not an error — it is dropped before
 	// any accounting and counted per source, like loss on a bad channel.
-	bad := sess.Packet(0, 0, 2, 0)
+	bad := sess.AppendPacket(nil, 0, 0, 2, 0)
 	bad[proto.HeaderLen] ^= 0xFF
 	if _, err := eng.HandlePacket(bad); err != nil {
 		t.Fatalf("corrupted packet returned error: %v", err)
@@ -194,7 +215,7 @@ func TestLossAccountingWrapAndReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed := func(eng *Engine, serial uint32) {
-		if _, err := eng.HandlePacket(sess.Packet(0, 0, serial, 0)); err != nil {
+		if _, err := eng.HandlePacket(sess.AppendPacket(nil, 0, 0, serial, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +288,7 @@ func TestLossWindowDoesNotSaturate(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed := func(serial uint32) {
-		if _, err := eng.HandlePacket(sess.Packet(0, 0, serial, 0)); err != nil {
+		if _, err := eng.HandlePacket(sess.AppendPacket(nil, 0, 0, serial, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +336,7 @@ func TestTwoSourceWrapAndReorderStress(t *testing.T) {
 	}
 	feed := func(src int, serial uint32) {
 		t.Helper()
-		if _, err := eng.HandlePacketFrom(src, sess.Packet(0, 0, serial, 0)); err != nil {
+		if _, err := eng.HandlePacketFrom(src, sess.AppendPacket(nil, 0, 0, serial, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -401,18 +422,18 @@ func TestWorstSourceGovernsLevel(t *testing.T) {
 	carA, carB := core.NewCarousel(sess), core.NewCarouselAt(sess, 3)
 	lossy := rand.New(rand.NewSource(99))
 	for round := 0; round < 200; round++ {
-		carA.NextRound(func(layer int, pkt []byte) error {
+		carA.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 			if layer <= eng.Level() {
 				eng.HandlePacketFrom(0, pkt)
 			}
 			return nil
-		})
-		carB.NextRound(func(layer int, pkt []byte) error {
+		}))
+		carB.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 			if layer <= eng.Level() && lossy.Float64() >= 0.6 {
 				eng.HandlePacketFrom(1, pkt)
 			}
 			return nil
-		})
+		}))
 	}
 	if st := eng.SourceStats(0); st.Loss != 0 {
 		t.Fatalf("clean source measured loss %v", st.Loss)
@@ -438,18 +459,18 @@ func TestWorstSourceGovernsLevel(t *testing.T) {
 	// Heal source 1: with both paths clean the controller must climb again.
 	floor := eng.Level()
 	for round := 200; round < 600 && eng.Level() <= floor; round++ {
-		carA.NextRound(func(layer int, pkt []byte) error {
+		carA.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 			if layer <= eng.Level() {
 				eng.HandlePacketFrom(0, pkt)
 			}
 			return nil
-		})
-		carB.NextRound(func(layer int, pkt []byte) error {
+		}))
+		carB.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 			if layer <= eng.Level() {
 				eng.HandlePacketFrom(1, pkt)
 			}
 			return nil
-		})
+		}))
 	}
 	if eng.Level() <= floor {
 		t.Fatalf("level stuck at %d after both paths healed", eng.Level())
@@ -476,17 +497,17 @@ func TestPerSourceDuplicateBookkeeping(t *testing.T) {
 	}
 	carA, carB := core.NewCarousel(sess), core.NewCarousel(sess) // same phase!
 	for round := 0; !eng.Done(); round++ {
-		carA.NextRound(func(_ int, pkt []byte) error {
+		carA.NextRoundTo(emitFunc(func(_ int, pkt []byte) error {
 			eng.HandlePacketFrom(0, pkt)
 			return nil
-		})
+		}))
 		if eng.Done() {
 			break
 		}
-		carB.NextRound(func(_ int, pkt []byte) error {
+		carB.NextRoundTo(emitFunc(func(_ int, pkt []byte) error {
 			eng.HandlePacketFrom(1, pkt)
 			return nil
-		})
+		}))
 		if round > 10*sess.Codec().N() {
 			t.Fatal("never decoded")
 		}
@@ -537,7 +558,7 @@ func TestCompletionEventsOnce(t *testing.T) {
 			return err
 		}
 		for !eng.Done() {
-			if err := car.NextRound(feed); err != nil {
+			if err := car.NextRoundTo(emitFunc(feed)); err != nil {
 				t.Fatal(err)
 			}
 			if n > 20*int(sess.Info().K) {
@@ -546,7 +567,7 @@ func TestCompletionEventsOnce(t *testing.T) {
 		}
 		afterDone()
 		for i := 0; i < 4; i++ {
-			if err := car.NextRound(feed); err != nil {
+			if err := car.NextRoundTo(emitFunc(feed)); err != nil {
 				t.Fatal(err)
 			}
 		}

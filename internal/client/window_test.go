@@ -182,7 +182,7 @@ func TestEngineLossDifferentialVsMapOracle(t *testing.T) {
 		}
 		oracle := newSerialOracle()
 		for i, e := range trace {
-			if _, err := eng.HandlePacket(sess.Packet(0, e.group, e.serial, 0)); err != nil {
+			if _, err := eng.HandlePacket(sess.AppendPacket(nil, 0, e.group, e.serial, 0)); err != nil {
 				t.Fatal(err)
 			}
 			oracle.packet(e.group, e.serial)
@@ -208,7 +208,7 @@ func TestRefundOnBatchBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := func(serial uint32) []byte { return sess.Packet(0, 0, serial, 0) }
+	pkt := func(serial uint32) []byte { return sess.AppendPacket(nil, 0, 0, serial, 0) }
 
 	// Across a boundary: batch A ends by revealing a gap (2 and 3 lost),
 	// batch B leads with the late serial 3.
@@ -285,9 +285,9 @@ func TestHandleBatchFromStraysAndCompletion(t *testing.T) {
 	}
 	// One stray mid-batch: both neighbours must still be accounted.
 	batch := [][]byte{
-		sess.Packet(0, 0, 1, 0),
+		sess.AppendPacket(nil, 0, 0, 1, 0),
 		{0xDE, 0xAD}, // stray
-		sess.Packet(1, 0, 2, 0),
+		sess.AppendPacket(nil, 1, 0, 2, 0),
 	}
 	done, err := eng.HandleBatchFrom(0, batch)
 	if err == nil {
@@ -304,7 +304,7 @@ func TestHandleBatchFromStraysAndCompletion(t *testing.T) {
 	n := sess.Codec().N()
 	var all [][]byte
 	for i := 0; i < n; i++ {
-		all = append(all, sess.Packet(i, 0, uint32(i+10), 0))
+		all = append(all, sess.AppendPacket(nil, i, 0, uint32(i+10), 0))
 	}
 	done, err = eng.HandleBatchFrom(0, all)
 	if err != nil {

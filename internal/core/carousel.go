@@ -5,7 +5,7 @@ import "repro/internal/proto"
 // Carousel walks a session's transmission schedule as a stream of wire
 // packets: it tracks the round counter and the per-layer serial numbers,
 // stamps headers (SP and burst markers per §7.1.1, serials for loss
-// measurement), and hands each packet to an emit callback. It holds all the
+// measurement), and hands each packet to a RoundEmitter. It holds all the
 // mutable transmission state, so the Session itself stays immutable and one
 // session can feed any number of independent carousels (one per service
 // sender goroutine, one per simulated run, ...).
@@ -70,31 +70,14 @@ type RoundEmitter interface {
 	Emit(layer int, pkt []byte) error
 }
 
-// funcEmitter adapts a plain emit callback to RoundEmitter, preserving
-// NextRound's historical behavior: every packet in a fresh allocation.
-type funcEmitter struct {
-	emit func(layer int, pkt []byte) error
-}
-
-func (f *funcEmitter) PacketBuf(size int) []byte { return make([]byte, 0, size) }
-
-func (f *funcEmitter) Emit(layer int, pkt []byte) error { return f.emit(layer, pkt) }
-
-// NextRound emits one full round across all layers and advances the round
-// counter, handing each packet to emit in a freshly allocated buffer. The
-// first packet of an SP round carries the SP flag; packets of a burst
-// round carry the burst flag (the doubled instantaneous rate of §7.1.1 is
-// applied by the caller's pacing, not by duplicating content). Emission
-// stops at the first emit error, which is returned.
-func (c *Carousel) NextRound(emit func(layer int, pkt []byte) error) error {
-	fe := funcEmitter{emit: emit}
-	return c.NextRoundTo(&fe)
-}
-
-// NextRoundTo is NextRound over a RoundEmitter: packets are built in
-// emitter-supplied buffers, so a pooled emitter makes steady-state
-// emission allocation-free. Packet bytes and emission order are identical
-// to NextRound's — the emitter only changes where the bytes live.
+// NextRoundTo emits one full round across all layers and advances the
+// round counter. Packets are built in emitter-supplied buffers, so a pooled
+// emitter makes steady-state emission allocation-free; the bytes and their
+// order do not depend on the emitter. The first packet of an SP round
+// carries the SP flag; packets of a burst round carry the burst flag (the
+// doubled instantaneous rate of §7.1.1 is applied by the caller's pacing,
+// not by duplicating content). Emission stops at the first Emit error,
+// which is returned.
 func (c *Carousel) NextRoundTo(em RoundEmitter) error {
 	round := c.round
 	c.round++

@@ -34,7 +34,7 @@ func TestCarouselSerialsAndFlags(t *testing.T) {
 	spPerRound := 0
 	for round := 0; round < 8; round++ {
 		spThisRound := map[int]int{}
-		err := car.NextRound(func(layer int, pkt []byte) error {
+		err := car.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 			h, _, err := proto.ParseHeader(pkt)
 			if err != nil {
 				return err
@@ -50,7 +50,7 @@ func TestCarouselSerialsAndFlags(t *testing.T) {
 				spThisRound[layer]++
 			}
 			return nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +102,12 @@ func TestCarouselIndependentStreams(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if err := a.NextRound(collect(&pa)); err != nil {
+		if err := a.NextRoundTo(emitFunc(collect(&pa))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if err := b.NextRound(collect(&pb)); err != nil {
+		if err := b.NextRoundTo(emitFunc(collect(&pb))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,12 +121,12 @@ func TestCarouselIndependentStreams(t *testing.T) {
 	}
 }
 
-// TestCarouselEmitError: an emit failure must propagate out of NextRound.
+// TestCarouselEmitError: an emit failure must propagate out of NextRoundTo.
 func TestCarouselEmitError(t *testing.T) {
 	sess := carouselSession(t, 1)
 	car := NewCarousel(sess)
 	boom := bytes.ErrTooLarge
-	if err := car.NextRound(func(int, []byte) error { return boom }); err != boom {
+	if err := car.NextRoundTo(emitFunc(func(int, []byte) error { return boom })); err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
@@ -151,14 +151,14 @@ func TestCarouselPhaseOffset(t *testing.T) {
 		collect := func(car *Carousel, rounds int) []emission {
 			var out []emission
 			for i := 0; i < rounds; i++ {
-				if err := car.NextRound(func(layer int, pkt []byte) error {
+				if err := car.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 					h, _, err := proto.ParseHeader(pkt)
 					if err != nil {
 						return err
 					}
 					out = append(out, emission{layer, h.Index, h.Flags})
 					return nil
-				}); err != nil {
+				})); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -175,7 +175,7 @@ func TestCarouselPhaseOffset(t *testing.T) {
 		{
 			probe := NewCarousel(sess)
 			for i := 0; i < phase; i++ {
-				probe.NextRound(func(int, []byte) error { return nil })
+				probe.NextRoundTo(emitFunc(func(int, []byte) error { return nil }))
 			}
 			skip = probe.Sent()
 		}

@@ -248,16 +248,10 @@ func (s *Session) Config() Config { return s.cfg }
 // Info returns the control-channel descriptor of the session.
 func (s *Session) Info() proto.SessionInfo { return s.info }
 
-// Packet returns the wire form (header + payload) of encoding packet idx
-// for the given layer/serial/flags, in a freshly allocated buffer.
-func (s *Session) Packet(idx int, layer uint8, serial uint32, flags uint8) []byte {
-	return s.AppendPacket(make([]byte, 0, s.WireLen()), idx, layer, serial, flags)
-}
-
 // AppendPacket appends the wire form (header + payload + integrity
-// trailer) of encoding packet idx to dst and returns the extended slice —
-// the zero-copy form of Packet for senders that build packets in pooled
-// buffers. With cap(dst) >= WireLen() the call allocates nothing, except
+// trailer) of encoding packet idx, stamped with the given layer, serial and
+// flags, to dst and returns the extended slice. Senders build packets in
+// pooled buffers: with cap(dst) >= WireLen() the call allocates nothing, except
 // for the copy of a coded row that becomes resident on this touch: the
 // CRC32C trailer is a hardware checksum plus four appended bytes.
 func (s *Session) AppendPacket(dst []byte, idx int, layer uint8, serial uint32, flags uint8) []byte {
@@ -284,11 +278,12 @@ func (s *Session) AppendPacket(dst []byte, idx int, layer uint8, serial uint32, 
 // integrity trailer. Senders size their packet buffers with it.
 func (s *Session) WireLen() int { return proto.HeaderLen + s.cfg.PacketLen + proto.TagLen }
 
-// CarouselIndices returns the encoding indices transmitted on `layer`
-// during `round`. In single-layer mode this walks the seeded random
-// permutation (the randomized carousel of §6); in layered mode it follows
-// the reverse-binary schedule (§7.1.2), which guarantees the One Level
-// Property.
+// AppendCarouselIndices appends the encoding indices transmitted on
+// `layer` during `round` to dst and returns the extended slice, so a
+// carousel walks the schedule through one reused scratch slice. In
+// single-layer mode this walks the seeded random permutation (the
+// randomized carousel of §6); in layered mode it follows the reverse-binary
+// schedule (§7.1.2), which guarantees the One Level Property.
 //
 // Rateless sessions never cycle: round r emits the next fresh slice of the
 // unbounded index stream — one index per round on a single layer, or
@@ -297,13 +292,6 @@ func (s *Session) WireLen() int { return proto.HeaderLen + s.cfg.PacketLen + pro
 // index is emitted at most once per stream, so the One Level Property
 // holds trivially, and mirrors starting at different rounds draw from
 // disjoint index regions without any cycle arithmetic.
-func (s *Session) CarouselIndices(layer, round int) []int {
-	return s.AppendCarouselIndices(nil, layer, round)
-}
-
-// AppendCarouselIndices is the allocation-free form of CarouselIndices:
-// the indices are appended to dst, so a carousel can walk the schedule
-// through one reused scratch slice.
 func (s *Session) AppendCarouselIndices(dst []int, layer, round int) []int {
 	if s.rateless {
 		if s.cfg.Layers == 1 {
@@ -355,13 +343,16 @@ func (s *Session) BurstRound(layer, round int) bool {
 	return round%interval == interval-1
 }
 
-// Receiver consumes fountain packets and reconstructs the file, keeping
-// the efficiency accounting of §7.3: η = k/total, ηc = k/distinct,
+// Receiver is the decode-and-verify step behind a client engine's intake
+// (client.Engine.HandlePacketFrom parses, verifies and checks each wire
+// packet, then hands its index and payload to Handle): it decodes, checks
+// the file against the descriptor's SHA-256 digest, and keeps the
+// efficiency accounting of §7.3: η = k/total, ηc = k/distinct,
 // ηd = distinct/total.
 type Receiver struct {
 	info    proto.SessionInfo
 	dec     code.Decoder
-	total   int // packets accepted (right session, parseable)
+	total   int // packets the decoder accepted
 	done    bool
 	fileBuf []byte
 }
@@ -387,23 +378,8 @@ func NewReceiver(info proto.SessionInfo) (*Receiver, error) {
 	return &Receiver{info: info, dec: codec.NewDecoder()}, nil
 }
 
-// HandleRaw ingests one wire packet (header + payload + integrity
-// trailer). Corrupted packets (proto.ErrBadTag), packets from other
-// sessions, and malformed headers are rejected with an error before any
-// byte reaches the decoder; duplicates are counted but ignored. It reports
-// whether the file is now decodable.
-func (r *Receiver) HandleRaw(pkt []byte) (bool, error) {
-	h, payload, err := proto.ParsePacket(pkt)
-	if err != nil {
-		return r.done, err
-	}
-	if h.Session != r.info.Session {
-		return r.done, fmt.Errorf("core: packet from session %#x, want %#x", h.Session, r.info.Session)
-	}
-	return r.Handle(int(h.Index), payload)
-}
-
-// Handle ingests a packet already stripped to (index, payload).
+// Handle ingests one packet's index and payload. It reports whether the
+// file is now decodable.
 func (r *Receiver) Handle(idx int, payload []byte) (bool, error) {
 	if r.done {
 		return true, nil

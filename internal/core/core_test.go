@@ -33,8 +33,8 @@ func TestSessionRoundTripAllCodecs(t *testing.T) {
 			t.Fatalf("codec %d: %v", codec, err)
 		}
 		for round := 0; !r.Done(); round++ {
-			for _, idx := range s.CarouselIndices(0, round) {
-				if _, err := r.HandleRaw(s.Packet(idx, 0, uint32(round), 0)); err != nil {
+			for _, idx := range s.AppendCarouselIndices(nil, 0, round) {
+				if _, err := r.Handle(idx, s.Payload(idx)); err != nil {
 					t.Fatalf("codec %d: %v", codec, err)
 				}
 			}
@@ -64,11 +64,11 @@ func TestReceiverWithLoss(t *testing.T) {
 	r, _ := NewReceiver(s.Info())
 	round := 0
 	for !r.Done() {
-		for _, idx := range s.CarouselIndices(0, round) {
+		for _, idx := range s.AppendCarouselIndices(nil, 0, round) {
 			if rng.Float64() < 0.5 { // 50% loss
 				continue
 			}
-			r.HandleRaw(s.Packet(idx, 0, uint32(round), 0))
+			r.Handle(idx, s.Payload(idx))
 		}
 		round++
 		if round > 100*s.Codec().N() {
@@ -105,7 +105,7 @@ func TestLayeredCarouselOneLevelProperty(t *testing.T) {
 		period := 1 << (3 - level) // CumulativePeriod for g=4
 		for round := 0; round < period; round++ {
 			for layer := 0; layer <= level; layer++ {
-				for _, idx := range s.CarouselIndices(layer, round) {
+				for _, idx := range s.AppendCarouselIndices(nil, layer, round) {
 					if seen[idx] {
 						t.Fatalf("level %d: duplicate index %d within one period", level, idx)
 					}
@@ -119,26 +119,6 @@ func TestLayeredCarouselOneLevelProperty(t *testing.T) {
 	}
 }
 
-func TestSessionRejectsWrongSession(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	data := randData(rng, 5000)
-	cfg := DefaultConfig()
-	s, _ := NewSession(data, cfg)
-	r, _ := NewReceiver(s.Info())
-	pkt := s.Packet(0, 0, 0, 0)
-	pkt[10] ^= 0xFF // corrupt session id
-	if _, err := r.HandleRaw(pkt); err == nil {
-		t.Fatal("wrong-session packet accepted")
-	}
-	if _, err := r.HandleRaw([]byte{1, 2}); err == nil {
-		t.Fatal("short packet accepted")
-	}
-	total, _, _ := r.Stats()
-	if total != 0 {
-		t.Fatal("rejected packets counted")
-	}
-}
-
 func TestFileHashVerification(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := randData(rng, 5000)
@@ -149,8 +129,8 @@ func TestFileHashVerification(t *testing.T) {
 	info.Digest[31] ^= 1 // sabotage
 	r, _ := NewReceiver(info)
 	for round := 0; !r.Done(); round++ {
-		for _, idx := range s.CarouselIndices(0, round) {
-			r.HandleRaw(s.Packet(idx, 0, uint32(round), 0))
+		for _, idx := range s.AppendCarouselIndices(nil, 0, round) {
+			r.Handle(idx, s.Payload(idx))
 		}
 	}
 	if _, err := r.File(); err == nil {
@@ -202,8 +182,8 @@ func TestEmptyishFile(t *testing.T) {
 	}
 	r, _ := NewReceiver(s.Info())
 	for round := 0; !r.Done(); round++ {
-		for _, idx := range s.CarouselIndices(0, round) {
-			r.HandleRaw(s.Packet(idx, 0, 0, 0))
+		for _, idx := range s.AppendCarouselIndices(nil, 0, round) {
+			r.Handle(idx, s.Payload(idx))
 		}
 	}
 	got, err := r.File()
@@ -246,12 +226,12 @@ func TestReceiverCountsDecodeWork(t *testing.T) {
 			held := 0
 			for idx := 0; idx < k; idx++ {
 				if !lossy || idx%5 != 0 {
-					r.HandleRaw(s.Packet(idx, 0, 0, 0))
+					r.Handle(idx, s.Payload(idx))
 					held++
 				}
 			}
 			for idx := k; !r.Done() && idx < s.Codec().N(); idx++ {
-				r.HandleRaw(s.Packet(idx, 0, 0, 0))
+				r.Handle(idx, s.Payload(idx))
 			}
 			if _, err := r.File(); err != nil {
 				t.Fatalf("codec %d lossy=%v: %v", id, lossy, err)

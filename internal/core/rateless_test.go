@@ -53,7 +53,7 @@ func TestRatelessCarouselMonotone(t *testing.T) {
 		var idxs []uint32
 		perLayer := map[int]int{}
 		for r := 0; r < rounds; r++ {
-			err := car.NextRound(func(layer int, pkt []byte) error {
+			err := car.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 				h, _, err := proto.ParseHeader(pkt)
 				if err != nil {
 					return err
@@ -61,7 +61,7 @@ func TestRatelessCarouselMonotone(t *testing.T) {
 				idxs = append(idxs, h.Index)
 				perLayer[layer]++
 				return nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,9 +90,9 @@ func TestRatelessCarouselMonotone(t *testing.T) {
 	}
 }
 
-// TestRatelessEndToEnd drives the full wire path — session info marshalled
-// and re-parsed as a client would learn it, carousel packets through
-// Receiver.HandleRaw — at both layer counts.
+// TestRatelessEndToEnd drives the wire path — session info marshalled and
+// re-parsed as a client would learn it, carousel packets parsed and handed
+// to Receiver.Handle — at both layer counts.
 func TestRatelessEndToEnd(t *testing.T) {
 	for _, layers := range []int{1, 4} {
 		data := make([]byte, 20_000)
@@ -114,10 +114,7 @@ func TestRatelessEndToEnd(t *testing.T) {
 			if rounds > 8*sess.Codec().K() {
 				t.Fatalf("layers=%d: no decode after %d rounds", layers, rounds)
 			}
-			err := car.NextRound(func(layer int, pkt []byte) error {
-				_, err := rcv.HandleRaw(pkt)
-				return err
-			})
+			err := car.NextRoundTo(toReceiver(rcv))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,14 +42,14 @@ func TestWireHashes(t *testing.T) {
 			h := sha256.New()
 			car := NewCarousel(sess)
 			for got := 0; got < want; {
-				err := car.NextRound(func(layer int, pkt []byte) error {
+				err := car.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 					if got < want {
 						h.Write([]byte{byte(layer)})
 						h.Write(pkt)
 						got++
 					}
 					return nil
-				})
+				}))
 				if err != nil {
 					t.Fatalf("codec %d: %v", id, err)
 				}

@@ -49,17 +49,17 @@ func TestFileSharesDecoderBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %d: %v", id, err)
 		}
-		car := NewCarousel(s)
+		car, deliver := NewCarousel(s), toReceiver(r)
 		for round := 0; !r.Done(); round++ {
 			if round > 100*s.Codec().K() {
 				t.Fatalf("codec %d: never finished", id)
 			}
-			err := car.NextRound(func(_ int, pkt []byte) error {
+			err := car.NextRoundTo(emitFunc(func(_ int, pkt []byte) error {
 				if rng.Float64() >= 0.2 {
-					r.HandleRaw(pkt)
+					deliver(0, pkt)
 				}
 				return nil
-			})
+			}))
 			if err != nil {
 				t.Fatalf("codec %d: %v", id, err)
 			}
@@ -96,7 +96,7 @@ func TestLosslessFileAllocatesOneCopy(t *testing.T) {
 		var pkts [][]byte
 		for idx := 0; len(pkts) < s.Codec().K(); idx++ {
 			if rows.SourceOf(idx) >= 0 {
-				pkts = append(pkts, s.Packet(idx, 0, 0, 0))
+				pkts = append(pkts, s.AppendPacket(nil, idx, 0, 0, 0))
 			}
 		}
 		var before, after runtime.MemStats
@@ -105,8 +105,9 @@ func TestLosslessFileAllocatesOneCopy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %d: %v", id, err)
 		}
+		deliver := toReceiver(r)
 		for _, pkt := range pkts {
-			if _, err := r.HandleRaw(pkt); err != nil {
+			if err := deliver(0, pkt); err != nil {
 				t.Fatalf("codec %d: %v", id, err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/service"
 	"repro/internal/transport"
 )
 
@@ -45,10 +46,15 @@ func Fig8(w io.Writer, o Options) error {
 			eng.HandlePacket(pkt)
 		})
 		defer bc.Close()
-		car := core.NewCarousel(sess)
+		svc := service.New(bus, service.Config{})
+		defer svc.Close()
+		car, err := svc.AddManual(sess, 0, 0)
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
 		maxSteps := 400 * sess.Codec().N()
 		for steps := 0; !eng.Done(); steps++ {
-			if err := car.NextRound(bus.Send); err != nil {
+			if err := svc.EmitRound(car); err != nil {
 				return 0, 0, 0, 0, err
 			}
 			if steps > maxSteps {

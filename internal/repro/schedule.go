@@ -23,10 +23,11 @@ func Table5(w io.Writer, o Options) error {
 		fprintf(w, " Rd%-6d", rd)
 	}
 	fprintf(w, "\n")
+	var slots []int
 	for layer := 3; layer >= 0; layer-- {
 		fprintf(w, "%-6d %-10d", layer, s.SlotsPerRound(layer))
 		for rd := 0; rd < 8; rd++ {
-			slots := s.Slots(layer, rd)
+			slots = s.AppendSlots(slots[:0], layer, rd)
 			cell := ""
 			if len(slots) == 1 {
 				cell = fmt.Sprintf("%d", slots[0])
@@ -40,7 +41,7 @@ func Table5(w io.Writer, o Options) error {
 	fprintf(w, "\nFigure 7: round 4 send pattern (slot -> layer): ")
 	owner := map[int]int{}
 	for layer := 0; layer < 4; layer++ {
-		for _, slot := range s.Slots(layer, 3) {
+		for _, slot := range s.AppendSlots(slots[:0], layer, 3) {
 			owner[slot] = layer
 		}
 	}

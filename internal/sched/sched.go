@@ -88,13 +88,6 @@ func reverseBits(v, width int) int {
 	return r
 }
 
-// Slots returns the block-relative slots layer i sends in the given round
-// (0-based). The result is sorted ascending and has SlotsPerRound(layer)
-// entries.
-func (s *Schedule) Slots(layer, round int) []int {
-	return s.AppendSlots(nil, layer, round)
-}
-
 // slotBase returns the first block-relative slot layer i sends in the
 // given round; the layer's SlotsPerRound slots are consecutive from it.
 // This is the one home of the reverse-binary slot derivation — both slot
@@ -116,9 +109,9 @@ func (s *Schedule) slotBase(layer, round int) int {
 	return prefix << (layer - 1)
 }
 
-// AppendSlots appends the round's block-relative slots for a layer to dst
-// and returns the extended slice — the allocation-free form of Slots for
-// callers that reuse a scratch buffer across rounds.
+// AppendSlots appends the block-relative slots layer i sends in the given
+// round (0-based) to dst and returns the extended slice: SlotsPerRound(layer)
+// entries, ascending. Callers reuse one scratch buffer across rounds.
 func (s *Schedule) AppendSlots(dst []int, layer, round int) []int {
 	base := s.slotBase(layer, round)
 	for i := 0; i < s.SlotsPerRound(layer); i++ {

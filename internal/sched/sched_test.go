@@ -22,7 +22,7 @@ func TestTable5Golden(t *testing.T) {
 	}
 	for layer, rounds := range want {
 		for rd, slots := range rounds {
-			got := s.Slots(layer, rd)
+			got := s.AppendSlots(nil, layer, rd)
 			if !reflect.DeepEqual(got, slots) {
 				t.Errorf("layer %d round %d: got %v, want %v", layer, rd+1, got, slots)
 			}
@@ -38,7 +38,7 @@ func TestFigure7(t *testing.T) {
 	round := 3 // paper's round 4
 	owner := make(map[int]int)
 	for layer := 0; layer < 4; layer++ {
-		for _, slot := range s.Slots(layer, round) {
+		for _, slot := range s.AppendSlots(nil, layer, round) {
 			if prev, dup := owner[slot]; dup {
 				t.Fatalf("slot %d sent by layers %d and %d in round 4", slot, prev, layer)
 			}
@@ -66,7 +66,7 @@ func TestOneLevelProperty(t *testing.T) {
 				seen := make(map[int]bool)
 				for rd := start; rd < start+period; rd++ {
 					for layer := 0; layer <= level; layer++ {
-						for _, slot := range s.Slots(layer, rd) {
+						for _, slot := range s.AppendSlots(nil, layer, rd) {
 							if seen[slot] {
 								t.Fatalf("g=%d level=%d: duplicate slot %d within period starting at round %d", g, level, slot, start)
 							}
@@ -92,7 +92,7 @@ func TestPerLayerPermutation(t *testing.T) {
 			period := s.Period(layer)
 			seen := make(map[int]bool)
 			for rd := 0; rd < period; rd++ {
-				for _, slot := range s.Slots(layer, rd) {
+				for _, slot := range s.AppendSlots(nil, layer, rd) {
 					if seen[slot] {
 						t.Fatalf("g=%d layer=%d: slot %d repeated within period", g, layer, slot)
 					}
@@ -113,8 +113,8 @@ func TestSlotsPerRound(t *testing.T) {
 		if got := s.SlotsPerRound(layer); got != w {
 			t.Errorf("SlotsPerRound(%d) = %d, want %d", layer, got, w)
 		}
-		if got := len(s.Slots(layer, 3)); got != w {
-			t.Errorf("len(Slots(%d)) = %d, want %d", layer, got, w)
+		if got := len(s.AppendSlots(nil, layer, 3)); got != w {
+			t.Errorf("len(AppendSlots(nil, %d, 3)) = %d, want %d", layer, got, w)
 		}
 	}
 	if s.CumulativeSlotsPerRound(3) != 8 {
@@ -147,7 +147,7 @@ func TestQuickNoOverlapAcrossLayers(t *testing.T) {
 		round := int(roundRaw)
 		seen := map[int]bool{}
 		for layer := 0; layer < g; layer++ {
-			for _, slot := range s.Slots(layer, round) {
+			for _, slot := range s.AppendSlots(nil, layer, round) {
 				if seen[slot] {
 					return false
 				}
@@ -172,7 +172,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.BlockSize() != 1 || len(s.Slots(0, 5)) != 1 {
+	if s.BlockSize() != 1 || len(s.AppendSlots(nil, 0, 5)) != 1 {
 		t.Fatal("single-layer schedule wrong")
 	}
 }
@@ -184,5 +184,5 @@ func TestSlotsPanicsOnBadLayer(t *testing.T) {
 		}
 	}()
 	s, _ := New(3)
-	s.Slots(3, 0)
+	s.AppendSlots(nil, 3, 0)
 }

@@ -11,22 +11,13 @@ import (
 // mode layer 0 sends one slot per reverse-binary block per round; the
 // single-layer carousel sends exactly one packet per round, as does the
 // base layer of a rateless session (whose unbounded "encoding" has no
-// blocks to multiply by). baseRate <= 0 defaults to 512.
+// blocks to multiply by). baseRate <= 0 defaults to 512. Rounding to whole
+// nanoseconds makes the effective rate — base-layer packets per round over
+// the interval — differ slightly from the requested one; rates beyond one
+// round per nanosecond are clamped to the 1ns floor.
 func PaceInterval(sess *core.Session, baseRate int) time.Duration {
-	interval, _ := Pace(sess, baseRate)
-	return interval
-}
-
-// Pace is PaceInterval returning also the effective base-layer rate the
-// interval actually achieves, in packets per second. Rounding the interval
-// to whole nanoseconds makes the effective rate differ slightly from the
-// requested one; rates beyond one round per nanosecond are clamped to the
-// 1ns floor. Callers that advertise or log a rate should use the effective
-// one — it is the truth the wire will show.
-func Pace(sess *core.Session, baseRate int) (time.Duration, float64) {
 	perRound, _ := roundSize(sess)
-	interval := paceInterval(perRound, baseRate)
-	return interval, float64(perRound) * float64(time.Second) / float64(interval)
+	return paceInterval(perRound, baseRate)
 }
 
 // roundSize returns how many packets one carousel round emits on the base

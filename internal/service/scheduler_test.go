@@ -13,9 +13,16 @@ import (
 	"repro/internal/proto"
 )
 
+// emitFunc is the tests' fresh-buffer core.RoundEmitter: every packet in a
+// new allocation, handed to the function.
+type emitFunc func(layer int, pkt []byte) error
+
+func (emitFunc) PacketBuf(size int) []byte { return make([]byte, 0, size) }
+
+func (f emitFunc) Emit(layer int, pkt []byte) error { return f(layer, pkt) }
+
 // batchCapture is a sink that copies every packet (pooled buffers are
-// recycled after SendBatch returns) keyed by (session, layer). Its Send
-// fails the test: a Service reaches its transport by SendBatch only.
+// recycled after SendBatch returns) keyed by (session, layer).
 type batchCapture struct {
 	t              *testing.T
 	mu             sync.Mutex
@@ -59,7 +66,7 @@ func (c *batchCapture) minLen(session uint16, layers int) int {
 // TestSchedulerEmissionOrderMatchesCarousel: per (session, layer), the
 // service's pooled, batched emission — paced by the scheduler and stepped
 // by hand through EmitRound — must be bit-identical to driving the
-// session's carousel directly with the per-packet NextRound: same packets,
+// session's carousel directly through a fresh-buffer emitter: same packets,
 // same order, SP/burst flags included. Every packet leaves by SendBatch,
 // so Stats must equal exactly what SendBatch saw.
 func TestSchedulerEmissionOrderMatchesCarousel(t *testing.T) {
@@ -121,14 +128,15 @@ func TestSchedulerEmissionOrderMatchesCarousel(t *testing.T) {
 	}
 
 	for _, s := range sessions {
-		// Reference: the carousel's own emission, packet-at-a-time.
+		// Reference: the carousel's own emission through a fresh-buffer
+		// emitter, packet at a time.
 		ref := make(map[int][][]byte)
 		car := core.NewCarouselAt(s.sess, s.phase)
 		for rounds := 0; rounds < 4*wantPerLayer; rounds++ {
-			err := car.NextRound(func(layer int, pkt []byte) error {
+			err := car.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 				ref[layer] = append(ref[layer], append([]byte(nil), pkt...))
 				return nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}

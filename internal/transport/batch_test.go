@@ -266,8 +266,8 @@ func TestSendBatchEmptyPackets(t *testing.T) {
 	expectPackets(t, c, batch)
 }
 
-// TestBusSendBatch: the in-proc bus must deliver a batch in Send-identical
-// order, and Send/SendBatch must be interchangeable.
+// TestBusSendBatch: the in-proc bus must deliver a batch in order, one
+// batch after another, and refuse an out-of-range layer.
 func TestBusSendBatch(t *testing.T) {
 	b := NewBus(2)
 	var got []uint32
@@ -290,7 +290,7 @@ func TestBusSendBatch(t *testing.T) {
 	if err := b.SendBatch(5, batch); err == nil {
 		t.Fatal("out-of-range layer accepted")
 	}
-	if err := b.Send(0, testPacket(1, 0, 13, nil)); err != nil {
+	if err := b.SendBatch(0, [][]byte{testPacket(1, 0, 13, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint32{10, 11, 12, 13}

@@ -21,7 +21,7 @@ import (
 
 // Handler consumes packets delivered on a subscribed layer. pkt is only
 // valid for the duration of the call: senders on the zero-alloc send path
-// reuse their pooled buffers as soon as Send/SendBatch returns, so a
+// reuse their pooled buffers as soon as SendBatch returns, so a
 // handler that keeps packet bytes must copy them (every decoder in this
 // repository already copies on Add).
 type Handler func(layer int, pkt []byte)
@@ -76,26 +76,11 @@ func (b *Bus) DropAll() {
 	b.mu.Unlock()
 }
 
-// Send delivers pkt on a layer to every subscribed client, applying each
-// client's loss process. Delivery is synchronous (the handler runs on the
-// caller's goroutine).
-func (b *Bus) Send(layer int, pkt []byte) error {
-	if layer < 0 || layer >= b.layers {
-		return fmt.Errorf("transport: layer %d out of range", layer)
-	}
-	b.mu.Lock()
-	clients := b.snap
-	b.mu.Unlock()
-	for _, c := range clients {
-		c.deliver(layer, pkt)
-	}
-	return nil
-}
-
 // SendBatch delivers a batch of packets on a layer, in order, to every
-// subscribed client — one subscriber-set snapshot for the whole batch.
-// Delivery order is identical to calling Send per packet, so the batched
-// and per-packet paths are interchangeable for deterministic experiments.
+// subscribed client — one subscriber-set snapshot for the whole batch —
+// applying each client's loss process. Delivery is synchronous (the
+// handlers run on the caller's goroutine): packet by packet, each to every
+// client in turn.
 func (b *Bus) SendBatch(layer int, pkts [][]byte) error {
 	if layer < 0 || layer >= b.layers {
 		return fmt.Errorf("transport: layer %d out of range", layer)
@@ -353,7 +338,7 @@ func (c *BusClient) deliver(layer int, pkt []byte) {
 	c.faultN++
 	dup := c.dup != nil && c.dup.Lose()
 	if c.reorderDepth > 0 {
-		// Queue a copy (the caller reuses pkt as soon as Send returns) and
+		// Queue a copy (the caller reuses pkt as soon as SendBatch returns) and
 		// release a pseudorandom queued packet once the buffer is full.
 		c.rq = append(c.rq, queuedPacket{layer: layer, pkt: append([]byte(nil), pkt...)})
 		if len(c.rq) <= c.reorderDepth {

@@ -160,7 +160,7 @@ func TestRxLossMatchesKernelDrops(t *testing.T) {
 	s, c, st := stalledPair(t, session)
 	// Every packet carries index 0 under its own serial: the engine
 	// accounts each one, and the decode never completes.
-	probe := sess.Packet(0, 0, 0, 0)
+	probe := sess.AppendPacket(nil, 0, 0, 0, 0)
 	if len(probe) != wireLen {
 		t.Fatalf("wire packet of %d bytes, want %d", len(probe), wireLen)
 	}
@@ -168,7 +168,7 @@ func TestRxLossMatchesKernelDrops(t *testing.T) {
 	burst := 2 * fit
 	pkts := make([][]byte, burst+1)
 	for i := range pkts {
-		pkts[i] = sess.Packet(0, 0, uint32(i+1), 0)
+		pkts[i] = sess.AppendPacket(nil, 0, 0, uint32(i+1), 0)
 	}
 	sendBurst(t, s, pkts[:burst])
 

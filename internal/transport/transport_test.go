@@ -19,20 +19,20 @@ func TestBusDeliveryAndLevels(t *testing.T) {
 		got = append(got, layer)
 	})
 	for l := 0; l < 4; l++ {
-		b.Send(l, []byte{byte(l)})
+		b.SendBatch(l, [][]byte{{byte(l)}})
 	}
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("level-1 client got layers %v", got)
 	}
 	c.SetLevel(3)
 	got = nil
-	b.Send(3, []byte{3})
+	b.SendBatch(3, [][]byte{{3}})
 	if len(got) != 1 {
 		t.Fatal("level change not applied")
 	}
 	c.Close()
 	got = nil
-	b.Send(0, []byte{0})
+	b.SendBatch(0, [][]byte{{0}})
 	if len(got) != 0 {
 		t.Fatal("closed client still receives")
 	}
@@ -44,7 +44,7 @@ func TestBusLossInjection(t *testing.T) {
 	n := 0
 	b.NewClient(0, &netsim.Bernoulli{P: 0.5, Rng: rng}, func(int, []byte) { n++ })
 	for i := 0; i < 10000; i++ {
-		b.Send(0, []byte{1})
+		b.SendBatch(0, [][]byte{{1}})
 	}
 	if n < 4500 || n > 5500 {
 		t.Fatalf("delivered %d of 10000 at p=0.5", n)
@@ -53,7 +53,7 @@ func TestBusLossInjection(t *testing.T) {
 
 func TestBusBadLayer(t *testing.T) {
 	b := NewBus(2)
-	if err := b.Send(2, nil); err == nil {
+	if err := b.SendBatch(2, [][]byte{nil}); err == nil {
 		t.Fatal("bad layer accepted")
 	}
 }
@@ -421,14 +421,14 @@ func TestBusPerLayerLoss(t *testing.T) {
 	defer c.Close()
 	c.SetLayerLoss(1, &alwaysLose{})
 	for i := 0; i < 50; i++ {
-		b.Send(0, []byte{0})
-		b.Send(1, []byte{1})
+		b.SendBatch(0, [][]byte{{0}})
+		b.SendBatch(1, [][]byte{{1}})
 	}
 	if got[0] != 50 || got[1] != 0 {
 		t.Fatalf("deliveries %v, want layer 0 = 50, layer 1 = 0", got)
 	}
 	c.SetLayerLoss(1, nil) // restore default (lossless)
-	b.Send(1, []byte{1})
+	b.SendBatch(1, [][]byte{{1}})
 	if got[1] != 1 {
 		t.Fatal("clearing the override did not restore delivery")
 	}
