@@ -299,7 +299,7 @@ func benchRateless(codec fountain.Codec, encodeBase int, decodeOp string) ([]res
 
 // benchLT produces the encode/decode rows of the LT codec at one k.
 func benchLT(k int) ([]result, error) {
-	codec, err := fountain.NewLT(k, packetLen, 1, 0, 0)
+	codec, err := fountain.NewLT(k, packetLen, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +320,7 @@ func benchLT(k int) ([]result, error) {
 // The encode row measures repair-packet production (the systematic prefix
 // aliases the source and costs nothing).
 func benchRaptor(k int) ([]result, error) {
-	codec, err := fountain.NewRaptor(k, packetLen, 1, 0, 0, 0, 0)
+	codec, err := fountain.NewRaptor(k, packetLen, 1)
 	if err != nil {
 		return nil, err
 	}

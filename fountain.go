@@ -106,27 +106,25 @@ const RatelessN = code.UnboundedN
 
 // NewLT constructs the rateless Luby Transform codec — the realization of
 // the paper's ideal digital fountain (§3, §9). Every encoding packet's
-// degree and neighbor set are a pure function of (seed, index) under the
-// robust soliton distribution; c and delta tune it (<= 0 selects the
-// defaults). Any k(1+ε) distinct packets decode, ε a few percent, via
-// peeling plus an inactivation fallback. LT sessions need no stretch
-// factor, no carousel phase coordination between mirrors, and no repair
-// memory beyond the source packets.
-func NewLT(k, packetLen int, seed int64, c, delta float64) (Codec, error) {
-	return lt.New(k, packetLen, seed, c, delta)
+// degree and neighbor set are a pure function of (seed, index) under a
+// robust soliton distribution fixed by k. Any k(1+ε) distinct packets
+// decode, ε a few percent, via peeling plus an inactivation fallback. LT
+// sessions need no stretch factor, no carousel phase coordination between
+// mirrors, and no repair memory beyond the source packets.
+func NewLT(k, packetLen int, seed int64) (Codec, error) {
+	return lt.New(k, packetLen, seed)
 }
 
 // NewRaptor constructs the precoded systematic rateless codec: a sparse
-// Tornado-style precode stretches the k source packets to k+checks
-// intermediate symbols, and a weakened truncated-soliton LT code emits over
-// the intermediates. The first k encoding packets ARE the source packets —
-// a lossless receiver stores k packets verbatim and performs zero XOR work
-// — and the precode's check equations are free rank, so decode cost stays
-// linear and reception overhead a couple of percent. c/delta tune the
-// inner distribution, checks/maxD the precode size and degree truncation
-// (<= 0 everywhere selects k-dependent defaults).
-func NewRaptor(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (Codec, error) {
-	return raptor.New(k, packetLen, seed, c, delta, checks, maxD)
+// Tornado-style precode stretches the k source packets to k+s intermediate
+// symbols, and a weakened truncated-soliton LT code emits over the
+// intermediates. The first k encoding packets ARE the source packets — a
+// lossless receiver stores k packets verbatim and performs zero XOR work —
+// and the precode's check equations are free rank, so decode cost stays
+// linear and reception overhead a couple of percent. The check count s and
+// the inner degree truncation are functions of k.
+func NewRaptor(k, packetLen int, seed int64) (Codec, error) {
+	return raptor.New(k, packetLen, seed)
 }
 
 // IsRateless reports whether a codec's index space is unbounded (its N()

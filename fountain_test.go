@@ -67,11 +67,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 // their unbounded N; they report RatelessN and IsRateless.
 func TestEncodeRefusesRateless(t *testing.T) {
 	const k, pl = 10, 16
-	lt, err := NewLT(k, pl, 1, 0, 0)
+	lt, err := NewLT(k, pl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raptor, err := NewRaptor(k, pl, 1, 0, 0, 0, 0)
+	raptor, err := NewRaptor(k, pl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/code"
 	"repro/internal/interleave"
@@ -31,8 +30,7 @@ type codecRow struct {
 	// roundK maps the packet count a file needs to the K of the codec
 	// built for it.
 	roundK func(d *proto.SessionInfo, k uint64) uint64
-	// build constructs the codec from the descriptor's words and stores
-	// back the words construction resolved.
+	// build constructs the codec from the descriptor's words.
 	build func(d *proto.SessionInfo) (code.Codec, error)
 }
 
@@ -83,42 +81,16 @@ var codecs = [...]codecRow{
 			return interleave.NewForFile(int(d.K), int(d.InterleaveK), int(d.N/d.K), int(d.PacketLen))
 		},
 	},
-	// A sender leaves the rateless codes' words zero: the constructors take
-	// that as "the package default", and the descriptor publishes what they
-	// resolved, so no receiver re-derives a default that could drift.
-	proto.CodecLT: {
-		name: "lt", rateless: true,
-		build: func(d *proto.SessionInfo) (code.Codec, error) {
-			c, err := lt.New(int(d.K), int(d.PacketLen), d.Seed, unmicro(d.LTCMicro), unmicro(d.LTDeltaMicro))
-			if err != nil {
-				return nil, err
-			}
-			d.LTCMicro, d.LTDeltaMicro = micros(c.Params())
-			return c, nil
-		},
-	},
-	proto.CodecRaptor: {
-		name: "raptor", rateless: true,
-		build: func(d *proto.SessionInfo) (code.Codec, error) {
-			c, err := raptor.New(int(d.K), int(d.PacketLen), d.Seed, unmicro(d.LTCMicro), unmicro(d.LTDeltaMicro),
-				int(d.RaptorS), int(d.RaptorMaxD))
-			if err != nil {
-				return nil, err
-			}
-			d.LTCMicro, d.LTDeltaMicro = micros(c.Params())
-			d.RaptorS, d.RaptorMaxD = uint32(c.Checks()), uint32(c.MaxDegree())
-			return c, nil
-		},
-	},
+	// A rateless code is named by (k, packet length, seed): its degree
+	// distribution and precode are functions of k, so the descriptor has no
+	// words for them.
+	proto.CodecLT: {name: "lt", rateless: true, build: func(d *proto.SessionInfo) (code.Codec, error) {
+		return lt.New(int(d.K), int(d.PacketLen), d.Seed)
+	}},
+	proto.CodecRaptor: {name: "raptor", rateless: true, build: func(d *proto.SessionInfo) (code.Codec, error) {
+		return raptor.New(int(d.K), int(d.PacketLen), d.Seed)
+	}},
 }
-
-// micros quantizes the soliton parameters (c, δ) to the wire's millionths.
-// Codecs are built from unmicro of the words, on both sides, so sender and
-// receivers derive the identical degree distribution.
-func micros(c, delta float64) (uint32, uint32) {
-	return uint32(math.Round(c * 1e6)), uint32(math.Round(delta * 1e6))
-}
-func unmicro(m uint32) float64 { return float64(m) / 1e6 }
 
 // rowOf returns the table row of a wire codec id: the zero row, which has
 // no build, for an id this build does not know.
@@ -169,12 +141,6 @@ func DescribeCodec(d proto.SessionInfo) string {
 	if d.InterleaveK != 0 {
 		s += fmt.Sprintf(" block-k=%d", d.InterleaveK)
 	}
-	if d.RaptorS != 0 || d.RaptorMaxD != 0 {
-		s += fmt.Sprintf(" s=%d maxd=%d", d.RaptorS, d.RaptorMaxD)
-	}
-	if d.LTCMicro != 0 || d.LTDeltaMicro != 0 {
-		s += fmt.Sprintf(" c=%.3g delta=%.3g", unmicro(d.LTCMicro), unmicro(d.LTDeltaMicro))
-	}
 	return s
 }
 
@@ -206,7 +172,7 @@ func sourcePackets(d *proto.SessionInfo) uint64 {
 // codec is built from it — what NewSessionCached is about to publish and
 // what NewReceiver took off a socket alike, so a sender cannot publish what
 // a receiver refuses, decoder memory is bounded by the file the user asked
-// for, not by a 99-byte datagram, and no download starts that could not end
+// for, not by an 83-byte datagram, and no download starts that could not end
 // on the SHA-256 check.
 func checkDescriptor(d *proto.SessionInfo) error {
 	row := rowOf(d.Codec)

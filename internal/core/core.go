@@ -363,9 +363,7 @@ type Receiver struct {
 func NewReceiver(info proto.SessionInfo) (*Receiver, error) {
 	// The fixed-point test: a sender publishes what its codec resolved, so
 	// building from a sender's descriptor hands the same descriptor back. It
-	// refuses every codec word no construction resolves to (zero raptor
-	// checks, a degree cap beyond the symbols, c = 0) and an N the codec
-	// would not have.
+	// refuses a K or an N the codec would not have.
 	built := info
 	codec, err := buildCodec(&built)
 	if err != nil {

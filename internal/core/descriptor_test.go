@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -72,13 +73,8 @@ var badDescriptors = []struct {
 			i.N = 16 * 1641
 		}
 	}},
-	// Codec words no sender's construction resolves to: these pass
-	// checkDescriptor and fall to the fixed-point test.
-	{"raptorS=0", false, []uint8{proto.CodecRaptor}, func(i *proto.SessionInfo) { i.RaptorS = 0 }},
-	{"raptorS=2^32-1", false, []uint8{proto.CodecRaptor}, func(i *proto.SessionInfo) { i.RaptorS = 1<<32 - 1 }},
-	{"raptorMaxD=2^31", false, []uint8{proto.CodecRaptor}, func(i *proto.SessionInfo) { i.RaptorMaxD = 1 << 31 }},
-	{"ltC=0", false, []uint8{proto.CodecLT, proto.CodecRaptor}, func(i *proto.SessionInfo) { i.LTCMicro = 0 }},
-	{"ltDelta=1", false, []uint8{proto.CodecLT, proto.CodecRaptor}, func(i *proto.SessionInfo) { i.LTDeltaMicro = 1_000_000 }},
+	// A codec word no sender's construction resolves to: it passes
+	// checkDescriptor and falls to the fixed-point test.
 	{"blockK=0", false, []uint8{proto.CodecInterleaved}, func(i *proto.SessionInfo) { i.InterleaveK = 0 }},
 }
 
@@ -86,7 +82,7 @@ var badDescriptors = []struct {
 // every codec id, K = 0 (which used to panic with an integer divide by
 // zero), an N that is not a modest whole stretch of K, and geometry the
 // advertised file cannot justify must come back as errors — before any
-// codec is built, so a 107-byte datagram cannot make a client allocate
+// codec is built, so an 83-byte datagram cannot make a client allocate
 // gigabytes.
 func TestNewReceiverRejectsBadCounts(t *testing.T) {
 	for _, id := range servedIDs() {
@@ -165,64 +161,60 @@ func TestNewSessionRefusesWhatReceiversRefuse(t *testing.T) {
 	}
 }
 
-// TestCodecWordsAwayFromDefaults: no sender in the tree publishes c, δ, s,
-// maxD or a block size other than the defaults, but receivers build
-// whatever a descriptor states. Hand-written descriptors with non-default,
-// self-consistent words must be fixed points of their table row, and a
-// codec built from one must decode what a second one encoded.
+// TestCodecWordsAwayFromDefaults: the one codec word a descriptor carries
+// is the interleaved block size, and no sender in the tree publishes a
+// block size other than the default, but receivers build whatever a
+// descriptor states. A hand-written descriptor with a non-default,
+// self-consistent block size and stretch must be a fixed point of its table
+// row, and a codec built from it must decode what a second one encoded.
+// (The rateless codes have no such words: they are named by k, packet
+// length and seed.)
 func TestCodecWordsAwayFromDefaults(t *testing.T) {
-	for _, d := range []proto.SessionInfo{
-		{Codec: proto.CodecLT, K: 100, N: code.UnboundedN, LTCMicro: 100_000, LTDeltaMicro: 250_000},
-		{Codec: proto.CodecRaptor, K: 100, N: code.UnboundedN, LTCMicro: 50_000, LTDeltaMicro: 400_000,
-			RaptorS: 20, RaptorMaxD: 30},
-		{Codec: proto.CodecInterleaved, K: 105, N: 315, InterleaveK: 7},
-	} {
-		d.Session, d.Layers, d.PacketLen, d.Seed = 9, 1, 32, 77
-		data := randData(rand.New(rand.NewSource(int64(d.Codec))), int(d.K)*32-5)
-		d.FileLen, d.Digest = uint64(len(data)), sha256.Sum256(data)
+	d := proto.SessionInfo{Session: 9, Codec: proto.CodecInterleaved, Layers: 1, K: 105, N: 315, PacketLen: 32, Seed: 77, InterleaveK: 7}
+	data := randData(rand.New(rand.NewSource(int64(d.Codec))), int(d.K)*32-5)
+	d.FileLen, d.Digest = uint64(len(data)), sha256.Sum256(data)
 
-		if err := checkDescriptor(&d); err != nil {
-			t.Fatalf("%s: %v", DescribeCodec(d), err)
+	if err := checkDescriptor(&d); err != nil {
+		t.Fatalf("%s: %v", DescribeCodec(d), err)
+	}
+	built := d
+	enc, err := buildCodec(&built)
+	if err != nil {
+		t.Fatalf("%s: %v", DescribeCodec(d), err)
+	}
+	if built != d {
+		t.Fatalf("%s is not a fixed point: build resolves %s", DescribeCodec(d), DescribeCodec(built))
+	}
+	rcv, err := NewReceiver(d) // its own codec, through the same row
+	if err != nil {
+		t.Fatalf("%s: %v", DescribeCodec(d), err)
+	}
+	src, err := code.Split(data, int(d.K), int(d.PacketLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := enc.(code.RowEncoder)
+	cols := rows.Columns(src)
+	loss := rand.New(rand.NewSource(5))
+	for idx := 0; !rcv.Done(); idx++ {
+		if idx == min(int(d.N), 4*int(d.K)) {
+			t.Fatalf("%s: not decoded after %d packets", DescribeCodec(d), idx)
 		}
-		built := d
-		enc, err := buildCodec(&built)
-		if err != nil {
-			t.Fatalf("%s: %v", DescribeCodec(d), err)
+		if loss.Intn(3) == 0 {
+			continue // lost: make the decoder work
 		}
-		if built != d {
-			t.Fatalf("%s is not a fixed point: build resolves %s", DescribeCodec(d), DescribeCodec(built))
+		pkt := make([]byte, d.PacketLen)
+		if f := rows.SourceOf(idx); f >= 0 {
+			copy(pkt, cols[f])
+		} else {
+			rows.EncodeInto(pkt, cols, idx)
 		}
-		rcv, err := NewReceiver(d) // its own codec, through the same row
-		if err != nil {
-			t.Fatalf("%s: %v", DescribeCodec(d), err)
+		if _, err := rcv.Handle(idx, pkt); err != nil {
+			t.Fatalf("%s: packet %d: %v", DescribeCodec(d), idx, err)
 		}
-		src, err := code.Split(data, int(d.K), int(d.PacketLen))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := enc.(code.RowEncoder)
-		cols := rows.Columns(src)
-		loss := rand.New(rand.NewSource(5))
-		for idx := 0; !rcv.Done(); idx++ {
-			if idx == min(int(d.N), 4*int(d.K)) {
-				t.Fatalf("%s: not decoded after %d packets", DescribeCodec(d), idx)
-			}
-			if loss.Intn(3) == 0 {
-				continue // lost: make the decoder work
-			}
-			pkt := make([]byte, d.PacketLen)
-			if f := rows.SourceOf(idx); f >= 0 {
-				copy(pkt, cols[f])
-			} else {
-				rows.EncodeInto(pkt, cols, idx)
-			}
-			if _, err := rcv.Handle(idx, pkt); err != nil {
-				t.Fatalf("%s: packet %d: %v", DescribeCodec(d), idx, err)
-			}
-		}
-		if got, err := rcv.File(); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("%s: file differs (err %v)", DescribeCodec(d), err)
-		}
+	}
+	if got, err := rcv.File(); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("%s: file differs (err %v)", DescribeCodec(d), err)
 	}
 }
 
@@ -271,6 +263,21 @@ func FuzzNewReceiver(f *testing.F) {
 			info := good
 			tc.edit(&info)
 			f.Add(info.Append(nil))
+		}
+		// The 99-byte layout, which carried LT's c and δ in millionths and
+		// raptor's check count and degree cap between Phase and the digest,
+		// with the words its fixed-point test refused: no length but 83
+		// parses now.
+		for _, words := range [][4]uint32{
+			{30_000, 500_000, 0, 16}, {30_000, 500_000, 1<<32 - 1, 16}, {30_000, 500_000, 12, 1 << 31},
+			{0, 500_000, 12, 16}, {30_000, 1_000_000, 12, 16},
+		} {
+			b := good.Append(nil)
+			var w []byte
+			for _, v := range words {
+				w = binary.BigEndian.AppendUint32(w, v)
+			}
+			f.Add(slices.Concat(b[:51], w, b[51:]))
 		}
 	}
 	// One Reed-Solomon block past maxBlockK: whole-file Cauchy, and an

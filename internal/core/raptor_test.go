@@ -20,8 +20,7 @@ func raptorConfig(layers int) Config {
 }
 
 // TestRaptorSessionProperties: a raptor session is rateless and lazy like
-// an LT one, and its descriptor carries the resolved precode geometry —
-// not the config's zeros — so a receiver rebuilds the identical code.
+// an LT one, and its descriptor survives the wire byte-exactly.
 func TestRaptorSessionProperties(t *testing.T) {
 	data := make([]byte, 5000)
 	rand.New(rand.NewSource(1)).Read(data)
@@ -36,13 +35,6 @@ func TestRaptorSessionProperties(t *testing.T) {
 	if info.N != code.UnboundedN {
 		t.Fatalf("info.N = %d, want the unbounded sentinel", info.N)
 	}
-	if info.LTCMicro == 0 || info.LTDeltaMicro == 0 {
-		t.Fatalf("inner params missing from descriptor: c=%d delta=%d", info.LTCMicro, info.LTDeltaMicro)
-	}
-	if info.RaptorS == 0 || info.RaptorMaxD == 0 {
-		t.Fatalf("precode geometry missing from descriptor: s=%d maxD=%d", info.RaptorS, info.RaptorMaxD)
-	}
-	// The descriptor must survive the wire byte-exactly.
 	parsed, err := proto.ParseSessionInfo(info.Append(nil))
 	if err != nil {
 		t.Fatal(err)

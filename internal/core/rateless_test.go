@@ -32,9 +32,6 @@ func TestRatelessSessionProperties(t *testing.T) {
 	if info.N != code.UnboundedN {
 		t.Fatalf("info.N = %d, want the unbounded sentinel", info.N)
 	}
-	if info.LTCMicro == 0 || info.LTDeltaMicro == 0 {
-		t.Fatalf("LT params missing from descriptor: c=%d delta=%d", info.LTCMicro, info.LTDeltaMicro)
-	}
 }
 
 // TestRatelessCarouselMonotone: a rateless carousel must stream fresh,

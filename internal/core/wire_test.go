@@ -73,8 +73,11 @@ func TestWireHashes(t *testing.T) {
 // recorded on the tree before those refusals, over the same descriptors;
 // that tree's hash over all of them (bed6cd7d…0071) was in turn the 107-byte
 // descriptors from before the codec table replaced buildCodec's switch,
-// with bytes 43..50 (the FNV-64a word) cut from each.
-const descriptorHash = "3ac54a6b233fee1902214b0be0afdd429a33c83224f8614c67d5a261d2ad6660"
+// with bytes 43..50 (the FNV-64a word) cut from each. The refusing tree's
+// own hash (3ac54a6b…6660) is, likewise, its 99-byte descriptors with bytes
+// 51..66 (LT's c and δ, raptor's s and maxD) cut from each: rateless codes
+// lost those words, and the descriptors are otherwise byte-identical.
+const descriptorHash = "86e1c47dd48e50878163b0e138d356d7705599dd7ead6431bd8ef9b75507371b"
 
 // TestDescriptorHash: the descriptor a sender publishes is byte-identical
 // to the recorded one for every codec.

@@ -178,34 +178,15 @@ func TestMulSliceAdd16(t *testing.T) {
 			want[i] ^= byte(p >> 8)
 			want[i+1] ^= byte(p)
 		}
-		f.MulSliceAdd16(c, dst, src)
+		MulSliceAddTab16(f.MulTab(c), dst, src)
 		if !bytes.Equal(dst, want) {
-			t.Fatalf("c=%d: MulSliceAdd16 mismatch", c)
-		}
-	}
-}
-
-func TestMulSlice16(t *testing.T) {
-	f := New16()
-	rng := rand.New(rand.NewSource(4))
-	src := make([]byte, 32)
-	rng.Read(src)
-	for _, c := range []uint32{0, 1, 7, 0xABCD} {
-		dst := make([]byte, 32)
-		rng.Read(dst) // ensure overwrite
-		f.MulSlice16(c, dst, src)
-		for i := 0; i < 32; i += 2 {
-			x := uint32(src[i])<<8 | uint32(src[i+1])
-			p := f.Mul(c, x)
-			if dst[i] != byte(p>>8) || dst[i+1] != byte(p) {
-				t.Fatalf("c=%d i=%d: got %x%x want %x", c, i, dst[i], dst[i+1], p)
-			}
+			t.Fatalf("c=%d: MulSliceAddTab16 mismatch", c)
 		}
 	}
 }
 
 func TestMulSliceLinearity(t *testing.T) {
-	// (c1+c2)*src == c1*src ^ c2*src applied via MulSliceAdd16.
+	// (c1+c2)*src == c1*src ^ c2*src applied via MulSliceAddTab16.
 	f := New16()
 	err := quick.Check(func(c1, c2 uint32, seed int64) bool {
 		c1 &= 0xFFFF
@@ -214,10 +195,10 @@ func TestMulSliceLinearity(t *testing.T) {
 		src := make([]byte, 48)
 		rng.Read(src)
 		a := make([]byte, 48)
-		f.MulSliceAdd16(c1, a, src)
-		f.MulSliceAdd16(c2, a, src)
+		MulSliceAddTab16(f.MulTab(c1), a, src)
+		MulSliceAddTab16(f.MulTab(c2), a, src)
 		b := make([]byte, 48)
-		f.MulSliceAdd16(c1^c2, b, src)
+		MulSliceAddTab16(f.MulTab(c1^c2), b, src)
 		return bytes.Equal(a, b)
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
@@ -231,27 +212,5 @@ func TestXORSlice(t *testing.T) {
 	XORSlice(a, b)
 	if a[0] != 5 || a[1] != 1 || a[2] != 3 || a[3] != 4 {
 		t.Fatalf("XORSlice wrong: %v", a)
-	}
-}
-
-func TestMulSliceAddOddPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on odd src length")
-		}
-	}()
-	New16().MulSliceAdd16(3, make([]byte, 3), make([]byte, 3))
-}
-
-func BenchmarkMulSliceAdd16(b *testing.B) {
-	f := New16()
-	src := make([]byte, 1024)
-	dst := make([]byte, 1024)
-	rand.New(rand.NewSource(5)).Read(src)
-	tab := f.MulTab(0x1234)
-	b.SetBytes(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulSliceAddTab16(tab, dst, src)
 	}
 }

@@ -73,24 +73,6 @@ func (f *Field) MulTabInto(c uint32, t *MulTab16) {
 	}
 }
 
-// MulSliceAdd16 computes dst ^= c * src where dst and src are byte slices
-// interpreted as big-endian 16-bit symbols. len(src) must be even and
-// len(dst) >= len(src). c==0 is a no-op; c==1 is a plain XOR.
-func (f *Field) MulSliceAdd16(c uint32, dst, src []byte) {
-	if len(src)%2 != 0 {
-		panic("gf: MulSliceAdd16 requires even-length src")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		subtle.XORBytes(dst[:len(src)], dst[:len(src)], src)
-		return
-	}
-	t := f.MulTab(c)
-	mulSliceAddTab16(t, dst, src)
-}
-
 // MulSliceAddTab16 computes dst ^= c*src using precomputed split tables.
 // Fetching the table once per matrix coefficient and reusing it across
 // the packet amortizes table construction.
@@ -135,44 +117,6 @@ func mulSliceAddTab16Scalar(t *MulTab16, dst, src []byte) {
 		p := t.Hi[src[i]] ^ t.Lo[src[i+1]]
 		dst[i] ^= byte(p >> 8)
 		dst[i+1] ^= byte(p)
-	}
-}
-
-// MulSlice16 computes dst = c * src (overwriting dst).
-func (f *Field) MulSlice16(c uint32, dst, src []byte) {
-	if len(src)%2 != 0 {
-		panic("gf: MulSlice16 requires even-length src")
-	}
-	switch c {
-	case 0:
-		clear(dst[:len(src)])
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
-	t := f.MulTab(c)
-	n := len(src)
-	dst = dst[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.BigEndian.PutUint64(dst[i:], mulWord(t, binary.BigEndian.Uint64(src[i:])))
-	}
-	for ; i < n; i += 2 {
-		p := t.Hi[src[i]] ^ t.Lo[src[i+1]]
-		dst[i] = byte(p >> 8)
-		dst[i+1] = byte(p)
-	}
-}
-
-// mulSlice16Scalar is the scalar reference for MulSlice16 (c > 1 path).
-func mulSlice16Scalar(t *MulTab16, dst, src []byte) {
-	n := len(src) &^ 1
-	_ = dst[:n]
-	for i := 0; i < n; i += 2 {
-		p := t.Hi[src[i]] ^ t.Lo[src[i+1]]
-		dst[i] = byte(p >> 8)
-		dst[i+1] = byte(p)
 	}
 }
 

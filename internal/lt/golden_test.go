@@ -30,7 +30,7 @@ func TestGoldenDecodePins(t *testing.T) {
 		{3000, 5, 0, 0.1, 3003, 3179},
 		{10000, 1, 1 << 30, 0, 10004, 10871},
 	} {
-		c, err := New(tc.k, 16, tc.seed, 0, 0)
+		c, err := New(tc.k, 16, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,18 +50,16 @@ func TestGoldenDecodePins(t *testing.T) {
 // draws degrees past 256, covering the set-based duplicate check.
 func TestGoldenNeighborPins(t *testing.T) {
 	for _, tc := range []struct {
-		k        int
-		seed     int64
-		c, delta float64
-		hash     uint64
+		k    int
+		seed int64
+		hash uint64
 	}{
-		{1, -1, 0, 0, 0x9a76784b3e9e41a5},
-		{2, 7777, 0, 0, 0x672a184854dda076},
-		{7, 99, 0.2, 0.3, 0xc5705acaea25ded0},
-		{1000, 1998, 0, 0, 0xcb0eab524f35aab7},
-		{10000, 1, 0, 0, 0x2fc7f351b4b2fe92},
+		{1, -1, 0x9a76784b3e9e41a5},
+		{2, 7777, 0x672a184854dda076},
+		{1000, 1998, 0xcb0eab524f35aab7},
+		{10000, 1, 0x2fc7f351b4b2fe92},
 	} {
-		c, err := New(tc.k, 8, tc.seed, tc.c, tc.delta)
+		c, err := New(tc.k, 8, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,10 +87,10 @@ func TestGoldenNeighborPins(t *testing.T) {
 			t.Errorf("k=10000: max degree %d never reached the set-based path", maxDeg)
 		}
 		if got := h.Sum64(); got != tc.hash {
-			t.Errorf("{%d, %d, %v, %v, %#x}, // want %#x", tc.k, tc.seed, tc.c, tc.delta, got, tc.hash)
+			t.Errorf("{%d, %d, %#x}, // want %#x", tc.k, tc.seed, got, tc.hash)
 		}
 	}
-	c, err := New(1000, 8, 1998, 0, 0)
+	c, err := New(1000, 8, 1998)
 	if err != nil {
 		t.Fatal(err)
 	}

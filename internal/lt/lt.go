@@ -13,7 +13,8 @@
 // recovery, and the correction τ concentrates extra mass on degree 1..D
 // (D ≈ k/R, R = c·ln(k/δ)·√k) so the ripple survives variance and the
 // decoder fails with probability at most δ after k + O(√k·ln²(k/δ))
-// packets. Tunables c and δ trade average degree against ripple robustness.
+// packets. c = 0.05 and δ = 0.5 are fixed: the code is named by (k, packet
+// length, seed) alone, and the golden neighbour pins hold the distribution.
 //
 // Encoding and decoding are the shared encoder and decoder (internal/peel)
 // with no static equations and no systematic prefix: a packet is the XOR of
@@ -31,12 +32,12 @@ import (
 	"repro/internal/peel"
 )
 
-// Default degree-distribution parameters: a moderate spike (c) and failure
+// The degree-distribution parameters: a moderate spike (c) and failure
 // target (δ) that keep the average degree near ln(k) while leaving the
 // peeling decoder a comfortable ripple at k in the thousands.
 const (
-	DefaultC     = 0.05
-	DefaultDelta = 0.5
+	solitonC     = 0.05
+	solitonDelta = 0.5
 )
 
 // Codec is a rateless LT code over fixed-size packets. It is immutable
@@ -46,8 +47,6 @@ type Codec struct {
 	// Code is what every decoder of the session runs on, and the sizes,
 	// encoder and decoder the codec satisfies code.Codec through.
 	peel.Code
-	c     float64
-	delta float64
 	// draw is the robust soliton over the k sources, Code's neighbour
 	// function.
 	draw peel.Sampler
@@ -55,52 +54,39 @@ type Codec struct {
 
 // New constructs the codec for k source packets of packetLen bytes. The
 // seed is the advance agreement between sender and receivers (§5.1): both
-// sides derive every packet's degree and neighbor set from it. c <= 0 or
-// delta outside (0,1) select the defaults.
-func New(k, packetLen int, seed int64, c, delta float64) (*Codec, error) {
+// sides derive every packet's degree and neighbor set from it.
+func New(k, packetLen int, seed int64) (*Codec, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lt: invalid k=%d", k)
 	}
 	if packetLen <= 0 {
 		return nil, fmt.Errorf("lt: invalid packetLen=%d", packetLen)
 	}
-	if c <= 0 {
-		c = DefaultC
-	}
-	if delta <= 0 || delta >= 1 {
-		delta = DefaultDelta
-	}
-	lc := &Codec{c: c, delta: delta}
-	lc.draw = peel.Sampler{Seed: seed, CDF: robustSolitonCDF(k, c, delta), L: k}
+	lc := &Codec{}
+	lc.draw = peel.Sampler{Seed: seed, CDF: robustSolitonCDF(k), L: k}
 	lc.Code = peel.Code{Sources: k, Indices: code.UnboundedN, PacketBytes: packetLen, Draw: &lc.draw}
 	return lc, nil
 }
 
 // robustSolitonCDF builds the cumulative robust soliton distribution
 // μ(d) = (ρ(d) + τ(d)) / β over degrees 1..k.
-func robustSolitonCDF(k int, c, delta float64) []float64 {
+func robustSolitonCDF(k int) []float64 {
 	fk := float64(k)
 	pdf := make([]float64, k+1) // pdf[d], d = 1..k
 	pdf[1] = 1 / fk
 	for d := 2; d <= k; d++ {
 		pdf[d] = 1 / (float64(d) * float64(d-1))
 	}
-	// τ: R/(d·k) for d < D, R·ln(R/δ)/k at the spike D = round(k/R). For
-	// tiny k the spike can collapse onto degree 1 or exceed k; the clamps
-	// degrade gracefully to the ideal soliton.
-	R := c * math.Log(fk/delta) * math.Sqrt(fk)
+	// τ: R/(d·k) for d < D, R·ln(R/δ)/k at the spike D = round(k/R). Below
+	// R = 1 (tiny k) it is the ideal soliton; above, 1 < R ≤ 2k keeps D in
+	// [1, k].
+	R := solitonC * math.Log(fk/solitonDelta) * math.Sqrt(fk)
 	if R > 1 {
 		D := int(math.Round(fk / R))
-		if D < 1 {
-			D = 1
-		}
-		if D > k {
-			D = k
-		}
 		for d := 1; d < D; d++ {
 			pdf[d] += R / (float64(d) * fk)
 		}
-		pdf[D] += R * math.Log(R/delta) / fk
+		pdf[D] += R * math.Log(R/solitonDelta) / fk
 	}
 	cdf := make([]float64, k)
 	sum := 0.0
@@ -119,9 +105,6 @@ func robustSolitonCDF(k int, c, delta float64) []float64 {
 
 // Name implements code.Codec.
 func (c *Codec) Name() string { return "lt" }
-
-// Params returns the degree-distribution tunables (c, δ) in effect.
-func (c *Codec) Params() (cc, delta float64) { return c.c, c.delta }
 
 // Seed returns the session seed the packet streams derive from.
 func (c *Codec) Seed() int64 { return c.draw.Seed }

@@ -56,7 +56,7 @@ func decodeStream(t *testing.T, c *Codec, src [][]byte, base uint32, loss float6
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, 3, 16, 100, 500} {
-		c, err := New(k, 64, 42, 0, 0)
+		c, err := New(k, 64, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripWithLossAndOffset(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	c, err := New(200, 32, -987654321, 0.1, 0.1)
+	c, err := New(200, 32, -987654321)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReceptionOverhead(t *testing.T) {
 		t.Skip("k=10000 decode trials")
 	}
 	const k, pl, trials = 10000, 16, 3
-	c, err := New(k, pl, 1998, 0, 0)
+	c, err := New(k, pl, 1998)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReceptionOverhead(t *testing.T) {
 
 func TestNeighborsDeterministicInRangeDupFree(t *testing.T) {
 	for _, k := range []int{1, 2, 7, 1000} {
-		c, err := New(k, 8, 99, 0.2, 0.3)
+		c, err := New(k, 8, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestNeighborsDeterministicInRangeDupFree(t *testing.T) {
 
 func TestDegreeDistributionShape(t *testing.T) {
 	const k = 2000
-	c, err := New(k, 8, 3, 0, 0)
+	c, err := New(k, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDegreeDistributionShape(t *testing.T) {
 
 func TestEncodeRangeBatchingInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	c, err := New(50, 48, 77, 0, 0)
+	c, err := New(50, 48, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestEncodeRangeBatchingInvariant(t *testing.T) {
 
 func TestDecoderIgnoresDuplicatesAndPostCompletion(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	c, err := New(40, 24, 8, 0, 0)
+	c, err := New(40, 24, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,18 +238,10 @@ func TestDecoderIgnoresDuplicatesAndPostCompletion(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 16, 1, 0, 0); err == nil {
+	if _, err := New(0, 16, 1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := New(4, 0, 1, 0, 0); err == nil {
+	if _, err := New(4, 0, 1); err == nil {
 		t.Fatal("packetLen=0 accepted")
-	}
-	c, err := New(4, 16, 1, -1, 7) // out-of-range params fall back to defaults
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, delta := c.Params()
-	if cc != DefaultC || delta != DefaultDelta {
-		t.Fatalf("defaults not applied: c=%v delta=%v", cc, delta)
 	}
 }

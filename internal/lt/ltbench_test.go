@@ -7,7 +7,7 @@ import (
 
 func BenchmarkDecodeAllocK1000(b *testing.B) {
 	const k, pl = 1000, 1024
-	c, err := New(k, pl, 1, 0, 0)
+	c, err := New(k, pl, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

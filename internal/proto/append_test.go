@@ -12,23 +12,19 @@ func randInfo(rng *rand.Rand) SessionInfo {
 	var digest [32]byte
 	rng.Read(digest[:])
 	return SessionInfo{
-		Session:      uint16(rng.Uint32()),
-		Codec:        uint8(rng.Intn(7)),
-		Layers:       uint8(1 + rng.Intn(16)),
-		K:            rng.Uint32(),
-		N:            rng.Uint32(),
-		PacketLen:    rng.Uint32(),
-		FileLen:      rng.Uint64(),
-		Seed:         rng.Int63() - rng.Int63(),
-		BaseRate:     rng.Uint32(),
-		SPInterval:   rng.Uint32(),
-		InterleaveK:  rng.Uint32(),
-		Phase:        rng.Uint32(),
-		LTCMicro:     rng.Uint32(),
-		LTDeltaMicro: rng.Uint32(),
-		RaptorS:      rng.Uint32(),
-		RaptorMaxD:   rng.Uint32(),
-		Digest:       digest,
+		Session:     uint16(rng.Uint32()),
+		Codec:       uint8(rng.Intn(7)),
+		Layers:      uint8(1 + rng.Intn(16)),
+		K:           rng.Uint32(),
+		N:           rng.Uint32(),
+		PacketLen:   rng.Uint32(),
+		FileLen:     rng.Uint64(),
+		Seed:        rng.Int63() - rng.Int63(),
+		BaseRate:    rng.Uint32(),
+		SPInterval:  rng.Uint32(),
+		InterleaveK: rng.Uint32(),
+		Phase:       rng.Uint32(),
+		Digest:      digest,
 	}
 }
 

@@ -96,15 +96,15 @@ func FuzzParseControl(f *testing.F) {
 		Draining: 1, Subscribers: 4, TxPackets: 5}.Append(nil))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		if s, err := ParseSessionInfo(buf); err == nil {
-			if len(buf) < sessionInfoLen {
-				t.Fatalf("truncated session info accepted (%d bytes)", len(buf))
+			if len(buf) != sessionInfoLen {
+				t.Fatalf("session info accepted from %d bytes, want %d", len(buf), sessionInfoLen)
 			}
-			if !bytes.Equal(s.Append(nil), buf[:sessionInfoLen]) {
+			if !bytes.Equal(s.Append(nil), buf) {
 				t.Fatal("session info parse→append diverges")
 			}
 		}
 		if infos, err := ParseCatalog(buf); err == nil {
-			if len(buf) < 5+len(infos)*sessionInfoLen {
+			if len(buf) != 5+len(infos)*sessionInfoLen {
 				t.Fatalf("catalog of %d entries accepted from %d bytes", len(infos), len(buf))
 			}
 			round, err := ParseCatalog(AppendCatalog(nil, infos))

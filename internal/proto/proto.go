@@ -147,19 +147,6 @@ type SessionInfo struct {
 	// as the sender's arbitrary stream start — informational only, since
 	// the unbounded index space makes coordination unnecessary.
 	Phase uint32
-	// LTCMicro / LTDeltaMicro carry the robust-soliton parameters of a
-	// CodecLT or CodecRaptor session in millionths (c, δ quantized so both
-	// sides of the wire derive the identical degree distribution). Zero
-	// otherwise.
-	LTCMicro     uint32
-	LTDeltaMicro uint32
-	// RaptorS / RaptorMaxD carry a CodecRaptor session's precode check
-	// count and inner-code degree truncation. Together with Seed and the
-	// (c, δ) micros above they pin the entire code — precode graph, degree
-	// CDF, neighbor draws — so both sides derive identical symbols. Zero
-	// for every other codec.
-	RaptorS    uint32
-	RaptorMaxD uint32
 	// Digest is the SHA-256 of the published file, the one end-to-end proof:
 	// a receiver verifies its reassembled download against it, so a
 	// completed transfer is provably the published bytes even if every hop
@@ -185,7 +172,9 @@ const (
 	// CodecRaptor is the precoded systematic rateless code: like CodecLT
 	// the index space is unbounded, but the first K encoding packets ARE
 	// the source packets and repair packets are inner-coded over the
-	// precode's intermediate symbols (RaptorS, RaptorMaxD below).
+	// precode's intermediate symbols. Both rateless codes are named by K,
+	// PacketLen and Seed alone: their degree distributions and the precode
+	// size are functions of K.
 	CodecRaptor
 )
 
@@ -202,7 +191,7 @@ const (
 	controlMag1         = 0x98 // 1998
 )
 
-const sessionInfoLen = 2 + 2 + 1 + 1 + 1 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 32 // magic+type .. lt params, raptor params, digest
+const sessionInfoLen = 2 + 1 + 2 + 1 + 1 + 4 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 32 // magic, type, session .. phase, digest: 83 bytes
 
 // AppendHello appends a client hello probe to dst. A bare hello asks for
 // "the" session — a multi-session service answers with its lowest session
@@ -301,13 +290,13 @@ func ParseCatalog(buf []byte) ([]SessionInfo, error) {
 	}
 	count := int(binary.BigEndian.Uint16(buf[3:5]))
 	rest := buf[5:]
-	if len(rest) < count*sessionInfoLen {
-		return nil, fmt.Errorf("proto: catalog truncated: %d entries need %d bytes, have %d",
+	if len(rest) != count*sessionInfoLen {
+		return nil, fmt.Errorf("proto: catalog of %d entries needs %d bytes, has %d",
 			count, count*sessionInfoLen, len(rest))
 	}
 	infos := make([]SessionInfo, count)
 	for i := 0; i < count; i++ {
-		s, err := ParseSessionInfo(rest[i*sessionInfoLen:])
+		s, err := ParseSessionInfo(rest[i*sessionInfoLen : (i+1)*sessionInfoLen])
 		if err != nil {
 			return nil, fmt.Errorf("proto: catalog entry %d: %w", i, err)
 		}
@@ -331,40 +320,34 @@ func (s SessionInfo) Append(dst []byte) []byte {
 	dst = be.AppendUint32(dst, s.SPInterval)
 	dst = be.AppendUint32(dst, s.InterleaveK)
 	dst = be.AppendUint32(dst, s.Phase)
-	dst = be.AppendUint32(dst, s.LTCMicro)
-	dst = be.AppendUint32(dst, s.LTDeltaMicro)
-	dst = be.AppendUint32(dst, s.RaptorS)
-	dst = be.AppendUint32(dst, s.RaptorMaxD)
 	return append(dst, s.Digest[:]...)
 }
 
-// ParseSessionInfo decodes a session info message.
+// ParseSessionInfo decodes a session info message. Any length but the one
+// the layout has is refused: a descriptor in another layout must not parse
+// with its words shifted into the wrong fields.
 func ParseSessionInfo(buf []byte) (SessionInfo, error) {
-	if len(buf) < sessionInfoLen {
-		return SessionInfo{}, fmt.Errorf("proto: session info too short (%d bytes)", len(buf))
+	if len(buf) != sessionInfoLen {
+		return SessionInfo{}, fmt.Errorf("proto: session info is %d bytes, want %d", len(buf), sessionInfoLen)
 	}
 	if buf[0] != controlMag0 || buf[1] != controlMag1 || buf[2] != msgSession {
 		return SessionInfo{}, errors.New("proto: not a session info message")
 	}
 	be := binary.BigEndian
 	return SessionInfo{
-		Session:      be.Uint16(buf[3:5]),
-		Codec:        buf[5],
-		Layers:       buf[6],
-		K:            be.Uint32(buf[7:11]),
-		N:            be.Uint32(buf[11:15]),
-		PacketLen:    be.Uint32(buf[15:19]),
-		FileLen:      be.Uint64(buf[19:27]),
-		Seed:         int64(be.Uint64(buf[27:35])),
-		BaseRate:     be.Uint32(buf[35:39]),
-		SPInterval:   be.Uint32(buf[39:43]),
-		InterleaveK:  be.Uint32(buf[43:47]),
-		Phase:        be.Uint32(buf[47:51]),
-		LTCMicro:     be.Uint32(buf[51:55]),
-		LTDeltaMicro: be.Uint32(buf[55:59]),
-		RaptorS:      be.Uint32(buf[59:63]),
-		RaptorMaxD:   be.Uint32(buf[63:67]),
-		Digest:       [32]byte(buf[67:99]),
+		Session:     be.Uint16(buf[3:5]),
+		Codec:       buf[5],
+		Layers:      buf[6],
+		K:           be.Uint32(buf[7:11]),
+		N:           be.Uint32(buf[11:15]),
+		PacketLen:   be.Uint32(buf[15:19]),
+		FileLen:     be.Uint64(buf[19:27]),
+		Seed:        int64(be.Uint64(buf[27:35])),
+		BaseRate:    be.Uint32(buf[35:39]),
+		SPInterval:  be.Uint32(buf[39:43]),
+		InterleaveK: be.Uint32(buf[43:47]),
+		Phase:       be.Uint32(buf[47:51]),
+		Digest:      [32]byte(buf[51:83]),
 	}, nil
 }
 

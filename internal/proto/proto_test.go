@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +73,36 @@ func TestParseSessionInfoErrors(t *testing.T) {
 	good[0] = 0x00
 	if _, err := ParseSessionInfo(good); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestControlRefusesOldLayout: a descriptor in the 99-byte layout that
+// carried LT and raptor words at bytes 51..66 parses neither alone nor as a
+// catalog entry — read as the new layout, those words would become the
+// digest, and the mismatch would surface only after a whole download.
+func TestControlRefusesOldLayout(t *testing.T) {
+	info := SessionInfo{Session: 3, Codec: CodecRaptor, Layers: 1, K: 400, N: 1<<31 - 1,
+		PacketLen: 512, FileLen: 204_800, Seed: 9, Digest: [32]byte{0xAB, 31: 0xCD}}
+	cur := info.Append(nil)
+	old := slices.Concat(cur[:51], []byte{0, 0, 0x75, 0x30, 0, 0x07, 0xA1, 0x20, 0, 0, 0, 0x2C, 0, 0, 0, 0x28}, cur[51:])
+	if len(old) != 99 {
+		t.Fatalf("old layout is %d bytes", len(old))
+	}
+	if _, err := ParseSessionInfo(old); err == nil {
+		t.Error("99-byte descriptor parsed")
+	}
+	if _, err := ParseSessionInfo(append(cur, 0)); err == nil {
+		t.Error("descriptor with a trailing byte parsed")
+	}
+	catalog := append(AppendCatalog(nil, nil)[:3], 0, 1)
+	if _, err := ParseCatalog(append(catalog, old...)); err == nil {
+		t.Error("catalog of one 99-byte entry parsed")
+	}
+	if _, err := ParseCatalog(append(catalog, cur...)); err != nil {
+		t.Errorf("catalog of one %d-byte entry refused: %v", len(cur), err)
+	}
+	if _, err := ParseCatalog(append(append(catalog, cur...), 0)); err == nil {
+		t.Error("catalog with a trailing byte parsed")
 	}
 }
 

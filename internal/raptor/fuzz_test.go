@@ -16,7 +16,7 @@ func FuzzRaptorNeighbors(f *testing.F) {
 	f.Add(int64(7777), uint32(12345), uint16(2))
 	f.Fuzz(func(t *testing.T, seed int64, index uint32, kRaw uint16) {
 		k := int(kRaw)%4096 + 1 // arbitrary k, clamped to a valid, fast range
-		c, err := New(k, 8, seed, 0, 0, 0, 0)
+		c, err := New(k, 8, seed)
 		if err != nil {
 			t.Fatalf("New(k=%d): %v", k, err)
 		}

@@ -33,58 +33,33 @@ import (
 	"repro/internal/tornado"
 )
 
-// Default parameters. The inner distribution reuses the LT robust-soliton
-// shape (c, δ) but truncated at DefaultMaxDegree; the precode sizes its
-// check side as a small fraction of k. Tuned empirically at k ∈ {1000,
-// 10000} — see EXPERIMENTS.md.
-const (
-	DefaultC     = 0.03
-	DefaultDelta = 0.5
-	// precodeMaxDegree caps the heavy-tail left degrees of the precode
-	// graph; the mean left degree is ≈ 3, so precoding costs ≈ 3k XOR
-	// rows regardless of the check count.
-	precodeMaxDegree = 8
-)
+// precodeMaxDegree caps the heavy-tail left degrees of the precode graph;
+// the mean left degree is ≈ 3, so precoding costs ≈ 3k XOR rows regardless
+// of the check count.
+const precodeMaxDegree = 8
 
-// DefaultMaxDegree returns the default inner-code degree truncation for k
-// sources: ≈ 2√k, clamped to [16, 200]. The average inner degree is
-// ≈ ln(maxD) + 2 — still effectively constant in k, the linear-time
-// property — while the design overhead ε = 4/(maxD-5) shrinks as maxD
-// grows. The √k scaling matches the finite-length sweet spot measured in
-// EXPERIMENTS.md: at small k a low truncation keeps degree variance from
-// swamping the ripple, at large k the tighter ε wins (64 at k=1000, 200
-// at k=10000). The cap bounds the per-packet work for huge blocks.
-func DefaultMaxDegree(k int) int {
-	d := int(math.Ceil(2 * math.Sqrt(float64(k))))
-	if d < 16 {
-		d = 16
-	}
-	if d > 200 {
-		d = 200
-	}
-	return d
+// maxDegree returns the inner-code degree truncation for k sources: ≈ 2√k,
+// clamped to [16, 200]. The average inner degree is ≈ ln(maxD) + 2 — still
+// effectively constant in k, the linear-time property — while the design
+// overhead ε = 4/(maxD-5) shrinks as maxD grows. The √k scaling matches the
+// finite-length sweet spot measured in EXPERIMENTS.md: at small k a low
+// truncation keeps degree variance from swamping the ripple, at large k the
+// tighter ε wins (64 at k=1000, 200 at k=10000). The cap bounds the
+// per-packet work for huge blocks.
+func maxDegree(k int) int {
+	return min(max(int(math.Ceil(2*math.Sqrt(float64(k)))), 16), 200)
 }
 
-// DefaultChecks returns the default precode check count for k sources
-// under an inner code truncated at maxD. The coupling is the Raptor
-// design rule: the weakened distribution's BP recovery stalls once its
-// coverage rate N/L drops below ≈1, so the precode redundancy must stay
-// in proportion to the design overhead ε = 4/(maxD-5) — S ≈ (ε/4)·k
-// covers the stranded residue while an oversized precode inflates L and
-// starves the inner ripple outright (S = k/10 costs ≈0.12 extra
-// overhead at k=2000). Check equations are never transmitted and
-// contribute rank for free; the cost of S is decoder memory and endgame
-// width, not wire overhead.
-func DefaultChecks(k, maxD int) int {
-	if maxD < 8 {
-		maxD = 8
-	}
-	s := k/(maxD-5) + 8
-	if s < 2 {
-		s = 2
-	}
-	return s
-}
+// checks returns the precode check count for k sources under an inner code
+// truncated at maxD. The coupling is the Raptor design rule: the weakened
+// distribution's BP recovery stalls once its coverage rate N/L drops below
+// ≈1, so the precode redundancy must stay in proportion to the design
+// overhead ε = 4/(maxD-5) — S ≈ (ε/4)·k covers the stranded residue while an
+// oversized precode inflates L and starves the inner ripple outright
+// (S = k/10 costs ≈0.12 extra overhead at k=2000). Check equations are never
+// transmitted and contribute rank for free; the cost of S is decoder memory
+// and endgame width, not wire overhead.
+func checks(k, maxD int) int { return k/(maxD-5) + 8 }
 
 // Codec is the precoded rateless code over fixed-size packets. Immutable
 // after construction and safe for concurrent use; the degree CDF is built
@@ -99,12 +74,7 @@ type Codec struct {
 	// systematic prefix never builds it. Draw points at draw, the truncated
 	// robust soliton over the l intermediates.
 	peel.Code
-	c     float64
-	delta float64
-	s     int // precode checks
-	maxD  int // inner-code degree truncation
-	l     int // k + s intermediate symbols
-	draw  peel.Sampler
+	draw peel.Sampler
 
 	// window is EncodeRange's one-slot cache: the intermediates of the last
 	// source slice it was given. It goes once the benchmark's traced replay
@@ -119,44 +89,22 @@ type window struct{ src, cols [][]byte }
 
 // New constructs the codec for k source packets of packetLen bytes. seed
 // is the advance agreement between sender and receivers: precode graph,
-// degrees, and neighbor sets all derive from it. c <= 0, delta outside
-// (0,1), checks <= 0, or maxD <= 0 select the defaults; checks and maxD
-// are clamped to sane ranges so quantized wire parameters always yield a
-// working codec.
-func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Codec, error) {
+// degrees, and neighbor sets all derive from it. The precode size and the
+// degree truncation are functions of k alone (checks, maxDegree), capped at
+// k+4 checks (reached below k = 5) and at the l intermediates (below k = 8).
+func New(k, packetLen int, seed int64) (*Codec, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("raptor: invalid k=%d", k)
 	}
 	if packetLen <= 0 {
 		return nil, fmt.Errorf("raptor: invalid packetLen=%d", packetLen)
 	}
-	if c <= 0 {
-		c = DefaultC
-	}
-	if delta <= 0 || delta >= 1 {
-		delta = DefaultDelta
-	}
-	if maxD <= 0 {
-		maxD = DefaultMaxDegree(k)
-	}
-	if maxD < 2 {
-		maxD = 2
-	}
-	if checks <= 0 {
-		checks = DefaultChecks(k, maxD)
-	}
-	if checks < 2 {
-		checks = 2
-	}
-	if checks > k+4 {
-		checks = k + 4
-	}
-	l := k + checks
-	if maxD > l {
-		maxD = l
-	}
-	rc := &Codec{c: c, delta: delta, s: checks, maxD: maxD, l: l}
-	rc.draw = peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD, c, delta), L: l}
+	maxD := maxDegree(k)
+	s := min(checks(k, maxD), k+4)
+	l := k + s
+	maxD = min(maxD, l)
+	rc := &Codec{}
+	rc.draw = peel.Sampler{Seed: seed, CDF: truncatedSolitonCDF(l, maxD), L: l}
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
 	precodeSeed := seed ^ 0x5DEECE66D1CE4E5B
@@ -164,7 +112,7 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 		Sources: k, Indices: code.UnboundedN, PacketBytes: packetLen, Systematic: k, Verbatim: k,
 		Draw: &rc.draw,
 		CheckSrc: sync.OnceValue(func() [][]int32 {
-			return tornado.PrecodeGraph(k, checks, precodeMaxDegree, precodeSeed)
+			return tornado.PrecodeGraph(k, s, precodeMaxDegree, precodeSeed)
 		}),
 	}
 	return rc, nil
@@ -183,27 +131,18 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 // is what a plain truncated *robust* soliton lacks: it seeds the ripple
 // at reception rates below L (a robust soliton's ripple only ignites
 // near L received symbols, which would forfeit the precode's rank
-// advantage entirely). The robust-soliton τ(1) = R/L ripple-insurance
-// term from the (c, δ) tunables is kept as a floor on μ, so the wire
-// parameters shared with the LT codec remain live knobs.
-func truncatedSolitonCDF(l, maxD int, c, delta float64) []float64 {
+// advantage entirely). New's clamps keep maxD ≥ 6, so D ≥ 5 and ε is
+// finite.
+func truncatedSolitonCDF(l, maxD int) []float64 {
 	d := maxD - 1
-	eps := 1.0
-	if d >= 5 {
-		eps = 4.0 / float64(d-4)
-	}
+	eps := 4.0 / float64(d-4)
 	mu := float64(eps/2) + float64(eps*eps/4) // the conversions forbid a fused multiply-add
-	if r := c * math.Log(float64(l)/delta) * math.Sqrt(float64(l)); r/float64(l) > mu {
-		mu = r / float64(l)
-	}
 	pdf := make([]float64, maxD+1)
 	pdf[1] = mu + 1/float64(l)
 	for i := 2; i <= d; i++ {
 		pdf[i] = 1 / (float64(i) * float64(i-1))
 	}
-	if d >= 1 {
-		pdf[maxD] += 1 / float64(d)
-	}
+	pdf[maxD] += 1 / float64(d)
 	cdf := make([]float64, maxD)
 	sum := 0.0
 	for i := 1; i <= maxD; i++ {
@@ -220,17 +159,8 @@ func truncatedSolitonCDF(l, maxD int, c, delta float64) []float64 {
 // Name implements code.Codec.
 func (c *Codec) Name() string { return "raptor" }
 
-// Params returns the inner degree-distribution tunables (c, δ) in effect.
-func (c *Codec) Params() (cc, delta float64) { return c.c, c.delta }
-
-// Checks returns the precode check count s.
-func (c *Codec) Checks() int { return c.s }
-
-// MaxDegree returns the inner-code degree truncation point.
-func (c *Codec) MaxDegree() int { return c.maxD }
-
 // Intermediates returns L = k + s, the inner code's symbol space.
-func (c *Codec) Intermediates() int { return c.l }
+func (c *Codec) Intermediates() int { return c.draw.L }
 
 // Seed returns the session seed the packet streams derive from.
 func (c *Codec) Seed() int64 { return c.draw.Seed }

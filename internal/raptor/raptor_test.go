@@ -27,7 +27,7 @@ func testSrc(t testing.TB, k, packetLen int, seed int64) [][]byte {
 
 func mustNew(t testing.TB, k, packetLen int, seed int64) *Codec {
 	t.Helper()
-	c, err := New(k, packetLen, seed, 0, 0, 0, 0)
+	c, err := New(k, packetLen, seed)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -363,8 +363,8 @@ func TestNeighborsDeterministicAndValid(t *testing.T) {
 func TestPrecodeConsistency(t *testing.T) {
 	for _, k := range []int{1, 2, 10, 1000} {
 		c := mustNew(t, k, 8, int64(k))
-		if c.Checks() < 2 {
-			t.Fatalf("k=%d: checks %d < 2", k, c.Checks())
+		if s := len(c.Code.CheckSrc()); s < 2 || s != c.Intermediates()-k {
+			t.Fatalf("k=%d: %d checks for %d intermediates", k, s, c.Intermediates())
 		}
 		for j, srcs := range c.Code.CheckSrc() {
 			seen := map[int32]bool{}
@@ -411,10 +411,10 @@ func TestDuplicatesIgnored(t *testing.T) {
 
 // Invalid arguments are rejected.
 func TestBadInputs(t *testing.T) {
-	if _, err := New(0, 16, 1, 0, 0, 0, 0); err == nil {
+	if _, err := New(0, 16, 1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := New(10, 0, 1, 0, 0, 0, 0); err == nil {
+	if _, err := New(10, 0, 1); err == nil {
 		t.Fatal("packetLen=0 accepted")
 	}
 	dec := mustNew(t, 10, 16, 1).NewDecoder()
@@ -439,7 +439,7 @@ func TestBadInputs(t *testing.T) {
 func TestEncodeIntoAllocatesNothing(t *testing.T) {
 	const k, pl = 2500, 1024
 	src := testSrc(t, k, pl, 3)
-	lc, err := lt.New(k, pl, 1, 0, 0)
+	lc, err := lt.New(k, pl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

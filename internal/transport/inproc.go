@@ -13,6 +13,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/evtrace"
@@ -30,25 +31,26 @@ type Handler func(layer int, pkt []byte)
 type Bus struct {
 	layers int
 	mu     sync.Mutex
-	subs   map[*BusClient]struct{}
-	// snap is a copy-on-write snapshot of subs, rebuilt on subscription
-	// changes and never mutated afterwards: senders read it without
-	// allocating, so the batched send path stays zero-alloc end to end.
-	snap []*BusClient
+	// subs lists the attached clients in join order, the order every packet
+	// reaches them in, so clients that share a loss process draw from it
+	// reproducibly. It is copy-on-write — replaced on a membership change,
+	// never mutated — so senders read it without allocating and the batched
+	// send path stays zero-alloc end to end.
+	subs []*BusClient
 }
 
 // NewBus creates a bus with the given number of layers (groups).
 func NewBus(layers int) *Bus {
-	return &Bus{layers: layers, subs: make(map[*BusClient]struct{})}
+	return &Bus{layers: layers}
 }
 
-// resnap rebuilds the immutable subscriber snapshot; callers hold b.mu.
-func (b *Bus) resnap() {
-	snap := make([]*BusClient, 0, len(b.subs))
-	for c := range b.subs {
-		snap = append(snap, c)
+// attach appends c to the subscribers unless it is there already.
+func (b *Bus) attach(c *BusClient) {
+	b.mu.Lock()
+	if !slices.Contains(b.subs, c) {
+		b.subs = append(slices.Clip(b.subs), c)
 	}
-	b.snap = snap
+	b.mu.Unlock()
 }
 
 // Layers returns the group count.
@@ -69,10 +71,7 @@ func (b *Bus) SubscriberTotal() int {
 // their subscriptions to the restarted server).
 func (b *Bus) DropAll() {
 	b.mu.Lock()
-	for c := range b.subs {
-		delete(b.subs, c)
-	}
-	b.resnap()
+	b.subs = nil
 	b.mu.Unlock()
 }
 
@@ -86,7 +85,7 @@ func (b *Bus) SendBatch(layer int, pkts [][]byte) error {
 		return fmt.Errorf("transport: layer %d out of range", layer)
 	}
 	b.mu.Lock()
-	clients := b.snap
+	clients := b.subs
 	b.mu.Unlock()
 	for _, pkt := range pkts {
 		for _, c := range clients {
@@ -175,10 +174,7 @@ func splitmix64(z uint64) uint64 {
 // loss process (nil = lossless) and delivery handler.
 func (b *Bus) NewClient(level int, loss netsim.LossProcess, h Handler) *BusClient {
 	c := &BusClient{bus: b, level: level, loss: loss, handler: h}
-	b.mu.Lock()
-	b.subs[c] = struct{}{}
-	b.resnap()
-	b.mu.Unlock()
+	b.attach(c)
 	return c
 }
 
@@ -276,10 +272,7 @@ func (c *BusClient) Reattach() {
 	if closed {
 		return
 	}
-	c.bus.mu.Lock()
-	c.bus.subs[c] = struct{}{}
-	c.bus.resnap()
-	c.bus.mu.Unlock()
+	c.bus.attach(c)
 }
 
 // SetLevel changes the client's cumulative subscription level.
@@ -296,12 +289,14 @@ func (c *BusClient) Level() int {
 	return c.level
 }
 
-// Close detaches the client from the bus.
+// Close detaches the client from the bus; the others keep their order.
 func (c *BusClient) Close() {
-	c.bus.mu.Lock()
-	delete(c.bus.subs, c)
-	c.bus.resnap()
-	c.bus.mu.Unlock()
+	b := c.bus
+	b.mu.Lock()
+	if i := slices.Index(b.subs, c); i >= 0 {
+		b.subs = slices.Concat(b.subs[:i], b.subs[i+1:])
+	}
+	b.mu.Unlock()
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -49,6 +50,55 @@ func TestBusLossInjection(t *testing.T) {
 	if n < 4500 || n > 5500 {
 		t.Fatalf("delivered %d of 10000 at p=0.5", n)
 	}
+}
+
+// TestBusDeliversInJoinOrder: every packet reaches the subscribers in the
+// order they joined, so clients that share one loss process draw from it
+// the same way on every run, and a Close or a Reattach keeps that order.
+func TestBusDeliversInJoinOrder(t *testing.T) {
+	var first [3]int
+	for trial := range 20 {
+		b := NewBus(1)
+		loss := &netsim.Bernoulli{P: 0.5, Rng: netsim.NewRNG(7)}
+		var got [3]int
+		for i := range got {
+			b.NewClient(0, loss, func(int, []byte) { got[i]++ })
+		}
+		for range 1000 {
+			b.SendBatch(0, [][]byte{{1}})
+		}
+		if trial == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("bus %d: per-client counts %v, bus 0 gave %v", trial, got, first)
+		}
+	}
+
+	b := NewBus(1)
+	var order []int
+	var cs []*BusClient
+	for i := range 3 {
+		cs = append(cs, b.NewClient(0, nil, func(int, []byte) { order = append(order, i) }))
+	}
+	served := func(want ...int) {
+		t.Helper()
+		order = nil
+		b.SendBatch(0, [][]byte{{1}})
+		if !slices.Equal(order, want) {
+			t.Fatalf("served %v, want %v", order, want)
+		}
+	}
+	served(0, 1, 2)
+	cs[1].Close()
+	served(0, 2)
+	cs[1].Reattach() // closed clients stay closed
+	served(0, 2)
+	b.DropAll()
+	served()
+	cs[2].Reattach()
+	cs[2].Reattach() // a no-op while attached
+	cs[0].Reattach()
+	served(2, 0)
 }
 
 func TestBusBadLayer(t *testing.T) {

@@ -46,8 +46,8 @@ func TestRangeEncoderDifferential(t *testing.T) {
 		{"cauchy", func() (Codec, error) { return NewCauchy(k, 2*k, pl) }},
 		{"interleaved", func() (Codec, error) { return NewInterleaved(k, 30, 2, pl) }},
 		{"tornado-a", func() (Codec, error) { return NewTornado(TornadoA(), k, 2*k, pl, 99) }},
-		{"lt", func() (Codec, error) { return NewLT(k, pl, 99, 0, 0) }},
-		{"raptor", func() (Codec, error) { return NewRaptor(k, pl, 99, 0, 0, 0, 0) }},
+		{"lt", func() (Codec, error) { return NewLT(k, pl, 99) }},
+		{"raptor", func() (Codec, error) { return NewRaptor(k, pl, 99) }},
 	}
 	heads := make(map[*byte]int, k) // first-byte identity of each source packet
 	for i, p := range src {
