@@ -3,7 +3,9 @@ package client
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -111,6 +113,15 @@ func FuzzEngineIntake(f *testing.F) {
 		if len(in) == 0 {
 			return
 		}
+		// An interleaved engine solves each block as it fills, beside the
+		// intake. Let those solves end with this input, so the coverage
+		// they produce is not credited to the next one.
+		base := runtime.NumGoroutine()
+		defer func() {
+			for end := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(end); {
+				runtime.Gosched()
+			}
+		}()
 		fs := sessions[int(in[0])%len(sessions)]
 		eng, err := New(fs.info, int(fs.info.Layers)-1, nil)
 		if err != nil {

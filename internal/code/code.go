@@ -145,6 +145,9 @@ func Split(data []byte, k, packetLen int) ([][]byte, error) {
 
 // SourceBuf is the K·PacketLen buffer a decoder resolves source packet i
 // into at [i·PacketLen, (i+1)·PacketLen), allocated at the first Slot.
+// Goroutines may write distinct slots at once, but that first Slot is not
+// safe for concurrent calls: a decoder that solves on other goroutines (the
+// interleaved blocks) calls Slot on its own goroutine before it starts any.
 type SourceBuf struct {
 	K, PacketLen int
 	buf          []byte

@@ -9,8 +9,9 @@ import (
 // runs fn(lo, hi) for each chunk, fanning out across up to GOMAXPROCS
 // goroutines. Chunks never overlap and cover the range exactly, so fn may
 // write to per-index state without synchronization; any state shared across
-// chunks must be read-only or internally synchronized. With one worker (or
-// a trivially small n) it runs inline on the calling goroutine.
+// chunks must be read-only or internally synchronized. The last chunk runs
+// on the calling goroutine; with one worker (or a trivially small n) that
+// chunk is the whole range.
 //
 // EncodeAll uses this to generate coded packets concurrently, and the RS
 // decoders to reconstruct missing ones: each output packet is independent,
@@ -30,16 +31,14 @@ func ParallelChunks(n int, fn func(lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	lo := 0
+	for ; lo+chunk < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, lo+chunk)
 	}
+	fn(lo, n) // the last chunk on the calling goroutine, which would only wait
 	wg.Wait()
 }

@@ -9,10 +9,17 @@
 // reception efficiency decays with the number of blocks (the coupon
 // collector effect of Figure 3), which is the phenomenon Figures 4-6 and
 // Table 4 quantify against Tornado codes.
+//
+// The blocks are independent, so the decoder solves each one as soon as
+// it holds k packets, into its range of the file's one buffer, on solver
+// goroutines beside the receive loop (at most GOMAXPROCS, none once the
+// queue of filled blocks is empty); Source only waits for them.
 package interleave
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/code"
 	"repro/internal/rs"
@@ -115,7 +122,12 @@ func (c *Codec) SourceIndex(f int) int {
 
 // NewDecoder implements code.Codec.
 func (c *Codec) NewDecoder() code.Decoder {
-	d := &decoder{c: c, blocks: make([]code.Decoder, c.blocks), out: code.SourceBuf{K: c.K(), PacketLen: c.packetLen}}
+	d := &decoder{
+		c:      c,
+		blocks: make([]code.Decoder, c.blocks),
+		out:    code.SourceBuf{K: c.K(), PacketLen: c.packetLen},
+		seen:   make([]uint64, (c.N()+63)/64),
+	}
 	for b := range d.blocks {
 		d.blocks[b] = c.inner.NewDecoderInto(&d.out, b*c.blockK)
 	}
@@ -127,47 +139,96 @@ type decoder struct {
 	c        *Codec
 	blocks   []code.Decoder // block b resolves into file packets [b·k, (b+1)·k) of out
 	out      code.SourceBuf
-	pending  int // blocks not yet decodable
+	seen     []uint64 // bit i: encoding packet i accepted
+	pending  int      // blocks not yet decodable
 	received int
+
+	solves  sync.WaitGroup // one count per filled block until it is solved
+	mu      sync.Mutex     // guards queue, solvers and err
+	queue   []int          // filled blocks no solver has taken yet
+	solvers int            // solver goroutines running, at most GOMAXPROCS
+	err     error          // the first solve error, read after solves.Wait
 }
 
 func (d *decoder) Add(i int, data []byte) (bool, error) {
 	if err := code.CheckPacket(i, data, d.c.N(), d.c.packetLen); err != nil {
 		return d.Done(), err
 	}
-	if d.Done() {
-		return true, nil
+	if d.Done() || d.seen[i/64]&(1<<(i%64)) != 0 {
+		return d.Done(), nil
 	}
 	b, inner := d.c.position(i)
 	bd := d.blocks[b]
 	wasDone := bd.Done()
-	before := bd.Received()
 	done, err := bd.Add(inner, data)
 	if err != nil {
 		return d.Done(), err
 	}
-	if bd.Received() > before {
-		d.received++
-	}
+	d.seen[i/64] |= 1 << (i % 64)
+	d.received++
 	if done && !wasDone {
 		d.pending--
+		d.fill(b)
 	}
 	return d.Done(), nil
 }
 
+// fill queues block b, which now holds k packets, for solving off the
+// receiving goroutine, and starts a solver if fewer than GOMAXPROCS run.
+// Later packets of a filled block only read its count, and a solve writes
+// only its block's range of out, which must exist before the first solve
+// starts: Slot allocates it lazily.
+func (d *decoder) fill(b int) {
+	d.out.Slot(0)
+	d.solves.Add(1)
+	d.mu.Lock()
+	d.queue = append(d.queue, b)
+	start := d.solvers < runtime.GOMAXPROCS(0)
+	if start {
+		d.solvers++
+	}
+	d.mu.Unlock()
+	if start {
+		go d.solve()
+	}
+}
+
+// solve is one solver goroutine: it solves queued blocks in fill order and
+// exits when the queue is empty, so a decoder holds at most GOMAXPROCS
+// goroutines however many blocks it has, and none once every filled block
+// is solved.
+func (d *decoder) solve() {
+	d.mu.Lock()
+	for len(d.queue) > 0 {
+		b := d.queue[0]
+		d.queue = d.queue[1:]
+		d.mu.Unlock()
+		_, err := d.blocks[b].Source()
+		d.mu.Lock()
+		if err != nil && d.err == nil {
+			d.err = err
+		}
+		d.solves.Done()
+	}
+	d.solvers--
+	d.mu.Unlock()
+}
+
 func (d *decoder) Done() bool { return d.pending == 0 }
 
+// Received counts the distinct packets accepted before Done, those that
+// reached an already filled block included.
 func (d *decoder) Received() int { return d.received }
 
-// Source returns the file's source packets in file order (block-major).
+// Source returns the file's source packets in file order (block-major),
+// once the solvers have solved every block, each started as it filled.
 func (d *decoder) Source() ([]byte, error) {
 	if !d.Done() {
 		return nil, code.ErrNotReady
 	}
-	for _, bd := range d.blocks {
-		if _, err := bd.Source(); err != nil {
-			return nil, err
-		}
+	d.solves.Wait()
+	if d.err != nil {
+		return nil, d.err
 	}
 	return d.out.Bytes(), nil
 }

@@ -2,9 +2,12 @@ package interleave
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/code"
 )
@@ -276,5 +279,133 @@ func TestBlocksShareOneBuffer(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { d.Source() }); allocs != 0 {
 		t.Fatalf("a second Source allocates %.0f times", allocs)
+	}
+}
+
+// TestReceivedCountsDistinct: Received is the number of distinct packets
+// accepted before Done, those reaching a block that is already filled
+// included, and a repeated index is not counted again.
+func TestReceivedCountsDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	c, _ := New(5, 10, 4, 32)
+	src := randSource(rng, c.K(), 32)
+	enc, _ := code.EncodeAll(c, src)
+	d := c.NewDecoder()
+	fed := 0
+	for _, i := range rng.Perm(c.N()) {
+		done, err := d.Add(i, enc[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed++
+		if d.Received() != fed {
+			t.Fatalf("after %d distinct packets Received = %d", fed, d.Received())
+		}
+		if fed%3 == 0 && !done {
+			d.Add(i, enc[i])
+			if d.Received() != fed {
+				t.Fatalf("a repeated index moved Received to %d, want %d", d.Received(), fed)
+			}
+		}
+		if done {
+			break
+		}
+	}
+	if fed <= c.K() {
+		t.Fatalf("a random order filled every block with %d packets: no packet reached a filled block", fed)
+	}
+}
+
+// TestBackgroundSolves: each block is solved on a solver goroutine as it
+// fills, while packets keep arriving, duplicates and late packets of
+// filled blocks among them. Source is the file byte for byte, ErrNotReady
+// until every block is filled, and a decoder dropped mid-download leaves
+// no goroutine behind once its solves end. Run it under -race with -count.
+func TestBackgroundSolves(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rng := rand.New(rand.NewSource(45))
+	for _, shape := range []struct{ blockK, blocks, packetLen int }{{8, 6, 32}, {25, 3, 64}} {
+		c, err := New(shape.blockK, 2*shape.blockK, shape.blocks, shape.packetLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := randSource(rng, c.K(), shape.packetLen)
+		enc, _ := code.EncodeAll(c, src)
+		for _, repairsFirst := range []bool{false, true} {
+			// Every packet once and a quarter of them again, in random
+			// order: blocks fill at random points and keep receiving
+			// afterwards. Or block 0's repairs come first, so its solve
+			// is the first and, having no source packet, the one that
+			// would allocate the shared buffer while the other blocks'
+			// source packets are being written into it.
+			order := rng.Perm(c.N())
+			order = append(order, order[:c.N()/4]...)
+			rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+			if repairsFirst {
+				var first []int
+				for inner := shape.blockK; inner < 2*shape.blockK; inner++ {
+					first = append(first, inner*shape.blocks)
+				}
+				order = append(first, order...)
+			}
+			d := c.NewDecoder()
+			abandoned := c.NewDecoder()
+			for _, i := range order {
+				if !d.Done() {
+					if _, err := d.Source(); !errors.Is(err, code.ErrNotReady) {
+						t.Fatalf("Source before done: %v, want ErrNotReady", err)
+					}
+				}
+				if _, err := d.Add(i, enc[i]); err != nil {
+					t.Fatal(err)
+				}
+				if abandoned.Received() < c.K() {
+					abandoned.Add(i, enc[i])
+				}
+			}
+			got, err := d.Source()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, bytes.Join(src, nil)) {
+				t.Fatalf("k=%d B=%d repairs first %v: source differs", shape.blockK, shape.blocks, repairsFirst)
+			}
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, %d before the decoders", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSolversBounded: however many blocks fill at once, a decoder runs at
+// most GOMAXPROCS solver goroutines, each with at most GOMAXPROCS-1
+// ParallelChunks workers, not one goroutine per block. Repair packets
+// alone, so every block has a real solve.
+func TestSolversBounded(t *testing.T) {
+	c, _ := New(2, 4, 1000, 16)
+	src := randSource(rand.New(rand.NewSource(46)), c.K(), 16)
+	enc, _ := code.EncodeAll(c, src)
+	procs := runtime.GOMAXPROCS(0)
+	base := runtime.NumGoroutine()
+	d := c.NewDecoder()
+	peak := 0
+	for i := c.K(); i < c.N(); i++ {
+		d.Add(i, enc[i])
+		peak = max(peak, runtime.NumGoroutine()-base)
+	}
+	got, err := d.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.Join(src, nil)) {
+		t.Fatal("source differs")
+	}
+	// Twice the bound: a solver of an earlier test may still be exiting.
+	if peak > 2*procs*procs {
+		t.Fatalf("%d goroutines beside the test's %d while %d blocks filled", peak, base, c.Blocks())
 	}
 }
