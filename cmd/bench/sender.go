@@ -2,7 +2,7 @@ package main
 
 // The sender suite measures the service's aggregate emission throughput at
 // 1, 16 and 256 concurrent sessions through the shared pacing scheduler
-// (pooled buffers, per-layer batches, GOMAXPROCS shard workers), with the
+// (per-shard buffers, per-layer batches, GOMAXPROCS shard workers), with the
 // flight recorder absent, attached-disabled and recording. Every mode runs
 // at a saturating rate against the same null counting sink, so the numbers
 // isolate the send path itself.
@@ -175,7 +175,7 @@ func (m traceMode) label() string {
 }
 
 // benchScheduler runs the sessions through the shared pacing scheduler and
-// the pooled, batched send path, with the flight recorder in the requested
+// the batched send path, with the flight recorder in the requested
 // mode.
 func benchScheduler(sessions []*core.Session, warmup, window time.Duration, tm traceMode) (senderResult, error) {
 	sink := &countSink{}
@@ -189,7 +189,7 @@ func benchScheduler(sessions []*core.Session, warmup, window time.Duration, tm t
 	}
 	svc := service.New(sink, cfg)
 	for _, sess := range sessions {
-		if err := svc.Add(sess, saturationRate); err != nil {
+		if err := svc.AddPhased(sess, saturationRate, 0); err != nil {
 			svc.Close()
 			return senderResult{}, err
 		}

@@ -20,9 +20,10 @@
 //     source itself (see NewRaptor).
 //   - Sessions: a file bound to a codec and a carousel/layered schedule.
 //   - One send path: a multi-session Service emits every session's
-//     carousel rounds as per-layer batches in pooled buffers, paced by its
-//     scheduler (Service.Add) or stepped by the caller (Service.AddManual
-//     and Service.EmitRound, the virtual-time shape of the simulations).
+//     carousel rounds as per-layer batches in its emitters' own buffers,
+//     paced by its scheduler (Service.AddPhased) or stepped by the caller
+//     (Service.AddManual and Service.EmitRound, the virtual-time shape of
+//     the simulations).
 //   - One receive path: a Client engine takes each wire packet (12-byte
 //     header, payload, CRC32C trailer) through HandlePacket,
 //     HandlePacketFrom or HandleBatchFrom, with loss accounting, SP/burst
@@ -220,9 +221,9 @@ func NewMultiSourceClient(info SessionInfo, sources, startLevel int, setLevel fu
 
 // Sender is the transmit side of a transport: per-layer SendBatch. Bus
 // and UDPServer implement it; the service's pacing scheduler emits whole
-// carousel rounds through it as per-layer batches built in pooled buffers
-// (zero-copy, zero-alloc). Packet buffers may be reused once SendBatch
-// returns, so receivers must copy anything they keep.
+// carousel rounds through it as per-layer batches built in buffers each
+// emitter owns (zero-copy, zero-alloc). Packet buffers are reused once
+// SendBatch returns, so receivers must copy anything they keep.
 type Sender = transport.Sender
 
 // Bus is the in-process lossy multicast transport (deterministic, virtual
@@ -273,7 +274,7 @@ func NewMultiClient(servers []*net.UDPAddr, session uint16, level int) (*MultiCl
 // SessionAny is the wildcard session id for UDP subscriptions.
 const SessionAny = transport.SessionAny
 
-// RecvBatch is a reusable set of pooled receive buffers for
+// RecvBatch is a reusable set of receive buffers, owned by one loop, for
 // UDPClient.RecvBatch — one recvmmsg(2) visit per fill on linux/amd64, so
 // a steady-state receive loop drains datagram bursts with one syscall and
 // zero allocations.
@@ -311,7 +312,7 @@ func RequestSessionInfoRetry(ctrl *net.UDPAddr, req []byte, p RetryPolicy) ([]by
 // Service is the multi-session fountain server core: a registry of
 // concurrent sessions over one transport, all driven by one shared pacing
 // scheduler (a deadline heap per shard worker — no per-session
-// goroutines), emitting through pooled buffers and per-layer batches,
+// goroutines), emitting through per-shard buffers and per-layer batches,
 // with a shared bounded lazy-encoding cache, catalog discovery, and basic
 // counters.
 type Service = service.Service
@@ -336,9 +337,9 @@ var (
 
 // NewService creates a service transmitting on tx, which receives every
 // round as whole per-layer batches. Add paced sessions with
-// Service.AddData / Service.Add (Service.AddPhased to stagger a mirror's
-// carousel), or register one with Service.AddManual and send its rounds
-// one Service.EmitRound call at a time — the same pooled, batched emission
+// Service.AddDataPhased or Service.AddPhased (a nonzero phase staggers a
+// mirror's carousel), or register one with Service.AddManual and send its
+// rounds one Service.EmitRound call at a time — the same batched emission
 // the scheduler runs, on the caller's clock. Serve discovery by wiring
 // Service.HandleControl to a control socket.
 func NewService(tx Sender, cfg ServiceConfig) *Service { return service.New(tx, cfg) }

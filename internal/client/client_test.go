@@ -419,7 +419,7 @@ func TestWorstSourceGovernsLevel(t *testing.T) {
 	}
 
 	// Drive both sources from independent carousels; source 1 loses 60%.
-	carA, carB := core.NewCarousel(sess), core.NewCarouselAt(sess, 3)
+	carA, carB := core.NewCarouselAt(sess, 0), core.NewCarouselAt(sess, 3)
 	lossy := rand.New(rand.NewSource(99))
 	for round := 0; round < 200; round++ {
 		carA.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
@@ -495,7 +495,7 @@ func TestPerSourceDuplicateBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	carA, carB := core.NewCarousel(sess), core.NewCarousel(sess) // same phase!
+	carA, carB := core.NewCarouselAt(sess, 0), core.NewCarouselAt(sess, 0) // same phase!
 	for round := 0; !eng.Done(); round++ {
 		carA.NextRoundTo(emitFunc(func(_ int, pkt []byte) error {
 			eng.HandlePacketFrom(0, pkt)
@@ -548,7 +548,7 @@ func TestCompletionEventsOnce(t *testing.T) {
 	// download feeds the carousel, losing every fourth packet, until the
 	// engine is done, calls afterDone, and feeds a few packets more.
 	download := func(eng *Engine, afterDone func()) {
-		car := core.NewCarousel(sess)
+		car := core.NewCarouselAt(sess, 0)
 		n := 0
 		feed := func(_ int, pkt []byte) error {
 			if n++; n%4 == 0 {

@@ -20,12 +20,6 @@ type Carousel struct {
 	idxBuf  []int // per-round index scratch, reused so emission is alloc-free
 }
 
-// NewCarousel starts a fresh carousel over the session (round 0, all
-// serials at 0).
-func NewCarousel(sess *Session) *Carousel {
-	return NewCarouselAt(sess, 0)
-}
-
 // NewCarouselAt starts a carousel whose first emitted round is `phase`
 // (serials still start at 0 — they are a property of this sender's stream,
 // not of the schedule position). Mirrors sharing a session seed start at
@@ -61,7 +55,7 @@ func (c *Carousel) Sent() int { return c.sent }
 
 // RoundEmitter receives one round's packets from NextRoundTo. PacketBuf
 // supplies the buffer each packet is built into (length 0, capacity at
-// least size — pooled senders hand out reusable buffers, so steady-state
+// least size — senders hand out buffers they reuse, so steady-state
 // emission allocates nothing); Emit receives the filled packet, in
 // schedule order, layer by layer. A packet handed to Emit aliases the
 // PacketBuf buffer that preceded it.
@@ -71,8 +65,8 @@ type RoundEmitter interface {
 }
 
 // NextRoundTo emits one full round across all layers and advances the
-// round counter. Packets are built in emitter-supplied buffers, so a pooled
-// emitter makes steady-state emission allocation-free; the bytes and their
+// round counter. Packets are built in emitter-supplied buffers, so an
+// emitter that reuses them makes steady-state emission allocation-free; the bytes and their
 // order do not depend on the emitter. The first packet of an SP round
 // carries the SP flag; packets of a burst round carry the burst flag (the
 // doubled instantaneous rate of §7.1.1 is applied by the caller's pacing,

@@ -28,7 +28,7 @@ func carouselSession(t *testing.T, layers int) *Session {
 // per round at the SPInterval cadence, and count rounds/sent.
 func TestCarouselSerialsAndFlags(t *testing.T) {
 	sess := carouselSession(t, 4)
-	car := NewCarousel(sess)
+	car := NewCarouselAt(sess, 0)
 	next := map[int]uint32{}
 	spCount := map[int]int{}
 	spPerRound := 0
@@ -91,7 +91,7 @@ func TestCarouselSerialsAndFlags(t *testing.T) {
 // service restart a session's sender without disturbing the session.
 func TestCarouselIndependentStreams(t *testing.T) {
 	sess := carouselSession(t, 2)
-	a, b := NewCarousel(sess), NewCarousel(sess)
+	a, b := NewCarouselAt(sess, 0), NewCarouselAt(sess, 0)
 	var pa, pb [][]byte
 	collect := func(dst *[][]byte) func(int, []byte) error {
 		return func(_ int, pkt []byte) error {
@@ -124,7 +124,7 @@ func TestCarouselIndependentStreams(t *testing.T) {
 // TestCarouselEmitError: an emit failure must propagate out of NextRoundTo.
 func TestCarouselEmitError(t *testing.T) {
 	sess := carouselSession(t, 1)
-	car := NewCarousel(sess)
+	car := NewCarouselAt(sess, 0)
 	boom := bytes.ErrTooLarge
 	if err := car.NextRoundTo(emitFunc(func(int, []byte) error { return boom })); err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -139,7 +139,7 @@ func TestCarouselPhaseOffset(t *testing.T) {
 	for _, layers := range []int{1, 4} {
 		sess := carouselSession(t, layers)
 		const phase = 5
-		ref, phased := NewCarousel(sess), NewCarouselAt(sess, phase)
+		ref, phased := NewCarouselAt(sess, 0), NewCarouselAt(sess, phase)
 		if phased.Phase() != phase || phased.Round() != phase || phased.Rounds() != 0 {
 			t.Fatalf("phase accessors: %d %d %d", phased.Phase(), phased.Round(), phased.Rounds())
 		}
@@ -173,7 +173,7 @@ func TestCarouselPhaseOffset(t *testing.T) {
 		// skip the first `phase` rounds' emissions.
 		skip := 0
 		{
-			probe := NewCarousel(sess)
+			probe := NewCarouselAt(sess, 0)
 			for i := 0; i < phase; i++ {
 				probe.NextRoundTo(emitFunc(func(int, []byte) error { return nil }))
 			}

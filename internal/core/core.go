@@ -251,7 +251,7 @@ func (s *Session) Info() proto.SessionInfo { return s.info }
 // AppendPacket appends the wire form (header + payload + integrity
 // trailer) of encoding packet idx, stamped with the given layer, serial and
 // flags, to dst and returns the extended slice. Senders build packets in
-// pooled buffers: with cap(dst) >= WireLen() the call allocates nothing, except
+// reused buffers: with cap(dst) >= WireLen() the call allocates nothing, except
 // for the copy of a coded row that becomes resident on this touch: the
 // CRC32C trailer is a hardware checksum plus four appended bytes.
 func (s *Session) AppendPacket(dst []byte, idx int, layer uint8, serial uint32, flags uint8) []byte {

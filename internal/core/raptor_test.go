@@ -88,7 +88,7 @@ func TestRaptorSystematicZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	car := NewCarousel(sess)
+	car := NewCarouselAt(sess, 0)
 	for !rcv.Done() {
 		if err := car.NextRoundTo(toReceiver(rcv)); err != nil {
 			t.Fatal(err)

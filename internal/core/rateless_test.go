@@ -72,7 +72,7 @@ func TestRatelessCarouselMonotone(t *testing.T) {
 		}
 		return idxs
 	}
-	idxs := collect(NewCarousel(sess), 16)
+	idxs := collect(NewCarouselAt(sess, 0), 16)
 	if len(idxs) != 16*perRound {
 		t.Fatalf("%d indices over 16 rounds, want %d", len(idxs), 16*perRound)
 	}

@@ -40,7 +40,7 @@ func TestWireHashes(t *testing.T) {
 			}
 			want := 2*sess.Codec().K() + 50
 			h := sha256.New()
-			car := NewCarousel(sess)
+			car := NewCarouselAt(sess, 0)
 			for got := 0; got < want; {
 				err := car.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
 					if got < want {

@@ -49,7 +49,7 @@ func TestFileSharesDecoderBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %d: %v", id, err)
 		}
-		car, deliver := NewCarousel(s), toReceiver(r)
+		car, deliver := NewCarouselAt(s, 0), toReceiver(r)
 		for round := 0; !r.Done(); round++ {
 			if round > 100*s.Codec().K() {
 				t.Fatalf("codec %d: never finished", id)

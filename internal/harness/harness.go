@@ -89,9 +89,6 @@ func (m *Mirror) Crash() {
 // it stopped with an empty membership table.
 func (m *Mirror) Restart() { m.down.Store(false) }
 
-// Down reports whether the mirror is crashed.
-func (m *Mirror) Down() bool { return m.down.Load() }
-
 // Testbed is a wired set of mirrors and receivers on one virtual clock.
 type Testbed struct {
 	Mirrors   []*Mirror
@@ -188,7 +185,7 @@ func New(cfg Config) (*Testbed, error) {
 		}
 		m := &Mirror{Service: svc, Bus: bus, Carousel: car, Info: info}
 		tb.Mirrors = append(tb.Mirrors, m)
-		// EmitRound is the scheduler's own pooled, batched emission code:
+		// EmitRound is the scheduler's own batched emission code:
 		// the harness pumps it on a virtual clock, so every deterministic
 		// scenario test doubles as an oracle that the zero-copy send path
 		// emits bit-identical packets in identical order.

@@ -22,24 +22,24 @@ func TestAdmissionControl(t *testing.T) {
 	defer svc.Close()
 
 	data := randBytes(51, 20_000)
-	if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, 1, 51), 0); err != nil {
+	if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, 1, 51), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, 2, 51), 0); err != nil {
+	if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, 2, 51), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, 3, 51), 0); !errors.Is(err, ErrSessionLimit) {
+	if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, 3, 51), 0, 0); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("third session admitted past MaxSessions=2: err = %v", err)
 	}
 	if err := svc.Remove(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, 3, 51), 0); err != nil {
+	if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, 3, 51), 0, 0); err != nil {
 		t.Fatalf("admission after Remove freed a slot: %v", err)
 	}
 
 	svc.Drain()
-	if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, 4, 51), 0); !errors.Is(err, ErrDraining) {
+	if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, 4, 51), 0, 0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("admission during drain: err = %v", err)
 	}
 	if !svc.Draining() {
@@ -60,7 +60,7 @@ func TestDrainGraceful(t *testing.T) {
 
 	data := randBytes(53, 30_000)
 	for id := uint16(1); id <= 4; id++ {
-		if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, id, 53), 0); err != nil {
+		if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, id, 53), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestDrainGraceful(t *testing.T) {
 		go func() { // churn alongside the drain
 			defer wg.Done()
 			for i := uint16(0); i < 5; i++ {
-				if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, base+i, 53), 0); err == nil {
+				if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, base+i, 53), 0, 0); err == nil {
 					svc.Remove(base + i)
 				}
 			}
@@ -139,7 +139,7 @@ func TestSoakChurn(t *testing.T) {
 		ids := []uint16{}
 		for i := 0; i < 12; i++ { // deliberately overshoots MaxSessions
 			id := uint16(1 + i)
-			_, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, id, int64(59+cycle)), 0)
+			_, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, id, int64(59+cycle)), 0, 0)
 			switch {
 			case err == nil:
 				ids = append(ids, id)
@@ -180,7 +180,7 @@ func TestSoakChurn(t *testing.T) {
 				if err := svc.Remove(id); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, id, int64(59+cycle)), 0); err != nil {
+				if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, id, int64(59+cycle)), 0, 0); err != nil {
 					t.Fatalf("cycle %d: re-add after remove: %v", cycle, err)
 				}
 			}
@@ -188,7 +188,7 @@ func TestSoakChurn(t *testing.T) {
 		wg.Wait()
 
 		svc.Drain()
-		if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, 99, int64(59+cycle)), 0); !errors.Is(err, ErrDraining) {
+		if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, 99, int64(59+cycle)), 0, 0); !errors.Is(err, ErrDraining) {
 			t.Fatalf("cycle %d: admission during drain: %v", cycle, err)
 		}
 		svc.Close()

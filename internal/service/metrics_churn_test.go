@@ -47,7 +47,7 @@ func TestMetricsConsistentUnderChurn(t *testing.T) {
 
 	data := randBytes(61, 30_000)
 	for id := uint16(1); id <= 3; id++ {
-		if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, id, 61), 0); err != nil {
+		if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, id, 61), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestMetricsConsistentUnderChurn(t *testing.T) {
 		defer wg.Done()
 		for i := uint16(0); !stop.Load(); i++ {
 			id := 100 + i%8
-			if _, err := svc.AddData(data, sessionConfig(proto.CodecCauchy, id, 61), 0); err == nil {
+			if _, err := svc.AddDataPhased(data, sessionConfig(proto.CodecCauchy, id, 61), 0, 0); err == nil {
 				svc.Remove(id)
 			}
 		}

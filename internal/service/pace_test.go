@@ -182,7 +182,7 @@ func TestBurstRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		car := core.NewCarousel(sess)
+		car := core.NewCarouselAt(sess, 0)
 		if err := car.NextRoundTo(emitFunc(func(int, []byte) error { return nil })); err != nil {
 			t.Fatal(err)
 		}

@@ -8,16 +8,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/evtrace"
-	"repro/internal/transport"
 )
 
 // The pacing scheduler: every paced session is an emission event on a
 // min-heap keyed by its next deadline on a monotonic clock, and a fixed
 // set of shard workers (GOMAXPROCS by default) pops due events, emits
 // every carousel round the session is owed (a token bucket, see emitDue)
-// through pooled buffers and per-layer batches, and pushes the event back
-// at its next unserved deadline. Registering 1 or 10,000 sessions costs
-// the same goroutine count; per-session cost is one heap entry.
+// through its emitter's own buffers and per-layer batches, and pushes the
+// event back at its next unserved deadline. Registering 1 or 10,000
+// sessions costs the same goroutine count; per-session cost is one heap
+// entry.
 //
 // Emission content and order per (session, layer) are exactly the
 // carousel's — the scheduler only decides *when* a session's next round
@@ -34,7 +34,8 @@ type schedEvent struct {
 }
 
 // shard is one worker: a deadline heap, a kick channel for heap changes,
-// and a pooled emitter. Sessions are spread round-robin across shards.
+// and an emitter that owns its packet buffers. Sessions are spread
+// round-robin across shards.
 type shard struct {
 	svc   *Service
 	epoch time.Time      // the deadline clock's zero, fixed at construction
@@ -116,7 +117,7 @@ func (sh *shard) wake() {
 
 // run is the shard worker: sleep until the earliest deadline (or a heap
 // change), emit that session's owed rounds, reschedule it. Steady-state
-// emission — heap ops, pooled packet building, batched sends — allocates
+// emission — heap ops, packet building, batched sends — allocates
 // nothing.
 func (sh *shard) run(ctx context.Context) {
 	defer close(sh.done)
@@ -256,19 +257,17 @@ func (sh *shard) pop() *schedEvent {
 }
 
 // emitter is the zero-alloc round emission sink: it implements
-// core.RoundEmitter by building each packet in a pooled buffer, grouping
-// consecutive same-layer packets into one batch, and handing each batch to
-// the transport. Buffers are released back to the pool as soon as their
-// batch is sent (transports and Bus handlers must not retain packet bytes —
-// see transport.Sender).
+// core.RoundEmitter by building each packet in one of its own buffers,
+// grouping consecutive same-layer packets into one batch, and handing each
+// batch to the transport. Slot i of bufs holds packet i of the batch; the
+// buffers are reused as soon as their batch is sent (transports and Bus
+// handlers must not retain packet bytes — see transport.Sender).
 type emitter struct {
-	svc     *Service
-	free    *transport.FreeList
-	pending *transport.Buf   // buffer handed out by PacketBuf, not yet Emitted
-	bufs    []*transport.Buf // pooled buffers of the in-progress batch
-	batch   [][]byte         // packets of the in-progress batch
-	layer   int
-	tr      *evtrace.Shard // flight-recorder handle (nil-safe)
+	svc   *Service
+	bufs  [][]byte // maxBatch+1 slots: the batch plus the packet that flushes it
+	batch [][]byte // packets of the in-progress batch
+	layer int
+	tr    *evtrace.Shard // flight-recorder handle (nil-safe)
 
 	// What this emitter handed the transport, read by Service.Stats and
 	// the registry: rounds counts EvRound events, batches counts packets in
@@ -281,22 +280,25 @@ type emitter struct {
 }
 
 func newEmitter(svc *Service, tr *evtrace.Shard) emitter {
-	return emitter{svc: svc, free: transport.NewFreeList(svc.pool), tr: tr, bound: -1}
+	return emitter{svc: svc, bufs: make([][]byte, maxBatch+1), tr: tr, bound: -1}
 }
 
-// PacketBuf implements core.RoundEmitter. The buffer joins the batch only
-// at Emit time: a layer change flushes (and releases) the previous batch,
-// and the packet being built must survive that release.
+// PacketBuf implements core.RoundEmitter: the next packet is built in the
+// slot after the batch's last.
 func (em *emitter) PacketBuf(size int) []byte {
-	em.pending = em.free.Get(size)
-	return em.pending.B
+	b := em.bufs[len(em.batch)]
+	if cap(b) < size {
+		b = make([]byte, 0, size)
+		em.bufs[len(em.batch)] = b
+	}
+	return b[:0]
 }
 
-// maxBatch caps the packets (and so the pooled buffers) one batch may
-// accumulate before flushing: large sessions emit thousands of packets
-// per layer per round, and streaming them in bounded batches keeps peak
-// send-path memory at maxBatch wire buffers per shard instead of a whole
-// layer's worth. 128 spans two sendmmsg chunks.
+// maxBatch caps the packets (and so the buffers) one batch may accumulate
+// before flushing: large sessions emit thousands of packets per layer per
+// round, and streaming them in bounded batches keeps peak send-path memory
+// at maxBatch+1 wire buffers per emitter instead of a whole layer's worth.
+// 128 spans two sendmmsg chunks.
 const maxBatch = 128
 
 // Emit implements core.RoundEmitter: consecutive packets of one layer
@@ -304,18 +306,18 @@ const maxBatch = 128
 // carousel emits layer by layer, so a round becomes one batch per layer
 // per maxBatch packets, in emission order.
 func (em *emitter) Emit(layer int, pkt []byte) error {
-	if len(em.batch) > 0 && (layer != em.layer || len(em.batch) >= maxBatch) {
+	if n := len(em.batch); n > 0 && (layer != em.layer || n >= maxBatch) {
 		em.flush()
+		// pkt was built in slot n and now opens the next batch.
+		em.bufs[0], em.bufs[n] = em.bufs[n], em.bufs[0]
 	}
 	em.layer = layer
-	em.bufs = append(em.bufs, em.pending)
-	em.pending = nil
 	em.batch = append(em.batch, pkt)
 	return nil
 }
 
-// flush counts the accumulated batch, hands it to the transport and
-// releases the batch's buffers to the pool.
+// flush counts the accumulated batch and hands it to the transport; its
+// buffers are free for the next batch once SendBatch returns.
 //
 // Transport errors are counted and swallowed — a fountain retransmits
 // everything eventually, so a lost send is indistinguishable from network
@@ -338,11 +340,6 @@ func (em *emitter) flush() {
 			em.svc.sendErrors.Add(1)
 		}
 	}
-	for i, b := range em.bufs {
-		em.free.Put(b)
-		em.bufs[i] = nil
-	}
-	em.bufs = em.bufs[:0]
 	em.batch = em.batch[:0]
 }
 

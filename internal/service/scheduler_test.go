@@ -21,8 +21,8 @@ func (emitFunc) PacketBuf(size int) []byte { return make([]byte, 0, size) }
 
 func (f emitFunc) Emit(layer int, pkt []byte) error { return f(layer, pkt) }
 
-// batchCapture is a sink that copies every packet (pooled buffers are
-// recycled after SendBatch returns) keyed by (session, layer).
+// batchCapture is a sink that copies every packet (the emitter reuses its
+// buffers after SendBatch returns) keyed by (session, layer).
 type batchCapture struct {
 	t              *testing.T
 	mu             sync.Mutex
@@ -64,7 +64,7 @@ func (c *batchCapture) minLen(session uint16, layers int) int {
 }
 
 // TestSchedulerEmissionOrderMatchesCarousel: per (session, layer), the
-// service's pooled, batched emission — paced by the scheduler and stepped
+// service's batched emission — paced by the scheduler and stepped
 // by hand through EmitRound — must be bit-identical to driving the
 // session's carousel directly through a fresh-buffer emitter: same packets,
 // same order, SP/burst flags included. Every packet leaves by SendBatch,
@@ -156,6 +156,87 @@ func TestSchedulerEmissionOrderMatchesCarousel(t *testing.T) {
 	}
 }
 
+// orderCapture is a sink that copies every packet in SendBatch order, with
+// its layer, and records each batch's length.
+type orderCapture struct {
+	layers  []int
+	pkts    [][]byte
+	batches []int
+}
+
+func (c *orderCapture) SendBatch(layer int, pkts [][]byte) error {
+	for _, pkt := range pkts {
+		c.layers = append(c.layers, layer)
+		c.pkts = append(c.pkts, append([]byte(nil), pkt...))
+	}
+	c.batches = append(c.batches, len(pkts))
+	return nil
+}
+
+// TestFullBatchFlushKeepsOrder: a layer whose round emits more than
+// 2·maxBatch packets flushes full batches mid-layer, and the packet that
+// triggers each flush opens the next batch in the emitter's slot 0. Through
+// EmitRound the stream must still be the fresh-buffer carousel's, byte for
+// byte and in order, in batches of at most maxBatch.
+func TestFullBatchFlushKeepsOrder(t *testing.T) {
+	capt := &orderCapture{}
+	svc := New(capt, Config{})
+	defer svc.Close()
+	cfg := sessionConfig(proto.CodecTornadoA, 0x99, 9)
+	cfg.Layers = 2
+	sess, err := core.NewSession(randBytes(9, 3*maxBatch*cfg.PacketLen), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sess.AppendCarouselIndices(nil, 1, 0)); n <= 2*maxBatch {
+		t.Fatalf("top layer emits %d packets per round, want more than %d", n, 2*maxBatch)
+	}
+	car, err := svc.AddManual(sess, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	for i := 0; i < rounds; i++ {
+		if err := svc.EmitRound(car); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var refLayers []int
+	var ref [][]byte
+	oracle := core.NewCarouselAt(sess, 0)
+	for i := 0; i < rounds; i++ {
+		err := oracle.NextRoundTo(emitFunc(func(layer int, pkt []byte) error {
+			refLayers = append(refLayers, layer)
+			ref = append(ref, pkt)
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(capt.pkts) != len(ref) {
+		t.Fatalf("emitted %d packets, the carousel %d", len(capt.pkts), len(ref))
+	}
+	for i := range ref {
+		if capt.layers[i] != refLayers[i] || !bytes.Equal(capt.pkts[i], ref[i]) {
+			t.Fatalf("packet %d (layer %d) diverges from the carousel oracle", i, refLayers[i])
+		}
+	}
+	full := 0
+	for _, n := range capt.batches {
+		if n > maxBatch {
+			t.Fatalf("a batch of %d packets, above maxBatch %d", n, maxBatch)
+		}
+		if n == maxBatch {
+			full++
+		}
+	}
+	if full < 2*2*rounds {
+		t.Fatalf("%d full batches, want at least %d", full, 2*2*rounds)
+	}
+}
+
 // nullBatchSink counts packets without retaining or allocating.
 type nullBatchSink struct{ packets atomic.Uint64 }
 
@@ -179,7 +260,7 @@ func TestConcurrentAddRemoveStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Add(base, 0); err != nil {
+	if err := svc.AddPhased(base, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +289,7 @@ func TestConcurrentAddRemoveStats(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0:
 					if !registered {
-						if err := svc.Add(sess, 1+rng.Intn(100000)); err != nil {
+						if err := svc.AddPhased(sess, 1+rng.Intn(100000), 0); err != nil {
 							t.Errorf("worker %d add: %v", w, err)
 							return
 						}
@@ -268,7 +349,7 @@ func TestRemoveStopsEmissionPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Add(sess, 0); err != nil {
+	if err := svc.AddPhased(sess, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -287,15 +368,12 @@ func TestRemoveStopsEmissionPromptly(t *testing.T) {
 	}
 }
 
-// TestEmitRoundZeroAlloc: steady-state emission through the pooled, batched
+// TestEmitRoundZeroAlloc: steady-state emission through the batched
 // path must not allocate — the property the sender benchmark suite gates in
 // CI — for an eagerly encoded session and for the rateless codecs, whose
-// coded packets are encoded per emission straight into the pooled buffer
+// coded packets are encoded per emission straight into the emitter's buffer
 // (raptor starts past its systematic prefix, so every packet is a repair).
 func TestEmitRoundZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-mode sync.Pool instrumentation allocates; the sender bench gates this without -race")
-	}
 	for _, tc := range []struct {
 		name  string
 		codec uint8
@@ -316,7 +394,7 @@ func TestEmitRoundZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Warm the pool, the scratch slices and the carousel index buffer.
+			// Warm the emitter's buffers, the scratch slices and the carousel index buffer.
 			for i := 0; i < 64; i++ {
 				if err := svc.EmitRound(car); err != nil {
 					t.Fatal(err)
@@ -348,7 +426,7 @@ func TestSchedulerPacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rate = 500 // single layer: one packet per round
-	if err := svc.Add(sess, rate); err != nil {
+	if err := svc.AddPhased(sess, rate, 0); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(400 * time.Millisecond)
@@ -375,7 +453,7 @@ func TestManySessionsShareShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.Add(sess, 0); err != nil {
+		if err := svc.AddPhased(sess, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,7 +525,7 @@ func pacedRateless(t *testing.T, sink *paceSink, rate int) *Service {
 	t.Cleanup(svc.Close)
 	cfg := sessionConfig(proto.CodecLT, 0xA1, 11)
 	cfg.Layers, cfg.SPInterval = 1, 16
-	if _, err := svc.AddData(randBytes(11, 100_000), cfg, rate); err != nil {
+	if _, err := svc.AddDataPhased(randBytes(11, 100_000), cfg, rate, 0); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)

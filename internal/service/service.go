@@ -12,8 +12,8 @@
 // position, a rate, and one heap entry in the scheduler — no per-session
 // goroutine, so 1 and 10,000 sessions cost the same goroutine count.
 //
-// The send path is zero-copy: rounds are built packet-by-packet into
-// pooled buffers (transport.BufPool), batched per layer, and handed to the
+// The send path is zero-copy: rounds are built packet-by-packet into the
+// emitting loop's own buffers, batched per layer, and handed to the
 // unified transport.Sender batch interface — identical code whether the
 // transport is the in-process Bus, the real UDP socket, or a test sink.
 package service
@@ -67,12 +67,12 @@ type Config struct {
 	TraceID uint16
 }
 
-// ErrSessionLimit is returned by Add/AddData when Config.MaxSessions is
-// reached — admission control, not a fault.
+// ErrSessionLimit is returned by session registration when
+// Config.MaxSessions is reached — admission control, not a fault.
 var ErrSessionLimit = errors.New("service: session limit reached")
 
-// ErrDraining is returned by Add/AddData after Drain began: a draining
-// service finishes what it carries but admits nothing new.
+// ErrDraining is returned by session registration after Drain began: a
+// draining service finishes what it carries but admits nothing new.
 var ErrDraining = errors.New("service: draining")
 
 // Stats is a snapshot of the service counters.
@@ -121,7 +121,6 @@ type entry struct {
 type Service struct {
 	cfg    Config
 	tx     transport.Sender
-	pool   *transport.BufPool
 	cache  *core.BlockCache
 	sched  *scheduler
 	ctx    context.Context
@@ -165,7 +164,6 @@ func New(tx transport.Sender, cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
 		tx:       tx,
-		pool:     transport.NewBufPool(),
 		cache:    core.NewBlockCache(cfg.CacheBytes),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -241,15 +239,10 @@ func (s *Service) registerMetrics(r *metrics.Registry) {
 // Cache exposes the shared packet cache (for inspection and tests).
 func (s *Service) Cache() *core.BlockCache { return s.cache }
 
-// AddData encodes data under cfg — lazily, against the shared cache, when
-// the codec supports it — registers the session under cfg.Session, and
-// schedules its paced emission. rate <= 0 uses the service default. The
-// session keeps data: do not modify it.
-func (s *Service) AddData(data []byte, cfg core.Config, rate int) (*core.Session, error) {
-	return s.AddDataPhased(data, cfg, rate, 0)
-}
-
-// AddDataPhased is AddData with a carousel phase offset (see AddPhased).
+// AddDataPhased encodes data under cfg — lazily, against the shared cache,
+// when the codec supports it — and registers the session like AddPhased.
+// rate <= 0 uses the service default. The session keeps data: do not
+// modify it.
 func (s *Service) AddDataPhased(data []byte, cfg core.Config, rate, phase int) (*core.Session, error) {
 	sess, err := core.NewSessionCached(data, cfg, s.cache)
 	if err != nil {
@@ -261,18 +254,14 @@ func (s *Service) AddDataPhased(data []byte, cfg core.Config, rate, phase int) (
 	return sess, nil
 }
 
-// Add registers an existing session and schedules its paced emission.
-// The session id (Config().Session) must be unused and must not be the
-// transport wildcard.
-func (s *Service) Add(sess *core.Session, rate int) error {
-	return s.AddPhased(sess, rate, 0)
-}
-
-// AddPhased is Add with a carousel phase offset: the session's carousel
-// starts transmitting at the given round instead of round 0, and the phase
-// is advertised in the session's control descriptor. Mirrors of a shared
-// encoding register the same session at staggered phases (§8), so a
-// multi-source receiver sees mostly-disjoint packets early on.
+// AddPhased registers an existing session and schedules its paced
+// emission; rate <= 0 uses the service default. The session id
+// (Config().Session) must be unused and must not be the transport
+// wildcard. The session's carousel starts transmitting at round phase
+// instead of round 0, and the phase is advertised in the session's control
+// descriptor. Mirrors of a shared encoding register the same session at
+// staggered phases (§8), so a multi-source receiver sees mostly-disjoint
+// packets early on.
 func (s *Service) AddPhased(sess *core.Session, rate, phase int) error {
 	_, err := s.register(sess, rate, phase, false)
 	return err
@@ -280,8 +269,8 @@ func (s *Service) AddPhased(sess *core.Session, rate, phase int) error {
 
 // AddManual registers a session — visible to control/catalog like any
 // other, phase advertised — but schedules no emission: the caller drives
-// the returned carousel through EmitRound, which runs the same pooled
-// batched send path the scheduler uses. This is the virtual-time shape:
+// the returned carousel through EmitRound, which runs the same batched
+// send path the scheduler uses. This is the virtual-time shape:
 // deterministic experiments and the loss-injection harness step mirrors on
 // a virtual clock instead of real pacing.
 func (s *Service) AddManual(sess *core.Session, rate, phase int) (*core.Carousel, error) {
@@ -329,7 +318,7 @@ func (s *Service) register(sess *core.Session, rate, phase int, manual bool) (*e
 }
 
 // EmitRound emits one round of a manual session's carousel through the
-// pooled, batched send path — byte-for-byte the code the scheduler's shard
+// batched send path — byte-for-byte the code the scheduler's shard
 // workers run, so virtual-time harnesses exercise the real emission
 // machinery and their determinism tests oracle it.
 func (s *Service) EmitRound(car *core.Carousel) error {
@@ -489,7 +478,7 @@ func (s *Service) Stats() Stats {
 }
 
 // Drain retires the service gracefully: admission stops immediately
-// (further Add/AddData calls return ErrDraining), every round already in
+// (further registrations return ErrDraining), every round already in
 // flight on a shard worker finishes emitting, and all shard workers are
 // joined before Drain returns. The registry and control plane stay up —
 // clients mid-download can still resolve descriptors — but no further data

@@ -59,7 +59,7 @@ func TestServiceSoak(t *testing.T) {
 	for _, a := range adds {
 		data := randBytes(int64(a.id), a.size)
 		files[a.id] = data
-		if _, err := svc.AddData(data, sessionConfig(a.codec, a.id, 100+int64(a.id)), 0); err != nil {
+		if _, err := svc.AddDataPhased(data, sessionConfig(a.codec, a.id, 100+int64(a.id)), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestPerSessionSerialsIndependent(t *testing.T) {
 	defer svc.Close()
 	for id := uint16(1); id <= 2; id++ {
 		cfg := sessionConfig(proto.CodecCauchy, id, int64(id))
-		if _, err := svc.AddData(randBytes(int64(id), 20_000), cfg, 0); err != nil {
+		if _, err := svc.AddDataPhased(randBytes(int64(id), 20_000), cfg, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,16 +221,16 @@ func TestRegistryLifecycle(t *testing.T) {
 	svc := New(rec, Config{BaseRate: 1000})
 	defer svc.Close()
 	cfg := sessionConfig(proto.CodecCauchy, 7, 7)
-	sess, err := svc.AddData(randBytes(7, 10_000), cfg, 0)
+	sess, err := svc.AddDataPhased(randBytes(7, 10_000), cfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddData(randBytes(8, 10_000), cfg, 0); err == nil {
+	if _, err := svc.AddDataPhased(randBytes(8, 10_000), cfg, 0, 0); err == nil {
 		t.Fatal("duplicate session id accepted")
 	}
 	badCfg := cfg
 	badCfg.Session = transport.SessionAny
-	if _, err := svc.AddData(randBytes(9, 10_000), badCfg, 0); err == nil {
+	if _, err := svc.AddDataPhased(randBytes(9, 10_000), badCfg, 0, 0); err == nil {
 		t.Fatal("wildcard session id accepted")
 	}
 	if _, ok := svc.Lookup(7); !ok {
@@ -270,7 +270,7 @@ func TestHandleControl(t *testing.T) {
 	}
 	for id := uint16(3); id >= 1; id-- { // insert descending: catalog must sort
 		cfg := sessionConfig(proto.CodecTornadoA, id, int64(id))
-		if _, err := svc.AddData(randBytes(int64(id), 5_000), cfg, 0); err != nil {
+		if _, err := svc.AddDataPhased(randBytes(int64(id), 5_000), cfg, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

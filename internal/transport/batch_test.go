@@ -311,36 +311,3 @@ func TestBusSendBatch(t *testing.T) {
 		t.Fatalf("a plain bus delivery allocates %.1f times per batch", allocs)
 	}
 }
-
-// TestBufPool: buffers are reused, grow to the largest requested size,
-// and Get after Put returns zero-length slices ready to append into.
-func TestBufPool(t *testing.T) {
-	p := NewBufPool()
-	b := p.Get(64)
-	if len(b.B) != 0 || cap(b.B) < 64 {
-		t.Fatalf("Get(64): len=%d cap=%d", len(b.B), cap(b.B))
-	}
-	b.B = append(b.B, bytes.Repeat([]byte{0xAB}, 64)...)
-	p.Put(b)
-	b2 := p.Get(32)
-	if len(b2.B) != 0 {
-		t.Fatalf("recycled buffer has len %d, want 0", len(b2.B))
-	}
-	b2.B = append(b2.B, 1)
-	p.Put(b2)
-	big := p.Get(4096)
-	if cap(big.B) < 4096 {
-		t.Fatalf("Get(4096) returned cap %d", cap(big.B))
-	}
-	p.Put(big)
-	allocs := testing.AllocsPerRun(1000, func() {
-		b := p.Get(4096)
-		b.B = append(b.B, 0xFF)
-		p.Put(b)
-	})
-	// sync.Pool may shed entries across GC cycles; steady state must be
-	// essentially allocation-free.
-	if allocs > 0.1 {
-		t.Fatalf("pooled Get/Put allocates %.2f times per cycle", allocs)
-	}
-}

@@ -22,7 +22,7 @@ import (
 
 // Handler consumes packets delivered on a subscribed layer. pkt is only
 // valid for the duration of the call: senders on the zero-alloc send path
-// reuse their pooled buffers as soon as SendBatch returns, so a
+// reuse their buffers as soon as SendBatch returns, so a
 // handler that keeps packet bytes must copy them (every decoder in this
 // repository already copies on Add).
 type Handler func(layer int, pkt []byte)
@@ -323,7 +323,7 @@ func (c *BusClient) deliver(layer int, pkt []byte) {
 		return
 	}
 	if c.corrupt != nil && c.corrupt.Lose() && len(pkt) > 0 {
-		// Flip one byte in a private copy: the sender's (pooled, shared)
+		// Flip one byte in a private copy: the sender's (reused, shared)
 		// buffer must reach every other subscriber intact.
 		c.scratch = append(c.scratch[:0], pkt...)
 		c.scratch[int(c.faultN%uint64(len(c.scratch)))] ^= 0x55

@@ -22,7 +22,7 @@ import (
 //
 // The handoff is allocation-free in steady state: a bounded ring of
 // sourcedBatch carriers cycles between a free channel and the delivery
-// channel, each carrying its own pooled receive buffers. Compared to the
+// channel, each carrying its own receive buffers. Compared to the
 // old per-packet channel sends, a 32-datagram burst costs one channel
 // round-trip instead of 32.
 type MultiClient struct {
@@ -218,9 +218,9 @@ func (m *MultiClient) Closed() bool {
 	}
 }
 
-// Close unsubscribes and closes every source socket, waits for the funnel
-// goroutines to exit, and releases the pooled receive buffers held by the
-// batch carriers. It may be called while RecvBatchFrom is in flight.
+// Close unsubscribes and closes every source socket and waits for the
+// funnel goroutines to exit. It may be called while RecvBatchFrom is in
+// flight.
 func (m *MultiClient) Close() error {
 	var first error
 	m.closing.Do(func() {
@@ -231,20 +231,6 @@ func (m *MultiClient) Close() error {
 			}
 		}
 		m.wg.Wait()
-		// All producers are gone: drain both channels, returning buffer
-		// memory to the shared pool. The carrier a consumer may still be
-		// reading stays its own — Close can race RecvBatchFrom — and goes
-		// to the collector.
-		for {
-			select {
-			case sb := <-m.ch:
-				sb.rb.Free()
-			case sb := <-m.free:
-				sb.rb.Free()
-			default:
-				return
-			}
-		}
 	})
 	return first
 }

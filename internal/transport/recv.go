@@ -7,8 +7,8 @@ import (
 )
 
 // The batched receive path mirrors the send side: where SendBatch coalesces
-// a carousel round into sendmmsg calls, RecvBatch drains the socket into a
-// reusable set of pooled buffers with recvmmsg (linux/amd64; a portable
+// a carousel round into sendmmsg calls, RecvBatch drains the socket into
+// the batch's own reusable buffers with recvmmsg (linux/amd64; a portable
 // one-read fallback elsewhere), so a busy receiver pays one syscall and
 // zero allocations for a whole burst of datagrams instead of one syscall
 // and one 64 KiB allocation per packet.
@@ -23,7 +23,7 @@ var ErrClosed = errors.New("transport: client closed")
 var ErrTimeout = errors.New("transport: receive timed out")
 
 // recvChunk is the most datagrams one RecvBatch call returns — the size of
-// a batch's buffer set. 32 bounds a batch's pooled memory to ~64 KiB at
+// a batch's buffer set. 32 bounds a batch's memory to 64 KiB at
 // the default buffer size while amortizing the wakeup ~30x on busy
 // sockets.
 const recvChunk = 32
@@ -33,12 +33,6 @@ const recvChunk = 32
 // payloads to at most 1024 bytes, so 2 KiB covers them with slack for
 // future growth. SetRecvSize raises it for jumbo deployments.
 const defaultRecvSize = 2048
-
-// recvPool is the shared pool behind all receive buffers (clients come and
-// go; their buffer memory is reclaimed through here). The send side keeps
-// its own pools — receive buffers live much longer per fill, so mixing
-// them would let slow receivers pin send-sized buffers.
-var recvPool = NewBufPool()
 
 // classifyRecvErr folds the socket error zoo into the two conditions
 // receive loops act on: ErrClosed (stop) and ErrTimeout (poll again).
@@ -58,32 +52,28 @@ func classifyRecvErr(err error) error {
 	}
 }
 
-// RecvBatch is a reusable receive batch: a set of pooled buffers a client
-// fills with one RecvBatch call each time. The zero value is ready to use;
-// buffers are drawn from the shared pool on first use and kept attached
-// across calls, so a steady-state receive loop allocates nothing. Call
-// Free when the batch is retired for good.
+// RecvBatch is a reusable receive batch: a set of buffers a client fills
+// with one RecvBatch call each time. The zero value is ready to use; the
+// buffers are allocated at the first fill, as one slab, and kept across
+// calls — regrown only when the client's receive size rises — so a
+// steady-state receive loop allocates nothing. Free drops them.
 //
 // A RecvBatch belongs to one receive loop at a time — it is not safe for
 // concurrent use.
 type RecvBatch struct {
-	bufs []*Buf
+	bufs [][]byte
 	pkts [][]byte
 }
 
 // ensure readies the batch for a fill: chunk buffers of at least size
-// capacity each, packet views cleared.
+// bytes each, packet views cleared.
 func (rb *RecvBatch) ensure(chunk, size int) {
-	for len(rb.bufs) < chunk {
-		rb.bufs = append(rb.bufs, recvPool.Get(size))
-	}
-	for i, b := range rb.bufs {
-		if cap(b.B) < size {
-			recvPool.Put(b)
-			rb.bufs[i] = recvPool.Get(size)
+	if len(rb.bufs) < chunk || len(rb.bufs[0]) < size {
+		slab := make([]byte, chunk*size)
+		rb.bufs = make([][]byte, chunk)
+		for i := range rb.bufs {
+			rb.bufs[i] = slab[i*size : (i+1)*size : (i+1)*size]
 		}
-	}
-	if rb.pkts == nil {
 		rb.pkts = make([][]byte, 0, chunk)
 	}
 	rb.pkts = rb.pkts[:0]
@@ -97,17 +87,10 @@ func (rb *RecvBatch) Packets() [][]byte { return rb.pkts }
 // Len returns the number of datagrams in the last fill.
 func (rb *RecvBatch) Len() int { return len(rb.pkts) }
 
-// Free returns the batch's buffers to the shared pool. The batch may be
-// reused afterwards (it will draw fresh buffers), but any previously
-// returned packet views are dead.
-func (rb *RecvBatch) Free() {
-	for i, b := range rb.bufs {
-		recvPool.Put(b)
-		rb.bufs[i] = nil
-	}
-	rb.bufs = rb.bufs[:0]
-	rb.pkts = rb.pkts[:0]
-}
+// Free drops the batch's buffers. The batch may be reused afterwards (the
+// next fill allocates fresh ones), but any previously returned packet
+// views are dead.
+func (rb *RecvBatch) Free() { *rb = RecvBatch{} }
 
 // SetRecvSize sets the per-datagram receive buffer capacity for this
 // client (default 2048). Datagrams longer than the buffer are truncated by
@@ -182,7 +165,7 @@ func (c *UDPClient) RecvBatch(rb *RecvBatch, timeout time.Duration) (int, error)
 // readBatchPortable reads one datagram into the batch's first buffer —
 // the fallback fill when no kernel batch syscall is usable.
 func (c *UDPClient) readBatchPortable(rb *RecvBatch) (int, error) {
-	buf := rb.bufs[0].B[:cap(rb.bufs[0].B)]
+	buf := rb.bufs[0]
 	n, _, err := c.conn.ReadFromUDPAddrPort(buf)
 	if err != nil {
 		return 0, err

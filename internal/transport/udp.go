@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -673,15 +674,13 @@ func (c *UDPClient) Close() error {
 }
 
 // controlReplySize bounds a control reply: a full catalog can run to
-// ~65000 bytes (proto.MaxCatalogEntries), so control reads keep the 64 KiB
-// buffer — but pooled and shared across requests instead of allocated per
-// call.
+// ~65000 bytes (proto.MaxCatalogEntries), so a control read takes a 64 KiB
+// buffer. Control requests are a handful per download, so each has its own.
 const controlReplySize = 65536
 
 // RequestSessionInfo sends a hello to a control address and waits for the
 // session descriptor datagram. The reply is returned in a fresh
-// exact-sized slice the caller owns; the 64 KiB read buffer itself is
-// pooled and reused across requests.
+// exact-sized slice the caller owns.
 //
 // Errors are classified: ErrTimeout when the reply deadline elapsed (the
 // server may just be slow — retrying is sensible), ErrClosed when the
@@ -709,16 +708,12 @@ func requestOnConn(conn *net.UDPConn, hello []byte, timeout time.Duration) ([]by
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, fmt.Errorf("transport: control deadline: %w", classifyRecvErr(err))
 	}
-	b := recvPool.Get(controlReplySize)
-	defer recvPool.Put(b)
-	buf := b.B[:cap(b.B)]
+	buf := make([]byte, controlReplySize)
 	n, err := conn.Read(buf)
 	if err != nil {
 		return nil, fmt.Errorf("transport: control request: %w", classifyRecvErr(err))
 	}
-	reply := make([]byte, n)
-	copy(reply, buf[:n])
-	return reply, nil
+	return bytes.Clone(buf[:n]), nil
 }
 
 // ServeControlFunc answers control datagrams on addr: every received

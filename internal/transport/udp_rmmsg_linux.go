@@ -9,7 +9,7 @@ import (
 
 // The batched read on Linux uses recvmmsg(2) directly, mirroring the send
 // side's sendmmsg: one syscall drains up to recvChunk queued datagrams
-// into the batch's pooled buffers. Done via the standard library's
+// into the batch's own buffers. Done via the standard library's
 // RawConn so the repository stays dependency-free and the netpoller still
 // handles blocking, deadlines (os.ErrDeadlineExceeded) and close
 // (net.ErrClosed).
@@ -77,7 +77,7 @@ func (c *UDPClient) readBatch(rb *RecvBatch) (int, error) {
 		n = recvChunk
 	}
 	for i := 0; i < n; i++ {
-		buf := rb.bufs[i].B[:cap(rb.bufs[i].B)]
+		buf := rb.bufs[i]
 		st.iovs[i] = syscall.Iovec{Base: &buf[0], Len: uint64(len(buf))}
 		st.msgs[i] = mmsghdr{hdr: syscall.Msghdr{Iov: &st.iovs[i], Iovlen: 1}}
 	}
@@ -91,7 +91,7 @@ func (c *UDPClient) readBatch(rb *RecvBatch) (int, error) {
 	}
 	for i := 0; i < st.got; i++ {
 		// nsent is the kernel-written datagram length (msg_len).
-		rb.pkts = append(rb.pkts, rb.bufs[i].B[:cap(rb.bufs[i].B)][:st.msgs[i].nsent])
+		rb.pkts = append(rb.pkts, rb.bufs[i][:st.msgs[i].nsent])
 	}
 	return st.got, nil
 }

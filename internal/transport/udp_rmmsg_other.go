@@ -8,7 +8,7 @@ type recvState struct{}
 
 // readBatch without a kernel batch syscall: the portable one-read
 // fallback. Each call delivers a single datagram into the batch's first
-// pooled buffer — same API, same pooling, one syscall per packet.
+// buffer — same API, same buffers, one syscall per packet.
 func (c *UDPClient) readBatch(rb *RecvBatch) (int, error) {
 	return c.readBatchPortable(rb)
 }
