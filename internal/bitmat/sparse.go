@@ -48,6 +48,7 @@ type Solver struct {
 	x     [][]byte // Solve: the inactivated columns' values, x[i] = rhs[drows[i]]
 	at    []int32  // Solve: per column, the row whose payload holds its value
 	srcs  [][]byte // Solve: the payloads one row gathers for gf.XORMany
+	hit   []uint64 // Solve: per dense row, the steps of eliminate's block that hit it
 	xors  int      // payload XORs of the last Solve
 }
 
@@ -142,7 +143,7 @@ func (s *Solver) Analyze(cols int) (deficit int) {
 			s.drows = append(s.drows, r)
 		}
 	}
-	s.rank = s.reduce(s.drows, nil)
+	s.rank = s.reduce(s.drows)
 	return len(s.inact) - s.rank
 }
 
@@ -226,18 +227,14 @@ func (s *Solver) Extend(cols []int32) (deficit int) {
 	return len(s.inact) - s.rank
 }
 
-// reduce eliminates rows' vecs column by column, keeping rows (and x, their
-// payloads, when given) in step with the pivots, and returns the rank.
-// Without payloads it only ranks, clearing below each pivot; with them it
-// is Gauss-Jordan over a full-rank square system, and x ends as the
-// inactivated columns' values. Columns left of a pivot are never read
-// again, so a row operation XORs only the words from the pivot's on.
-func (s *Solver) reduce(rows []int32, x [][]byte) (rank int) {
+// reduce ranks rows: it eliminates their vecs below each pivot, column by
+// column, keeping rows in step with the pivots, and returns the rank. The
+// first rank rows end independent, and dense in echelon form. Columns left
+// of a pivot are never read again, so a row operation XORs only the words
+// from the pivot's on.
+func (s *Solver) reduce(rows []int32) (rank int) {
 	w, n := s.w, len(rows)
-	s.dense = resize(s.dense, n*w)
-	for j, r := range rows {
-		copy(s.dense[j*w:(j+1)*w], s.vec[int(r)*w:int(r+1)*w])
-	}
+	s.load(rows)
 	for i := 0; i < len(s.inact) && rank < n; i++ {
 		wi, bit := i/64, uint64(1)<<(i%64)
 		p := rank
@@ -250,25 +247,93 @@ func (s *Solver) reduce(rows []int32, x [][]byte) (rank int) {
 		if p != rank {
 			swapWords(s.dense[p*w:(p+1)*w], s.dense[rank*w:(rank+1)*w])
 			rows[p], rows[rank] = rows[rank], rows[p]
-			if x != nil {
-				x[p], x[rank] = x[rank], x[p]
-			}
 		}
-		pr, lo := s.dense[rank*w+wi:(rank+1)*w], rank+1
-		if x != nil {
-			lo = 0
-		}
-		for j := lo; j < n; j++ {
-			if o := j*w + wi; j != rank && s.dense[o]&bit != 0 {
+		pr := s.dense[rank*w+wi : (rank+1)*w]
+		for j := rank + 1; j < n; j++ {
+			if o := j*w + wi; s.dense[o]&bit != 0 {
 				xorWords(s.dense[o:o+len(pr)], pr)
-				if x != nil {
-					s.xor(x[j], x[rank])
-				}
 			}
 		}
 		rank++
 	}
 	return rank
+}
+
+// block is the pivot steps eliminate takes before it touches a payload: one
+// bit of a row's hit mask each.
+const block = 64
+
+// eliminate is Gauss-Jordan over rows, a full-rank square system, with x
+// their payloads, which end as the inactivated columns' values. Step i
+// takes column i's pivot to position i and XORs it into every other row
+// holding the column. It runs in blocks of block steps: first every step's
+// bit work, recording in hit which steps hit each row, then the payloads in
+// three passes — each pivot takes the earlier pivots that hit it, in step
+// order, so it holds the value it had at its own step; every other row
+// takes all the pivots that hit it at once; then each pivot takes the later
+// ones that hit it, which are still as at their own steps. These are the
+// per-step (pivot, row) pairs, so the bytes and the XOR count are those of
+// eliminating step by step, but a row is written once per block instead of
+// once per step.
+func (s *Solver) eliminate(rows []int32, x [][]byte) {
+	w, n := s.w, len(rows)
+	s.load(rows)
+	s.hit = resize(s.hit, n)
+	for lo := 0; lo < n; lo += block {
+		hi := min(lo+block, n)
+		clear(s.hit)
+		for i := lo; i < hi; i++ {
+			wi, bit := i/64, uint64(1)<<(i%64)
+			p := i // full rank: column i has a pivot at or below row i
+			for s.dense[p*w+wi]&bit == 0 {
+				p++
+			}
+			if p != i {
+				swapWords(s.dense[p*w:(p+1)*w], s.dense[i*w:(i+1)*w])
+				rows[p], rows[i] = rows[i], rows[p]
+				x[p], x[i] = x[i], x[p]
+				s.hit[p], s.hit[i] = s.hit[i], s.hit[p]
+			}
+			pr := s.dense[i*w+wi : (i+1)*w]
+			for j := range n {
+				if o := j*w + wi; j != i && s.dense[o]&bit != 0 {
+					xorWords(s.dense[o:o+len(pr)], pr)
+					s.hit[j] |= 1 << (i - lo)
+				}
+			}
+		}
+		for i := lo; i < hi; i++ {
+			s.take(x[i], x[lo:], s.hit[i]&(1<<(i-lo)-1))
+		}
+		for j := range n {
+			if j < lo || j >= hi {
+				s.take(x[j], x[lo:], s.hit[j])
+			}
+		}
+		for i := lo; i < hi; i++ {
+			s.take(x[i], x[lo:], s.hit[i]&^(1<<(i-lo+1)-1))
+		}
+	}
+}
+
+// take XORs into dst the payload x[64k+t] of each bit t set in mask[k].
+func (s *Solver) take(dst []byte, x [][]byte, mask ...uint64) {
+	srcs := s.srcs[:0]
+	for k, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			srcs = append(srcs, x[k*64+bits.TrailingZeros64(word)])
+		}
+	}
+	s.xorMany(dst, srcs)
+}
+
+// load copies rows' vecs, one after another, into dense.
+func (s *Solver) load(rows []int32) {
+	w := s.w
+	s.dense = resize(s.dense, len(rows)*w)
+	for j, r := range rows {
+		copy(s.dense[j*w:(j+1)*w], s.vecOf(r))
+	}
 }
 
 // Solve runs the payload phase once the deficit is 0. rhs holds one
@@ -299,7 +364,7 @@ func (s *Solver) Solve(rhs [][]byte) (at []int32) {
 		s.substitute(r, rhs, false, nil)
 		s.x = append(s.x, rhs[r])
 	}
-	s.reduce(dense, s.x)
+	s.eliminate(dense, s.x)
 	// A peeled column's value is its b plus its dependence on the
 	// inactivated values, vec·x, so only the dependent columns are not done.
 	// Each gets vec·x added directly, or its row redone — strip the
@@ -337,13 +402,7 @@ func (s *Solver) Solve(rhs [][]byte) (at []int32) {
 		case redoRow:
 			s.substitute(r, rhs, true, s.x)
 		case addVec:
-			srcs := s.srcs[:0]
-			for k, word := range s.vecOf(r) {
-				for ; word != 0; word &= word - 1 {
-					srcs = append(srcs, s.x[k*64+bits.TrailingZeros64(word)])
-				}
-			}
-			s.xorMany(rhs[r], srcs)
+			s.take(rhs[r], s.x, s.vecOf(r)...)
 		}
 	}
 	s.at = resize(s.at, s.cols)
@@ -377,11 +436,6 @@ func (s *Solver) Inactivated() int { return len(s.inact) }
 
 // XORs returns the number of payload XORs the last Solve performed.
 func (s *Solver) XORs() int { return s.xors }
-
-func (s *Solver) xor(dst, src []byte) {
-	gf.XORSlice(dst, src)
-	s.xors++
-}
 
 // xorMany folds srcs, gathered in s.srcs, into dst, counting one XOR per
 // source.

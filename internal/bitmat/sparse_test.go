@@ -396,6 +396,91 @@ func TestSolverRetryAllocatesNothing(t *testing.T) {
 	}
 }
 
+// perPivot is the Gauss-Jordan eliminate replaces, kept as its reference:
+// the same steps over rows, a full-rank square system over s's inactivated
+// columns, with each pivot's payload XORed into every row it hits at its
+// own step. It returns the payload XORs, or -1 if the rows are singular.
+func perPivot(s *Solver, rows []int32, x [][]byte) (xors int) {
+	w, n := s.w, len(rows)
+	dense := make([]uint64, n*w)
+	for j, r := range rows {
+		copy(dense[j*w:(j+1)*w], s.vecOf(r))
+	}
+	for i := range n {
+		wi, bit := i/64, uint64(1)<<(i%64)
+		p := i
+		for p < n && dense[p*w+wi]&bit == 0 {
+			p++
+		}
+		if p == n {
+			return -1
+		}
+		swapWords(dense[p*w:(p+1)*w], dense[i*w:(i+1)*w])
+		rows[p], rows[i] = rows[i], rows[p]
+		x[p], x[i] = x[i], x[p]
+		for j := range n {
+			if j != i && dense[j*w+wi]&bit != 0 {
+				xorWords(dense[j*w:(j+1)*w], dense[i*w:(i+1)*w])
+				gf.XORSlice(x[j], x[i])
+				xors++
+			}
+		}
+	}
+	return xors
+}
+
+// TestBlockedEliminationMatchesPerPivot: on random full-rank dense systems
+// of one block less one, one, one more, and several and a part, eliminate
+// leaves the same rows in the same order with the same payloads, after the
+// same number of XORs, as the step-by-step reference.
+func TestBlockedEliminationMatchesPerPivot(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, block - 1, block, block + 1, 3*block + 5} {
+		for trial := range 3 {
+			var s Solver
+			s.w, s.inact = (n+63)/64, make([]int32, n)
+			s.vec = make([]uint64, n*s.w)
+			rows := make([]int32, n)
+			x := make([][]byte, n)
+			var want [][]byte
+			var wantRows []int32
+			wantXORs := -1
+			for wantXORs < 0 {
+				for r := range rows {
+					rows[r] = int32(r)
+					v := s.vecOf(int32(r))
+					for k := range v {
+						v[k] = rng.Uint64()
+					}
+					if n%64 != 0 {
+						v[len(v)-1] &= 1<<(n%64) - 1
+					}
+					x[r] = make([]byte, 16)
+					rng.Read(x[r])
+				}
+				wantRows = slices.Clone(rows)
+				want = make([][]byte, n)
+				for r := range want {
+					want[r] = slices.Clone(x[r])
+				}
+				wantXORs = perPivot(&s, wantRows, want)
+			}
+			s.eliminate(rows, x)
+			if !slices.Equal(rows, wantRows) {
+				t.Fatalf("n=%d trial %d: pivot rows in another order than the step-by-step elimination's", n, trial)
+			}
+			if s.XORs() != wantXORs {
+				t.Fatalf("n=%d trial %d: %d XORs, want %d", n, trial, s.XORs(), wantXORs)
+			}
+			for i := range x {
+				if !bytes.Equal(x[i], want[i]) {
+					t.Fatalf("n=%d trial %d: column %d's value differs from the step-by-step elimination's", n, trial, i)
+				}
+			}
+		}
+	}
+}
+
 // FuzzSolveSparse decodes a system from bytes — column count, then rows as
 // a degree byte and that many column bytes — and checks the solver against
 // TrySolve as TestSolverAgainstTrySolve and TestSolverExtendTracksRank do.

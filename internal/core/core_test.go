@@ -196,7 +196,8 @@ func TestEmptyishFile(t *testing.T) {
 // its decode work through the receiver. A receiver of the k source packets
 // resolves no column and XORs nothing; one that lost every fifth source
 // reports as released each column its one solve resolved: all L columns but
-// the sources it held when it analysed.
+// those it held verbatim when it analysed, at its k-th packet — the sources,
+// and for Tornado the check values that followed them.
 func TestReceiverCountsDecodeWork(t *testing.T) {
 	data := randData(rand.New(rand.NewSource(8)), 64*1200-5) // Tornado A has a cascade level at k = 1200
 	for _, id := range []uint8{proto.CodecTornadoA, proto.CodecTornadoB, proto.CodecRaptor} {
@@ -208,30 +209,36 @@ func TestReceiverCountsDecodeWork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %d: %v", id, err)
 		}
-		k, l := s.Codec().K(), 0
+		k, l, verbatim := s.Codec().K(), 0, 0
 		switch c := s.Codec().(type) {
 		case *tornado.Codec:
-			l = k
+			l, verbatim = k, c.Verbatim
 			for _, n := range c.Levels() {
 				l += n
 			}
 		case *raptor.Codec:
-			l = c.Intermediates()
+			l, verbatim = c.Intermediates(), c.Verbatim
 		}
 		for _, lossy := range []bool{false, true} {
 			r, err := NewReceiver(s.Info())
 			if err != nil {
 				t.Fatalf("codec %d: %v", id, err)
 			}
-			held := 0
+			handled, held := 0, 0
+			handle := func(idx int) {
+				r.Handle(idx, s.Payload(idx))
+				if handled < k && idx < verbatim {
+					held++
+				}
+				handled++
+			}
 			for idx := 0; idx < k; idx++ {
 				if !lossy || idx%5 != 0 {
-					r.Handle(idx, s.Payload(idx))
-					held++
+					handle(idx)
 				}
 			}
 			for idx := k; !r.Done() && idx < s.Codec().N(); idx++ {
-				r.Handle(idx, s.Payload(idx))
+				handle(idx)
 			}
 			if _, err := r.File(); err != nil {
 				t.Fatalf("codec %d lossy=%v: %v", id, lossy, err)

@@ -8,38 +8,44 @@
 //   - the s *static* equations 0 = column(K+j) ⊕ ⊕ CheckSrc()[j], known
 //     by construction (their right-hand side is the implicit all-zero
 //     packet, never transmitted), and
-//   - the received packets: a packet of the systematic prefix is its
-//     column verbatim, any other the XOR of its neighbours (Code.Draw).
+//   - the received packets: a packet of the verbatim prefix is its column
+//     verbatim, any other the XOR of its neighbours (Code.Draw).
 //
 // LT is the decoder with no static rows and no systematic prefix; raptor
 // supplies its precode as static rows. A Tornado code supplies its cascade:
-// check j's value is column K+j, a received cascade value the one-neighbour
-// row {i}, and a dense-tail packet its check's row, read from a table.
-// Static equations are free rank: a receiver needs only ≈K received symbols
-// regardless of L-K, because the check symbols come with their own defining
-// equations. The decoder asks for them at its first coded packet, so a
-// receiver of only systematic packets never has a code build them.
+// check j's value is column K+j, sent verbatim like a source, and a
+// dense-tail packet its check's row, read from a table. A check value
+// received before the analysis is a known column, as a source is: it
+// becomes static row j's right-hand side, and the row names only its other
+// columns. Static equations are free rank: a receiver needs only ≈K
+// received symbols regardless of L-K, because the check symbols come with
+// their own defining equations. The decoder asks for them at its first
+// packet past the systematic prefix, so a receiver of only systematic
+// packets never has a code build them.
 //
 // Collect, then solve once. The s static rows plus fewer than K received
 // ones cannot have rank L, so until the K-th distinct packet the decoder
 // only keeps what it received: a systematic packet in its slot of the
-// source buffer plus one bit, a coded one as its payload and its neighbour
-// set, drawn once. At the K-th it analyses the whole system once
-// (bitmat.Solver: inactivation decoding) over every column not received
-// verbatim. If that analysis is short by δ, each later packet's row is
-// offered to it (Solver.Extend), which keeps the row iff it raises the
-// rank. At deficit zero the decoder folds the known columns into the
-// right-hand sides, solves in place, and permutes the solution's source
-// columns into their slots. It is therefore done at exactly the packet
-// that makes the source recoverable, and a receiver of the K systematic
-// packets is done at the K-th with no analysis and no XOR.
+// source buffer plus one bit, a check value as its static row's right-hand
+// side plus one bit, a coded one as its payload and its neighbour set,
+// drawn once. At the K-th it analyses the whole system once (bitmat.Solver:
+// inactivation decoding) over every column not received verbatim. If that
+// analysis is short by δ, each later packet's row is offered to it
+// (Solver.Extend), which keeps the row iff it raises the rank; a packet of
+// the verbatim prefix is then the one-column row {i}. At deficit zero the
+// decoder folds the known columns into the right-hand sides, solves in
+// place, and permutes the solution's source columns into their slots. It is
+// therefore done at exactly the packet that makes the source recoverable,
+// and a receiver of the K systematic packets is done at the K-th with no
+// analysis and no XOR.
 //
 // One buffer. The source buffer is the decoder's only file-sized store: a
-// coded payload waits in a free slot — one of a column not received
-// verbatim that holds no other payload — and only the rows that find none
-// (the static rows' right-hand sides, the rows Extend keeps) go to a
-// spill. A systematic packet whose slot holds a coded payload moves that
-// payload on first.
+// coded payload or a check value waits in a free slot — one of a column not
+// received verbatim that holds no other payload — and only the rows that
+// find none go to a spill: the rows Extend keeps past the free slots, and at
+// the solve the zero right-hand sides of the static rows that received no
+// value. A systematic packet whose slot holds a payload moves that payload
+// on first.
 package peel
 
 import (
@@ -64,7 +70,8 @@ type Code struct {
 	// i < Systematic carries column i verbatim (0 for LT, K otherwise).
 	Systematic int
 	// Verbatim is the prefix the encoder sends as columns: Systematic, or
-	// for Tornado its cascade too, which the decoder reads as rows {i}.
+	// for Tornado its cascade too, whose packet K+j the decoder holds as
+	// static row j's right-hand side.
 	Verbatim int
 	// CheckSrc returns the static rows, nil for a code with none (LT):
 	// row j lists the other columns of static equation j (0 <= j < s):
@@ -97,17 +104,19 @@ type Neighbors interface {
 // code.Decoder and code.ReleaseCounter.
 type Decoder struct {
 	c    *Code
-	out  code.SourceBuf      // the file: what Source returns, and where coded payloads wait
-	got  []uint64            // per systematic index: received, as a bitset
+	out  code.SourceBuf      // the file: what Source returns, and where payloads wait
+	got  []uint64            // per verbatim index (a source, or a check's value): received, as a bitset
 	nsys int                 // systematic packets received
-	seen map[uint32]struct{} // coded indices received; nil before the first
+	nchk int                 // check values received
+	seen map[uint32]struct{} // coded indices received; nil before the first packet past the systematic prefix
 	done bool
 
 	// The system's rows: the static rows, then the kept coded rows in
 	// arrival order. Row r's payload is slot loc[r] of out if loc[r] >= 0,
-	// else packet -1-loc[r] of spill; a static row gets one only at the
-	// solve. Kept row r's neighbours are nbrs[off[r-s]:off[r-s+1]], s the
-	// static rows.
+	// else packet -1-loc[r] of spill. Static row j's is check K+j's value if
+	// that arrived before the analysis, else the zero packet, given a buffer
+	// at the solve. Kept row r's neighbours are nbrs[off[r-s]:off[r-s+1]], s
+	// the static rows.
 	loc   []int32
 	nbrs  []int32
 	off   []int32
@@ -116,7 +125,7 @@ type Decoder struct {
 	spill []byte  // the payloads that found no free slot, packet after packet
 
 	solver  bitmat.Solver
-	colOf   []int32 // per column: its index in the analysis, -1 if received verbatim; nil before it
+	colOf   []int32 // per column: its index in the analysis, -1 if received verbatim before it; nil before it
 	deficit int     // of the analysed system, extensions included
 	row     []int32 // scratch: one row over the analysis' columns
 	nbuf    []int
@@ -132,7 +141,7 @@ func NewDecoder(c *Code) *Decoder {
 	return &Decoder{
 		c:   c,
 		out: code.SourceBuf{K: c.Sources, PacketLen: c.PacketBytes},
-		got: make([]uint64, (c.Systematic+63)/64),
+		got: make([]uint64, (c.Verbatim+63)/64),
 	}
 }
 
@@ -144,14 +153,21 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 	if d.done {
 		return true, nil
 	}
-	if i < d.c.Systematic {
+	if i >= d.c.Systematic && d.seen == nil {
+		d.size()
+	}
+	if i < d.c.Verbatim {
 		w, bit := i/64, uint64(1)<<(i%64)
 		if d.got[w]&bit != 0 {
 			return false, nil
 		}
 		d.got[w] |= bit
-		d.nsys++
-		if d.colOf == nil {
+		if i >= d.c.Systematic {
+			d.nchk++
+			if d.colOf == nil {
+				copy(d.alloc(int32(i-d.c.K())), data) // static row i-K's right-hand side
+			}
+		} else if d.nsys++; d.colOf == nil {
 			d.put(i, data)
 			if d.nsys == d.c.K() {
 				d.finish()
@@ -160,9 +176,6 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 		}
 		d.nbuf = append(d.nbuf[:0], i)
 	} else {
-		if d.seen == nil {
-			d.size()
-		}
 		if _, dup := d.seen[uint32(i)]; dup {
 			return false, nil
 		}
@@ -171,15 +184,15 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 	}
 	switch {
 	case d.colOf != nil:
-		// After the analysis a packet is kept only if it raises the rank,
-		// a systematic one too: its column is one of the analysis', so it
-		// is a row like any other and not written to its slot.
+		// After the analysis a packet is kept only if it raises the rank, a
+		// verbatim one too: its column is one of the analysis', so it is a
+		// row like any other and not written to its slot or static row.
 		before := d.deficit
 		d.row = over(d.row[:0], d.colOf, d.nbuf)
 		if d.deficit = d.solver.Extend(d.row); d.deficit < before {
 			d.store(d.nbuf, data)
 		}
-	case i >= d.c.Systematic:
+	case i >= d.c.Verbatim:
 		d.store(d.nbuf, data)
 	}
 	if d.colOf == nil && d.Received() >= d.c.K() {
@@ -191,17 +204,19 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 	return d.done, nil
 }
 
-// size fetches the static rows and makes the row store at the first coded
-// packet: room for the rows still to come (K less the systematic packets
-// held, plus a margin for the reception overhead) at the sampler's mean
-// degree, and a spill for the static rows' right-hand sides and that
-// margin.
+// size fetches the static rows and makes the row store at the first packet
+// past the systematic prefix: room for the rows still to come (K less the
+// systematic packets held, or fewer if the code has fewer packets past its
+// verbatim prefix, plus a margin for the reception overhead) at the
+// neighbour function's mean degree, and a spill for that margin and the
+// right-hand sides of the static rows no packet carries a value for (solve
+// grows it for the others that received none).
 func (d *Decoder) size() {
 	if d.c.CheckSrc != nil {
 		d.checks = d.c.CheckSrc()
 	}
 	s, margin := len(d.checks), d.c.K()/64+16
-	n := d.c.K() - d.nsys + margin
+	n := min(d.c.K()-d.nsys, d.c.N()-d.c.Verbatim) + margin
 	d.seen = make(map[uint32]struct{}, n)
 	d.loc = make([]int32, s, s+n)
 	d.off = append(make([]int32, 0, n+1), 0)
@@ -210,7 +225,7 @@ func (d *Decoder) size() {
 	for v := range d.owner {
 		d.owner[v] = -1
 	}
-	d.spill = make([]byte, 0, (s+margin)*d.c.PacketLen())
+	d.spill = make([]byte, 0, (margin+s-(d.c.Verbatim-d.c.Systematic))*d.c.PacketLen())
 }
 
 // put writes systematic packet i to its slot, first moving on a coded
@@ -239,7 +254,7 @@ func (d *Decoder) store(nbs []int, data []byte) {
 // spill, so the buffer is valid only until then.
 func (d *Decoder) alloc(r int32) []byte {
 	for ; d.free < d.c.K(); d.free++ {
-		if v := d.free; d.owner[v] < 0 && (v >= d.c.Systematic || d.got[v/64]&(1<<(v%64)) == 0) {
+		if v := d.free; d.owner[v] < 0 && !d.held(v) {
 			d.owner[v], d.loc[r] = r, int32(v)
 			d.free++
 			return d.out.Slot(v)
@@ -267,13 +282,18 @@ func (d *Decoder) at(j int32) []byte {
 	return d.spill[o : o+pl : o+pl]
 }
 
+// held reports whether column v was received verbatim.
+func (d *Decoder) held(v int) bool {
+	return v < d.c.Verbatim && d.got[v/64]&(1<<(v%64)) != 0
+}
+
 // analyse runs the one analysis: the static rows, then the kept rows, over
 // every column not received verbatim.
 func (d *Decoder) analyse() {
 	d.colOf = make([]int32, d.c.K()+len(d.checks))
 	cols := int32(0)
 	for v := range d.colOf {
-		if d.colOf[v] = -1; v >= d.c.Systematic || d.got[v/64]&(1<<(v%64)) == 0 {
+		if d.colOf[v] = -1; !d.held(v) {
 			d.colOf[v] = cols
 			cols++
 		}
@@ -284,7 +304,10 @@ func (d *Decoder) analyse() {
 	}
 	d.solver.Reset(len(d.loc), edges)
 	for j, srcs := range d.checks {
-		d.row = append(over(d.row[:0], d.colOf, srcs), d.colOf[d.c.K()+j])
+		d.row = over(d.row[:0], d.colOf, srcs)
+		if c := d.colOf[d.c.K()+j]; c >= 0 {
+			d.row = append(d.row, c)
+		}
 		d.solver.AddRow(d.row)
 	}
 	for r := range len(d.off) - 1 {
@@ -296,20 +319,35 @@ func (d *Decoder) analyse() {
 }
 
 // solve folds the known columns into the right-hand sides (a static row's
-// starts as the zero packet), solves in place, and permutes the solution's
-// source columns into their slots.
+// starts as its check's value, or else the zero packet), solves in place,
+// and permutes the solution's source columns into their slots.
 func (d *Decoder) solve() {
-	s := len(d.checks)
+	s, k := len(d.checks), d.c.K()
+	zero := 0
 	for j := range s {
-		clear(d.alloc(int32(j)))
+		if d.colOf[k+j] >= 0 {
+			zero++
+		}
+	}
+	d.spill = slices.Grow(d.spill, zero*d.c.PacketLen())
+	for j := range s {
+		if d.colOf[k+j] >= 0 {
+			clear(d.alloc(int32(j)))
+		}
 	}
 	rhs := make([][]byte, len(d.loc))
 	for r := range rhs {
-		if rhs[r] = d.at(d.loc[r]); r < s {
-			d.fold(rhs[r], d.checks[r])
-		} else {
-			d.fold(rhs[r], d.nbrs[d.off[r-s]:d.off[r-s+1]])
-		}
+		rhs[r] = d.at(d.loc[r])
+	}
+	// A known check's value is its static row's right-hand side, which that
+	// row folds into in place; so every row reading it folds first: the kept
+	// rows, then the static rows from the last down, since a static row
+	// names only columns below its own.
+	for r := s; r < len(rhs); r++ {
+		d.fold(rhs[r], d.nbrs[d.off[r-s]:d.off[r-s+1]], rhs)
+	}
+	for j := s - 1; j >= 0; j-- {
+		d.fold(rhs[j], d.checks[j], rhs)
 	}
 	rowOf := d.solver.Solve(rhs)
 	// The analysis' columns and the slots' owners are not read again; their
@@ -325,9 +363,10 @@ func (d *Decoder) solve() {
 	d.finish()
 }
 
-// fold XORs into buf the columns among vs received verbatim, folded by
-// gf.XORMany a stack batch of gathered columns at a time.
-func (d *Decoder) fold(buf []byte, vs []int32) {
+// fold XORs into buf the columns among vs received verbatim — a source
+// from its slot, check K+j from rhs[j] — folded by gf.XORMany a stack batch
+// of gathered columns at a time.
+func (d *Decoder) fold(buf []byte, vs []int32, rhs [][]byte) {
 	var gather [16][]byte
 	srcs := gather[:0]
 	for _, v := range vs {
@@ -335,7 +374,13 @@ func (d *Decoder) fold(buf []byte, vs []int32) {
 			continue
 		}
 		d.xors++
-		if srcs = append(srcs, d.out.Slot(int(v))); len(srcs) == len(gather) {
+		var src []byte
+		if k := int32(d.c.K()); v < k {
+			src = d.out.Slot(int(v))
+		} else {
+			src = rhs[v-k]
+		}
+		if srcs = append(srcs, src); len(srcs) == len(gather) {
 			gf.XORMany(buf, srcs)
 			srcs = srcs[:0]
 		}
@@ -423,7 +468,7 @@ var (
 func (d *Decoder) Done() bool { return d.done }
 
 // Received implements code.Decoder: distinct accepted packets.
-func (d *Decoder) Received() int { return d.nsys + len(d.seen) }
+func (d *Decoder) Received() int { return d.nsys + d.nchk + len(d.seen) }
 
 // Released implements code.ReleaseCounter: the columns the solve resolved
 // from coded equations — every column not received verbatim, once done by

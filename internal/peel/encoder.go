@@ -68,20 +68,17 @@ func xorColumns[T int | int32](dst []byte, cols [][]byte, vs []T) {
 	gf.XORMany(dst, srcs)
 }
 
-// Table is a neighbour function read from stored rows, a Tornado code's:
-// packet index i < First is column i alone, packet First+r is Rows[r]. K is
-// where MeanDegree starts counting: the packets past the sources.
+// Table is a neighbour function read from stored rows, a Tornado code's
+// dense tail: packet First+r is Rows[r]. The packets below First are sent
+// and received as columns (Code.Verbatim is First), so they are never drawn.
 type Table struct {
-	K, First int
-	Rows     [][]int32
+	First int
+	Rows  [][]int32
 }
 
 // NeighborsInto implements Neighbors.
 func (t *Table) NeighborsInto(index uint32, buf []int) []int {
 	buf = buf[:0]
-	if int(index) < t.First {
-		return append(buf, int(index))
-	}
 	for _, v := range t.Rows[int(index)-t.First] {
 		buf = append(buf, int(v))
 	}
@@ -90,9 +87,9 @@ func (t *Table) NeighborsInto(index uint32, buf []int) []int {
 
 // MeanDegree implements Neighbors.
 func (t *Table) MeanDegree() float64 {
-	edges := t.First - t.K
+	edges := 0
 	for _, r := range t.Rows {
 		edges += len(r)
 	}
-	return float64(edges) / float64(t.First-t.K+len(t.Rows))
+	return float64(edges) / float64(len(t.Rows))
 }

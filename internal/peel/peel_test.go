@@ -60,7 +60,7 @@ func newTestCode(k, checks, packetLen int, seed int64) *testCode {
 	tc.Code = Code{Sources: k, Indices: code.UnboundedN, PacketBytes: packetLen, Draw: &tc.sampler}
 	tc.fillSource(rng)
 	if checks > 0 {
-		tc.Systematic = k
+		tc.Systematic, tc.Verbatim = k, k
 		tc.setChecks(make([][]int32, checks))
 		for i := 0; i < k; i++ {
 			for _, j := range rng.Perm(checks)[:min(3, checks)] {
@@ -113,7 +113,7 @@ func newTableCode(k, packetLen int, seed int64) *testCode {
 		tb.rows = append(tb.rows, row)
 	}
 	tc := &testCode{cols: make([][]byte, l)}
-	tc.Code = Code{Sources: k, Indices: k + len(tb.rows), PacketBytes: packetLen, Systematic: k, Draw: tb}
+	tc.Code = Code{Sources: k, Indices: k + len(tb.rows), PacketBytes: packetLen, Systematic: k, Verbatim: l, Draw: tb}
 	tc.setChecks(make([][]int32, c1+c2))
 	for j := range tc.checks {
 		first, n := 0, k
@@ -238,40 +238,64 @@ func (o *oracle) fullRankAt() int {
 }
 
 // TestEngineAgainstOracle is the differential safety net: over seeds ×
-// loss patterns × {LT shape, raptor repair-only, systematic with loss},
-// with duplicates mixed in, the engine must never be done before the
-// sources are determined, must return exactly the oracle's solution, and
-// must be done at exactly the oracle's full-rank point: the endgame's gate
-// is exact, so the engine is maximum-likelihood.
+// loss patterns × {LT shape, raptor repair-only, systematic with loss,
+// Tornado shape}, with duplicates mixed in, the engine must never be done
+// before the sources are determined, must return exactly the oracle's
+// solution, and must be done at exactly the oracle's full-rank point: the
+// endgame's gate is exact, so the engine is maximum-likelihood. The
+// Tornado shape's carousel cycles its bounded index space: check values
+// arrive before the analysis, as known columns whose static rows name lower
+// checks, and after it, with sources, as rows.
 func TestEngineAgainstOracle(t *testing.T) {
 	shapes := []struct {
 		name         string
 		checks, base func(k int) int
+		table        bool
 	}{
-		{"lt", func(int) int { return 0 }, func(int) int { return 0 }},
-		{"raptor-repair", func(k int) int { return k/8 + 3 }, func(k int) int { return k }},
-		{"raptor-systematic", func(k int) int { return k/8 + 3 }, func(int) int { return 0 }},
+		{"lt", func(int) int { return 0 }, func(int) int { return 0 }, false},
+		{"raptor-repair", func(k int) int { return k/8 + 3 }, func(k int) int { return k }, false},
+		{"raptor-systematic", func(k int) int { return k/8 + 3 }, func(int) int { return 0 }, false},
+		{"tornado", nil, func(int) int { return 0 }, true},
 	}
 	for _, shape := range shapes {
+		early, late := 0, 0 // check values first delivered before and after the analysis
 		for _, k := range []int{1, 2, 9, 40, 150, 400} {
 			for seed := int64(1); seed <= 6; seed++ {
 				loss := []float64{0, 0.1, 0.3, 0.6}[seed%4]
-				tc := newTestCode(k, shape.checks(k), 8, seed*1000+int64(k))
+				var tc *testCode
+				if shape.table {
+					tc = newTableCode(k, 8, seed*1000+int64(k))
+				} else {
+					tc = newTestCode(k, shape.checks(k), 8, seed*1000+int64(k))
+				}
 				rng := rand.New(rand.NewSource(seed))
 				d := NewDecoder(&tc.Code)
 				o := &oracle{tc: tc}
+				sent := map[uint32]bool{}
+				limit := shape.base(k) + 20*k + 2000
+				if shape.table {
+					limit = 40 * tc.N() // cycles enough that, at 60 % loss, every index arrives
+				}
 				for i := shape.base(k); !d.Done(); i++ {
-					if i > shape.base(k)+20*k+2000 {
+					if i > limit {
 						t.Fatalf("%s k=%d seed=%d: no decode", shape.name, k, seed)
 					}
 					if rng.Float64() < loss {
 						continue
 					}
-					index := uint32(i)
+					index := uint32(i % tc.N())
 					if n := len(o.indices); n > 0 && rng.Intn(8) == 0 {
 						index = o.indices[rng.Intn(n)] // duplicate delivery
-					} else {
+					} else if !sent[index] {
+						sent[index] = true
 						o.add(index, tc.packet(index))
+						if int(index) >= tc.Systematic && int(index) < tc.Verbatim {
+							if d.colOf == nil {
+								early++
+							} else {
+								late++
+							}
+						}
 					}
 					done, err := d.Add(int(index), tc.packet(index))
 					if err != nil {
@@ -303,6 +327,9 @@ func TestEngineAgainstOracle(t *testing.T) {
 				}
 			}
 		}
+		if shape.table && (early == 0 || late == 0) {
+			t.Errorf("%s: %d check values before the analysis and %d after, want some of each", shape.name, early, late)
+		}
 	}
 }
 
@@ -314,7 +341,6 @@ func TestEngineAgainstOracle(t *testing.T) {
 // computes the columns the test code holds and every packet it builds.
 func TestEncoderMatchesTestCode(t *testing.T) {
 	lt, rp, tb := newTestCode(60, 0, 16, 1), newTestCode(60, 9, 16, 2), newTableCode(60, 16, 3)
-	rp.Verbatim, tb.Verbatim = rp.K(), len(tb.cols)
 	for _, tc := range []*testCode{lt, rp, tb} {
 		cols := tc.Columns(tc.cols[:tc.K()])
 		for j, want := range tc.cols {

@@ -141,7 +141,7 @@ func New(p Params, k, n, packetLen int, seed int64) (*Codec, error) {
 	cascade := c.checkNeighbors[:c.denseStart]
 	c.Code = peel.Code{
 		Sources: k, Indices: n, PacketBytes: packetLen, Systematic: k, Verbatim: c.numValues,
-		Draw:     &peel.Table{K: k, First: c.numValues, Rows: c.checkNeighbors[c.denseStart:]},
+		Draw:     &peel.Table{First: c.numValues, Rows: c.checkNeighbors[c.denseStart:]},
 		CheckSrc: func() [][]int32 { return cascade },
 	}
 	return c, nil

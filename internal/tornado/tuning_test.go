@@ -3,6 +3,7 @@ package tornado
 import (
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -11,12 +12,13 @@ import (
 )
 
 // TestTuningReport prints, per variant and k, the reception overhead
-// (distinct packets / k: mean and max), the decode time (p50, p90) and the
+// (distinct packets / k: mean and max), the decode time (p50, p90), the
 // decode work (means of the columns the solve resolved, of those it
-// inactivated, and of the payload XORs) over
-// 30 receivers of 1 KiB packets in random carousel order at 10 % Bernoulli
-// loss — the frontier EXPERIMENTS.md records, beside the paper's Figure 2
-// (ε = overhead − 1: A mean .0548 max .085; B mean .0306 max .055).
+// inactivated, and of the payload XORs) and the mean bytes a decoder
+// allocates, over 30 receivers of 1 KiB packets in random carousel order
+// at 10 % Bernoulli loss — the frontier EXPERIMENTS.md records, beside the
+// paper's Figure 2 (ε = overhead − 1: A mean .0548 max .085; B mean .0306
+// max .055).
 // Run with: TORNADO_TUNING=1 go test ./internal/tornado -run TestTuningReport -v
 func TestTuningReport(t *testing.T) {
 	if testing.Short() || os.Getenv("TORNADO_TUNING") != "1" {
@@ -34,9 +36,15 @@ func TestTuningReport(t *testing.T) {
 				t.Fatal(err)
 			}
 			var over, ms []float64
-			var released, inactivated, xors float64
+			var released, inactivated, xors, mb float64
+			var mem runtime.MemStats
+			allocated := func() uint64 {
+				runtime.ReadMemStats(&mem)
+				return mem.TotalAlloc
+			}
 			for seed := int64(0); seed < receivers; seed++ {
 				rng := rand.New(rand.NewSource(seed))
+				start, carousel := allocated(), uint64(0)
 				d := c.NewDecoder().(interface {
 					code.Decoder
 					Released() int
@@ -45,7 +53,10 @@ func TestTuningReport(t *testing.T) {
 				})
 				var spent time.Duration
 				for !d.Done() {
-					for _, i := range rng.Perm(c.N()) {
+					before := allocated()
+					perm := rng.Perm(c.N())
+					carousel += allocated() - before
+					for _, i := range perm {
 						if rng.Float64() < loss {
 							continue
 						}
@@ -57,6 +68,7 @@ func TestTuningReport(t *testing.T) {
 						}
 					}
 				}
+				mb += float64(allocated()-start-carousel) / 1e6 / receivers
 				over = append(over, float64(d.Received())/float64(k))
 				ms = append(ms, spent.Seconds()*1e3)
 				released += float64(d.Released()) / receivers
@@ -70,8 +82,8 @@ func TestTuningReport(t *testing.T) {
 				mean += o / receivers
 			}
 			p50, p90 := ms[receivers/2], ms[receivers*9/10]
-			t.Logf("%s k=%-5d levels=%v: overhead mean %.4f max %.4f; decode ms p50 %.1f p90 %.1f (p90/p50 %.2f); released %.0f, inactivated %.0f, XORs %.0f",
-				p.Variant, k, c.Levels(), mean, over[receivers-1], p50, p90, p90/p50, released, inactivated, xors)
+			t.Logf("%s k=%-5d levels=%v: overhead mean %.4f max %.4f; decode ms p50 %.1f p90 %.1f (p90/p50 %.2f); released %.0f, inactivated %.0f, XORs %.0f; %.2f MB",
+				p.Variant, k, c.Levels(), mean, over[receivers-1], p50, p90, p90/p50, released, inactivated, xors, mb)
 		}
 	}
 }
