@@ -20,6 +20,7 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"time"
 
@@ -214,7 +215,7 @@ func measureDrain() (receiverResult, error) {
 		return receiverResult{}, err
 	}
 	defer srv.Close()
-	cli, err := transport.NewUDPClientSession(srv.Addr(), session, 0)
+	cli, err := transport.NewUDPClientSession([]*net.UDPAddr{srv.Addr()}, session, 0)
 	if err != nil {
 		return receiverResult{}, err
 	}

@@ -21,8 +21,8 @@
 // With neither -session nor -all, the server's default (lowest-id) session
 // is fetched, as the one-session prototype did. -metrics-addr serves the
 // server's diagnostics endpoints (/metrics, /debug/pprof/, /debug/evtrace)
-// for the download, with each mirror socket's series, the kernel's queue
-// and drop counts among them.
+// for the download, with each download socket's series, the kernel's queue
+// and drop counts and the stray datagrams among them.
 package main
 
 import (
@@ -281,42 +281,43 @@ type dlOpts struct {
 	trace   string        // non-empty = write a flight-recorder dump here
 
 	// The process's diagnostics (see diagnostics): the registry this
-	// download's sockets join (nil = none), the recorder its engine
+	// download's socket joins (nil = none), the recorder its engine
 	// records into (nil = none), and the download's slot — its recorder
-	// shard, and the first of its mirrors' source labels, slot·mirrors.
+	// shard and its socket's source label.
 	reg  *metrics.Registry
 	rec  *evtrace.Recorder
 	slot int
 }
 
 // download fetches one session from every mirror at once and writes the
-// reconstructed file. Each concurrent download has independent sockets,
-// decoder, and congestion controllers — no server keeps state for any of
-// them, and the mirrors never hear of each other.
+// reconstructed file. Each concurrent download has its own socket —
+// subscribed on every mirror — decoder, and congestion controllers; no
+// server keeps state for any of them, and the mirrors never hear of each
+// other.
 func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOpts) error {
 	// The engine comes first: building it validates the descriptor, and no
-	// buffer below may be sized from an unvalidated one. (mc is assigned
+	// buffer below may be sized from an unvalidated one. (cli is assigned
 	// before the engine sees a packet, so before it can call back.)
-	var mc *transport.MultiClient
+	var cli *transport.UDPClient
 	level := min(o.level, int(info.Layers)-1)
 	eng, err := client.NewMultiSource(info, len(mirrors), level, func(l int) {
-		if err := mc.SetLevel(l); err != nil {
+		if err := cli.SetLevel(l); err != nil {
 			log.Printf("session %#x: subscription change failed: %v", info.Session, err)
 		}
 	})
 	if err != nil {
 		return err
 	}
-	mc, err = transport.NewMultiClient(mirrors, info.Session, level)
+	cli, err = transport.NewUDPClientSession(mirrors, info.Session, level)
 	if err != nil {
 		return err
 	}
-	defer mc.Close()
+	defer cli.Close()
 	// Size the receive buffers to this session's wire packets (header +
 	// payload + integrity tag), with slack for control-plane growth.
-	mc.SetRecvSize(proto.HeaderLen + int(info.PacketLen) + proto.TagLen + 64)
+	cli.SetRecvSize(proto.HeaderLen + int(info.PacketLen) + proto.TagLen + 64)
 	if o.reg != nil {
-		mc.RegisterMetrics(o.reg, o.slot*len(mirrors))
+		cli.RegisterMetrics(o.reg, o.slot)
 	}
 	// Record the intake path (accepted packets, integrity drops, symbol
 	// releases, completion) in wall-monotonic time for fountain-trace,
@@ -324,9 +325,11 @@ func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOp
 	eng.SetTrace(o.rec.Shard(o.slot), 0)
 	// Silent-mirror watchdog: a mirror that delivered nothing for a whole
 	// rejoin interval may have crashed and restarted with an empty
-	// membership table, so its subscriptions are re-sent (idempotent on a
+	// membership table, so the subscriptions are re-sent (idempotent on a
 	// healthy server). When every mirror stays silent past the stall bound
 	// the download aborts instead of spinning until the global timeout.
+	var rb transport.RecvBatch
+	defer rb.Free()
 	deadline := time.Now().Add(o.timeout)
 	lastAny := time.Now()
 	lastSeen := make([]int, len(mirrors))
@@ -335,18 +338,19 @@ func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOp
 		if time.Now().After(deadline) {
 			return fmt.Errorf("timed out after %v", o.timeout)
 		}
-		// Whole batches move from the socket to the engine: one funnel
-		// handoff and one intake call per recvmmsg burst instead of one
-		// channel round-trip per packet.
-		src, pkts, err := mc.RecvBatchFrom(500 * time.Millisecond)
+		_, err := cli.RecvBatch(&rb, 500*time.Millisecond)
 		switch err {
 		case nil:
 			lastAny = time.Now()
-			// Stray datagrams are skipped inside the batch (the engine
-			// processes the rest); the loop condition re-checks Done.
-			_, _ = eng.HandleBatchFrom(src, pkts)
+			for i, pkt := range rb.Packets() {
+				// Malformed or foreign packets are skipped (the engine
+				// counts them); the loop condition re-checks Done.
+				if done, _ := eng.HandlePacketFrom(rb.Source(i), pkt); done {
+					break
+				}
+			}
 		case transport.ErrClosed:
-			return fmt.Errorf("receive sockets closed mid-download")
+			return fmt.Errorf("receive socket closed mid-download")
 		case transport.ErrTimeout:
 			// Idle interval: fall through to the watchdogs.
 		default:
@@ -356,16 +360,20 @@ func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOp
 			return fmt.Errorf("no data from any of %d mirrors for %v", len(mirrors), o.stall)
 		}
 		if o.rejoin > 0 && time.Now().After(nextRejoin) {
+			var silent []int
 			for _, s := range eng.Sources() {
 				st := eng.SourceStats(s)
 				got := st.Received + st.Corrupt
 				if got == lastSeen[s] {
-					if err := mc.Rejoin(s); err == nil {
-						log.Printf("session %#x: mirror %d (%s) silent for %v, resubscribed",
-							info.Session, s, mirrors[s], o.rejoin)
-					}
+					silent = append(silent, s)
 				}
 				lastSeen[s] = got
+			}
+			if len(silent) > 0 {
+				if err := cli.Resubscribe(); err == nil {
+					log.Printf("session %#x: mirrors %v silent for %v, resubscribed",
+						info.Session, silent, o.rejoin)
+				}
 			}
 			nextRejoin = time.Now().Add(o.rejoin)
 		}

@@ -1,8 +1,9 @@
 // Mirrored demonstrates the §8 "mirrored data" application over real
 // loopback UDP: three independent fountain services carry the same file
 // (same codec, same seed — so the encodings are identical) at staggered
-// carousel phases, and one client harvests from all of them at once with a
-// MultiClient feeding a multi-source engine. No coordination between the
+// carousel phases, and one client harvests from all of them at once: one
+// socket subscribed on every mirror feeds a multi-source engine, each
+// datagram tagged with the mirror that sent it. No coordination between the
 // mirrors is needed because every packet of the shared encoding is useful
 // at most once; the staggered phases, advertised over each mirror's
 // control socket, keep early duplicates near zero.
@@ -80,27 +81,34 @@ func main() {
 		}
 	}
 
-	mc, err := fountain.NewMultiClient(dataAddrs, info.Session, 0)
+	cli, err := fountain.NewUDPClientSession(dataAddrs, info.Session, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer mc.Close()
-	eng, err := fountain.NewMultiSourceClient(info, mirrors, 0, func(l int) { mc.SetLevel(l) })
+	defer cli.Close()
+	eng, err := fountain.NewMultiSourceClient(info, mirrors, 0, func(l int) { cli.SetLevel(l) })
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	var rb fountain.RecvBatch
+	defer rb.Free()
 	start := time.Now()
 	deadline := start.Add(30 * time.Second)
 	for !eng.Done() {
 		if time.Now().After(deadline) {
 			log.Fatal("download never completed")
 		}
-		src, pkts, err := mc.RecvBatchFrom(time.Second)
-		if err != nil {
+		if _, err := cli.RecvBatch(&rb, time.Second); err != nil {
 			continue
 		}
-		eng.HandleBatchFrom(src, pkts) // stray datagrams are skipped
+		for i, pkt := range rb.Packets() {
+			// Malformed or foreign packets are skipped; the loop
+			// condition re-checks Done.
+			if done, _ := eng.HandlePacketFrom(rb.Source(i), pkt); done {
+				break
+			}
+		}
 	}
 	got, err := eng.File()
 	if err != nil {

@@ -237,7 +237,8 @@ func NewBus(layers int) *Bus { return transport.NewBus(layers) }
 type (
 	// UDPServer owns the data socket and per-layer subscriber sets.
 	UDPServer = transport.UDPServer
-	// UDPClient subscribes to layers and receives packets.
+	// UDPClient subscribes one socket to layers on every mirror and
+	// receives their packets.
 	UDPClient = transport.UDPClient
 )
 
@@ -252,23 +253,14 @@ func NewUDPClient(server *net.UDPAddr, level int) (*UDPClient, error) {
 	return transport.NewUDPClient(server, level)
 }
 
-// NewUDPClientSession dials a UDP server's data address and subscribes to
-// layers 0..level of one session (the server muxes all its sessions over
-// one data socket).
-func NewUDPClientSession(server *net.UDPAddr, session uint16, level int) (*UDPClient, error) {
-	return transport.NewUDPClientSession(server, session, level)
-}
-
-// MultiClient joins the same session on several fountain servers at once
-// and funnels their packets, tagged with a source index, into one queue —
-// the transport half of the §8 mirrored-download application.
-type MultiClient = transport.MultiClient
-
-// NewMultiClient dials every server's data address and subscribes each to
-// layers 0..level of the session. Pair it with NewMultiSourceClient:
-// RecvBatchFrom's source index feeds HandleBatchFrom.
-func NewMultiClient(servers []*net.UDPAddr, session uint16, level int) (*MultiClient, error) {
-	return transport.NewMultiClient(servers, session, level)
+// NewUDPClientSession opens one socket and subscribes it to layers
+// 0..level of one session on every mirror's data address (a server muxes
+// all its sessions over one data socket). Pair it with
+// NewMultiSourceClient: RecvBatch.Source(i) is the source of packet i for
+// Client.HandlePacketFrom, and a datagram from any other address is
+// dropped as stray.
+func NewUDPClientSession(mirrors []*net.UDPAddr, session uint16, level int) (*UDPClient, error) {
+	return transport.NewUDPClientSession(mirrors, session, level)
 }
 
 // SessionAny is the wildcard session id for UDP subscriptions.

@@ -212,7 +212,7 @@ func TestUDPPrototypeEndToEnd(t *testing.T) {
 
 // TestMultiSourceUDPEndToEnd runs the §8 mirrored download on loopback
 // through the public API: two UDP fountain services carrying the same
-// encoding at staggered phases, one MultiClient + multi-source engine
+// encoding at staggered phases, one client socket + multi-source engine
 // harvesting both, per-source accounting checked at the end.
 func TestMultiSourceUDPEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -249,26 +249,31 @@ func TestMultiSourceUDPEndToEnd(t *testing.T) {
 		}
 	}
 
-	mc, err := NewMultiClient(addrs, info.Session, 0)
+	cli, err := NewUDPClientSession(addrs, info.Session, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mc.Close()
-	eng, err := NewMultiSourceClient(info, len(addrs), 0, func(l int) { mc.SetLevel(l) })
+	defer cli.Close()
+	eng, err := NewMultiSourceClient(info, len(addrs), 0, func(l int) { cli.SetLevel(l) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rb RecvBatch
+	defer rb.Free()
 	deadline := time.Now().Add(30 * time.Second)
 	for !eng.Done() {
 		if time.Now().After(deadline) {
 			t.Fatal("multi-source download never completed")
 		}
-		src, pkts, err := mc.RecvBatchFrom(time.Second)
-		if err != nil {
+		if _, err := cli.RecvBatch(&rb, time.Second); err != nil {
 			continue
 		}
-		if _, err := eng.HandleBatchFrom(src, pkts); err != nil {
-			t.Fatal(err)
+		for i, pkt := range rb.Packets() {
+			if done, err := eng.HandlePacketFrom(rb.Source(i), pkt); err != nil {
+				t.Fatal(err)
+			} else if done {
+				break
+			}
 		}
 	}
 	got, err := eng.File()

@@ -31,7 +31,9 @@ import (
 )
 
 // Leveler adjusts the transport subscription level (transport.BusClient
-// and transport.UDPClient satisfy it modulo error handling).
+// and transport.UDPClient satisfy it modulo error handling). One call sets
+// the level on every mirror: a UDPClient's SetLevel sends the joins and
+// leaves to each of them.
 type Leveler func(level int)
 
 // SourceStats is the per-source accounting snapshot of one mirror feed.
@@ -360,7 +362,8 @@ func (e *Engine) HandlePacketFrom(src int, pkt []byte) (done bool, err error) {
 }
 
 // HandleBatchFrom ingests a batch of wire packets received from one source
-// (the shape transport.MultiClient.RecvBatchFrom delivers). Processing
+// (a transport.RecvBatch fill from a single-mirror client; a multi-mirror
+// loop calls HandlePacketFrom with each packet's RecvBatch.Source). Processing
 // stops as soon as the file becomes decodable — trailing packets of the
 // final batch are not accounted, matching the per-packet loop a caller
 // would otherwise write. Stray datagrams (malformed, foreign session) are

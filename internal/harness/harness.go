@@ -122,10 +122,7 @@ func CyclePeriod(sess *core.Session) int {
 // would overlap within a download horizon are improbable rather than
 // engineered away.
 func uncoordinatedStart(seed int64, mirror int) int {
-	z := uint64(seed) ^ (uint64(mirror)+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int((z ^ (z >> 31)) & (1<<26 - 1))
+	return int(netsim.Mix(uint64(seed)^(uint64(mirror)+1)*0x9E3779B97F4A7C15) & (1<<26 - 1))
 }
 
 // New builds the mirrors: one session encoding shared by all (identical by

@@ -297,6 +297,7 @@ const exposition = `# HELP fountain_bytes_sent_total data bytes handed to the tr
 # HELP fountain_udp_rx_socket_buffer_bytes receive buffer the kernel granted the client socket
 # HELP fountain_udp_rx_socket_drops_total datagrams the kernel dropped at the client socket
 # HELP fountain_udp_rx_socket_queued_bytes bytes queued in the client socket, at the kernel's per-datagram cost
+# HELP fountain_udp_rx_stray_total datagrams from an address that is none of the client's mirrors, dropped
 # HELP fountain_udp_send_batch_size datagrams per per-subscriber kernel batch write
 # HELP fountain_udp_subscribers distinct subscriber addresses across all sessions and layers
 # HELP fountain_udp_tx_bytes_total bytes handed to the kernel (per destination)
@@ -330,6 +331,7 @@ const exposition = `# HELP fountain_bytes_sent_total data bytes handed to the tr
 # TYPE fountain_udp_rx_socket_buffer_bytes gauge
 # TYPE fountain_udp_rx_socket_drops_total counter
 # TYPE fountain_udp_rx_socket_queued_bytes gauge
+# TYPE fountain_udp_rx_stray_total counter
 # TYPE fountain_udp_send_batch_size histogram
 # TYPE fountain_udp_subscribers gauge
 # TYPE fountain_udp_tx_bytes_total counter

@@ -46,21 +46,23 @@ const (
 	smMixB   = 0x94d049bb133111eb
 )
 
-// smMix is the splitmix64 output finalizer: a bijective avalanche over
-// uint64, also used to scatter seeds.
-func smMix(z uint64) uint64 {
+// Mix is the splitmix64 output finalizer: a bijective avalanche over
+// uint64, also used to scatter seeds. It is the one mixer behind every
+// draw that is not wire format — the simulator's, the Bus's fault layer's,
+// retry jitter's and the harness's mirror starts.
+func Mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * smMixA
 	z = (z ^ (z >> 27)) * smMixB
 	return z ^ (z >> 31)
 }
 
 // NewRNG returns a generator whose stream is determined by seed alone.
-func NewRNG(seed uint64) *RNG { return &RNG{state: smMix(seed)} }
+func NewRNG(seed uint64) *RNG { return &RNG{state: Mix(seed)} }
 
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += smGolden
-	return smMix(r.state)
+	return Mix(r.state)
 }
 
 // Float64 returns a uniform float64 in [0, 1): the top 53 bits of one
@@ -345,7 +347,7 @@ func carouselBernoulli(dec Decodability, b *Bernoulli, order []int, maxTx int, s
 // counts. The (seed, i) pair is scattered through the splitmix64 mixer, so
 // neighbouring receiver indices get statistically independent streams.
 func ReceiverRNG(seed int64, i int) *RNG {
-	return &RNG{state: smMix(uint64(seed) + smGolden*uint64(i+1))}
+	return &RNG{state: Mix(uint64(seed) + smGolden*uint64(i+1))}
 }
 
 // Population simulates `receivers` i.i.d. receivers serially and returns

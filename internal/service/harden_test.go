@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"net"
 	"os"
 	"runtime"
 	"strconv"
@@ -157,7 +158,7 @@ func TestSoakChurn(t *testing.T) {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				cl, err := transport.NewUDPClientSession(udp.Addr(), ids[c%len(ids)], 2)
+				cl, err := transport.NewUDPClientSession([]*net.UDPAddr{udp.Addr()}, ids[c%len(ids)], 2)
 				if err != nil {
 					return
 				}

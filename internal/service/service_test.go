@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -121,7 +122,7 @@ func TestServiceSoak(t *testing.T) {
 // fetch downloads one session as a subscribed client and verifies the file.
 func fetch(ci int, info proto.SessionInfo, udp *transport.UDPServer, want []byte) error {
 	level := int(info.Layers) - 1 // full rate: fastest completion
-	uc, err := transport.NewUDPClientSession(udp.Addr(), info.Session, level)
+	uc, err := transport.NewUDPClientSession([]*net.UDPAddr{udp.Addr()}, info.Session, level)
 	if err != nil {
 		return err
 	}

@@ -164,7 +164,7 @@ func TestUDPSendBatchLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := NewUDPClientSession(s.Addr(), 0xDF98, 0)
+	c, err := NewUDPClientSession([]*net.UDPAddr{s.Addr()}, 0xDF98, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -422,40 +422,21 @@ func TestRequestSessionInfoRetry(t *testing.T) {
 	}
 }
 
-// TestMultiClientRejoin: Rejoin(src) re-subscribes exactly that source.
-func TestMultiClientRejoin(t *testing.T) {
-	srvs := make([]*UDPServer, 2)
-	addrs := make([]*net.UDPAddr, 2)
-	for i := range srvs {
-		s, err := NewUDPServer("127.0.0.1:0", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		srvs[i] = s
-		addrs[i] = s.Addr()
-	}
+// TestMirrorResubscribe: a mirror that restarted with an empty membership
+// table gets the client's subscription back from Resubscribe, which goes to
+// every mirror; on the mirror that kept its table the join is idempotent.
+func TestMirrorResubscribe(t *testing.T) {
 	const session = 0xD0D0
-	mc, err := NewMultiClient(addrs, session, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-	waitSubs(t, func() bool {
-		return srvs[0].SessionSubscribers(session, 0) == 1 &&
-			srvs[1].SessionSubscribers(session, 0) == 1
-	}, "both subscriptions")
-
-	// Mirror 1 restarts and loses its table; Rejoin(1) restores it.
+	srvs, c := mirrorClient(t, session, 1, 2)
 	srvs[1].mu.Lock()
 	srvs[1].subs = make(map[subKey]map[netip.AddrPort]struct{})
 	srvs[1].addrRef = make(map[netip.AddrPort]int)
 	srvs[1].mu.Unlock()
-	if err := mc.Rejoin(1); err != nil {
+	if err := c.Resubscribe(); err != nil {
 		t.Fatal(err)
 	}
-	waitSubs(t, func() bool { return srvs[1].SessionSubscribers(session, 0) == 1 }, "rejoin")
-	if err := mc.Rejoin(9); err == nil {
-		t.Fatal("rejoin of an unknown source accepted")
+	waitSubs(t, func() bool { return srvs[1].SessionSubscribers(session, 0) == 1 }, "the rejoin")
+	if n := srvs[0].SubscriberTotal(); n != 1 {
+		t.Fatalf("the healthy mirror counts %d subscribers after the rejoin, want 1", n)
 	}
 }

@@ -161,15 +161,6 @@ type queuedPacket struct {
 	pkt   []byte
 }
 
-// splitmix64 is the mixing function behind every deterministic draw in the
-// fault layer.
-func splitmix64(z uint64) uint64 {
-	z += 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // NewClient attaches a client subscribed to layers 0..level with the given
 // loss process (nil = lossless) and delivery handler.
 func (b *Bus) NewClient(level int, loss netsim.LossProcess, h Handler) *BusClient {
@@ -340,7 +331,8 @@ func (c *BusClient) deliver(layer int, pkt []byte) {
 			c.mu.Unlock()
 			return
 		}
-		i := int(splitmix64(c.reorderSeed^c.reorderN) % uint64(len(c.rq)))
+		// One splitmix64 step: the golden-ratio increment, then the finalizer.
+		i := int(netsim.Mix(c.reorderSeed^c.reorderN+0x9E3779B97F4A7C15) % uint64(len(c.rq)))
 		c.reorderN++
 		layer, pkt = c.rq[i].layer, c.rq[i].pkt
 		last := len(c.rq) - 1

@@ -45,8 +45,9 @@ func (s *UDPServer) RegisterMetrics(r *metrics.Registry) {
 }
 
 // RegisterMetrics exposes the client's receive-side traffic counters on a
-// scrape registry, under a source label so multi-source clients can
-// register each mirror connection distinctly (src < 0 omits the label).
+// scrape registry, under a source label so a process with several clients
+// — one per concurrent download — can register each distinctly (src < 0
+// omits the label).
 func (c *UDPClient) RegisterMetrics(r *metrics.Registry, src int) {
 	name := func(base string) string {
 		if src < 0 {
@@ -58,6 +59,8 @@ func (c *UDPClient) RegisterMetrics(r *metrics.Registry, src int) {
 		"datagrams taken off the client socket", c.rxPackets.Load)
 	r.CounterFunc(name("fountain_udp_rx_bytes_total"),
 		"bytes taken off the client socket", c.rxBytes.Load)
+	r.CounterFunc(name("fountain_udp_rx_stray_total"),
+		"datagrams from an address that is none of the client's mirrors, dropped", c.rxStray.Load)
 	// The kernel's side of the socket: one getsockopt per series per
 	// scrape, zero where SocketStats is unsupported.
 	sock := func() SocketStats {

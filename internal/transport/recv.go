@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"time"
 )
 
@@ -63,6 +64,7 @@ func classifyRecvErr(err error) error {
 type RecvBatch struct {
 	bufs [][]byte
 	pkts [][]byte
+	srcs []int // srcs[i]: the mirror that sent pkts[i]
 }
 
 // ensure readies the batch for a fill: chunk buffers of at least size
@@ -75,14 +77,19 @@ func (rb *RecvBatch) ensure(chunk, size int) {
 			rb.bufs[i] = slab[i*size : (i+1)*size : (i+1)*size]
 		}
 		rb.pkts = make([][]byte, 0, chunk)
+		rb.srcs = make([]int, 0, chunk)
 	}
-	rb.pkts = rb.pkts[:0]
+	rb.pkts, rb.srcs = rb.pkts[:0], rb.srcs[:0]
 }
 
 // Packets returns the datagrams of the last fill, one slice per datagram,
 // in arrival order. The views stay valid only until the next fill of this
 // batch.
 func (rb *RecvBatch) Packets() [][]byte { return rb.pkts }
+
+// Source returns the index, in the client's mirror list, of the mirror
+// that sent packet i of the last fill.
+func (rb *RecvBatch) Source(i int) int { return rb.srcs[i] }
 
 // Len returns the number of datagrams in the last fill.
 func (rb *RecvBatch) Len() int { return len(rb.pkts) }
@@ -130,10 +137,13 @@ func (c *UDPClient) Closed() bool {
 
 // RecvBatch fills rb with as many queued datagrams as one kernel visit
 // yields (up to the batch's capacity), blocking up to timeout for the
-// first one. It returns the number received; rb.Packets() holds the data.
-// On linux/amd64 a whole backlog drains with one recvmmsg(2) call;
-// elsewhere one datagram is read per call. The previous fill's packet
-// views are invalidated.
+// first one. It returns the number received; rb.Packets() holds the data
+// and rb.Source(i) the mirror that sent packet i. A datagram from an
+// address that is none of the client's mirrors is stray: it is dropped
+// here and counted, and a visit that yields only strays waits on. On
+// linux/amd64 a whole backlog drains with one recvmmsg(2) call; elsewhere
+// one datagram is read per call. The previous fill's packet views are
+// invalidated.
 //
 // Errors: ErrTimeout when nothing arrived in time, ErrClosed once the
 // client is closed. RecvBatch is a single-reader call — run one receive
@@ -148,10 +158,12 @@ func (c *UDPClient) RecvBatch(rb *RecvBatch, timeout time.Duration) (int, error)
 	c.mu.Unlock()
 	rb.ensure(recvChunk, size)
 	c.conn.SetReadDeadline(time.Now().Add(timeout))
-	n, err := c.readBatch(rb)
-	if err != nil {
-		return 0, classifyRecvErr(err)
+	for len(rb.pkts) == 0 {
+		if err := c.readBatch(rb); err != nil {
+			return 0, classifyRecvErr(err)
+		}
 	}
+	n := len(rb.pkts)
 	var nb uint64
 	for _, p := range rb.pkts {
 		nb += uint64(len(p))
@@ -162,14 +174,24 @@ func (c *UDPClient) RecvBatch(rb *RecvBatch, timeout time.Duration) (int, error)
 	return n, nil
 }
 
+// accept adds buffer i's first n bytes to rb if from is one of the
+// client's mirrors (in mirrorKey form), and counts it stray otherwise.
+func (c *UDPClient) accept(rb *RecvBatch, i, n int, from netip.AddrPort) {
+	if src := c.mirrorOf(from); src >= 0 {
+		rb.pkts = append(rb.pkts, rb.bufs[i][:n])
+		rb.srcs = append(rb.srcs, src)
+	} else {
+		c.rxStray.Add(1)
+	}
+}
+
 // readBatchPortable reads one datagram into the batch's first buffer —
 // the fallback fill when no kernel batch syscall is usable.
-func (c *UDPClient) readBatchPortable(rb *RecvBatch) (int, error) {
-	buf := rb.bufs[0]
-	n, _, err := c.conn.ReadFromUDPAddrPort(buf)
+func (c *UDPClient) readBatchPortable(rb *RecvBatch) error {
+	n, from, err := c.conn.ReadFromUDPAddrPort(rb.bufs[0])
 	if err != nil {
-		return 0, err
+		return err
 	}
-	rb.pkts = append(rb.pkts, buf[:n])
-	return 1, nil
+	c.accept(rb, 0, n, mirrorKey(from))
+	return nil
 }

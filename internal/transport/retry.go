@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 // RetryPolicy bounds a control-plane request loop: a fixed number of
@@ -46,7 +48,8 @@ func (p RetryPolicy) delay(i int) time.Duration {
 	if d > p.MaxBackoff || d <= 0 {
 		d = p.MaxBackoff
 	}
-	j := splitmix64(uint64(p.Seed) ^ uint64(i) + 0x5DEECE66D)
+	// One splitmix64 step: the golden-ratio increment, then the finalizer.
+	j := netsim.Mix(uint64(p.Seed) ^ uint64(i) + 0x5DEECE66D + 0x9E3779B97F4A7C15)
 	frac := 0.5 + float64(j>>11)/float64(1<<53) // [0.5, 1.5)
 	return time.Duration(float64(d) * frac)
 }

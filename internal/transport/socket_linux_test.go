@@ -3,6 +3,7 @@
 package transport
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -31,22 +32,13 @@ func rmemMax(t *testing.T) int {
 	return n
 }
 
-// stalledPair starts a loopback server and a client subscribed to session
-// on layer 0, and checks that the client's socket got the buffer Linux
-// grants for rxSocketBuffer: 2·min(request, rmem_max).
-func stalledPair(t *testing.T, session uint16) (*UDPServer, *UDPClient, SocketStats) {
+// stalledClient starts `mirrors` loopback servers and one client
+// subscribed to session on layer 0 of all of them, and checks that the
+// client's socket got the buffer Linux grants for rxSocketBuffer:
+// 2·min(request, rmem_max).
+func stalledClient(t *testing.T, session uint16, mirrors int) ([]*UDPServer, *UDPClient, SocketStats) {
 	t.Helper()
-	s, err := NewUDPServer("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	c, err := NewUDPClientSession(s.Addr(), session, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	waitSubs(t, func() bool { return s.SessionSubscribers(session, 0) == 1 }, "the subscription")
+	srvs, c := mirrorClient(t, session, 1, mirrors)
 	st, err := c.SocketStats()
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +49,7 @@ func stalledPair(t *testing.T, session uint16) (*UDPServer, *UDPClient, SocketSt
 	if st.Queued != 0 || st.Drops != 0 {
 		t.Fatalf("fresh socket: %+v", st)
 	}
-	return s, c, st
+	return srvs, c, st
 }
 
 // capacity measures what one queued datagram of pkt's size costs the socket
@@ -105,7 +97,8 @@ func sendBurst(t *testing.T, s *UDPServer, pkts [][]byte) {
 // grant below 1 000 packets, the burst shrinks to what the grant holds.
 func TestUDPClientAbsorbsStall(t *testing.T) {
 	const session = 0xBA80
-	s, c, st := stalledPair(t, session)
+	srvs, c, st := stalledClient(t, session, 1)
+	s := srvs[0]
 	payload := make([]byte, wireLen-len(testPacket(session, 0, 0, nil)))
 	fit := capacity(t, s, c, st, testPacket(session, 0, 0, payload))
 	burst := 1000
@@ -141,36 +134,52 @@ func TestUDPClientAbsorbsStall(t *testing.T) {
 }
 
 // TestRxLossMatchesKernelDrops: the loss the client engine infers from
-// serial gaps is exactly what the kernel dropped at the socket. The client
-// stalls through a burst of twice what its buffer holds, drains through
-// Engine.HandleBatchFrom, and one last packet reveals the gap the drops
-// left at the tail.
+// serial gaps is exactly what the kernel dropped at the socket — from one
+// mirror, and from two servers carrying one session into the one socket,
+// where the engine sums the loss over both sources. The client stalls
+// through a burst of twice what its buffer holds, drains through
+// RecvBatch and Engine.HandlePacketFrom, and one last packet per mirror
+// reveals the gap the drops left at the tail.
 func TestRxLossMatchesKernelDrops(t *testing.T) {
-	const session = 0xBA81
+	for mirrors := 1; mirrors <= 2; mirrors++ {
+		t.Run(fmt.Sprintf("mirrors=%d", mirrors), func(t *testing.T) {
+			rxLossMatchesKernelDrops(t, 0xBA80+uint16(mirrors), mirrors)
+		})
+	}
+}
+
+func rxLossMatchesKernelDrops(t *testing.T, session uint16, mirrors int) {
 	cfg := core.DefaultConfig()
 	cfg.Layers, cfg.PacketLen, cfg.Session = 1, wireLen-16, session
 	sess, err := core.NewSession(make([]byte, 64*cfg.PacketLen), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := client.New(sess.Info(), 0, nil)
+	eng, err := client.NewMultiSource(sess.Info(), mirrors, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, c, st := stalledPair(t, session)
+	srvs, c, st := stalledClient(t, session, mirrors)
 	// Every packet carries index 0 under its own serial: the engine
 	// accounts each one, and the decode never completes.
 	probe := sess.AppendPacket(nil, 0, 0, 0, 0)
 	if len(probe) != wireLen {
 		t.Fatalf("wire packet of %d bytes, want %d", len(probe), wireLen)
 	}
-	fit := capacity(t, s, c, st, probe)
-	burst := 2 * fit
+	fit := capacity(t, srvs[0], c, st, probe)
+	// Twice what the buffer holds, split over the mirrors and sent one
+	// batch from each in turn, plus one tail packet each. (The engine
+	// counts a gap only after a source's first packet.)
+	burst := 2 * fit / mirrors
 	pkts := make([][]byte, burst+1)
 	for i := range pkts {
 		pkts[i] = sess.AppendPacket(nil, 0, 0, uint32(i+1), 0)
 	}
-	sendBurst(t, s, pkts[:burst])
+	for lo := 0; lo < burst; lo += 128 {
+		for _, s := range srvs {
+			sendBurst(t, s, pkts[lo:min(lo+128, burst)])
+		}
+	}
 
 	var rb RecvBatch
 	defer rb.Free()
@@ -179,28 +188,36 @@ func TestRxLossMatchesKernelDrops(t *testing.T) {
 			if _, err := c.RecvBatch(&rb, 200*time.Millisecond); err != nil {
 				return
 			}
-			if _, err := eng.HandleBatchFrom(0, rb.Packets()); err != nil {
-				t.Fatal(err)
+			for i, pkt := range rb.Packets() {
+				if _, err := eng.HandlePacketFrom(rb.Source(i), pkt); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
 	drain()
-	sendBurst(t, s, pkts[burst:])
+	for _, s := range srvs {
+		sendBurst(t, s, pkts[burst:])
+	}
 	drain()
 
 	kernel, err := c.SocketStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := eng.SourceStats(0)
 	if kernel.Drops == 0 {
-		t.Fatalf("a burst of %d into a buffer holding %d dropped nothing", burst, fit)
+		t.Fatalf("a burst of %d into a buffer holding %d dropped nothing", mirrors*burst, fit)
 	}
-	if uint64(src.Lost) != kernel.Drops {
-		t.Fatalf("engine counted %d lost, kernel dropped %d", src.Lost, kernel.Drops)
+	lost := 0
+	for src := range mirrors {
+		ss := eng.SourceStats(src)
+		if ss.Received+ss.Lost != burst+1 {
+			t.Fatalf("mirror %d: received %d + lost %d != sent %d", src, ss.Received, ss.Lost, burst+1)
+		}
+		lost += ss.Lost
 	}
-	if sent := burst + 1; src.Received+src.Lost != sent {
-		t.Fatalf("received %d + lost %d != sent %d", src.Received, src.Lost, sent)
+	if uint64(lost) != kernel.Drops {
+		t.Fatalf("engine counted %d lost, kernel dropped %d", lost, kernel.Drops)
 	}
-	t.Logf("burst %d: received %d, lost %d = kernel drops", burst+1, src.Received, src.Lost)
+	t.Logf("%d mirrors × %d packets: lost %d = kernel drops", mirrors, burst+1, lost)
 }

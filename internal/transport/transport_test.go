@@ -221,12 +221,12 @@ func TestUDPSessionMux(t *testing.T) {
 		h := proto.Header{Index: 1, Serial: 1, Group: 0, Session: session}
 		return append(h.Marshal(nil), payload)
 	}
-	cliA, err := NewUDPClientSession(srv.Addr(), 0xAAAA, 0)
+	cliA, err := NewUDPClientSession([]*net.UDPAddr{srv.Addr()}, 0xAAAA, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cliA.Close()
-	cliB, err := NewUDPClientSession(srv.Addr(), 0xBBBB, 0)
+	cliB, err := NewUDPClientSession([]*net.UDPAddr{srv.Addr()}, 0xBBBB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,83 +487,3 @@ func TestBusPerLayerLoss(t *testing.T) {
 type alwaysLose struct{}
 
 func (alwaysLose) Lose() bool { return true }
-
-// TestMultiClientHarvestsAllSources: a MultiClient joined to two UDP
-// servers must deliver both servers' packets tagged with the right source
-// index, and SetLevel must fan out to every source.
-func TestMultiClientHarvestsAllSources(t *testing.T) {
-	const session = 0xCAFE
-	srvs := make([]*UDPServer, 2)
-	for i := range srvs {
-		s, err := NewUDPServer("127.0.0.1:0", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		srvs[i] = s
-	}
-	mc, err := NewMultiClient([]*net.UDPAddr{srvs[0].Addr(), srvs[1].Addr()}, session, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-	if mc.Sources() != 2 {
-		t.Fatalf("sources = %d", mc.Sources())
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srvs[0].SessionSubscribers(session, 0) == 0 || srvs[1].SessionSubscribers(session, 0) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscriptions never registered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mkPkt := func(src byte) []byte {
-		h := proto.Header{Index: uint32(src), Serial: 1, Session: session}
-		return append(h.Marshal(nil), src)
-	}
-	for i := 0; i < 5; i++ {
-		if err := srvs[0].SendBatch(0, [][]byte{mkPkt(0)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := srvs[1].SendBatch(0, [][]byte{mkPkt(1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bySource := map[int]int{}
-	for len(bySource) < 2 {
-		src, pkts, err := mc.RecvBatchFrom(2 * time.Second)
-		if err != nil {
-			t.Fatalf("%v with sources %v", err, bySource)
-		}
-		for _, pkt := range pkts {
-			h, payload, err := proto.ParseHeader(pkt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int(h.Index) != src || int(payload[0]) != src {
-				t.Fatalf("packet from server %d delivered as source %d", h.Index, src)
-			}
-			bySource[src]++
-		}
-	}
-	// Level fan-out: raising to 1 must join layer 1 on both servers.
-	if err := mc.SetLevel(1); err != nil {
-		t.Fatal(err)
-	}
-	if mc.Level() != 1 {
-		t.Fatalf("level = %d", mc.Level())
-	}
-	deadline = time.Now().Add(2 * time.Second) // fresh budget: receives above may have eaten the first
-	for srvs[0].SessionSubscribers(session, 1) == 0 || srvs[1].SessionSubscribers(session, 1) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("layer-1 joins never registered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := mc.Close(); err != nil { // idempotent double close
-		t.Fatal(err)
-	}
-	if _, _, err := mc.RecvBatchFrom(50 * time.Millisecond); err != ErrClosed {
-		t.Fatalf("RecvBatchFrom after Close: %v, want ErrClosed", err)
-	}
-}

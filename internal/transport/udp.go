@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -524,14 +525,18 @@ func (s *UDPServer) Close() error {
 	return s.closeErr
 }
 
-// UDPClient is the receiver side of the UDP substrate, subscribed to one
-// session (or to all of them, with SessionAny).
+// UDPClient is the receiver side of the UDP substrate: one socket
+// subscribed to one session (or to all of them, with SessionAny) on every
+// mirror in a list fixed at construction. Packets from mirrors of one
+// encoding are interchangeable (§8), so they share the socket and the
+// receive loop; RecvBatch tags each datagram with the index of the mirror
+// that sent it and drops, as stray, any datagram from another address.
 //
 // RecvBatch is single-reader: run one receive loop per client.
 // SetLevel/Resubscribe/Close may be called concurrently with it.
 type UDPClient struct {
 	conn    *net.UDPConn
-	server  *net.UDPAddr
+	mirrors []netip.AddrPort // unmapped, zone-free: the keys mirrorOf matches
 	session uint16
 	raw     syscall.RawConn // cached once: SyscallConn allocates per call
 	mu      sync.Mutex
@@ -542,10 +547,11 @@ type UDPClient struct {
 	rmmsg    *recvState // reusable kernel batch-read state (single-reader)
 
 	// Traffic accounting mirroring the server's send side: datagrams and
-	// bytes taken off the socket, and the kernel-visit batch-size
-	// distribution. Lock-free; see RegisterMetrics.
+	// bytes delivered to the caller, datagrams dropped as stray, and the
+	// kernel-visit batch-size distribution. Lock-free; see RegisterMetrics.
 	rxPackets atomic.Uint64
 	rxBytes   atomic.Uint64
+	rxStray   atomic.Uint64
 	rxBatch   *metrics.Histogram
 }
 
@@ -564,16 +570,34 @@ const rxSocketBuffer = 4 << 20
 // NewUDPClient dials the server's data port and subscribes to layers
 // 0..level of every session the server carries (wildcard).
 func NewUDPClient(server *net.UDPAddr, level int) (*UDPClient, error) {
-	return NewUDPClientSession(server, SessionAny, level)
+	return NewUDPClientSession([]*net.UDPAddr{server}, SessionAny, level)
 }
 
-// NewUDPClientSession dials the server's data port and subscribes to layers
-// 0..level of one session.
-func NewUDPClientSession(server *net.UDPAddr, session uint16, level int) (*UDPClient, error) {
-	// The unspecified address of the server's family: the kernel picks the
-	// source address that routes to the server, loopback or not.
+// NewUDPClientSession opens one socket and subscribes it to layers
+// 0..level of one session on every mirror. Mirror i is source i of
+// RecvBatch.Source. The list must be non-empty, of one address family and
+// free of duplicates.
+func NewUDPClientSession(mirrors []*net.UDPAddr, session uint16, level int) (*UDPClient, error) {
+	if len(mirrors) == 0 {
+		return nil, errors.New("transport: client needs at least one mirror")
+	}
+	keys := make([]netip.AddrPort, len(mirrors))
+	for i, m := range mirrors {
+		keys[i] = mirrorKey(m.AddrPort())
+		if a := keys[i].Addr(); !a.IsValid() || a.IsUnspecified() {
+			return nil, fmt.Errorf("transport: mirror %d (%s) has no unicast address", i, m)
+		}
+		if keys[i].Addr().Is4() != keys[0].Addr().Is4() {
+			return nil, fmt.Errorf("transport: mirror %d (%s) is not of mirror 0's address family", i, m)
+		}
+		if j := slices.Index(keys[:i], keys[i]); j >= 0 {
+			return nil, fmt.Errorf("transport: mirror %d (%s) repeats mirror %d", i, m, j)
+		}
+	}
+	// The unspecified address of the mirrors' family: the kernel picks the
+	// source address that routes to each mirror, loopback or not.
 	network := "udp4"
-	if server.IP.To4() == nil {
+	if !keys[0].Addr().Is4() {
 		network = "udp6"
 	}
 	conn, err := net.ListenUDP(network, nil)
@@ -583,7 +607,7 @@ func NewUDPClientSession(server *net.UDPAddr, session uint16, level int) (*UDPCl
 	// Best effort: a request the kernel caps is not an error (SocketStats
 	// reports the grant), and some platforms refuse a size they cannot give.
 	_ = conn.SetReadBuffer(rxSocketBuffer)
-	c := &UDPClient{conn: conn, server: server, session: session, level: -1,
+	c := &UDPClient{conn: conn, mirrors: keys, session: session, level: -1,
 		recvSize: defaultRecvSize, rxBatch: metrics.NewHistogram(batchSizeBounds...)}
 	// A nil raw conn just disables the kernel batch read; the portable
 	// single-read path covers everything.
@@ -595,25 +619,50 @@ func NewUDPClientSession(server *net.UDPAddr, session uint16, level int) (*UDPCl
 	return c, nil
 }
 
+// mirrorKey is the form in which a mirror's address is stored and a
+// sender's address looked up: 4-in-6 unmapped, zone dropped.
+func mirrorKey(a netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(a.Addr().Unmap().WithZone(""), a.Port())
+}
+
+// mirrorOf returns the index of the mirror at a (in mirrorKey form), or -1.
+func (c *UDPClient) mirrorOf(a netip.AddrPort) int {
+	for i, m := range c.mirrors {
+		if m == a {
+			return i
+		}
+	}
+	return -1
+}
+
 // Session returns the session id the client subscribes to (SessionAny for
 // wildcard clients).
 func (c *UDPClient) Session() uint16 { return c.session }
 
+// sendSub sends one join or leave to every mirror; the first error is
+// returned, but every mirror is attempted.
 func (c *UDPClient) sendSub(layer int, join bool) error {
 	b := []byte{'S', 'U', 'B', 0, byte(layer), byte(c.session >> 8), byte(c.session)}
 	if join {
 		b[3] = 1
 	}
-	_, err := c.conn.WriteToUDP(b, c.server)
-	return err
+	var first error
+	for _, m := range c.mirrors {
+		if _, err := c.conn.WriteToUDPAddrPort(b, m); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-// SetLevel adjusts the cumulative subscription (joins/leaves the delta).
+// SetLevel adjusts the cumulative subscription on every mirror
+// (joins/leaves the delta): the worst-source congestion rule yields one
+// effective level, so the mirrors move together.
 func (c *UDPClient) SetLevel(level int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return errors.New("transport: client closed")
+		return ErrClosed
 	}
 	for l := c.level + 1; l <= level; l++ {
 		if err := c.sendSub(l, true); err != nil {
@@ -637,14 +686,15 @@ func (c *UDPClient) Level() int {
 }
 
 // Resubscribe re-sends the join datagram for every currently subscribed
-// layer. Joins are idempotent on the server, so this is the client's
-// recovery action whenever the server may have lost its membership table —
-// a crash/restart, or an eviction whose cooldown has passed.
+// layer to every mirror. Joins are idempotent on a server, so this is the
+// client's recovery action whenever a mirror may have lost its membership
+// table — a crash/restart, or an eviction whose cooldown has passed — and
+// costs a healthy mirror nothing.
 func (c *UDPClient) Resubscribe() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return errors.New("transport: client closed")
+		return ErrClosed
 	}
 	for l := 0; l <= c.level; l++ {
 		if err := c.sendSub(l, true); err != nil {
@@ -654,10 +704,10 @@ func (c *UDPClient) Resubscribe() error {
 	return nil
 }
 
-// Close leaves all groups and closes the socket. The client runs no
-// background goroutine, so — unlike UDPServer.Close — there is nothing to
-// join; a concurrent RecvBatch simply returns ErrClosed once the socket
-// closes.
+// Close leaves all groups on every mirror and closes the socket. The
+// client runs no background goroutine, so — unlike UDPServer.Close — there
+// is nothing to join; a concurrent RecvBatch simply returns ErrClosed once
+// the socket closes.
 func (c *UDPClient) Close() error {
 	c.mu.Lock()
 	if c.closed {

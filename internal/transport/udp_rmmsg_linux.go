@@ -3,6 +3,7 @@
 package transport
 
 import (
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -18,13 +19,15 @@ import (
 // package's frozen table predates it). The build tag pins the arch.
 const sysRecvmmsg = 299
 
-// recvState is the reusable recvmmsg machinery of one client: the iovec
-// and mmsghdr arrays handed to the kernel and the RawConn callback. All of
-// it would escape to the heap if declared per call (the callback is an
-// interface argument), so one readBatch would cost ~3 allocations; hoisted
-// here and built once, the steady-state batch read allocates nothing.
+// recvState is the reusable recvmmsg machinery of one client: the sender
+// address, iovec and mmsghdr arrays handed to the kernel and the RawConn
+// callback. All of it would escape to the heap if declared per call (the
+// callback is an interface argument), so one readBatch would cost ~3
+// allocations; hoisted here and built once, the steady-state batch read
+// allocates nothing.
 // Guarded by the client's single-reader receive discipline.
 type recvState struct {
+	names [recvChunk]syscall.RawSockaddrInet6 // msg_name: large enough for either family
 	iovs  [recvChunk]syscall.Iovec
 	msgs  [recvChunk]mmsghdr
 	n     int
@@ -59,10 +62,9 @@ func newRecvState() *recvState {
 // readBatch fills rb with up to recvChunk datagrams in one recvmmsg call,
 // waiting on the netpoller until at least one datagram (or the read
 // deadline) arrives. Buffers are filled in place — no copies on the
-// receive path. The source address is not collected: a client socket is
-// connected to one server's traffic by its subscription, and the packet
-// header carries everything routing needs.
-func (c *UDPClient) readBatch(rb *RecvBatch) (int, error) {
+// receive path. The kernel writes each datagram's sender into msg_name,
+// which attributes it to a mirror or marks it stray.
+func (c *UDPClient) readBatch(rb *RecvBatch) error {
 	rc := c.raw
 	if rc == nil {
 		return c.readBatchPortable(rb)
@@ -79,19 +81,38 @@ func (c *UDPClient) readBatch(rb *RecvBatch) (int, error) {
 	for i := 0; i < n; i++ {
 		buf := rb.bufs[i]
 		st.iovs[i] = syscall.Iovec{Base: &buf[0], Len: uint64(len(buf))}
-		st.msgs[i] = mmsghdr{hdr: syscall.Msghdr{Iov: &st.iovs[i], Iovlen: 1}}
+		st.msgs[i] = mmsghdr{hdr: syscall.Msghdr{
+			Name:    (*byte)(unsafe.Pointer(&st.names[i])),
+			Namelen: syscall.SizeofSockaddrInet6,
+			Iov:     &st.iovs[i],
+			Iovlen:  1,
+		}}
 	}
 	st.n, st.got, st.opErr = n, 0, nil
 	rerr := rc.Read(st.fn)
 	if rerr != nil {
-		return 0, rerr
+		return rerr
 	}
 	if st.opErr != nil {
-		return 0, st.opErr
+		return st.opErr
 	}
 	for i := 0; i < st.got; i++ {
 		// nsent is the kernel-written datagram length (msg_len).
-		rb.pkts = append(rb.pkts, rb.bufs[i][:st.msgs[i].nsent])
+		c.accept(rb, i, int(st.msgs[i].nsent), sockaddrKey(&st.names[i]))
 	}
-	return st.got, nil
+	return nil
+}
+
+// sockaddrKey reads a kernel-written sender address in mirrorKey form; an
+// address of neither family is the zero AddrPort, which matches no mirror.
+func sockaddrKey(sa *syscall.RawSockaddrInet6) netip.AddrPort {
+	port := uint16(sa.Port&0xff)<<8 | uint16(sa.Port>>8) // network byte order
+	switch sa.Family {
+	case syscall.AF_INET:
+		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
+		return netip.AddrPortFrom(netip.AddrFrom4(sa4.Addr), port)
+	case syscall.AF_INET6:
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr).Unmap(), port)
+	}
+	return netip.AddrPort{}
 }

@@ -9,6 +9,6 @@ type recvState struct{}
 // readBatch without a kernel batch syscall: the portable one-read
 // fallback. Each call delivers a single datagram into the batch's first
 // buffer — same API, same buffers, one syscall per packet.
-func (c *UDPClient) readBatch(rb *RecvBatch) (int, error) {
+func (c *UDPClient) readBatch(rb *RecvBatch) error {
 	return c.readBatchPortable(rb)
 }
