@@ -44,14 +44,14 @@ const intakeDistinct = 2000
 const intakeCycles = 50
 
 // drainBurst is the per-round datagram count of the socket benchmark:
-// large enough that the batched path gets full recvmmsg chunks. Client
-// sockets now queue thousands of datagrams, but the burst stays at 128,
-// the size every earlier udp-recv-batch row was measured at.
-const drainBurst = 128
+// enough full recvmmsg chunks that a round is not one syscall's noise, and
+// well inside what a client socket queues (≈ 3 640 datagrams).
+const drainBurst = 1024
 
-// drainTarget is the number of datagrams the socket benchmark drains in
-// total.
-const drainTarget = 20_000
+// drainRounds is the number of bursts the socket benchmark drains: ≈ 300 k
+// datagrams, so the row's pkts/s is not at the mercy of one scheduling
+// hiccup.
+const drainRounds = 300
 
 // simK is the simulated block size (the paper's large-file operating
 // point), and simLoss the per-receiver Bernoulli loss rate.
@@ -203,11 +203,13 @@ func measureIntake(sess *core.Session, pkts [][]byte, batch, traced bool) (recei
 	}, nil
 }
 
-// measureDrain runs the burst-and-drain socket benchmark: the server
-// blasts drainBurst datagrams (off the clock), then the client drains them
-// with RecvBatch while time and allocations are accounted. Loss inside a
-// round ends it (counted in Drops), so a dropped datagram costs one
-// timeout, not a hang.
+// measureDrain runs the burst-and-drain socket benchmark, drainRounds
+// times: the server blasts drainBurst datagrams (off the clock), then the
+// client drains them with RecvBatch while time and allocations are
+// accounted; the row's pkts/s is all datagrams over all drains. Only the
+// drains are bracketed by ReadMemStats, so the server's send path never
+// lands in the receiver's account. Loss inside a round ends it (counted in
+// Drops), so a dropped datagram costs one timeout, not a hang.
 func measureDrain() (receiverResult, error) {
 	const session = 0x7002
 	srv, err := transport.NewUDPServer("127.0.0.1:0", 1)
@@ -237,15 +239,17 @@ func measureDrain() (receiverResult, error) {
 	defer rb.Free()
 	var (
 		total, bytes, drops uint64
+		mallocs, allocBytes uint64
 		secs                float64
 		m0, m1              runtime.MemStats
 	)
 	runtime.GC()
-	for total+drops < drainTarget {
+	// Round 0 is off the books: it sizes rb's buffers.
+	for round := range drainRounds + 1 {
 		if err := srv.SendBatch(0, burst); err != nil {
 			return receiverResult{}, err
 		}
-		got := 0
+		got, gotBytes := 0, uint64(0)
 		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
 		for got < drainBurst {
@@ -257,13 +261,20 @@ func measureDrain() (receiverResult, error) {
 				return receiverResult{}, err
 			}
 			for _, p := range rb.Packets() {
-				bytes += uint64(len(p))
+				gotBytes += uint64(len(p))
 			}
 			got += n
 		}
-		secs += time.Since(t0).Seconds()
+		dt := time.Since(t0).Seconds()
 		runtime.ReadMemStats(&m1)
+		if round == 0 {
+			continue
+		}
+		secs += dt
+		mallocs += m1.Mallocs - m0.Mallocs
+		allocBytes += m1.TotalAlloc - m0.TotalAlloc
 		total += uint64(got)
+		bytes += gotBytes
 		drops += uint64(drainBurst - got)
 	}
 	res := receiverResult{
@@ -275,15 +286,11 @@ func measureDrain() (receiverResult, error) {
 	if total > 0 && secs > 0 {
 		res.PacketsPerSec = float64(total) / secs
 		res.MBPerSec = float64(bytes) / secs / 1e6
-		res.AllocsPerPacket = float64(m1.Mallocs-m0.Mallocs) / float64(total)
-		res.AllocBytesPerPacket = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(total)
+		res.AllocsPerPacket = float64(mallocs) / float64(total)
+		res.AllocBytesPerPacket = float64(allocBytes) / float64(total)
 	}
 	return res, nil
 }
-
-// The ReadMemStats bracketing in measureDrain spans send rounds too (m0 is
-// re-read each round), so allocations from the server's send path between
-// rounds never land in the receiver's account.
 
 // simThreshold runs the headline row: simReceivers i.i.d. ThresholdDecoder
 // receivers at k = simK under Bernoulli loss, through the sharded parallel

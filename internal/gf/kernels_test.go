@@ -119,7 +119,10 @@ func xorManyCase(t testing.TB, rng *rand.Rand, n, m, extra int) {
 // TestXORManyMatchesScalar: the multi-source kernel equals one byte-loop
 // XOR per source, across the 64- and 16-byte block edges, source counts on
 // both sides of a batch, and sources longer than dst; a source overlapping
-// dst, or shorter than it, panics.
+// dst, or shorter than it, panics. Then each kernel built for this GOARCH,
+// called directly, equals the word loop over whole 16-byte blocks and
+// leaves the rest of dst alone; one this CPU cannot run is skipped by
+// name, and the log names the kernels that ran and the one XORMany uses.
 func TestXORManyMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{0, 1, 8, 63, 64, 65, 1024, 1030} {
@@ -147,15 +150,65 @@ func TestXORManyMatchesScalar(t *testing.T) {
 			XORMany(buf[:64], [][]byte{buf[128:192], tc.src})
 		}()
 	}
+	for _, k := range xorKernels() {
+		if !k.runs {
+			t.Logf("kernel %s: skipped, this CPU or OS does not run it", k.name)
+			continue
+		}
+		for _, n := range []int{0, 16, 255, 256, 257, 1024, 1040, 4097} {
+			for m := 0; m <= 40; m++ {
+				for _, off := range []int{0, 5} {
+					kernelCase(t, rng, k, n, m, off)
+				}
+			}
+		}
+		t.Logf("kernel %s: ran", k.name)
+	}
+	checkDispatch(t)
+}
+
+// xorKernel is one multi-source kernel built for this GOARCH: fold computes
+// dst ^= ⊕ srcs over len(dst) rounded down to 16 bytes; runs is whether
+// this CPU and OS can execute it.
+type xorKernel struct {
+	name string
+	fold func(dst []byte, srcs [][]byte)
+	runs bool
+}
+
+// kernelCase checks kernel k against the word loop on m sources of n bytes
+// folded into a dst of n bytes, each starting off bytes into its buffer:
+// whole 16-byte blocks are folded, the bytes past them untouched.
+func kernelCase(t testing.TB, rng *rand.Rand, k xorKernel, n, m, off int) {
+	dst := unaligned(n, off, rng)
+	srcs := make([][]byte, m)
+	for j := range srcs {
+		srcs[j] = unaligned(n, off, rng)
+	}
+	want := bytes.Clone(dst)
+	w := n &^ 15
+	for _, s := range srcs {
+		XORWords(want[:w], s)
+	}
+	k.fold(dst, srcs)
+	if !bytes.Equal(dst, want) {
+		t.Fatalf("kernel %s, n=%d m=%d off=%d: diverges from the word loop", k.name, n, m, off)
+	}
 }
 
 func FuzzXORMany(f *testing.F) {
 	f.Add(uint16(1030), uint8(17), int64(1))
 	f.Add(uint16(63), uint8(1), int64(2))
 	f.Add(uint16(0), uint8(0), int64(3))
+	f.Add(uint16(4097), uint8(40), int64(4))
 	f.Fuzz(func(t *testing.T, n uint16, m uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		xorManyCase(t, rng, int(n%4096), int(m%48), rng.Intn(3))
+		for _, k := range xorKernels() {
+			if k.runs {
+				kernelCase(t, rng, k, int(n%4352), int(m%48), int(seed&7))
+			}
+		}
 	})
 }
 
@@ -259,8 +312,10 @@ func BenchmarkXORKernels(b *testing.B) {
 }
 
 // BenchmarkXORMany folds m random 1 KiB packets of a working set into
-// another, one XORSlice per source against one XORMany call; ns/src is
-// the cost per source packet.
+// another: one XORSlice per source ("pairwise"), one XORMany call
+// ("many", through the kernel dispatch chose), and each kernel built for
+// this GOARCH that the CPU runs, called directly; ns/src is the cost per
+// source packet.
 func BenchmarkXORMany(b *testing.B) {
 	const pl = 1024
 	for _, set := range []int{256, 2500, 10000} {
@@ -281,22 +336,26 @@ func BenchmarkXORMany(b *testing.B) {
 					draws[i] = (draws[i] + 1) % set
 				}
 			}
-			for _, kernel := range []string{"pairwise", "many"} {
-				b.Run(fmt.Sprintf("%s/set=%d/m=%d", kernel, set, m), func(b *testing.B) {
+			folds := []xorKernel{
+				{"pairwise", func(dst []byte, srcs [][]byte) {
+					for _, s := range srcs {
+						XORSlice(dst, s)
+					}
+				}, true},
+				{"many", XORMany, true},
+			}
+			for _, k := range append(folds, xorKernels()...) {
+				if !k.runs {
+					continue
+				}
+				b.Run(fmt.Sprintf("%s/set=%d/m=%d", k.name, set, m), func(b *testing.B) {
 					srcs := make([][]byte, m)
 					for i := 0; i < b.N; i++ {
 						d := draws[i%4096*(m+1):][:m+1]
-						dst := pkts[d[0]]
-						if kernel == "many" {
-							for j, s := range d[1:] {
-								srcs[j] = pkts[s]
-							}
-							XORMany(dst, srcs)
-						} else {
-							for _, s := range d[1:] {
-								XORSlice(dst, pkts[s])
-							}
+						for j, s := range d[1:] {
+							srcs[j] = pkts[s]
 						}
+						k.fold(pkts[d[0]], srcs)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/src")
 				})

@@ -1,22 +1,89 @@
 #include "textflag.h"
 
+// Both kernels compute dst ^= ⊕ srcs over len(dst) rounded down to 16
+// bytes. In both, AX is the offset into every slice, SI walks the source
+// headers (24 bytes each) from BX up to R9, DI is dst and CX its length
+// rounded down to 16.
+
 // func xorManySSE2(dst []byte, srcs [][]byte)
-//
-// AX is the offset into every slice, SI walks the source headers (24
-// bytes each) up to R9. The outer loop holds 64 bytes of dst in X0–X3
-// while the inner one XORs in each source's same 64 bytes; then 16-byte
-// blocks the same way.
 TEXT ·xorManySSE2(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ srcs_base+24(FP), BX
 	MOVQ srcs_len+32(FP), DX
+	TESTQ DX, DX
+	JZ   none
+	LEAQ (DX)(DX*2), R9
+	LEAQ (BX)(R9*8), R9
+	ANDQ $~15, CX
+	XORQ AX, AX
+	JMP  xorSSE2From<>(SB)
+
+none:
+	RET
+
+// func xorManyAVX512(dst []byte, srcs [][]byte)
+//
+// The outer loop holds 256 bytes of dst in Z0–Z3 while the inner one
+// XORs in each source's same 256 bytes; the bytes past the last whole
+// 256-byte block go to the SSE2 loops.
+TEXT ·xorManyAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ srcs_base+24(FP), BX
+	MOVQ srcs_len+32(FP), DX
+	TESTQ DX, DX
+	JZ   none
 	LEAQ (DX)(DX*2), R9
 	LEAQ (BX)(R9*8), R9
 	ANDQ $~15, CX
 	MOVQ CX, R10
-	ANDQ $~63, R10
+	ANDQ $~255, R10
 	XORQ AX, AX
+
+loop256:
+	CMPQ AX, R10
+	JAE  rest
+	VMOVDQU64 0(DI)(AX*1), Z0
+	VMOVDQU64 64(DI)(AX*1), Z1
+	VMOVDQU64 128(DI)(AX*1), Z2
+	VMOVDQU64 192(DI)(AX*1), Z3
+	MOVQ BX, SI
+
+src256:
+	MOVQ      (SI), R8
+	VMOVDQU64 0(R8)(AX*1), Z4
+	VMOVDQU64 64(R8)(AX*1), Z5
+	VMOVDQU64 128(R8)(AX*1), Z6
+	VMOVDQU64 192(R8)(AX*1), Z7
+	VPXORQ    Z4, Z0, Z0
+	VPXORQ    Z5, Z1, Z1
+	VPXORQ    Z6, Z2, Z2
+	VPXORQ    Z7, Z3, Z3
+	ADDQ      $24, SI
+	CMPQ      SI, R9
+	JB        src256
+	VMOVDQU64 Z0, 0(DI)(AX*1)
+	VMOVDQU64 Z1, 64(DI)(AX*1)
+	VMOVDQU64 Z2, 128(DI)(AX*1)
+	VMOVDQU64 Z3, 192(DI)(AX*1)
+	ADDQ      $256, AX
+	JMP       loop256
+
+rest:
+	VZEROUPPER
+	JMP xorSSE2From<>(SB)
+
+none:
+	RET
+
+// xorSSE2From continues a kernel from offset AX: it holds 64 bytes of dst
+// in X0–X3 while it walks the sources, then 16-byte blocks the same way,
+// and returns to the kernel's caller. It takes DI, CX, BX, R9 and AX as
+// the kernels set them.
+TEXT xorSSE2From<>(SB), NOSPLIT|NOFRAME, $0
+	MOVQ CX, R10
+	ANDQ $~63, R10
 
 loop64:
 	CMPQ AX, R10
@@ -65,4 +132,24 @@ src16:
 	JMP   loop16
 
 done:
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+//
+// XCR0's low word; the caller has checked CPUID.1 OSXSAVE.
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
 	RET
