@@ -286,8 +286,8 @@ func (e *Engine) HandlePacketFrom(src int, pkt []byte) (done bool, err error) {
 		case delta == 0:
 			// Duplicate serial: nothing to account.
 		case delta < 1<<31:
-			s.lost.Add(int64(delta) - 1)
 			if delta > 1 {
+				s.lost.Add(int64(delta) - 1)
 				w := &s.missing[h.Group]
 				// Oldest-first so the window's FIFO eviction keeps the
 				// newest serials; a huge gap only records its tail.

@@ -121,6 +121,37 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 // materialization at construction). The session keeps data (code.Split's
 // packets are views of it): do not modify it.
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
+	// Nothing that builds or encodes the session reads its digest, so the
+	// one other whole-file pass runs beside all of it. The channel is
+	// unbuffered: the goroutine ends only when it is joined, below, on
+	// every return.
+	digest := make(chan [sha256.Size]byte)
+	go func() { digest <- fileDigest(data) }()
+	s, err := newSession(data, cfg, cache)
+	sum := <-digest
+	if err != nil {
+		return nil, err
+	}
+	// The complete descriptor passes the receiver's rules once more, so a
+	// sender cannot publish a digest a receiver refuses.
+	s.info.Digest = sum
+	if err := checkDescriptor(&s.info); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// fileDigest is the sender's SHA-256 of a file, a variable so that a test
+// can make it return what a receiver refuses.
+var fileDigest = sha256.Sum256
+
+// digestPending stands in for the digest while it is computed: a nonzero
+// value, so that buildCodec's check passes on everything else.
+var digestPending = [sha256.Size]byte{sha256.Size - 1: 1}
+
+// newSession is NewSessionCached but for the digest, which it leaves
+// digestPending.
+func newSession(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
 	cfg.PacketLen = PadPacketLen(cfg.PacketLen)
 	if cfg.SPInterval <= 0 {
 		cfg.SPInterval = 16
@@ -137,7 +168,7 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 		FileLen:    uint64(len(data)),
 		Seed:       cfg.Seed,
 		SPInterval: uint32(cfg.SPInterval),
-		Digest:     sha256.Sum256(data),
+		Digest:     digestPending,
 	}
 	if row.fill != nil {
 		row.fill(&info, cfg)

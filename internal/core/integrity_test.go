@@ -1,8 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/proto"
 )
@@ -103,6 +108,59 @@ func TestNewReceiverRefusesZeroDigest(t *testing.T) {
 		info.Digest = [32]byte{}
 		if _, err := NewReceiver(info); err == nil {
 			t.Fatalf("%s: receiver built from a descriptor without a digest", CodecName(info.Codec))
+		}
+	}
+}
+
+// TestSessionDigestBesideConstruction: NewSessionCached computes the digest
+// on a goroutine of its own while the codec is built and encoded. For every
+// codec, eager and cached, on one core and on two, the published digest is
+// the file's SHA-256 and a receiver takes the descriptor; every refusal of
+// a configuration still comes back as an error; a digest a receiver would
+// refuse is refused by the sender too; and no call leaves its goroutine
+// behind.
+func TestSessionDigestBesideConstruction(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(50))
+	files := [][]byte{randData(rng, 10), randData(rng, 64<<10)}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		baseline := runtime.NumGoroutine()
+		for _, id := range servedIDs() {
+			for _, cache := range []*BlockCache{nil, NewBlockCache(1 << 20)} {
+				for _, data := range files {
+					cfg := DefaultConfig()
+					cfg.Codec = id
+					s, err := NewSessionCached(data, cfg, cache)
+					if err != nil {
+						t.Fatalf("GOMAXPROCS=%d %s, %d bytes: %v", procs, CodecName(id), len(data), err)
+					}
+					if got, want := s.Info().Digest, sha256.Sum256(data); got != want {
+						t.Fatalf("GOMAXPROCS=%d %s (lazy %v), %d bytes: digest %x, want %x",
+							procs, CodecName(id), s.Lazy(), len(data), got, want)
+					}
+					if _, err := NewReceiver(s.Info()); err != nil {
+						t.Fatalf("GOMAXPROCS=%d %s: published descriptor refused: %v", procs, CodecName(id), err)
+					}
+				}
+			}
+		}
+		t.Run(fmt.Sprintf("refusals-GOMAXPROCS=%d", procs), TestNewSessionRefusesWhatReceiversRefuse)
+		func() {
+			defer func(d func([]byte) [sha256.Size]byte) { fileDigest = d }(fileDigest)
+			fileDigest = func([]byte) [sha256.Size]byte { return [sha256.Size]byte{} }
+			for _, id := range servedIDs() {
+				_, err := NewSession(files[0], Config{Codec: id, PacketLen: 64, Stretch: 2, Layers: 1})
+				if err == nil || !strings.Contains(err.Error(), "digest") {
+					t.Errorf("GOMAXPROCS=%d %s: zero digest published (err %v)", procs, CodecName(id), err)
+				}
+			}
+		}()
+		// A goroutine not joined is blocked on its send for good.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("GOMAXPROCS=%d: %d goroutines after the sessions, %d before", procs, runtime.NumGoroutine(), baseline)
+			}
 		}
 	}
 }

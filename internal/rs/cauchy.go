@@ -72,9 +72,10 @@ func (c *Cauchy) coeff(r, j int) uint32 {
 // The sum is taken by coefficient bit. Writing e_t = Σ_b e_t,b·x^b, it is
 // Σ_b x^b·B_b, where bucket B_b is the XOR of the s_t whose coefficient has
 // bit b set. Buckets are filled by destination: the terms are read 64 at a
-// time onto the stack, and each bucket gathers the sources of that chunk
-// whose coefficient has its bit set and folds them in with one gf.XORMany
-// (a bucket's first touch copies its first source, so nothing is cleared).
+// time onto the stack, each term's index is filed once under every set bit
+// of its coefficient, and each bucket then folds in the sources filed under
+// it with one gf.XORMany (a bucket's first touch copies its first source,
+// so nothing is cleared).
 // The buckets are combined by Horner's rule: acc = B_h, then
 // acc = x·acc ⊕ B_b for b from h−1 down to 0. Bucket 0 is dst itself;
 // buckets 1..15 are scratch from the codec's pool, and each Horner step
@@ -84,23 +85,29 @@ func (c *Cauchy) mulAdd(dst []byte, n int, term func(t int) (uint32, []byte)) {
 	sp := c.scratch.Get().(*[]byte)
 	buckets := *sp
 	var touched uint32 // bit b: bucket b holds a value
-	var es [64]uint32
 	var ss, srcs [64][]byte
-	for lo := 0; lo < n; lo += len(es) {
-		m := min(n-lo, len(es))
+	var filed [16][64]uint8 // filed[b][:fill[b]]: the chunk's terms with coefficient bit b
+	var fill [16]int
+	for lo := 0; lo < n; lo += len(ss) {
+		m := min(n-lo, len(ss))
 		var set uint32 // bit b: some term of the chunk has coefficient bit b
 		for t := range m {
-			es[t], ss[t] = term(lo + t)
-			set |= es[t]
+			var e uint32
+			e, ss[t] = term(lo + t)
+			set |= e
+			for ; e != 0; e &= e - 1 {
+				b := bits.TrailingZeros32(e)
+				filed[b][fill[b]] = uint8(t)
+				fill[b]++
+			}
 		}
 		for ; set != 0; set &= set - 1 {
 			b := bits.TrailingZeros32(set)
 			g := srcs[:0]
-			for t, e := range es[:m] {
-				if e>>b&1 != 0 {
-					g = append(g, ss[t])
-				}
+			for _, t := range filed[b][:fill[b]] {
+				g = append(g, ss[t])
 			}
+			fill[b] = 0
 			bucket := dst
 			if b > 0 {
 				bucket = buckets[(b-1)*pl : b*pl]

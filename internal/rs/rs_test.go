@@ -330,7 +330,8 @@ func mulAddRef(f *gf.Field, dst []byte, coeffs []uint32, srcs [][]byte) {
 
 // TestCauchyKernelMatchesBitMatrix: mulAdd, which sums by coefficient bit
 // and combines by Horner's rule, computes the bit-matrix product exactly,
-// accumulating into a nonzero dst; and a warm EncodeInto allocates nothing.
+// accumulating into a nonzero dst, at term counts on either side of its
+// 64-term chunks; and a warm EncodeInto allocates nothing.
 func TestCauchyKernelMatchesBitMatrix(t *testing.T) {
 	f := gf.New16()
 	rng := rand.New(rand.NewSource(19))
@@ -340,7 +341,7 @@ func TestCauchyKernelMatchesBitMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, terms := range []int{1, 3, 50, 130} {
+		for _, terms := range []int{1, 3, 50, 63, 64, 65, 128, 130} {
 			for trial := 0; trial < 20; trial++ {
 				coeffs := make([]uint32, terms)
 				for i := range coeffs {
