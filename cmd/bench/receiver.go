@@ -44,8 +44,8 @@ const intakeDistinct = 2000
 const intakeCycles = 50
 
 // drainBurst is the per-round datagram count of the socket benchmark:
-// enough full recvmmsg chunks that a round is not one syscall's noise, and
-// well inside what a client socket queues (≈ 3 640 datagrams).
+// several recvmmsg fills (with GSO and GRO, 16 runs of 64 in four fills),
+// and well inside what a client socket queues (≈ 3 640 lone datagrams).
 const drainBurst = 1024
 
 // drainRounds is the number of bursts the socket benchmark drains: ≈ 300 k
@@ -132,7 +132,7 @@ func intakePackets(sess *core.Session) [][]byte {
 
 // measureIntake feeds the pre-generated stream to a fresh engine — first
 // cycle off the clock as warmup — and accounts time and allocations over
-// the rest. batch selects HandleBatchFrom in recvChunk-sized slices versus
+// the rest. batch selects HandleBatchFrom in slices of 32 versus
 // the per-packet call; traced attaches an enabled flight recorder, so the
 // gated row proves intake stays allocation-free while every packet also
 // writes EvIntake/EvSymbol events into the ring.
@@ -162,7 +162,9 @@ func measureIntake(sess *core.Session, pkts [][]byte, batch, traced bool) (recei
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
 	if batch {
-		const chunk = 32 // the transport's recvChunk: the shape RecvBatch delivers
+		// 32 datagrams: a RecvBatch fill before GRO. Fills now run from
+		// ≈ 10 (a paced download) to ≈ 127 (a saturated one).
+		const chunk = 32
 		for lo := 0; lo < len(rest); lo += chunk {
 			hi := lo + chunk
 			if hi > len(rest) {

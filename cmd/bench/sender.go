@@ -5,15 +5,18 @@ package main
 // (per-shard buffers, per-layer batches, GOMAXPROCS shard workers), with the
 // flight recorder absent, attached-disabled and recording. Every mode runs
 // at a saturating rate against the same null counting sink, so the numbers
-// isolate the send path itself.
+// isolate the send path itself. One more row, udp-send-batch, times the
+// socket below it: UDPServer.SendBatch into a loopback client, the twin of
+// the receiver suite's udp-recv-batch.
 //
 // The suite enforces the zero-alloc property: steady-state scheduler
-// emission above allocGate allocations per packet is a hard failure (the
-// CI bench-smoke step runs this suite).
+// emission or socket write above allocGate allocations per packet is a hard
+// failure (the CI bench-smoke step runs this suite).
 
 import (
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -22,6 +25,7 @@ import (
 	"repro/internal/evtrace"
 	"repro/internal/proto"
 	"repro/internal/service"
+	"repro/internal/transport"
 )
 
 // senderSessionCounts are the concurrency points of the suite.
@@ -75,6 +79,13 @@ type senderResult struct {
 	// with observability read traffic live, so "zero-alloc with
 	// instrumentation" is what is actually proven.
 	Scrapes int `json:"scrapes,omitempty"`
+	// GSO, on the udp-send-batch row only, is whether the bursts crossed
+	// the socket as runs of datagrams, one kernel message each (UDP GSO on
+	// the server, GRO on the client).
+	GSO *bool `json:"gso,omitempty"`
+	// Drops, on the udp-send-batch row, counts datagrams the drains did
+	// not see.
+	Drops uint64 `json:"drops,omitempty"`
 }
 
 type senderReport struct {
@@ -238,6 +249,108 @@ func bestWindow(row, w senderResult) senderResult {
 	return w
 }
 
+// The socket row's shape: sendRounds bursts of sendBurst wire packets of
+// sendWireLen bytes, handed to SendBatch sendBatchLen at a time — the most
+// the scheduler hands the transport at once (service.maxBatch). A burst
+// sits well inside what the client socket queues (≈ 3 640 lone 1 040-byte
+// datagrams), so the drain between bursts sees every datagram.
+const (
+	sendRounds   = 300
+	sendBurst    = 1024
+	sendBatchLen = 128
+	sendWireLen  = 1040
+)
+
+// recvBatchMsgs is the number of kernel messages one RecvBatch fill takes
+// (the transport's recvMsgs): a fill of more datagrams than that took a
+// message that carried a run.
+const recvBatchMsgs = 4
+
+// measureSend times UDPServer.SendBatch alone: each round hands one burst
+// to the server on the clock, between ReadMemStats calls, and the client
+// drains it off the clock. The row's pkts/s is all datagrams over all the
+// sends.
+func measureSend() (senderResult, error) {
+	const session = 0x7003
+	srv, err := transport.NewUDPServer("127.0.0.1:0", 1)
+	if err != nil {
+		return senderResult{}, err
+	}
+	defer srv.Close()
+	cli, err := transport.NewUDPClientSession([]*net.UDPAddr{srv.Addr()}, session, 0)
+	if err != nil {
+		return senderResult{}, err
+	}
+	defer cli.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.SessionSubscribers(session, 0) == 0 {
+		if time.Now().After(deadline) {
+			return senderResult{}, fmt.Errorf("subscription never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	burst := make([][]byte, sendBurst)
+	payload := make([]byte, sendWireLen-proto.HeaderLen)
+	for i := range burst {
+		h := proto.Header{Index: uint32(i), Serial: uint32(i + 1), Session: session}
+		burst[i] = append(h.Marshal(nil), payload...)
+	}
+	var rb transport.RecvBatch
+	defer rb.Free()
+	var (
+		secs                float64
+		mallocs, allocBytes uint64
+		drops               uint64
+		gso                 bool
+		m0, m1              runtime.MemStats
+	)
+	runtime.GC()
+	// Round 0 is off the books: it builds the server's send state.
+	for round := range sendRounds + 1 {
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
+		for lo := 0; lo < sendBurst; lo += sendBatchLen {
+			if err := srv.SendBatch(0, burst[lo:lo+sendBatchLen]); err != nil {
+				return senderResult{}, err
+			}
+		}
+		dt := time.Since(t0).Seconds()
+		runtime.ReadMemStats(&m1)
+		got := 0
+		for got < sendBurst {
+			n, err := cli.RecvBatch(&rb, 50*time.Millisecond)
+			if err == transport.ErrTimeout {
+				break
+			}
+			if err != nil {
+				return senderResult{}, err
+			}
+			got += n
+			gso = gso || n > recvBatchMsgs
+		}
+		if round == 0 {
+			continue
+		}
+		secs += dt
+		mallocs += m1.Mallocs - m0.Mallocs
+		allocBytes += m1.TotalAlloc - m0.TotalAlloc
+		drops += uint64(sendBurst - got)
+	}
+	pkts := uint64(sendRounds * sendBurst)
+	return senderResult{
+		Mode:                "udp-send-batch",
+		Sessions:            1,
+		Seconds:             secs,
+		Packets:             pkts,
+		PacketsPerSec:       float64(pkts) / secs,
+		MBPerSec:            float64(pkts*sendWireLen) / secs / 1e6,
+		AllocsPerPacket:     float64(mallocs) / float64(pkts),
+		AllocBytesPerPacket: float64(allocBytes) / float64(pkts),
+		GSO:                 &gso,
+		Drops:               drops,
+	}, nil
+}
+
 // runSenderSuite executes the full suite and writes the JSON report. It
 // exits nonzero when the scheduler's steady-state emission allocates.
 func runSenderSuite(out string) {
@@ -265,19 +378,29 @@ func runSenderSuite(out string) {
 		}
 		rep.Results = append(rep.Results, rows...)
 	}
+	runtime.GC()
+	udp, err := measureSend()
+	if err != nil {
+		fatalf("sender socket: %v", err)
+	}
+	rep.Results = append(rep.Results, udp)
 
 	writeReport(out, rep, func() {
 		for _, r := range rep.Results {
-			fmt.Printf("%-22s sessions=%-4d %12.0f pkts/s %9.2f MB/s %8.4f allocs/pkt %8.1f B/pkt\n",
+			fmt.Printf("%-22s sessions=%-4d %12.0f pkts/s %9.2f MB/s %8.4f allocs/pkt %8.1f B/pkt",
 				r.Mode, r.Sessions, r.PacketsPerSec, r.MBPerSec, r.AllocsPerPacket, r.AllocBytesPerPacket)
+			if r.GSO != nil {
+				fmt.Printf(" gso=%v (drops %d)", *r.GSO, r.Drops)
+			}
+			fmt.Println()
 		}
 	})
 
 	// The hard gates: every mode must actually emit (a stalled scheduler
 	// must not pass vacuously); steady-state emission must not allocate
-	// with the recorder absent, attached-disabled, or recording; and a
-	// disabled recorder must not cost more than the traceOffFloor against
-	// the plain scheduler at the same session count.
+	// with the recorder absent, attached-disabled, or recording, nor the
+	// socket write; and a disabled recorder must not cost more than the
+	// traceOffFloor against the plain scheduler at the same session count.
 	plain := map[int]float64{}
 	for _, r := range rep.Results {
 		if r.Mode == "scheduler" {

@@ -313,9 +313,6 @@ func download(info proto.SessionInfo, mirrors []*net.UDPAddr, out string, o dlOp
 		return err
 	}
 	defer cli.Close()
-	// Size the receive buffers to this session's wire packets (header +
-	// payload + integrity tag), with slack for control-plane growth.
-	cli.SetRecvSize(proto.HeaderLen + int(info.PacketLen) + proto.TagLen + 64)
 	if o.reg != nil {
 		cli.RegisterMetrics(o.reg, o.slot)
 	}

@@ -298,7 +298,7 @@ func (em *emitter) PacketBuf(size int) []byte {
 // before flushing: large sessions emit thousands of packets per layer per
 // round, and streaming them in bounded batches keeps peak send-path memory
 // at maxBatch+1 wire buffers per emitter instead of a whole layer's worth.
-// 128 spans two sendmmsg chunks.
+// 128 is one sendmmsg call where the server has GSO, two without.
 const maxBatch = 128
 
 // Emit implements core.RoundEmitter: consecutive packets of one layer

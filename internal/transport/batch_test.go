@@ -268,6 +268,69 @@ func TestSendBatchEmptyPackets(t *testing.T) {
 	expectPackets(t, c, batch)
 }
 
+// TestSendBatchSegmentRuns: every batch arrives whole and in order however
+// its lengths cut it into runs (with GSO, one kernel message each): mixed
+// lengths; empty datagrams between runs; a run of maxRun+1 datagrams; and
+// a run of more bytes than one message carries. Traffic counts datagrams,
+// not messages.
+func TestSendBatchSegmentRuns(t *testing.T) {
+	s, err := NewUDPServer("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := NewUDPClient(s.Addr(), 0) // wildcard: headerless datagrams reach it too
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitSubs(t, func() bool { return s.Subscribers(0) == 1 }, "the subscription")
+	// batch builds one datagram per length. Those of HeaderLen bytes or
+	// more carry one session id, the shorter ones none, so SendBatch routes
+	// either kind of batch as one run of sessions, in one batch write.
+	serial := uint32(0)
+	batch := func(lengths ...int) [][]byte {
+		pkts := make([][]byte, len(lengths))
+		for i, n := range lengths {
+			serial++
+			if n < proto.HeaderLen {
+				pkts[i] = bytes.Repeat([]byte{byte(serial)}, n)
+			} else {
+				pkts[i] = testPacket(0x5E6, 0, serial, bytes.Repeat([]byte{byte(serial)}, n-proto.HeaderLen))
+			}
+		}
+		return pkts
+	}
+	repeat := func(n, length int) []int {
+		lengths := make([]int, n)
+		for i := range lengths {
+			lengths[i] = length
+		}
+		return lengths
+	}
+	cases := []struct {
+		name string
+		pkts [][]byte
+	}{
+		{"mixed lengths", batch(100, 100, 100, 200, 200, 60, 300, 300, 300, 300, 40, 1040, 1040, 1040, 12)},
+		{"empty between runs", batch(5, 5, 5, 0, 5, 5, 0, 0, 11, 11, 3, 0, 7, 0)},
+		{"a run of maxRun+1", batch(repeat(maxRun+1, 500)...)},
+		{"a run past one message's bytes", batch(repeat(maxRun, 1100)...)},
+	}
+	var sent uint64
+	for _, tc := range cases {
+		if err := s.SendBatch(0, tc.pkts); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		expectPackets(t, c, tc.pkts)
+		sent += uint64(len(tc.pkts))
+	}
+	if pk, _ := s.Traffic(); pk != sent {
+		t.Fatalf("Traffic counts %d datagrams, want %d", pk, sent)
+	}
+	t.Logf("GSO %v, GRO %v", s.gso, c.gro)
+}
+
 // TestBusSendBatch: the in-proc bus must deliver a batch in order, one
 // batch after another, and refuse an out-of-range layer.
 func TestBusSendBatch(t *testing.T) {

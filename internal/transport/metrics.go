@@ -8,10 +8,11 @@ import (
 
 // batchSizeBounds are the histogram buckets shared by the send- and
 // receive-side batch-size distributions. Power-of-two bounds up to the
-// send batch cap (service.maxBatch = 128; recvmmsg chunks are 32) — a
-// scrape of these histograms answers "is the batching actually
-// amortizing syscalls, and by how much" directly.
-var batchSizeBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128}
+// largest receive fill (four messages of up to 64 coalesced datagrams; the
+// send batch cap, service.maxBatch, is 128) — a scrape of these histograms
+// answers "is the batching actually amortizing syscalls, and by how much"
+// directly.
+var batchSizeBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // RegisterMetrics exposes the server's traffic and hardening counters on a
 // scrape registry. The counters themselves are always maintained (they are

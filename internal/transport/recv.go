@@ -12,7 +12,8 @@ import (
 // the batch's own reusable buffers with recvmmsg (linux/amd64; a portable
 // one-read fallback elsewhere), so a busy receiver pays one syscall and
 // zero allocations for a whole burst of datagrams instead of one syscall
-// and one 64 KiB allocation per packet.
+// and one 64 KiB allocation per packet. Where the socket has UDP_GRO, one
+// kernel message is a whole run of datagrams, cut apart here.
 
 // ErrClosed is returned by the receive calls once the client (or its
 // socket) has been closed. Callers distinguish it from ErrTimeout to stop
@@ -23,17 +24,21 @@ var ErrClosed = errors.New("transport: client closed")
 // with no datagram. The client is still healthy; polling may continue.
 var ErrTimeout = errors.New("transport: receive timed out")
 
-// recvChunk is the most datagrams one RecvBatch call returns — the size of
-// a batch's buffer set. 32 bounds a batch's memory to 64 KiB at
-// the default buffer size while amortizing the wakeup ~30x on busy
-// sockets.
-const recvChunk = 32
+// recvMsgs is the number of kernel messages one RecvBatch call takes — the
+// size of a batch's buffer set. Four bound a batch's memory to 256 KiB; a
+// benchmark download allocates one batch, so more would show in its
+// allocation per download.
+const recvMsgs = 4
 
-// defaultRecvSize is the per-datagram receive buffer capacity. Wire
-// packets are header + payload + tag; every codec in this repository pads
-// payloads to at most 1024 bytes, so 2 KiB covers them with slack for
-// future growth. SetRecvSize raises it for jumbo deployments.
-const defaultRecvSize = 2048
+// recvMsgLen is the size of a message buffer: the largest UDP payload fits,
+// so no datagram, nor run of coalesced datagrams, is ever truncated.
+const recvMsgLen = 64 << 10
+
+// maxRun is the most datagrams one message carries: the bound on the
+// server's GSO runs and on the kernel's receive coalescing
+// (UDP_GRO_CNT_MAX). A fill returns at most recvMsgs·maxRun datagrams from
+// this repository's servers.
+const maxRun = 64
 
 // classifyRecvErr folds the socket error zoo into the two conditions
 // receive loops act on: ErrClosed (stop) and ErrTimeout (poll again).
@@ -56,28 +61,27 @@ func classifyRecvErr(err error) error {
 // RecvBatch is a reusable receive batch: a set of buffers a client fills
 // with one RecvBatch call each time. The zero value is ready to use; the
 // buffers are allocated at the first fill, as one slab, and kept across
-// calls — regrown only when the client's receive size rises — so a
-// steady-state receive loop allocates nothing. Free drops them.
+// calls, so a steady-state receive loop allocates nothing. Free drops them.
 //
 // A RecvBatch belongs to one receive loop at a time — it is not safe for
 // concurrent use.
 type RecvBatch struct {
-	bufs [][]byte
+	bufs [][]byte // recvMsgs message buffers of recvMsgLen bytes
 	pkts [][]byte
 	srcs []int // srcs[i]: the mirror that sent pkts[i]
 }
 
-// ensure readies the batch for a fill: chunk buffers of at least size
-// bytes each, packet views cleared.
-func (rb *RecvBatch) ensure(chunk, size int) {
-	if len(rb.bufs) < chunk || len(rb.bufs[0]) < size {
-		slab := make([]byte, chunk*size)
-		rb.bufs = make([][]byte, chunk)
+// ensure readies the batch for a fill: its message buffers allocated,
+// packet views cleared.
+func (rb *RecvBatch) ensure() {
+	if rb.bufs == nil {
+		slab := make([]byte, recvMsgs*recvMsgLen)
+		rb.bufs = make([][]byte, recvMsgs)
 		for i := range rb.bufs {
-			rb.bufs[i] = slab[i*size : (i+1)*size : (i+1)*size]
+			rb.bufs[i] = slab[i*recvMsgLen : (i+1)*recvMsgLen : (i+1)*recvMsgLen]
 		}
-		rb.pkts = make([][]byte, 0, chunk)
-		rb.srcs = make([]int, 0, chunk)
+		rb.pkts = make([][]byte, 0, recvMsgs*maxRun)
+		rb.srcs = make([]int, 0, recvMsgs*maxRun)
 	}
 	rb.pkts, rb.srcs = rb.pkts[:0], rb.srcs[:0]
 }
@@ -99,19 +103,6 @@ func (rb *RecvBatch) Len() int { return len(rb.pkts) }
 // views are dead.
 func (rb *RecvBatch) Free() { *rb = RecvBatch{} }
 
-// SetRecvSize sets the per-datagram receive buffer capacity for this
-// client (default 2048). Datagrams longer than the buffer are truncated by
-// the kernel, so deployments with jumbo packets should raise it to at
-// least header + payload + tag before the first receive call.
-func (c *UDPClient) SetRecvSize(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 256 {
-		n = 256
-	}
-	c.recvSize = n
-}
-
 // SocketStats is the kernel's account of a client's receive socket,
 // read with getsockopt(SO_MEMINFO).
 type SocketStats struct {
@@ -119,11 +110,13 @@ type SocketStats struct {
 	// the request, capped at twice net.core.rmem_max.
 	Buffer int
 	// Queued is the memory the datagrams waiting in the socket hold now,
-	// charged at the kernel's per-datagram cost (a 1 040-byte wire packet
-	// costs about 2 300 bytes on loopback).
+	// charged at the kernel's per-buffer cost (a lone 1 040-byte wire
+	// packet costs about 2 300 bytes on loopback, one in a coalesced run
+	// about 1 070).
 	Queued int
-	// Drops counts the datagrams the kernel dropped at this socket since
-	// it was opened, a full buffer being the usual cause.
+	// Drops counts what the kernel dropped at this socket since it was
+	// opened, a full buffer being the usual cause: one per kernel buffer,
+	// a lone datagram or a whole coalesced run (UDP GRO).
 	Drops uint64
 }
 
@@ -141,9 +134,10 @@ func (c *UDPClient) Closed() bool {
 // and rb.Source(i) the mirror that sent packet i. A datagram from an
 // address that is none of the client's mirrors is stray: it is dropped
 // here and counted, and a visit that yields only strays waits on. On
-// linux/amd64 a whole backlog drains with one recvmmsg(2) call; elsewhere
-// one datagram is read per call. The previous fill's packet views are
-// invalidated.
+// linux/amd64 one recvmmsg(2) call takes up to recvMsgs messages, each a
+// run of up to maxRun datagrams where the kernel coalesced them (UDP_GRO);
+// elsewhere one datagram is read per call. A datagram is never truncated.
+// The previous fill's packet views are invalidated.
 //
 // Errors: ErrTimeout when nothing arrived in time, ErrClosed once the
 // client is closed. RecvBatch is a single-reader call — run one receive
@@ -154,9 +148,8 @@ func (c *UDPClient) RecvBatch(rb *RecvBatch, timeout time.Duration) (int, error)
 		c.mu.Unlock()
 		return 0, ErrClosed
 	}
-	size := c.recvSize
 	c.mu.Unlock()
-	rb.ensure(recvChunk, size)
+	rb.ensure()
 	c.conn.SetReadDeadline(time.Now().Add(timeout))
 	for len(rb.pkts) == 0 {
 		if err := c.readBatch(rb); err != nil {
@@ -174,14 +167,31 @@ func (c *UDPClient) RecvBatch(rb *RecvBatch, timeout time.Duration) (int, error)
 	return n, nil
 }
 
-// accept adds buffer i's first n bytes to rb if from is one of the
-// client's mirrors (in mirrorKey form), and counts it stray otherwise.
-func (c *UDPClient) accept(rb *RecvBatch, i, n int, from netip.AddrPort) {
-	if src := c.mirrorOf(from); src >= 0 {
-		rb.pkts = append(rb.pkts, rb.bufs[i][:n])
+// accept adds the datagrams of one kernel message to rb if from is one of
+// the client's mirrors (in mirrorKey form), and counts each stray
+// otherwise. The message is cut every seg bytes, the last datagram possibly
+// shorter; seg ≤ 0 makes it one datagram, and an empty message is one
+// empty datagram.
+func (c *UDPClient) accept(rb *RecvBatch, msg []byte, seg int, from netip.AddrPort) {
+	if seg <= 0 || seg > len(msg) {
+		seg = len(msg)
+	}
+	src := c.mirrorOf(from)
+	if src < 0 {
+		n := 1
+		if seg > 0 {
+			n = (len(msg) + seg - 1) / seg
+		}
+		c.rxStray.Add(uint64(n))
+		return
+	}
+	for {
+		n := min(seg, len(msg))
+		rb.pkts = append(rb.pkts, msg[:n:n])
 		rb.srcs = append(rb.srcs, src)
-	} else {
-		c.rxStray.Add(1)
+		if msg = msg[n:]; len(msg) == 0 {
+			return
+		}
 	}
 }
 
@@ -192,6 +202,6 @@ func (c *UDPClient) readBatchPortable(rb *RecvBatch) error {
 	if err != nil {
 		return err
 	}
-	c.accept(rb, 0, n, mirrorKey(from))
+	c.accept(rb, rb.bufs[0][:n], n, mirrorKey(from))
 	return nil
 }

@@ -15,8 +15,10 @@ import (
 )
 
 // TestRecvBatchLoopback drives enough packets through the real socket path
-// to force multiple fills (and, on linux/amd64, multi-datagram recvmmsg
-// fills) and checks that every packet arrives intact and in order.
+// to fill several kernel messages (on linux/amd64, multi-message recvmmsg
+// fills, and with GSO and GRO multi-datagram messages) and checks that
+// every packet arrives intact and in order, no fill returning more than
+// recvMsgs runs of maxRun datagrams.
 func TestRecvBatchLoopback(t *testing.T) {
 	s, err := NewUDPServer("127.0.0.1:0", 1)
 	if err != nil {
@@ -35,7 +37,7 @@ func TestRecvBatchLoopback(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	const n = 150 // > 4 * recvChunk: several fills even if each drains a full chunk
+	const n = 150 // > 2 * maxRun: several messages even if each carries a full run
 	batch := make([][]byte, n)
 	for i := range batch {
 		batch[i] = testPacket(0xBA7C, 0, uint32(i+1), []byte(fmt.Sprintf("r%03d", i)))
@@ -52,7 +54,7 @@ func TestRecvBatchLoopback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fill %d after %d packets: %v", fills, got, err)
 		}
-		if k != rb.Len() || k < 1 || k > recvChunk {
+		if k != rb.Len() || k < 1 || k > recvMsgs*maxRun {
 			t.Fatalf("fill %d: n=%d, Len=%d", fills, k, rb.Len())
 		}
 		for _, pkt := range rb.Packets() {
@@ -119,10 +121,9 @@ func TestRecvClosedVsTimeout(t *testing.T) {
 	}
 }
 
-// TestSetRecvSize: datagrams larger than the default buffer are truncated
-// by the kernel, so a raised receive size must round-trip a jumbo packet
-// intact.
-func TestSetRecvSize(t *testing.T) {
+// TestRecvBatchWholeDatagram: a message buffer holds the largest UDP
+// payload, so a 60 000-byte datagram arrives whole, with no size to set.
+func TestRecvBatchWholeDatagram(t *testing.T) {
 	s, err := NewUDPServer("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -133,15 +134,8 @@ func TestSetRecvSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetRecvSize(8192)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.SessionSubscribers(0xBA7E, 0) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	jumbo := testPacket(0xBA7E, 0, 1, bytes.Repeat([]byte{0xAB}, 4000))
+	waitSubs(t, func() bool { return s.SessionSubscribers(0xBA7E, 0) == 1 }, "the subscription")
+	jumbo := testPacket(0xBA7E, 0, 1, bytes.Repeat([]byte{0xAB}, 60000-proto.HeaderLen))
 	if err := s.SendBatch(0, [][]byte{jumbo}); err != nil {
 		t.Fatal(err)
 	}

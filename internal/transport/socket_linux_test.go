@@ -79,6 +79,50 @@ func capacity(t *testing.T, s *UDPServer, c *UDPClient, st SocketStats, pkt []by
 	return st.Buffer / q.Queued
 }
 
+// runCapacity is capacity measured on a burst sent in batches of run
+// datagrams: with GSO and GRO each batch queues as one kernel buffer, at
+// about half a lone datagram's cost per datagram. The probes are read back
+// off the socket.
+func runCapacity(t *testing.T, s *UDPServer, c *UDPClient, st SocketStats, pkts [][]byte, run int) int {
+	t.Helper()
+	sendRuns(t, s, pkts, run)
+	// Loopback delivery runs in softirq context: wait until the queue
+	// stops growing.
+	var q, last SocketStats
+	deadline := time.Now().Add(2 * time.Second)
+	for q.Queued == 0 || q.Queued != last.Queued {
+		if time.Now().After(deadline) {
+			t.Fatal("probe burst never settled in the queue")
+		}
+		last = q
+		time.Sleep(5 * time.Millisecond)
+		var err error
+		if q, err = c.SocketStats(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rb RecvBatch
+	defer rb.Free()
+	for got := 0; got < len(pkts); {
+		n, err := c.RecvBatch(&rb, 2*time.Second)
+		if err != nil {
+			t.Fatalf("probe burst: %d of %d datagrams, %v", got, len(pkts), err)
+		}
+		got += n
+	}
+	return int(int64(st.Buffer) * int64(len(pkts)) / int64(q.Queued))
+}
+
+// sendRuns sends pkts in batches of run datagrams.
+func sendRuns(t *testing.T, s *UDPServer, pkts [][]byte, run int) {
+	t.Helper()
+	for lo := 0; lo < len(pkts); lo += run {
+		if err := s.SendBatch(0, pkts[lo:min(lo+run, len(pkts))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // sendBurst sends pkts to the stalled client in chunks of one send batch.
 func sendBurst(t *testing.T, s *UDPServer, pkts [][]byte) {
 	t.Helper()
@@ -136,10 +180,16 @@ func TestUDPClientAbsorbsStall(t *testing.T) {
 // TestRxLossMatchesKernelDrops: the loss the client engine infers from
 // serial gaps is exactly what the kernel dropped at the socket — from one
 // mirror, and from two servers carrying one session into the one socket,
-// where the engine sums the loss over both sources. The client stalls
-// through a burst of twice what its buffer holds, drains through
-// RecvBatch and Engine.HandlePacketFrom, and one last packet per mirror
-// reveals the gap the drops left at the tail.
+// where the engine sums the loss over both sources. The kernel queues,
+// drops and counts whole buffers: a datagram each, or, where the server
+// has GSO and the client GRO, a whole run. So the burst goes out in
+// batches of one full run each, and the engine's loss must be the kernel's
+// drops times the datagrams in a buffer. The client stalls through a burst
+// of twice what its buffer holds — measured on a probe burst sent the same
+// way, since a coalesced run costs the queue less per datagram than a lone
+// datagram does — drains through RecvBatch and Engine.HandlePacketFrom,
+// and one last packet per mirror reveals the gap the drops left at the
+// tail.
 func TestRxLossMatchesKernelDrops(t *testing.T) {
 	for mirrors := 1; mirrors <= 2; mirrors++ {
 		t.Run(fmt.Sprintf("mirrors=%d", mirrors), func(t *testing.T) {
@@ -166,18 +216,27 @@ func rxLossMatchesKernelDrops(t *testing.T, session uint16, mirrors int) {
 	if len(probe) != wireLen {
 		t.Fatalf("wire packet of %d bytes, want %d", len(probe), wireLen)
 	}
-	fit := capacity(t, srvs[0], c, st, probe)
-	// Twice what the buffer holds, split over the mirrors and sent one
-	// batch from each in turn, plus one tail packet each. (The engine
-	// counts a gap only after a source's first packet.)
-	burst := 2 * fit / mirrors
+	run := min(maxRun, gsoMaxBytes/wireLen)
+	perBuffer := 1
+	if srvs[0].gso && c.gro {
+		perBuffer = run
+	}
+	probes := make([][]byte, 16*run)
+	for i := range probes {
+		probes[i] = probe
+	}
+	fit := runCapacity(t, srvs[0], c, st, probes, run)
+	// Twice what the buffer holds, in whole runs, split over the mirrors
+	// and sent one run from each in turn, plus one tail packet each. (The
+	// engine counts a gap only after a source's first packet.)
+	burst := (2*fit/mirrors + run - 1) / run * run
 	pkts := make([][]byte, burst+1)
 	for i := range pkts {
 		pkts[i] = sess.AppendPacket(nil, 0, 0, uint32(i+1), 0)
 	}
-	for lo := 0; lo < burst; lo += 128 {
+	for lo := 0; lo < burst; lo += run {
 		for _, s := range srvs {
-			sendBurst(t, s, pkts[lo:min(lo+128, burst)])
+			sendRuns(t, s, pkts[lo:lo+run], run)
 		}
 	}
 
@@ -216,8 +275,10 @@ func rxLossMatchesKernelDrops(t *testing.T, session uint16, mirrors int) {
 		}
 		lost += ss.Lost
 	}
-	if uint64(lost) != kernel.Drops {
-		t.Fatalf("engine counted %d lost, kernel dropped %d", lost, kernel.Drops)
+	if uint64(lost) != kernel.Drops*uint64(perBuffer) {
+		t.Fatalf("engine counted %d lost, kernel dropped %d buffers of %d datagrams",
+			lost, kernel.Drops, perBuffer)
 	}
-	t.Logf("%d mirrors × %d packets: lost %d = kernel drops", mirrors, burst+1, lost)
+	t.Logf("%d mirrors × %d packets: lost %d = kernel drops %d × %d datagrams per buffer",
+		mirrors, burst+1, lost, kernel.Drops, perBuffer)
 }

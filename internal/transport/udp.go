@@ -118,6 +118,10 @@ type UDPServer struct {
 	v4Socket bool            // data socket is AF_INET: the sendmmsg fast path applies
 	rawConn  syscall.RawConn // cached once: SyscallConn allocates per call
 	mmsg     *sendState      // reusable kernel batch-write state
+	// gso: a sendmmsg message carries a run of datagrams (UDP GSO). Set by
+	// the probe at construction, cleared for good at the kernel's first
+	// refusal of a run.
+	gso bool
 
 	// writeOne is the single-datagram write, overridable by tests to
 	// observe the exact buffers handed to the kernel (see the buffer
@@ -167,6 +171,7 @@ func NewUDPServer(addr string, layers int) (*UDPServer, error) {
 	// A nil rawConn (a SyscallConn failure) just disables the kernel
 	// batch fast path; the portable loop covers everything.
 	s.rawConn, _ = conn.SyscallConn()
+	s.gso = s.v4Socket && probeGSO(s.rawConn)
 	go s.membershipLoop()
 	return s, nil
 }
@@ -543,8 +548,10 @@ type UDPClient struct {
 	level   int
 	closed  bool
 
-	recvSize int        // per-datagram receive buffer capacity
-	rmmsg    *recvState // reusable kernel batch-read state (single-reader)
+	rmmsg *recvState // reusable kernel batch-read state (single-reader)
+	// gro: the socket has UDP_GRO, so a kernel message may carry a run of
+	// datagrams. Set by the probe at construction.
+	gro bool
 
 	// Traffic accounting mirroring the server's send side: datagrams and
 	// bytes delivered to the caller, datagrams dropped as stray, and the
@@ -608,10 +615,11 @@ func NewUDPClientSession(mirrors []*net.UDPAddr, session uint16, level int) (*UD
 	// reports the grant), and some platforms refuse a size they cannot give.
 	_ = conn.SetReadBuffer(rxSocketBuffer)
 	c := &UDPClient{conn: conn, mirrors: keys, session: session, level: -1,
-		recvSize: defaultRecvSize, rxBatch: metrics.NewHistogram(batchSizeBounds...)}
+		rxBatch: metrics.NewHistogram(batchSizeBounds...)}
 	// A nil raw conn just disables the kernel batch read; the portable
 	// single-read path covers everything.
 	c.raw, _ = conn.SyscallConn()
+	c.gro = enableGRO(c.raw)
 	if err := c.SetLevel(level); err != nil {
 		conn.Close()
 		return nil, err

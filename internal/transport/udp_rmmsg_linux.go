@@ -9,8 +9,11 @@ import (
 )
 
 // The batched read on Linux uses recvmmsg(2) directly, mirroring the send
-// side's sendmmsg: one syscall drains up to recvChunk queued datagrams
-// into the batch's own buffers. Done via the standard library's
+// side's sendmmsg: one syscall drains up to recvMsgs queued messages into
+// the batch's own buffers. With UDP_GRO set on the socket, the kernel
+// queues a run that arrived coalesced (a GSO send, on loopback) as one
+// message and names its segment size in a control message; readBatch cuts
+// the message back into its datagrams. Done via the standard library's
 // RawConn so the repository stays dependency-free and the netpoller still
 // handles blocking, deadlines (os.ErrDeadlineExceeded) and close
 // (net.ErrClosed).
@@ -19,18 +22,31 @@ import (
 // package's frozen table predates it). The build tag pins the arch.
 const sysRecvmmsg = 299
 
+// udpGRO is UDP_GRO (include/uapi/linux/udp.h), which the syscall package's
+// frozen table predates: set as a socket option, the kernel delivers
+// coalesced runs whole; received as a control message, it carries the
+// run's segment size.
+const udpGRO = 104
+
+// groCmsg is one UDP_GRO control message, CMSG_SPACE(4) bytes.
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+	_    [4]byte
+}
+
 // recvState is the reusable recvmmsg machinery of one client: the sender
-// address, iovec and mmsghdr arrays handed to the kernel and the RawConn
-// callback. All of it would escape to the heap if declared per call (the
-// callback is an interface argument), so one readBatch would cost ~3
-// allocations; hoisted here and built once, the steady-state batch read
-// allocates nothing.
+// address, iovec, mmsghdr and control-message arrays handed to the kernel
+// and the RawConn callback. All of it would escape to the heap if declared
+// per call (the callback is an interface argument), so one readBatch would
+// cost ~3 allocations; hoisted here and built once, the steady-state batch
+// read allocates nothing.
 // Guarded by the client's single-reader receive discipline.
 type recvState struct {
-	names [recvChunk]syscall.RawSockaddrInet6 // msg_name: large enough for either family
-	iovs  [recvChunk]syscall.Iovec
-	msgs  [recvChunk]mmsghdr
-	n     int
+	names [recvMsgs]syscall.RawSockaddrInet6 // msg_name: large enough for either family
+	iovs  [recvMsgs]syscall.Iovec
+	msgs  [recvMsgs]mmsghdr
+	ctrl  [recvMsgs]groCmsg
 	got   int
 	opErr error
 	fn    func(fd uintptr) bool
@@ -41,7 +57,7 @@ func newRecvState() *recvState {
 	st.fn = func(fd uintptr) bool {
 		for {
 			r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&st.msgs[0])), uintptr(st.n), 0, 0, 0)
+				uintptr(unsafe.Pointer(&st.msgs[0])), recvMsgs, 0, 0, 0)
 			if errno == syscall.EAGAIN {
 				return false // nothing queued: wait for readability
 			}
@@ -59,11 +75,27 @@ func newRecvState() *recvState {
 	return st
 }
 
-// readBatch fills rb with up to recvChunk datagrams in one recvmmsg call,
-// waiting on the netpoller until at least one datagram (or the read
+// enableGRO sets UDP_GRO on the socket and reports whether the kernel took
+// it: one before 5.0 refuses the option.
+func enableGRO(rc syscall.RawConn) bool {
+	if rc == nil {
+		return false
+	}
+	var serr error
+	if err := rc.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
+	}); err != nil {
+		return false
+	}
+	return serr == nil
+}
+
+// readBatch fills rb with up to recvMsgs messages in one recvmmsg call,
+// waiting on the netpoller until at least one message (or the read
 // deadline) arrives. Buffers are filled in place — no copies on the
-// receive path. The kernel writes each datagram's sender into msg_name,
-// which attributes it to a mirror or marks it stray.
+// receive path. The kernel writes each message's sender into msg_name,
+// which attributes every datagram of the message to a mirror or marks
+// them all stray.
 func (c *UDPClient) readBatch(rb *RecvBatch) error {
 	rc := c.raw
 	if rc == nil {
@@ -74,12 +106,7 @@ func (c *UDPClient) readBatch(rb *RecvBatch) error {
 		st = newRecvState()
 		c.rmmsg = st
 	}
-	n := len(rb.bufs)
-	if n > recvChunk {
-		n = recvChunk
-	}
-	for i := 0; i < n; i++ {
-		buf := rb.bufs[i]
+	for i, buf := range rb.bufs {
 		st.iovs[i] = syscall.Iovec{Base: &buf[0], Len: uint64(len(buf))}
 		st.msgs[i] = mmsghdr{hdr: syscall.Msghdr{
 			Name:    (*byte)(unsafe.Pointer(&st.names[i])),
@@ -87,8 +114,12 @@ func (c *UDPClient) readBatch(rb *RecvBatch) error {
 			Iov:     &st.iovs[i],
 			Iovlen:  1,
 		}}
+		if c.gro {
+			st.msgs[i].hdr.Control = (*byte)(unsafe.Pointer(&st.ctrl[i]))
+			st.msgs[i].hdr.Controllen = uint64(unsafe.Sizeof(st.ctrl[i]))
+		}
 	}
-	st.n, st.got, st.opErr = n, 0, nil
+	st.got, st.opErr = 0, nil
 	rerr := rc.Read(st.fn)
 	if rerr != nil {
 		return rerr
@@ -97,8 +128,15 @@ func (c *UDPClient) readBatch(rb *RecvBatch) error {
 		return st.opErr
 	}
 	for i := 0; i < st.got; i++ {
-		// nsent is the kernel-written datagram length (msg_len).
-		c.accept(rb, i, int(st.msgs[i].nsent), sockaddrKey(&st.names[i]))
+		// nsent is the kernel-written message length (msg_len), and
+		// Controllen what it wrote of the control buffer: a UDP_GRO
+		// message, or nothing for a message that is one datagram.
+		seg := 0
+		if cm := &st.ctrl[i]; st.msgs[i].hdr.Controllen >= syscall.SizeofCmsghdr+4 &&
+			cm.hdr.Level == syscall.IPPROTO_UDP && cm.hdr.Type == udpGRO {
+			seg = int(cm.size)
+		}
+		c.accept(rb, rb.bufs[i][:st.msgs[i].nsent], seg, sockaddrKey(&st.names[i]))
 	}
 	return nil
 }
